@@ -1,13 +1,12 @@
 //! A small synchronous client for the serve protocol, used by the CLI
 //! smoke path, the e2e tests, and `bench_serve`'s load generator.
 
-use crate::protocol::{
-    admin_request, ingest_request, link_resolve_request, read_frame, resolve_request, write_frame,
-};
+use crate::protocol::{admin_request, ingest_request, read_frame, resolve_request, write_frame};
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use zeroer_core::json::Json;
-use zeroer_tabular::Record;
+use zeroer_stream::Side;
+use zeroer_tabular::{Record, Value};
 
 /// A resolve response, parsed back into the shape of
 /// [`zeroer_stream::ResolveOutcome`]. Posteriors round-trip through the
@@ -94,6 +93,46 @@ fn field_usize(v: &Json, key: &str) -> io::Result<usize> {
         .ok_or_else(|| schema_err(format!("response carries no {key:?}")))
 }
 
+fn parse_resolution(response: &Json) -> io::Result<WireResolution> {
+    Ok(WireResolution {
+        epoch: field_usize(response, "epoch")? as u64,
+        candidates: field_usize(response, "candidates")?,
+        cluster: match response
+            .require("cluster")
+            .map_err(|e| schema_err(e.to_string()))?
+        {
+            Json::Null => None,
+            v => Some(
+                v.as_usize()
+                    .ok_or_else(|| schema_err("non-integer cluster"))?,
+            ),
+        },
+        matches: parse_matches(response)?,
+    })
+}
+
+fn parse_outcomes(response: &Json) -> io::Result<Vec<WireIngest>> {
+    let outcomes = response
+        .get("outcomes")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| schema_err("response carries no \"outcomes\" array"))?;
+    outcomes
+        .iter()
+        .map(|o| {
+            Ok(WireIngest {
+                index: field_usize(o, "index")?,
+                candidates: field_usize(o, "candidates")?,
+                cluster: field_usize(o, "cluster")?,
+                new_entity: o
+                    .get("new_entity")
+                    .and_then(Json::as_bool)
+                    .ok_or_else(|| schema_err("outcome carries no \"new_entity\""))?,
+                matches: parse_matches(o)?,
+            })
+        })
+        .collect()
+}
+
 impl Client {
     /// Connects to a running server.
     ///
@@ -132,58 +171,23 @@ impl Client {
     /// Resolves one record's values on the server's read path.
     ///
     /// # Errors
-    /// Fails on I/O errors or a server-side error response.
-    pub fn resolve(&mut self, values: &[zeroer_tabular::Value]) -> io::Result<WireResolution> {
-        let response = self.call(&resolve_request(values))?;
-        Ok(WireResolution {
-            epoch: field_usize(&response, "epoch")? as u64,
-            candidates: field_usize(&response, "candidates")?,
-            cluster: match response
-                .require("cluster")
-                .map_err(|e| schema_err(e.to_string()))?
-            {
-                Json::Null => None,
-                v => Some(
-                    v.as_usize()
-                        .ok_or_else(|| schema_err("non-integer cluster"))?,
-                ),
-            },
-            matches: parse_matches(&response)?,
-        })
+    /// Fails on I/O errors or a server-side error response (including a
+    /// linkage server, which requires a side).
+    pub fn resolve(&mut self, values: &[Value]) -> io::Result<WireResolution> {
+        let response = self.call(&resolve_request(values, None))?;
+        parse_resolution(&response)
     }
 
-    /// Resolves one side-tagged record against a linkage server
-    /// ([`crate::LinkServer`]): the record is blocked against the
-    /// opposite side's index and scored with the frozen cross model.
+    /// Resolves one side-tagged record against a linkage server: the
+    /// record is blocked against the opposite side's index and scored
+    /// with the frozen cross model.
     ///
     /// # Errors
     /// Fails on I/O errors or a server-side error response (including
     /// sending a side to a dedup server, which rejects it).
-    pub fn resolve_side(
-        &mut self,
-        values: &[zeroer_tabular::Value],
-        side: zeroer_stream::Side,
-    ) -> io::Result<WireResolution> {
-        let side = match side {
-            zeroer_stream::Side::Left => "left",
-            zeroer_stream::Side::Right => "right",
-        };
-        let response = self.call(&link_resolve_request(values, side))?;
-        Ok(WireResolution {
-            epoch: field_usize(&response, "epoch")? as u64,
-            candidates: field_usize(&response, "candidates")?,
-            cluster: match response
-                .require("cluster")
-                .map_err(|e| schema_err(e.to_string()))?
-            {
-                Json::Null => None,
-                v => Some(
-                    v.as_usize()
-                        .ok_or_else(|| schema_err("non-integer cluster"))?,
-                ),
-            },
-            matches: parse_matches(&response)?,
-        })
+    pub fn resolve_side(&mut self, values: &[Value], side: Side) -> io::Result<WireResolution> {
+        let response = self.call(&resolve_request(values, Some(side.name())))?;
+        parse_resolution(&response)
     }
 
     /// Ingests a batch of records through the server's write path.
@@ -192,26 +196,17 @@ impl Client {
     /// Fails on I/O errors or a server-side error response (e.g. arity
     /// mismatch — the whole batch is rejected, nothing applied).
     pub fn ingest(&mut self, records: &[Record]) -> io::Result<Vec<WireIngest>> {
-        let response = self.call(&ingest_request(records))?;
-        let outcomes = response
-            .get("outcomes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| schema_err("response carries no \"outcomes\" array"))?;
-        outcomes
-            .iter()
-            .map(|o| {
-                Ok(WireIngest {
-                    index: field_usize(o, "index")?,
-                    candidates: field_usize(o, "candidates")?,
-                    cluster: field_usize(o, "cluster")?,
-                    new_entity: o
-                        .get("new_entity")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| schema_err("outcome carries no \"new_entity\""))?,
-                    matches: parse_matches(o)?,
-                })
-            })
-            .collect()
+        let response = self.call(&ingest_request(records, None))?;
+        parse_outcomes(&response)
+    }
+
+    /// Ingests a same-side batch through a linkage server's write path.
+    ///
+    /// # Errors
+    /// Fails like [`Client::ingest`], or when the server is dedup.
+    pub fn ingest_side(&mut self, records: &[Record], side: Side) -> io::Result<Vec<WireIngest>> {
+        let response = self.call(&ingest_request(records, Some(side.name())))?;
+        parse_outcomes(&response)
     }
 
     /// Sends one admin command and returns the parsed response object.

@@ -1,8 +1,9 @@
 //! `zeroer serve` — a TCP resolution service over the stream
 //! pipeline's read/write split.
 //!
-//! The server loads a frozen [`zeroer_stream::PipelineSnapshot`]-backed
-//! [`zeroer_stream::StreamPipeline`], splits it into its read and write
+//! The server takes a streaming pipeline — a dedup
+//! [`zeroer_stream::StreamPipeline`] or a linkage
+//! [`zeroer_stream::LinkPipeline`] — splits it into its read and write
 //! halves ([`zeroer_stream::SplitPipeline`]), and speaks a
 //! length-prefixed JSON protocol ([`protocol`]) with three verbs:
 //!
@@ -16,9 +17,9 @@
 //!   `--stats` renderer) / `compact` / `refresh` (re-fit + snapshot
 //!   swap on the writer) / `snapshot` / `shutdown`.
 //!
-//! Linkage pipelines are served read-only by [`LinkServer`], whose
-//! resolve verb is **side-aware** (`"side":"left"|"right"`) and backed
-//! by [`zeroer_stream::LinkReadHandle`].
+//! Resolve and ingest requests carry a `"side":"left"|"right"` field
+//! exactly when the served pipeline is linkage; a record resolves or
+//! ingests against the *opposite* side's index.
 //!
 //! Everything is `std` + workspace crates: sockets are `std::net`, JSON
 //! is the workspace's own reader/writer pair. See the crate README for
@@ -27,10 +28,8 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod link_server;
 pub mod protocol;
 pub mod server;
 
 pub use client::{Client, WireIngest, WireResolution};
-pub use link_server::LinkServer;
 pub use server::Server;

@@ -12,12 +12,13 @@
 //! | verb | shape |
 //! |---|---|
 //! | resolve | `{"op":"resolve","values":["golden dragon","new york"]}` |
-//! | resolve (linkage) | `{"op":"resolve","side":"left"\|"right","values":[...]}` |
 //! | ingest  | `{"op":"ingest","records":[{"id":7,"values":[...]}, …]}` |
 //! | admin   | `{"op":"admin","cmd":"ping"\|"stats"\|"compact"\|"refresh"\|"snapshot"\|"shutdown"}` |
 //!
-//! `side` is required on a [`crate::LinkServer`] (the record is blocked
-//! against the *opposite* side's index) and rejected by a dedup server;
+//! Resolve and ingest carry `"side":"left"|"right"` exactly when the
+//! served pipeline is linkage (the record is blocked against the
+//! *opposite* side's index); a linkage server answers a missing or junk
+//! side with an error, and so does a dedup server given a side.
 //! `admin refresh` re-fits the model over the writer's live records and
 //! swaps the serving snapshot, answering
 //! `{"ok":true,"records":N,"pairs":P,"em_iterations":I,"divergence":D,"generation":G}`.
@@ -127,27 +128,16 @@ fn values_json(values: &[Value]) -> String {
     arr.finish()
 }
 
-/// Builds a resolve request for one record's values.
-pub fn resolve_request(values: &[Value]) -> String {
-    let mut o = Obj::new();
-    o.str("op", "resolve");
-    o.raw("values", &values_json(values));
-    o.finish()
+/// Builds a resolve request for one record's values. `side` — the
+/// record's table, `"left"` or `"right"` — goes exactly to a linkage
+/// server, which resolves the record against the opposite side.
+pub fn resolve_request(values: &[Value], side: Option<&str>) -> String {
+    request("resolve", side, "values", &values_json(values))
 }
 
-/// Builds a side-aware linkage resolve request for one record's values
-/// (`side` is `"left"` or `"right"` — which table the record belongs
-/// to; it resolves against the opposite side).
-pub fn link_resolve_request(values: &[Value], side: &str) -> String {
-    let mut o = Obj::new();
-    o.str("op", "resolve");
-    o.str("side", side);
-    o.raw("values", &values_json(values));
-    o.finish()
-}
-
-/// Builds an ingest request for a batch of records.
-pub fn ingest_request(records: &[Record]) -> String {
+/// Builds an ingest request for a batch of records, side-tagged like
+/// [`resolve_request`] (a linkage batch is same-side).
+pub fn ingest_request(records: &[Record], side: Option<&str>) -> String {
     let mut arr = Arr::new();
     for r in records {
         let mut o = Obj::new();
@@ -155,9 +145,17 @@ pub fn ingest_request(records: &[Record]) -> String {
         o.raw("values", &values_json(&r.values));
         arr.raw(&o.finish());
     }
+    request("ingest", side, "records", &arr.finish())
+}
+
+/// `{"op":op[,"side":side],key:payload}`.
+fn request(op: &str, side: Option<&str>, key: &str, payload: &str) -> String {
     let mut o = Obj::new();
-    o.str("op", "ingest");
-    o.raw("records", &arr.finish());
+    o.str("op", op);
+    if let Some(side) = side {
+        o.str("side", side);
+    }
+    o.raw(key, payload);
     o.finish()
 }
 

@@ -1,6 +1,10 @@
 //! The TCP server: one accept loop, one handler thread per connection,
 //! every connection holding its own epoch-pinned [`ReadHandle`] plus a
-//! clone of the shared [`WriteHandle`].
+//! clone of the shared [`WriteHandle`]. It serves either streaming
+//! pipeline — [`StreamPipeline`] (dedup) or
+//! [`zeroer_stream::LinkPipeline`] (linkage) — through the same
+//! [`SplitPipeline`]; resolve and ingest requests carry a `side`
+//! exactly when the pipeline is linkage.
 //!
 //! Resolve requests refresh the connection's read handle (an `Arc`
 //! swap) and answer entirely on the read path — they never enter the
@@ -22,22 +26,24 @@ use std::sync::Arc;
 use zeroer_core::json::Json;
 use zeroer_obs::json::{Arr, Obj};
 use zeroer_obs::{Counter, Histogram, Stopwatch};
-use zeroer_stream::{ReadHandle, ResolveOutcome, SplitPipeline, StreamPipeline, WriteHandle};
+use zeroer_stream::{
+    Pipeline, ReadHandle, ResolveOutcome, Side, SplitPipeline, StreamPipeline, WriteHandle,
+};
 use zeroer_tabular::{Record, Value};
 
 /// The `serve.*` metric handles, resolved once per server.
 #[derive(Clone, Copy)]
-pub(crate) struct ServeMeters {
-    pub(crate) connections: &'static Counter,
-    pub(crate) requests: &'static Counter,
-    pub(crate) errors: &'static Counter,
-    pub(crate) resolve: &'static Histogram,
+struct ServeMeters {
+    connections: &'static Counter,
+    requests: &'static Counter,
+    errors: &'static Counter,
+    resolve: &'static Histogram,
     ingest: &'static Histogram,
-    pub(crate) admin: &'static Histogram,
+    admin: &'static Histogram,
 }
 
 impl ServeMeters {
-    pub(crate) fn from_flag(on: bool) -> Option<Self> {
+    fn from_flag(on: bool) -> Option<Self> {
         on.then(|| ServeMeters {
             connections: zeroer_obs::counter("serve.connections"),
             requests: zeroer_obs::counter("serve.requests"),
@@ -50,26 +56,22 @@ impl ServeMeters {
 }
 
 /// A bound-but-not-yet-serving resolution server over a split
-/// [`StreamPipeline`].
-pub struct Server {
+/// pipeline.
+pub struct Server<P: Pipeline = StreamPipeline> {
     listener: TcpListener,
-    split: SplitPipeline,
+    split: SplitPipeline<P>,
     meters: Option<ServeMeters>,
     stop: Arc<AtomicBool>,
 }
 
-impl Server {
+impl<P: Pipeline> Server<P> {
     /// Splits `pipeline` into its read/write halves (ingest
     /// micro-batches applied with `writer_threads` workers) and binds
     /// `addr` (e.g. `127.0.0.1:0` for an ephemeral port).
     ///
     /// # Errors
     /// Fails when the address cannot be bound.
-    pub fn bind(
-        pipeline: StreamPipeline,
-        addr: &str,
-        writer_threads: usize,
-    ) -> std::io::Result<Server> {
+    pub fn bind(pipeline: P, addr: &str, writer_threads: usize) -> std::io::Result<Self> {
         let meters = ServeMeters::from_flag(pipeline.options().metrics);
         let listener = TcpListener::bind(addr)?;
         Ok(Server {
@@ -95,7 +97,7 @@ impl Server {
     /// open connections are shut down, handler threads joined, the
     /// admission queue closed and drained, and the pipeline — including
     /// everything ingested over the wire — handed back.
-    pub fn run(self) -> StreamPipeline {
+    pub fn run(self) -> P {
         let addr = self.local_addr();
         let mut handlers = Vec::new();
         // Clones of accepted sockets, kept so shutdown can unblock
@@ -136,15 +138,15 @@ impl Server {
 }
 
 /// Per-connection state: a private read handle, a shared write handle.
-struct Connection {
-    reads: ReadHandle,
-    writes: WriteHandle,
+struct Connection<P: Pipeline> {
+    reads: ReadHandle<P>,
+    writes: WriteHandle<P>,
     meters: Option<ServeMeters>,
     stop: Arc<AtomicBool>,
     poke: SocketAddr,
 }
 
-impl Connection {
+impl<P: Pipeline> Connection<P> {
     fn serve(mut self, stream: TcpStream) {
         if let Some(m) = self.meters {
             m.connections.incr();
@@ -189,30 +191,17 @@ impl Connection {
             None => return (self.fail("request carries no \"op\"".into()), false),
         };
         let sw = Stopwatch::new(self.meters.is_some());
-        match op {
-            "resolve" => {
-                let out = self.resolve(&parsed);
-                if let Some(m) = self.meters {
-                    sw.total(m.resolve);
-                }
-                (out, false)
-            }
-            "ingest" => {
-                let out = self.ingest(&parsed);
-                if let Some(m) = self.meters {
-                    sw.total(m.ingest);
-                }
-                (out, false)
-            }
-            "admin" => {
-                let (out, stopping) = self.admin(&parsed);
-                if let Some(m) = self.meters {
-                    sw.total(m.admin);
-                }
-                (out, stopping)
-            }
-            other => (self.fail(format!("unknown op {other:?}")), false),
+        let (result, meter) = match op {
+            "resolve" => (self.resolve(&parsed), self.meters.map(|m| m.resolve)),
+            "ingest" => (self.ingest(&parsed), self.meters.map(|m| m.ingest)),
+            "admin" => (self.admin(&parsed), self.meters.map(|m| m.admin)),
+            other => return (self.fail(format!("unknown op {other:?}")), false),
+        };
+        let reply = result.unwrap_or_else(|e| (self.fail(e.to_string()), false));
+        if let Some(h) = meter {
+            sw.total(h);
         }
+        reply
     }
 
     fn fail(&self, message: String) -> String {
@@ -222,129 +211,91 @@ impl Connection {
         error_response(&message)
     }
 
-    fn resolve(&mut self, request: &Json) -> String {
-        if request.get("side").is_some() {
-            return self.fail(
-                "this server resolves a dedup pipeline; side-tagged resolution \
-                 requires a linkage server"
-                    .into(),
-            );
-        }
-        let values = match parse_values(request.get("values")) {
-            Ok(v) => v,
-            Err(e) => return self.fail(e),
-        };
+    fn resolve(&mut self, request: &Json) -> Handled {
+        let side = parse_side(request)?;
+        let values = parse_values(request.get("values"))?;
         self.reads.refresh();
-        if values.len() != self.reads.arity() {
-            return self.fail(format!(
-                "record arity {} does not match schema arity {}",
-                values.len(),
-                self.reads.arity()
-            ));
-        }
-        let out = self.reads.resolve(&Record::new(0, values));
-        render_resolution(&out)
+        let out = self.reads.resolve_side(&Record::new(0, values), side)?;
+        Ok((render_resolution(&out), false))
     }
 
-    fn ingest(&mut self, request: &Json) -> String {
-        let records = match request.get("records").and_then(Json::as_arr) {
-            Some(r) => r,
-            None => return self.fail("ingest request carries no \"records\" array".into()),
-        };
+    fn ingest(&mut self, request: &Json) -> Handled {
+        let side = parse_side(request)?;
+        let records = request
+            .get("records")
+            .and_then(Json::as_arr)
+            .ok_or("ingest request carries no \"records\" array")?;
         let mut batch = Vec::with_capacity(records.len());
         for (i, rec) in records.iter().enumerate() {
-            let id = match rec.get("id").and_then(Json::as_usize) {
-                Some(id) if id <= u32::MAX as usize => id as u32,
-                _ => return self.fail(format!("record {i} carries no valid \"id\"")),
-            };
-            let values = match parse_values(rec.get("values")) {
-                Ok(v) => v,
-                Err(e) => return self.fail(format!("record {i}: {e}")),
-            };
+            let id = rec
+                .get("id")
+                .and_then(Json::as_usize)
+                .and_then(|id| u32::try_from(id).ok())
+                .ok_or_else(|| format!("record {i} carries no valid \"id\""))?;
+            let values = parse_values(rec.get("values")).map_err(|e| format!("record {i}: {e}"))?;
             batch.push(Record::new(id, values));
         }
-        match self.writes.ingest(batch) {
-            Ok(outcomes) => {
-                let mut arr = Arr::new();
-                for out in &outcomes {
-                    let mut o = Obj::new();
-                    o.u64("index", out.index as u64);
-                    o.u64("candidates", out.candidates as u64);
-                    o.u64("cluster", out.cluster as u64);
-                    o.bool("new_entity", out.is_new_entity());
-                    o.raw("matches", &render_matches(&out.matches));
-                    arr.raw(&o.finish());
-                }
-                let mut o = Obj::new();
-                o.bool("ok", true);
-                o.raw("outcomes", &arr.finish());
-                o.finish()
-            }
-            Err(e) => self.fail(e.to_string()),
+        let mut arr = Arr::new();
+        for out in &self.writes.ingest_side(batch, side)? {
+            let mut o = Obj::new();
+            o.u64("index", out.index as u64);
+            o.u64("candidates", out.candidates as u64);
+            o.u64("cluster", out.cluster as u64);
+            o.bool("new_entity", out.is_new_entity());
+            o.raw("matches", &render_matches(&out.matches));
+            arr.raw(&o.finish());
         }
+        let mut o = Obj::new();
+        o.bool("ok", true);
+        o.raw("outcomes", &arr.finish());
+        Ok((o.finish(), false))
     }
 
-    fn admin(&mut self, request: &Json) -> (String, bool) {
-        let cmd = match request.get("cmd").and_then(Json::as_str) {
-            Some(cmd) => cmd,
-            None => return (self.fail("admin request carries no \"cmd\"".into()), false),
-        };
+    fn admin(&mut self, request: &Json) -> Handled {
+        let cmd = request
+            .get("cmd")
+            .and_then(Json::as_str)
+            .ok_or("admin request carries no \"cmd\"")?;
+        let mut o = Obj::new();
+        o.bool("ok", true);
         match cmd {
-            "ping" => {
-                let mut o = Obj::new();
-                o.bool("ok", true);
-                o.bool("pong", true);
-                (o.finish(), false)
+            "ping" => o.bool("pong", true),
+            "stats" => o.str("stats", &self.writes.stats()?),
+            "compact" => {
+                let report = self.writes.compact()?;
+                o.u64("epoch", report.epoch)
+                    .u64("bytes_reclaimed", report.bytes_reclaimed() as u64)
             }
-            "stats" => match self.writes.stats() {
-                Ok(text) => {
-                    let mut o = Obj::new();
-                    o.bool("ok", true);
-                    o.str("stats", &text);
-                    (o.finish(), false)
-                }
-                Err(e) => (self.fail(e.to_string()), false),
-            },
-            "compact" => match self.writes.compact() {
-                Ok(report) => {
-                    let mut o = Obj::new();
-                    o.bool("ok", true);
-                    o.u64("epoch", report.epoch);
-                    o.u64("bytes_reclaimed", report.bytes_reclaimed() as u64);
-                    (o.finish(), false)
-                }
-                Err(e) => (self.fail(e.to_string()), false),
-            },
-            "refresh" => match self.writes.refresh() {
-                Ok(report) => {
-                    let mut o = Obj::new();
-                    o.bool("ok", true);
-                    o.u64("records", report.records as u64);
-                    o.u64("pairs", report.pairs as u64);
-                    o.u64("em_iterations", report.em_iterations as u64);
-                    o.f64("divergence", report.divergence);
-                    o.u64("generation", report.generation);
-                    (o.finish(), false)
-                }
-                Err(e) => (self.fail(e.to_string()), false),
-            },
-            "snapshot" => match self.writes.snapshot_json() {
-                Ok(json) => {
-                    let mut o = Obj::new();
-                    o.bool("ok", true);
-                    o.raw("snapshot", &json);
-                    (o.finish(), false)
-                }
-                Err(e) => (self.fail(e.to_string()), false),
-            },
-            "shutdown" => {
-                let mut o = Obj::new();
-                o.bool("ok", true);
-                o.bool("stopping", true);
-                (o.finish(), true)
+            "refresh" => {
+                let report = self.writes.refresh()?;
+                o.u64("records", report.records as u64)
+                    .u64("pairs", report.pairs as u64)
+                    .u64("em_iterations", report.em_iterations as u64)
+                    .f64("divergence", report.divergence)
+                    .u64("generation", report.generation)
             }
-            other => (self.fail(format!("unknown admin cmd {other:?}")), false),
-        }
+            "snapshot" => o.raw("snapshot", &self.writes.snapshot_json()?),
+            "shutdown" => return Ok((o.bool("stopping", true).finish(), true)),
+            other => return Err(format!("unknown admin cmd {other:?}").into()),
+        };
+        Ok((o.finish(), false))
+    }
+}
+
+/// A verb's response and whether it asked the server to stop, or the
+/// failure message [`Connection::fail`] turns into an error response.
+type Handled = Result<(String, bool), Box<dyn std::error::Error>>;
+
+/// Parses a request's optional `side`: absent, `"left"` or `"right"`.
+/// Whether the pipeline wants one is the pipeline's call.
+fn parse_side(request: &Json) -> Result<Option<Side>, String> {
+    match request.get("side") {
+        None => Ok(None),
+        Some(v) => match v.as_str() {
+            Some("left") => Ok(Some(Side::Left)),
+            Some("right") => Ok(Some(Side::Right)),
+            _ => Err(format!("side must be \"left\" or \"right\", got {v:?}")),
+        },
     }
 }
 
@@ -353,7 +304,7 @@ impl Connection {
 /// text must derive the same tokens it does in-process), integral JSON
 /// numbers become [`Value::Int`], other numbers [`Value::Float`], and
 /// `null` stays null.
-pub(crate) fn parse_values(values: Option<&Json>) -> Result<Vec<Value>, String> {
+fn parse_values(values: Option<&Json>) -> Result<Vec<Value>, String> {
     let items = values
         .and_then(Json::as_arr)
         .ok_or_else(|| "request carries no \"values\" array".to_string())?;
@@ -388,7 +339,7 @@ fn render_matches(matches: &[(usize, f64)]) -> String {
 }
 
 /// Renders a [`ResolveOutcome`] as the resolve response body.
-pub(crate) fn render_resolution(out: &ResolveOutcome) -> String {
+fn render_resolution(out: &ResolveOutcome) -> String {
     let mut o = Obj::new();
     o.bool("ok", true);
     o.u64("epoch", out.epoch);

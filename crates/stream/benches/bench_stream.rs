@@ -14,10 +14,9 @@
 //!    followed by the batched-scoring delta in the production shape —
 //!    one new record against its whole candidate window, the way
 //!    `score_candidates` actually batches — comparing the scalar
-//!    row-at-a-time loop against the struct-of-arrays `fill_columns` +
-//!    `score_batch` path (what `StreamOptions::batched_scoring`
-//!    switches), with a bit-identity assertion and a ≥ 1.3× speedup
-//!    criterion;
+//!    row-at-a-time oracle against the struct-of-arrays `fill_columns` +
+//!    `score_batch` path the pipelines run, with a bit-identity
+//!    assertion and a ≥ 1.3× speedup criterion;
 //! 4. multi-thread batch-ingest scaling (`ingest_batch_parallel`), with
 //!    a cluster-parity check across thread counts;
 //! 5. retraction throughput + compaction reclaim;
@@ -434,9 +433,9 @@ fn main() {
     // The production shape: each record is scored as the "new" arrival
     // against a window of previous records — exactly how
     // `score_candidates` batches one ingest's candidate list. Scalar =
-    // raw_row_into + score_raw per candidate (what `batched_scoring =
-    // false` runs); batched = one fill_columns + score_batch per
-    // arrival (the default). The batched path must be bit-identical AND
+    // raw_row_into + score_raw per candidate (the oracle); batched = one
+    // fill_columns + score_batch per arrival (what the pipelines run).
+    // The batched path must be bit-identical AND
     // faster: it reuses one DP scratch across the whole column fill,
     // dedups repeated candidate values per attribute (low-cardinality
     // columns collapse to a handful of kernel calls), and evaluates
@@ -501,7 +500,7 @@ fn main() {
         .f64("scalar_us_per_score", scalar_secs * 1e6 / batch_per)
         .f64("batched_us_per_score", batched_secs * 1e6 / batch_per)
         .f64("speedup", speedup);
-    bench_sections.raw("batched_scoring", &o.finish());
+    bench_sections.raw("scoring_kernels", &o.finish());
 
     // ---- Section 4: multi-thread batch-ingest scaling --------------
     let (boot_par, tail_par) = split(scale_par, seed);

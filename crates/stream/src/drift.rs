@@ -6,7 +6,8 @@
 //! prior `π_M`. As the live store grows past the bootstrap
 //! distribution, the stream's scored candidates wander away from those
 //! expectations — the signal that the model has gone stale and a
-//! [`refit`](crate::StreamPipeline::refit) is due.
+//! refit ([`crate::StreamPipeline::refit`],
+//! [`crate::LinkPipeline::refit`]) is due.
 //!
 //! [`DriftMonitor`] maintains streaming summaries of everything the
 //! scoring hot path already computes — prepared feature columns,
@@ -65,10 +66,9 @@ pub(crate) struct DriftSample {
 }
 
 impl DriftSample {
-    /// Summarizes the batch buffers `score_candidates` just filled
-    /// (batched path only — the scalar fallback never materializes
-    /// prepared columns). Returns `None` for an empty candidate list,
-    /// whose stale buffers belong to some earlier record.
+    /// Summarizes the batch buffers `score_candidates` just filled.
+    /// Returns `None` for an empty candidate list, whose stale buffers
+    /// belong to some earlier record.
     pub(crate) fn from_batch(batch: &ScoreBatch, candidates: usize) -> Option<Self> {
         if candidates == 0 {
             return None;
@@ -152,10 +152,8 @@ impl DriftMonitor {
     }
 
     /// Folds one ingested record's outcome into the window. `sample`
-    /// carries the feature/posterior sums when the batched scoring path
-    /// produced them (`None` for candidate-less records and under the
-    /// scalar fallback, which still contribute to the match-rate
-    /// window).
+    /// carries the feature/posterior sums (`None` for candidate-less
+    /// records, which still contribute to the match-rate window).
     pub(crate) fn fold(&mut self, candidates: usize, matched: usize, sample: Option<&DriftSample>) {
         self.records += 1;
         self.candidates += candidates as u64;

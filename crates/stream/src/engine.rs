@@ -1,0 +1,1152 @@
+//! The streaming engine both pipelines run on. Deduplication is record
+//! linkage with `T = T'` (§5 of the paper), so [`crate::StreamPipeline`]
+//! and [`crate::LinkPipeline`] share the store, the frozen scorer, the
+//! drift monitor and every operation on them; they differ in the blocking
+//! [`Topology`] — which index an arriving record probes and which it
+//! joins — and keep only their fit recipe, snapshot type and bootstrap
+//! provenance. The engine is generic over the topology, so the dedup hot
+//! path is monomorphized: its routing tag is `()`, so it stores no
+//! per-record side tag, and nothing is dispatched dynamically.
+
+use crate::drift::{DriftMonitor, DriftSample};
+use crate::index::{CompactionDelta, IndexConfig, IndexStats};
+use crate::link::Side;
+use crate::meters::StageMeters;
+use crate::pipeline::{
+    CompactionReport, IngestOutcome, RefreshReport, RetractionReport, StreamError, StreamOptions,
+    StreamStats,
+};
+use crate::shard::{RecordKeys, ShardedIndex};
+use crate::split::ReadView;
+use crate::store::EntityStore;
+use std::sync::Mutex;
+use zeroer_core::{ModelSnapshot, ScoreBatch, SnapshotScorer};
+use zeroer_features::BatchFeaturizer;
+use zeroer_obs::{Histogram, Stopwatch};
+use zeroer_tabular::{AttrType, Record, Schema, Table};
+use zeroer_textsim::derive::{DerivedRecord, ScratchDerived, ScratchDeriver};
+use zeroer_textsim::intern::{Interner, Sym};
+
+/// Scores `candidates` against the new record's derivation, returning the
+/// `(candidate, posterior)` pairs above `threshold`, sorted by descending
+/// posterior (stable, so ties keep ascending candidate order).
+///
+/// Some similarity measures are asymmetric, so orientation matters: rows
+/// are `(candidate, new)` — the dedup `(older, newer)` convention, and
+/// linkage's `(left, right)` for a right-side arrival — unless
+/// `new_on_left` flips them to `(new, candidate)` for a left-side one.
+///
+/// The candidate list is filled column-major into `batch`
+/// ([`BatchFeaturizer::fill_columns`]) and scored column-wise
+/// ([`SnapshotScorer::score_batch`]), which runs the float operations of
+/// the row-at-a-time oracle (`raw_row_into` + `score_raw`) in the same
+/// order — bit-identical, as `tests/batched_parity.rs` checks. Every
+/// ingest path and every resolve calls this one function on identical
+/// inputs, which is what makes them bit-identical to each other.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn score_candidates<'a, F>(
+    featurizer: &BatchFeaturizer,
+    scorer: &SnapshotScorer,
+    interner: &Interner,
+    threshold: f64,
+    new_on_left: bool,
+    candidates: &[usize],
+    derived_of: F,
+    new_derived: &'a DerivedRecord,
+    batch: &mut ScoreBatch,
+    batch_meter: Option<&'static Histogram>,
+) -> Vec<(usize, f64)>
+where
+    F: Fn(usize) -> &'a DerivedRecord,
+{
+    if let Some(h) = batch_meter {
+        h.record(candidates.len() as u64);
+    }
+    let mut matches: Vec<(usize, f64)> = Vec::new();
+    if !candidates.is_empty() {
+        featurizer.fill_columns(
+            interner,
+            candidates.len(),
+            |i| {
+                let c = derived_of(candidates[i]);
+                if new_on_left {
+                    (new_derived, c)
+                } else {
+                    (c, new_derived)
+                }
+            },
+            batch.cols_mut(),
+        );
+        let scores = scorer.score_batch(batch);
+        for (&c, &p) in candidates.iter().zip(scores) {
+            if p > threshold {
+                matches.push((c, p));
+            }
+        }
+    }
+    matches.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite posteriors"));
+    matches
+}
+
+/// Which blocking index an arriving record probes and which it joins:
+/// [`Dedup`] or [`Linkage`]. A topology only routes; the engine owns the
+/// indexes and writes every operation on them once.
+pub trait Topology: Send + Sync + 'static {
+    /// What routes an arriving record: `()` for dedup, its [`Side`] for
+    /// linkage.
+    type Tag: Copy + PartialEq + Send + Sync + 'static;
+    /// Metric-name prefix of the pipeline (`stream` or `link`).
+    const METRICS: &'static str;
+    /// How many blocking indexes the engine keeps.
+    const INDEXES: usize;
+
+    /// The tag for a request's optional side: dedup takes none, linkage
+    /// requires one.
+    ///
+    /// # Errors
+    /// Fails when the side's presence does not fit the topology.
+    fn tag(side: Option<Side>) -> Result<Self::Tag, StreamError>;
+    /// Whether an arriving record sits on the left of its scored rows.
+    fn new_on_left(tag: Self::Tag) -> bool;
+    /// The index a `tag` arrival probes and the one it joins. They are
+    /// equal exactly when arrivals can match each other.
+    fn route(tag: Self::Tag) -> (usize, usize);
+}
+
+/// Dedup topology: one index, which each arrival probes and joins.
+pub struct Dedup;
+
+impl Topology for Dedup {
+    type Tag = ();
+    const METRICS: &'static str = "stream";
+    const INDEXES: usize = 1;
+
+    fn tag(side: Option<Side>) -> Result<(), StreamError> {
+        match side {
+            None => Ok(()),
+            Some(s) => Err(StreamError(format!(
+                "this is a dedup pipeline; records carry no side (got {:?})",
+                s.name()
+            ))),
+        }
+    }
+    fn new_on_left((): ()) -> bool {
+        false
+    }
+    fn route((): ()) -> (usize, usize) {
+        (0, 0)
+    }
+}
+
+/// Linkage topology: one index per side, left then right. An arrival
+/// probes the opposite side's index and joins its own — the candidate
+/// structure of batch cross-table blocking. A same-side batch never
+/// matches itself.
+pub struct Linkage;
+
+impl Topology for Linkage {
+    type Tag = Side;
+    const METRICS: &'static str = "link";
+    const INDEXES: usize = 2;
+
+    fn tag(side: Option<Side>) -> Result<Side, StreamError> {
+        side.ok_or_else(|| {
+            StreamError("a linkage pipeline needs a side (\"left\" or \"right\")".into())
+        })
+    }
+    fn new_on_left(side: Side) -> bool {
+        side == Side::Left
+    }
+    fn route(side: Side) -> (usize, usize) {
+        match side {
+            Side::Left => (1, 0),
+            Side::Right => (0, 1),
+        }
+    }
+}
+
+/// Fails when `record` does not have the schema's `arity`.
+pub(crate) fn check_arity(record: &Record, arity: usize) -> Result<(), StreamError> {
+    if record.values.len() == arity {
+        return Ok(());
+    }
+    Err(StreamError(format!(
+        "record arity {} does not match schema arity {arity}",
+        record.values.len()
+    )))
+}
+
+/// The routing tag of pipeline `P`'s topology.
+pub(crate) type Tag<P> = <<P as Pipeline>::Topology as Topology>::Tag;
+
+/// One record's matches and drift sample, from a scoring worker.
+type ScoredRecord = (Vec<(usize, f64)>, Option<DriftSample>);
+
+/// A run of scoring slots for a worker, with its first record's offset.
+type ScoreJob<'m> = (usize, &'m mut [ScoredRecord]);
+
+/// The state and operations both streaming pipelines share.
+pub struct Engine<T: Topology> {
+    pub(crate) opts: StreamOptions,
+    pub(crate) store: EntityStore,
+    /// The topology's blocking indexes, in [`Topology::route`] order.
+    pub(crate) indexes: Vec<ShardedIndex>,
+    /// The tag each stored record arrived under, indexed like the store.
+    /// Dedup's tag is `()`, so its `Vec<()>` stores and allocates nothing.
+    pub(crate) tags: Vec<T::Tag>,
+    pub(crate) featurizer: BatchFeaturizer,
+    pub(crate) scorer: SnapshotScorer,
+    /// Scoring buffers of the sequential path (parallel workers carry
+    /// their own), so steady-state scoring allocates nothing.
+    batch: ScoreBatch,
+    /// Candidate pairs generated so far (see [`StreamStats`]).
+    pub(crate) candidates_seen: usize,
+    /// Snapshot tombstones (bootstrap-record indices) that
+    /// [`Engine::seed`] has not replayed yet; retraction is refused
+    /// until it has, since the indices would be ambiguous.
+    pub(crate) pending_tombstones: Vec<usize>,
+    /// Snapshot epoch, re-pinned by [`Engine::seed`].
+    pub(crate) pending_epoch: u64,
+    /// `None` when [`StreamOptions::metrics`] is off: one branch per
+    /// stage boundary.
+    pub(crate) meters: Option<StageMeters>,
+    /// Always folded, so the refresh watermark works with metrics off;
+    /// the metrics flag gates only gauge publication.
+    pub(crate) drift: DriftMonitor,
+    /// Refits since construction (0 = the bootstrap model).
+    pub(crate) generation: u64,
+}
+
+impl<T: Topology> Engine<T> {
+    /// An engine over `store` with empty indexes, scoring with `scorer`.
+    pub(crate) fn new(
+        opts: StreamOptions,
+        store: EntityStore,
+        featurizer: BatchFeaturizer,
+        scorer: SnapshotScorer,
+    ) -> Self {
+        debug_assert_eq!(featurizer.dim(), scorer.snapshot().dim());
+        Self {
+            meters: StageMeters::from_flag(opts.metrics, T::METRICS),
+            drift: DriftMonitor::new(scorer.snapshot()),
+            indexes: (0..T::INDEXES)
+                .map(|_| ShardedIndex::new(opts.index_config()))
+                .collect(),
+            tags: Vec::new(),
+            opts,
+            store,
+            featurizer,
+            scorer,
+            batch: ScoreBatch::new(),
+            candidates_seen: 0,
+            pending_tombstones: Vec::new(),
+            pending_epoch: 0,
+            generation: 0,
+        }
+    }
+
+    /// An empty engine restored from a snapshot: the persisted blocking
+    /// configuration and frozen model, the caller's `threshold`, and
+    /// defaults for every other runtime knob (none is persisted). The
+    /// persisted tombstones and epoch wait for [`Engine::seed`].
+    ///
+    /// # Errors
+    /// Fails when the attribute types imply another feature count than
+    /// the model's, or when a tombstone lies beyond the `bootstrap_len`
+    /// bootstrap records (streamed records are not persisted, so their
+    /// retractions cannot be restored).
+    pub(crate) fn restore(
+        schema: Schema,
+        attr_types: &[AttrType],
+        index: &IndexConfig,
+        model: &ModelSnapshot,
+        bootstrap_len: usize,
+        (tombstones, epoch): (&[usize], u64),
+        threshold: f64,
+    ) -> Result<Self, StreamError> {
+        let featurizer = BatchFeaturizer::new(attr_types);
+        if featurizer.dim() != model.dim() {
+            return Err(StreamError(format!(
+                "snapshot attr types imply {} features but the model has {}",
+                featurizer.dim(),
+                model.dim()
+            )));
+        }
+        if let Some(t) = tombstones.iter().find(|&&t| t >= bootstrap_len) {
+            return Err(StreamError(format!(
+                "snapshot tombstones record {t}, which lies beyond the {bootstrap_len} bootstrap \
+                 records; streamed records are not persisted, so their retractions cannot be \
+                 restored"
+            )));
+        }
+        let opts = StreamOptions {
+            blocking_attr: index.attr,
+            min_token_overlap: index.min_token_overlap,
+            qgram: index.qgram,
+            max_bucket: index.max_bucket,
+            threshold,
+            ..StreamOptions::default()
+        };
+        let store = EntityStore::new(schema, index.derive_config());
+        let mut engine = Self::new(opts, store, featurizer, model.scorer()?);
+        engine.pending_tombstones = tombstones.to_vec();
+        engine.pending_epoch = epoch;
+        Ok(engine)
+    }
+
+    /// Finishes a bootstrap over the fit's store: indexes every record
+    /// under `tag_of` and merges each scored pair whose posterior clears
+    /// the assignment threshold — ingest's `p > threshold` criterion, so a
+    /// pair decides identically whether it arrived in the bootstrap batch
+    /// or one record later. Returns the merged pairs, which the snapshot
+    /// persists so [`Engine::seed`] can replay them.
+    pub(crate) fn finish_bootstrap(
+        &mut self,
+        sw: Stopwatch,
+        tag_of: impl Fn(usize) -> T::Tag,
+        candidates: usize,
+        scored: impl Iterator<Item = ((usize, usize), f64)>,
+    ) -> Vec<(usize, usize)> {
+        for i in 0..self.store.len() {
+            let keys = RecordKeys::from_derived(self.store.derived(i), self.store.interner());
+            self.join(tag_of(i), i, &keys);
+        }
+        self.candidates_seen = candidates;
+        let threshold = self.opts.threshold;
+        let merged: Vec<(usize, usize)> = scored
+            .filter(|&(_, gamma)| gamma > threshold)
+            .map(|(pair, _)| pair)
+            .collect();
+        for &(a, b) in &merged {
+            self.store.merge(a, b);
+        }
+        if let Some(m) = self.meters {
+            sw.total(m.bootstrap);
+            m.records.add(self.store.len() as u64);
+            m.candidates.add(candidates as u64);
+            m.matches.add(merged.len() as u64);
+        }
+        merged
+    }
+
+    /// Seeds a just-restored engine with its bootstrap tables, replays
+    /// the persisted decisions (never re-scoring) and tombstones, and
+    /// re-pins the persisted epoch.
+    pub(crate) fn seed(
+        &mut self,
+        tables: &[(T::Tag, &Table)],
+        matches: &[(usize, usize)],
+    ) -> Result<(), StreamError> {
+        if !self.store.is_empty() {
+            return Err(StreamError(
+                "seed_base requires an empty (just-restored) pipeline".into(),
+            ));
+        }
+        let sw = Stopwatch::new(self.meters.is_some());
+        for &(tag, table) in tables {
+            for r in table.records() {
+                let derived = self.store.derive(r);
+                let keys = RecordKeys::from_derived(&derived, self.store.interner());
+                let idx = self.store.push_derived(r.clone(), derived);
+                self.join(tag, idx, &keys);
+            }
+        }
+        for &(a, b) in matches {
+            self.store.merge(a, b);
+        }
+        for i in std::mem::take(&mut self.pending_tombstones) {
+            self.retract_now(i)?;
+        }
+        let epoch = self.pending_epoch.max(self.store.epoch());
+        self.store.set_epoch(epoch);
+        if let Some(m) = self.meters {
+            sw.total(m.seed);
+            m.records.add(self.store.len() as u64);
+        }
+        Ok(())
+    }
+
+    /// The tombstones and epoch a snapshot persists; un-replayed pending
+    /// ones pass through verbatim.
+    pub(crate) fn persisted_tombstones(&self) -> (Vec<usize>, u64) {
+        if self.pending_tombstones.is_empty() {
+            (
+                (0..self.store.len())
+                    .filter(|&i| self.store.is_retracted(i))
+                    .collect(),
+                self.store.epoch(),
+            )
+        } else {
+            (self.pending_tombstones.clone(), self.pending_epoch)
+        }
+    }
+
+    /// The blocking configuration every index shares.
+    pub(crate) fn index_config(&self) -> &IndexConfig {
+        self.indexes[0].config()
+    }
+
+    /// Stores record `idx`'s tag and joins it to its index, without
+    /// candidate generation.
+    fn join(&mut self, tag: T::Tag, idx: usize, keys: &RecordKeys) {
+        self.tags.push(tag);
+        self.indexes[T::route(tag).1].insert_keys_at(idx, keys);
+    }
+
+    /// Candidates for an arriving record the store will hold at `idx`,
+    /// which then joins its index.
+    fn admit(&mut self, tag: T::Tag, idx: usize, keys: RecordKeys) -> Vec<usize> {
+        let (probe, join) = T::route(tag);
+        if probe == join {
+            self.tags.push(tag);
+            return self.indexes[join].insert_keys_live(keys, self.store.tombstones());
+        }
+        let candidates = self.indexes[probe].probe_live(&keys, self.store.tombstones());
+        self.join(tag, idx, &keys);
+        candidates
+    }
+
+    /// [`Engine::admit`] for a same-tag batch the store will hold from
+    /// its current length on, across `threads` workers: element `i` is
+    /// exactly what admitting the records one at a time returns for
+    /// record `i`.
+    fn admit_batch(
+        &mut self,
+        tag: T::Tag,
+        keys: Vec<RecordKeys>,
+        threads: usize,
+    ) -> Vec<Vec<usize>> {
+        let (probe, join) = T::route(tag);
+        let base = self.store.len();
+        if probe == join {
+            // The batch can match itself: the index interleaves each
+            // record's probe and insertion across its key-space shards.
+            self.tags.resize(base + keys.len(), tag);
+            return self.indexes[join].insert_batch_live(keys, threads, self.store.tombstones());
+        }
+        // No record of the batch joins the probed index, so admitting in
+        // order is exact.
+        keys.into_iter()
+            .enumerate()
+            .map(|(i, k)| self.admit(tag, base + i, k))
+            .collect()
+    }
+
+    /// Enables or disables stage metrics.
+    pub(crate) fn set_metrics(&mut self, on: bool) {
+        self.opts.metrics = on;
+        self.meters = StageMeters::from_flag(on, T::METRICS);
+    }
+
+    fn check_arity(&self, record: &Record) -> Result<(), StreamError> {
+        check_arity(record, self.store.table().schema().arity())
+    }
+
+    fn assert_arity(&self, record: &Record) {
+        self.check_arity(record).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    pub(crate) fn stats(&self) -> StreamStats {
+        let mut index = IndexStats::default();
+        for ix in &self.indexes {
+            index.absorb(ix.stats());
+        }
+        StreamStats {
+            interned_tokens: self.store.interner().len(),
+            interned_bytes: self.store.interner().bytes(),
+            index,
+            candidate_pairs: self.candidates_seen,
+            live_records: self.store.live_len(),
+            retracted_records: self.store.retracted_count(),
+            decision_log: self.store.decision_log_len(),
+            epoch: self.store.epoch(),
+        }
+    }
+
+    /// Clones the read state into a [`ReadView`] (version 0 — the
+    /// publisher stamps the real sequence number).
+    pub(crate) fn read_view(&self) -> ReadView {
+        ReadView {
+            epoch: self.store.epoch(),
+            version: 0,
+            store: self.store.clone(),
+            indexes: self.indexes.clone(),
+            featurizer: self.featurizer.clone(),
+            scorer: self.scorer.clone(),
+            threshold: self.opts.threshold,
+            score_meter: self.meters.map(|m| m.score_batch_candidates),
+        }
+    }
+
+    /// Ingests one record: derive → admit through the topology → score →
+    /// decide. Zero EM iterations; no call boundary ([`after_ingest`]).
+    ///
+    /// # Panics
+    /// Panics if the record arity does not match the schema.
+    pub(crate) fn ingest_one(&mut self, record: Record, tag: T::Tag) -> IngestOutcome {
+        // Validate before touching any state: a panic must not leave the
+        // index one record ahead of the store.
+        self.assert_arity(&record);
+        let m = self.meters;
+        let mut sw = Stopwatch::new(m.is_some());
+        let derived = self.store.derive(&record);
+        let keys = RecordKeys::from_derived(&derived, self.store.interner());
+        if let Some(m) = m {
+            sw.lap(m.derive);
+        }
+        let candidates = self.admit(tag, self.store.len(), keys);
+        self.candidates_seen += candidates.len();
+        if let Some(m) = m {
+            sw.lap(m.block);
+            m.candidates.add(candidates.len() as u64);
+        }
+        let idx = self.store.push_derived(record, derived);
+
+        let store = &self.store;
+        let matches = score_candidates(
+            &self.featurizer,
+            &self.scorer,
+            store.interner(),
+            self.opts.threshold,
+            T::new_on_left(tag),
+            &candidates,
+            |c| store.derived(c),
+            store.derived(idx),
+            &mut self.batch,
+            m.map(|m| m.score_batch_candidates),
+        );
+        if let Some(m) = m {
+            sw.lap(m.score);
+        }
+        // The batch buffers hold this record's prepared columns and
+        // posteriors; `from_batch` rejects the zero-candidate case,
+        // whose stale buffers belong to an earlier record.
+        let sample = DriftSample::from_batch(&self.batch, candidates.len());
+        let outcome = self.decide(idx, candidates.len(), matches, sample);
+        if let Some(m) = m {
+            sw.lap(m.decide);
+            sw.total(m.ingest);
+            m.records.incr();
+            m.matches.add(outcome.matches.len() as u64);
+        }
+        outcome
+    }
+
+    /// Applies one record's decisions: fold its drift sample and join the
+    /// cluster of every match. The single writer of both ingest paths.
+    fn decide(
+        &mut self,
+        idx: usize,
+        candidates: usize,
+        matches: Vec<(usize, f64)>,
+        sample: Option<DriftSample>,
+    ) -> IngestOutcome {
+        self.drift.fold(candidates, matches.len(), sample.as_ref());
+        for &(c, _) in &matches {
+            self.store.merge(idx, c);
+        }
+        IngestOutcome {
+            index: idx,
+            candidates,
+            matches,
+            cluster: self.store.find(idx),
+        }
+    }
+
+    /// Ingests a same-tag batch across `threads` workers, bit-identical
+    /// to ingesting the records one at a time (which `threads` ≤ 1 does).
+    /// The frozen model makes inference embarrassingly parallel:
+    /// candidates depend only on earlier records, scoring is read-only.
+    /// The two writes are serialized in ingest order — fresh tokens are
+    /// interned with the sequential symbol numbering, and one writer
+    /// applies the decisions — so interner and union-find pass through
+    /// the sequential states.
+    ///
+    /// # Panics
+    /// Panics if any record's arity does not match the schema (checked
+    /// up front, before any state is touched).
+    pub(crate) fn ingest_batch(
+        &mut self,
+        records: Vec<Record>,
+        tag: T::Tag,
+        threads: usize,
+    ) -> Vec<IngestOutcome> {
+        if threads <= 1 || records.len() < 2 {
+            return records
+                .into_iter()
+                .map(|r| self.ingest_one(r, tag))
+                .collect();
+        }
+        for r in &records {
+            self.assert_arity(r);
+        }
+        let n = records.len();
+        let base = self.store.len();
+        let m = self.meters;
+        let mut sw = Stopwatch::new(m.is_some());
+
+        // Phase 1 (parallel over records): derive each record — the
+        // tokenization-heavy work — against a frozen snapshot of the
+        // store interner, parking unseen tokens in per-worker scratch
+        // tables.
+        let cfg = &self.store.derive_config();
+        let interner = self.store.interner();
+        let scratch_chunks: Vec<(Vec<ScratchDerived>, Vec<String>)> =
+            crossbeam::thread::scope(|scope| {
+                let workers: Vec<_> = records
+                    .chunks(n.div_ceil(threads))
+                    .map(|rec_chunk| {
+                        scope.spawn(move |_| {
+                            let mut deriver = ScratchDeriver::new(interner, cfg.clone());
+                            let derived: Vec<ScratchDerived> = rec_chunk
+                                .iter()
+                                .map(|r| deriver.derive(&r.values))
+                                .collect();
+                            (derived, deriver.into_texts())
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("derivation worker panicked"))
+                    .collect()
+            })
+            .expect("derivation worker panicked");
+
+        // Commit (sequential, single writer, ingest order): intern each
+        // record's fresh tokens — reproducing the sequential symbol
+        // numbering — and rebind its derivation onto global symbols.
+        let mut derived: Vec<DerivedRecord> = Vec::with_capacity(n);
+        let mut keys: Vec<RecordKeys> = Vec::with_capacity(n);
+        for (chunk_derived, texts) in scratch_chunks {
+            let mut map: Vec<Option<Sym>> = vec![None; texts.len()];
+            for sd in chunk_derived {
+                let rec = sd.commit(&texts, &mut map, self.store.interner_mut());
+                keys.push(RecordKeys::from_derived(&rec, self.store.interner()));
+                derived.push(rec);
+            }
+        }
+        if let Some(m) = m {
+            sw.lap(m.batch_derive);
+        }
+
+        // Phase 2: candidate generation and insertion through the
+        // topology. The tombstone set is frozen for the whole batch
+        // (retraction needs `&mut self`), so candidate lists stay
+        // bit-identical at any thread count.
+        let candidates = self.admit_batch(tag, keys, threads);
+        let batch_candidates = candidates.iter().map(Vec::len).sum::<usize>();
+        self.candidates_seen += batch_candidates;
+        if let Some(m) = m {
+            sw.lap(m.batch_block);
+            m.candidates.add(batch_candidates as u64);
+            m.batch_candidates.record(batch_candidates as u64);
+        }
+
+        // Phase 3 (parallel over records, work-stealing queue): frozen-
+        // model scoring. Chunks are small so a record with many
+        // candidates cannot straggle a whole static partition.
+        let store = &self.store;
+        let featurizer = &self.featurizer;
+        let scorer = &self.scorer;
+        let threshold = self.opts.threshold;
+        let new_on_left = T::new_on_left(tag);
+        let score_meter = m.map(|m| m.score_batch_candidates);
+        let mut scored: Vec<ScoredRecord> = (0..n).map(|_| (Vec::new(), None)).collect();
+        {
+            let score_chunk = n.div_ceil(threads * 8).max(1);
+            let queue: Mutex<Vec<ScoreJob<'_>>> = Mutex::new(
+                scored
+                    .chunks_mut(score_chunk)
+                    .enumerate()
+                    .map(|(ci, ch)| (ci * score_chunk, ch))
+                    .collect(),
+            );
+            // Queue-wait sampling measures lock acquisition only (the
+            // pop itself is O(1)); a handle copy, not `self`, crosses
+            // into the workers.
+            let queue_wait = m.map(|m| m.queue_wait);
+            crossbeam::thread::scope(|scope| {
+                for _ in 0..threads {
+                    let queue = &queue;
+                    let candidates = &candidates;
+                    let derived = &derived;
+                    scope.spawn(move |_| {
+                        let mut batch = ScoreBatch::new();
+                        loop {
+                            let before = queue_wait.map(|h| (h, std::time::Instant::now()));
+                            let mut q = queue.lock().expect("queue poisoned");
+                            let waited = before.map(|(h, t)| (h, t.elapsed()));
+                            let job = q.pop();
+                            drop(q);
+                            if let Some((h, d)) = waited {
+                                h.record(d.as_nanos().min(u64::MAX as u128) as u64);
+                            }
+                            let Some((start, out)) = job else { break };
+                            for (off, slot) in out.iter_mut().enumerate() {
+                                let i = start + off;
+                                let matches = score_candidates(
+                                    featurizer,
+                                    scorer,
+                                    store.interner(),
+                                    threshold,
+                                    new_on_left,
+                                    &candidates[i],
+                                    |c| {
+                                        if c < base {
+                                            store.derived(c)
+                                        } else {
+                                            &derived[c - base]
+                                        }
+                                    },
+                                    &derived[i],
+                                    &mut batch,
+                                    score_meter,
+                                );
+                                // Sample the worker's batch buffers
+                                // immediately, while they still hold
+                                // record `i`'s prepared columns and
+                                // posteriors; the single writer folds
+                                // the samples in ingest order, so the
+                                // drift stream stays bit-identical to
+                                // the sequential path.
+                                let sample = DriftSample::from_batch(&batch, candidates[i].len());
+                                *slot = (matches, sample);
+                            }
+                        }
+                    });
+                }
+            })
+            .expect("scoring worker panicked");
+        }
+        if let Some(m) = m {
+            sw.lap(m.batch_score);
+        }
+
+        // Phase 4 (sequential, single writer): apply match decisions in
+        // ingest order — the union-find passes through exactly the states
+        // sequential ingest would produce.
+        let mut outcomes = Vec::with_capacity(n);
+        for (((record, rec_derived), (matches, sample)), cands) in records
+            .into_iter()
+            .zip(derived)
+            .zip(scored)
+            .zip(&candidates)
+        {
+            let idx = self.store.push_derived(record, rec_derived);
+            outcomes.push(self.decide(idx, cands.len(), matches, sample));
+        }
+        if let Some(m) = m {
+            sw.lap(m.batch_decide);
+            sw.total(m.batch);
+            m.records.add(n as u64);
+            m.matches
+                .add(outcomes.iter().map(|o| o.matches.len() as u64).sum());
+        }
+        outcomes
+    }
+
+    /// Validates that `idx` names a live record.
+    fn check_live(&self, idx: usize) -> Result<(), StreamError> {
+        if idx >= self.store.len() {
+            return Err(StreamError(format!(
+                "unknown record index {idx} (store holds {} records)",
+                self.store.len()
+            )));
+        }
+        if self.store.is_retracted(idx) {
+            return Err(StreamError(format!("record {idx} is already retracted")));
+        }
+        Ok(())
+    }
+
+    /// Tombstones the record (rebuilding its component from the decision
+    /// log) and marks its postings dead in its own index. No watermark
+    /// check: `seed` replays tombstones through this.
+    fn retract_now(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
+        self.check_live(idx)?;
+        // Capture the keys before the store mutates: the derivation is
+        // the only place the record's blocking keys live.
+        let keys = RecordKeys::from_derived(self.store.derived(idx), self.store.interner());
+        let home = T::route(self.tags[idx]).1;
+        let out = self.store.retract(idx).map_err(StreamError)?;
+        let postings_tombstoned = self.indexes[home].retract_keys(idx, &keys);
+        Ok(RetractionReport {
+            epoch: out.epoch,
+            component_size: out.component_size,
+            postings_tombstoned,
+            auto_compaction: None,
+        })
+    }
+
+    /// See [`crate::StreamPipeline::retract`].
+    pub(crate) fn retract(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
+        if !self.pending_tombstones.is_empty() {
+            return Err(StreamError(
+                "snapshot tombstones are pending; seed_base must replay the bootstrap \
+                 records before new retractions"
+                    .into(),
+            ));
+        }
+        let m = self.meters;
+        let sw = Stopwatch::new(m.is_some());
+        let mut report = self.retract_now(idx)?;
+        report.auto_compaction = self.maybe_autocompact();
+        if let Some(c) = &report.auto_compaction {
+            report.epoch = c.epoch;
+        }
+        if let Some(m) = m {
+            // Includes any auto-compaction the watermark triggered
+            // (which also times itself under `compact.ns`).
+            sw.total(m.retract);
+            m.retractions.incr();
+        }
+        Ok(report)
+    }
+
+    /// See [`crate::StreamPipeline::retract_batch`].
+    pub(crate) fn retract_batch(
+        &mut self,
+        ids: &[usize],
+    ) -> Result<Vec<RetractionReport>, StreamError> {
+        let mut seen = std::collections::HashSet::new();
+        for &idx in ids {
+            self.check_live(idx)?;
+            if !seen.insert(idx) {
+                return Err(StreamError(format!(
+                    "record {idx} appears twice in the retraction batch"
+                )));
+            }
+        }
+        ids.iter().map(|&idx| self.retract(idx)).collect()
+    }
+
+    /// See [`crate::StreamPipeline::compact`].
+    pub(crate) fn compact(&mut self) -> CompactionReport {
+        let m = self.meters;
+        let sw = Stopwatch::new(m.is_some());
+        let mut index = CompactionDelta::default();
+        for ix in &mut self.indexes {
+            index.absorb(ix.compact(self.store.tombstones()));
+        }
+        let store = self.store.compact();
+        let report = CompactionReport {
+            epoch: self.store.epoch(),
+            index,
+            store,
+        };
+        if let Some(m) = m {
+            sw.total(m.compact);
+            m.compactions.incr();
+            m.reclaimed_bytes.add(report.bytes_reclaimed() as u64);
+        }
+        report
+    }
+
+    /// Compacts once the dead-posting fraction crosses the watermark.
+    fn maybe_autocompact(&mut self) -> Option<CompactionReport> {
+        let watermark = self.opts.compact_watermark?;
+        let (mut postings, mut dead) = (0, 0);
+        for ix in &self.indexes {
+            let (p, d) = ix.posting_counts();
+            postings += p;
+            dead += d;
+        }
+        if dead > 0 && dead as f64 >= watermark * postings.max(1) as f64 {
+            Some(self.compact())
+        } else {
+            None
+        }
+    }
+
+    /// Whether the drift divergence has crossed the refresh watermark on
+    /// a large enough window.
+    fn refresh_due(&self) -> bool {
+        self.opts.refresh_watermark.is_some_and(|watermark| {
+            self.drift.window_records() >= self.opts.refresh_min_records as u64
+                && self.drift.divergence() >= watermark
+        })
+    }
+
+    /// The live (non-retracted) records with their store indices.
+    pub(crate) fn live_records(&self) -> impl Iterator<Item = (usize, &Record)> {
+        self.store
+            .table()
+            .records()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !self.store.is_retracted(i))
+    }
+}
+
+/// A streaming pipeline the read/write split and the server run:
+/// [`crate::StreamPipeline`] or [`crate::LinkPipeline`]. Sealed: every
+/// method but [`Pipeline::options`] names a crate-private type — the
+/// engine, plus what differs between the pipelines that the generic
+/// operations need.
+pub trait Pipeline: Send + Sized + 'static {
+    /// The pipeline's blocking topology.
+    type Topology: Topology;
+    /// The shared engine.
+    fn engine(&self) -> &Engine<Self::Topology>;
+    /// The shared engine, mutably.
+    fn engine_mut(&mut self) -> &mut Engine<Self::Topology>;
+    /// The fit recipe over the live records: keeps any topology-specific
+    /// model parts and returns the new scorer with the fit's `records`,
+    /// `pairs` and `em_iterations`, or changes nothing.
+    fn fit_live(&mut self) -> Result<(SnapshotScorer, RefreshReport), StreamError>;
+    /// The pipeline's snapshot, serialized.
+    fn snapshot_json(&self) -> String;
+    /// The options in effect. For pipelines restored from a snapshot,
+    /// `config` is `ZeroErConfig::default()` — the fit-time
+    /// configuration is consumed by the bootstrap EM run and is not
+    /// stored in the snapshot (scoring depends only on the frozen
+    /// parameters).
+    fn options(&self) -> &StreamOptions {
+        &self.engine().opts
+    }
+}
+
+/// The ingest-call boundary: refit if the drift watermark fired, then
+/// publish the drift gauges. Once per call, not per record, so sequential
+/// and parallel ingestion of a batch trigger identically. A failed
+/// auto-refit clears the window rather than retrying on every call.
+pub(crate) fn after_ingest<P: Pipeline>(p: &mut P) {
+    if p.engine().refresh_due() && refit(p).is_err() {
+        p.engine_mut().drift.clear_window();
+    }
+    let e = p.engine();
+    if e.meters.is_some() {
+        e.drift.publish();
+    }
+}
+
+/// One record through [`Engine::ingest_one`], then the call boundary.
+pub(crate) fn ingest<P: Pipeline>(p: &mut P, record: Record, tag: Tag<P>) -> IngestOutcome {
+    let outcome = p.engine_mut().ingest_one(record, tag);
+    after_ingest(p);
+    outcome
+}
+
+/// A same-tag batch through [`Engine::ingest_batch`], then the call
+/// boundary.
+pub(crate) fn ingest_batch<P: Pipeline>(
+    p: &mut P,
+    records: Vec<Record>,
+    tag: Tag<P>,
+    threads: usize,
+) -> Vec<IngestOutcome> {
+    let outcomes = p.engine_mut().ingest_batch(records, tag, threads);
+    after_ingest(p);
+    outcomes
+}
+
+/// See `update` on the pipelines: the new version keeps the old tag.
+pub(crate) fn update<P: Pipeline>(
+    p: &mut P,
+    idx: usize,
+    record: Record,
+) -> Result<IngestOutcome, StreamError> {
+    let e = p.engine_mut();
+    e.check_arity(&record)?;
+    e.retract(idx)?;
+    let tag = e.tags[idx];
+    Ok(ingest(p, record, tag))
+}
+
+/// See `refit` on the pipelines: the fit recipe, then the scorer swap.
+pub(crate) fn refit<P: Pipeline>(p: &mut P) -> Result<RefreshReport, StreamError> {
+    let m = p.engine().meters;
+    let sw = Stopwatch::new(m.is_some());
+    let divergence = p.engine().drift.divergence();
+    let (scorer, fit) = p.fit_live()?;
+    let e = p.engine_mut();
+    debug_assert_eq!(scorer.snapshot().dim(), e.scorer.snapshot().dim());
+    // The swap: from here on every scoring call sees the new model.
+    e.scorer = scorer;
+    e.generation += 1;
+    e.drift.rebase(e.scorer.snapshot());
+    if let Some(m) = m {
+        sw.total(m.refresh);
+        m.refreshes.incr();
+    }
+    Ok(RefreshReport {
+        divergence,
+        generation: e.generation,
+        ..fit
+    })
+}
+
+/// The inherent methods both pipelines share, written once: expanded
+/// inside `impl StreamPipeline` and `impl LinkPipeline`, each delegating
+/// to the engine.
+macro_rules! shared_methods {
+    () => {
+        /// The entity store (for linkage: both sides' records, in one
+        /// combined numbering).
+        pub fn store(&self) -> &$crate::EntityStore {
+            &self.engine.store
+        }
+
+        /// Enables or disables this pipeline's stage metrics (see
+        /// [`crate::StreamOptions::metrics`]; `stream.` metrics for dedup,
+        /// `link.` for linkage). A runtime knob, not persisted in
+        /// snapshots. Metrics are purely observational: on or off, every
+        /// decision, cluster and snapshot is bit-identical.
+        pub fn set_metrics(&mut self, on: bool) {
+            self.engine.set_metrics(on);
+        }
+
+        /// The live drift monitor: streaming posterior/feature summaries
+        /// against the current model's baseline.
+        pub fn drift(&self) -> &$crate::DriftMonitor {
+            &self.engine.drift
+        }
+
+        /// How many times [`Self::refit`] has swapped the scorer (0 =
+        /// still serving the bootstrap model).
+        pub fn generation(&self) -> u64 {
+            self.engine.generation
+        }
+
+        /// Number of stored records (bootstrap records included).
+        pub fn len(&self) -> usize {
+            self.engine.store.len()
+        }
+
+        /// Whether nothing has been stored.
+        pub fn is_empty(&self) -> bool {
+            self.engine.store.is_empty()
+        }
+
+        /// Derivation and blocking observability counters; index
+        /// counters aggregate every index.
+        pub fn stats(&self) -> $crate::StreamStats {
+            self.engine.stats()
+        }
+
+        /// The pipeline epoch: advances on every retraction and
+        /// compaction.
+        pub fn epoch(&self) -> u64 {
+            self.engine.store.epoch()
+        }
+
+        /// Current entity clusters (≥ 2 members), in the same shape
+        /// `dedup_table` reports. Retracted records never appear.
+        pub fn clusters(&self) -> Vec<Vec<usize>> {
+            self.engine.store.clusters()
+        }
+
+        /// Retracts record `idx`: the record is tombstoned, its connected
+        /// component's clusters are rebuilt from the match-decision log
+        /// as if it had never been ingested, and its postings are marked
+        /// dead in its own index (candidates never see it again). If the
+        /// dead-posting fraction then crosses
+        /// [`crate::StreamOptions::compact_watermark`], the pipeline
+        /// compacts itself and reports it.
+        ///
+        /// Record indices are never reused: every other record keeps its
+        /// index, and the slot stays allocated until compaction releases
+        /// its heavy state.
+        ///
+        /// # Errors
+        /// Fails on an out-of-range index, an already-retracted record,
+        /// or a snapshot-restored pipeline whose persisted tombstones
+        /// have not been replayed yet (call `seed_base` first).
+        pub fn retract(
+            &mut self,
+            idx: usize,
+        ) -> Result<$crate::RetractionReport, $crate::StreamError> {
+            self.engine.retract(idx)
+        }
+
+        /// Retracts a batch of records, all-or-nothing: every id is
+        /// validated (in range, live, no duplicates) before the first
+        /// retraction is applied, so a bad id cannot leave the pipeline
+        /// half-updated.
+        ///
+        /// # Errors
+        /// Fails without side effects if any id is invalid.
+        pub fn retract_batch(
+            &mut self,
+            ids: &[usize],
+        ) -> Result<Vec<$crate::RetractionReport>, $crate::StreamError> {
+            self.engine.retract_batch(ids)
+        }
+
+        /// Replaces record `idx` with `record`: retract the old version,
+        /// ingest the new one (on the old version's side, for linkage),
+        /// which gets a **fresh index** — slots are never reused.
+        /// Returns the ingest outcome of the new version.
+        ///
+        /// # Errors
+        /// Fails like [`Self::retract`], or when the new record's arity
+        /// does not match the schema. Either way nothing is applied: the
+        /// old version must never be destroyed for a replacement that
+        /// cannot be ingested.
+        pub fn update(
+            &mut self,
+            idx: usize,
+            record: zeroer_tabular::Record,
+        ) -> Result<$crate::IngestOutcome, $crate::StreamError> {
+            $crate::engine::update(self, idx, record)
+        }
+
+        /// Compacts the pipeline in place: drops tombstoned postings from
+        /// every index, frees emptied and cap-retired buckets, prunes
+        /// dead decision-log edges, and releases retracted records'
+        /// derivations. Advances the epoch.
+        ///
+        /// Dead postings and dead log edges were already invisible, so
+        /// dropping them never changes behavior. The one semantic edge is
+        /// cap-retired (`Dead`) bucket markers: compaction removes them,
+        /// so a formerly hot blocking key becomes pairable again until
+        /// its *live* population re-crosses the frequency cap — the state
+        /// a fresh index over the surviving records would be in. See the
+        /// retraction section of the `crate::index` module docs.
+        pub fn compact(&mut self) -> $crate::CompactionReport {
+            self.engine.compact()
+        }
+
+        /// Re-runs the bootstrap fit recipe over the store's **live**
+        /// records (split back into their sides, for linkage) and swaps
+        /// the frozen scorer for the freshly fitted model — the online
+        /// half of the snapshot lifecycle.
+        ///
+        /// Nothing else moves: the store, blocking indexes, cluster
+        /// assignments and decision log are untouched. Historical match
+        /// decisions stay exactly as the model that made them decided —
+        /// only records ingested *after* the swap are scored by the new
+        /// model. [`Self::snapshot`] afterwards persists the new model
+        /// together with the original bootstrap provenance, so
+        /// `seed_base` still replays the historical decisions verbatim.
+        ///
+        /// The refit is deterministic (EM from a fixed initialization
+        /// over a deterministic candidate set), so two pipelines with the
+        /// same live records refit to bit-identical models. On success
+        /// the model generation advances and the drift monitor
+        /// re-baselines on the new model with an empty window. With
+        /// [`crate::StreamOptions::refresh_watermark`] set, ingest calls
+        /// run this automatically once the drift divergence crosses it.
+        ///
+        /// # Errors
+        /// Fails — leaving the current model untouched — when the live
+        /// records yield no candidate pairs, when the refit produces
+        /// non-finite parameters (degenerate window), or when the live
+        /// data's inferred attribute types no longer match the frozen
+        /// feature layout.
+        pub fn refit(&mut self) -> Result<$crate::RefreshReport, $crate::StreamError> {
+            $crate::engine::refit(self)
+        }
+
+        /// Pins the pipeline's current read state as a standalone
+        /// [`crate::ReadHandle`] (it cannot refresh; use
+        /// [`crate::SplitPipeline::read_handle`] for handles that follow
+        /// the write path's publications). Its resolves run ingest's
+        /// candidate rule and scoring code, minus the insertion.
+        pub fn pin_read_handle(&self) -> $crate::ReadHandle<Self> {
+            $crate::ReadHandle::pin_standalone(self)
+        }
+    };
+}
+pub(crate) use shared_methods;

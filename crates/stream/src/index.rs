@@ -139,6 +139,19 @@ pub struct IndexStats {
 }
 
 impl IndexStats {
+    /// Adds another index's counts (the linkage topology's two sides).
+    pub(crate) fn absorb(&mut self, other: IndexStats) {
+        for (mine, theirs) in [
+            (&mut self.token, other.token),
+            (&mut self.qgram, other.qgram),
+        ] {
+            mine.live += theirs.live;
+            mine.retired += theirs.retired;
+            mine.postings += theirs.postings;
+            mine.dead_postings += theirs.dead_postings;
+        }
+    }
+
     /// Postings stored across both legs.
     pub fn postings(&self) -> usize {
         self.token.postings + self.qgram.postings

@@ -30,6 +30,13 @@
 //!   watermark) reclaims the dead index postings — no stop-the-world
 //!   rebuild, record indices stay stable forever.
 //!
+//! [`LinkPipeline`] is the record-linkage façade (`T ≠ T'`, side-tagged
+//! records). Both façades run on one private streaming engine,
+//! parameterised by a blocking topology — one index that arrivals probe
+//! and join for dedup, one index per side for linkage — so ingest,
+//! retraction, compaction, drift-triggered refit and the read/write
+//! split ([`SplitPipeline`]) are implemented once for both.
+//!
 //! ```
 //! use zeroer_stream::{StreamOptions, StreamPipeline};
 //! use zeroer_tabular::csv::read_table;
@@ -59,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod drift;
+mod engine;
 pub mod index;
 pub mod legs;
 pub mod link;
@@ -70,9 +78,10 @@ pub mod split;
 pub mod store;
 
 pub use drift::DriftMonitor;
+pub use engine::Pipeline;
 pub use index::{CompactionDelta, IncrementalIndex, IndexConfig, IndexStats, LegStats};
 pub use legs::{build_linkage_legs, LegReplay, LegTriple, LinkageLegs};
-pub use link::{LinkBootstrapReport, LinkPipeline, LinkReadHandle, Side};
+pub use link::{LinkBootstrapReport, LinkPipeline, Side};
 pub use pipeline::{
     render_stats, BootstrapReport, CompactionReport, IngestOutcome, RefreshReport,
     RetractionReport, StreamError, StreamOptions, StreamPipeline, StreamStats,

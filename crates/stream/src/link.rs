@@ -5,61 +5,40 @@
 //! cross-table model `F` plus the within-table models `Fl`/`Fr` (§5 of
 //! the paper) — and [`LinkPipeline::bootstrap`] freezes that whole fit
 //! into a [`crate::LinkSnapshot`]. Afterwards the pipeline serves the
-//! *online* form of the workload: records arrive tagged with a
-//! [`Side`], an incoming right-side record blocks **only against the
-//! left side's index** (and vice versa), every cross candidate is scored
-//! with the frozen cross model `F` — zero EM iterations — and matches
-//! merge entities in the shared union-find, so transitivity is enforced
-//! structurally across both tables.
-//!
-//! ## Side-aware design
+//! *online* form of the workload on the shared streaming engine with the
+//! linkage topology: records arrive tagged with a [`Side`], an incoming
+//! right-side record blocks **only against the left side's index** (and
+//! vice versa), every cross candidate is scored with the frozen cross
+//! model `F` — zero EM iterations — and matches merge entities in the
+//! shared union-find, so transitivity is enforced structurally across
+//! both tables.
 //!
 //! One [`EntityStore`] holds both sides' records in one combined
 //! numbering (bootstrap left records first, then bootstrap right
 //! records, then streamed records in arrival order) with one token
-//! interner, so any left/right pair can be featurized directly. Each
-//! side owns its own [`ShardedIndex`]; ingest *probes* the opposite
-//! side's index ([`ShardedIndex::probe_live`], read-only) and *inserts*
-//! into its own side's index ([`ShardedIndex::insert_keys_at`]), so
-//! same-side records never become candidates of one another — exactly
-//! the candidate structure of batch cross-table blocking. The
+//! interner, so any left/right pair can be featurized directly. The
 //! within-table models `Fl`/`Fr` play the role the paper gives them:
 //! they *calibrate* the cross model during the joint fit (and are frozen
 //! alongside it), but match decisions — applied at bootstrap, persisted
 //! in the snapshot, replayed by [`LinkPipeline::seed_base`] — are cross
 //! pairs only, exactly like the batch `match_tables` report.
 //!
-//! ## Determinism and retraction
-//!
-//! The single-writer discipline of the dedup path carries over
-//! unchanged: parallel batch ingest derives and scores on a worker pool
-//! but commits interner symbols, index postings, and match decisions in
-//! ingest order, so outcomes are **bit-identical for every thread
-//! count** — in fact the argument is simpler here, because a single-side
-//! batch only probes the (frozen) opposite index and can contain no
-//! intra-batch matches. Retraction uses the same tombstone + decision-log
-//! component rebuild as dedup, with the record's postings routed to its
-//! own side's index.
+//! Everything else — parallel ingest bit-identical at any thread count,
+//! exact retraction, compaction, drift folding with watermark-triggered
+//! refit, the read view — is the engine's, shared with dedup.
 
-use crate::index::IndexStats;
+use crate::engine::{self, Engine, Linkage, Pipeline};
 use crate::legs::{build_linkage_legs, LegReplay};
-use crate::meters::StageMeters;
 use crate::pipeline::{
-    records_digest, score_candidates, CompactionReport, IngestOutcome, RetractionReport,
+    check_base_table, records_digest, structural_drift, IngestOutcome, RefreshReport, StreamError,
+    StreamOptions,
 };
-use crate::pipeline::{StreamError, StreamOptions, StreamStats};
-use crate::shard::{RecordKeys, ShardedIndex};
 use crate::snapshot::LinkSnapshot;
 use crate::store::EntityStore;
-use std::sync::Mutex;
-use zeroer_core::{
-    LinkageModel, LinkageSnapshot, ModelSnapshot, ScoreBatch, SnapshotScorer, ZeroErConfig,
-};
-use zeroer_features::BatchFeaturizer;
+use zeroer_core::{GenerativeModel, LinkageModel, LinkageSnapshot, ModelSnapshot, SnapshotScorer};
+use zeroer_features::{BatchFeaturizer, PairFeaturizer};
 use zeroer_obs::Stopwatch;
-use zeroer_tabular::{Record, Table};
-use zeroer_textsim::derive::{DerivedRecord, ScratchDerived, ScratchDeriver};
-use zeroer_textsim::intern::Sym;
+use zeroer_tabular::{AttrType, Record, Table};
 
 /// Which table a record belongs to in a record-linkage workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,45 +90,90 @@ pub struct LinkBootstrapReport {
     pub em_iterations: usize,
 }
 
-/// A slice of per-record match slots handed to a scoring worker, tagged
-/// with the offset of its first record within the batch.
-type LinkScoreJob<'m> = (usize, &'m mut [Vec<(usize, f64)>]);
-
 /// Streaming record linkage on top of a frozen three-model linkage fit:
 /// ingest side-tagged records, block them against the opposite side's
 /// incremental index, score cross candidates with the frozen cross
 /// model, and maintain cross-table entity clusters in a union-find.
 pub struct LinkPipeline {
-    opts: StreamOptions,
-    store: EntityStore,
-    /// Which side each stored record belongs to, indexed like the store.
-    sides: Vec<Side>,
-    left_index: ShardedIndex,
-    right_index: ShardedIndex,
-    featurizer: BatchFeaturizer,
-    scorer: SnapshotScorer,
+    engine: Engine<Linkage>,
     /// The full frozen fit (cross + within-table models), kept for
-    /// snapshotting.
+    /// snapshotting; the engine scores with its cross model.
     linkage: LinkageSnapshot,
-    /// Reusable struct-of-arrays scoring buffers for the sequential
-    /// scoring hot loop.
-    batch: ScoreBatch,
-    candidates_seen: usize,
     /// Bootstrap provenance (see [`LinkSnapshot`]).
     left_len: usize,
     right_len: usize,
     left_digest: u64,
     right_digest: u64,
     base_matches: Vec<(usize, usize)>,
-    /// Tombstones restored from a snapshot, replayed by `seed_base`.
-    pending_tombstones: Vec<usize>,
-    pending_epoch: u64,
-    /// Metric handles (prefix `link`), resolved once at construction;
-    /// `None` when [`StreamOptions::metrics`] is off.
-    meters: Option<StageMeters>,
-    /// How many times [`LinkPipeline::refit`] has swapped the frozen
-    /// fit (0 = still the bootstrap models).
-    generation: u64,
+}
+
+/// What the linkage fit recipe produced.
+struct LinkFit {
+    /// The cross featurizer, whose derivation bootstrap hands to the
+    /// store.
+    cross_fz: PairFeaturizer,
+    /// Cross candidate pairs, table-local.
+    pairs: Vec<(usize, usize)>,
+    /// Candidate pairs across all three legs.
+    candidates: usize,
+    outcome: zeroer_core::LinkageOutcome,
+    linkage: LinkageSnapshot,
+}
+
+/// The linkage fit recipe [`LinkPipeline::bootstrap`] and
+/// [`LinkPipeline::refit`] share: cross + within-table blocking →
+/// features → normalization → the three-model joint EM with cross-table
+/// transitivity calibration → freeze. `frozen` is the cross feature
+/// layout a refit must keep (`None` at bootstrap).
+fn fit_linkage(
+    left: &Table,
+    right: &Table,
+    opts: &StreamOptions,
+    frozen: Option<&[AttrType]>,
+) -> Result<LinkFit, StreamError> {
+    // The shared three-featurizer recipe — the very same code path
+    // `match_tables` prepares its legs with (see [`crate::legs`]).
+    let prep = build_linkage_legs(
+        left,
+        right,
+        &opts.index_config().derive_config(),
+        opts.min_token_overlap,
+        opts.max_bucket,
+    );
+    if frozen.is_some_and(|types| prep.cross_fz.attr_types() != types) {
+        return Err(structural_drift());
+    }
+    let Some(legs) = prep.legs else {
+        return Err(StreamError(
+            "cross-table blocking produced no candidate pairs; nothing to fit a model on".into(),
+        ));
+    };
+    let trainer = LinkageModel::new(opts.config.clone());
+    let (outcome, fitted) = trainer.fit_models(&legs.cross.task, &legs.left.task, &legs.right.task);
+    let capture = |model: Option<&GenerativeModel>, leg: &LegReplay| {
+        model.and_then(|m| {
+            ModelSnapshot::capture_checked(m, &leg.ranges, &leg.impute_means, &leg.names)
+        })
+    };
+    let cross = capture(Some(&fitted.cross), &legs.cross).ok_or_else(|| {
+        StreamError("cross-model fit is degenerate (non-finite parameters); cannot freeze".into())
+    })?;
+    // A tiny within-table leg may be unfreezable (degenerate fit) —
+    // that is tolerable: streamed candidates are always cross pairs, so
+    // only the cross model is required at serving time.
+    let linkage = LinkageSnapshot {
+        cross,
+        left: capture(fitted.left.as_ref(), &legs.left),
+        right: capture(fitted.right.as_ref(), &legs.right),
+        transitivity: opts.config.transitivity,
+    };
+    Ok(LinkFit {
+        cross_fz: prep.cross_fz,
+        pairs: legs.cross.task.pairs,
+        candidates: legs.candidates,
+        outcome,
+        linkage,
+    })
 }
 
 impl LinkPipeline {
@@ -181,59 +205,10 @@ impl LinkPipeline {
                 right.schema().attributes()
             )));
         }
-        let meters = StageMeters::from_flag(opts.metrics, "link");
-        let sw = Stopwatch::new(meters.is_some());
-        let index_cfg = opts.index_config();
-        // The shared three-featurizer recipe — the very same code path
-        // `match_tables` prepares its legs with (see [`crate::legs`]).
-        let prep = build_linkage_legs(
-            left,
-            right,
-            &index_cfg.derive_config(),
-            opts.min_token_overlap,
-            opts.max_bucket,
-        );
-        let cross_fz = prep.cross_fz;
-        let Some(legs) = prep.legs else {
-            return Err(StreamError(
-                "cross-table blocking produced no candidate pairs; nothing to fit a model on"
-                    .into(),
-            ));
-        };
-        let candidates_seen = legs.candidates;
-        let (cross_leg, left_leg, right_leg) = (legs.cross, legs.left, legs.right);
-
-        let trainer = LinkageModel::new(opts.config.clone());
-        let (out, fitted) = trainer.fit_models(&cross_leg.task, &left_leg.task, &right_leg.task);
-
-        let cross_snapshot = ModelSnapshot::capture_checked(
-            &fitted.cross,
-            &cross_leg.ranges,
-            &cross_leg.impute_means,
-            &cross_leg.names,
-        )
-        .ok_or_else(|| {
-            StreamError(
-                "cross-model fit is degenerate (non-finite parameters); cannot freeze".into(),
-            )
-        })?;
-        // A tiny within-table leg may be unfreezable (degenerate fit) —
-        // that is tolerable: streamed candidates are always cross pairs,
-        // so only the cross model is required at serving time.
-        let capture_leg = |model: &Option<zeroer_core::GenerativeModel>, leg: &LegReplay| {
-            model.as_ref().and_then(|m| {
-                ModelSnapshot::capture_checked(m, &leg.ranges, &leg.impute_means, &leg.names)
-            })
-        };
-        let linkage = LinkageSnapshot {
-            cross: cross_snapshot,
-            left: capture_leg(&fitted.left, &left_leg),
-            right: capture_leg(&fitted.right, &right_leg),
-            transitivity: opts.config.transitivity,
-        };
-        let scorer = linkage.cross_scorer()?;
-        let featurizer = BatchFeaturizer::new(cross_fz.attr_types());
-        debug_assert_eq!(featurizer.dim(), linkage.cross.dim());
+        let sw = Stopwatch::new(opts.metrics);
+        let fit = fit_linkage(left, right, &opts, None)?;
+        let scorer = fit.linkage.cross_scorer()?;
+        let featurizer = BatchFeaturizer::new(fit.cross_fz.attr_types());
 
         // One combined store: left records first (indices 0..L), then
         // right records (L..L+R), sharing the cross featurizer's
@@ -243,85 +218,51 @@ impl LinkPipeline {
         for r in left.records().iter().chain(right.records()) {
             combined.push(r.clone());
         }
-        let (interner, left_derived, mut right_derived) = cross_fz.into_parts_cross();
-        let mut derived = left_derived;
+        let (interner, mut derived, mut right_derived) = fit.cross_fz.into_parts_cross();
         derived.append(&mut right_derived);
-        let mut store =
-            EntityStore::from_derived(&combined, interner, derived, index_cfg.derive_config());
+        let derive_cfg = opts.index_config().derive_config();
+        let store = EntityStore::from_derived(&combined, interner, derived, derive_cfg);
+        let mut engine = Engine::new(opts, store, featurizer, scorer);
 
-        let mut left_index = ShardedIndex::new(index_cfg.clone());
-        let mut right_index = ShardedIndex::new(index_cfg);
-        for i in 0..store.len() {
-            let keys = RecordKeys::from_derived(store.derived(i), store.interner());
-            if i < nl {
-                left_index.insert_keys_at(i, &keys);
-            } else {
-                right_index.insert_keys_at(i, &keys);
-            }
-        }
-        let mut sides = vec![Side::Left; nl];
-        sides.extend(std::iter::repeat_n(Side::Right, right.len()));
-
-        // Apply the batch decisions: **cross pairs only**, with the same
-        // `p > threshold` criterion ingest applies, recorded so
-        // `seed_base` can replay them. The within-table models exist to
-        // *calibrate* the cross model during the joint fit (their
-        // posteriors gate the transitivity triangles); their hard labels
-        // are not match decisions — on internally-deduplicated tables EM
-        // still carves out a "duplicate" component, and merging it would
-        // poison the clusters. This mirrors `match_tables`, which also
-        // reports cross labels only; the within-leg posteriors stay
-        // available in the report for diagnostics.
-        let mut base_matches: Vec<(usize, usize)> = Vec::new();
-        for (&(l, r), &g) in cross_leg.task.pairs.iter().zip(&out.cross_gammas) {
-            if g > opts.threshold {
-                base_matches.push((l, nl + r));
-            }
-        }
-        for &(a, b) in &base_matches {
-            store.merge(a, b);
-        }
-        let hot = |gammas: &[f64]| gammas.iter().filter(|&&g| g > opts.threshold).count();
-        let (left_matches, right_matches) = (hot(&out.left_gammas), hot(&out.right_gammas));
-
+        // Apply the batch decisions: **cross pairs only**. The
+        // within-table models exist to *calibrate* the cross model during
+        // the joint fit (their posteriors gate the transitivity
+        // triangles); their hard labels are not match decisions — on
+        // internally-deduplicated tables EM still carves out a
+        // "duplicate" component, and merging it would poison the
+        // clusters. This mirrors `match_tables`, which also reports cross
+        // labels only; the within-leg posteriors stay available in the
+        // report for diagnostics.
+        let base_matches = engine.finish_bootstrap(
+            sw,
+            |i| if i < nl { Side::Left } else { Side::Right },
+            fit.candidates,
+            fit.pairs
+                .iter()
+                .map(|&(l, r)| (l, nl + r))
+                .zip(fit.outcome.cross_gammas.iter().copied()),
+        );
+        let threshold = engine.opts.threshold;
+        let hot = |gammas: &[f64]| gammas.iter().filter(|&&g| g > threshold).count();
+        let out = fit.outcome;
         let report = LinkBootstrapReport {
-            pairs: cross_leg.task.pairs.clone(),
+            left_matches: hot(&out.left_gammas),
+            right_matches: hot(&out.right_gammas),
+            pairs: fit.pairs,
             probabilities: out.cross_gammas,
             labels: out.cross_labels,
-            left_matches,
-            right_matches,
             em_iterations: out.summary.iterations,
         };
-        if let Some(m) = meters {
-            sw.total(m.bootstrap);
-            m.records.add(store.len() as u64);
-            m.candidates.add(candidates_seen as u64);
-            m.matches.add(base_matches.len() as u64);
-        }
-        Ok((
-            Self {
-                left_len: nl,
-                right_len: right.len(),
-                left_digest: records_digest(left.records()),
-                right_digest: records_digest(right.records()),
-                base_matches,
-                candidates_seen,
-                opts,
-                store,
-                sides,
-                left_index,
-                right_index,
-                featurizer,
-                scorer,
-                linkage,
-                batch: ScoreBatch::new(),
-                pending_tombstones: Vec::new(),
-                pending_epoch: 0,
-                meters,
-                generation: 0,
-            },
-            report,
-        ))
+        let pipeline = Self {
+            engine,
+            linkage: fit.linkage,
+            left_len: nl,
+            right_len: right.len(),
+            left_digest: records_digest(left.records()),
+            right_digest: records_digest(right.records()),
+            base_matches,
+        };
+        Ok((pipeline, report))
     }
 
     /// Rebuilds a scoring pipeline from a saved [`LinkSnapshot`] with an
@@ -338,186 +279,35 @@ impl LinkPipeline {
     /// vs. cross-model dimensionality), or if it carries tombstones for
     /// streamed (non-persisted) records.
     pub fn from_snapshot(snap: &LinkSnapshot, threshold: f64) -> Result<Self, StreamError> {
-        let featurizer = BatchFeaturizer::new(&snap.attr_types);
-        if featurizer.dim() != snap.linkage.cross.dim() {
-            return Err(StreamError(format!(
-                "snapshot attr types imply {} features but the cross model has {}",
-                featurizer.dim(),
-                snap.linkage.cross.dim()
-            )));
-        }
-        let total = snap.bootstrap_len();
-        if let Some(&t) = snap.tombstones.iter().find(|&&t| t >= total) {
-            return Err(StreamError(format!(
-                "snapshot tombstones record {t}, which lies beyond the {total} bootstrap \
-                 records; streamed records are not persisted, so their retractions cannot \
-                 be restored"
-            )));
-        }
-        let scorer = snap.linkage.cross_scorer()?;
-        let opts = StreamOptions {
-            config: ZeroErConfig::default(),
-            blocking_attr: snap.index.attr,
-            min_token_overlap: snap.index.min_token_overlap,
-            qgram: snap.index.qgram,
-            max_bucket: snap.index.max_bucket,
-            threshold,
-            compact_watermark: StreamOptions::default().compact_watermark,
-            refresh_watermark: StreamOptions::default().refresh_watermark,
-            refresh_min_records: StreamOptions::default().refresh_min_records,
-            metrics: StreamOptions::default().metrics,
-            batched_scoring: StreamOptions::default().batched_scoring,
-        };
-        let meters = StageMeters::from_flag(opts.metrics, "link");
         Ok(Self {
-            store: EntityStore::new(snap.to_schema(), snap.index.derive_config()),
-            sides: Vec::new(),
-            left_index: ShardedIndex::new(snap.index.clone()),
-            right_index: ShardedIndex::new(snap.index.clone()),
-            featurizer,
-            scorer,
+            engine: Engine::restore(
+                snap.to_schema(),
+                &snap.attr_types,
+                &snap.index,
+                &snap.linkage.cross,
+                snap.bootstrap_len(),
+                (&snap.tombstones, snap.epoch),
+                threshold,
+            )?,
             linkage: snap.linkage.clone(),
-            opts,
-            batch: ScoreBatch::new(),
-            candidates_seen: 0,
             left_len: snap.left_len,
             right_len: snap.right_len,
             left_digest: snap.left_digest,
             right_digest: snap.right_digest,
             base_matches: snap.pairs.clone(),
-            pending_tombstones: snap.tombstones.clone(),
-            pending_epoch: snap.epoch,
-            meters,
-            generation: 0,
         })
-    }
-
-    /// Re-runs the three-model linkage fit over the store's **live**
-    /// records (split back into their sides) and swaps the frozen
-    /// [`LinkageSnapshot`] + cross scorer — the linkage half of the
-    /// snapshot lifecycle. Like [`crate::StreamPipeline::refit`], the
-    /// store, indexes, clusters and decision log are untouched:
-    /// historical decisions stay as the model that made them decided,
-    /// and only future arrivals score under the new fit. No drift
-    /// monitor feeds this path — linkage refresh is manual (CLI
-    /// `zeroer refresh` on a link snapshot).
-    ///
-    /// # Errors
-    /// Fails — leaving the current fit untouched — when the live cross
-    /// blocking yields no candidate pairs, when the refit cross model
-    /// is too degenerate to freeze, or when the live data's inferred
-    /// attribute types no longer match the frozen feature layout.
-    pub fn refit(&mut self) -> Result<crate::RefreshReport, StreamError> {
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let table = self.store.table();
-        let schema = table.schema().clone();
-        let mut left = Table::new("refit-left", schema.clone());
-        let mut right = Table::new("refit-right", schema);
-        for (i, r) in table.records().iter().enumerate() {
-            if self.store.is_retracted(i) {
-                continue;
-            }
-            match self.sides[i] {
-                Side::Left => left.push(r.clone()),
-                Side::Right => right.push(r.clone()),
-            }
-        }
-
-        let index_cfg = self.opts.index_config();
-        let prep = build_linkage_legs(
-            &left,
-            &right,
-            &index_cfg.derive_config(),
-            self.opts.min_token_overlap,
-            self.opts.max_bucket,
-        );
-        if prep.cross_fz.attr_types() != self.featurizer.attr_types() {
-            return Err(StreamError(
-                "refit inferred different attribute types than the frozen feature layout; \
-                 the live data has drifted structurally, not just statistically — refusing \
-                 to swap a model with a different feature space"
-                    .into(),
-            ));
-        }
-        let Some(legs) = prep.legs else {
-            return Err(StreamError(
-                "refit cross blocking produced no candidate pairs; nothing to fit a model on"
-                    .into(),
-            ));
-        };
-        let (cross_leg, left_leg, right_leg) = (legs.cross, legs.left, legs.right);
-        let trainer = LinkageModel::new(self.opts.config.clone());
-        let (out, fitted) = trainer.fit_models(&cross_leg.task, &left_leg.task, &right_leg.task);
-        let cross_snapshot = ModelSnapshot::capture_checked(
-            &fitted.cross,
-            &cross_leg.ranges,
-            &cross_leg.impute_means,
-            &cross_leg.names,
-        )
-        .ok_or_else(|| {
-            StreamError(
-                "refit cross model converged to non-finite parameters (degenerate live \
-                 window); keeping the current snapshot"
-                    .into(),
-            )
-        })?;
-        let capture_leg = |model: &Option<zeroer_core::GenerativeModel>, leg: &LegReplay| {
-            model.as_ref().and_then(|mo| {
-                ModelSnapshot::capture_checked(mo, &leg.ranges, &leg.impute_means, &leg.names)
-            })
-        };
-        let linkage = LinkageSnapshot {
-            cross: cross_snapshot,
-            left: capture_leg(&fitted.left, &left_leg),
-            right: capture_leg(&fitted.right, &right_leg),
-            transitivity: self.opts.config.transitivity,
-        };
-        debug_assert_eq!(linkage.cross.dim(), self.featurizer.dim());
-
-        // The swap: scorer and frozen fit move together, so a snapshot
-        // taken after this persists the refreshed models.
-        self.scorer = linkage.cross_scorer()?;
-        self.linkage = linkage;
-        self.generation += 1;
-        if let Some(m) = m {
-            sw.total(m.refresh);
-            m.refreshes.incr();
-        }
-        Ok(crate::RefreshReport {
-            records: left.len() + right.len(),
-            pairs: cross_leg.task.pairs.len(),
-            em_iterations: out.summary.iterations,
-            divergence: 0.0,
-            auto: false,
-            generation: self.generation,
-        })
-    }
-
-    /// How many times [`LinkPipeline::refit`] has swapped the frozen
-    /// fit (0 = still serving the bootstrap models).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Freezes the current pipeline configuration into a serializable
     /// snapshot, including the bootstrap match decisions so a cold
     /// restart can preserve them.
     pub fn snapshot(&self) -> LinkSnapshot {
-        let (tombstones, epoch) = if self.pending_tombstones.is_empty() {
-            (
-                (0..self.store.len())
-                    .filter(|&i| self.store.is_retracted(i))
-                    .collect(),
-                self.store.epoch(),
-            )
-        } else {
-            (self.pending_tombstones.clone(), self.pending_epoch)
-        };
+        let e = &self.engine;
+        let (tombstones, epoch) = e.persisted_tombstones();
         LinkSnapshot {
-            schema: self.store.table().schema().attributes().to_vec(),
-            attr_types: self.featurizer.attr_types().to_vec(),
-            index: self.left_index.config().clone(),
+            schema: e.store.table().schema().attributes().to_vec(),
+            attr_types: e.featurizer.attr_types().to_vec(),
+            index: e.index_config().clone(),
             linkage: self.linkage.clone(),
             left_len: self.left_len,
             right_len: self.right_len,
@@ -540,102 +330,12 @@ impl LinkPipeline {
     /// wrong record count, or a digest mismatch shows the records differ
     /// from the ones the snapshot was bootstrapped on.
     pub fn seed_base(&mut self, left: &Table, right: &Table) -> Result<(), StreamError> {
-        if !self.store.is_empty() {
-            return Err(StreamError(
-                "seed_base requires an empty (just-restored) pipeline".into(),
-            ));
-        }
-        let check =
-            |side: &str, table: &Table, len: usize, digest: u64| -> Result<(), StreamError> {
-                if table.len() != len {
-                    return Err(StreamError(format!(
-                        "{side} table has {} records but the snapshot was bootstrapped on {len}",
-                        table.len()
-                    )));
-                }
-                if digest != 0 && records_digest(table.records()) != digest {
-                    return Err(StreamError(format!(
-                        "{side} table does not match the records the snapshot was bootstrapped \
-                     on (same length, different or reordered records); the persisted batch \
-                     decisions cannot be replayed onto it"
-                    )));
-                }
-                Ok(())
-            };
-        check("left", left, self.left_len, self.left_digest)?;
-        check("right", right, self.right_len, self.right_digest)?;
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        for (side, table) in [(Side::Left, left), (Side::Right, right)] {
-            for r in table.records() {
-                let derived = self.store.derive(r);
-                let keys = RecordKeys::from_derived(&derived, self.store.interner());
-                let idx = self.store.push_derived(r.clone(), derived);
-                self.sides.push(side);
-                self.side_index_mut(side).insert_keys_at(idx, &keys);
-            }
-        }
-        // Indexed loop: `merge` needs `&mut self.store` while the pairs
-        // live in `self.base_matches`, and cloning the whole decision
-        // list per cold start would be a pointless allocation.
-        for i in 0..self.base_matches.len() {
-            let (a, b) = self.base_matches[i];
-            self.store.merge(a, b);
-        }
-        let pending = std::mem::take(&mut self.pending_tombstones);
-        for &i in &pending {
-            self.retract_now(i)?;
-        }
-        let epoch = self.pending_epoch.max(self.store.epoch());
-        self.store.set_epoch(epoch);
-        if let Some(m) = m {
-            sw.total(m.seed);
-            m.records.add((self.left_len + self.right_len) as u64);
-        }
-        Ok(())
-    }
-
-    fn side_index(&self, side: Side) -> &ShardedIndex {
-        match side {
-            Side::Left => &self.left_index,
-            Side::Right => &self.right_index,
-        }
-    }
-
-    fn side_index_mut(&mut self, side: Side) -> &mut ShardedIndex {
-        match side {
-            Side::Left => &mut self.left_index,
-            Side::Right => &mut self.right_index,
-        }
-    }
-
-    /// The entity store (both sides, combined numbering).
-    pub fn store(&self) -> &EntityStore {
-        &self.store
-    }
-
-    /// The options in effect (for restored pipelines, `config` is the
-    /// default — scoring depends only on the frozen parameters).
-    pub fn options(&self) -> &StreamOptions {
-        &self.opts
-    }
-
-    /// Enables or disables this pipeline's stage metrics (see
-    /// [`StreamOptions::metrics`]; the linkage metrics carry the
-    /// `link.` prefix). A runtime knob, not persisted in snapshots.
-    /// Purely observational: on or off, every decision, cluster and
-    /// snapshot is bit-identical.
-    pub fn set_metrics(&mut self, on: bool) {
-        self.opts.metrics = on;
-        self.meters = StageMeters::from_flag(on, "link");
-    }
-
-    /// Switches candidate scoring between the struct-of-arrays batched
-    /// kernels and the row-at-a-time scalar loop (see
-    /// [`StreamOptions::batched_scoring`]). A runtime knob, not
-    /// persisted in snapshots; bit-identical either way.
-    pub fn set_batched_scoring(&mut self, on: bool) {
-        self.opts.batched_scoring = on;
+        check_base_table("left", left, self.left_len, self.left_digest)?;
+        check_base_table("right", right, self.right_len, self.right_digest)?;
+        self.engine.seed(
+            &[(Side::Left, left), (Side::Right, right)],
+            &self.base_matches,
+        )
     }
 
     /// Which side record `idx` belongs to.
@@ -643,61 +343,12 @@ impl LinkPipeline {
     /// # Panics
     /// Panics on an out-of-range index.
     pub fn side(&self, idx: usize) -> Side {
-        self.sides[idx]
-    }
-
-    /// Number of stored records (both sides, bootstrap included).
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether nothing has been stored.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// The pipeline epoch: advances on every retraction and compaction.
-    pub fn epoch(&self) -> u64 {
-        self.store.epoch()
+        self.engine.tags[idx]
     }
 
     /// The frozen three-model fit this pipeline scores with.
     pub fn linkage(&self) -> &LinkageSnapshot {
         &self.linkage
-    }
-
-    /// Derivation/blocking observability counters; index counters
-    /// aggregate both sides' indexes.
-    pub fn stats(&self) -> StreamStats {
-        let combine = |a: IndexStats, b: IndexStats| -> IndexStats {
-            let leg = |mut x: crate::index::LegStats, y: crate::index::LegStats| {
-                x.live += y.live;
-                x.retired += y.retired;
-                x.postings += y.postings;
-                x.dead_postings += y.dead_postings;
-                x
-            };
-            IndexStats {
-                token: leg(a.token, b.token),
-                qgram: leg(a.qgram, b.qgram),
-            }
-        };
-        StreamStats {
-            interned_tokens: self.store.interner().len(),
-            interned_bytes: self.store.interner().bytes(),
-            index: combine(self.left_index.stats(), self.right_index.stats()),
-            candidate_pairs: self.candidates_seen,
-            live_records: self.store.live_len(),
-            retracted_records: self.store.retracted_count(),
-            decision_log: self.store.decision_log_len(),
-            epoch: self.store.epoch(),
-        }
-    }
-
-    /// Current entity clusters (≥ 2 members) over the combined
-    /// numbering, in the same shape `dedup_table` reports.
-    pub fn clusters(&self) -> Vec<Vec<usize>> {
-        self.store.clusters()
     }
 
     /// All cross-table links the current clustering implies: `(left
@@ -706,16 +357,12 @@ impl LinkPipeline {
     /// "predicted matches" (transitive closure included), the quantity
     /// the pair-F1 e2e measures.
     pub fn cross_links(&self) -> Vec<(usize, usize)> {
+        let sides = &self.engine.tags;
         let mut links = Vec::new();
         for cluster in self.clusters() {
-            for &a in &cluster {
-                if self.sides[a] != Side::Left {
-                    continue;
-                }
-                for &b in &cluster {
-                    if self.sides[b] == Side::Right {
-                        links.push((a, b));
-                    }
+            for &a in cluster.iter().filter(|&&a| sides[a] == Side::Left) {
+                for &b in cluster.iter().filter(|&&b| sides[b] == Side::Right) {
+                    links.push((a, b));
                 }
             }
         }
@@ -732,91 +379,25 @@ impl LinkPipeline {
     /// # Panics
     /// Panics if the record arity does not match the schema.
     pub fn ingest(&mut self, record: Record, side: Side) -> IngestOutcome {
-        assert_eq!(
-            record.values.len(),
-            self.store.table().schema().arity(),
-            "record arity {} does not match schema arity {}",
-            record.values.len(),
-            self.store.table().schema().arity()
-        );
-        let m = self.meters;
-        let mut sw = Stopwatch::new(m.is_some());
-        let derived = self.store.derive(&record);
-        let keys = RecordKeys::from_derived(&derived, self.store.interner());
-        if let Some(m) = m {
-            sw.lap(m.derive);
-        }
-        let candidates = self
-            .side_index(side.opposite())
-            .probe_live(&keys, self.store.tombstones());
-        self.candidates_seen += candidates.len();
-        if let Some(m) = m {
-            sw.lap(m.block);
-            m.candidates.add(candidates.len() as u64);
-        }
-        let idx = self.store.push_derived(record, derived);
-        self.sides.push(side);
-        self.side_index_mut(side).insert_keys_at(idx, &keys);
-
-        let store = &self.store;
-        // Rows stay (left, right) — the orientation the cross model was
-        // fitted under — so left-side ingest puts the *new* record on
-        // the left of every scored pair.
-        let matches = score_candidates(
-            &self.featurizer,
-            &self.scorer,
-            store.interner(),
-            self.opts.threshold,
-            side == Side::Left,
-            &candidates,
-            |c| store.derived(c),
-            store.derived(idx),
-            &mut self.batch,
-            self.opts.batched_scoring,
-            m.map(|m| m.score_batch_candidates),
-        );
-        if let Some(m) = m {
-            sw.lap(m.score);
-        }
-        for &(c, _) in &matches {
-            self.store.merge(idx, c);
-        }
-        let cluster = self.store.find(idx);
-        if let Some(m) = m {
-            sw.lap(m.decide);
-            sw.total(m.ingest);
-            m.records.incr();
-            m.matches.add(matches.len() as u64);
-        }
-        IngestOutcome {
-            index: idx,
-            candidates: candidates.len(),
-            matches,
-            cluster,
-        }
+        engine::ingest(self, record, side)
     }
 
-    /// Ingests a batch of same-side records in order.
+    /// Ingests a batch of same-side records in order; the refresh
+    /// watermark is checked once, after the whole batch.
     pub fn ingest_batch(
         &mut self,
         records: impl IntoIterator<Item = Record>,
         side: Side,
     ) -> Vec<IngestOutcome> {
-        records.into_iter().map(|r| self.ingest(r, side)).collect()
+        engine::ingest_batch(self, records.into_iter().collect(), side, 1)
     }
 
     /// Ingests a same-side batch across a pool of `threads` workers,
     /// producing outcomes **bit-identical** to
-    /// [`LinkPipeline::ingest_batch`] on the same records.
-    ///
-    /// The argument is even simpler than the dedup path's: a same-side
-    /// batch only *probes* the opposite side's index, which no record of
-    /// the batch writes to — so candidate generation is read-only and
-    /// embarrassingly parallel, and there are no intra-batch matches at
-    /// all. Derivation runs against a frozen interner snapshot with
-    /// per-worker scratch tables; a single writer then commits fresh
-    /// tokens, store pushes, own-side index postings, and match
-    /// decisions in ingest order.
+    /// [`LinkPipeline::ingest_batch`] on the same records (see
+    /// [`crate::StreamPipeline::ingest_batch_parallel`]). A same-side
+    /// batch only probes the opposite side's index, which no record of
+    /// the batch joins, so there are no intra-batch matches.
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
@@ -827,431 +408,50 @@ impl LinkPipeline {
         side: Side,
         threads: usize,
     ) -> Vec<IngestOutcome> {
-        let threads = threads.max(1);
-        if threads == 1 || records.len() < 2 {
-            return self.ingest_batch(records, side);
-        }
-        let arity = self.store.table().schema().arity();
-        for r in &records {
-            assert_eq!(
-                r.values.len(),
-                arity,
-                "record arity {} does not match schema arity {}",
-                r.values.len(),
-                arity
-            );
-        }
-        let n = records.len();
-        let m = self.meters;
-        let mut sw = Stopwatch::new(m.is_some());
+        engine::ingest_batch(self, records, side, threads)
+    }
 
-        // Phase 1 (parallel over records): derive against a frozen
-        // interner snapshot, parking unseen tokens per worker.
-        let cfg = self.store.derive_config();
-        let chunk = n.div_ceil(threads).max(1);
-        let mut scratch_chunks: Vec<(Vec<ScratchDerived>, Vec<String>)> = {
-            let interner = self.store.interner();
-            let mut chunks: Vec<Option<(Vec<ScratchDerived>, Vec<String>)>> =
-                (0..records.chunks(chunk).len()).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                for (rec_chunk, out) in records.chunks(chunk).zip(chunks.iter_mut()) {
-                    let cfg = &cfg;
-                    scope.spawn(move |_| {
-                        let mut deriver = ScratchDeriver::new(interner, cfg.clone());
-                        let derived: Vec<ScratchDerived> = rec_chunk
-                            .iter()
-                            .map(|r| deriver.derive(&r.values))
-                            .collect();
-                        *out = Some((derived, deriver.into_texts()));
-                    });
-                }
-            })
-            .expect("derivation worker panicked");
-            chunks
-                .into_iter()
-                .map(|c| c.expect("filled above"))
-                .collect()
-        };
+    crate::engine::shared_methods!();
+}
 
-        // Commit (sequential, single writer, ingest order): intern fresh
-        // tokens — reproducing the sequential symbol numbering — and
-        // rebind each derivation onto global symbols.
-        let mut derived: Vec<DerivedRecord> = Vec::with_capacity(n);
-        let mut keys: Vec<RecordKeys> = Vec::with_capacity(n);
-        for (chunk_derived, texts) in scratch_chunks.drain(..) {
-            let mut map: Vec<Option<Sym>> = vec![None; texts.len()];
-            for sd in chunk_derived {
-                let rec = sd.commit(&texts, &mut map, self.store.interner_mut());
-                keys.push(RecordKeys::from_derived(&rec, self.store.interner()));
-                derived.push(rec);
+impl Pipeline for LinkPipeline {
+    type Topology = Linkage;
+
+    fn engine(&self) -> &Engine<Linkage> {
+        &self.engine
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine<Linkage> {
+        &mut self.engine
+    }
+
+    fn fit_live(&mut self) -> Result<(SnapshotScorer, RefreshReport), StreamError> {
+        let e = &self.engine;
+        let schema = e.store.table().schema().clone();
+        let mut left = Table::new("refit-left", schema.clone());
+        let mut right = Table::new("refit-right", schema);
+        for (i, r) in e.live_records() {
+            match e.tags[i] {
+                Side::Left => left.push(r.clone()),
+                Side::Right => right.push(r.clone()),
             }
         }
-        if let Some(m) = m {
-            sw.lap(m.batch_derive);
-        }
-
-        // Phase 2 (parallel over records, work-stealing queue): probe
-        // the frozen opposite index and score with the frozen cross
-        // model — all read-only. The tombstone set is frozen for the
-        // batch (retraction needs `&mut self`).
-        let store = &self.store;
-        let opposite = self.side_index(side.opposite());
-        let featurizer = &self.featurizer;
-        let scorer = &self.scorer;
-        let threshold = self.opts.threshold;
-        let batched = self.opts.batched_scoring;
-        let score_meter = m.map(|m| m.score_batch_candidates);
-        let mut candidate_counts: Vec<usize> = vec![0; n];
-        let mut matches: Vec<Vec<(usize, f64)>> = (0..n).map(|_| Vec::new()).collect();
-        {
-            let score_chunk = n.div_ceil(threads * 8).max(1);
-            let count_chunks: Vec<(usize, &mut [usize])> = candidate_counts
-                .chunks_mut(score_chunk)
-                .enumerate()
-                .map(|(ci, ch)| (ci * score_chunk, ch))
-                .collect();
-            let queue: Mutex<Vec<(LinkScoreJob<'_>, &mut [usize])>> = Mutex::new(
-                matches
-                    .chunks_mut(score_chunk)
-                    .enumerate()
-                    .zip(count_chunks)
-                    .map(|((ci, ch), (_, counts))| ((ci * score_chunk, ch), counts))
-                    .collect(),
-            );
-            // Queue-wait sampling measures lock acquisition only; a
-            // handle copy, not `self`, crosses into the workers.
-            let queue_wait = m.map(|m| m.queue_wait);
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let queue = &queue;
-                    let derived = &derived;
-                    let keys = &keys;
-                    scope.spawn(move |_| {
-                        let mut batch = ScoreBatch::new();
-                        loop {
-                            let before = queue_wait.map(|h| (h, std::time::Instant::now()));
-                            let mut q = queue.lock().expect("queue poisoned");
-                            let waited = before.map(|(h, t)| (h, t.elapsed()));
-                            let job = q.pop();
-                            drop(q);
-                            if let Some((h, d)) = waited {
-                                h.record(d.as_nanos().min(u64::MAX as u128) as u64);
-                            }
-                            let Some(((start, out), counts)) = job else {
-                                break;
-                            };
-                            for (off, (slot, count)) in
-                                out.iter_mut().zip(counts.iter_mut()).enumerate()
-                            {
-                                let i = start + off;
-                                let candidates = opposite.probe_live(&keys[i], store.tombstones());
-                                *count = candidates.len();
-                                *slot = score_candidates(
-                                    featurizer,
-                                    scorer,
-                                    store.interner(),
-                                    threshold,
-                                    side == Side::Left,
-                                    &candidates,
-                                    |c| store.derived(c),
-                                    &derived[i],
-                                    &mut batch,
-                                    batched,
-                                    score_meter,
-                                );
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("scoring worker panicked");
-        }
-        let batch_candidates = candidate_counts.iter().sum::<usize>();
-        self.candidates_seen += batch_candidates;
-        if let Some(m) = m {
-            // The linkage parallel path fuses probe + score into one
-            // read-only phase, so it times under `link.batch.score.ns`
-            // (per-candidate blocking cost is visible in the
-            // sequential `link.block.ns` meter instead).
-            sw.lap(m.batch_score);
-            m.candidates.add(batch_candidates as u64);
-            m.batch_candidates.record(batch_candidates as u64);
-        }
-
-        // Phase 3 (sequential, single writer): push records, insert
-        // own-side postings, and apply match decisions in ingest order.
-        let mut outcomes = Vec::with_capacity(n);
-        for (((record, rec_derived), rec_keys), (rec_matches, cands)) in records
-            .into_iter()
-            .zip(derived)
-            .zip(keys)
-            .zip(matches.into_iter().zip(candidate_counts))
-        {
-            let idx = self.store.push_derived(record, rec_derived);
-            self.sides.push(side);
-            self.side_index_mut(side).insert_keys_at(idx, &rec_keys);
-            for &(c, _) in &rec_matches {
-                self.store.merge(idx, c);
-            }
-            let cluster = self.store.find(idx);
-            outcomes.push(IngestOutcome {
-                index: idx,
-                candidates: cands,
-                matches: rec_matches,
-                cluster,
-            });
-        }
-        if let Some(m) = m {
-            sw.lap(m.batch_decide);
-            sw.total(m.batch);
-            m.records.add(n as u64);
-            m.matches
-                .add(outcomes.iter().map(|o| o.matches.len() as u64).sum());
-        }
-        outcomes
-    }
-
-    /// The shared retraction core: tombstone the record in the store
-    /// (rebuilding its connected component from the decision log) and
-    /// mark its postings dead in its **own side's** index. No watermark
-    /// check — `seed_base` replays persisted tombstones through this.
-    fn retract_now(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
-        if idx >= self.store.len() {
-            return Err(StreamError(format!(
-                "unknown record index {idx} (store holds {} records)",
-                self.store.len()
-            )));
-        }
-        if self.store.is_retracted(idx) {
-            return Err(StreamError(format!("record {idx} is already retracted")));
-        }
-        let keys = RecordKeys::from_derived(self.store.derived(idx), self.store.interner());
-        let out = self.store.retract(idx).map_err(StreamError)?;
-        let side = self.sides[idx];
-        let postings_tombstoned = self.side_index_mut(side).retract_keys(idx, &keys);
-        Ok(RetractionReport {
-            epoch: out.epoch,
-            component_size: out.component_size,
-            postings_tombstoned,
-            auto_compaction: None,
-        })
-    }
-
-    /// Retracts record `idx` (combined numbering): tombstoned, its
-    /// connected component rebuilt from the match-decision log as if it
-    /// had never been ingested, its postings marked dead in its side's
-    /// index — the same semantics as [`crate::StreamPipeline::retract`].
-    /// Crossing [`StreamOptions::compact_watermark`] triggers an
-    /// automatic compaction.
-    ///
-    /// # Errors
-    /// Fails on an out-of-range index, an already-retracted record, or a
-    /// snapshot-restored pipeline whose persisted tombstones have not
-    /// been replayed yet (call [`LinkPipeline::seed_base`] first).
-    pub fn retract(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
-        if !self.pending_tombstones.is_empty() {
-            return Err(StreamError(
-                "snapshot tombstones are pending; seed_base must replay the bootstrap \
-                 records before new retractions"
-                    .into(),
-            ));
-        }
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let mut report = self.retract_now(idx)?;
-        report.auto_compaction = self.maybe_autocompact();
-        if let Some(c) = &report.auto_compaction {
-            report.epoch = c.epoch;
-        }
-        if let Some(m) = m {
-            // Includes any auto-compaction the watermark triggered
-            // (which also times itself under `link.compact.ns`).
-            sw.total(m.retract);
-            m.retractions.incr();
-        }
-        Ok(report)
-    }
-
-    /// Compacts the pipeline in place: drops tombstoned postings from
-    /// **both** side indexes, prunes dead decision-log edges, and
-    /// releases retracted records' derivations. Advances the epoch.
-    pub fn compact(&mut self) -> CompactionReport {
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let mut index = self.left_index.compact(self.store.tombstones());
-        index.absorb(self.right_index.compact(self.store.tombstones()));
-        let store = self.store.compact();
-        let report = CompactionReport {
-            epoch: self.store.epoch(),
-            index,
-            store,
+        let fit = fit_linkage(&left, &right, &e.opts, Some(e.featurizer.attr_types()))?;
+        let scorer = fit.linkage.cross_scorer()?;
+        // The scorer and the frozen fit move together, so a snapshot
+        // taken after the swap persists the refreshed models.
+        self.linkage = fit.linkage;
+        let summary = RefreshReport {
+            records: left.len() + right.len(),
+            pairs: fit.pairs.len(),
+            em_iterations: fit.outcome.summary.iterations,
+            ..RefreshReport::default()
         };
-        if let Some(m) = m {
-            sw.total(m.compact);
-            m.compactions.incr();
-            m.reclaimed_bytes.add(report.bytes_reclaimed() as u64);
-        }
-        report
+        Ok((scorer, summary))
     }
 
-    /// Runs [`LinkPipeline::compact`] when the dead-posting fraction
-    /// across both indexes has crossed the configured watermark.
-    fn maybe_autocompact(&mut self) -> Option<CompactionReport> {
-        let watermark = self.opts.compact_watermark?;
-        let (lp, ld) = self.left_index.posting_counts();
-        let (rp, rd) = self.right_index.posting_counts();
-        let (postings, dead) = (lp + rp, ld + rd);
-        if dead > 0 && dead as f64 >= watermark * postings.max(1) as f64 {
-            Some(self.compact())
-        } else {
-            None
-        }
-    }
-
-    /// Pins the pipeline's current read state as an epoch-pinned
-    /// [`LinkReadHandle`] — the linkage counterpart of
-    /// [`crate::StreamPipeline::pin_read_handle`]. The handle answers
-    /// side-tagged resolve queries read-only through the same
-    /// opposite-index probe + frozen cross-model scoring the
-    /// [`LinkPipeline::ingest`] path uses.
-    pub fn pin_read_handle(&self) -> LinkReadHandle {
-        LinkReadHandle::pin(self)
-    }
-}
-
-/// The pinned state a [`LinkReadHandle`] resolves against: the combined
-/// store, both side indexes, and the frozen cross scorer.
-struct LinkReadView {
-    epoch: u64,
-    store: EntityStore,
-    left_index: ShardedIndex,
-    right_index: ShardedIndex,
-    featurizer: BatchFeaturizer,
-    scorer: SnapshotScorer,
-    threshold: f64,
-    /// Pinned from [`StreamOptions::batched_scoring`]; bit-identical
-    /// either way.
-    batched: bool,
-    /// The `link.score.batch_candidates` histogram, pinned at pin time;
-    /// `None` when the pipeline's metrics are off.
-    score_meter: Option<&'static zeroer_obs::Histogram>,
-}
-
-/// A shareable, epoch-pinned resolver over a [`LinkPipeline`]'s read
-/// state — the linkage counterpart of [`crate::split::ReadHandle`].
-///
-/// A resolve probes the **opposite** side's index (exactly like linkage
-/// ingest) and scores cross candidates with the frozen cross model in
-/// the `(left, right)` orientation it was fitted under, but admits
-/// nothing: the pinned view is immutable, so any number of clones can
-/// resolve concurrently. Linkage serving rides the same read-path seam
-/// as dedup; an admission queue for side-tagged writes slots in next to
-/// [`crate::split::SplitPipeline`] when the serve layer grows linkage
-/// endpoints.
-pub struct LinkReadHandle {
-    view: std::sync::Arc<LinkReadView>,
-    deriver: zeroer_textsim::derive::Deriver,
-    batch: ScoreBatch,
-}
-
-impl Clone for LinkReadHandle {
-    fn clone(&self) -> Self {
-        Self {
-            view: std::sync::Arc::clone(&self.view),
-            deriver: self.deriver.clone(),
-            batch: ScoreBatch::new(),
-        }
-    }
-}
-
-impl LinkReadHandle {
-    fn pin(pipeline: &LinkPipeline) -> Self {
-        let view = LinkReadView {
-            epoch: pipeline.store.epoch(),
-            store: pipeline.store.clone(),
-            left_index: pipeline.left_index.clone(),
-            right_index: pipeline.right_index.clone(),
-            featurizer: pipeline.featurizer.clone(),
-            scorer: pipeline.scorer.clone(),
-            threshold: pipeline.opts.threshold,
-            batched: pipeline.opts.batched_scoring,
-            score_meter: pipeline.meters.map(|m| m.score_batch_candidates),
-        };
-        let deriver = zeroer_textsim::derive::Deriver::with_interner(
-            view.store.interner().clone(),
-            view.store.derive_config(),
-        );
-        Self {
-            view: std::sync::Arc::new(view),
-            deriver,
-            batch: ScoreBatch::new(),
-        }
-    }
-
-    /// Epoch of the pinned view.
-    pub fn epoch(&self) -> u64 {
-        self.view.epoch
-    }
-
-    /// Schema arity of the pinned view.
-    pub fn arity(&self) -> usize {
-        self.view.store.table().schema().arity()
-    }
-
-    /// Records visible in the pinned view (both sides, combined
-    /// numbering).
-    pub fn len(&self) -> usize {
-        self.view.store.len()
-    }
-
-    /// Whether the pinned view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.view.store.is_empty()
-    }
-
-    /// Resolves one side-tagged record against the pinned view: derive
-    /// → read-only probe of the opposite side's index → frozen
-    /// cross-model scoring — the exact candidate rule and scoring code
-    /// of [`LinkPipeline::ingest`], minus the insertion.
-    ///
-    /// # Panics
-    /// Panics if the record arity does not match the schema.
-    pub fn resolve(&mut self, record: &Record, side: Side) -> crate::split::ResolveOutcome {
-        let view = &*self.view;
-        assert_eq!(
-            record.values.len(),
-            view.store.table().schema().arity(),
-            "record arity {} does not match schema arity {}",
-            record.values.len(),
-            view.store.table().schema().arity()
-        );
-        let derived = self.deriver.derive(&record.values);
-        let keys = RecordKeys::from_derived(&derived, self.deriver.interner());
-        let index = match side.opposite() {
-            Side::Left => &view.left_index,
-            Side::Right => &view.right_index,
-        };
-        let candidates = index.probe_live(&keys, view.store.tombstones());
-        let store = &view.store;
-        let matches = score_candidates(
-            &view.featurizer,
-            &view.scorer,
-            self.deriver.interner(),
-            view.threshold,
-            side == Side::Left,
-            &candidates,
-            |c| store.derived(c),
-            &derived,
-            &mut self.batch,
-            view.batched,
-            view.score_meter,
-        );
-        crate::split::ResolveOutcome {
-            epoch: view.epoch,
-            candidates: candidates.len(),
-            cluster: matches.first().map(|&(c, _)| store.find_readonly(c)),
-            matches,
-        }
+    fn snapshot_json(&self) -> String {
+        self.snapshot().to_json()
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! [`StageMeters`] bundles every counter/histogram a pipeline touches,
 //! resolved from the `zeroer-obs` registry **once** at pipeline
-//! construction and parameterized by a prefix (`"stream"` for
-//! [`crate::StreamPipeline`], `"link"` for [`crate::LinkPipeline`]).
-//! The pipelines hold an `Option<StageMeters>` — `None` when
+//! construction and parameterized by the topology's prefix (`"stream"`
+//! for [`crate::StreamPipeline`], `"link"` for [`crate::LinkPipeline`]).
+//! The engine holds an `Option<StageMeters>` — `None` when
 //! [`crate::StreamOptions::metrics`] is off — so a disabled pipeline
 //! pays one branch per stage boundary and never touches the registry
 //! on the hot path. The struct is `Copy` (all fields are `&'static`
@@ -32,11 +32,9 @@ pub(crate) struct StageMeters {
     /// Candidate pairs per parallel batch (a count distribution, not
     /// a timer).
     pub batch_candidates: &'static Histogram,
-    /// Candidates scored per batched scoring call (a count
-    /// distribution, not a timer): one sample per record scored
-    /// through the struct-of-arrays path, zero-candidate records
-    /// included. Not recorded when
-    /// [`crate::StreamOptions::batched_scoring`] is off.
+    /// Candidates scored per scoring call (a count distribution, not a
+    /// timer): one sample per record ingested or resolved,
+    /// zero-candidate records included.
     pub score_batch_candidates: &'static Histogram,
     /// Time scoring workers spend acquiring the single-writer work
     /// queue lock (one sample per queue pop).
@@ -49,6 +47,12 @@ pub(crate) struct StageMeters {
     /// One model refit — live-record re-derivation, the EM fit, and the
     /// scorer swap (`{p}.refresh.ns`).
     pub refresh: &'static Histogram,
+    // Read/write split.
+    /// One read-view clone + publish on the split's writer.
+    pub publish: &'static Histogram,
+    /// Records per coalesced ingest micro-batch on the split's writer
+    /// (a count distribution).
+    pub admit_records: &'static Histogram,
     // Totals.
     pub records: &'static Counter,
     pub candidates: &'static Counter,
@@ -84,6 +88,8 @@ impl StageMeters {
             retract: h("retract.ns"),
             compact: h("compact.ns"),
             refresh: h("refresh.ns"),
+            publish: h("publish.ns"),
+            admit_records: h("admit.batch_records"),
             records: c("records"),
             candidates: c("candidates"),
             matches: c("matches"),

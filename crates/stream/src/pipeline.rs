@@ -6,23 +6,17 @@
 //! dead-fraction watermark) so long-lived nodes never need a
 //! stop-the-world rebuild.
 
-use crate::drift::{DriftMonitor, DriftSample};
+use crate::engine::{self, Dedup, Engine, Pipeline};
 use crate::index::{CompactionDelta, IndexConfig, IndexStats};
-use crate::meters::StageMeters;
-use crate::shard::{RecordKeys, ShardedIndex};
 use crate::snapshot::PipelineSnapshot;
 use crate::store::{EntityStore, StoreCompaction};
-use std::sync::Mutex;
 use zeroer_blocking::{standard_candidates_derived, PairMode};
 use zeroer_core::{
-    GenerativeModel, ModelSnapshot, ScoreBatch, SnapshotScorer, TransitivityCalibrator,
-    ZeroErConfig,
+    GenerativeModel, ModelSnapshot, SnapshotScorer, TransitivityCalibrator, ZeroErConfig,
 };
 use zeroer_features::{BatchFeaturizer, PairFeaturizer};
-use zeroer_obs::{Histogram, Stopwatch};
-use zeroer_tabular::{Record, Table};
-use zeroer_textsim::derive::{DerivedRecord, ScratchDerived, ScratchDeriver};
-use zeroer_textsim::intern::{Interner, Sym};
+use zeroer_obs::Stopwatch;
+use zeroer_tabular::{AttrType, Record, Table};
 
 /// The machine's available parallelism — the default for the `--threads`
 /// ingest flag and [`StreamPipeline::ingest_batch_parallel`] callers that
@@ -76,9 +70,9 @@ pub struct StreamOptions {
     /// auto-compaction ([`StreamPipeline::compact`] stays available).
     pub compact_watermark: Option<f64>,
     /// Drift watermark for automatic model refresh: when, at an ingest
-    /// boundary, the [`DriftMonitor`] divergence (max normalized shift
-    /// across the feature dimensions and the posterior match rate, in
-    /// baseline-spread units) reaches this value, the pipeline re-fits
+    /// boundary, the [`crate::DriftMonitor`] divergence (max normalized
+    /// shift across the feature dimensions and the posterior match rate,
+    /// in baseline-spread units) reaches this value, the pipeline re-fits
     /// the model over its live records ([`StreamPipeline::refit`]) and
     /// swaps the frozen scorer. `None` (the default) disables
     /// auto-refresh; manual `refit()` stays available. Checked only
@@ -100,17 +94,6 @@ pub struct StreamOptions {
     /// instrumentation overhead honestly
     /// ([`StreamPipeline::set_metrics`] is the runtime knob).
     pub metrics: bool,
-    /// Whether candidate scoring runs through the struct-of-arrays
-    /// batched kernels (gather all of a record's candidates into a
-    /// column-major feature matrix, then impute/normalize/score one
-    /// feature column and one covariance block at a time) instead of
-    /// the row-at-a-time scalar loop. Default **on**: the batched path
-    /// is bit-identical to the scalar one (`f64::to_bits`, any thread
-    /// count — the per-pair summation order is preserved exactly; see
-    /// `tests/batched_parity.rs`) and substantially faster on records
-    /// with more than a handful of candidates.
-    /// ([`StreamPipeline::set_batched_scoring`] is the runtime knob.)
-    pub batched_scoring: bool,
 }
 
 impl Default for StreamOptions {
@@ -126,7 +109,6 @@ impl Default for StreamOptions {
             refresh_watermark: None,
             refresh_min_records: 64,
             metrics: true,
-            batched_scoring: true,
         }
     }
 }
@@ -334,21 +316,12 @@ pub struct RefreshReport {
 }
 
 /// Incremental entity resolution on top of a frozen batch-fitted model:
-/// ingest records one at a time, find candidates via incremental blocking
-/// indexes, score them with snapshot inference (no EM), and maintain
-/// entity clusters transitively in a union-find.
+/// ingest records one at a time, find candidates via an incremental
+/// blocking index, score them with snapshot inference (no EM), and
+/// maintain entity clusters transitively in a union-find. The dedup
+/// topology of the shared streaming engine (see the crate docs).
 pub struct StreamPipeline {
-    opts: StreamOptions,
-    store: EntityStore,
-    index: ShardedIndex,
-    featurizer: BatchFeaturizer,
-    scorer: SnapshotScorer,
-    /// Reusable struct-of-arrays scoring buffers for the sequential
-    /// scoring hot loop (parallel workers carry their own), keeping
-    /// steady-state scoring allocation-free.
-    batch: ScoreBatch,
-    /// Candidate pairs generated so far (see [`StreamStats`]).
-    candidates_seen: usize,
+    engine: Engine<Dedup>,
     /// Bootstrap provenance: how many records the model was fitted on,
     /// which pairs were merged at fit time, and a digest of those
     /// records; persisted into the snapshot so `seed_base` can replay
@@ -356,36 +329,7 @@ pub struct StreamPipeline {
     base_len: usize,
     base_matches: Vec<(usize, usize)>,
     base_digest: u64,
-    /// Tombstones restored from a snapshot and not yet replayed: they
-    /// name bootstrap-record indices and are applied by `seed_base`
-    /// (retraction is refused until then — the indices would otherwise
-    /// be ambiguous against freshly streamed records).
-    pending_tombstones: Vec<usize>,
-    /// Epoch restored from a snapshot, re-pinned after `seed_base`.
-    pending_epoch: u64,
-    /// Metric handles, resolved once at construction; `None` when
-    /// [`StreamOptions::metrics`] is off, so the uninstrumented hot
-    /// path pays a single branch per stage boundary.
-    meters: Option<StageMeters>,
-    /// Streaming posterior/feature summaries against the frozen model's
-    /// baseline — always maintained (folding is a handful of adds per
-    /// record) so the refresh watermark works with metrics off; gauge
-    /// publication is what the metrics flag gates.
-    drift: DriftMonitor,
-    /// How many times the scorer has been swapped by [`StreamPipeline::refit`]
-    /// since construction (0 = still the bootstrap model).
-    generation: u64,
 }
-
-/// One record's scoring result crossing from a parallel scoring worker
-/// back to the single writer: the above-threshold matches plus the
-/// drift-window sample (`None` for zero-candidate records and on the
-/// scalar path).
-type ScoredRecord = (Vec<(usize, f64)>, Option<DriftSample>);
-
-/// A slice of per-record scoring slots handed to a scoring worker,
-/// tagged with the index of its first record.
-type ScoreJob<'m> = (usize, &'m mut [ScoredRecord]);
 
 /// Order-sensitive FNV-1a digest of a record sequence (ids + values),
 /// used to pin persisted bootstrap decisions to the exact table they
@@ -414,92 +358,72 @@ pub(crate) fn records_digest(records: &[Record]) -> u64 {
     h
 }
 
-/// Scores `candidates` (cluster-state-independent: features depend only
-/// on the two records) against the new record's derivation, returning the
-/// `(candidate, posterior)` pairs above `threshold`, sorted by descending
-/// posterior (stable, so ties keep ascending candidate order).
-///
-/// Orientation matters because a few of the similarity measures (e.g.
-/// Monge-Elkan) are asymmetric. With `new_on_left = false`, rows are
-/// `(candidate, new)` — the dedup `(older, newer)` convention mirroring
-/// batch pairs `(i, j)` with `i < j`, which is also the linkage
-/// orientation when the *new* record is right-side. `new_on_left = true`
-/// flips to `(new, candidate)` for left-side linkage ingest, keeping
-/// rows `(left, right)` as the cross model was fitted.
-///
-/// With `batched` on, the candidates are gathered into `batch`'s
-/// column-major feature matrix (one similarity function filling one
-/// column across every pair) and scored through the struct-of-arrays
-/// kernels ([`zeroer_features::BatchFeaturizer::fill_columns`] →
-/// [`SnapshotScorer::score_batch`]); otherwise each candidate is
-/// featurized and scored row-at-a-time. Both paths run the exact same
-/// float operations per pair in the exact same order, so posteriors are
-/// bit-identical (`f64::to_bits`) between them — `tests/batched_parity.rs`
-/// locks that in.
-///
-/// Every ingest path — sequential and parallel, dedup and linkage —
-/// calls this single function on identical inputs, which is what makes
-/// parallel ingest bit-identical to sequential ingest.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_candidates<'a, F>(
-    featurizer: &BatchFeaturizer,
-    scorer: &SnapshotScorer,
-    interner: &Interner,
-    threshold: f64,
-    new_on_left: bool,
-    candidates: &[usize],
-    derived_of: F,
-    new_derived: &'a DerivedRecord,
-    batch: &mut ScoreBatch,
-    batched: bool,
-    batch_meter: Option<&'static Histogram>,
-) -> Vec<(usize, f64)>
-where
-    F: Fn(usize) -> &'a DerivedRecord,
-{
-    let mut matches: Vec<(usize, f64)> = Vec::new();
-    if batched {
-        if let Some(h) = batch_meter {
-            h.record(candidates.len() as u64);
-        }
-        if !candidates.is_empty() {
-            featurizer.fill_columns(
-                interner,
-                candidates.len(),
-                |i| {
-                    let c = derived_of(candidates[i]);
-                    if new_on_left {
-                        (new_derived, c)
-                    } else {
-                        (c, new_derived)
-                    }
-                },
-                batch.cols_mut(),
-            );
-            let scores = scorer.score_batch(batch);
-            for (&c, &p) in candidates.iter().zip(scores) {
-                if p > threshold {
-                    matches.push((c, p));
-                }
-            }
-        }
-    } else {
-        let row = featurizer.row();
-        let buf = batch.row_scratch();
-        for &c in candidates {
-            if new_on_left {
-                row.raw_row_into(interner, new_derived, derived_of(c), buf);
-            } else {
-                row.raw_row_into(interner, derived_of(c), new_derived, buf);
-            }
-            let p = scorer.score_raw(buf);
-            if p > threshold {
-                matches.push((c, p));
-            }
-        }
+/// The refusal every refit issues when the live data infers a different
+/// feature layout than the frozen one.
+pub(crate) fn structural_drift() -> StreamError {
+    StreamError(
+        "refit inferred different attribute types than the frozen feature layout; \
+         the live data has drifted structurally, not just statistically — refusing \
+         to swap a model with a different feature space"
+            .into(),
+    )
+}
+
+/// What the dedup fit recipe produced.
+struct DedupFit {
+    /// The fit's featurizer, whose derivation bootstrap hands to the
+    /// store.
+    fz: PairFeaturizer,
+    pairs: Vec<(usize, usize)>,
+    model: GenerativeModel,
+    snapshot: ModelSnapshot,
+    em_iterations: usize,
+}
+
+/// The dedup fit recipe [`StreamPipeline::bootstrap`] and
+/// [`StreamPipeline::refit`] share: blocking → features → normalization
+/// → EM with the transitivity calibrator → freeze. `frozen` is the
+/// feature layout a refit must keep (`None` at bootstrap).
+fn fit_dedup(
+    table: &Table,
+    opts: &StreamOptions,
+    frozen: Option<&[AttrType]>,
+) -> Result<DedupFit, StreamError> {
+    let fz = PairFeaturizer::with_config(table, table, opts.index_config().derive_config());
+    if frozen.is_some_and(|types| fz.attr_types() != types) {
+        return Err(structural_drift());
     }
-    matches.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite posteriors"));
-    matches
+    let cs = standard_candidates_derived(
+        fz.left_derived(),
+        None,
+        PairMode::Dedup,
+        opts.min_token_overlap,
+        opts.max_bucket,
+    );
+    if cs.is_empty() {
+        return Err(StreamError(
+            "blocking produced no candidate pairs; nothing to fit a model on".into(),
+        ));
+    }
+    let mut fs = fz.featurize(cs.pairs());
+    fs.normalize();
+    let mut model = GenerativeModel::new(opts.config.clone(), fs.layout.clone());
+    let calibrator = TransitivityCalibrator::new(cs.pairs());
+    let summary = model.fit(&fs.matrix, Some(&calibrator));
+    let ranges = fs.ranges.as_ref().expect("normalize() was called");
+    let snapshot = ModelSnapshot::capture_checked(&model, ranges, &fs.impute_means, &fs.names)
+        .ok_or_else(|| {
+            StreamError(
+                "the fit converged to non-finite model parameters (degenerate records)".into(),
+            )
+        })?;
+    Ok(DedupFit {
+        fz,
+        pairs: cs.pairs().to_vec(),
+        model,
+        snapshot,
+        em_iterations: summary.iterations,
+    })
 }
 
 impl StreamPipeline {
@@ -515,102 +439,49 @@ impl StreamPipeline {
     /// to the entity store together with its interner.
     ///
     /// # Errors
-    /// Fails when `initial` yields no candidate pairs (nothing to fit).
+    /// Fails when `initial` yields no candidate pairs (nothing to fit),
+    /// or when the fit is too degenerate to freeze.
     pub fn bootstrap(
         initial: &Table,
         opts: StreamOptions,
     ) -> Result<(Self, BootstrapReport), StreamError> {
-        let meters = StageMeters::from_flag(opts.metrics, "stream");
-        let sw = Stopwatch::new(meters.is_some());
-        let index_cfg = opts.index_config();
-        let fz = PairFeaturizer::with_config(initial, initial, index_cfg.derive_config());
-        let cs = standard_candidates_derived(
-            fz.left_derived(),
-            None,
-            PairMode::Dedup,
-            opts.min_token_overlap,
-            opts.max_bucket,
-        );
-        if cs.is_empty() {
-            return Err(StreamError(
-                "bootstrap produced no candidate pairs; nothing to fit a model on".into(),
-            ));
-        }
-        let mut fs = fz.featurize(cs.pairs());
-        fs.normalize();
-
-        let mut model = GenerativeModel::new(opts.config.clone(), fs.layout.clone());
-        let calibrator = TransitivityCalibrator::new(cs.pairs());
-        let summary = model.fit(&fs.matrix, Some(&calibrator));
-
-        let ranges = fs.ranges.as_ref().expect("normalize() was called").clone();
-        let snapshot = ModelSnapshot::capture(&model, &ranges, &fs.impute_means, &fs.names);
-        let drift = DriftMonitor::new(&snapshot);
-        let scorer = snapshot.scorer()?;
-
-        let featurizer = BatchFeaturizer::new(fz.attr_types());
-        debug_assert_eq!(featurizer.dim(), snapshot.dim());
+        let sw = Stopwatch::new(opts.metrics);
+        let fit = fit_dedup(initial, &opts, None)?;
+        let scorer = fit.snapshot.scorer()?;
+        let featurizer = BatchFeaturizer::new(fit.fz.attr_types());
 
         // Hand the featurizer's derivation (and interner) to the store —
         // no record is derived twice — and seed the blocking index from
         // the derived keys.
-        let (interner, derived) = fz.into_parts();
-        let mut store =
-            EntityStore::from_derived(initial, interner, derived, index_cfg.derive_config());
-        let mut index = ShardedIndex::new(index_cfg);
-        for i in 0..store.len() {
-            let keys = RecordKeys::from_derived(store.derived(i), store.interner());
-            index.insert_keys(keys);
-        }
-
-        // Cluster merges use the same `p > threshold` criterion ingest
-        // applies, so a pair decides identically whether it arrived in
-        // the bootstrap batch or one record later. The report's `labels`
-        // keep the paper's Eq. 5 cut (γ > 0.5) for parity with
-        // `dedup_table`; at the default threshold of 0.5 the two agree.
-        // The merged pairs are kept (and persisted in the snapshot) so a
-        // restored pipeline can replay these decisions via `seed_base`.
-        let labels = model.labels();
-        let mut base_matches = Vec::new();
-        for (&(a, b), &gamma) in cs.pairs().iter().zip(model.gammas()) {
-            if gamma > opts.threshold {
-                store.merge(a, b);
-                base_matches.push((a, b));
-            }
-        }
-
+        let (interner, derived) = fit.fz.into_parts();
+        let derive_cfg = opts.index_config().derive_config();
+        let store = EntityStore::from_derived(initial, interner, derived, derive_cfg);
+        let mut engine = Engine::new(opts, store, featurizer, scorer);
+        // The report's `labels` keep the paper's Eq. 5 cut (γ > 0.5) for
+        // parity with `dedup_table`; at the default threshold of 0.5 the
+        // merges agree with them.
+        let base_matches = engine.finish_bootstrap(
+            sw,
+            |_| (),
+            fit.pairs.len(),
+            fit.pairs
+                .iter()
+                .copied()
+                .zip(fit.model.gammas().iter().copied()),
+        );
         let report = BootstrapReport {
-            pairs: cs.pairs().to_vec(),
-            probabilities: model.gammas().to_vec(),
-            labels,
-            em_iterations: summary.iterations,
+            probabilities: fit.model.gammas().to_vec(),
+            labels: fit.model.labels(),
+            em_iterations: fit.em_iterations,
+            pairs: fit.pairs,
         };
-        if let Some(m) = meters {
-            sw.total(m.bootstrap);
-            m.records.add(store.len() as u64);
-            m.candidates.add(cs.pairs().len() as u64);
-            m.matches.add(base_matches.len() as u64);
-        }
-        Ok((
-            Self {
-                opts,
-                candidates_seen: cs.pairs().len(),
-                base_len: store.len(),
-                base_matches,
-                base_digest: records_digest(initial.records()),
-                store,
-                index,
-                featurizer,
-                scorer,
-                batch: ScoreBatch::new(),
-                pending_tombstones: Vec::new(),
-                pending_epoch: 0,
-                meters,
-                drift,
-                generation: 0,
-            },
-            report,
-        ))
+        let pipeline = Self {
+            base_len: engine.store.len(),
+            base_matches,
+            base_digest: records_digest(initial.records()),
+            engine,
+        };
+        Ok((pipeline, report))
     }
 
     /// Rebuilds a scoring pipeline from a saved [`PipelineSnapshot`] with
@@ -631,52 +502,19 @@ impl StreamPipeline {
     /// vs. model dimensionality), or if it carries tombstones for
     /// streamed (non-persisted) records.
     pub fn from_snapshot(snap: &PipelineSnapshot, threshold: f64) -> Result<Self, StreamError> {
-        let featurizer = BatchFeaturizer::new(&snap.attr_types);
-        if featurizer.dim() != snap.model.dim() {
-            return Err(StreamError(format!(
-                "snapshot attr types imply {} features but the model has {}",
-                featurizer.dim(),
-                snap.model.dim()
-            )));
-        }
-        if let Some(&t) = snap.tombstones.iter().find(|&&t| t >= snap.bootstrap_len) {
-            return Err(StreamError(format!(
-                "snapshot tombstones record {t}, which lies beyond the {} bootstrap records; \
-                 streamed records are not persisted, so their retractions cannot be restored",
-                snap.bootstrap_len
-            )));
-        }
-        let scorer = snap.model.scorer()?;
-        let opts = StreamOptions {
-            config: ZeroErConfig::default(),
-            blocking_attr: snap.index.attr,
-            min_token_overlap: snap.index.min_token_overlap,
-            qgram: snap.index.qgram,
-            max_bucket: snap.index.max_bucket,
-            threshold,
-            compact_watermark: StreamOptions::default().compact_watermark,
-            refresh_watermark: StreamOptions::default().refresh_watermark,
-            refresh_min_records: StreamOptions::default().refresh_min_records,
-            metrics: StreamOptions::default().metrics,
-            batched_scoring: StreamOptions::default().batched_scoring,
-        };
-        let meters = StageMeters::from_flag(opts.metrics, "stream");
         Ok(Self {
-            store: EntityStore::new(snap.to_schema(), snap.index.derive_config()),
-            index: ShardedIndex::new(snap.index.clone()),
-            featurizer,
-            scorer,
-            opts,
-            batch: ScoreBatch::new(),
-            candidates_seen: 0,
+            engine: Engine::restore(
+                snap.to_schema(),
+                &snap.attr_types,
+                &snap.index,
+                &snap.model,
+                snap.bootstrap_len,
+                (&snap.tombstones, snap.epoch),
+                threshold,
+            )?,
             base_len: snap.bootstrap_len,
             base_matches: snap.bootstrap_pairs.clone(),
             base_digest: snap.bootstrap_digest,
-            pending_tombstones: snap.tombstones.clone(),
-            pending_epoch: snap.epoch,
-            meters,
-            drift: DriftMonitor::new(&snap.model),
-            generation: 0,
         })
     }
 
@@ -684,24 +522,13 @@ impl StreamPipeline {
     /// snapshot, including the bootstrap match decisions (if this
     /// pipeline knows them) so a cold restart can preserve them.
     pub fn snapshot(&self) -> PipelineSnapshot {
-        // Un-replayed pending tombstones pass through verbatim (the
-        // store cannot have its own while they exist — retraction is
-        // refused until `seed_base` consumes them).
-        let (tombstones, epoch) = if self.pending_tombstones.is_empty() {
-            (
-                (0..self.store.len())
-                    .filter(|&i| self.store.is_retracted(i))
-                    .collect(),
-                self.store.epoch(),
-            )
-        } else {
-            (self.pending_tombstones.clone(), self.pending_epoch)
-        };
+        let e = &self.engine;
+        let (tombstones, epoch) = e.persisted_tombstones();
         PipelineSnapshot {
-            schema: self.store.table().schema().attributes().to_vec(),
-            attr_types: self.featurizer.attr_types().to_vec(),
-            index: self.index.config().clone(),
-            model: self.scorer.snapshot().clone(),
+            schema: e.store.table().schema().attributes().to_vec(),
+            attr_types: e.featurizer.attr_types().to_vec(),
+            index: e.index_config().clone(),
+            model: e.scorer.snapshot().clone(),
             bootstrap_len: self.base_len,
             bootstrap_pairs: self.base_matches.clone(),
             bootstrap_digest: self.base_digest,
@@ -716,84 +543,27 @@ impl StreamPipeline {
     /// through the streaming path — the cold-start equivalent of what
     /// [`StreamPipeline::bootstrap`] does in-process. `base` must be the
     /// bootstrap table (same records, same order) the snapshot's model
-    /// was fitted on.
+    /// was fitted on. Persisted retractions are replayed too.
     ///
     /// # Errors
     /// Fails if the store already holds records, the snapshot carries no
-    /// bootstrap decisions, or `base` has the wrong record count.
+    /// bootstrap decisions, or `base` has the wrong record count or
+    /// different records.
     pub fn seed_base(&mut self, base: &Table) -> Result<(), StreamError> {
-        if !self.store.is_empty() {
-            return Err(StreamError(
-                "seed_base requires an empty (just-restored) pipeline".into(),
-            ));
-        }
         if self.base_len == 0 {
             return Err(StreamError(
                 "snapshot carries no bootstrap decisions to replay".into(),
             ));
         }
-        if base.len() != self.base_len {
-            return Err(StreamError(format!(
-                "base table has {} records but the snapshot was bootstrapped on {}",
-                base.len(),
-                self.base_len
-            )));
-        }
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        if self.base_digest != 0 && records_digest(base.records()) != self.base_digest {
-            return Err(StreamError(
-                "base table does not match the records the snapshot was bootstrapped on \
-                 (same length, different or reordered records); the persisted batch \
-                 decisions cannot be replayed onto it"
-                    .into(),
-            ));
-        }
-        for r in base.records() {
-            let derived = self.store.derive(r);
-            let keys = RecordKeys::from_derived(&derived, self.store.interner());
-            self.index.insert_keys(keys);
-            self.store.push_derived(r.clone(), derived);
-        }
-        for &(a, b) in &self.base_matches {
-            self.store.merge(a, b);
-        }
-        // Replay persisted retractions (bootstrap-record indices only —
-        // from_snapshot already rejected anything beyond), then re-pin
-        // the persisted epoch so the restored state orders exactly like
-        // the saved one.
-        let pending = std::mem::take(&mut self.pending_tombstones);
-        for &i in &pending {
-            self.retract_now(i)?;
-        }
-        let epoch = self.pending_epoch.max(self.store.epoch());
-        self.store.set_epoch(epoch);
-        if let Some(m) = m {
-            sw.total(m.seed);
-            m.records.add(self.base_len as u64);
-        }
-        Ok(())
-    }
-
-    /// The entity store.
-    pub fn store(&self) -> &EntityStore {
-        &self.store
-    }
-
-    /// The options in effect. For pipelines restored via
-    /// [`StreamPipeline::from_snapshot`], `config` is
-    /// `ZeroErConfig::default()` — the fit-time configuration is consumed
-    /// by the bootstrap EM run and is not stored in the snapshot (scoring
-    /// depends only on the frozen parameters).
-    pub fn options(&self) -> &StreamOptions {
-        &self.opts
+        check_base_table("base", base, self.base_len, self.base_digest)?;
+        self.engine.seed(&[((), base)], &self.base_matches)
     }
 
     /// Reconfigures the dead-fraction auto-compaction watermark
     /// (`None` disables it). A runtime knob, not persisted in
     /// snapshots — restored pipelines start at the default.
     pub fn set_compact_watermark(&mut self, watermark: Option<f64>) {
-        self.opts.compact_watermark = watermark;
+        self.engine.opts.compact_watermark = watermark;
     }
 
     /// Reconfigures the drift auto-refresh watermark (`None` disables
@@ -801,92 +571,13 @@ impl StreamPipeline {
     /// not persisted in snapshots — restored pipelines start at the
     /// default (off).
     pub fn set_refresh_watermark(&mut self, watermark: Option<f64>) {
-        self.opts.refresh_watermark = watermark;
+        self.engine.opts.refresh_watermark = watermark;
     }
 
     /// Reconfigures the minimum drift-window size before the refresh
     /// watermark may fire (see [`StreamOptions::refresh_min_records`]).
     pub fn set_refresh_min_records(&mut self, records: usize) {
-        self.opts.refresh_min_records = records;
-    }
-
-    /// The live drift monitor: streaming posterior/feature summaries
-    /// against the current model's baseline.
-    pub fn drift(&self) -> &DriftMonitor {
-        &self.drift
-    }
-
-    /// How many times [`StreamPipeline::refit`] has swapped the scorer
-    /// (0 = still serving the bootstrap model).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Enables or disables this pipeline's stage metrics (see
-    /// [`StreamOptions::metrics`]). A runtime knob, not persisted in
-    /// snapshots. Metrics are purely observational: on or off, every
-    /// decision, cluster and snapshot is bit-identical.
-    pub fn set_metrics(&mut self, on: bool) {
-        self.opts.metrics = on;
-        self.meters = StageMeters::from_flag(on, "stream");
-    }
-
-    /// Switches candidate scoring between the struct-of-arrays batched
-    /// kernels and the row-at-a-time scalar loop (see
-    /// [`StreamOptions::batched_scoring`]). A runtime knob, not
-    /// persisted in snapshots. On or off, every posterior, decision,
-    /// cluster and snapshot is bit-identical — the flag only trades the
-    /// evaluation strategy.
-    pub fn set_batched_scoring(&mut self, on: bool) {
-        self.opts.batched_scoring = on;
-    }
-
-    /// Number of ingested records (bootstrap records included).
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether nothing has been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Derivation and blocking observability counters.
-    pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            interned_tokens: self.store.interner().len(),
-            interned_bytes: self.store.interner().bytes(),
-            index: self.index.stats(),
-            candidate_pairs: self.candidates_seen,
-            live_records: self.store.live_len(),
-            retracted_records: self.store.retracted_count(),
-            decision_log: self.store.decision_log_len(),
-            epoch: self.store.epoch(),
-        }
-    }
-
-    /// The pipeline epoch: advances on every retraction and compaction.
-    pub fn epoch(&self) -> u64 {
-        self.store.epoch()
-    }
-
-    /// Clones the pipeline's read state into an immutable, epoch-tagged
-    /// [`crate::split::ReadView`] (version 0 — the publisher stamps the
-    /// real sequence number). This is everything a resolve query needs:
-    /// the store (records + derivations + interner + cluster index), the
-    /// blocking index, and the frozen featurizer/scorer pair.
-    pub fn read_view(&self) -> crate::split::ReadView {
-        crate::split::ReadView {
-            epoch: self.store.epoch(),
-            version: 0,
-            store: self.store.clone(),
-            index: self.index.clone(),
-            featurizer: self.featurizer.clone(),
-            scorer: self.scorer.clone(),
-            threshold: self.opts.threshold,
-            batched: self.opts.batched_scoring,
-            score_meter: self.meters.map(|m| m.score_batch_candidates),
-        }
+        self.engine.opts.refresh_min_records = records;
     }
 
     /// Ingests one record: one derivation pass → incremental blocking →
@@ -900,86 +591,7 @@ impl StreamPipeline {
     /// # Panics
     /// Panics if the record arity does not match the schema.
     pub fn ingest(&mut self, record: Record) -> IngestOutcome {
-        let outcome = self.ingest_one(record);
-        self.after_ingest();
-        outcome
-    }
-
-    /// The per-record ingest core, shared by [`StreamPipeline::ingest`]
-    /// and [`StreamPipeline::ingest_batch`]: everything except the
-    /// ingest-boundary work (`after_ingest`), so batch ingestion checks
-    /// the refresh watermark once per call instead of once per record —
-    /// keeping it aligned with [`StreamPipeline::ingest_batch_parallel`],
-    /// which cannot refit mid-batch.
-    fn ingest_one(&mut self, record: Record) -> IngestOutcome {
-        // Validate before touching any state: a panic must not leave the
-        // index one record ahead of the store.
-        assert_eq!(
-            record.values.len(),
-            self.store.table().schema().arity(),
-            "record arity {} does not match schema arity {}",
-            record.values.len(),
-            self.store.table().schema().arity()
-        );
-        let m = self.meters;
-        let mut sw = Stopwatch::new(m.is_some());
-        let derived = self.store.derive(&record);
-        let keys = RecordKeys::from_derived(&derived, self.store.interner());
-        if let Some(m) = m {
-            sw.lap(m.derive);
-        }
-        let candidates = self.index.insert_keys_live(keys, self.store.tombstones());
-        self.candidates_seen += candidates.len();
-        if let Some(m) = m {
-            sw.lap(m.block);
-            m.candidates.add(candidates.len() as u64);
-        }
-        let idx = self.store.push_derived(record, derived);
-        debug_assert_eq!(self.index.len(), self.store.len());
-
-        let store = &self.store;
-        let matches = score_candidates(
-            &self.featurizer,
-            &self.scorer,
-            store.interner(),
-            self.opts.threshold,
-            false,
-            &candidates,
-            |c| store.derived(c),
-            store.derived(idx),
-            &mut self.batch,
-            self.opts.batched_scoring,
-            m.map(|m| m.score_batch_candidates),
-        );
-        if let Some(m) = m {
-            sw.lap(m.score);
-        }
-        // The batch buffers hold this record's prepared columns and
-        // posteriors only when the batched path actually ran (non-empty
-        // candidate list); `from_batch` rejects the empty case itself.
-        let sample = if self.opts.batched_scoring {
-            DriftSample::from_batch(&self.batch, candidates.len())
-        } else {
-            None
-        };
-        self.drift
-            .fold(candidates.len(), matches.len(), sample.as_ref());
-        for &(c, _) in &matches {
-            self.store.merge(idx, c);
-        }
-        let cluster = self.store.find(idx);
-        if let Some(m) = m {
-            sw.lap(m.decide);
-            sw.total(m.ingest);
-            m.records.incr();
-            m.matches.add(matches.len() as u64);
-        }
-        IngestOutcome {
-            index: idx,
-            candidates: candidates.len(),
-            matches,
-            cluster,
-        }
+        engine::ingest(self, record, ())
     }
 
     /// Ingests a batch of records in order; later records can match
@@ -991,38 +603,15 @@ impl StreamPipeline {
         &mut self,
         records: impl IntoIterator<Item = Record>,
     ) -> Vec<IngestOutcome> {
-        let outcomes = records.into_iter().map(|r| self.ingest_one(r)).collect();
-        self.after_ingest();
-        outcomes
-    }
-
-    /// Ingest-boundary work shared by every ingest entry point: check
-    /// the drift watermark (possibly refitting) and publish the drift
-    /// gauges. Runs once per *call*, not once per record, so the
-    /// parallel and sequential batch paths stay decision-identical.
-    fn after_ingest(&mut self) {
-        let _ = self.maybe_autorefresh();
-        if self.meters.is_some() {
-            self.drift.publish();
-        }
+        engine::ingest_batch(self, records.into_iter().collect(), (), 1)
     }
 
     /// Ingests a batch across a pool of `threads` workers, producing
     /// outcomes **bit-identical** to [`StreamPipeline::ingest_batch`] on
-    /// the same records.
-    ///
-    /// This works because the frozen model makes streaming inference
-    /// embarrassingly parallel: candidate generation depends only on
-    /// previously inserted records (parallelized across index key-space
-    /// shards), and candidate scoring is read-only against the snapshot
-    /// (parallelized across records with per-worker buffers). The two
-    /// writes are serialized: fresh tokens discovered by the workers'
-    /// scratch interners are committed into the store interner in ingest
-    /// order (reproducing the sequential symbol numbering exactly — see
-    /// `zeroer_textsim::derive`), and a single writer applies the match
-    /// decisions in ingest order as the final step — so both the interner
-    /// and the union-find evolve through exactly the sequential sequence
-    /// of states.
+    /// the same records: derivation and scoring run on the pool,
+    /// candidate generation runs across the index's key-space shards,
+    /// and a single writer commits interner symbols and match decisions
+    /// in ingest order.
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
@@ -1032,494 +621,69 @@ impl StreamPipeline {
         records: Vec<Record>,
         threads: usize,
     ) -> Vec<IngestOutcome> {
-        let threads = threads.max(1);
-        if threads == 1 || records.len() < 2 {
-            return self.ingest_batch(records);
-        }
-        let arity = self.store.table().schema().arity();
-        for r in &records {
-            assert_eq!(
-                r.values.len(),
-                arity,
-                "record arity {} does not match schema arity {}",
-                r.values.len(),
-                arity
-            );
-        }
-        let n = records.len();
-        let base = self.store.len();
-        let m = self.meters;
-        let mut sw = Stopwatch::new(m.is_some());
-
-        // Phase 1 (parallel over records): derive each record — the
-        // tokenization-heavy work — against a frozen snapshot of the
-        // store interner, parking unseen tokens in per-worker scratch
-        // tables.
-        let cfg = self.store.derive_config();
-        let chunk = n.div_ceil(threads).max(1);
-        let mut scratch_chunks: Vec<(Vec<ScratchDerived>, Vec<String>)> = {
-            let interner = self.store.interner();
-            let mut chunks: Vec<Option<(Vec<ScratchDerived>, Vec<String>)>> =
-                (0..records.chunks(chunk).len()).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                for (rec_chunk, out) in records.chunks(chunk).zip(chunks.iter_mut()) {
-                    let cfg = &cfg;
-                    scope.spawn(move |_| {
-                        let mut deriver = ScratchDeriver::new(interner, cfg.clone());
-                        let derived: Vec<ScratchDerived> = rec_chunk
-                            .iter()
-                            .map(|r| deriver.derive(&r.values))
-                            .collect();
-                        *out = Some((derived, deriver.into_texts()));
-                    });
-                }
-            })
-            .expect("derivation worker panicked");
-            chunks
-                .into_iter()
-                .map(|c| c.expect("filled above"))
-                .collect()
-        };
-
-        // Commit (sequential, single writer, ingest order): intern each
-        // record's fresh tokens — reproducing the sequential symbol
-        // numbering — and rebind its derivation onto global symbols.
-        let mut derived: Vec<DerivedRecord> = Vec::with_capacity(n);
-        let mut keys: Vec<RecordKeys> = Vec::with_capacity(n);
-        for (chunk_derived, texts) in scratch_chunks.drain(..) {
-            let mut map: Vec<Option<Sym>> = vec![None; texts.len()];
-            for sd in chunk_derived {
-                let rec = sd.commit(&texts, &mut map, self.store.interner_mut());
-                keys.push(RecordKeys::from_derived(&rec, self.store.interner()));
-                derived.push(rec);
-            }
-        }
-        if let Some(m) = m {
-            sw.lap(m.batch_derive);
-        }
-
-        // Phase 2 (parallel over index shards): candidate generation.
-        // The tombstone set is frozen for the whole batch (retraction
-        // needs `&mut self`), so every worker filters identically and
-        // candidate lists stay bit-identical at any thread count.
-        let candidates = self
-            .index
-            .insert_batch_live(keys, threads, self.store.tombstones());
-        let batch_candidates = candidates.iter().map(Vec::len).sum::<usize>();
-        self.candidates_seen += batch_candidates;
-        if let Some(m) = m {
-            sw.lap(m.batch_block);
-            m.candidates.add(batch_candidates as u64);
-            m.batch_candidates.record(batch_candidates as u64);
-        }
-
-        // Phase 3 (parallel over records, work-stealing queue): frozen-
-        // model scoring. Chunks are small so a record with many
-        // candidates cannot straggle a whole static partition.
-        let store = &self.store;
-        let featurizer = &self.featurizer;
-        let scorer = &self.scorer;
-        let threshold = self.opts.threshold;
-        let batched = self.opts.batched_scoring;
-        let score_meter = m.map(|m| m.score_batch_candidates);
-        let mut scored: Vec<ScoredRecord> = (0..n).map(|_| (Vec::new(), None)).collect();
-        {
-            let score_chunk = n.div_ceil(threads * 8).max(1);
-            let queue: Mutex<Vec<ScoreJob<'_>>> = Mutex::new(
-                scored
-                    .chunks_mut(score_chunk)
-                    .enumerate()
-                    .map(|(ci, ch)| (ci * score_chunk, ch))
-                    .collect(),
-            );
-            // Queue-wait sampling measures lock acquisition only (the
-            // pop itself is O(1)); a handle copy, not `self`, crosses
-            // into the workers.
-            let queue_wait = m.map(|m| m.queue_wait);
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let queue = &queue;
-                    let candidates = &candidates;
-                    let derived = &derived;
-                    scope.spawn(move |_| {
-                        let mut batch = ScoreBatch::new();
-                        loop {
-                            let before = queue_wait.map(|h| (h, std::time::Instant::now()));
-                            let mut q = queue.lock().expect("queue poisoned");
-                            let waited = before.map(|(h, t)| (h, t.elapsed()));
-                            let job = q.pop();
-                            drop(q);
-                            if let Some((h, d)) = waited {
-                                h.record(d.as_nanos().min(u64::MAX as u128) as u64);
-                            }
-                            let Some((start, out)) = job else { break };
-                            for (off, slot) in out.iter_mut().enumerate() {
-                                let i = start + off;
-                                let matches = score_candidates(
-                                    featurizer,
-                                    scorer,
-                                    store.interner(),
-                                    threshold,
-                                    false,
-                                    &candidates[i],
-                                    |c| {
-                                        if c < base {
-                                            store.derived(c)
-                                        } else {
-                                            &derived[c - base]
-                                        }
-                                    },
-                                    &derived[i],
-                                    &mut batch,
-                                    batched,
-                                    score_meter,
-                                );
-                                // Sample the worker's batch buffers
-                                // immediately, while they still hold
-                                // record `i`'s prepared columns and
-                                // posteriors; the single writer folds
-                                // the samples in ingest order, so the
-                                // drift stream stays bit-identical to
-                                // the sequential path.
-                                let sample = if batched {
-                                    DriftSample::from_batch(&batch, candidates[i].len())
-                                } else {
-                                    None
-                                };
-                                *slot = (matches, sample);
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("scoring worker panicked");
-        }
-        if let Some(m) = m {
-            sw.lap(m.batch_score);
-        }
-
-        // Phase 4 (sequential, single writer): apply match decisions in
-        // ingest order — the union-find passes through exactly the states
-        // sequential ingest would produce.
-        let mut outcomes = Vec::with_capacity(n);
-        for (((record, rec_derived), (matches, sample)), cands) in records
-            .into_iter()
-            .zip(derived)
-            .zip(scored)
-            .zip(&candidates)
-        {
-            self.drift.fold(cands.len(), matches.len(), sample.as_ref());
-            let idx = self.store.push_derived(record, rec_derived);
-            for &(c, _) in &matches {
-                self.store.merge(idx, c);
-            }
-            let cluster = self.store.find(idx);
-            outcomes.push(IngestOutcome {
-                index: idx,
-                candidates: cands.len(),
-                matches,
-                cluster,
-            });
-        }
-        debug_assert_eq!(self.index.len(), self.store.len());
-        if let Some(m) = m {
-            sw.lap(m.batch_decide);
-            sw.total(m.batch);
-            m.records.add(n as u64);
-            m.matches
-                .add(outcomes.iter().map(|o| o.matches.len() as u64).sum());
-        }
-        self.after_ingest();
-        outcomes
+        engine::ingest_batch(self, records, (), threads)
     }
 
-    /// Current duplicate clusters (≥ 2 members), in the same shape
-    /// `dedup_table` reports. Retracted records never appear.
-    pub fn clusters(&self) -> Vec<Vec<usize>> {
-        self.store.clusters()
+    crate::engine::shared_methods!();
+}
+
+impl Pipeline for StreamPipeline {
+    type Topology = Dedup;
+
+    fn engine(&self) -> &Engine<Dedup> {
+        &self.engine
     }
 
-    /// The shared retraction core: tombstone the record in the store
-    /// (rebuilding its connected component from the decision log) and
-    /// mark its index postings dead. No watermark check — `seed_base`
-    /// replays persisted tombstones through this without compacting.
-    fn retract_now(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
-        if idx >= self.store.len() {
-            return Err(StreamError(format!(
-                "unknown record index {idx} (store holds {} records)",
-                self.store.len()
-            )));
-        }
-        if self.store.is_retracted(idx) {
-            return Err(StreamError(format!("record {idx} is already retracted")));
-        }
-        // Capture the keys before the store mutates: the derivation is
-        // the only place the record's blocking keys live.
-        let keys = RecordKeys::from_derived(self.store.derived(idx), self.store.interner());
-        let out = self.store.retract(idx).map_err(StreamError)?;
-        let postings_tombstoned = self.index.retract_keys(idx, &keys);
-        Ok(RetractionReport {
-            epoch: out.epoch,
-            component_size: out.component_size,
-            postings_tombstoned,
-            auto_compaction: None,
-        })
+    fn engine_mut(&mut self) -> &mut Engine<Dedup> {
+        &mut self.engine
     }
 
-    /// Retracts record `idx`: the record is tombstoned, its connected
-    /// component's clusters are rebuilt from the match-decision log as
-    /// if it had never been ingested, and its index postings are marked
-    /// dead (candidates never see it again). If the dead-posting
-    /// fraction then crosses [`StreamOptions::compact_watermark`], the
-    /// pipeline compacts itself and reports it.
-    ///
-    /// Record indices are never reused: every other record keeps its
-    /// index, and the slot stays allocated until compaction releases its
-    /// heavy state.
-    ///
-    /// # Errors
-    /// Fails on an out-of-range index, an already-retracted record, or a
-    /// snapshot-restored pipeline whose persisted tombstones have not
-    /// been replayed yet (call [`StreamPipeline::seed_base`] first).
-    pub fn retract(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
-        if !self.pending_tombstones.is_empty() {
-            return Err(StreamError(
-                "snapshot tombstones are pending; seed_base must replay the bootstrap \
-                 records before new retractions"
-                    .into(),
-            ));
+    fn fit_live(&mut self) -> Result<(SnapshotScorer, RefreshReport), StreamError> {
+        // Clones are unavoidable here: the fit re-derives from raw
+        // values with its own interner, by design (the refit must see
+        // the data exactly as a cold bootstrap would).
+        let e = &self.engine;
+        let mut live = Table::new(e.store.table().name(), e.store.table().schema().clone());
+        for (_, r) in e.live_records() {
+            live.push(r.clone());
         }
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let mut report = self.retract_now(idx)?;
-        report.auto_compaction = self.maybe_autocompact();
-        if let Some(c) = &report.auto_compaction {
-            report.epoch = c.epoch;
-        }
-        if let Some(m) = m {
-            // Includes any auto-compaction the watermark triggered
-            // (which also times itself under `compact.ns`).
-            sw.total(m.retract);
-            m.retractions.incr();
-        }
-        Ok(report)
-    }
-
-    /// Retracts a batch of records, all-or-nothing: every id is
-    /// validated (in range, live, no duplicates) before the first
-    /// retraction is applied, so a bad id cannot leave the pipeline
-    /// half-updated.
-    ///
-    /// # Errors
-    /// Fails without side effects if any id is invalid.
-    pub fn retract_batch(&mut self, ids: &[usize]) -> Result<Vec<RetractionReport>, StreamError> {
-        let mut seen = std::collections::HashSet::new();
-        for &idx in ids {
-            if idx >= self.store.len() {
-                return Err(StreamError(format!(
-                    "unknown record index {idx} (store holds {} records)",
-                    self.store.len()
-                )));
-            }
-            if self.store.is_retracted(idx) {
-                return Err(StreamError(format!("record {idx} is already retracted")));
-            }
-            if !seen.insert(idx) {
-                return Err(StreamError(format!(
-                    "record {idx} appears twice in the retraction batch"
-                )));
-            }
-        }
-        ids.iter().map(|&idx| self.retract(idx)).collect()
-    }
-
-    /// Replaces record `idx` with `record`: retract the old version,
-    /// ingest the new one (which gets a **fresh index** — slots are
-    /// never reused). Returns the ingest outcome of the new version.
-    ///
-    /// # Errors
-    /// Fails like [`StreamPipeline::retract`], or when the new record's
-    /// arity does not match the schema. Either way nothing is applied:
-    /// the old version must never be destroyed for a replacement that
-    /// cannot be ingested.
-    pub fn update(&mut self, idx: usize, record: Record) -> Result<IngestOutcome, StreamError> {
-        let arity = self.store.table().schema().arity();
-        if record.values.len() != arity {
-            return Err(StreamError(format!(
-                "replacement record arity {} does not match schema arity {arity}",
-                record.values.len()
-            )));
-        }
-        self.retract(idx)?;
-        Ok(self.ingest(record))
-    }
-
-    /// Compacts the pipeline in place: drops tombstoned index postings,
-    /// frees emptied and cap-retired buckets, prunes dead decision-log
-    /// edges, and releases retracted records' derivations. Advances the
-    /// epoch.
-    ///
-    /// Dead postings and dead log edges were already invisible, so
-    /// dropping them never changes behavior. The one semantic edge is
-    /// cap-retired (`Dead`) bucket markers: compaction removes them, so
-    /// a formerly hot blocking key becomes pairable again until its
-    /// *live* population re-crosses the frequency cap — the state a
-    /// fresh index over the surviving records would be in. See the
-    /// retraction section of the `crate::index` module docs.
-    pub fn compact(&mut self) -> CompactionReport {
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let index = self.index.compact(self.store.tombstones());
-        let store = self.store.compact();
-        let report = CompactionReport {
-            epoch: self.store.epoch(),
-            index,
-            store,
-        };
-        if let Some(m) = m {
-            sw.total(m.compact);
-            m.compactions.incr();
-            m.reclaimed_bytes.add(report.bytes_reclaimed() as u64);
-        }
-        report
-    }
-
-    /// Runs [`StreamPipeline::compact`] when the dead-posting fraction
-    /// has crossed the configured watermark.
-    fn maybe_autocompact(&mut self) -> Option<CompactionReport> {
-        let watermark = self.opts.compact_watermark?;
-        let (postings, dead) = self.index.posting_counts();
-        if dead > 0 && dead as f64 >= watermark * postings.max(1) as f64 {
-            Some(self.compact())
-        } else {
-            None
-        }
-    }
-
-    /// Re-runs the bootstrap fit over the store's **live** records and
-    /// swaps the frozen scorer for the freshly fitted model — the
-    /// online half of the snapshot lifecycle.
-    ///
-    /// Exactly the [`StreamPipeline::bootstrap`] recipe (blocking →
-    /// features → normalization → EM with the transitivity calibrator),
-    /// but nothing else moves: the store, blocking index, cluster
-    /// assignments and decision log are untouched. Historical match
-    /// decisions stay exactly as the model that made them decided —
-    /// only records ingested *after* the swap are scored by the new
-    /// model. [`StreamPipeline::snapshot`] afterwards persists the new
-    /// model together with the original bootstrap provenance, so
-    /// `seed_base` still replays the historical decisions verbatim.
-    ///
-    /// The refit is deterministic (EM from a fixed initialization over
-    /// a deterministic candidate set), so two pipelines with the same
-    /// live records refit to bit-identical models. On success the model
-    /// generation advances and the drift monitor re-baselines on the
-    /// new snapshot with an empty window.
-    ///
-    /// # Errors
-    /// Fails — leaving the current model untouched — when the live
-    /// records yield no candidate pairs, when the refit EM produces
-    /// non-finite parameters (degenerate window), or when the live
-    /// data's inferred attribute types no longer match the frozen
-    /// feature layout.
-    pub fn refit(&mut self) -> Result<RefreshReport, StreamError> {
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let divergence = self.drift.divergence();
-
-        // Snapshot the live records into a fit table. Clones are
-        // unavoidable here: the fit pipeline re-derives from raw values
-        // with its own interner, by design (the refit must see the data
-        // exactly as a cold bootstrap would).
-        let table = self.store.table();
-        let mut live = Table::new(table.name().to_string(), table.schema().clone());
-        for (i, r) in table.records().iter().enumerate() {
-            if !self.store.is_retracted(i) {
-                live.push(r.clone());
-            }
-        }
-
-        let index_cfg = self.opts.index_config();
-        let fz = PairFeaturizer::with_config(&live, &live, index_cfg.derive_config());
-        if fz.attr_types() != self.featurizer.attr_types() {
-            return Err(StreamError(
-                "refit inferred different attribute types than the frozen feature layout; \
-                 the live data has drifted structurally, not just statistically — refusing \
-                 to swap a model with a different feature space"
-                    .into(),
-            ));
-        }
-        let cs = standard_candidates_derived(
-            fz.left_derived(),
-            None,
-            PairMode::Dedup,
-            self.opts.min_token_overlap,
-            self.opts.max_bucket,
-        );
-        if cs.is_empty() {
-            return Err(StreamError(
-                "refit produced no candidate pairs; nothing to fit a model on".into(),
-            ));
-        }
-        let mut fs = fz.featurize(cs.pairs());
-        fs.normalize();
-        let mut model = GenerativeModel::new(self.opts.config.clone(), fs.layout.clone());
-        let calibrator = TransitivityCalibrator::new(cs.pairs());
-        let summary = model.fit(&fs.matrix, Some(&calibrator));
-        let ranges = fs.ranges.as_ref().expect("normalize() was called").clone();
-        let snapshot = ModelSnapshot::capture_checked(&model, &ranges, &fs.impute_means, &fs.names)
-            .ok_or_else(|| {
-                StreamError(
-                    "refit converged to non-finite model parameters (degenerate live window); \
-                     keeping the current snapshot"
-                        .into(),
-                )
-            })?;
-        debug_assert_eq!(snapshot.dim(), self.scorer.snapshot().dim());
-
-        // The swap: from here on every scoring call sees the new model.
-        self.scorer = snapshot.scorer()?;
-        self.generation += 1;
-        self.drift.rebase(self.scorer.snapshot());
-        if let Some(m) = m {
-            sw.total(m.refresh);
-            m.refreshes.incr();
-        }
-        Ok(RefreshReport {
+        let fit = fit_dedup(&live, &e.opts, Some(e.featurizer.attr_types()))?;
+        let summary = RefreshReport {
             records: live.len(),
-            pairs: cs.pairs().len(),
-            em_iterations: summary.iterations,
-            divergence,
-            auto: false,
-            generation: self.generation,
-        })
+            pairs: fit.pairs.len(),
+            em_iterations: fit.em_iterations,
+            ..RefreshReport::default()
+        };
+        Ok((fit.snapshot.scorer()?, summary))
     }
 
-    /// Runs [`StreamPipeline::refit`] when the drift divergence has
-    /// crossed the configured watermark (with at least
-    /// [`StreamOptions::refresh_min_records`] in the window). Called
-    /// only at ingest-call boundaries. A failed auto-refit clears the
-    /// drift window instead of propagating — otherwise a degenerate
-    /// window would re-attempt the fit after every subsequent call.
-    fn maybe_autorefresh(&mut self) -> Option<RefreshReport> {
-        let watermark = self.opts.refresh_watermark?;
-        if self.drift.window_records() < self.opts.refresh_min_records as u64 {
-            return None;
-        }
-        if self.drift.divergence() < watermark {
-            return None;
-        }
-        match self.refit() {
-            Ok(mut report) => {
-                report.auto = true;
-                Some(report)
-            }
-            Err(_) => {
-                self.drift.clear_window();
-                None
-            }
-        }
+    fn snapshot_json(&self) -> String {
+        self.snapshot().to_json()
     }
+}
+
+/// Checks a `seed_base` table against the persisted bootstrap length
+/// and digest (0 = unknown digest, length only).
+pub(crate) fn check_base_table(
+    what: &str,
+    table: &Table,
+    len: usize,
+    digest: u64,
+) -> Result<(), StreamError> {
+    if table.len() != len {
+        return Err(StreamError(format!(
+            "{what} table has {} records but the snapshot was bootstrapped on {len}",
+            table.len()
+        )));
+    }
+    if digest != 0 && records_digest(table.records()) != digest {
+        return Err(StreamError(format!(
+            "{what} table does not match the records the snapshot was bootstrapped on \
+             (same length, different or reordered records); the persisted batch \
+             decisions cannot be replayed onto it"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

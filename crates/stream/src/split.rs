@@ -1,50 +1,54 @@
-//! The explicit read/write split over [`StreamPipeline`].
+//! The explicit read/write split over a streaming pipeline —
+//! [`StreamPipeline`] or [`LinkPipeline`].
 //!
 //! A long-running resolution service interleaves two very different
 //! workloads over the same state: **resolve** queries ("which entity
 //! would this record join?") that must answer concurrently and never
 //! block, and **writes** (ingest/retract/compact) that must preserve the
 //! single-writer decision order proven bit-identical in the batch-ingest
-//! suites. This module splits [`StreamPipeline`] into those two halves:
+//! suites. This module splits a pipeline into those two halves:
 //!
 //! * **Read path** — [`ReadHandle`]: pins an immutable, epoch-tagged
-//!   [`ReadView`] of the pipeline (store + index + frozen scorer) and
-//!   answers [`ReadHandle::resolve`] through the same lock-free
-//!   [`ShardedIndex::probe_live`] + `score_candidates` code the ingest
-//!   path uses — identical candidates, identical posteriors (to
-//!   `f64::to_bits`), but **no** locks shared with the writer and no
-//!   mutation. Any number of handles resolve concurrently; each is
-//!   pinned until it explicitly [`ReadHandle::refresh`]es, so a resolve
-//!   can never observe a half-applied write.
+//!   view of the pipeline (store + indexes + frozen scorer) and answers
+//!   resolves through the same lock-free [`crate::ShardedIndex::probe_live`] +
+//!   `score_candidates` code the ingest path uses — identical
+//!   candidates, identical posteriors (to `f64::to_bits`), but **no**
+//!   locks shared with the writer and no mutation. Any number of
+//!   handles resolve concurrently; each is pinned until it explicitly
+//!   [`ReadHandle::refresh`]es, so a resolve can never observe a
+//!   half-applied write. Linkage resolves take the record's [`Side`].
 //! * **Write path** — [`WriteHandle`] → admission queue → one writer
 //!   thread. Writes are admitted in submission order, consecutive
-//!   ingest requests are coalesced into one micro-batch, and the batch
-//!   is applied through [`StreamPipeline::ingest_batch_parallel`] — the
-//!   existing single-writer protocol — so outcomes are bit-identical to
-//!   submitting the same records one at a time to a lone
-//!   [`StreamPipeline`]. After each drained queue batch the writer
-//!   publishes **one** fresh [`ReadView`] covering every write it
-//!   applied (success replies are held back until after that publish,
-//!   so read-your-writes still holds); readers pick it up at their
-//!   next refresh.
+//!   ingest requests with the same side are coalesced into one
+//!   micro-batch, and the batch is applied through the pipeline's
+//!   parallel batch ingest — the existing single-writer protocol — so
+//!   outcomes are bit-identical to submitting the same records one at a
+//!   time to a lone pipeline. After each drained queue batch the writer
+//!   publishes **one** fresh view covering every write it applied
+//!   (success replies are held back until after that publish, so
+//!   read-your-writes still holds); readers pick it up at their next
+//!   refresh.
 //!
 //! The view swap is an atomic `Arc` replacement behind a brief
 //! [`RwLock`] critical section (pointer assignment only — never held
 //! across scoring or ingest work), which makes this the seam the
 //! snapshot lifecycle slots into: [`WriteHandle::refresh`] re-fits the
-//! model on the writer ([`StreamPipeline::refit`]) and the swapped
-//! scorer rides the very same publication — concurrent resolvers see
-//! either the old model or the new one, never a torn mix.
+//! model on the writer and the swapped scorer rides the very same
+//! publication — concurrent resolvers see either the old model or the
+//! new one, never a torn mix.
 //!
-//! Publishing clones the live read state (store, index, scorer —
+//! Publishing clones the live read state (store, indexes, scorer —
 //! O(live records + postings)). That is deliberate for this growth
 //! stage: it keeps the writer's working state completely private (no
-//! reader can alias it), and the clone cost is measured by
-//! `bench_serve` so the cheaper persistent-structure refresh the
-//! ROADMAP plans has a baseline to beat.
+//! reader can alias it), and the clone cost is measured as
+//! `{stream,link}.publish.ns` so a cheaper persistent-structure refresh
+//! has a baseline to beat.
 
-use crate::pipeline::{score_candidates, IngestOutcome, StreamError, StreamPipeline};
-use crate::shard::{RecordKeys, ShardedIndex};
+use crate::engine::{self, score_candidates, Pipeline, Tag, Topology};
+use crate::link::{LinkPipeline, Side};
+use crate::pipeline::{IngestOutcome, StreamError, StreamPipeline};
+use crate::shard::RecordKeys;
+use crate::shard::ShardedIndex;
 use crate::store::EntityStore;
 use crate::{CompactionReport, RetractionReport};
 use std::collections::VecDeque;
@@ -57,32 +61,28 @@ use zeroer_tabular::Record;
 use zeroer_textsim::derive::Deriver;
 
 /// An immutable, epoch-tagged view of a pipeline's read state: the
-/// entity store, the blocking index, and the frozen scorer. Constructed
-/// by [`StreamPipeline::read_view`], shared via `Arc` among
-/// [`ReadHandle`]s, and never mutated after publication.
-pub struct ReadView {
+/// entity store, the topology's blocking indexes, and the frozen
+/// scorer. Shared via `Arc` among [`ReadHandle`]s and never mutated
+/// after publication.
+pub(crate) struct ReadView {
     /// Pipeline epoch at pin time (advances on retraction/compaction).
     pub(crate) epoch: u64,
     /// Publication sequence number (0 for the initial view); lets a
     /// handle detect staleness without comparing state.
     pub(crate) version: u64,
     pub(crate) store: EntityStore,
-    pub(crate) index: ShardedIndex,
+    pub(crate) indexes: Vec<ShardedIndex>,
     pub(crate) featurizer: BatchFeaturizer,
     pub(crate) scorer: SnapshotScorer,
     pub(crate) threshold: f64,
-    /// Whether resolves ride the struct-of-arrays batched scoring
-    /// kernels (pinned from [`crate::StreamOptions::batched_scoring`]
-    /// at view-publication time; bit-identical either way).
-    pub(crate) batched: bool,
-    /// The `stream.score.batch_candidates` histogram handle, pinned at
+    /// The `{p}.score.batch_candidates` histogram handle, pinned at
     /// publication time; `None` when the pipeline's metrics are off.
     pub(crate) score_meter: Option<&'static Histogram>,
 }
 
-/// What a [`ReadHandle::resolve`] query found — the read-only analogue
-/// of [`IngestOutcome`], answered against one pinned [`ReadView`]
-/// without admitting the record.
+/// What a resolve query found — the read-only analogue of
+/// [`IngestOutcome`], answered against one pinned view without
+/// admitting the record.
 #[derive(Debug, Clone)]
 pub struct ResolveOutcome {
     /// Epoch of the view the query was answered against.
@@ -91,7 +91,7 @@ pub struct ResolveOutcome {
     pub candidates: usize,
     /// Candidates scoring above the threshold as `(record index,
     /// posterior)`, sorted by descending posterior — bit-identical to
-    /// what [`StreamPipeline::ingest`] would report for this record.
+    /// what ingesting this record would report.
     pub matches: Vec<(usize, f64)>,
     /// Cluster representative the record would join (the best match's
     /// entity), or `None` if it would mint a new entity.
@@ -105,7 +105,8 @@ impl ResolveOutcome {
     }
 }
 
-/// A shareable, epoch-pinned resolver over a [`ReadView`].
+/// A shareable, epoch-pinned resolver over a pipeline's published read
+/// state.
 ///
 /// Each handle owns a private deriver seeded from the view's interner
 /// (an *overlay*: tokens already interned at pin time keep their exact
@@ -117,16 +118,16 @@ impl ResolveOutcome {
 /// The handle stays pinned to its view until [`ReadHandle::refresh`] is
 /// called; resolves are deterministic against the pinned epoch even
 /// while the write path is busy publishing newer views.
-pub struct ReadHandle {
+pub struct ReadHandle<P: Pipeline = StreamPipeline> {
     view: Arc<ReadView>,
     deriver: Deriver,
     batch: ScoreBatch,
     /// Present when the handle came from a [`SplitPipeline`] (and can
     /// therefore refresh); `None` for a standalone pin.
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<Shared<P>>>,
 }
 
-impl Clone for ReadHandle {
+impl<P: Pipeline> Clone for ReadHandle<P> {
     fn clone(&self) -> Self {
         Self {
             view: Arc::clone(&self.view),
@@ -137,8 +138,8 @@ impl Clone for ReadHandle {
     }
 }
 
-impl ReadHandle {
-    fn pin(view: Arc<ReadView>, shared: Option<Arc<Shared>>) -> Self {
+impl<P: Pipeline> ReadHandle<P> {
+    fn pin(view: Arc<ReadView>, shared: Option<Arc<Shared<P>>>) -> Self {
         let deriver =
             Deriver::with_interner(view.store.interner().clone(), view.store.derive_config());
         Self {
@@ -147,6 +148,12 @@ impl ReadHandle {
             batch: ScoreBatch::new(),
             shared,
         }
+    }
+
+    /// A standalone handle (version 0, cannot refresh) over `pipeline`'s
+    /// current read state.
+    pub(crate) fn pin_standalone(pipeline: &P) -> Self {
+        Self::pin(Arc::new(pipeline.engine().read_view()), None)
     }
 
     /// Epoch of the pinned view.
@@ -160,7 +167,7 @@ impl ReadHandle {
     }
 
     /// Records visible in the pinned view (tombstoned slots included,
-    /// exactly like [`StreamPipeline::len`]).
+    /// exactly like the pipeline's `len`).
     pub fn len(&self) -> usize {
         self.view.store.len()
     }
@@ -176,56 +183,58 @@ impl ReadHandle {
     }
 
     /// Resolves one record against the pinned view: derive → lock-free
-    /// candidate probe ([`ShardedIndex::probe_live`]) → frozen-model
-    /// scoring — the exact candidate rule and scoring code of
-    /// [`StreamPipeline::ingest`], minus the insertion. Nothing is
-    /// admitted and no writer state is touched.
+    /// candidate probe through the topology → frozen-model scoring — the
+    /// exact candidate rule and scoring code of ingest, minus the
+    /// insertion. Nothing is admitted and no writer state is touched.
     ///
-    /// # Panics
-    /// Panics if the record arity does not match the schema.
-    pub fn resolve(&mut self, record: &Record) -> ResolveOutcome {
+    /// The side must be present exactly for a linkage pipeline. This is
+    /// the serve layer's entry point — it never panics on bad input.
+    ///
+    /// # Errors
+    /// Fails on a side that does not fit the pipeline, or an arity
+    /// mismatch.
+    pub fn resolve_side(
+        &mut self,
+        record: &Record,
+        side: Option<Side>,
+    ) -> Result<ResolveOutcome, StreamError> {
+        let tag = P::Topology::tag(side)?;
+        engine::check_arity(record, self.arity())?;
         let view = &*self.view;
-        assert_eq!(
-            record.values.len(),
-            view.store.table().schema().arity(),
-            "record arity {} does not match schema arity {}",
-            record.values.len(),
-            view.store.table().schema().arity()
-        );
         let derived = self.deriver.derive(&record.values);
         let keys = RecordKeys::from_derived(&derived, self.deriver.interner());
-        let candidates = view.index.probe_live(&keys, view.store.tombstones());
+        let candidates =
+            view.indexes[P::Topology::route(tag).0].probe_live(&keys, view.store.tombstones());
         let store = &view.store;
         let matches = score_candidates(
             &view.featurizer,
             &view.scorer,
             self.deriver.interner(),
             view.threshold,
-            false,
+            P::Topology::new_on_left(tag),
             &candidates,
             |c| store.derived(c),
             &derived,
             &mut self.batch,
-            view.batched,
             view.score_meter,
         );
-        ResolveOutcome {
+        Ok(ResolveOutcome {
             epoch: view.epoch,
             candidates: candidates.len(),
             cluster: matches.first().map(|&(c, _)| store.find_readonly(c)),
             matches,
-        }
+        })
     }
 
     /// Re-pins the handle to the latest published view, if any newer
     /// one exists. Returns whether the view changed. Standalone handles
-    /// (pinned directly off a [`StreamPipeline`]) have nothing to
-    /// refresh from and always return `false`.
+    /// (pinned directly off a pipeline) have nothing to refresh from and
+    /// always return `false`.
     pub fn refresh(&mut self) -> bool {
         let Some(shared) = &self.shared else {
             return false;
         };
-        let latest = Arc::clone(&read_lock(&shared.view));
+        let latest = read_lock(&shared.view);
         if latest.version == self.view.version {
             return false;
         }
@@ -238,40 +247,57 @@ impl ReadHandle {
     }
 }
 
-/// One queued write operation.
-enum WriteOp {
-    Ingest(Vec<Record>),
-    Retract(Vec<usize>),
-    Compact,
-    Refresh,
-    Snapshot,
-    Stats,
+impl ReadHandle<StreamPipeline> {
+    /// Resolves one record against the pinned view: derive → lock-free
+    /// candidate probe ([`crate::ShardedIndex::probe_live`]) → frozen-model
+    /// scoring — the exact candidate rule and scoring code of
+    /// [`StreamPipeline::ingest`], minus the insertion.
+    ///
+    /// # Panics
+    /// Panics if the record arity does not match the schema.
+    pub fn resolve(&mut self, record: &Record) -> ResolveOutcome {
+        self.resolve_side(record, None)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
 }
 
-/// The writer's reply to one operation.
-enum WriteReply {
-    Ingested(Vec<IngestOutcome>),
-    Retracted(Vec<RetractionReport>),
-    Compacted(CompactionReport),
-    Refreshed(crate::RefreshReport),
-    Snapshot(String),
-    Stats(String),
-    Failed(StreamError),
+impl ReadHandle<LinkPipeline> {
+    /// Resolves one side-tagged record against the pinned view: a
+    /// read-only probe of the **opposite** side's index, then frozen
+    /// cross-model scoring in the `(left, right)` orientation — the
+    /// exact candidate rule and scoring code of [`LinkPipeline::ingest`],
+    /// minus the insertion.
+    ///
+    /// # Panics
+    /// Panics if the record arity does not match the schema.
+    pub fn resolve(&mut self, record: &Record, side: Side) -> ResolveOutcome {
+        self.resolve_side(record, Some(side))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
 }
 
-struct Pending {
-    op: WriteOp,
-    reply: mpsc::Sender<WriteReply>,
+/// Where the writer answers one operation.
+type Reply<T> = mpsc::Sender<Result<T, StreamError>>;
+
+/// One queued write operation with its reply channel; `G` is the
+/// pipeline's routing tag.
+enum WriteOp<G> {
+    Ingest(Vec<Record>, G, Reply<Vec<IngestOutcome>>),
+    Retract(Vec<usize>, Reply<Vec<RetractionReport>>),
+    Compact(Reply<CompactionReport>),
+    Refresh(Reply<crate::RefreshReport>),
+    Snapshot(Reply<String>),
+    Stats(Reply<String>),
 }
 
-struct AdmissionQueue {
-    ops: VecDeque<Pending>,
+struct AdmissionQueue<G> {
+    ops: VecDeque<WriteOp<G>>,
     closed: bool,
 }
 
 /// State shared between handles and the writer thread.
-struct Shared {
-    queue: Mutex<AdmissionQueue>,
+struct Shared<P: Pipeline> {
+    queue: Mutex<AdmissionQueue<Tag<P>>>,
     admitted: Condvar,
     view: RwLock<Arc<ReadView>>,
 }
@@ -279,37 +305,113 @@ struct Shared {
 /// Locks a mutex, recovering the data if a previous holder panicked
 /// (queue and view state stay structurally valid across panics — each
 /// critical section only moves whole elements).
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn read_lock(l: &RwLock<Arc<ReadView>>) -> Arc<ReadView> {
+fn read_lock<T>(l: &RwLock<Arc<T>>) -> Arc<T> {
     Arc::clone(&l.read().unwrap_or_else(|e| e.into_inner()))
 }
 
 /// The write half: submits operations into the admission queue and
 /// blocks until the single writer has applied them, preserving
 /// submission order. Cheap to clone; every clone feeds the same queue.
-#[derive(Clone)]
-pub struct WriteHandle {
-    shared: Arc<Shared>,
+pub struct WriteHandle<P: Pipeline = StreamPipeline> {
+    shared: Arc<Shared<P>>,
 }
 
-impl WriteHandle {
-    fn submit(&self, op: WriteOp) -> Result<WriteReply, StreamError> {
+impl<P: Pipeline> Clone for WriteHandle<P> {
+    fn clone(&self) -> Self {
+        Self {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<P: Pipeline> WriteHandle<P> {
+    /// Queues `op` with a fresh reply channel and blocks for the answer.
+    fn submit<T>(&self, op: impl FnOnce(Reply<T>) -> WriteOp<Tag<P>>) -> Result<T, StreamError> {
         let (tx, rx) = mpsc::channel();
         {
             let mut q = lock(&self.shared.queue);
             if q.closed {
                 return Err(StreamError("write path is shut down".into()));
             }
-            q.ops.push_back(Pending { op, reply: tx });
+            q.ops.push_back(op(tx));
         }
         self.shared.admitted.notify_all();
         rx.recv()
-            .map_err(|_| StreamError("writer thread exited before replying".into()))
+            .unwrap_or_else(|_| Err(StreamError("writer thread exited before replying".into())))
     }
 
+    /// Ingests a batch whose side may be absent — the side must be
+    /// present exactly for a linkage pipeline. The serve layer's entry
+    /// point; see the pipeline-specific `ingest` for the semantics.
+    ///
+    /// # Errors
+    /// Fails on a side that does not fit the pipeline, plus every
+    /// failure of `ingest`.
+    pub fn ingest_side(
+        &self,
+        records: Vec<Record>,
+        side: Option<Side>,
+    ) -> Result<Vec<IngestOutcome>, StreamError> {
+        let tag = P::Topology::tag(side)?;
+        self.submit(|reply| WriteOp::Ingest(records, tag, reply))
+    }
+
+    /// Retracts records by index — all-or-nothing, like
+    /// [`StreamPipeline::retract_batch`].
+    ///
+    /// # Errors
+    /// Fails like [`StreamPipeline::retract_batch`] (unknown index,
+    /// double retraction, …) or when the write path is shut down.
+    pub fn retract(&self, ids: Vec<usize>) -> Result<Vec<RetractionReport>, StreamError> {
+        self.submit(|reply| WriteOp::Retract(ids, reply))
+    }
+
+    /// Runs one compaction pass on the writer.
+    ///
+    /// # Errors
+    /// Fails when the write path is shut down.
+    pub fn compact(&self) -> Result<CompactionReport, StreamError> {
+        self.submit(WriteOp::Compact)
+    }
+
+    /// Re-fits the model over the writer's live records and swaps the
+    /// frozen scorer ([`StreamPipeline::refit`] /
+    /// [`LinkPipeline::refit`]). The swap rides the normal publication
+    /// path: by the time this returns, every subsequently pinned or
+    /// refreshed [`ReadHandle`] scores with the new model, and views
+    /// pinned earlier keep the old one — never a torn mix.
+    ///
+    /// # Errors
+    /// Fails like the pipeline's `refit` (no candidate pairs,
+    /// degenerate fit, structural drift) or when the write path is shut
+    /// down. A failed refit leaves the serving model untouched.
+    pub fn refresh(&self) -> Result<crate::RefreshReport, StreamError> {
+        self.submit(WriteOp::Refresh)
+    }
+
+    /// Serializes the writer's current snapshot to JSON.
+    ///
+    /// # Errors
+    /// Fails when the write path is shut down.
+    pub fn snapshot_json(&self) -> Result<String, StreamError> {
+        self.submit(WriteOp::Snapshot)
+    }
+
+    /// Publishes the writer's gauges and renders the `--stats` block
+    /// via [`crate::render_stats`] — the same bytes the CLI prints.
+    ///
+    /// # Errors
+    /// Fails when the write path is shut down.
+    pub fn stats(&self) -> Result<String, StreamError> {
+        self.submit(WriteOp::Stats)
+    }
+}
+
+impl WriteHandle<StreamPipeline> {
     /// Ingests a batch through the admission queue (one micro-batch
     /// slot; consecutive pending ingests coalesce into one parallel
     /// apply). Blocks until applied; outcomes are bit-identical to
@@ -321,112 +423,37 @@ impl WriteHandle {
     /// the write path is shut down. Arity failures reject the whole
     /// request before any record of it is applied.
     pub fn ingest(&self, records: Vec<Record>) -> Result<Vec<IngestOutcome>, StreamError> {
-        match self.submit(WriteOp::Ingest(records))? {
-            WriteReply::Ingested(out) => Ok(out),
-            WriteReply::Failed(e) => Err(e),
-            _ => unreachable!("ingest op answered with a non-ingest reply"),
-        }
-    }
-
-    /// Retracts records by index — all-or-nothing, like
-    /// [`StreamPipeline::retract_batch`].
-    ///
-    /// # Errors
-    /// Fails like [`StreamPipeline::retract_batch`] (unknown index,
-    /// double retraction, …) or when the write path is shut down.
-    pub fn retract(&self, ids: Vec<usize>) -> Result<Vec<RetractionReport>, StreamError> {
-        match self.submit(WriteOp::Retract(ids))? {
-            WriteReply::Retracted(out) => Ok(out),
-            WriteReply::Failed(e) => Err(e),
-            _ => unreachable!("retract op answered with a non-retract reply"),
-        }
-    }
-
-    /// Runs one compaction pass on the writer.
-    ///
-    /// # Errors
-    /// Fails when the write path is shut down.
-    pub fn compact(&self) -> Result<CompactionReport, StreamError> {
-        match self.submit(WriteOp::Compact)? {
-            WriteReply::Compacted(out) => Ok(out),
-            WriteReply::Failed(e) => Err(e),
-            _ => unreachable!("compact op answered with a non-compact reply"),
-        }
-    }
-
-    /// Re-fits the model over the writer's live records and swaps the
-    /// frozen scorer ([`StreamPipeline::refit`]). The swap rides the
-    /// normal publication path: by the time this returns, every
-    /// subsequently pinned or refreshed [`ReadHandle`] scores with the
-    /// new model, and views pinned earlier keep the old one — never a
-    /// torn mix.
-    ///
-    /// # Errors
-    /// Fails like [`StreamPipeline::refit`] (no candidate pairs,
-    /// degenerate fit, structural drift) or when the write path is shut
-    /// down. A failed refit leaves the serving model untouched.
-    pub fn refresh(&self) -> Result<crate::RefreshReport, StreamError> {
-        match self.submit(WriteOp::Refresh)? {
-            WriteReply::Refreshed(report) => Ok(report),
-            WriteReply::Failed(e) => Err(e),
-            _ => unreachable!("refresh op answered with a non-refresh reply"),
-        }
-    }
-
-    /// Serializes the writer's current snapshot
-    /// ([`StreamPipeline::snapshot`]) to JSON.
-    ///
-    /// # Errors
-    /// Fails when the write path is shut down.
-    pub fn snapshot_json(&self) -> Result<String, StreamError> {
-        match self.submit(WriteOp::Snapshot)? {
-            WriteReply::Snapshot(out) => Ok(out),
-            WriteReply::Failed(e) => Err(e),
-            _ => unreachable!("snapshot op answered with a non-snapshot reply"),
-        }
-    }
-
-    /// Publishes the writer's gauges and renders the `--stats` block
-    /// via [`crate::render_stats`] — the same bytes the CLI prints.
-    ///
-    /// # Errors
-    /// Fails when the write path is shut down.
-    pub fn stats(&self) -> Result<String, StreamError> {
-        match self.submit(WriteOp::Stats)? {
-            WriteReply::Stats(out) => Ok(out),
-            WriteReply::Failed(e) => Err(e),
-            _ => unreachable!("stats op answered with a non-stats reply"),
-        }
+        self.ingest_side(records, None)
     }
 }
 
-/// A [`StreamPipeline`] split into its read and write halves: the
-/// pipeline moves onto a dedicated writer thread, reads go through
-/// epoch-pinned [`ReadHandle`]s, and writes go through the
-/// [`WriteHandle`] admission queue. [`SplitPipeline::shutdown`] drains
-/// the queue and hands the pipeline back.
-pub struct SplitPipeline {
-    shared: Arc<Shared>,
-    writer: Option<std::thread::JoinHandle<StreamPipeline>>,
+/// A pipeline split into its read and write halves: the pipeline moves
+/// onto a dedicated writer thread, reads go through epoch-pinned
+/// [`ReadHandle`]s, and writes go through the [`WriteHandle`] admission
+/// queue. [`SplitPipeline::shutdown`] drains the queue and hands the
+/// pipeline back.
+pub struct SplitPipeline<P: Pipeline = StreamPipeline> {
+    shared: Arc<Shared<P>>,
+    writer: Option<std::thread::JoinHandle<P>>,
 }
 
-impl SplitPipeline {
+impl<P: Pipeline> SplitPipeline<P> {
     /// Splits the pipeline with a single-threaded writer.
-    pub fn new(pipeline: StreamPipeline) -> Self {
+    pub fn new(pipeline: P) -> Self {
         Self::with_threads(pipeline, 1)
     }
 
     /// Splits the pipeline; coalesced ingest micro-batches are applied
-    /// via [`StreamPipeline::ingest_batch_parallel`] with `threads`
-    /// workers (bit-identical at any thread count).
-    pub fn with_threads(pipeline: StreamPipeline, threads: usize) -> Self {
+    /// with the pipeline's parallel batch ingest at `threads` workers
+    /// (bit-identical at any thread count).
+    pub fn with_threads(pipeline: P, threads: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(AdmissionQueue {
                 ops: VecDeque::new(),
                 closed: false,
             }),
             admitted: Condvar::new(),
-            view: RwLock::new(Arc::new(pipeline.read_view())),
+            view: RwLock::new(Arc::new(pipeline.engine().read_view())),
         });
         let writer_shared = Arc::clone(&shared);
         let writer = std::thread::Builder::new()
@@ -440,12 +467,12 @@ impl SplitPipeline {
     }
 
     /// A fresh read handle pinned to the latest published view.
-    pub fn read_handle(&self) -> ReadHandle {
+    pub fn read_handle(&self) -> ReadHandle<P> {
         ReadHandle::pin(read_lock(&self.shared.view), Some(Arc::clone(&self.shared)))
     }
 
     /// The write handle feeding the admission queue.
-    pub fn write_handle(&self) -> WriteHandle {
+    pub fn write_handle(&self) -> WriteHandle<P> {
         WriteHandle {
             shared: Arc::clone(&self.shared),
         }
@@ -454,7 +481,7 @@ impl SplitPipeline {
     /// Closes the admission queue, waits for the writer to drain every
     /// already-admitted operation, and returns the pipeline. Operations
     /// submitted after shutdown fail with a shut-down error.
-    pub fn shutdown(mut self) -> StreamPipeline {
+    pub fn shutdown(mut self) -> P {
         self.close();
         self.writer
             .take()
@@ -469,7 +496,7 @@ impl SplitPipeline {
     }
 }
 
-impl Drop for SplitPipeline {
+impl<P: Pipeline> Drop for SplitPipeline<P> {
     fn drop(&mut self) {
         if let Some(writer) = self.writer.take() {
             self.close();
@@ -479,10 +506,10 @@ impl Drop for SplitPipeline {
 }
 
 /// The single-writer loop: wait for admitted operations, apply them in
-/// admission order (coalescing consecutive ingests into one
-/// micro-batch), publish **one** fresh [`ReadView`] per drained queue
-/// batch, and reply to each submitter. Returns the pipeline when the
-/// queue is closed and drained.
+/// admission order (coalescing consecutive same-side ingests into one
+/// micro-batch), publish **one** fresh view per drained queue batch,
+/// and reply to each submitter. Returns the pipeline when the queue is
+/// closed and drained.
 ///
 /// Publishing once per drain (not once per applied op) matters:
 /// publication clones the full read state, so a drain of k mutating
@@ -493,10 +520,10 @@ impl Drop for SplitPipeline {
 /// succeeded before a view containing it is pinnable. Failures (and
 /// the read-only snapshot/stats ops) reply immediately — they publish
 /// nothing.
-fn writer_loop(mut pipeline: StreamPipeline, shared: &Shared, threads: usize) -> StreamPipeline {
+fn writer_loop<P: Pipeline>(mut pipeline: P, shared: &Shared<P>, threads: usize) -> P {
     let mut version = 0u64;
     loop {
-        let drained: Vec<Pending> = {
+        let drained: Vec<WriteOp<Tag<P>>> = {
             let mut q = lock(&shared.queue);
             while q.ops.is_empty() && !q.closed {
                 q = shared.admitted.wait(q).unwrap_or_else(|e| e.into_inner());
@@ -506,93 +533,90 @@ fn writer_loop(mut pipeline: StreamPipeline, shared: &Shared, threads: usize) ->
             }
             q.ops.drain(..).collect()
         };
-        let arity = pipeline.store().table().schema().arity();
-        let metrics = pipeline.options().metrics;
-        let mut dirty = false;
-        let mut deferred: Vec<(mpsc::Sender<WriteReply>, WriteReply)> = Vec::new();
+        let arity = pipeline.engine().store.table().schema().arity();
+        let meters = pipeline.engine().meters;
+        // The success replies of the ops that mutated the pipeline, held
+        // back until the publish below.
+        let mut deferred: Vec<Box<dyn FnOnce()>> = Vec::new();
         let mut iter = drained.into_iter().peekable();
-        while let Some(pending) = iter.next() {
-            match pending.op {
-                WriteOp::Ingest(records) => {
+        while let Some(op) = iter.next() {
+            match op {
+                WriteOp::Ingest(records, tag, reply) => {
                     // Coalesce the maximal run of consecutive ingest
-                    // requests into one micro-batch, keeping each
-                    // request's record-count boundary so outcomes can
-                    // be split back per submitter. Requests with an
-                    // arity mismatch are rejected up front (whole
-                    // request, nothing applied) — the batch apply would
-                    // otherwise panic the writer.
+                    // requests with this tag into one micro-batch,
+                    // keeping each request's record-count boundary so
+                    // outcomes can be split back per submitter. Requests
+                    // with an arity mismatch are rejected up front
+                    // (whole request, nothing applied) — the batch apply
+                    // would otherwise panic the writer.
                     let mut batch: Vec<Record> = Vec::new();
-                    let mut requests: Vec<(usize, mpsc::Sender<WriteReply>)> = Vec::new();
-                    let mut admit = |records: Vec<Record>,
-                                     reply: mpsc::Sender<WriteReply>,
-                                     batch: &mut Vec<Record>| {
-                        if let Some(r) = records.iter().find(|r| r.values.len() != arity) {
-                            let _ = reply.send(WriteReply::Failed(StreamError(format!(
-                                "record arity {} does not match schema arity {arity}",
-                                r.values.len()
-                            ))));
+                    let mut requests: Vec<(usize, Reply<Vec<IngestOutcome>>)> = Vec::new();
+                    let mut admit = |records: Vec<Record>, reply: Reply<Vec<IngestOutcome>>| {
+                        let checked = records
+                            .iter()
+                            .try_for_each(|r| engine::check_arity(r, arity));
+                        if let Err(e) = checked {
+                            let _ = reply.send(Err(e));
                             return;
                         }
                         requests.push((records.len(), reply));
                         batch.extend(records);
                     };
-                    admit(records, pending.reply, &mut batch);
-                    while matches!(iter.peek(), Some(p) if matches!(p.op, WriteOp::Ingest(_))) {
-                        let next = iter.next().expect("peeked");
-                        let WriteOp::Ingest(records) = next.op else {
-                            unreachable!("peek matched an ingest op");
-                        };
-                        admit(records, next.reply, &mut batch);
+                    admit(records, reply);
+                    while let Some(WriteOp::Ingest(records, _, reply)) =
+                        iter.next_if(|op| matches!(op, WriteOp::Ingest(_, t, _) if *t == tag))
+                    {
+                        admit(records, reply);
                     }
-                    if metrics {
-                        zeroer_obs::histogram("stream.admit.batch_records")
-                            .record(batch.len() as u64);
+                    if let Some(m) = meters {
+                        m.admit_records.record(batch.len() as u64);
                     }
-                    let mut outcomes = pipeline.ingest_batch_parallel(batch, threads).into_iter();
-                    dirty = true;
+                    let mut outcomes =
+                        engine::ingest_batch(&mut pipeline, batch, tag, threads).into_iter();
                     for (count, reply) in requests {
                         let out: Vec<IngestOutcome> = outcomes.by_ref().take(count).collect();
-                        deferred.push((reply, WriteReply::Ingested(out)));
+                        defer(&mut deferred, reply, Ok(out));
                     }
                 }
-                WriteOp::Retract(ids) => match pipeline.retract_batch(&ids) {
-                    Ok(reports) => {
-                        dirty = true;
-                        deferred.push((pending.reply, WriteReply::Retracted(reports)));
-                    }
-                    Err(e) => {
-                        let _ = pending.reply.send(WriteReply::Failed(e));
-                    }
-                },
-                WriteOp::Compact => {
-                    let report = pipeline.compact();
-                    dirty = true;
-                    deferred.push((pending.reply, WriteReply::Compacted(report)));
+                WriteOp::Retract(ids, reply) => {
+                    let result = pipeline.engine_mut().retract_batch(&ids);
+                    defer(&mut deferred, reply, result);
                 }
-                WriteOp::Refresh => match pipeline.refit() {
-                    Ok(report) => {
-                        dirty = true;
-                        deferred.push((pending.reply, WriteReply::Refreshed(report)));
-                    }
-                    Err(e) => {
-                        let _ = pending.reply.send(WriteReply::Failed(e));
-                    }
-                },
-                WriteOp::Snapshot => {
-                    let json = pipeline.snapshot().to_json();
-                    let _ = pending.reply.send(WriteReply::Snapshot(json));
+                WriteOp::Compact(reply) => {
+                    defer(&mut deferred, reply, Ok(pipeline.engine_mut().compact()));
                 }
-                WriteOp::Stats => {
-                    pipeline.stats().publish();
-                    let _ = pending.reply.send(WriteReply::Stats(crate::render_stats()));
+                WriteOp::Refresh(reply) => {
+                    defer(&mut deferred, reply, engine::refit(&mut pipeline))
+                }
+                WriteOp::Snapshot(reply) => {
+                    let _ = reply.send(Ok(pipeline.snapshot_json()));
+                }
+                WriteOp::Stats(reply) => {
+                    pipeline.engine().stats().publish();
+                    let _ = reply.send(Ok(crate::render_stats()));
                 }
             }
         }
-        if dirty {
+        if !deferred.is_empty() {
             publish(&pipeline, shared, &mut version);
         }
-        for (reply, msg) in deferred {
-            let _ = reply.send(msg);
+        deferred.into_iter().for_each(|send| send());
+    }
+}
+
+/// Holds a mutating op's success reply for after the drain's publish; a
+/// failure changed nothing, so it answers at once.
+fn defer<T: 'static>(
+    deferred: &mut Vec<Box<dyn FnOnce()>>,
+    reply: Reply<T>,
+    result: Result<T, StreamError>,
+) {
+    match result {
+        Ok(out) => deferred.push(Box::new(move || {
+            let _ = reply.send(Ok(out));
+        })),
+        Err(e) => {
+            let _ = reply.send(Err(e));
         }
     }
 }
@@ -600,22 +624,15 @@ fn writer_loop(mut pipeline: StreamPipeline, shared: &Shared, threads: usize) ->
 /// Publishes the writer's current read state as the next view version.
 /// Only the final pointer swap holds the view lock; the clone happens
 /// before it, so readers are never blocked on the copy.
-fn publish(pipeline: &StreamPipeline, shared: &Shared, version: &mut u64) {
+fn publish<P: Pipeline>(pipeline: &P, shared: &Shared<P>, version: &mut u64) {
     *version += 1;
-    let sw = zeroer_obs::Stopwatch::new(pipeline.options().metrics);
-    let mut view = pipeline.read_view();
+    let meters = pipeline.engine().meters;
+    let sw = zeroer_obs::Stopwatch::new(meters.is_some());
+    let mut view = pipeline.engine().read_view();
     view.version = *version;
-    sw.total(zeroer_obs::histogram("stream.publish.ns"));
+    if let Some(m) = meters {
+        sw.total(m.publish);
+    }
     let next = Arc::new(view);
     *shared.view.write().unwrap_or_else(|e| e.into_inner()) = next;
-}
-
-impl StreamPipeline {
-    /// Pins the pipeline's current read state as an immutable
-    /// [`ReadView`]-backed [`ReadHandle`] (version 0, standalone — it
-    /// cannot refresh; use [`SplitPipeline::read_handle`] for handles
-    /// that follow the write path's publications).
-    pub fn pin_read_handle(&self) -> ReadHandle {
-        ReadHandle::pin(Arc::new(self.read_view()), None)
-    }
 }

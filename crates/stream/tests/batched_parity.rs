@@ -1,16 +1,21 @@
-//! Batched-vs-scalar scoring parity.
+//! Batched scoring against the scalar oracle.
 //!
-//! The struct-of-arrays scoring path ([`BatchFeaturizer::fill_columns`]
-//! → `SnapshotScorer::score_batch`) claims **bit-identity** with the
-//! row-at-a-time scalar path on three levels, and this suite locks each
-//! in (`f64::to_bits`, never within-epsilon):
+//! The pipelines score through the struct-of-arrays kernels only
+//! ([`BatchFeaturizer::fill_columns`] → `SnapshotScorer::score_batch`).
+//! The row-at-a-time path (`RowFeaturizer::raw_row_into` →
+//! `SnapshotScorer::score_raw`) survives as the oracle they must equal
+//! **bit for bit** (`f64::to_bits`, never within-epsilon), on three
+//! levels:
 //!
 //! 1. raw feature matrices — each column of the batch fill equals the
-//!    corresponding entry of the scalar `raw_row_into` row;
-//! 2. posteriors — `score_batch` equals `score_raw` per pair;
-//! 3. match decisions — full pipelines with `batched_scoring` on vs.
-//!    off produce identical outcomes, clusters, and resolve answers at
-//!    1, 2, and 4 threads.
+//!    corresponding entry of the scalar `raw_row_into` row, over the
+//!    bootstrap's real candidate pairs ([`BootstrapReport::pairs`]);
+//! 2. posteriors — `score_batch` equals `score_raw` per pair, over the
+//!    same pairs;
+//! 3. match decisions — every posterior a pipeline reports (ingest and
+//!    resolve) equals the oracle's score of that pair, and parallel
+//!    ingest at 1, 2 and 4 threads reproduces sequential ingest's
+//!    outcomes and clusters exactly.
 //!
 //! Bit-identity holds because the batched kernels preserve the scalar
 //! per-pair operation order exactly: imputation/normalization visit
@@ -20,12 +25,15 @@
 //! layout order — the same `fold(0.0, +)` sequence as the scalar path.
 
 use proptest::prelude::*;
-use zeroer_core::ScoreBatch;
+use zeroer_core::{ScoreBatch, SnapshotScorer};
 use zeroer_datagen::generate;
 use zeroer_datagen::profiles::rest_fz;
 use zeroer_features::{BatchFeaturizer, DerivedRecord, Deriver};
-use zeroer_stream::{IndexConfig, IngestOutcome, StreamOptions, StreamPipeline};
+use zeroer_stream::{
+    BootstrapReport, IndexConfig, IngestOutcome, PipelineSnapshot, StreamOptions, StreamPipeline,
+};
 use zeroer_tabular::{Record, Table};
+use zeroer_textsim::intern::Interner;
 
 /// Bootstrap/stream split of a generated Rest-FZ dedup table.
 fn split_dataset(scale: f64, seed: u64) -> (Table, Vec<Record>) {
@@ -38,6 +46,13 @@ fn split_dataset(scale: f64, seed: u64) -> (Table, Vec<Record>) {
     }
     let tail: Vec<Record> = table.records()[cut..].to_vec();
     (boot, tail)
+}
+
+fn cold_pipeline(snap: &PipelineSnapshot, boot: &Table) -> StreamPipeline {
+    let mut p = StreamPipeline::from_snapshot(snap, StreamOptions::default().threshold)
+        .expect("snapshot restores");
+    p.seed_base(boot).expect("bootstrap decisions replay");
+    p
 }
 
 fn assert_outcomes_bit_identical(a: &[IngestOutcome], b: &[IngestOutcome], label: &str) {
@@ -64,11 +79,48 @@ fn assert_outcomes_bit_identical(a: &[IngestOutcome], b: &[IngestOutcome], label
     }
 }
 
+/// The scalar oracle: one raw row + one posterior for the pair
+/// `(left, right)`.
+struct Oracle {
+    featurizer: BatchFeaturizer,
+    scorer: SnapshotScorer,
+}
+
+impl Oracle {
+    fn new(snap: &PipelineSnapshot) -> Self {
+        Self {
+            featurizer: BatchFeaturizer::new(&snap.attr_types),
+            scorer: snap.model.scorer().expect("snapshot scorer"),
+        }
+    }
+
+    fn score(&self, interner: &Interner, left: &DerivedRecord, right: &DerivedRecord) -> f64 {
+        let mut buf = Vec::new();
+        self.featurizer
+            .row()
+            .raw_row_into(interner, left, right, &mut buf);
+        self.scorer.score_raw(&mut buf)
+    }
+
+    /// Every match posterior of `outcomes` equals the oracle's score of
+    /// the `(candidate, new)` pair, read back from `pipeline`'s store.
+    fn assert_matches(&self, pipeline: &StreamPipeline, outcomes: &[IngestOutcome]) {
+        let store = pipeline.store();
+        for o in outcomes {
+            for &(c, p) in &o.matches {
+                let want = self.score(store.interner(), store.derived(c), store.derived(o.index));
+                assert_eq!(p.to_bits(), want.to_bits(), "pair ({c},{}): {p}", o.index);
+            }
+        }
+    }
+}
+
 /// Levels 1 and 2: the batched feature fill and the batched posteriors
-/// against their scalar counterparts, over real derived records.
-fn assert_kernel_parity(boot: &Table, snap: &zeroer_stream::PipelineSnapshot) {
-    let featurizer = BatchFeaturizer::new(&snap.attr_types);
-    let scorer = snap.model.scorer().expect("snapshot scorer");
+/// against their scalar counterparts, over the bootstrap's real
+/// candidate pairs.
+fn assert_kernel_parity(boot: &Table, snap: &PipelineSnapshot, report: &BootstrapReport) {
+    assert!(!report.pairs.is_empty());
+    let oracle = Oracle::new(snap);
     let mut deriver = Deriver::new(IndexConfig::default().derive_config());
     let caches: Vec<DerivedRecord> = boot
         .records()
@@ -76,31 +128,20 @@ fn assert_kernel_parity(boot: &Table, snap: &zeroer_stream::PipelineSnapshot) {
         .map(|r| deriver.derive(&r.values))
         .collect();
     let interner = deriver.interner();
-    // All consecutive pairs plus a few long-range ones: a mix of near
-    // duplicates and clear non-matches.
-    let mut pairs: Vec<(usize, usize)> = (0..caches.len().saturating_sub(1))
-        .map(|i| (i, i + 1))
-        .collect();
-    pairs.extend(
-        (0..caches.len().saturating_sub(3))
-            .step_by(3)
-            .map(|i| (i, i + 3)),
-    );
+    let pairs = &report.pairs;
 
     // Scalar reference: one raw row + one posterior per pair.
-    let row_fz = featurizer.row();
+    let row_fz = oracle.featurizer.row();
     let mut scalar_rows: Vec<Vec<f64>> = Vec::with_capacity(pairs.len());
-    let mut scalar_scores: Vec<f64> = Vec::with_capacity(pairs.len());
     let mut buf: Vec<f64> = Vec::new();
-    for &(i, j) in &pairs {
+    for &(i, j) in pairs {
         row_fz.raw_row_into(interner, &caches[i], &caches[j], &mut buf);
         scalar_rows.push(buf.clone());
-        scalar_scores.push(scorer.score_raw(&mut buf));
     }
 
     // Batched: one column-major fill + one score_batch call.
     let mut batch = ScoreBatch::new();
-    featurizer.fill_columns(
+    oracle.featurizer.fill_columns(
         interner,
         pairs.len(),
         |k| {
@@ -121,9 +162,10 @@ fn assert_kernel_parity(boot: &Table, snap: &zeroer_stream::PipelineSnapshot) {
         }
     }
     // Level 2: posteriors to the bit.
-    let batched_scores = scorer.score_batch(&mut batch);
-    assert_eq!(batched_scores.len(), scalar_scores.len());
-    for (k, (s, b)) in scalar_scores.iter().zip(batched_scores).enumerate() {
+    let batched_scores = oracle.scorer.score_batch(&mut batch);
+    assert_eq!(batched_scores.len(), pairs.len());
+    for (k, (row, b)) in scalar_rows.iter_mut().zip(batched_scores).enumerate() {
+        let s = oracle.scorer.score_raw(row);
         assert_eq!(s.to_bits(), b.to_bits(), "posterior {k}: {s} vs {b}");
     }
 }
@@ -131,83 +173,78 @@ fn assert_kernel_parity(boot: &Table, snap: &zeroer_stream::PipelineSnapshot) {
 #[test]
 fn batched_kernels_match_scalar_on_real_features() {
     let (boot, _) = split_dataset(0.25, 42);
-    let (live, _) = StreamPipeline::bootstrap(&boot, StreamOptions::default()).expect("bootstrap");
-    assert_kernel_parity(&boot, &live.snapshot());
+    let (live, report) =
+        StreamPipeline::bootstrap(&boot, StreamOptions::default()).expect("bootstrap");
+    assert_kernel_parity(&boot, &live.snapshot(), &report);
 }
 
-/// Level 3, fixed seed: full pipelines, batched on vs. off, sequential
-/// ingest and the resolve read path.
+/// Level 3, fixed seed: resolve and ingest posteriors against the
+/// oracle, then parallel ingest at 1, 2 and 4 threads against
+/// sequential ingest.
 #[test]
 fn batched_pipeline_outcomes_match_scalar() {
     let (boot, tail) = split_dataset(0.25, 42);
     let (live, _) = StreamPipeline::bootstrap(&boot, StreamOptions::default()).expect("bootstrap");
     let snap = live.snapshot();
-    let cold = |batched: bool| {
-        let mut p = StreamPipeline::from_snapshot(&snap, StreamOptions::default().threshold)
-            .expect("snapshot restores");
-        p.seed_base(&boot).expect("bootstrap decisions replay");
-        p.set_batched_scoring(batched);
-        p
-    };
+    let oracle = Oracle::new(&snap);
 
-    let mut scalar = cold(false);
-    let mut batched = cold(true);
-    assert!(!scalar.options().batched_scoring);
-    assert!(batched.options().batched_scoring);
-
-    // Resolve parity before any streaming (pure read path).
-    let mut scalar_reads = scalar.pin_read_handle();
-    let mut batched_reads = batched.pin_read_handle();
+    // Resolves before any streaming (pure read path): a handle derives
+    // on an overlay of the pinned interner, which a deriver seeded from
+    // the same interner and fed the same records reproduces symbol for
+    // symbol.
+    let reference = cold_pipeline(&snap, &boot);
+    let store = reference.store();
+    let mut reads = reference.pin_read_handle();
+    let mut deriver = Deriver::with_interner(store.interner().clone(), store.derive_config());
+    let mut resolved = 0;
     for r in &tail {
-        let a = scalar_reads.resolve(r);
-        let b = batched_reads.resolve(r);
-        assert_eq!(a.candidates, b.candidates);
-        assert_eq!(a.cluster, b.cluster);
-        assert_eq!(a.matches.len(), b.matches.len());
-        for ((ca, pa), (cb, pb)) in a.matches.iter().zip(&b.matches) {
-            assert_eq!(ca, cb);
-            assert_eq!(pa.to_bits(), pb.to_bits(), "resolve: {pa} vs {pb}");
+        let new = deriver.derive(&r.values);
+        for &(c, p) in &reads.resolve(r).matches {
+            let want = oracle.score(deriver.interner(), store.derived(c), &new);
+            assert_eq!(p.to_bits(), want.to_bits(), "resolve pair ({c}, new)");
+            resolved += 1;
         }
     }
+    assert!(
+        resolved > 0,
+        "no resolve matched — the oracle check is vacuous"
+    );
 
-    // Sequential ingest parity.
-    let scalar_out: Vec<IngestOutcome> = tail.iter().cloned().map(|r| scalar.ingest(r)).collect();
-    let batched_out: Vec<IngestOutcome> = tail.iter().cloned().map(|r| batched.ingest(r)).collect();
-    assert_outcomes_bit_identical(&scalar_out, &batched_out, "sequential");
-    assert_eq!(scalar.clusters(), batched.clusters());
+    let mut seq = cold_pipeline(&snap, &boot);
+    let seq_out: Vec<IngestOutcome> = tail.iter().cloned().map(|r| seq.ingest(r)).collect();
+    oracle.assert_matches(&seq, &seq_out);
+    for threads in [1, 2, 4] {
+        let mut par = cold_pipeline(&snap, &boot);
+        let par_out = par.ingest_batch_parallel(tail.clone(), threads);
+        assert_outcomes_bit_identical(&seq_out, &par_out, &format!("threads={threads}"));
+        assert_eq!(seq.clusters(), par.clusters(), "threads={threads}");
+    }
 }
 
 proptest! {
     // Bootstrap runs a full EM fit per case; keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Level 3 as a property: arbitrary dataset seeds, batched parallel
-    /// ingest at arbitrary thread counts against the scalar sequential
-    /// reference.
+    /// All three levels as a property: arbitrary dataset seeds and
+    /// thread counts; parallel ingest against sequential ingest, whose
+    /// posteriors the scalar oracle reproduces.
     #[test]
     fn batched_parallel_equals_scalar_sequential(seed in 0u64..200, threads in 1usize..5) {
         let (boot, tail) = split_dataset(0.1, seed);
-        let Ok((live, _)) = StreamPipeline::bootstrap(&boot, StreamOptions::default()) else {
+        let Ok((live, report)) = StreamPipeline::bootstrap(&boot, StreamOptions::default()) else {
             // Tiny unlucky samples can yield no candidate pairs.
             return;
         };
         let snap = live.snapshot();
-        assert_kernel_parity(&boot, &snap);
+        assert_kernel_parity(&boot, &snap, &report);
 
-        let cold = |batched: bool| {
-            let mut p = StreamPipeline::from_snapshot(&snap, StreamOptions::default().threshold)
-                .expect("snapshot restores");
-            p.seed_base(&boot).expect("bootstrap decisions replay");
-            p.set_batched_scoring(batched);
-            p
-        };
-        let mut scalar = cold(false);
-        let scalar_out: Vec<IngestOutcome> =
-            tail.iter().cloned().map(|r| scalar.ingest(r)).collect();
+        let mut seq = cold_pipeline(&snap, &boot);
+        let seq_out: Vec<IngestOutcome> = tail.iter().cloned().map(|r| seq.ingest(r)).collect();
+        Oracle::new(&snap).assert_matches(&seq, &seq_out);
 
-        let mut batched = cold(true);
-        let batched_out = batched.ingest_batch_parallel(tail, threads);
-        assert_outcomes_bit_identical(&scalar_out, &batched_out, "parallel");
-        prop_assert_eq!(scalar.clusters(), batched.clusters());
+        let mut par = cold_pipeline(&snap, &boot);
+        let par_out = par.ingest_batch_parallel(tail, threads);
+        assert_outcomes_bit_identical(&seq_out, &par_out, "parallel");
+        prop_assert_eq!(seq.clusters(), par.clusters());
     }
 }

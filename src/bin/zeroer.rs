@@ -542,8 +542,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
                 Some(path) => {
                     let (result, pipeline) = dedup_table_with_snapshot(&table, &opts)
                         .map_err(|e| format!("cannot fit a model to freeze: {e}"))?;
-                    let json = pipeline.snapshot().to_json();
-                    std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+                    write_snapshot(path, &pipeline.snapshot().to_json())?;
                     eprintln!("zeroer: model snapshot written to {path}");
                     result
                 }
@@ -660,8 +659,7 @@ fn run_link(args: &Args) -> Result<(), String> {
     let (result, pipeline) = match_tables_with_snapshot(&left, &right, &opts)
         .map_err(|e| format!("cannot fit a linkage model to freeze: {e}"))?;
     let path = args.save_model.as_deref().expect("validated in parse_args");
-    std::fs::write(path, pipeline.snapshot().to_json())
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    write_snapshot(path, &pipeline.snapshot().to_json())?;
     eprintln!("zeroer: linkage snapshot (3 models) written to {path}");
     let mut rows: Vec<(usize, usize, f64)> = result
         .pairs
@@ -1023,13 +1021,44 @@ fn run_retract(args: &Args) -> Result<(), String> {
     }
     let model_path = args.model.as_deref().expect("validated in parse_args");
     let out_path = args.out.as_deref().unwrap_or(model_path);
-    std::fs::write(out_path, pipeline.snapshot().to_json())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    write_snapshot(out_path, &pipeline.snapshot().to_json())?;
     eprintln!(
         "zeroer: snapshot with {} tombstones written to {out_path}",
         pipeline.store().retracted_count()
     );
     Ok(())
+}
+
+/// Writes a model snapshot crash-safely: the JSON goes to a temporary
+/// file in the target's directory, is synced to disk, and is then
+/// renamed over the target, and the directory is synced so the rename
+/// itself is durable. A crash or a full disk mid-write leaves the old
+/// file or the new one, never a truncated model — which matters
+/// because `retract`, `compact` and `refresh` overwrite `--model`.
+fn write_snapshot(path: &str, json: &str) -> Result<(), String> {
+    use std::io::Write as _;
+    let target = std::path::Path::new(path);
+    let name = target
+        .file_name()
+        .ok_or_else(|| format!("cannot write {path}: not a file path"))?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(".tmp-{}", std::process::id()));
+    let tmp = target.with_file_name(tmp_name);
+    let dir = match target.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => std::path::Path::new("."),
+    };
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        f.write_all(json.as_bytes())?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, target)?;
+        std::fs::File::open(dir)?.sync_all()
+    });
+    written.map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        format!("cannot write {path}: {e}")
+    })
 }
 
 /// The `compact` subcommand: reclaim tombstoned index/store state.
@@ -1052,8 +1081,7 @@ fn run_compact(args: &Args) -> Result<(), String> {
     }
     let model_path = args.model.as_deref().expect("validated in parse_args");
     let out_path = args.out.as_deref().unwrap_or(model_path);
-    std::fs::write(out_path, pipeline.snapshot().to_json())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    write_snapshot(out_path, &pipeline.snapshot().to_json())?;
     Ok(())
 }
 
@@ -1075,8 +1103,7 @@ fn run_refresh(args: &Args) -> Result<(), String> {
             render_stats();
         }
         let out_path = args.out.as_deref().unwrap_or(model_path);
-        std::fs::write(out_path, pipeline.snapshot().to_json())
-            .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+        write_snapshot(out_path, &pipeline.snapshot().to_json())?;
         eprintln!("zeroer: refreshed snapshot written to {out_path}");
         report
     } else {
@@ -1110,8 +1137,7 @@ fn run_refresh(args: &Args) -> Result<(), String> {
             render_stats();
         }
         let out_path = args.out.as_deref().unwrap_or(model_path);
-        std::fs::write(out_path, pipeline.snapshot().to_json())
-            .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+        write_snapshot(out_path, &pipeline.snapshot().to_json())?;
         eprintln!("zeroer: refreshed linkage snapshot written to {out_path}");
         report
     };

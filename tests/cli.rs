@@ -424,6 +424,84 @@ fn retract_then_compact_round_trip_through_the_snapshot() {
 }
 
 #[test]
+fn compact_replaces_the_model_file_instead_of_truncating_it() {
+    // A snapshot rewrite must land as a whole new file renamed over
+    // `--model`: writing in place would truncate the one copy of the
+    // model first, so a crash or a full disk mid-write would lose it.
+    // A hard link to the old file tells the two apart — an in-place
+    // write changes the shared inode under it too.
+    let dir = tmp_dir("atomic-compact");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let base = dir.join("base.csv");
+    std::fs::write(
+        &base,
+        "name,city\n\
+         Golden Dragon Palace,new york\n\
+         Golden Dragon Palce,new york\n\
+         Blue Sky Tavern,austin\n\
+         Rustic Oak Kitchen,denver\n\
+         Harbor View Bistro,portland\n\
+         Smoky Cellar Tavern,chicago\n",
+    )
+    .expect("write base CSV");
+    let model = dir.join("model.json");
+    let alias = dir.join("model-alias.json");
+    let out = Command::new(zeroer_bin())
+        .args(["dedup", base.to_str().unwrap(), "--save-model"])
+        .arg(&model)
+        .output()
+        .expect("spawn zeroer dedup");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::hard_link(&model, &alias).expect("hard-link the model");
+    let original = std::fs::read(&model).expect("read model");
+
+    let out = Command::new(zeroer_bin())
+        .args(["compact", "--model"])
+        .arg(&model)
+        .args(["--base", base.to_str().unwrap()])
+        .output()
+        .expect("spawn zeroer compact");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    assert_eq!(
+        std::fs::read(&alias).expect("read alias"),
+        original,
+        "the rewrite went through the old file's inode instead of replacing it"
+    );
+    let rewritten = std::fs::read_to_string(&model).expect("read rewritten model");
+    assert_ne!(
+        rewritten.as_bytes(),
+        original,
+        "compaction advances the epoch"
+    );
+    zeroer::pipeline::PipelineSnapshot::from_json(&rewritten).expect("the new model parses");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["base.csv", "model-alias.json", "model.json"],
+        "no temporary file is left behind"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn retract_flag_validation() {
     // --ids is retract-only.
     let out = Command::new(zeroer_bin())
