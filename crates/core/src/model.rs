@@ -8,7 +8,7 @@ use zeroer_linalg::stats::{
     correlation_to_covariance, covariance_to_correlation, l2_norm, weighted_covariance,
     weighted_mean, weighted_variances,
 };
-use zeroer_linalg::{Matrix, VARIANCE_FLOOR};
+use zeroer_linalg::{ColMatrix, MahalanobisScratch, Matrix, VARIANCE_FLOOR};
 
 /// Guard keeping the Bernoulli prior away from exactly 0/1 so log π stays
 /// finite when one component momentarily empties out.
@@ -26,6 +26,58 @@ const PRIOR_FLOOR: f64 = 1e-9;
 pub fn eq3_posterior(lm: f64, lu: f64) -> f64 {
     let max = lm.max(lu);
     (lm - max).exp() / ((lm - max).exp() + (lu - max).exp())
+}
+
+/// Rows per column-major batch in [`GenerativeModel::e_step`]: one
+/// chunk's transposed rows plus the Mahalanobis forward-solve stripes
+/// stay cache-resident.
+const E_STEP_CHUNK: usize = 1024;
+
+/// Fills `log_pm[i]` and `log_pu[i]` with `log p_M(x_i)` and
+/// `log p_U(x_i)` for every row of `x`, batched over [`E_STEP_CHUNK`]-row
+/// chunks. Up to `threads` workers each take a contiguous run of whole
+/// chunks and reuse one column-major batch and one Mahalanobis scratch
+/// for all of them; every row's densities are bit-identical to the
+/// scalar [`BlockGaussian::log_pdf`], so neither the chunking nor the
+/// thread count shows in the output.
+fn class_log_densities(
+    x: &Matrix,
+    [m_dist, u_dist]: [&BlockGaussian; 2],
+    threads: usize,
+    log_pm: &mut [f64],
+    log_pu: &mut [f64],
+) {
+    let d = x.cols();
+    let densities = |rows: &[f64], pm: &mut [f64], pu: &mut [f64]| {
+        let mut batch = ColMatrix::new();
+        let mut scratch = MahalanobisScratch::default();
+        let mut rest = rows;
+        for (pm, pu) in pm.chunks_mut(E_STEP_CHUNK).zip(pu.chunks_mut(E_STEP_CHUNK)) {
+            let (chunk, tail) = rest.split_at(pm.len() * d);
+            rest = tail;
+            batch.reset_from_rows(pm.len(), d, chunk);
+            m_dist.log_pdf_batch(&batch, &mut scratch, pm);
+            u_dist.log_pdf_batch(&batch, &mut scratch, pu);
+        }
+    };
+    let chunks = x.rows().div_ceil(E_STEP_CHUNK);
+    let threads = threads.min(chunks);
+    if threads <= 1 {
+        densities(x.as_slice(), log_pm, log_pu);
+        return;
+    }
+    let rows_per_worker = chunks.div_ceil(threads) * E_STEP_CHUNK;
+    std::thread::scope(|scope| {
+        let mut rest = x.as_slice();
+        for (pm, pu) in log_pm
+            .chunks_mut(rows_per_worker)
+            .zip(log_pu.chunks_mut(rows_per_worker))
+        {
+            let (rows, tail) = rest.split_at(pm.len() * d);
+            rest = tail;
+            scope.spawn(move || densities(rows, pm, pu));
+        }
+    });
 }
 
 /// Outcome of a [`GenerativeModel::fit`] run.
@@ -260,18 +312,33 @@ impl GenerativeModel {
     /// The E-step (Eq. 3): recomputes posteriors in the log domain and
     /// returns the expected log-likelihood (Eq. 4).
     ///
+    /// Both class log-densities are evaluated batched: the rows are cut
+    /// into fixed 1,024-row chunks, each transposed into a column-major
+    /// batch for [`BlockGaussian::log_pdf_batch`], and runs of whole
+    /// chunks are split across the available cores. The batch
+    /// kernel reproduces [`BlockGaussian::log_pdf`] to the bit for every
+    /// row, whatever the chunk it lands in. The posteriors and the
+    /// log-likelihood sum are then computed sequentially in row order,
+    /// so the result is bit-identical to the scalar per-row loop (which
+    /// [`GenerativeModel::posterior`] still runs) at any thread count.
+    ///
     /// # Panics
     /// Panics if called before the first M-step.
     pub fn e_step(&mut self, x: &Matrix) -> f64 {
         let m_dist = self.m_dist.as_ref().expect("e_step before m_step");
         let u_dist = self.u_dist.as_ref().expect("e_step before m_step");
+        let mut log_pm = vec![0.0; x.rows()];
+        let mut log_pu = vec![0.0; x.rows()];
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
+            .min(8);
+        class_log_densities(x, [m_dist, u_dist], threads, &mut log_pm, &mut log_pu);
         let log_pi_m = self.pi_m.ln();
         let log_pi_u = (1.0 - self.pi_m).ln();
         let mut ll = 0.0;
-        for i in 0..x.rows() {
-            let row = x.row(i);
-            let lm = log_pi_m + m_dist.log_pdf(row);
-            let lu = log_pi_u + u_dist.log_pdf(row);
+        for (i, (&pm, &pu)) in log_pm.iter().zip(&log_pu).enumerate() {
+            let lm = log_pi_m + pm;
+            let lu = log_pi_u + pu;
             let gm = eq3_posterior(lm, lu);
             self.gammas[i] = gm;
             ll += gm * lm + (1.0 - gm) * lu;
@@ -571,6 +638,111 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.9, 0.8, 0.7]]);
         let mut m = GenerativeModel::new(ZeroErConfig::default(), GroupLayout::from_sizes(&[2]));
         m.initialize(&x);
+    }
+}
+
+/// The batched, chunked, multi-threaded E-step against the scalar
+/// per-row oracle, to the bit, on row counts around the chunk boundary
+/// and with several chunks per worker.
+#[cfg(test)]
+mod e_step_parity {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Sizes mix a singleton block (the diagonal fast path) with
+    /// coupled ones.
+    const SIZES: [usize; 3] = [2, 1, 3];
+
+    /// `n` rows, every seventh near 0.9 and the rest near 0.1, with
+    /// noise that differs per row so a row read from the wrong place
+    /// changes the result.
+    fn mixed_rows(n: usize, seed: u64) -> Matrix {
+        let d: usize = SIZES.iter().sum();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..n * d)
+            .map(|k| {
+                let centre = if (k / d).is_multiple_of(7) { 0.9 } else { 0.1 };
+                centre + rng.gen_range(-0.09..0.09)
+            })
+            .collect();
+        Matrix::from_vec(n, d, data)
+    }
+
+    /// Runs `rounds` M/E steps, checking after each E-step that every
+    /// posterior equals [`GenerativeModel::posterior`] of its row and
+    /// that the returned log-likelihood equals the sequential scalar sum.
+    fn assert_e_steps_match_scalar(x: &Matrix, rounds: usize) {
+        let mut m = GenerativeModel::new(ZeroErConfig::default(), GroupLayout::from_sizes(&SIZES));
+        m.initialize(x);
+        for round in 0..rounds {
+            m.m_step(x);
+            let ll = m.e_step(x);
+            let (md, ud) = (m.m_dist.as_ref().unwrap(), m.u_dist.as_ref().unwrap());
+            let (log_pi_m, log_pi_u) = (m.pi_m.ln(), (1.0 - m.pi_m).ln());
+            let mut want = 0.0;
+            for i in 0..x.rows() {
+                let row = x.row(i);
+                let g = m.posterior(row);
+                assert_eq!(
+                    m.gammas()[i].to_bits(),
+                    g.to_bits(),
+                    "row {i} of {} in round {round}",
+                    x.rows()
+                );
+                let lm = log_pi_m + md.log_pdf(row);
+                let lu = log_pi_u + ud.log_pdf(row);
+                want += g * lm + (1.0 - g) * lu;
+            }
+            assert_eq!(
+                ll.to_bits(),
+                want.to_bits(),
+                "log-likelihood of {} rows in round {round}",
+                x.rows()
+            );
+        }
+    }
+
+    #[test]
+    fn e_step_matches_scalar_around_the_chunk_boundary() {
+        for n in [1, E_STEP_CHUNK - 1, E_STEP_CHUNK, E_STEP_CHUNK + 1] {
+            assert_e_steps_match_scalar(&mixed_rows(n, n as u64), 3);
+        }
+    }
+
+    #[test]
+    fn e_step_matches_scalar_with_several_chunks_per_worker() {
+        // 25 chunks, the last one partial: 4 per worker at the 8-thread
+        // cap, more on fewer cores.
+        let n = 3 * 8 * E_STEP_CHUNK + 517;
+        assert_e_steps_match_scalar(&mixed_rows(n, 11), 2);
+    }
+
+    #[test]
+    fn densities_do_not_depend_on_the_thread_count() {
+        let n = 7 * E_STEP_CHUNK + 3;
+        let x = mixed_rows(n, 5);
+        let mut m = GenerativeModel::new(ZeroErConfig::default(), GroupLayout::from_sizes(&SIZES));
+        m.initialize(&x);
+        m.m_step(&x);
+        let dists = [m.m_dist.as_ref().unwrap(), m.u_dist.as_ref().unwrap()];
+        for threads in [1, 2, 3, 4, 8, 64] {
+            let (mut pm, mut pu) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            class_log_densities(&x, dists, threads, &mut pm, &mut pu);
+            for i in 0..n {
+                let row = x.row(i);
+                assert_eq!(
+                    pm[i].to_bits(),
+                    dists[0].log_pdf(row).to_bits(),
+                    "M row {i}, {threads} threads"
+                );
+                assert_eq!(
+                    pu[i].to_bits(),
+                    dists[1].log_pdf(row).to_bits(),
+                    "U row {i}, {threads} threads"
+                );
+            }
+        }
     }
 }
 

@@ -83,9 +83,10 @@ impl FeatureSet {
 }
 
 /// Computes one similarity value from derived attribute views, `NaN`
-/// when either side is missing. This is the single scoring kernel shared
-/// by the batch featurizer and the streaming [`RowFeaturizer`]; both
-/// views must come from derivations over `interner`.
+/// when either side is missing, through the allocating kernels. This is
+/// the scalar oracle behind [`RowFeaturizer::raw_row_into`], which the
+/// parity suites hold the bulk paths to; both views must come from
+/// derivations over `interner`.
 fn sim_value(f: SimFunction, interner: &Interner, l: AttrView<'_>, r: AttrView<'_>) -> f64 {
     if !(l.present && r.present) {
         return f64::NAN;
@@ -112,10 +113,11 @@ fn sim_value(f: SimFunction, interner: &Interner, l: AttrView<'_>, r: AttrView<'
 }
 
 /// [`sim_value`] with the allocation-heavy sequence kernels routed
-/// through `scratch`-reusing variants. Bit-identical to [`sim_value`]
-/// (the `*_with` kernels execute the same operation sequence as the
-/// allocating forms they shadow); strictly faster in a loop because the
-/// DP buffers are reused across calls.
+/// through `scratch`-reusing variants: the dispatcher both bulk paths
+/// ([`PairFeaturizer::featurize`] and [`BatchFeaturizer::fill_columns`])
+/// use. Bit-identical to [`sim_value`] (the allocating kernels delegate
+/// to the same `*_with` code with a fresh scratch); strictly faster in a
+/// loop because the DP buffers are reused across calls.
 fn sim_value_with(
     scratch: &mut SimScratch,
     f: SimFunction,
@@ -288,9 +290,10 @@ impl PairFeaturizer {
         names
     }
 
-    /// Fills one pair's feature row. `NaN` marks not-computable (missing
-    /// value on either side); imputation happens in [`Self::featurize`].
-    fn fill_row(&self, li: usize, ri: usize, out: &mut [f64]) {
+    /// Fills one pair's feature row, reusing `scratch` for the sequence
+    /// kernels. `NaN` marks not-computable (missing value on either
+    /// side); imputation happens in [`Self::featurize`].
+    fn fill_row(&self, scratch: &mut SimScratch, li: usize, ri: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.dim);
         let (left, right) = (&self.left[li], &self.right_derived()[ri]);
         let mut col = 0;
@@ -298,14 +301,18 @@ impl PairFeaturizer {
             let lv = left.view(a);
             let rv = right.view(a);
             for &f in *funcs {
-                out[col] = sim_value(f, &self.interner, lv, rv);
+                out[col] = sim_value_with(scratch, f, &self.interner, lv, rv);
                 col += 1;
             }
         }
     }
 
     /// Generates the feature matrix for `pairs` (record *indices* into the
-    /// left/right tables), parallelized over row chunks.
+    /// left/right tables), parallelized over row chunks. Each chunk's
+    /// worker reuses one [`SimScratch`] for every sequence-kernel call,
+    /// so the fill stops allocating once the buffers have grown; the
+    /// values are bit-identical to [`RowFeaturizer::raw_row_into`]'s
+    /// before imputation.
     ///
     /// Missing similarities (`NaN`) are imputed with the column mean of
     /// the computable rows; an all-missing column becomes all zeros.
@@ -323,9 +330,10 @@ impl PairFeaturizer {
                 let start = chunk_idx * chunk_rows;
                 let this = &*self;
                 scope.spawn(move |_| {
+                    let mut scratch = SimScratch::new();
                     for (row_off, row) in out_chunk.chunks_mut(d).enumerate() {
                         let (li, ri) = pairs[start + row_off];
-                        this.fill_row(li, ri, row);
+                        this.fill_row(&mut scratch, li, ri, row);
                     }
                 });
             }
@@ -476,8 +484,9 @@ impl BatchFeaturizer {
         Self { row }
     }
 
-    /// The scalar row featurizer this batch featurizer wraps (the
-    /// fallback path when batched scoring is disabled).
+    /// The scalar row featurizer this batch featurizer wraps: the oracle
+    /// the batched-vs-scalar parity suites compare
+    /// [`BatchFeaturizer::fill_columns`] against, row by row.
     pub fn row(&self) -> &RowFeaturizer {
         &self.row
     }

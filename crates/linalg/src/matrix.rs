@@ -262,6 +262,26 @@ impl ColMatrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes to `rows × cols` like [`ColMatrix::reset`] and fills the
+    /// matrix from `data`, the same entries in row-major order (a
+    /// [`Matrix`] row range, say). The transpose runs one column at a
+    /// time, so every write is contiguous.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn reset_from_rows(&mut self, rows: usize, cols: usize, data: &[f64]) {
+        assert_eq!(data.len(), rows * cols, "row-major data length mismatch");
+        self.reset(rows, cols);
+        if rows == 0 {
+            return;
+        }
+        for (j, col) in self.data.chunks_exact_mut(rows).enumerate() {
+            for (v, &x) in col.iter_mut().zip(data[j..].iter().step_by(cols)) {
+                *v = x;
+            }
+        }
+    }
+
     /// Number of rows (batch size).
     pub fn rows(&self) -> usize {
         self.rows
@@ -481,5 +501,25 @@ mod tests {
         assert!(!a.has_non_finite());
         a[(0, 1)] = f64::NAN;
         assert!(a.has_non_finite());
+    }
+
+    #[test]
+    fn col_matrix_from_row_range_transposes() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
+        let mut c = ColMatrix::new();
+        c.reset_from_rows(2, 3, &a.as_slice()[3..]);
+        assert_eq!((c.rows(), c.cols()), (2, 3));
+        for i in 0..2 {
+            for j in 0..3 {
+                assert_eq!(c.get(i, j), a[(i + 1, j)]);
+            }
+        }
+        // Reuse with a different shape, and the empty shapes.
+        c.reset_from_rows(1, 3, a.row(0));
+        assert_eq!(c.col(2), &[3.0]);
+        c.reset_from_rows(0, 3, &[]);
+        assert_eq!((c.rows(), c.cols()), (0, 3));
+        c.reset_from_rows(2, 0, &[]);
+        assert_eq!((c.rows(), c.cols()), (2, 0));
     }
 }

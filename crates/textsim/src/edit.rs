@@ -82,60 +82,78 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 }
 
 /// [`jaro`] reusing `scratch`'s buffers.
+///
+/// Jaro reads nothing of its inputs but element equality and the two
+/// lengths. When both strings are ASCII, bytes and chars correspond one
+/// to one, so the shared core runs directly over the bytes and skips the
+/// `char` decode; otherwise it runs over the decoded `char` buffers.
+/// Both paths count the same matches and transpositions, so the result
+/// is the same to the bit.
 pub fn jaro_with(scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
-    let mut ac = std::mem::take(&mut scratch.a_chars);
-    let mut bc = std::mem::take(&mut scratch.b_chars);
-    let mut b_used = std::mem::take(&mut scratch.used);
-    let mut a_matched = std::mem::take(&mut scratch.matched_a);
-    let mut b_matched = std::mem::take(&mut scratch.matched_b);
-    ac.clear();
-    ac.extend(a.chars());
-    bc.clear();
-    bc.extend(b.chars());
-    let sim = 'done: {
-        if ac.is_empty() && bc.is_empty() {
-            break 'done 1.0;
-        }
-        if ac.is_empty() || bc.is_empty() {
-            break 'done 0.0;
-        }
-        let window = (ac.len().max(bc.len()) / 2).saturating_sub(1);
-        b_used.clear();
-        b_used.resize(bc.len(), false);
-        a_matched.clear();
-        for (i, &ca) in ac.iter().enumerate() {
-            let lo = i.saturating_sub(window);
-            let hi = (i + window + 1).min(bc.len());
-            for j in lo..hi {
-                if !b_used[j] && bc[j] == ca {
-                    b_used[j] = true;
-                    a_matched.push(ca);
-                    break;
-                }
+    let SimScratch {
+        a_chars,
+        b_chars,
+        a_used,
+        b_used,
+        ..
+    } = scratch;
+    if a.is_ascii() && b.is_ascii() {
+        return jaro_core(a.as_bytes(), b.as_bytes(), a_used, b_used);
+    }
+    a_chars.clear();
+    a_chars.extend(a.chars());
+    b_chars.clear();
+    b_chars.extend(b.chars());
+    jaro_core(a_chars, b_chars, a_used, b_used)
+}
+
+/// The Jaro score of two symbol sequences, with reusable per-position
+/// match flags.
+fn jaro_core<T: Copy + PartialEq>(
+    a: &[T],
+    b: &[T],
+    a_used: &mut Vec<bool>,
+    b_used: &mut Vec<bool>,
+) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    a_used.clear();
+    a_used.resize(a.len(), false);
+    b_used.clear();
+    b_used.resize(b.len(), false);
+    let mut m = 0usize;
+    for (i, &ca) in a.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        let hi = (i + window + 1).min(b.len());
+        for j in lo..hi {
+            if !b_used[j] && b[j] == ca {
+                b_used[j] = true;
+                a_used[i] = true;
+                m += 1;
+                break;
             }
         }
-        let m = a_matched.len();
-        if m == 0 {
-            break 'done 0.0;
-        }
-        // Count transpositions: compare matched sequences in order.
-        b_matched.clear();
-        b_matched.extend(b_used.iter().zip(&bc).filter(|(u, _)| **u).map(|(_, &c)| c));
-        let t = a_matched
-            .iter()
-            .zip(&b_matched)
-            .filter(|(x, y)| x != y)
-            .count()
-            / 2;
-        let m = m as f64;
-        (m / ac.len() as f64 + m / bc.len() as f64 + (m - t as f64) / m) / 3.0
-    };
-    scratch.a_chars = ac;
-    scratch.b_chars = bc;
-    scratch.used = b_used;
-    scratch.matched_a = a_matched;
-    scratch.matched_b = b_matched;
-    sim
+    }
+    if m == 0 {
+        return 0.0;
+    }
+    // Count transpositions: compare matched sequences in order.
+    let a_matched = a
+        .iter()
+        .zip(a_used.iter())
+        .filter_map(|(x, &u)| u.then_some(x));
+    let b_matched = b
+        .iter()
+        .zip(b_used.iter())
+        .filter_map(|(y, &u)| u.then_some(y));
+    let t = a_matched.zip(b_matched).filter(|(x, y)| x != y).count() / 2;
+    let m = m as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - t as f64) / m) / 3.0
 }
 
 /// Jaro-Winkler similarity: Jaro boosted by up to 4 characters of common

@@ -2,9 +2,9 @@
 //!
 //! The DP measures (Levenshtein, Jaro-Winkler, Needleman-Wunsch) and the
 //! hybrid Monge-Elkan each allocate several short-lived `Vec`s per call
-//! — char buffers, DP rows, match flags. On the batched scoring hot path
-//! those calls happen thousands of times per feature-column fill, and
-//! the allocator traffic dominates the actual DP work for typical
+//! — char buffers, DP rows, match flags. On the bulk featurizer and the
+//! batched scoring hot path those calls happen thousands of times per
+//! fill, and the allocator traffic dominates the actual DP work for typical
 //! attribute-length strings. [`SimScratch`] owns one set of buffers that
 //! the `*_with` kernel variants reuse across calls; after the first few
 //! calls the buffers have seen their maximum sizes and the kernels stop
@@ -36,12 +36,10 @@ pub struct SimScratch {
     pub(crate) frow_a: Vec<f64>,
     /// Float DP row (alignment `curr`).
     pub(crate) frow_b: Vec<f64>,
+    /// Jaro per-position match flags for the left side.
+    pub(crate) a_used: Vec<bool>,
     /// Jaro per-position match flags for the right side.
-    pub(crate) used: Vec<bool>,
-    /// Jaro matched chars, left order.
-    pub(crate) matched_a: Vec<char>,
-    /// Jaro matched chars, right order.
-    pub(crate) matched_b: Vec<char>,
+    pub(crate) b_used: Vec<bool>,
     /// Monge-Elkan outer token symbols.
     pub(crate) syms: Vec<Sym>,
 }

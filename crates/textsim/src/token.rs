@@ -1,6 +1,6 @@
 //! Token-based and hybrid similarity measures.
 
-use crate::edit::{jaro_winkler, jaro_winkler_with};
+use crate::edit::jaro_winkler_with;
 use crate::intern::Interner;
 use crate::scratch::SimScratch;
 use crate::tokenize::TokenBag;
@@ -67,31 +67,21 @@ pub fn overlap_coefficient(a: &TokenBag, b: &TokenBag) -> f64 {
 /// interner history and bag representation — the property the streaming
 /// subsystem's bit-exact determinism tests rely on.
 pub fn monge_elkan(interner: &Interner, a: &TokenBag, b: &TokenBag) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let mut a_toks: Vec<&str> = a.tokens(interner).collect();
-    a_toks.sort_unstable();
-    let mut total = 0.0;
-    for ta in &a_toks {
-        let best = b
-            .tokens(interner)
-            .map(|tb| jaro_winkler(ta, tb))
-            .fold(0.0f64, f64::max);
-        total += best;
-    }
-    total / a_toks.len() as f64
+    monge_elkan_with(&mut SimScratch::new(), interner, a, b)
 }
 
 /// [`monge_elkan`] reusing `scratch`'s buffers for the outer token list
-/// and every inner Jaro-Winkler call; bit-identical to the allocating
-/// form. Sorting `a`'s *symbols* by their token text visits the same
-/// outer sequence as sorting the texts themselves (distinct symbols
-/// always resolve to distinct texts), so the summation order — and with
-/// it every float operation — is unchanged.
+/// and every inner Jaro-Winkler call. Sorting `a`'s *symbols* by their
+/// token text visits the same outer sequence as sorting the texts
+/// themselves (distinct symbols always resolve to distinct texts), so
+/// the summation order — and with it every float operation — is
+/// canonical.
+///
+/// An outer token that is also in `b` scores exactly 1.0 without any
+/// Jaro-Winkler call: Jaro-Winkler of a string with itself is exactly
+/// 1.0 (`(1 + 1 + 1) / 3` plus a zero prefix bonus), and every score is
+/// capped at 1.0, so that token's maximum is 1.0 whatever else `b`
+/// holds.
 pub fn monge_elkan_with(
     scratch: &mut SimScratch,
     interner: &Interner,
@@ -110,6 +100,10 @@ pub fn monge_elkan_with(
     syms.sort_unstable_by(|&x, &y| interner.resolve(x).cmp(interner.resolve(y)));
     let mut total = 0.0;
     for &sa in &syms {
+        if b.count(sa) > 0 {
+            total += 1.0;
+            continue;
+        }
         let ta = interner.resolve(sa);
         let mut best = 0.0f64;
         for tb in b.tokens(interner) {

@@ -1,0 +1,284 @@
+//! The sequence kernels against an independent oracle.
+//!
+//! `scratch_kernels_are_bit_identical` (in the crate's unit proptests)
+//! compares each `*_with` kernel with its allocating form, but the
+//! allocating form delegates to the same code, so a change to a kernel
+//! moves both sides at once. The [`reference`] module below is a
+//! line-for-line copy of the plain char-based kernels (fresh buffers per
+//! call, no byte path, no Monge-Elkan shortcut); every production kernel
+//! must reproduce it to `f64::to_bits` on ASCII, mixed and non-ASCII
+//! alphabets, including token bags that share tokens.
+
+use proptest::prelude::*;
+use zeroer_textsim::align::needleman_wunsch;
+use zeroer_textsim::{
+    jaro, jaro_winkler, jaro_winkler_with, jaro_with, levenshtein, levenshtein_sim,
+    levenshtein_sim_with, levenshtein_with, monge_elkan, monge_elkan_with, needleman_wunsch_with,
+    words, Interner, SimScratch, TokenBag,
+};
+
+/// The plain char-based kernels, kept as the parity reference.
+mod reference {
+    use zeroer_textsim::{Interner, TokenBag};
+
+    pub fn levenshtein(a: &str, b: &str) -> usize {
+        let ac: Vec<char> = a.chars().collect();
+        let bc: Vec<char> = b.chars().collect();
+        let (short, long) = if ac.len() <= bc.len() {
+            (&ac, &bc)
+        } else {
+            (&bc, &ac)
+        };
+        if short.is_empty() {
+            return long.len();
+        }
+        let mut prev: Vec<usize> = (0..=short.len()).collect();
+        let mut curr = vec![0usize; short.len() + 1];
+        for (i, &lc) in long.iter().enumerate() {
+            curr[0] = i + 1;
+            for (j, &sc) in short.iter().enumerate() {
+                let cost = usize::from(lc != sc);
+                curr[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(curr[j] + 1);
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        prev[short.len()]
+    }
+
+    pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
+        let la = a.chars().count();
+        let lb = b.chars().count();
+        let max = la.max(lb);
+        if max == 0 {
+            return 1.0;
+        }
+        1.0 - levenshtein(a, b) as f64 / max as f64
+    }
+
+    pub fn jaro(a: &str, b: &str) -> f64 {
+        let ac: Vec<char> = a.chars().collect();
+        let bc: Vec<char> = b.chars().collect();
+        if ac.is_empty() && bc.is_empty() {
+            return 1.0;
+        }
+        if ac.is_empty() || bc.is_empty() {
+            return 0.0;
+        }
+        let window = (ac.len().max(bc.len()) / 2).saturating_sub(1);
+        let mut b_used = vec![false; bc.len()];
+        let mut a_matched = Vec::new();
+        for (i, &ca) in ac.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = (i + window + 1).min(bc.len());
+            for j in lo..hi {
+                if !b_used[j] && bc[j] == ca {
+                    b_used[j] = true;
+                    a_matched.push(ca);
+                    break;
+                }
+            }
+        }
+        let m = a_matched.len();
+        if m == 0 {
+            return 0.0;
+        }
+        let b_matched: Vec<char> = b_used
+            .iter()
+            .zip(&bc)
+            .filter(|(u, _)| **u)
+            .map(|(_, &c)| c)
+            .collect();
+        let t = a_matched
+            .iter()
+            .zip(&b_matched)
+            .filter(|(x, y)| x != y)
+            .count()
+            / 2;
+        let m = m as f64;
+        (m / ac.len() as f64 + m / bc.len() as f64 + (m - t as f64) / m) / 3.0
+    }
+
+    pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+        const P: f64 = 0.1;
+        const MAX_PREFIX: usize = 4;
+        let j = jaro(a, b);
+        let prefix = a
+            .chars()
+            .zip(b.chars())
+            .take(MAX_PREFIX)
+            .take_while(|(x, y)| x == y)
+            .count();
+        (j + prefix as f64 * P * (1.0 - j)).min(1.0)
+    }
+
+    pub fn needleman_wunsch(a: &str, b: &str) -> f64 {
+        const MATCH: f64 = 1.0;
+        const MISMATCH: f64 = 0.0;
+        const GAP: f64 = -0.5;
+        let ac: Vec<char> = a.chars().collect();
+        let bc: Vec<char> = b.chars().collect();
+        if ac.is_empty() && bc.is_empty() {
+            return 1.0;
+        }
+        if ac.is_empty() || bc.is_empty() {
+            return 0.0;
+        }
+        let mut prev: Vec<f64> = (0..=bc.len()).map(|j| j as f64 * GAP).collect();
+        let mut curr = vec![0.0f64; bc.len() + 1];
+        for (i, &ca) in ac.iter().enumerate() {
+            curr[0] = (i + 1) as f64 * GAP;
+            for (j, &cb) in bc.iter().enumerate() {
+                let sub = prev[j] + if ca == cb { MATCH } else { MISMATCH };
+                curr[j + 1] = sub.max(prev[j + 1] + GAP).max(curr[j] + GAP);
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        let raw = prev[bc.len()];
+        (raw / ac.len().min(bc.len()) as f64).clamp(0.0, 1.0)
+    }
+
+    pub fn monge_elkan(interner: &Interner, a: &TokenBag, b: &TokenBag) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let mut a_toks: Vec<&str> = a.tokens(interner).collect();
+        a_toks.sort_unstable();
+        let mut total = 0.0;
+        for ta in &a_toks {
+            let best = b
+                .tokens(interner)
+                .map(|tb| jaro_winkler(ta, tb))
+                .fold(0.0f64, f64::max);
+            total += best;
+        }
+        total / a_toks.len() as f64
+    }
+}
+
+/// Every production sequence kernel (allocating and scratch forms, the
+/// scratch reused across calls) against the reference, to the bit.
+fn assert_kernels_match(s: &mut SimScratch, a: &str, b: &str) {
+    let lev = reference::levenshtein(a, b);
+    assert_eq!(levenshtein(a, b), lev, "levenshtein({a:?}, {b:?})");
+    assert_eq!(
+        levenshtein_with(s, a, b),
+        lev,
+        "levenshtein_with({a:?}, {b:?})"
+    );
+    let bits = reference::levenshtein_sim(a, b).to_bits();
+    assert_eq!(
+        levenshtein_sim(a, b).to_bits(),
+        bits,
+        "levenshtein_sim({a:?}, {b:?})"
+    );
+    assert_eq!(levenshtein_sim_with(s, a, b).to_bits(), bits);
+    let bits = reference::jaro(a, b).to_bits();
+    assert_eq!(jaro(a, b).to_bits(), bits, "jaro({a:?}, {b:?})");
+    assert_eq!(
+        jaro_with(s, a, b).to_bits(),
+        bits,
+        "jaro_with({a:?}, {b:?})"
+    );
+    let bits = reference::jaro_winkler(a, b).to_bits();
+    assert_eq!(
+        jaro_winkler(a, b).to_bits(),
+        bits,
+        "jaro_winkler({a:?}, {b:?})"
+    );
+    assert_eq!(jaro_winkler_with(s, a, b).to_bits(), bits);
+    let bits = reference::needleman_wunsch(a, b).to_bits();
+    assert_eq!(
+        needleman_wunsch(a, b).to_bits(),
+        bits,
+        "needleman_wunsch({a:?}, {b:?})"
+    );
+    assert_eq!(needleman_wunsch_with(s, a, b).to_bits(), bits);
+}
+
+/// Monge-Elkan in both argument orders against the reference.
+fn assert_monge_elkan_matches(s: &mut SimScratch, it: &Interner, a: &TokenBag, b: &TokenBag) {
+    for (x, y) in [(a, b), (b, a)] {
+        let bits = reference::monge_elkan(it, x, y).to_bits();
+        assert_eq!(monge_elkan(it, x, y).to_bits(), bits);
+        assert_eq!(monge_elkan_with(s, it, x, y).to_bits(), bits);
+    }
+}
+
+/// `a`'s words in reverse order plus `extra`: a bag that shares every
+/// token of `a`, so Monge-Elkan's exact-token shortcut fires.
+fn shares_tokens(a: &str, extra: &str) -> String {
+    let mut w: Vec<&str> = a.split(' ').collect();
+    w.reverse();
+    format!("{} {extra}", w.join(" "))
+}
+
+const ASCII: &str = "[a-fA-C0-2 ]{0,12}";
+const MIXED: &str = "[a-eéü日本 ]{0,12}";
+const NON_ASCII: &str = "[éüßø日本語 ]{0,12}";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sequence_kernels_match_reference_on_ascii(a in ASCII, b in ASCII) {
+        assert_kernels_match(&mut SimScratch::new(), &a, &b);
+    }
+
+    #[test]
+    fn sequence_kernels_match_reference_on_mixed(a in MIXED, b in MIXED) {
+        assert_kernels_match(&mut SimScratch::new(), &a, &b);
+    }
+
+    #[test]
+    fn sequence_kernels_match_reference_on_non_ascii(a in NON_ASCII, b in NON_ASCII) {
+        assert_kernels_match(&mut SimScratch::new(), &a, &b);
+    }
+
+    #[test]
+    fn sequence_kernels_match_reference_across_alphabets(a in ASCII, b in MIXED, c in NON_ASCII) {
+        // One scratch across ASCII and non-ASCII calls in every order:
+        // the byte and char paths must not leak state into each other.
+        let mut s = SimScratch::new();
+        for (x, y) in [(&a, &b), (&b, &c), (&c, &a), (&a, &a), (&b, &a), (&c, &c)] {
+            assert_kernels_match(&mut s, x, y);
+        }
+    }
+
+    #[test]
+    fn monge_elkan_matches_reference(a in MIXED, b in ASCII, c in NON_ASCII) {
+        let mut it = Interner::new();
+        let mut s = SimScratch::new();
+        let shared = shares_tokens(&a, &c);
+        let bags: Vec<TokenBag> = [&a, &b, &c, &shared]
+            .iter()
+            .map(|t| words(&mut it, t))
+            .collect();
+        for x in &bags {
+            for y in &bags {
+                assert_monge_elkan_matches(&mut s, &it, x, y);
+            }
+        }
+    }
+
+    #[test]
+    fn monge_elkan_matches_reference_on_shared_tokens(a in ASCII, extra in ASCII) {
+        let mut it = Interner::new();
+        let (ta, tb) = (words(&mut it, &a), words(&mut it, &shares_tokens(&a, &extra)));
+        assert_monge_elkan_matches(&mut SimScratch::new(), &it, &ta, &tb);
+    }
+}
+
+#[test]
+fn reference_agrees_with_textbook_values() {
+    // Guards the oracle itself against a transcription slip.
+    assert_eq!(reference::levenshtein("kitten", "sitting"), 3);
+    assert!((reference::jaro("MARTHA", "MARHTA") - 0.944_444).abs() < 1e-5);
+    assert!((reference::jaro_winkler("DIXON", "DICKSONX") - 0.813_333).abs() < 1e-5);
+    assert_eq!(reference::needleman_wunsch("hello", "hello"), 1.0);
+    let mut it = Interner::new();
+    let (a, b) = (words(&mut it, "alpha beta"), words(&mut it, "beta gamma"));
+    assert_monge_elkan_matches(&mut SimScratch::new(), &it, &a, &b);
+}
