@@ -1,7 +1,7 @@
 //! The bulk pair featurizer, built on the shared record-derivation
 //! layer (`zeroer_textsim::derive`).
 
-use crate::registry::{functions_for, SimFunction};
+use crate::registry::{functions_for, SetBag, SimFunction};
 use std::collections::HashMap;
 use zeroer_linalg::block::GroupLayout;
 use zeroer_linalg::stats::{apply_min_max, min_max_normalize};
@@ -11,7 +11,8 @@ use zeroer_tabular::{AttrType, Table};
 use zeroer_textsim::derive::{AttrView, DeriveConfig, DerivedRecord, Deriver};
 use zeroer_textsim::intern::Interner;
 use zeroer_textsim::{
-    jaro_winkler_with, levenshtein_sim_with, monge_elkan_with, needleman_wunsch_with, SimScratch,
+    jaro_winkler_with, levenshtein_sim_with, monge_elkan_fixed_with, monge_elkan_with,
+    needleman_wunsch_with, FixedBag, SetCounts, SimScratch,
 };
 
 /// The output of feature generation: the `N × d` similarity matrix plus
@@ -113,11 +114,12 @@ fn sim_value(f: SimFunction, interner: &Interner, l: AttrView<'_>, r: AttrView<'
 }
 
 /// [`sim_value`] with the allocation-heavy sequence kernels routed
-/// through `scratch`-reusing variants: the dispatcher both bulk paths
-/// ([`PairFeaturizer::featurize`] and [`BatchFeaturizer::fill_columns`])
-/// use. Bit-identical to [`sim_value`] (the allocating kernels delegate
-/// to the same `*_with` code with a fresh scratch); strictly faster in a
-/// loop because the DP buffers are reused across calls.
+/// through `scratch`-reusing variants: the per-pair dispatcher of
+/// [`BatchFeaturizer::fill_columns`], the one bulk fill path, for every
+/// column it has no batch form for. Bit-identical to [`sim_value`] (the
+/// allocating kernels delegate to the same `*_with` code with a fresh
+/// scratch); strictly faster in a loop because the DP buffers are reused
+/// across calls.
 fn sim_value_with(
     scratch: &mut SimScratch,
     f: SimFunction,
@@ -151,13 +153,13 @@ fn sim_value_with(
 /// via [`PairFeaturizer::into_parts`].
 pub struct PairFeaturizer {
     attr_names: Vec<String>,
-    attr_types: Vec<AttrType>,
-    functions: Vec<&'static [SimFunction]>,
+    /// The inferred types' feature layout and the fill path
+    /// [`PairFeaturizer::featurize`] runs through.
+    batch: BatchFeaturizer,
     interner: Interner,
     left: Vec<DerivedRecord>,
     /// `None` when featurizing a table against itself (derived once).
     right: Option<Vec<DerivedRecord>>,
-    dim: usize,
 }
 
 impl PairFeaturizer {
@@ -187,10 +189,7 @@ impl PairFeaturizer {
                 left.schema().arity()
             );
         }
-        let attr_types = infer_joint_types(left, right);
-        let functions: Vec<&'static [SimFunction]> =
-            attr_types.iter().map(|&t| functions_for(t)).collect();
-        let dim = functions.iter().map(|f| f.len()).sum();
+        let batch = BatchFeaturizer::new(&infer_joint_types(left, right));
         let mut deriver = Deriver::new(cfg);
         let left_recs: Vec<DerivedRecord> = left
             .records()
@@ -210,18 +209,16 @@ impl PairFeaturizer {
         };
         Self {
             attr_names: left.schema().attributes().to_vec(),
-            attr_types,
-            functions,
+            batch,
             interner: deriver.into_interner(),
             left: left_recs,
             right: right_recs,
-            dim,
         }
     }
 
     /// Inferred attribute types (aligned with the schema).
     pub fn attr_types(&self) -> &[AttrType] {
-        &self.attr_types
+        self.batch.attr_types()
     }
 
     /// The shared interner both tables were derived against.
@@ -271,18 +268,18 @@ impl PairFeaturizer {
 
     /// Total feature dimensionality.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.batch.dim()
     }
 
     /// Feature group sizes, one per attribute (the §3.2 grouping).
-    pub fn group_sizes(&self) -> Vec<usize> {
-        self.functions.iter().map(|f| f.len()).collect()
+    pub fn group_sizes(&self) -> &[usize] {
+        self.batch.group_sizes()
     }
 
     /// Generated feature names, `<attr>_<fn>` in column order.
     pub fn feature_names(&self) -> Vec<String> {
-        let mut names = Vec::with_capacity(self.dim);
-        for (attr, funcs) in self.attr_names.iter().zip(&self.functions) {
+        let mut names = Vec::with_capacity(self.dim());
+        for (attr, funcs) in self.attr_names.iter().zip(&self.batch.row.functions) {
             for f in *funcs {
                 names.push(format!("{attr}_{}", f.short_name()));
             }
@@ -290,50 +287,54 @@ impl PairFeaturizer {
         names
     }
 
-    /// Fills one pair's feature row, reusing `scratch` for the sequence
-    /// kernels. `NaN` marks not-computable (missing value on either
-    /// side); imputation happens in [`Self::featurize`].
-    fn fill_row(&self, scratch: &mut SimScratch, li: usize, ri: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.dim);
-        let (left, right) = (&self.left[li], &self.right_derived()[ri]);
-        let mut col = 0;
-        for (a, funcs) in self.functions.iter().enumerate() {
-            let lv = left.view(a);
-            let rv = right.view(a);
-            for &f in *funcs {
-                out[col] = sim_value_with(scratch, f, &self.interner, lv, rv);
-                col += 1;
-            }
-        }
-    }
-
     /// Generates the feature matrix for `pairs` (record *indices* into the
-    /// left/right tables), parallelized over row chunks. Each chunk's
-    /// worker reuses one [`SimScratch`] for every sequence-kernel call,
-    /// so the fill stops allocating once the buffers have grown; the
-    /// values are bit-identical to [`RowFeaturizer::raw_row_into`]'s
-    /// before imputation.
+    /// left/right tables), parallelized over row chunks.
+    ///
+    /// Each chunk's worker fills every run of consecutive pairs that
+    /// share a left record through [`BatchFeaturizer::fill_columns`] —
+    /// the streaming score path, so a run gets its fixed-side memo and
+    /// per-value dedup — and copies the columns into its rows. One
+    /// [`SimScratch`] and one column buffer per worker serve every run,
+    /// so the fill stops allocating once they have grown. The values are
+    /// bit-identical to [`RowFeaturizer::raw_row_into`]'s before
+    /// imputation.
     ///
     /// Missing similarities (`NaN`) are imputed with the column mean of
     /// the computable rows; an all-missing column becomes all zeros.
     pub fn featurize(&self, pairs: &[(usize, usize)]) -> FeatureSet {
         let n = pairs.len();
-        let d = self.dim;
+        let d = self.dim();
         let mut data = vec![0.0f64; n * d];
 
         let threads = std::thread::available_parallelism()
             .map_or(1, |p| p.get())
             .min(8);
         let chunk_rows = n.div_ceil(threads.max(1)).max(1);
+        let right = self.right_derived();
         crossbeam::thread::scope(|scope| {
-            for (chunk_idx, out_chunk) in data.chunks_mut(chunk_rows * d).enumerate() {
-                let start = chunk_idx * chunk_rows;
-                let this = &*self;
+            for (chunk, out_chunk) in pairs
+                .chunks(chunk_rows)
+                .zip(data.chunks_mut(chunk_rows * d))
+            {
                 scope.spawn(move |_| {
                     let mut scratch = SimScratch::new();
-                    for (row_off, row) in out_chunk.chunks_mut(d).enumerate() {
-                        let (li, ri) = pairs[start + row_off];
-                        this.fill_row(&mut scratch, li, ri, row);
+                    let mut cols = ColMatrix::new();
+                    let mut start = 0;
+                    for run in chunk.chunk_by(|x, y| x.0 == y.0) {
+                        self.batch.fill_columns(
+                            &mut scratch,
+                            &self.interner,
+                            run.len(),
+                            |i| (&self.left[run[i].0], &right[run[i].1]),
+                            &mut cols,
+                        );
+                        let rows = &mut out_chunk[start * d..(start + run.len()) * d];
+                        for j in 0..d {
+                            for (v, &x) in rows[j..].iter_mut().step_by(d).zip(cols.col(j)) {
+                                *v = x;
+                            }
+                        }
+                        start += run.len();
                     }
                 });
             }
@@ -345,7 +346,7 @@ impl PairFeaturizer {
 
         FeatureSet {
             matrix,
-            layout: GroupLayout::from_sizes(&self.group_sizes()),
+            layout: GroupLayout::from_sizes(self.group_sizes()),
             names: self.feature_names(),
             ranges: None,
             impute_means,
@@ -462,10 +463,11 @@ impl RowFeaturizer {
 /// happens once per attribute per batch instead of once per attribute
 /// per *pair*, and each similarity kernel writes a contiguous stripe the
 /// autovectorizer can work with. The values are the exact `sim_value`
-/// outputs of [`RowFeaturizer::raw_row_into`] — same kernel, same
-/// operands — so transposing the resulting matrix reproduces the scalar
-/// rows bit-for-bit. See `crates/features/README.md` for the design
-/// note.
+/// outputs of [`RowFeaturizer::raw_row_into`] — where a column shares
+/// work across pairs, the shared parts are the same float operations on
+/// the same operands — so transposing the resulting matrix reproduces
+/// the scalar rows bit-for-bit. See `crates/features/README.md` for the
+/// design note.
 #[derive(Debug, Clone)]
 pub struct BatchFeaturizer {
     row: RowFeaturizer,
@@ -511,22 +513,30 @@ impl BatchFeaturizer {
     /// `pair_of(i)`. `NaN` marks not-computable entries, exactly like
     /// [`RowFeaturizer::raw_row_into`]. The matrix is reshaped in place,
     /// so a reused `out` stops allocating once it has seen its largest
-    /// batch.
+    /// batch. `scratch` holds the kernels' buffers and the Monge-Elkan
+    /// memo between calls.
     ///
-    /// Two batch-only optimizations ride on the column-major shape, both
-    /// preserving bit-identity with the scalar path:
+    /// This is the one bulk fill path: streaming ingest and resolve call
+    /// it with one record against its candidate list, and
+    /// [`PairFeaturizer::featurize`] with each run of pairs that share a
+    /// left record. Its optimizations ride on the column-major shape,
+    /// and each preserves bit-identity with the scalar path:
     ///
     /// * the sequence kernels (Levenshtein, Jaro-Winkler,
-    ///   Needleman-Wunsch, Monge-Elkan) run through one reused
-    ///   [`SimScratch`] instead of allocating DP buffers per pair;
-    /// * when one side of every pair is the *same* record — the
-    ///   streaming shape, one new record against its whole candidate
-    ///   list — duplicate values on the varying side are detected per
-    ///   attribute and each distinct value's similarities are computed
-    ///   once, then scattered to every pair that shares the value.
-    ///   Identical inputs produce identical bits, so copying is exact;
-    ///   low-cardinality attributes (city, category, price bands)
-    ///   collapse to a handful of kernel evaluations per column.
+    ///   Needleman-Wunsch, Monge-Elkan) run through `scratch` instead of
+    ///   allocating DP buffers per pair;
+    /// * the set measures over one attribute's q-gram bags, and those
+    ///   over its word bags, share one intersection per pair
+    ///   ([`SetCounts`]);
+    /// * when one side of every pair is the *same* record — detected by
+    ///   pointer identity — duplicate values on the varying side are
+    ///   detected per attribute and each distinct value's similarities
+    ///   are computed once, then scattered to every pair that shares the
+    ///   value. Identical inputs produce identical bits, so copying is
+    ///   exact; low-cardinality attributes (city, category, price bands)
+    ///   collapse to a handful of kernel evaluations per column;
+    /// * with that fixed side, Monge-Elkan memoizes its Jaro-Winkler work
+    ///   per token across the batch ([`monge_elkan_fixed_with`]).
     ///
     /// All records must be derived against `interner`.
     ///
@@ -534,6 +544,7 @@ impl BatchFeaturizer {
     /// Panics if any record's arity differs from the frozen types.
     pub fn fill_columns<'a, F>(
         &self,
+        scratch: &mut SimScratch,
         interner: &Interner,
         n: usize,
         pair_of: F,
@@ -548,89 +559,143 @@ impl BatchFeaturizer {
             assert_eq!(l.arity(), arity, "left record {i} arity mismatch");
             assert_eq!(r.arity(), arity, "right record {i} arity mismatch");
         }
-        let mut scratch = SimScratch::new();
 
-        // The streaming shape: one fixed record against every candidate.
+        // One fixed record against every candidate, named by its
+        // Monge-Elkan role: the left record's bag is the outer one.
         // Detected by pointer identity, which is exact and free of false
         // positives — and the only shape where per-attribute value
         // deduplication on the varying side is sound without comparing
         // the fixed side too.
-        let left_fixed = n > 1 && pairs.iter().all(|&(l, _)| std::ptr::eq(l, pairs[0].0));
-        let right_fixed =
-            !left_fixed && n > 1 && pairs.iter().all(|&(_, r)| std::ptr::eq(r, pairs[0].1));
-        let use_memo = left_fixed || right_fixed;
+        let fixed = if n < 2 {
+            None
+        } else if pairs.iter().all(|&(l, _)| std::ptr::eq(l, pairs[0].0)) {
+            Some(FixedBag::Outer)
+        } else if pairs.iter().all(|&(_, r)| std::ptr::eq(r, pairs[0].1)) {
+            Some(FixedBag::Inner)
+        } else {
+            None
+        };
 
-        let mut views: Vec<(AttrView<'a>, AttrView<'a>)> = Vec::with_capacity(n);
-        // Per-attribute dedup state: `slot_of[i]` maps pair `i` to its
-        // value slot, `reps[slot]` is the first pair carrying the value.
+        // Per-attribute slots: `slot_of[i]` maps pair `i` to its value
+        // slot, `reps[slot]` holds the views of the first pair carrying
+        // the value. Without a fixed side every pair is its own slot.
         let mut memo: HashMap<(bool, Option<u64>, &'a str), u32> = HashMap::new();
         let mut slot_of: Vec<u32> = Vec::with_capacity(n);
-        let mut reps: Vec<usize> = Vec::new();
+        let mut reps: Vec<(AttrView<'a>, AttrView<'a>)> = Vec::with_capacity(n);
+        let mut qgm_counts: Vec<SetCounts> = Vec::new();
+        let mut word_counts: Vec<SetCounts> = Vec::new();
         let mut vals: Vec<f64> = Vec::new();
 
         let mut col = 0;
         for (a, funcs) in self.row.functions.iter().enumerate() {
-            views.clear();
-            views.extend(pairs.iter().map(|&(l, r)| (l.view(a), r.view(a))));
-
-            let mut dedup = false;
-            if use_memo {
-                memo.clear();
-                slot_of.clear();
-                reps.clear();
-                for (i, &(lv, rv)) in views.iter().enumerate() {
-                    let v = if left_fixed { rv } else { lv };
-                    // The key covers everything `sim_value` reads except
-                    // the token bags; those are verified by equality on a
-                    // hit because normalization-level Unicode edge cases
-                    // can in principle tokenize equal lowercased texts
-                    // differently.
-                    let key = (v.present, v.number.map(f64::to_bits), v.text);
-                    let slot = match memo.get(&key) {
-                        Some(&s) => {
-                            let (rl, rr) = views[reps[s as usize]];
-                            let rep = if left_fixed { rr } else { rl };
-                            if rep.qgm3 == v.qgm3 && rep.word == v.word {
-                                s
-                            } else {
-                                reps.push(i);
+            slot_of.clear();
+            reps.clear();
+            match fixed {
+                None => {
+                    slot_of.extend(0..n as u32);
+                    reps.extend(pairs.iter().map(|&(l, r)| (l.view(a), r.view(a))));
+                }
+                Some(side) => {
+                    memo.clear();
+                    for &(l, r) in &pairs {
+                        let pair = (l.view(a), r.view(a));
+                        let v = varying(side, pair);
+                        // The key covers everything `sim_value` reads
+                        // except the token bags; those are verified by
+                        // equality on a hit because normalization-level
+                        // Unicode edge cases can in principle tokenize
+                        // equal lowercased texts differently.
+                        let key = (v.present, v.number.map(f64::to_bits), v.text);
+                        let slot = match memo.get(&key) {
+                            Some(&s) if same_bags(varying(side, reps[s as usize]), v) => s,
+                            Some(_) => {
+                                reps.push(pair);
                                 (reps.len() - 1) as u32
                             }
-                        }
-                        None => {
-                            let s = reps.len() as u32;
-                            memo.insert(key, s);
-                            reps.push(i);
-                            s
-                        }
-                    };
-                    slot_of.push(slot);
+                            None => {
+                                let s = reps.len() as u32;
+                                memo.insert(key, s);
+                                reps.push(pair);
+                                s
+                            }
+                        };
+                        slot_of.push(slot);
+                    }
                 }
-                dedup = reps.len() < n;
             }
 
-            if dedup {
-                for &f in *funcs {
-                    vals.clear();
-                    for &p in &reps {
-                        let (lv, rv) = views[p];
-                        vals.push(sim_value_with(&mut scratch, f, interner, lv, rv));
+            // Every set measure over one bag reads the same intersection.
+            let needs = |bag| {
+                funcs
+                    .iter()
+                    .any(|f| f.set_measure().is_some_and(|(b, _)| b == bag))
+            };
+            qgm_counts.clear();
+            if needs(SetBag::Qgm3) {
+                qgm_counts.extend(reps.iter().map(|(l, r)| SetCounts::of(l.qgm3, r.qgm3)));
+            }
+            word_counts.clear();
+            if needs(SetBag::Word) {
+                word_counts.extend(reps.iter().map(|(l, r)| SetCounts::of(l.word, r.word)));
+            }
+
+            for &f in *funcs {
+                vals.clear();
+                match (f.set_measure(), fixed) {
+                    (Some((bag, measure)), _) => {
+                        let counts = match bag {
+                            SetBag::Qgm3 => &qgm_counts,
+                            SetBag::Word => &word_counts,
+                        };
+                        vals.extend(reps.iter().zip(counts).map(|(&(l, r), &c)| {
+                            if l.present && r.present {
+                                measure(c)
+                            } else {
+                                f64::NAN
+                            }
+                        }));
                     }
-                    for (o, &s) in out.col_mut(col).iter_mut().zip(&slot_of) {
-                        *o = vals[s as usize];
+                    (None, Some(side)) if f == SimFunction::MongeElkan => {
+                        let fixed_bag = match side {
+                            FixedBag::Outer => reps[0].0.word,
+                            FixedBag::Inner => reps[0].1.word,
+                        };
+                        let others = reps.iter().map(|&p| varying(side, p).word);
+                        monge_elkan_fixed_with(
+                            scratch, interner, fixed_bag, side, others, &mut vals,
+                        );
+                        for (v, (l, r)) in vals.iter_mut().zip(&reps) {
+                            if !(l.present && r.present) {
+                                *v = f64::NAN;
+                            }
+                        }
                     }
-                    col += 1;
+                    _ => vals.extend(
+                        reps.iter()
+                            .map(|&(l, r)| sim_value_with(scratch, f, interner, l, r)),
+                    ),
                 }
-            } else {
-                for &f in *funcs {
-                    for (o, &(lv, rv)) in out.col_mut(col).iter_mut().zip(&views) {
-                        *o = sim_value_with(&mut scratch, f, interner, lv, rv);
-                    }
-                    col += 1;
+                for (o, &s) in out.col_mut(col).iter_mut().zip(&slot_of) {
+                    *o = vals[s as usize];
                 }
+                col += 1;
             }
         }
     }
+}
+
+/// The view on the side of a pair that varies across a batch whose
+/// `side` is fixed (the left record is Monge-Elkan's outer side).
+fn varying<'a>(side: FixedBag, (l, r): (AttrView<'a>, AttrView<'a>)) -> AttrView<'a> {
+    match side {
+        FixedBag::Outer => r,
+        FixedBag::Inner => l,
+    }
+}
+
+/// Whether two attribute views carry equal token bags.
+fn same_bags(x: AttrView<'_>, y: AttrView<'_>) -> bool {
+    x.qgm3 == y.qgm3 && x.word == y.word
 }
 
 /// Replaces NaN entries with the column mean of the non-NaN entries
@@ -804,7 +869,9 @@ mod tests {
         assert_eq!(batch_fz.group_sizes(), row_fz.group_sizes());
         let pairs = [(0usize, 0usize), (1, 1), (0, 1), (1, 0)];
         let mut cols = ColMatrix::new();
+        let mut scratch = SimScratch::new();
         batch_fz.fill_columns(
+            &mut scratch,
             fz.interner(),
             pairs.len(),
             |i| {
@@ -831,6 +898,7 @@ mod tests {
         }
         // Reuse with a smaller batch reshapes in place.
         batch_fz.fill_columns(
+            &mut scratch,
             fz.interner(),
             1,
             |_| (&fz.left_derived()[0], &fz.right_derived()[0]),
@@ -839,7 +907,13 @@ mod tests {
         assert_eq!(cols.rows(), 1);
         assert_eq!(cols.cols(), row_fz.dim());
         // Empty batches are legal (a record with no candidates).
-        batch_fz.fill_columns(fz.interner(), 0, |_| unreachable!(), &mut cols);
+        batch_fz.fill_columns(
+            &mut scratch,
+            fz.interner(),
+            0,
+            |_| unreachable!(),
+            &mut cols,
+        );
         assert_eq!(cols.rows(), 0);
     }
 
@@ -870,6 +944,7 @@ mod tests {
         for (fixed, new_on_left) in [(0usize, true), (0, false), (3, true)] {
             let mut cols = ColMatrix::new();
             batch_fz.fill_columns(
+                &mut SimScratch::new(),
                 fz.interner(),
                 candidates.len(),
                 |i| {

@@ -8,8 +8,20 @@ use zeroer_textsim::intern::Interner;
 use zeroer_textsim::tokenize::TokenBag;
 use zeroer_textsim::{
     abs_diff_sim, cosine, dice, exact_match, jaccard, jaro_winkler, levenshtein_sim, monge_elkan,
-    overlap_coefficient, qgrams, rel_diff_sim, words,
+    overlap_coefficient, qgrams, rel_diff_sim, words, SetCounts,
 };
+
+/// A set measure's formula over a bag pair's [`SetCounts`].
+pub(crate) type SetMeasure = fn(SetCounts) -> f64;
+
+/// The token bag a set measure reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SetBag {
+    /// The 3-gram bag.
+    Qgm3,
+    /// The word bag.
+    Word,
+}
 
 /// A similarity function identifier, as applied by the feature generator.
 ///
@@ -80,6 +92,21 @@ impl SimFunction {
                 | SimFunction::OverlapWord
                 | SimFunction::MongeElkan
         )
+    }
+
+    /// For a set measure (Jaccard, cosine, Dice, overlap), the bag it
+    /// reads and its formula over the pair's [`SetCounts`] — the same
+    /// code [`Self::apply_tokens`] runs. `None` for every other function.
+    pub(crate) fn set_measure(self) -> Option<(SetBag, SetMeasure)> {
+        match self {
+            SimFunction::JaccardQgm3 => Some((SetBag::Qgm3, SetCounts::jaccard)),
+            SimFunction::CosineQgm3 => Some((SetBag::Qgm3, SetCounts::cosine)),
+            SimFunction::JaccardWord => Some((SetBag::Word, SetCounts::jaccard)),
+            SimFunction::CosineWord => Some((SetBag::Word, SetCounts::cosine)),
+            SimFunction::DiceWord => Some((SetBag::Word, SetCounts::dice)),
+            SimFunction::OverlapWord => Some((SetBag::Word, SetCounts::overlap)),
+            _ => None,
+        }
     }
 
     /// Applies the function to a pair of raw values, returning `None` when

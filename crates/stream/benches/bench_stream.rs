@@ -55,6 +55,7 @@ use zeroer_stream::{
 };
 use zeroer_tabular::{Record, Table};
 use zeroer_textsim::derive::{DerivedRecord, Deriver};
+use zeroer_textsim::SimScratch;
 
 fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
@@ -464,9 +465,11 @@ fn main() {
     let t5 = Instant::now();
     let mut acc_batched = 0.0f64;
     let mut batch = ScoreBatch::new();
+    let mut scratch = SimScratch::new();
     for _ in 0..batch_reps {
         for &(i, lo) in &windows {
             batch_fz.fill_columns(
+                &mut scratch,
                 interner,
                 i - lo,
                 |k| (&caches[i], &caches[lo + k]),

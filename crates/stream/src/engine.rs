@@ -26,6 +26,7 @@ use zeroer_obs::{Histogram, Stopwatch};
 use zeroer_tabular::{AttrType, Record, Schema, Table};
 use zeroer_textsim::derive::{DerivedRecord, ScratchDerived, ScratchDeriver};
 use zeroer_textsim::intern::{Interner, Sym};
+use zeroer_textsim::SimScratch;
 
 /// Scores `candidates` against the new record's derivation, returning the
 /// `(candidate, posterior)` pairs above `threshold`, sorted by descending
@@ -37,7 +38,8 @@ use zeroer_textsim::intern::{Interner, Sym};
 /// `new_on_left` flips them to `(new, candidate)` for a left-side one.
 ///
 /// The candidate list is filled column-major into `batch`
-/// ([`BatchFeaturizer::fill_columns`]) and scored column-wise
+/// ([`BatchFeaturizer::fill_columns`], its kernel buffers and memo in
+/// `scratch`) and scored column-wise
 /// ([`SnapshotScorer::score_batch`]), which runs the float operations of
 /// the row-at-a-time oracle (`raw_row_into` + `score_raw`) in the same
 /// order — bit-identical, as `tests/batched_parity.rs` checks. Every
@@ -54,6 +56,7 @@ pub(crate) fn score_candidates<'a, F>(
     derived_of: F,
     new_derived: &'a DerivedRecord,
     batch: &mut ScoreBatch,
+    scratch: &mut SimScratch,
     batch_meter: Option<&'static Histogram>,
 ) -> Vec<(usize, f64)>
 where
@@ -65,6 +68,7 @@ where
     let mut matches: Vec<(usize, f64)> = Vec::new();
     if !candidates.is_empty() {
         featurizer.fill_columns(
+            scratch,
             interner,
             candidates.len(),
             |i| {
@@ -199,6 +203,8 @@ pub struct Engine<T: Topology> {
     /// Scoring buffers of the sequential path (parallel workers carry
     /// their own), so steady-state scoring allocates nothing.
     batch: ScoreBatch,
+    /// The sequential path's kernel buffers and Monge-Elkan memo.
+    scratch: SimScratch,
     /// Candidate pairs generated so far (see [`StreamStats`]).
     pub(crate) candidates_seen: usize,
     /// Snapshot tombstones (bootstrap-record indices) that
@@ -238,6 +244,7 @@ impl<T: Topology> Engine<T> {
             featurizer,
             scorer,
             batch: ScoreBatch::new(),
+            scratch: SimScratch::new(),
             candidates_seen: 0,
             pending_tombstones: Vec::new(),
             pending_epoch: 0,
@@ -513,6 +520,7 @@ impl<T: Topology> Engine<T> {
             |c| store.derived(c),
             store.derived(idx),
             &mut self.batch,
+            &mut self.scratch,
             m.map(|m| m.score_batch_candidates),
         );
         if let Some(m) = m {
@@ -673,6 +681,7 @@ impl<T: Topology> Engine<T> {
                     let derived = &derived;
                     scope.spawn(move |_| {
                         let mut batch = ScoreBatch::new();
+                        let mut scratch = SimScratch::new();
                         loop {
                             let before = queue_wait.map(|h| (h, std::time::Instant::now()));
                             let mut q = queue.lock().expect("queue poisoned");
@@ -701,6 +710,7 @@ impl<T: Topology> Engine<T> {
                                     },
                                     &derived[i],
                                     &mut batch,
+                                    &mut scratch,
                                     score_meter,
                                 );
                                 // Sample the worker's batch buffers

@@ -59,6 +59,7 @@ use zeroer_features::BatchFeaturizer;
 use zeroer_obs::Histogram;
 use zeroer_tabular::Record;
 use zeroer_textsim::derive::Deriver;
+use zeroer_textsim::SimScratch;
 
 /// An immutable, epoch-tagged view of a pipeline's read state: the
 /// entity store, the topology's blocking indexes, and the frozen
@@ -122,6 +123,7 @@ pub struct ReadHandle<P: Pipeline = StreamPipeline> {
     view: Arc<ReadView>,
     deriver: Deriver,
     batch: ScoreBatch,
+    scratch: SimScratch,
     /// Present when the handle came from a [`SplitPipeline`] (and can
     /// therefore refresh); `None` for a standalone pin.
     shared: Option<Arc<Shared<P>>>,
@@ -133,6 +135,7 @@ impl<P: Pipeline> Clone for ReadHandle<P> {
             view: Arc::clone(&self.view),
             deriver: self.deriver.clone(),
             batch: ScoreBatch::new(),
+            scratch: SimScratch::new(),
             shared: self.shared.clone(),
         }
     }
@@ -146,6 +149,7 @@ impl<P: Pipeline> ReadHandle<P> {
             view,
             deriver,
             batch: ScoreBatch::new(),
+            scratch: SimScratch::new(),
             shared,
         }
     }
@@ -216,6 +220,7 @@ impl<P: Pipeline> ReadHandle<P> {
             |c| store.derived(c),
             &derived,
             &mut self.batch,
+            &mut self.scratch,
             view.score_meter,
         );
         Ok(ResolveOutcome {

@@ -9,7 +9,10 @@
 //!
 //! 1. raw feature matrices — each column of the batch fill equals the
 //!    corresponding entry of the scalar `raw_row_into` row, over the
-//!    bootstrap's real candidate pairs ([`BootstrapReport::pairs`]);
+//!    bootstrap's real candidate pairs ([`BootstrapReport::pairs`]) filled
+//!    as one mixed batch, and over each record's real candidate list with
+//!    the record fixed on either side (the shapes that run the fixed-side
+//!    Monge-Elkan memo and the per-value dedup);
 //! 2. posteriors — `score_batch` equals `score_raw` per pair, over the
 //!    same pairs;
 //! 3. match decisions — every posterior a pipeline reports (ingest and
@@ -25,15 +28,18 @@
 //! layout order — the same `fold(0.0, +)` sequence as the scalar path.
 
 use proptest::prelude::*;
+use zeroer_blocking::{standard_candidates_derived, PairMode};
 use zeroer_core::{ScoreBatch, SnapshotScorer};
-use zeroer_datagen::generate;
 use zeroer_datagen::profiles::rest_fz;
-use zeroer_features::{BatchFeaturizer, DerivedRecord, Deriver};
+use zeroer_datagen::{generate, generate_dedup, CorpusSpec};
+use zeroer_features::{BatchFeaturizer, DerivedRecord, Deriver, PairFeaturizer};
+use zeroer_linalg::ColMatrix;
 use zeroer_stream::{
     BootstrapReport, IndexConfig, IngestOutcome, PipelineSnapshot, StreamOptions, StreamPipeline,
 };
 use zeroer_tabular::{Record, Table};
 use zeroer_textsim::intern::Interner;
+use zeroer_textsim::SimScratch;
 
 /// Bootstrap/stream split of a generated Rest-FZ dedup table.
 fn split_dataset(scale: f64, seed: u64) -> (Table, Vec<Record>) {
@@ -142,6 +148,7 @@ fn assert_kernel_parity(boot: &Table, snap: &PipelineSnapshot, report: &Bootstra
     // Batched: one column-major fill + one score_batch call.
     let mut batch = ScoreBatch::new();
     oracle.featurizer.fill_columns(
+        &mut SimScratch::new(),
         interner,
         pairs.len(),
         |k| {
@@ -167,6 +174,84 @@ fn assert_kernel_parity(boot: &Table, snap: &PipelineSnapshot, report: &Bootstra
     for (k, (row, b)) in scalar_rows.iter_mut().zip(batched_scores).enumerate() {
         let s = oracle.scorer.score_raw(row);
         assert_eq!(s.to_bits(), b.to_bits(), "posterior {k}: {s} vs {b}");
+    }
+}
+
+/// Level 1 in the fixed-side shapes, over each record's real candidate
+/// list of a small exact-truth corpus: once with the record fixed on the
+/// right (streaming dedup arrivals) and once on the left (batch-fit runs,
+/// linkage left arrivals). The corpus's `name` carries Monge-Elkan,
+/// Levenshtein and Needleman-Wunsch, its `description` Monge-Elkan, so
+/// both memo paths, the shared set intersections and the per-value dedup
+/// all run on real values. Every cell equals the scalar row to the bit,
+/// NaN included.
+#[test]
+fn fixed_side_fills_match_scalar_on_real_candidate_lists() {
+    let spec = CorpusSpec {
+        scale: 0.02,
+        ..CorpusSpec::default()
+    };
+    let corpus = generate_dedup(&spec).expect("valid corpus spec");
+    let table = &corpus.table;
+    let index = IndexConfig::default();
+    let fz = PairFeaturizer::with_config(table, table, index.derive_config());
+    let featurizer = BatchFeaturizer::new(fz.attr_types());
+    let names = fz.feature_names();
+    for f in ["name_mel", "name_lev", "name_nmw", "description_mel"] {
+        assert!(names.iter().any(|n| n == f), "{f} missing from {names:?}");
+    }
+    let derived = fz.left_derived();
+    let cs = standard_candidates_derived(
+        derived,
+        None,
+        PairMode::Dedup,
+        index.min_token_overlap,
+        index.max_bucket,
+    );
+    let mut lists: Vec<Vec<usize>> = vec![Vec::new(); derived.len()];
+    for &(i, j) in cs.pairs() {
+        lists[i].push(j);
+        lists[j].push(i);
+    }
+    assert!(
+        lists.iter().any(|l| l.len() > 1),
+        "no fixed-side batch to fill"
+    );
+
+    let interner = fz.interner();
+    let (mut scratch, mut cols, mut row) = (SimScratch::new(), ColMatrix::new(), Vec::new());
+    for (r, list) in lists.iter().enumerate() {
+        for fixed_left in [false, true] {
+            let pair = |c: usize| {
+                if fixed_left {
+                    (&derived[r], &derived[c])
+                } else {
+                    (&derived[c], &derived[r])
+                }
+            };
+            featurizer.fill_columns(
+                &mut scratch,
+                interner,
+                list.len(),
+                |k| pair(list[k]),
+                &mut cols,
+            );
+            for (k, &c) in list.iter().enumerate() {
+                let (left, right) = pair(c);
+                featurizer
+                    .row()
+                    .raw_row_into(interner, left, right, &mut row);
+                for (j, v) in row.iter().enumerate() {
+                    let b = cols.get(k, j);
+                    assert_eq!(
+                        v.to_bits(),
+                        b.to_bits(),
+                        "record {r} fixed_left={fixed_left} candidate {c} {}: scalar {v} vs batched {b}",
+                        names[j]
+                    );
+                }
+            }
+        }
     }
 }
 

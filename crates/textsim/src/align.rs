@@ -5,7 +5,13 @@
 //! cost of 0.5, then normalize by the length of the shorter string so the
 //! result lands in `[0, 1]` — the same normalization py_stringmatching
 //! applies.
+//!
+//! Smith-Waterman runs its dynamic program. Needleman-Wunsch does not:
+//! under these scores its optimum is a closed form of the Levenshtein
+//! distance (see [`needleman_wunsch_with`]), which the bit-parallel
+//! Levenshtein kernel computes without a DP table.
 
+use crate::edit::levenshtein_with;
 use crate::scratch::SimScratch;
 
 /// Score parameters shared by both aligners.
@@ -13,48 +19,44 @@ const MATCH: f64 = 1.0;
 const MISMATCH: f64 = 0.0;
 const GAP: f64 = -0.5;
 
+// Needleman-Wunsch reads its score off the Levenshtein distance, which
+// holds for exactly these parameters; changing them needs the DP back.
+const _: () = assert!(
+    MATCH == 1.0 && MISMATCH == 0.0 && GAP == -0.5,
+    "needleman_wunsch_with's closed form assumes match 1, mismatch 0, gap -0.5"
+);
+
 /// Needleman-Wunsch global alignment similarity, normalized to `[0, 1]`
 /// by `min(|a|, |b|)`. Two empty strings score 1.
 pub fn needleman_wunsch(a: &str, b: &str) -> f64 {
     needleman_wunsch_with(&mut SimScratch::new(), a, b)
 }
 
-/// [`needleman_wunsch`] reusing `scratch`'s char and DP-row buffers;
-/// bit-identical to the allocating form (same operation sequence).
+/// [`needleman_wunsch`] reusing `scratch`'s buffers for the Levenshtein
+/// distance it is read off.
+///
+/// With `m = |a|` and `n = |b|` chars, an alignment with `k` aligned
+/// columns, `s` of them matches, scores `s·MATCH + (k − s)·MISMATCH +
+/// (m + n − 2k)·GAP = s + k − (m + n)/2`. Read as an edit script it
+/// costs `(k − s)` substitutions plus `m + n − 2k` insertions and
+/// deletions, `m + n − k − s` unit edits. So score and cost sum to
+/// `(m + n)/2` for every alignment, and the best score is
+/// `(m + n)/2 − levenshtein(a, b)`.
+///
+/// Every DP cell is a multiple of 0.5 far below 2⁵², so the DP computed
+/// its optimum without rounding, and the closed form is that same
+/// `f64`. The normalization and the empty-string cases are unchanged,
+/// so the result is bit-identical to the DP's.
 pub fn needleman_wunsch_with(scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
-    let mut ac = std::mem::take(&mut scratch.a_chars);
-    let mut bc = std::mem::take(&mut scratch.b_chars);
-    let mut prev = std::mem::take(&mut scratch.frow_a);
-    let mut curr = std::mem::take(&mut scratch.frow_b);
-    ac.clear();
-    ac.extend(a.chars());
-    bc.clear();
-    bc.extend(b.chars());
-    let sim = if ac.is_empty() && bc.is_empty() {
-        1.0
-    } else if ac.is_empty() || bc.is_empty() {
-        0.0
-    } else {
-        prev.clear();
-        prev.extend((0..=bc.len()).map(|j| j as f64 * GAP));
-        curr.clear();
-        curr.resize(bc.len() + 1, 0.0);
-        for (i, &ca) in ac.iter().enumerate() {
-            curr[0] = (i + 1) as f64 * GAP;
-            for (j, &cb) in bc.iter().enumerate() {
-                let sub = prev[j] + if ca == cb { MATCH } else { MISMATCH };
-                curr[j + 1] = sub.max(prev[j + 1] + GAP).max(curr[j] + GAP);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        let raw = prev[bc.len()];
-        (raw / ac.len().min(bc.len()) as f64).clamp(0.0, 1.0)
-    };
-    scratch.a_chars = ac;
-    scratch.b_chars = bc;
-    scratch.frow_a = prev;
-    scratch.frow_b = curr;
-    sim
+    let (m, n) = (a.chars().count(), b.chars().count());
+    if m == 0 && n == 0 {
+        return 1.0;
+    }
+    if m == 0 || n == 0 {
+        return 0.0;
+    }
+    let raw = (m + n) as f64 / 2.0 - levenshtein_with(scratch, a, b) as f64;
+    (raw / m.min(n) as f64).clamp(0.0, 1.0)
 }
 
 /// Smith-Waterman local alignment similarity, normalized to `[0, 1]` by

@@ -10,13 +10,24 @@ use crate::scratch::SimScratch;
 
 /// Levenshtein (edit) distance between two strings, in Unicode scalar
 /// values. Classic dynamic program with two rolling rows — O(|a|·|b|)
-/// time, O(min(|a|,|b|)) space.
+/// time, O(min(|a|,|b|)) space — or, for ASCII strings whose shorter
+/// side fits in a machine word, its bit-parallel form (O(|a|+|b|)).
 pub fn levenshtein(a: &str, b: &str) -> usize {
     levenshtein_with(&mut SimScratch::new(), a, b)
 }
 
-/// [`levenshtein`] reusing `scratch`'s char and DP-row buffers.
+/// [`levenshtein`] reusing `scratch`'s char, DP-row and mask buffers.
+///
+/// When both strings are ASCII and the shorter is at most 64 bytes, the
+/// distance comes from a bit-parallel kernel over the bytes (Myers'
+/// algorithm, one machine word per DP column); every other input runs
+/// the char DP. The distance is an integer either way, so the two paths
+/// agree exactly.
 pub fn levenshtein_with(scratch: &mut SimScratch, a: &str, b: &str) -> usize {
+    if a.len().min(b.len()) <= 64 && a.is_ascii() && b.is_ascii() {
+        let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        return levenshtein_bits(&mut scratch.peq, short.as_bytes(), long.as_bytes());
+    }
     let mut ac = std::mem::take(&mut scratch.a_chars);
     let mut bc = std::mem::take(&mut scratch.b_chars);
     let mut prev = std::mem::take(&mut scratch.row_a);
@@ -52,6 +63,57 @@ pub fn levenshtein_with(scratch: &mut SimScratch, a: &str, b: &str) -> usize {
     scratch.b_chars = bc;
     scratch.row_a = prev;
     scratch.row_b = curr;
+    dist
+}
+
+/// Levenshtein distance of two ASCII byte strings with
+/// `pattern.len() <= 64`: Myers' bit-vector algorithm (*A fast
+/// bit-vector algorithm for approximate string matching based on
+/// dynamic programming*, J. ACM 46(3), 1999) in Hyyrö's edit-distance
+/// form.
+///
+/// Bit `i` of `pv`/`mv` says whether the DP column steps up/down by one
+/// between rows `i` and `i + 1`; one text byte advances the whole column
+/// with a few word operations, and the distance is tracked at the
+/// pattern's last row. The top boundary `D[0][j] = j` shifts a `1` into
+/// the horizontal deltas. Bits above the pattern only ever carry upward,
+/// so they never reach the tracked row.
+///
+/// `peq` is all zero on entry and on return: the call sets one mask per
+/// distinct pattern byte and clears exactly those.
+fn levenshtein_bits(peq: &mut Vec<u64>, pattern: &[u8], text: &[u8]) -> usize {
+    debug_assert!(pattern.len() <= 64 && pattern.is_ascii() && text.is_ascii());
+    let m = pattern.len();
+    if m == 0 {
+        return text.len();
+    }
+    if peq.is_empty() {
+        peq.resize(128, 0);
+    }
+    for (i, &c) in pattern.iter().enumerate() {
+        peq[usize::from(c)] |= 1 << i;
+    }
+    let last = 1u64 << (m - 1);
+    let (mut pv, mut mv, mut dist) = (!0u64, 0u64, m);
+    for &c in text {
+        let eq = peq[usize::from(c)];
+        let xv = eq | mv;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        if ph & last != 0 {
+            dist += 1;
+        } else if mh & last != 0 {
+            dist -= 1;
+        }
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        pv = mh | !(xv | ph);
+        mv = ph & xv;
+    }
+    for &c in pattern {
+        peq[usize::from(c)] = 0;
+    }
     dist
 }
 

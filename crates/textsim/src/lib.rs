@@ -50,7 +50,10 @@ pub use intern::{fnv1a, InternSink, Interner, Sym};
 pub use numeric::{abs_diff_sim, exact_match, rel_diff_sim};
 pub use scratch::SimScratch;
 pub use tfidf::IdfModel;
-pub use token::{cosine, dice, jaccard, monge_elkan, monge_elkan_with, overlap_coefficient};
+pub use token::{
+    cosine, dice, jaccard, monge_elkan, monge_elkan_fixed_with, monge_elkan_with,
+    overlap_coefficient, FixedBag, SetCounts,
+};
 pub use tokenize::{normalize, qgrams, words, TokenBag};
 
 #[cfg(test)]

@@ -1,61 +1,114 @@
 //! Token-based and hybrid similarity measures.
 
 use crate::edit::jaro_winkler_with;
-use crate::intern::Interner;
+use crate::intern::{Interner, Sym};
 use crate::scratch::SimScratch;
 use crate::tokenize::TokenBag;
+
+/// What every set measure reads of a bag pair: the number of distinct
+/// tokens the bags share and each bag's distinct-token count.
+///
+/// One merge-join ([`SetCounts::of`]) serves Jaccard, cosine, Dice and
+/// overlap alike; the free functions [`jaccard`], [`cosine`], [`dice`]
+/// and [`overlap_coefficient`] delegate here, so a caller that needs
+/// several of them on one pair computes the intersection once and gets
+/// the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetCounts {
+    /// `|A ∩ B|` over distinct tokens.
+    pub inter: usize,
+    /// `|A|`, distinct tokens.
+    pub a: usize,
+    /// `|B|`, distinct tokens.
+    pub b: usize,
+}
+
+impl SetCounts {
+    /// The counts of `a` against `b`.
+    pub fn of(a: &TokenBag, b: &TokenBag) -> Self {
+        Self {
+            inter: a.set_intersection(b),
+            a: a.distinct(),
+            b: b.distinct(),
+        }
+    }
+
+    /// Whether both bags are empty: every set measure scores that 1.
+    fn both_empty(self) -> bool {
+        self.a == 0 && self.b == 0
+    }
+
+    /// Jaccard `|A ∩ B| / |A ∪ B|`.
+    pub fn jaccard(self) -> f64 {
+        if self.both_empty() {
+            return 1.0;
+        }
+        let union = self.a + self.b - self.inter;
+        if union == 0 {
+            return 0.0;
+        }
+        self.inter as f64 / union as f64
+    }
+
+    /// Set cosine `|A ∩ B| / √(|A|·|B|)`.
+    pub fn cosine(self) -> f64 {
+        if self.both_empty() {
+            return 1.0;
+        }
+        if self.a == 0 || self.b == 0 {
+            return 0.0;
+        }
+        self.inter as f64 / ((self.a as f64) * (self.b as f64)).sqrt()
+    }
+
+    /// Dice `2|A ∩ B| / (|A| + |B|)`.
+    pub fn dice(self) -> f64 {
+        if self.both_empty() {
+            return 1.0;
+        }
+        let denom = self.a + self.b;
+        if denom == 0 {
+            return 0.0;
+        }
+        2.0 * self.inter as f64 / denom as f64
+    }
+
+    /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)`.
+    pub fn overlap(self) -> f64 {
+        if self.both_empty() {
+            return 1.0;
+        }
+        let min = self.a.min(self.b);
+        if min == 0 {
+            return 0.0;
+        }
+        self.inter as f64 / min as f64
+    }
+}
 
 /// Jaccard similarity `|A ∩ B| / |A ∪ B|` over distinct tokens, in
 /// `[0, 1]`. Two empty bags are maximally similar.
 pub fn jaccard(a: &TokenBag, b: &TokenBag) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let inter = a.set_intersection(b);
-    let union = a.set_union(b);
-    if union == 0 {
-        return 0.0;
-    }
-    inter as f64 / union as f64
+    SetCounts::of(a, b).jaccard()
 }
 
 /// Set-based cosine similarity `|A ∩ B| / √(|A|·|B|)` over distinct
 /// tokens (Magellan's `cos` for q-gram features), in `[0, 1]`.
 pub fn cosine(a: &TokenBag, b: &TokenBag) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    a.set_intersection(b) as f64 / ((a.distinct() as f64) * (b.distinct() as f64)).sqrt()
+    SetCounts::of(a, b).cosine()
 }
 
 /// Dice coefficient `2|A ∩ B| / (|A| + |B|)` over distinct tokens, in
 /// `[0, 1]`.
 pub fn dice(a: &TokenBag, b: &TokenBag) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let denom = a.distinct() + b.distinct();
-    if denom == 0 {
-        return 0.0;
-    }
-    2.0 * a.set_intersection(b) as f64 / denom as f64
+    SetCounts::of(a, b).dice()
 }
 
 /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` over distinct tokens, in
 /// `[0, 1]`. Useful when one value is an abbreviation / subset of the
 /// other.
 pub fn overlap_coefficient(a: &TokenBag, b: &TokenBag) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let min = a.distinct().min(b.distinct());
-    if min == 0 {
-        return 0.0;
-    }
-    a.set_intersection(b) as f64 / min as f64
+    SetCounts::of(a, b).overlap()
 }
 
 /// Monge-Elkan similarity: for each token of `a`, the best Jaro-Winkler
@@ -88,32 +141,152 @@ pub fn monge_elkan_with(
     a: &TokenBag,
     b: &TokenBag,
 ) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
+    if let Some(v) = empty_monge_elkan(a, b) {
+        return v;
     }
     let mut syms = std::mem::take(&mut scratch.syms);
-    syms.clear();
-    syms.extend(a.syms());
-    syms.sort_unstable_by(|&x, &y| interner.resolve(x).cmp(interner.resolve(y)));
+    sort_by_text(&mut syms, interner, a);
     let mut total = 0.0;
     for &sa in &syms {
-        if b.count(sa) > 0 {
-            total += 1.0;
-            continue;
-        }
-        let ta = interner.resolve(sa);
-        let mut best = 0.0f64;
-        for tb in b.tokens(interner) {
-            best = best.max(jaro_winkler_with(scratch, ta, tb));
-        }
-        total += best;
+        total += best_match(scratch, interner, sa, b);
     }
     let n = syms.len() as f64;
     scratch.syms = syms;
     total / n
+}
+
+/// Which argument of [`monge_elkan`] stays the same across a
+/// [`monge_elkan_fixed_with`] batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FixedBag {
+    /// The outer bag `a`, whose tokens are averaged over.
+    Outer,
+    /// The inner bag `b`, searched for each outer token's best match.
+    Inner,
+}
+
+/// [`monge_elkan_with`] of one bag against many: appends to `out`, in
+/// order, the score of `fixed` against each bag of `others` — as the
+/// outer argument `a` when `side` is [`FixedBag::Outer`], as the inner `b`
+/// when it is [`FixedBag::Inner`]. Every value equals the single-pair
+/// kernel's to the bit.
+///
+/// With one side fixed, a token's Jaro-Winkler scores are memoized for
+/// the call instead of recomputed for every pair that holds it:
+///
+/// * **Fixed inner bag.** An outer token's best match over `b` is a
+///   pure function of the token, so it is computed once per distinct
+///   token.
+/// * **Fixed outer bag.** Its tokens are sorted by text once; each
+///   distinct inner token gets one row of Jaro-Winkler scores against
+///   them, and a pair's per-token maxima are folded from its tokens'
+///   rows in symbol order, as the single-pair kernel folds them.
+///
+/// Each pair still adds its per-token maxima in canonical text order,
+/// the same values in the same order, and `max` over non-NaN scores
+/// does not depend on the order it sees them in. The memo lives in
+/// `scratch` and is emptied before the call returns: symbols mean
+/// something only within one interner.
+pub fn monge_elkan_fixed_with<'b>(
+    scratch: &mut SimScratch,
+    interner: &Interner,
+    fixed: &TokenBag,
+    side: FixedBag,
+    others: impl IntoIterator<Item = &'b TokenBag>,
+    out: &mut Vec<f64>,
+) {
+    let mut memo = std::mem::take(&mut scratch.memo);
+    let mut syms = std::mem::take(&mut scratch.syms);
+    memo.reserve(interner);
+    match side {
+        FixedBag::Inner => {
+            for a in others {
+                if let Some(v) = empty_monge_elkan(a, fixed) {
+                    out.push(v);
+                    continue;
+                }
+                sort_by_text(&mut syms, interner, a);
+                let mut total = 0.0;
+                for &sa in &syms {
+                    let at = match memo.get(sa) {
+                        Some(at) => at,
+                        None => memo.insert(sa, [best_match(scratch, interner, sa, fixed)]),
+                    };
+                    total += memo.scores()[at];
+                }
+                out.push(total / syms.len() as f64);
+            }
+        }
+        FixedBag::Outer => {
+            sort_by_text(&mut syms, interner, fixed);
+            let k = syms.len();
+            let mut best = std::mem::take(&mut scratch.best);
+            for b in others {
+                if let Some(v) = empty_monge_elkan(fixed, b) {
+                    out.push(v);
+                    continue;
+                }
+                best.clear();
+                best.resize(k, 0.0);
+                for sb in b.syms() {
+                    let at = match memo.get(sb) {
+                        Some(at) => at,
+                        None => {
+                            let tb = interner.resolve(sb);
+                            let row = syms
+                                .iter()
+                                .map(|&sa| jaro_winkler_with(scratch, interner.resolve(sa), tb));
+                            memo.insert(sb, row)
+                        }
+                    };
+                    for (m, &jw) in best.iter_mut().zip(&memo.scores()[at..at + k]) {
+                        *m = m.max(jw);
+                    }
+                }
+                let mut total = 0.0;
+                for (&sa, &m) in syms.iter().zip(&best) {
+                    total += if b.count(sa) > 0 { 1.0 } else { m };
+                }
+                out.push(total / k as f64);
+            }
+            scratch.best = best;
+        }
+    }
+    memo.clear();
+    scratch.memo = memo;
+    scratch.syms = syms;
+}
+
+/// Monge-Elkan's empty-bag conventions: two empty bags score 1, one
+/// empty bag 0; `None` when both have tokens.
+fn empty_monge_elkan(a: &TokenBag, b: &TokenBag) -> Option<f64> {
+    match (a.is_empty(), b.is_empty()) {
+        (true, true) => Some(1.0),
+        (false, false) => None,
+        _ => Some(0.0),
+    }
+}
+
+/// Fills `syms` with `bag`'s symbols in canonical token-text order.
+fn sort_by_text(syms: &mut Vec<Sym>, interner: &Interner, bag: &TokenBag) {
+    syms.clear();
+    syms.extend(bag.syms());
+    syms.sort_unstable_by(|&x, &y| interner.resolve(x).cmp(interner.resolve(y)));
+}
+
+/// One outer token's Monge-Elkan term: 1.0 when `b` holds the token
+/// itself (the exact-token shortcut), else its best Jaro-Winkler score
+/// over `b`'s tokens.
+fn best_match(scratch: &mut SimScratch, interner: &Interner, sa: Sym, b: &TokenBag) -> f64 {
+    if b.count(sa) > 0 {
+        return 1.0;
+    }
+    let ta = interner.resolve(sa);
+    let mut best = 0.0f64;
+    for tb in b.tokens(interner) {
+        best = best.max(jaro_winkler_with(scratch, ta, tb));
+    }
+    best
 }
 
 #[cfg(test)]

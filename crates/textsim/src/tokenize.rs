@@ -95,20 +95,17 @@ impl TokenBag {
     }
 
     /// Size of the set intersection (distinct tokens present in both):
-    /// a merge-join over the two sorted entry slices.
+    /// a merge-join over the two sorted entry slices. Each step advances
+    /// by comparison results instead of branching on them, so the loop
+    /// does not stall on the unpredictable order of two token lists.
     pub fn set_intersection(&self, other: &TokenBag) -> usize {
         let (a, b) = (&self.entries, &other.entries);
         let (mut i, mut j, mut n) = (0, 0, 0);
         while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
+            let (x, y) = (a[i].0, b[j].0);
+            n += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
         n
     }

@@ -8,13 +8,20 @@
 //! call, no byte path, no Monge-Elkan shortcut); every production kernel
 //! must reproduce it to `f64::to_bits` on ASCII, mixed and non-ASCII
 //! alphabets, including token bags that share tokens.
+//!
+//! Levenshtein and Needleman-Wunsch take a bit-parallel path when both
+//! strings are ASCII and the shorter is at most 64 bytes, so the edit
+//! kernels are also checked on strings up to 80 bytes over two- and
+//! three-letter alphabets (long shared runs exercise the carries), with
+//! the shorter side at exactly 63, 64 and 65 bytes, and on long text
+//! that mixes ASCII with non-ASCII chars.
 
 use proptest::prelude::*;
 use zeroer_textsim::align::needleman_wunsch;
 use zeroer_textsim::{
     jaro, jaro_winkler, jaro_winkler_with, jaro_with, levenshtein, levenshtein_sim,
-    levenshtein_sim_with, levenshtein_with, monge_elkan, monge_elkan_with, needleman_wunsch_with,
-    words, Interner, SimScratch, TokenBag,
+    levenshtein_sim_with, levenshtein_with, monge_elkan, monge_elkan_fixed_with, monge_elkan_with,
+    needleman_wunsch_with, words, FixedBag, Interner, SimScratch, TokenBag,
 };
 
 /// The plain char-based kernels, kept as the parity reference.
@@ -207,6 +214,28 @@ fn assert_monge_elkan_matches(s: &mut SimScratch, it: &Interner, a: &TokenBag, b
     }
 }
 
+/// The batch form with `fixed` on each side, against the reference per
+/// pair: a memoized token must score what the single-pair kernel scores.
+fn assert_monge_elkan_fixed_matches(
+    s: &mut SimScratch,
+    it: &Interner,
+    fixed: &TokenBag,
+    others: &[TokenBag],
+) {
+    for side in [FixedBag::Outer, FixedBag::Inner] {
+        let mut out = Vec::new();
+        monge_elkan_fixed_with(s, it, fixed, side, others, &mut out);
+        assert_eq!(out.len(), others.len());
+        for (o, got) in others.iter().zip(out) {
+            let want = match side {
+                FixedBag::Outer => reference::monge_elkan(it, fixed, o),
+                FixedBag::Inner => reference::monge_elkan(it, o, fixed),
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "{side:?}");
+        }
+    }
+}
+
 /// `a`'s words in reverse order plus `extra`: a bag that shares every
 /// token of `a`, so Monge-Elkan's exact-token shortcut fires.
 fn shares_tokens(a: &str, extra: &str) -> String {
@@ -215,7 +244,17 @@ fn shares_tokens(a: &str, extra: &str) -> String {
     format!("{} {extra}", w.join(" "))
 }
 
+/// `a` with `del` bytes removed at `at` and `ins` spliced in there: a
+/// near copy, so the two strings share long runs.
+fn near_copy(a: &str, at: usize, ins: &str, del: usize) -> String {
+    let at = at.min(a.len());
+    let end = (at + del).min(a.len());
+    format!("{}{ins}{}", &a[..at], &a[end..])
+}
+
 const ASCII: &str = "[a-fA-C0-2 ]{0,12}";
+const BINARY_80: &str = "[ab]{0,80}";
+const TERNARY_80: &str = "[abc]{0,80}";
 const MIXED: &str = "[a-eéü日本 ]{0,12}";
 const NON_ASCII: &str = "[éüßø日本語 ]{0,12}";
 
@@ -264,10 +303,91 @@ proptest! {
     }
 
     #[test]
+    fn monge_elkan_fixed_matches_reference(fixed in MIXED, a in ASCII, b in MIXED, c in NON_ASCII) {
+        // Small alphabets make tokens recur across bags, so memo hits,
+        // exact-token hits and empty bags all occur; one scratch serves
+        // several batches, so the memo must come back empty.
+        let mut it = Interner::new();
+        let shared = shares_tokens(&fixed, &a);
+        let bags: Vec<TokenBag> = [&fixed, &a, &b, &c, &shared, &String::new()]
+            .iter()
+            .map(|t| words(&mut it, t))
+            .collect();
+        let mut s = SimScratch::new();
+        for f in &bags {
+            assert_monge_elkan_fixed_matches(&mut s, &it, f, &bags);
+        }
+    }
+
+    #[test]
     fn monge_elkan_matches_reference_on_shared_tokens(a in ASCII, extra in ASCII) {
         let mut it = Interner::new();
         let (ta, tb) = (words(&mut it, &a), words(&mut it, &shares_tokens(&a, &extra)));
         assert_monge_elkan_matches(&mut SimScratch::new(), &it, &ta, &tb);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn edit_kernels_match_reference_up_to_80_bytes(a in BINARY_80, b in TERNARY_80, c in BINARY_80) {
+        // One scratch for every call: the mask table must come back clean.
+        let mut s = SimScratch::new();
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &c), (&c, &b), (&a, &a)] {
+            assert_kernels_match(&mut s, x, y);
+        }
+    }
+
+    #[test]
+    fn edit_kernels_match_reference_on_near_copies(
+        a in TERNARY_80,
+        at in 0usize..81,
+        ins in "[abc]{0,3}",
+        del in 0usize..4,
+    ) {
+        let b = near_copy(&a, at, &ins, del);
+        let mut s = SimScratch::new();
+        assert_kernels_match(&mut s, &a, &b);
+        assert_kernels_match(&mut s, &b, &a);
+    }
+
+    #[test]
+    fn edit_kernels_match_reference_at_the_word_boundary(
+        a63 in "[ab]{63}",
+        a64 in "[ab]{64}",
+        a65 in "[ab]{65}",
+        long in "[ab]{65,80}",
+        at in 0usize..64,
+    ) {
+        let mut s = SimScratch::new();
+        for short in [&a63, &a64, &a65] {
+            assert_kernels_match(&mut s, short, &long);
+            assert_kernels_match(&mut s, &long, short);
+            let twin = near_copy(short, at, "b", 1);
+            assert_kernels_match(&mut s, short, &twin);
+        }
+        assert_kernels_match(&mut s, &a63, &a64);
+        assert_kernels_match(&mut s, &a65, &a64);
+    }
+}
+
+#[test]
+fn edit_kernels_match_reference_on_long_mixed_text() {
+    // Above 64 bytes and not all ASCII: the char DP, between bit-parallel
+    // calls on the same scratch.
+    let ascii = "ab".repeat(40);
+    let mixed = format!("{}é{}", "ab".repeat(33), "ba".repeat(4));
+    let accented = "日本ab".repeat(20);
+    let mut s = SimScratch::new();
+    for (x, y) in [
+        (&ascii, &mixed),
+        (&mixed, &ascii),
+        (&mixed, &accented),
+        (&accented, &ascii[..60].to_string()),
+        (&ascii, &ascii[1..].to_string()),
+    ] {
+        assert_kernels_match(&mut s, x, y);
     }
 }
 
