@@ -784,7 +784,7 @@ mod tests {
             .map(|r| {
                 let r = r as f64;
                 [
-                    if r as usize % 3 == 0 {
+                    if (r as usize).is_multiple_of(3) {
                         f64::NAN
                     } else {
                         r * 0.3 - 1.0
@@ -812,8 +812,8 @@ mod tests {
             let want = scorer.score_raw(&mut scalar);
             assert_eq!(got[i].to_bits(), want.to_bits(), "row {i}");
             // The prepared values left in the batch match prepare_row too.
-            for j in 0..4 {
-                assert_eq!(batch.cols().get(i, j).to_bits(), scalar[j].to_bits());
+            for (j, v) in scalar.iter().enumerate() {
+                assert_eq!(batch.cols().get(i, j).to_bits(), v.to_bits());
             }
         }
         // Empty batches are fine (resolve with zero candidates).

@@ -562,7 +562,7 @@ mod tests {
         let names: Vec<_> = types.iter().map(|t| t.name()).collect();
         assert_eq!(c.table.schema().arity(), 5);
         assert!(
-            names.iter().any(|n| n.starts_with("str")) && names.iter().any(|n| *n == "numeric"),
+            names.iter().any(|n| n.starts_with("str")) && names.contains(&"numeric"),
             "schema must mix text and numeric attribute types: {names:?}"
         );
     }

@@ -2,17 +2,17 @@
 //! layer (`zeroer_textsim::derive`).
 
 use crate::registry::{functions_for, SetBag, SimFunction};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use zeroer_linalg::block::GroupLayout;
 use zeroer_linalg::stats::{apply_min_max, min_max_normalize};
 use zeroer_linalg::{ColMatrix, Matrix};
 use zeroer_tabular::table::infer_joint_types;
 use zeroer_tabular::{AttrType, Table};
-use zeroer_textsim::derive::{AttrView, DeriveConfig, DerivedRecord, Deriver};
+use zeroer_textsim::derive::{AttrDerived, DeriveConfig, DerivedRecord, Deriver};
 use zeroer_textsim::intern::Interner;
 use zeroer_textsim::{
-    jaro_winkler_with, levenshtein_sim_with, monge_elkan_fixed_with, monge_elkan_with,
-    needleman_wunsch_with, FixedBag, SetCounts, SimScratch,
+    exact_match_lowercase, jaro_winkler_with, monge_elkan_fixed_with, monge_elkan_with,
+    set_counts_fixed_with, EditCounts, FixedBag, SetCounts, SimScratch, TokenBag,
 };
 
 /// The output of feature generation: the `N × d` similarity matrix plus
@@ -83,12 +83,12 @@ impl FeatureSet {
     }
 }
 
-/// Computes one similarity value from derived attribute views, `NaN`
+/// Computes one similarity value from two derived attributes, `NaN`
 /// when either side is missing, through the allocating kernels. This is
 /// the scalar oracle behind [`RowFeaturizer::raw_row_into`], which the
-/// parity suites hold the bulk paths to; both views must come from
+/// parity suites hold the bulk paths to; both attributes must come from
 /// derivations over `interner`.
-fn sim_value(f: SimFunction, interner: &Interner, l: AttrView<'_>, r: AttrView<'_>) -> f64 {
+fn sim_value(f: SimFunction, interner: &Interner, l: &AttrDerived, r: &AttrDerived) -> f64 {
     if !(l.present && r.present) {
         return f64::NAN;
     }
@@ -102,39 +102,39 @@ fn sim_value(f: SimFunction, interner: &Interner, l: AttrView<'_>, r: AttrView<'
             _ => f64::NAN,
         },
         SimFunction::JaccardQgm3 | SimFunction::CosineQgm3 => {
-            f.apply_tokens(interner, l.qgm3, r.qgm3)
+            f.apply_tokens(interner, &l.qgm3, &r.qgm3)
         }
         SimFunction::JaccardWord
         | SimFunction::CosineWord
         | SimFunction::DiceWord
         | SimFunction::OverlapWord
-        | SimFunction::MongeElkan => f.apply_tokens(interner, l.word, r.word),
-        _ => f.apply_text(l.text, r.text),
+        | SimFunction::MongeElkan => f.apply_tokens(interner, &l.word, &r.word),
+        _ => f.apply_text(&l.text, &r.text),
     }
 }
 
-/// [`sim_value`] with the allocation-heavy sequence kernels routed
-/// through `scratch`-reusing variants: the per-pair dispatcher of
-/// [`BatchFeaturizer::fill_columns`], the one bulk fill path, for every
-/// column it has no batch form for. Bit-identical to [`sim_value`] (the
-/// allocating kernels delegate to the same `*_with` code with a fresh
-/// scratch); strictly faster in a loop because the DP buffers are reused
-/// across calls.
+/// [`sim_value`] with the allocation-heavy kernels routed through
+/// `scratch`-reusing or non-allocating variants: the per-pair dispatcher
+/// of [`BatchFeaturizer::fill_columns`], the one bulk fill path, for
+/// every column it has no batch form for. Bit-identical to [`sim_value`]
+/// (the allocating kernels delegate to the same `*_with` code with a
+/// fresh scratch, and [`exact_match_lowercase`] equals the lowercased
+/// comparison); strictly faster in a loop because the buffers are
+/// reused across calls.
 fn sim_value_with(
     scratch: &mut SimScratch,
     f: SimFunction,
     interner: &Interner,
-    l: AttrView<'_>,
-    r: AttrView<'_>,
+    l: &AttrDerived,
+    r: &AttrDerived,
 ) -> f64 {
     if !(l.present && r.present) {
         return f64::NAN;
     }
     match f {
-        SimFunction::Levenshtein => levenshtein_sim_with(scratch, l.text, r.text),
-        SimFunction::JaroWinkler => jaro_winkler_with(scratch, l.text, r.text),
-        SimFunction::NeedlemanWunsch => needleman_wunsch_with(scratch, l.text, r.text),
-        SimFunction::MongeElkan => monge_elkan_with(scratch, interner, l.word, r.word),
+        SimFunction::JaroWinkler => jaro_winkler_with(scratch, &l.text, &r.text),
+        SimFunction::MongeElkan => monge_elkan_with(scratch, interner, &l.word, &r.word),
+        SimFunction::ExactMatch => exact_match_lowercase(&l.text, &r.text),
         _ => sim_value(f, interner, l, r),
     }
 }
@@ -294,7 +294,7 @@ impl PairFeaturizer {
     /// share a left record through [`BatchFeaturizer::fill_columns`] —
     /// the streaming score path, so a run gets its fixed-side memo and
     /// per-value dedup — and copies the columns into its rows. One
-    /// [`SimScratch`] and one column buffer per worker serve every run,
+    /// [`FillScratch`] and one column buffer per worker serve every run,
     /// so the fill stops allocating once they have grown. The values are
     /// bit-identical to [`RowFeaturizer::raw_row_into`]'s before
     /// imputation.
@@ -317,7 +317,7 @@ impl PairFeaturizer {
                 .zip(data.chunks_mut(chunk_rows * d))
             {
                 scope.spawn(move |_| {
-                    let mut scratch = SimScratch::new();
+                    let mut scratch = FillScratch::new();
                     let mut cols = ColMatrix::new();
                     let mut start = 0;
                     for run in chunk.chunk_by(|x, y| x.0 == y.0) {
@@ -445,10 +445,9 @@ impl RowFeaturizer {
         out.clear();
         out.reserve(self.dim);
         for (a, funcs) in self.functions.iter().enumerate() {
-            let lv = left.view(a);
-            let rv = right.view(a);
+            let (l, r) = (left.attr(a), right.attr(a));
             for &f in *funcs {
-                out.push(sim_value(f, interner, lv, rv));
+                out.push(sim_value(f, interner, l, r));
             }
         }
     }
@@ -459,18 +458,50 @@ impl RowFeaturizer {
 /// column at a time.
 ///
 /// Filling by column instead of by row buys two things on the scoring
-/// hot path: the per-attribute view setup ([`DerivedRecord::view`])
-/// happens once per attribute per batch instead of once per attribute
-/// per *pair*, and each similarity kernel writes a contiguous stripe the
-/// autovectorizer can work with. The values are the exact `sim_value`
-/// outputs of [`RowFeaturizer::raw_row_into`] — where a column shares
-/// work across pairs, the shared parts are the same float operations on
-/// the same operands — so transposing the resulting matrix reproduces
-/// the scalar rows bit-for-bit. See `crates/features/README.md` for the
-/// design note.
+/// hot path: work that depends on one attribute pair is done once for
+/// all the columns that read it, and each similarity kernel writes a
+/// contiguous stripe the autovectorizer can work with. The values are
+/// the exact `sim_value` outputs of [`RowFeaturizer::raw_row_into`] —
+/// where a column shares work across pairs, the shared parts are the
+/// same float operations on the same operands — so transposing the
+/// resulting matrix reproduces the scalar rows bit-for-bit. See
+/// `crates/features/README.md` for the design note.
 #[derive(Debug, Clone)]
 pub struct BatchFeaturizer {
     row: RowFeaturizer,
+}
+
+/// The reusable buffers of [`BatchFeaturizer::fill_columns`]: the
+/// kernels' [`SimScratch`] (DP buffers, the Monge-Elkan memo, the
+/// set-count bitset) and the fill's per-attribute slot tables and value
+/// columns. Keep one per ingest path, parallel worker, read handle or
+/// featurize worker; once its buffers have grown to the largest batch
+/// they have served, a fill allocates only to lowercase non-ASCII texts
+/// for exact match ([`exact_match_lowercase`]).
+#[derive(Debug, Default)]
+pub struct FillScratch {
+    kernels: SimScratch,
+    /// Value key → the first slot of a value with that key.
+    slot_by_key: HashMap<u64, u32>,
+    /// Each pair's slot.
+    slot_of: Vec<u32>,
+    /// Each slot's representative: the first pair carrying its value.
+    reps: Vec<u32>,
+    /// Whether both sides of each slot are present.
+    present: Vec<bool>,
+    /// Each slot's q-gram and word set counts, and its edit counts.
+    qgm_counts: Vec<SetCounts>,
+    word_counts: Vec<SetCounts>,
+    edit_counts: Vec<EditCounts>,
+    /// One column's values, one per slot.
+    vals: Vec<f64>,
+}
+
+impl FillScratch {
+    /// Empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 impl BatchFeaturizer {
@@ -513,8 +544,9 @@ impl BatchFeaturizer {
     /// `pair_of(i)`. `NaN` marks not-computable entries, exactly like
     /// [`RowFeaturizer::raw_row_into`]. The matrix is reshaped in place,
     /// so a reused `out` stops allocating once it has seen its largest
-    /// batch. `scratch` holds the kernels' buffers and the Monge-Elkan
-    /// memo between calls.
+    /// batch, and so does the fill itself (see [`FillScratch`]): its
+    /// buffers and the kernels' live in `scratch`, which also carries
+    /// the Monge-Elkan memo between calls.
     ///
     /// This is the one bulk fill path: streaming ingest and resolve call
     /// it with one record against its candidate list, and
@@ -524,19 +556,26 @@ impl BatchFeaturizer {
     ///
     /// * the sequence kernels (Levenshtein, Jaro-Winkler,
     ///   Needleman-Wunsch, Monge-Elkan) run through `scratch` instead of
-    ///   allocating DP buffers per pair;
+    ///   allocating DP buffers per pair, and exact match compares ASCII
+    ///   texts without lowercased copies ([`exact_match_lowercase`]);
     /// * the set measures over one attribute's q-gram bags, and those
-    ///   over its word bags, share one intersection per pair
-    ///   ([`SetCounts`]);
+    ///   over its word bags, share one intersection count per pair
+    ///   ([`SetCounts`]), counted against a bitset of one side's bag
+    ///   ([`set_counts_fixed_with`]); normalized Levenshtein and
+    ///   Needleman-Wunsch share one edit distance ([`EditCounts`]);
     /// * when one side of every pair is the *same* record — detected by
     ///   pointer identity — duplicate values on the varying side are
-    ///   detected per attribute and each distinct value's similarities
-    ///   are computed once, then scattered to every pair that shares the
-    ///   value. Identical inputs produce identical bits, so copying is
-    ///   exact; low-cardinality attributes (city, category, price bands)
-    ///   collapse to a handful of kernel evaluations per column;
-    /// * with that fixed side, Monge-Elkan memoizes its Jaro-Winkler work
-    ///   per token across the batch ([`monge_elkan_fixed_with`]).
+    ///   detected per attribute by their derived value key
+    ///   ([`AttrDerived::key`], confirmed by comparing the values), and
+    ///   each distinct value's similarities are computed once, then
+    ///   scattered to every pair that shares the value. Identical inputs
+    ///   produce identical bits, so copying is exact; low-cardinality
+    ///   attributes (city, category, price bands) collapse to a handful
+    ///   of kernel evaluations per column;
+    /// * with that fixed side, the set counts mark the fixed bag once,
+    ///   and Monge-Elkan memoizes its Jaro-Winkler work per token across
+    ///   the batch and reads each outer bag's stored text order
+    ///   ([`monge_elkan_fixed_with`]).
     ///
     /// All records must be derived against `interner`.
     ///
@@ -544,7 +583,7 @@ impl BatchFeaturizer {
     /// Panics if any record's arity differs from the frozen types.
     pub fn fill_columns<'a, F>(
         &self,
-        scratch: &mut SimScratch,
+        scratch: &mut FillScratch,
         interner: &Interner,
         n: usize,
         pair_of: F,
@@ -554,11 +593,7 @@ impl BatchFeaturizer {
     {
         out.reset(n, self.row.dim);
         let arity = self.row.functions.len();
-        let pairs: Vec<(&DerivedRecord, &DerivedRecord)> = (0..n).map(pair_of).collect();
-        for (i, &(l, r)) in pairs.iter().enumerate() {
-            assert_eq!(l.arity(), arity, "left record {i} arity mismatch");
-            assert_eq!(r.arity(), arity, "right record {i} arity mismatch");
-        }
+        let pairs = u32::try_from(n).expect("fewer than 2^32 pairs per fill");
 
         // One fixed record against every candidate, named by its
         // Monge-Elkan role: the left record's bag is the outer one.
@@ -566,65 +601,73 @@ impl BatchFeaturizer {
         // positives — and the only shape where per-attribute value
         // deduplication on the varying side is sound without comparing
         // the fixed side too.
-        let fixed = if n < 2 {
-            None
-        } else if pairs.iter().all(|&(l, _)| std::ptr::eq(l, pairs[0].0)) {
+        let (mut same_left, mut same_right) = (n >= 2, n >= 2);
+        let mut first = None;
+        for i in 0..n {
+            let (l, r) = pair_of(i);
+            assert_eq!(l.arity(), arity, "left record {i} arity mismatch");
+            assert_eq!(r.arity(), arity, "right record {i} arity mismatch");
+            let (l0, r0) = *first.get_or_insert((l, r));
+            same_left &= std::ptr::eq(l, l0);
+            same_right &= std::ptr::eq(r, r0);
+        }
+        let fixed = if same_left {
             Some(FixedBag::Outer)
-        } else if pairs.iter().all(|&(_, r)| std::ptr::eq(r, pairs[0].1)) {
+        } else if same_right {
             Some(FixedBag::Inner)
         } else {
             None
         };
 
-        // Per-attribute slots: `slot_of[i]` maps pair `i` to its value
-        // slot, `reps[slot]` holds the views of the first pair carrying
-        // the value. Without a fixed side every pair is its own slot.
-        let mut memo: HashMap<(bool, Option<u64>, &'a str), u32> = HashMap::new();
-        let mut slot_of: Vec<u32> = Vec::with_capacity(n);
-        let mut reps: Vec<(AttrView<'a>, AttrView<'a>)> = Vec::with_capacity(n);
-        let mut qgm_counts: Vec<SetCounts> = Vec::new();
-        let mut word_counts: Vec<SetCounts> = Vec::new();
-        let mut vals: Vec<f64> = Vec::new();
-
+        let FillScratch {
+            kernels,
+            slot_by_key,
+            slot_of,
+            reps,
+            present,
+            qgm_counts,
+            word_counts,
+            edit_counts,
+            vals,
+        } = scratch;
         let mut col = 0;
         for (a, funcs) in self.row.functions.iter().enumerate() {
+            let attrs = |i: u32| {
+                let (l, r) = pair_of(i as usize);
+                (l.attr(a), r.attr(a))
+            };
+
+            // Per-attribute slots: `slot_of[i]` maps pair `i` to its
+            // value slot, `reps[slot]` is the first pair carrying the
+            // value. Without a fixed side every pair is its own slot.
+            slot_by_key.clear();
             slot_of.clear();
             reps.clear();
-            match fixed {
-                None => {
-                    slot_of.extend(0..n as u32);
-                    reps.extend(pairs.iter().map(|&(l, r)| (l.view(a), r.view(a))));
-                }
-                Some(side) => {
-                    memo.clear();
-                    for &(l, r) in &pairs {
-                        let pair = (l.view(a), r.view(a));
-                        let v = varying(side, pair);
-                        // The key covers everything `sim_value` reads
-                        // except the token bags; those are verified by
-                        // equality on a hit because normalization-level
-                        // Unicode edge cases can in principle tokenize
-                        // equal lowercased texts differently.
-                        let key = (v.present, v.number.map(f64::to_bits), v.text);
-                        let slot = match memo.get(&key) {
-                            Some(&s) if same_bags(varying(side, reps[s as usize]), v) => s,
-                            Some(_) => {
-                                reps.push(pair);
-                                (reps.len() - 1) as u32
+            present.clear();
+            for i in 0..pairs {
+                let (l, r) = attrs(i);
+                if let Some(side) = fixed {
+                    let v = by_side(side, (l, r)).1;
+                    match slot_by_key.entry(v.key()) {
+                        Entry::Occupied(e) => {
+                            let s = *e.get();
+                            if same_value(by_side(side, attrs(reps[s as usize])).1, v) {
+                                slot_of.push(s);
+                                continue;
                             }
-                            None => {
-                                let s = reps.len() as u32;
-                                memo.insert(key, s);
-                                reps.push(pair);
-                                s
-                            }
-                        };
-                        slot_of.push(slot);
+                        }
+                        Entry::Vacant(e) => {
+                            e.insert(reps.len() as u32);
+                        }
                     }
                 }
+                slot_of.push(reps.len() as u32);
+                reps.push(i);
+                present.push(l.present && r.present);
             }
 
-            // Every set measure over one bag reads the same intersection.
+            // Every set measure over one bag reads the same intersection,
+            // and the Levenshtein-based measures the same distance.
             let needs = |bag| {
                 funcs
                     .iter()
@@ -632,50 +675,62 @@ impl BatchFeaturizer {
             };
             qgm_counts.clear();
             if needs(SetBag::Qgm3) {
-                qgm_counts.extend(reps.iter().map(|(l, r)| SetCounts::of(l.qgm3, r.qgm3)));
+                slot_set_counts(
+                    kernels,
+                    interner,
+                    fixed,
+                    reps,
+                    attrs,
+                    |x| &x.qgm3,
+                    qgm_counts,
+                );
             }
             word_counts.clear();
             if needs(SetBag::Word) {
-                word_counts.extend(reps.iter().map(|(l, r)| SetCounts::of(l.word, r.word)));
+                slot_set_counts(
+                    kernels,
+                    interner,
+                    fixed,
+                    reps,
+                    attrs,
+                    |x| &x.word,
+                    word_counts,
+                );
+            }
+            edit_counts.clear();
+            if funcs.iter().any(|f| f.edit_measure().is_some()) {
+                edit_counts.extend(reps.iter().map(|&p| {
+                    let (l, r) = attrs(p);
+                    EditCounts::with(kernels, &l.text, &r.text)
+                }));
             }
 
             for &f in *funcs {
                 vals.clear();
-                match (f.set_measure(), fixed) {
-                    (Some((bag, measure)), _) => {
-                        let counts = match bag {
-                            SetBag::Qgm3 => &qgm_counts,
-                            SetBag::Word => &word_counts,
-                        };
-                        vals.extend(reps.iter().zip(counts).map(|(&(l, r), &c)| {
-                            if l.present && r.present {
-                                measure(c)
-                            } else {
-                                f64::NAN
-                            }
-                        }));
-                    }
-                    (None, Some(side)) if f == SimFunction::MongeElkan => {
-                        let fixed_bag = match side {
-                            FixedBag::Outer => reps[0].0.word,
-                            FixedBag::Inner => reps[0].1.word,
-                        };
-                        let others = reps.iter().map(|&p| varying(side, p).word);
-                        monge_elkan_fixed_with(
-                            scratch, interner, fixed_bag, side, others, &mut vals,
-                        );
-                        for (v, (l, r)) in vals.iter_mut().zip(&reps) {
-                            if !(l.present && r.present) {
-                                *v = f64::NAN;
-                            }
-                        }
-                    }
-                    _ => vals.extend(
-                        reps.iter()
-                            .map(|&(l, r)| sim_value_with(scratch, f, interner, l, r)),
-                    ),
+                if let Some((bag, measure)) = f.set_measure() {
+                    let counts = match bag {
+                        SetBag::Qgm3 => &*qgm_counts,
+                        SetBag::Word => &*word_counts,
+                    };
+                    vals.extend(counts.iter().map(|&c| measure(c)));
+                } else if let Some(measure) = f.edit_measure() {
+                    vals.extend(edit_counts.iter().map(|&c| measure(c)));
+                } else if let (SimFunction::MongeElkan, Some(side)) = (f, fixed) {
+                    let fixed_attr = by_side(side, attrs(reps[0])).0;
+                    let others = reps.iter().map(|&p| by_side(side, attrs(p)).1);
+                    monge_elkan_fixed_with(kernels, interner, fixed_attr, side, others, vals);
+                } else {
+                    vals.extend(reps.iter().map(|&p| {
+                        let (l, r) = attrs(p);
+                        sim_value_with(kernels, f, interner, l, r)
+                    }));
                 }
-                for (o, &s) in out.col_mut(col).iter_mut().zip(&slot_of) {
+                for (v, &ok) in vals.iter_mut().zip(present.iter()) {
+                    if !ok {
+                        *v = f64::NAN;
+                    }
+                }
+                for (o, &s) in out.col_mut(col).iter_mut().zip(slot_of.iter()) {
                     *o = vals[s as usize];
                 }
                 col += 1;
@@ -684,18 +739,51 @@ impl BatchFeaturizer {
     }
 }
 
-/// The view on the side of a pair that varies across a batch whose
-/// `side` is fixed (the left record is Monge-Elkan's outer side).
-fn varying<'a>(side: FixedBag, (l, r): (AttrView<'a>, AttrView<'a>)) -> AttrView<'a> {
-    match side {
-        FixedBag::Outer => r,
-        FixedBag::Inner => l,
+/// Appends the set counts of each slot's bag pair to `out`, `bag`
+/// picking the bag. With a fixed side, one batch call marks the fixed
+/// bag once; without one, each pair marks its own left bag.
+fn slot_set_counts<'a>(
+    kernels: &mut SimScratch,
+    interner: &Interner,
+    fixed: Option<FixedBag>,
+    reps: &[u32],
+    attrs: impl Fn(u32) -> (&'a AttrDerived, &'a AttrDerived),
+    bag: impl Fn(&'a AttrDerived) -> &'a TokenBag,
+    out: &mut Vec<SetCounts>,
+) {
+    match fixed {
+        Some(side) => {
+            let fixed_bag = bag(by_side(side, attrs(reps[0])).0);
+            let others = reps.iter().map(|&p| bag(by_side(side, attrs(p)).1));
+            set_counts_fixed_with(kernels, interner, fixed_bag, side, others, out);
+        }
+        None => {
+            for &p in reps {
+                let (l, r) = attrs(p);
+                set_counts_fixed_with(kernels, interner, bag(l), FixedBag::Outer, [bag(r)], out);
+            }
+        }
     }
 }
 
-/// Whether two attribute views carry equal token bags.
-fn same_bags(x: AttrView<'_>, y: AttrView<'_>) -> bool {
-    x.qgm3 == y.qgm3 && x.word == y.word
+/// A pair's `(fixed, varying)` sides in a batch whose `side` is fixed
+/// (the left record is Monge-Elkan's outer side).
+fn by_side<T>(side: FixedBag, (l, r): (T, T)) -> (T, T) {
+    match side {
+        FixedBag::Outer => (l, r),
+        FixedBag::Inner => (r, l),
+    }
+}
+
+/// Whether every input a similarity kernel reads is equal between two
+/// derived values: presence, number bits, text and both token bags. A
+/// value-key match alone does not show this (see [`AttrDerived::key`]).
+fn same_value(x: &AttrDerived, y: &AttrDerived) -> bool {
+    x.present == y.present
+        && x.number.map(f64::to_bits) == y.number.map(f64::to_bits)
+        && x.text == y.text
+        && x.qgm3 == y.qgm3
+        && x.word == y.word
 }
 
 /// Replaces NaN entries with the column mean of the non-NaN entries
@@ -738,6 +826,7 @@ fn impute_column_means(m: &mut Matrix) -> Vec<f64> {
 mod tests {
     use super::*;
     use zeroer_tabular::{Record, Schema, Value};
+    use zeroer_textsim::normalize;
 
     fn restaurant_tables() -> (Table, Table) {
         let schema = Schema::new(["name", "city", "year"]);
@@ -869,7 +958,7 @@ mod tests {
         assert_eq!(batch_fz.group_sizes(), row_fz.group_sizes());
         let pairs = [(0usize, 0usize), (1, 1), (0, 1), (1, 0)];
         let mut cols = ColMatrix::new();
-        let mut scratch = SimScratch::new();
+        let mut scratch = FillScratch::new();
         batch_fz.fill_columns(
             &mut scratch,
             fz.interner(),
@@ -917,62 +1006,94 @@ mod tests {
         assert_eq!(cols.rows(), 0);
     }
 
+    /// Fills each record of `rows` against every other, with it fixed on
+    /// the left and then on the right, and holds every cell to the
+    /// scalar row's bits, NaN patterns included.
+    fn assert_fixed_side_fills_match_rows(rows: &[(&str, &str, Value)]) {
+        let schema = Schema::new(["name", "city", "year"]);
+        let mut t = Table::new("t", schema);
+        for (i, (name, city, year)) in rows.iter().enumerate() {
+            t.push(Record::new(
+                i as u32,
+                vec![(*name).into(), (*city).into(), year.clone()],
+            ));
+        }
+        let fz = PairFeaturizer::new(&t, &t);
+        let batch_fz = BatchFeaturizer::new(fz.attr_types());
+        let derived = fz.left_derived();
+        let mut scratch = FillScratch::new();
+        let (mut cols, mut buf) = (ColMatrix::new(), Vec::new());
+        for fixed in 0..rows.len() {
+            let candidates: Vec<usize> = (0..rows.len()).filter(|&c| c != fixed).collect();
+            for new_on_left in [true, false] {
+                let pair = |c: usize| {
+                    if new_on_left {
+                        (&derived[fixed], &derived[c])
+                    } else {
+                        (&derived[c], &derived[fixed])
+                    }
+                };
+                batch_fz.fill_columns(
+                    &mut scratch,
+                    fz.interner(),
+                    candidates.len(),
+                    |i| pair(candidates[i]),
+                    &mut cols,
+                );
+                for (i, &c) in candidates.iter().enumerate() {
+                    let (l, r) = pair(c);
+                    batch_fz.row().raw_row_into(fz.interner(), l, r, &mut buf);
+                    for (j, &v) in buf.iter().enumerate() {
+                        let b = cols.get(i, j);
+                        assert_eq!(
+                            v.to_bits(),
+                            b.to_bits(),
+                            "fixed={fixed} new_on_left={new_on_left} row {i} col {j}: {v} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn fixed_side_memoized_fill_matches_row_featurizer_bitwise() {
         // The streaming shape: one fixed record against a candidate list
         // with heavy value duplication (shared cities, repeated names,
         // nulls) — the batch fill must dedup per attribute yet reproduce
         // the scalar rows to the bit.
-        let schema = Schema::new(["name", "city", "year"]);
-        let mut t = Table::new("t", schema);
-        let rows: [(&str, &str, Value); 6] = [
+        assert_fixed_side_fills_match_rows(&[
             ("Ritz Carlton Cafe", "new york", Value::Int(1999)),
             ("Joe's Diner", "new york", Value::Int(2005)),
             ("Joe's Diner", "boston", Value::Null),
             ("Ritz-Carlton Café", "new york", Value::Int(1999)),
             ("Joe's Diner", "new york", Value::Int(2005)),
             ("Totally Other", "boston", Value::Null),
-        ];
-        for (i, (name, city, year)) in rows.into_iter().enumerate() {
-            t.push(Record::new(i as u32, vec![name.into(), city.into(), year]));
-        }
-        let fz = PairFeaturizer::new(&t, &t);
-        let row_fz = RowFeaturizer::new(fz.attr_types());
-        let batch_fz = BatchFeaturizer::new(fz.attr_types());
-        let derived = fz.left_derived();
-        let candidates = [1usize, 2, 3, 4, 5];
-        for (fixed, new_on_left) in [(0usize, true), (0, false), (3, true)] {
-            let mut cols = ColMatrix::new();
-            batch_fz.fill_columns(
-                &mut SimScratch::new(),
-                fz.interner(),
-                candidates.len(),
-                |i| {
-                    if new_on_left {
-                        (&derived[fixed], &derived[candidates[i]])
-                    } else {
-                        (&derived[candidates[i]], &derived[fixed])
-                    }
-                },
-                &mut cols,
-            );
-            let mut buf = Vec::new();
-            for (i, &c) in candidates.iter().enumerate() {
-                let (l, r) = if new_on_left {
-                    (&derived[fixed], &derived[c])
-                } else {
-                    (&derived[c], &derived[fixed])
-                };
-                row_fz.raw_row_into(fz.interner(), l, r, &mut buf);
-                for (j, &v) in buf.iter().enumerate() {
-                    let b = cols.get(i, j);
-                    assert!(
-                        v.to_bits() == b.to_bits() || (v.is_nan() && b.is_nan()),
-                        "fixed={fixed} new_on_left={new_on_left} row {i} col {j}: {v} vs {b}"
-                    );
-                }
-            }
-        }
+        ]);
+    }
+
+    #[test]
+    fn fixed_side_slots_survive_unicode_case_folding() {
+        // Equal lowercased texts, hence equal value keys, over different
+        // token bags: `"ΟΔΟΣ"` lowercases to `"οδος"` (final sigma) but
+        // normalizes to the token `"οδοσ"`, and `"İstanbul"` lowercases
+        // to `"i̇stanbul"` but splits at the combining dot. A fill that
+        // shared a slot on the key alone would copy one value's set
+        // measures to the other.
+        let (i_dot, i_dot_lower) = ("İstanbul", "i\u{307}stanbul");
+        assert_ne!(normalize(i_dot), normalize(i_dot_lower));
+        assert_eq!(i_dot.to_lowercase(), i_dot_lower.to_lowercase());
+        assert_ne!(normalize("ΟΔΟΣ"), normalize("οδος"));
+        assert_eq!("ΟΔΟΣ".to_lowercase(), "οδος".to_lowercase());
+        assert_fixed_side_fills_match_rows(&[
+            ("ΟΔΟΣ", i_dot, Value::Int(1)),
+            ("οδος", i_dot_lower, Value::Int(1)),
+            ("ΟΔΟΣ", i_dot_lower, Value::Null),
+            ("οδος", i_dot, Value::Int(2)),
+            ("Οδος", "istanbul", Value::Int(1)),
+            ("ΟΔΟΣ", i_dot, Value::Int(1)),
+            ("οδος", i_dot_lower, Value::Null),
+        ]);
     }
 
     #[test]

@@ -28,10 +28,8 @@
 pub mod generator;
 pub mod registry;
 
-pub use generator::{BatchFeaturizer, FeatureSet, PairFeaturizer, RowFeaturizer};
+pub use generator::{BatchFeaturizer, FeatureSet, FillScratch, PairFeaturizer, RowFeaturizer};
 pub use registry::{functions_for, SimFunction};
 // The derivation layer the featurizers consume, re-exported for
 // convenience.
-pub use zeroer_textsim::derive::{
-    AttrDerived, AttrView, BlockSpec, DeriveConfig, DerivedRecord, Deriver,
-};
+pub use zeroer_textsim::derive::{AttrDerived, BlockSpec, DeriveConfig, DerivedRecord, Deriver};

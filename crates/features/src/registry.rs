@@ -8,11 +8,15 @@ use zeroer_textsim::intern::Interner;
 use zeroer_textsim::tokenize::TokenBag;
 use zeroer_textsim::{
     abs_diff_sim, cosine, dice, exact_match, jaccard, jaro_winkler, levenshtein_sim, monge_elkan,
-    overlap_coefficient, qgrams, rel_diff_sim, words, SetCounts,
+    overlap_coefficient, qgrams, rel_diff_sim, words, EditCounts, SetCounts,
 };
 
 /// A set measure's formula over a bag pair's [`SetCounts`].
 pub(crate) type SetMeasure = fn(SetCounts) -> f64;
+
+/// A Levenshtein-based measure's formula over a text pair's
+/// [`EditCounts`].
+pub(crate) type EditMeasure = fn(EditCounts) -> f64;
 
 /// The token bag a set measure reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +109,18 @@ impl SimFunction {
             SimFunction::CosineWord => Some((SetBag::Word, SetCounts::cosine)),
             SimFunction::DiceWord => Some((SetBag::Word, SetCounts::dice)),
             SimFunction::OverlapWord => Some((SetBag::Word, SetCounts::overlap)),
+            _ => None,
+        }
+    }
+
+    /// For a measure read off the Levenshtein distance (normalized
+    /// Levenshtein, Needleman-Wunsch), its formula over the text pair's
+    /// [`EditCounts`] — the same code [`Self::apply_text`] runs. `None`
+    /// for every other function.
+    pub(crate) fn edit_measure(self) -> Option<EditMeasure> {
+        match self {
+            SimFunction::Levenshtein => Some(EditCounts::levenshtein_sim),
+            SimFunction::NeedlemanWunsch => Some(EditCounts::needleman_wunsch),
             _ => None,
         }
     }

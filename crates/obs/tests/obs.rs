@@ -229,7 +229,7 @@ fn json_round_trips_through_the_core_reader() {
         .sum();
     assert_eq!(occupancy, count);
     let p50 = hist.get("p50").and_then(Json::as_f64).expect("p50");
-    assert!(p50 >= 100.0 && p50 <= 800.0, "p50 = {p50}");
+    assert!((100.0..=800.0).contains(&p50), "p50 = {p50}");
 }
 
 #[test]

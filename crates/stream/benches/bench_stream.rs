@@ -48,14 +48,13 @@ use std::time::Instant;
 use zeroer_core::ScoreBatch;
 use zeroer_datagen::generate;
 use zeroer_datagen::profiles::rest_fz;
-use zeroer_features::{BatchFeaturizer, RowFeaturizer};
+use zeroer_features::{BatchFeaturizer, FillScratch, RowFeaturizer};
 use zeroer_obs::json::{Arr, Obj};
 use zeroer_stream::{
     IndexConfig, LinkPipeline, PipelineSnapshot, Side, StreamOptions, StreamPipeline,
 };
 use zeroer_tabular::{Record, Table};
 use zeroer_textsim::derive::{DerivedRecord, Deriver};
-use zeroer_textsim::SimScratch;
 
 fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
@@ -465,7 +464,7 @@ fn main() {
     let t5 = Instant::now();
     let mut acc_batched = 0.0f64;
     let mut batch = ScoreBatch::new();
-    let mut scratch = SimScratch::new();
+    let mut scratch = FillScratch::new();
     for _ in 0..batch_reps {
         for &(i, lo) in &windows {
             batch_fz.fill_columns(

@@ -21,12 +21,11 @@ use crate::split::ReadView;
 use crate::store::EntityStore;
 use std::sync::Mutex;
 use zeroer_core::{ModelSnapshot, ScoreBatch, SnapshotScorer};
-use zeroer_features::BatchFeaturizer;
+use zeroer_features::{BatchFeaturizer, FillScratch};
 use zeroer_obs::{Histogram, Stopwatch};
 use zeroer_tabular::{AttrType, Record, Schema, Table};
 use zeroer_textsim::derive::{DerivedRecord, ScratchDerived, ScratchDeriver};
 use zeroer_textsim::intern::{Interner, Sym};
-use zeroer_textsim::SimScratch;
 
 /// Scores `candidates` against the new record's derivation, returning the
 /// `(candidate, posterior)` pairs above `threshold`, sorted by descending
@@ -38,8 +37,8 @@ use zeroer_textsim::SimScratch;
 /// `new_on_left` flips them to `(new, candidate)` for a left-side one.
 ///
 /// The candidate list is filled column-major into `batch`
-/// ([`BatchFeaturizer::fill_columns`], its kernel buffers and memo in
-/// `scratch`) and scored column-wise
+/// ([`BatchFeaturizer::fill_columns`], its fill and kernel buffers and
+/// memo in `scratch`) and scored column-wise
 /// ([`SnapshotScorer::score_batch`]), which runs the float operations of
 /// the row-at-a-time oracle (`raw_row_into` + `score_raw`) in the same
 /// order — bit-identical, as `tests/batched_parity.rs` checks. Every
@@ -56,7 +55,7 @@ pub(crate) fn score_candidates<'a, F>(
     derived_of: F,
     new_derived: &'a DerivedRecord,
     batch: &mut ScoreBatch,
-    scratch: &mut SimScratch,
+    scratch: &mut FillScratch,
     batch_meter: Option<&'static Histogram>,
 ) -> Vec<(usize, f64)>
 where
@@ -203,8 +202,9 @@ pub struct Engine<T: Topology> {
     /// Scoring buffers of the sequential path (parallel workers carry
     /// their own), so steady-state scoring allocates nothing.
     batch: ScoreBatch,
-    /// The sequential path's kernel buffers and Monge-Elkan memo.
-    scratch: SimScratch,
+    /// The sequential path's fill and kernel buffers and Monge-Elkan
+    /// memo.
+    scratch: FillScratch,
     /// Candidate pairs generated so far (see [`StreamStats`]).
     pub(crate) candidates_seen: usize,
     /// Snapshot tombstones (bootstrap-record indices) that
@@ -244,7 +244,7 @@ impl<T: Topology> Engine<T> {
             featurizer,
             scorer,
             batch: ScoreBatch::new(),
-            scratch: SimScratch::new(),
+            scratch: FillScratch::new(),
             candidates_seen: 0,
             pending_tombstones: Vec::new(),
             pending_epoch: 0,
@@ -681,7 +681,7 @@ impl<T: Topology> Engine<T> {
                     let derived = &derived;
                     scope.spawn(move |_| {
                         let mut batch = ScoreBatch::new();
-                        let mut scratch = SimScratch::new();
+                        let mut scratch = FillScratch::new();
                         loop {
                             let before = queue_wait.map(|h| (h, std::time::Instant::now()));
                             let mut q = queue.lock().expect("queue poisoned");

@@ -654,8 +654,10 @@ mod tests {
 
     #[test]
     fn compact_reclaims_both_indexes() {
-        let mut opts = StreamOptions::default();
-        opts.compact_watermark = None;
+        let opts = StreamOptions {
+            compact_watermark: None,
+            ..StreamOptions::default()
+        };
         let (mut p, _) =
             LinkPipeline::bootstrap(&left_table(), &right_table(), opts).expect("bootstrap");
         let nl = left_table().len();

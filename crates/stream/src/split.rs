@@ -55,11 +55,10 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use zeroer_core::{ScoreBatch, SnapshotScorer};
-use zeroer_features::BatchFeaturizer;
+use zeroer_features::{BatchFeaturizer, FillScratch};
 use zeroer_obs::Histogram;
 use zeroer_tabular::Record;
 use zeroer_textsim::derive::Deriver;
-use zeroer_textsim::SimScratch;
 
 /// An immutable, epoch-tagged view of a pipeline's read state: the
 /// entity store, the topology's blocking indexes, and the frozen
@@ -123,7 +122,7 @@ pub struct ReadHandle<P: Pipeline = StreamPipeline> {
     view: Arc<ReadView>,
     deriver: Deriver,
     batch: ScoreBatch,
-    scratch: SimScratch,
+    scratch: FillScratch,
     /// Present when the handle came from a [`SplitPipeline`] (and can
     /// therefore refresh); `None` for a standalone pin.
     shared: Option<Arc<Shared<P>>>,
@@ -135,7 +134,7 @@ impl<P: Pipeline> Clone for ReadHandle<P> {
             view: Arc::clone(&self.view),
             deriver: self.deriver.clone(),
             batch: ScoreBatch::new(),
-            scratch: SimScratch::new(),
+            scratch: FillScratch::new(),
             shared: self.shared.clone(),
         }
     }
@@ -149,7 +148,7 @@ impl<P: Pipeline> ReadHandle<P> {
             view,
             deriver,
             batch: ScoreBatch::new(),
-            scratch: SimScratch::new(),
+            scratch: FillScratch::new(),
             shared,
         }
     }

@@ -32,14 +32,13 @@ use zeroer_blocking::{standard_candidates_derived, PairMode};
 use zeroer_core::{ScoreBatch, SnapshotScorer};
 use zeroer_datagen::profiles::rest_fz;
 use zeroer_datagen::{generate, generate_dedup, CorpusSpec};
-use zeroer_features::{BatchFeaturizer, DerivedRecord, Deriver, PairFeaturizer};
+use zeroer_features::{BatchFeaturizer, DerivedRecord, Deriver, FillScratch, PairFeaturizer};
 use zeroer_linalg::ColMatrix;
 use zeroer_stream::{
     BootstrapReport, IndexConfig, IngestOutcome, PipelineSnapshot, StreamOptions, StreamPipeline,
 };
 use zeroer_tabular::{Record, Table};
 use zeroer_textsim::intern::Interner;
-use zeroer_textsim::SimScratch;
 
 /// Bootstrap/stream split of a generated Rest-FZ dedup table.
 fn split_dataset(scale: f64, seed: u64) -> (Table, Vec<Record>) {
@@ -148,7 +147,7 @@ fn assert_kernel_parity(boot: &Table, snap: &PipelineSnapshot, report: &Bootstra
     // Batched: one column-major fill + one score_batch call.
     let mut batch = ScoreBatch::new();
     oracle.featurizer.fill_columns(
-        &mut SimScratch::new(),
+        &mut FillScratch::new(),
         interner,
         pairs.len(),
         |k| {
@@ -219,7 +218,7 @@ fn fixed_side_fills_match_scalar_on_real_candidate_lists() {
     );
 
     let interner = fz.interner();
-    let (mut scratch, mut cols, mut row) = (SimScratch::new(), ColMatrix::new(), Vec::new());
+    let (mut scratch, mut cols, mut row) = (FillScratch::new(), ColMatrix::new(), Vec::new());
     for (r, list) in lists.iter().enumerate() {
         for fixed_left in [false, true] {
             let pair = |c: usize| {

@@ -100,6 +100,10 @@ fn streaming_linkage_f1_stays_within_two_points_of_batch() {
     assert!(cross_f1(&labelled, &truth) > 0.8);
 }
 
+/// One outcome with its posteriors reduced to bits: index, candidate
+/// count, cluster and `(candidate, posterior bits)` matches.
+type OutcomeDigest = (usize, usize, usize, Vec<(usize, u64)>);
+
 #[test]
 fn streamed_linkage_is_bit_identical_across_thread_counts() {
     let ds = generate(&pub_da(), 0.03, 7);
@@ -115,7 +119,7 @@ fn streamed_linkage_is_bit_identical_across_thread_counts() {
         p.seed_base(&ds.left, &prefix_table(&ds.right, cut))
             .expect("seed");
         let outcomes = p.ingest_batch_parallel(tail.clone(), Side::Right, threads);
-        let digest: Vec<(usize, usize, usize, Vec<(usize, u64)>)> = outcomes
+        let digest: Vec<OutcomeDigest> = outcomes
             .iter()
             .map(|o| {
                 (

@@ -28,9 +28,13 @@ fn split(scale: f64, seed: u64) -> (Table, Vec<Record>) {
     (boot, tail)
 }
 
+/// One outcome with its posteriors reduced to bits: index, candidate
+/// count, cluster and `(candidate, posterior bits)` matches.
+type OutcomeDigest = (usize, usize, usize, Vec<(usize, u64)>);
+
 /// Outcomes with posteriors reduced to bits, so equality is exact
 /// rather than within-epsilon.
-fn digest_outcomes(outcomes: &[IngestOutcome]) -> Vec<(usize, usize, usize, Vec<(usize, u64)>)> {
+fn digest_outcomes(outcomes: &[IngestOutcome]) -> Vec<OutcomeDigest> {
     outcomes
         .iter()
         .map(|o| {
@@ -47,7 +51,7 @@ fn digest_outcomes(outcomes: &[IngestOutcome]) -> Vec<(usize, usize, usize, Vec<
 /// Everything one run observably produces.
 #[derive(Debug, PartialEq)]
 struct RunDigest {
-    outcomes: Vec<(usize, usize, usize, Vec<(usize, u64)>)>,
+    outcomes: Vec<OutcomeDigest>,
     clusters: Vec<Vec<usize>>,
     bytes_reclaimed: usize,
     snapshot_json: String,

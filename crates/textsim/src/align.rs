@@ -8,10 +8,10 @@
 //!
 //! Smith-Waterman runs its dynamic program. Needleman-Wunsch does not:
 //! under these scores its optimum is a closed form of the Levenshtein
-//! distance (see [`needleman_wunsch_with`]), which the bit-parallel
-//! Levenshtein kernel computes without a DP table.
+//! distance (see [`EditCounts::needleman_wunsch`]), which the
+//! bit-parallel Levenshtein kernel computes without a DP table.
 
-use crate::edit::levenshtein_with;
+use crate::edit::EditCounts;
 use crate::scratch::SimScratch;
 
 /// Score parameters shared by both aligners.
@@ -23,7 +23,7 @@ const GAP: f64 = -0.5;
 // holds for exactly these parameters; changing them needs the DP back.
 const _: () = assert!(
     MATCH == 1.0 && MISMATCH == 0.0 && GAP == -0.5,
-    "needleman_wunsch_with's closed form assumes match 1, mismatch 0, gap -0.5"
+    "EditCounts::needleman_wunsch's closed form assumes match 1, mismatch 0, gap -0.5"
 );
 
 /// Needleman-Wunsch global alignment similarity, normalized to `[0, 1]`
@@ -33,30 +33,38 @@ pub fn needleman_wunsch(a: &str, b: &str) -> f64 {
 }
 
 /// [`needleman_wunsch`] reusing `scratch`'s buffers for the Levenshtein
-/// distance it is read off.
-///
-/// With `m = |a|` and `n = |b|` chars, an alignment with `k` aligned
-/// columns, `s` of them matches, scores `s·MATCH + (k − s)·MISMATCH +
-/// (m + n − 2k)·GAP = s + k − (m + n)/2`. Read as an edit script it
-/// costs `(k − s)` substitutions plus `m + n − 2k` insertions and
-/// deletions, `m + n − k − s` unit edits. So score and cost sum to
-/// `(m + n)/2` for every alignment, and the best score is
-/// `(m + n)/2 − levenshtein(a, b)`.
-///
-/// Every DP cell is a multiple of 0.5 far below 2⁵², so the DP computed
-/// its optimum without rounding, and the closed form is that same
-/// `f64`. The normalization and the empty-string cases are unchanged,
-/// so the result is bit-identical to the DP's.
+/// distance it is read off ([`EditCounts::needleman_wunsch`]).
 pub fn needleman_wunsch_with(scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
-    let (m, n) = (a.chars().count(), b.chars().count());
-    if m == 0 && n == 0 {
-        return 1.0;
+    EditCounts::with(scratch, a, b).needleman_wunsch()
+}
+
+impl EditCounts {
+    /// Normalized Needleman-Wunsch similarity read off the Levenshtein
+    /// distance; two empty strings score 1.
+    ///
+    /// With `m = |a|` and `n = |b|` chars, an alignment with `k` aligned
+    /// columns, `s` of them matches, scores `s·MATCH + (k − s)·MISMATCH +
+    /// (m + n − 2k)·GAP = s + k − (m + n)/2`. Read as an edit script it
+    /// costs `(k − s)` substitutions plus `m + n − 2k` insertions and
+    /// deletions, `m + n − k − s` unit edits. So score and cost sum to
+    /// `(m + n)/2` for every alignment, and the best score is
+    /// `(m + n)/2 − levenshtein(a, b)`.
+    ///
+    /// Every DP cell is a multiple of 0.5 far below 2⁵², so the DP
+    /// computed its optimum without rounding, and the closed form is that
+    /// same `f64`. The normalization and the empty-string cases are
+    /// unchanged, so the result is bit-identical to the DP's.
+    pub fn needleman_wunsch(self) -> f64 {
+        let (m, n) = (self.a, self.b);
+        if m == 0 && n == 0 {
+            return 1.0;
+        }
+        if m == 0 || n == 0 {
+            return 0.0;
+        }
+        let raw = (m + n) as f64 / 2.0 - self.dist as f64;
+        (raw / m.min(n) as f64).clamp(0.0, 1.0)
     }
-    if m == 0 || n == 0 {
-        return 0.0;
-    }
-    let raw = (m + n) as f64 / 2.0 - levenshtein_with(scratch, a, b) as f64;
-    (raw / m.min(n) as f64).clamp(0.0, 1.0)
 }
 
 /// Smith-Waterman local alignment similarity, normalized to `[0, 1]` by

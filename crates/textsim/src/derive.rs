@@ -12,6 +12,12 @@
 //! downstream (feature generation, batch blockers, streaming indexes)
 //! consumes the resulting [`DerivedRecord`]s.
 //!
+//! Derivation also stores, per attribute, two facts the batch fill would
+//! otherwise recompute for every candidate pair: a value key over what
+//! the similarity kernels read besides the bags ([`AttrDerived::key`]),
+//! and the word bag's text order, which is Monge-Elkan's summation order
+//! ([`AttrDerived::word_order`]).
+//!
 //! ## Determinism constraints (parallel ingest)
 //!
 //! Tokens are interned into a shared [`Interner`], whose symbol
@@ -28,7 +34,7 @@
 //! one. Shard routing never depends on symbol numbering at all: it
 //! hashes the token *text* with FNV-1a ([`Interner::text_hash`]).
 
-use crate::intern::{fnv1a, InternSink, Interner, Sym, LOCAL_BIT};
+use crate::intern::{fnv1a, fnv1a_extend, InternSink, Interner, Sym, FNV1A_OFFSET, LOCAL_BIT};
 use crate::tokenize::{normalize_into, qgrams_from_norm, TokenBag};
 use std::collections::HashMap;
 use zeroer_tabular::Value;
@@ -68,6 +74,13 @@ impl DeriveConfig {
 }
 
 /// One attribute's derived forms.
+///
+/// Besides the forms the similarity kernels read, derivation stores two
+/// facts about them that depend on this value alone, so a batch fill
+/// computes them once per record instead of once per candidate pair:
+/// the value key ([`AttrDerived::key`]) and the word bag's text order
+/// ([`AttrDerived::word_order`]). Only derivation builds an
+/// `AttrDerived`, so both always agree with the forms they describe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrDerived {
     /// Lowercased textual form (empty for nulls; see `present`).
@@ -80,22 +93,46 @@ pub struct AttrDerived {
     pub number: Option<f64>,
     /// Whether the original value was non-null.
     pub present: bool,
+    /// `word`'s distinct symbols in token-text order.
+    word_order: Box<[Sym]>,
+    /// FNV-1a over `present`, `number`'s bits and `text`.
+    key: u64,
 }
 
-/// Borrowed view of one attribute's derived forms — the currency of the
-/// feature layer's similarity kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct AttrView<'a> {
-    /// Lowercased textual form (empty for nulls).
-    pub text: &'a str,
-    /// 3-gram token bag.
-    pub qgm3: &'a TokenBag,
-    /// Word token bag.
-    pub word: &'a TokenBag,
-    /// Numeric interpretation, when available.
-    pub number: Option<f64>,
-    /// Whether the original value was non-null.
-    pub present: bool,
+impl AttrDerived {
+    /// A 64-bit key over everything the similarity kernels read of this
+    /// value besides its token bags: presence, the number's bits and the
+    /// lowercased text, hashed with FNV-1a.
+    ///
+    /// It reads no symbol, so equal values get equal keys under any
+    /// interner history, and committing a scratch derivation leaves it
+    /// alone. Equal keys do not make equal values: keys can collide, and
+    /// equal lowercased texts can tokenize differently (`"ΟΔΟΣ"` and
+    /// `"οδος"` both lowercase to `"οδος"`, but their word tokens are
+    /// `"οδοσ"` and `"οδος"`). Sharing work on a key match must still
+    /// compare the fields and both bags.
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
+    /// The word bag's distinct symbols in token-text order: Monge-Elkan's
+    /// canonical summation order ([`crate::token::monge_elkan`]). Built at
+    /// derivation from the normalized tokens; committing a scratch
+    /// derivation renumbers the symbols, which leaves their texts, and
+    /// so this order, unchanged.
+    pub fn word_order(&self) -> &[Sym] {
+        &self.word_order
+    }
+}
+
+/// The value key of [`AttrDerived::key`].
+fn value_key(present: bool, number: Option<f64>, text: &str) -> u64 {
+    let h = fnv1a_extend(FNV1A_OFFSET, &[u8::from(present)]);
+    let h = match number {
+        Some(x) => fnv1a_extend(fnv1a_extend(h, &[1]), &x.to_bits().to_le_bytes()),
+        None => fnv1a_extend(h, &[0]),
+    };
+    fnv1a_extend(h, text.as_bytes())
 }
 
 /// Blocking keys of one record (empty when the key attribute is null —
@@ -131,18 +168,6 @@ impl DerivedRecord {
         &self.attrs[a]
     }
 
-    /// View of attribute `a`'s derived forms.
-    pub fn view(&self, a: usize) -> AttrView<'_> {
-        let e = &self.attrs[a];
-        AttrView {
-            text: &e.text,
-            qgm3: &e.qgm3,
-            word: &e.word,
-            number: e.number,
-            present: e.present,
-        }
-    }
-
     /// The record's blocking keys.
     pub fn keys(&self) -> &KeySet {
         &self.keys
@@ -161,14 +186,17 @@ impl DerivedRecord {
     }
 
     /// Approximate heap bytes this derivation owns (attribute texts,
-    /// token-bag entries, blocking-key symbols) — what compaction
-    /// reclaims when it clears a retracted record's derivation.
+    /// token-bag entries, word text orders and value keys, blocking-key
+    /// symbols) — what compaction reclaims when it clears a retracted
+    /// record's derivation.
     pub fn heap_bytes(&self) -> usize {
         let sym_entry = std::mem::size_of::<(Sym, u32)>();
+        let sym = std::mem::size_of::<Sym>();
         let mut bytes = 0;
         for a in self.attrs.iter() {
             bytes += a.text.capacity();
             bytes += (a.word.len() + a.qgm3.len()) * sym_entry;
+            bytes += a.word_order.len() * sym + std::mem::size_of::<u64>();
         }
         bytes += (self.keys.tokens.len() + self.keys.qgrams.len()) * std::mem::size_of::<Sym>();
         bytes
@@ -183,6 +211,8 @@ struct DeriveBufs {
     tok: String,
     syms: Vec<Sym>,
     key_toks: Vec<Sym>,
+    /// Each word token's symbol and byte range in `norm`.
+    spans: Vec<(Sym, usize, usize)>,
 }
 
 /// The single-pass derivation core, generic over the intern sink so the
@@ -207,17 +237,29 @@ fn derive_record<S: InternSink>(
         // sweep over the normalized buffer.
         bufs.syms.clear();
         bufs.key_toks.clear();
+        bufs.spans.clear();
+        let mut start = 0;
         for tok in bufs.norm.split(' ') {
+            let span = (start, start + tok.len());
+            start = span.1 + 1;
             if tok.is_empty() {
                 continue;
             }
             let s = sink.intern_token(tok);
             bufs.syms.push(s);
+            bufs.spans.push((s, span.0, span.1));
             if key_spec.is_some() && tok.len() > 1 {
                 bufs.key_toks.push(s);
             }
         }
         let word = TokenBag::from_sym_buf(&mut bufs.syms);
+        // The distinct words in text order, sorted while their texts are
+        // at hand: equal texts are equal symbols, so they end up adjacent.
+        let norm = &bufs.norm;
+        bufs.spans
+            .sort_unstable_by(|x, y| norm[x.1..x.2].cmp(&norm[y.1..y.2]));
+        bufs.spans.dedup_by_key(|x| x.0);
+        let word_order: Box<[Sym]> = bufs.spans.iter().map(|x| x.0).collect();
 
         // 3-gram bag (the feature layer's qgm_3 tokenizer), windows over
         // the same normalized buffer.
@@ -257,16 +299,20 @@ fn derive_record<S: InternSink>(
             }
         }
 
+        let text = if present {
+            t.to_lowercase()
+        } else {
+            String::new()
+        };
+        let number = v.as_number();
         attrs.push(AttrDerived {
-            text: if present {
-                t.to_lowercase()
-            } else {
-                String::new()
-            },
+            key: value_key(present, number, &text),
+            text,
             word,
             qgm3,
-            number: v.as_number(),
+            number,
             present,
+            word_order,
         });
     }
     DerivedRecord {
@@ -508,6 +554,9 @@ impl ScratchDerived {
         for a in rec.attrs.iter_mut() {
             if needs(&a.word) {
                 a.word = rebind_bag(&a.word, map);
+                for s in a.word_order.iter_mut() {
+                    *s = remap(*s, map);
+                }
             }
             if needs(&a.qgm3) {
                 a.qgm3 = rebind_bag(&a.qgm3, map);

@@ -117,6 +117,45 @@ fn levenshtein_bits(peq: &mut Vec<u64>, pattern: &[u8], text: &[u8]) -> usize {
     dist
 }
 
+/// What the Levenshtein-based measures read of a string pair: the edit
+/// distance and both lengths, in Unicode scalar values.
+///
+/// [`levenshtein_sim_with`] and [`crate::align::needleman_wunsch_with`]
+/// are each one formula over these counts, so a caller that needs both
+/// on one pair runs the distance once ([`EditCounts::with`]) and gets
+/// the same bits from [`EditCounts::levenshtein_sim`] and
+/// [`EditCounts::needleman_wunsch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EditCounts {
+    /// `levenshtein(a, b)`.
+    pub dist: usize,
+    /// `|a|` in chars.
+    pub a: usize,
+    /// `|b|` in chars.
+    pub b: usize,
+}
+
+impl EditCounts {
+    /// The counts of `a` against `b`, reusing `scratch`'s buffers.
+    pub fn with(scratch: &mut SimScratch, a: &str, b: &str) -> Self {
+        Self {
+            dist: levenshtein_with(scratch, a, b),
+            a: a.chars().count(),
+            b: b.chars().count(),
+        }
+    }
+
+    /// Normalized Levenshtein similarity `1 − dist / max(|a|, |b|)`; two
+    /// empty strings score 1.
+    pub fn levenshtein_sim(self) -> f64 {
+        let max = self.a.max(self.b);
+        if max == 0 {
+            return 1.0;
+        }
+        1.0 - self.dist as f64 / max as f64
+    }
+}
+
 /// Normalized Levenshtein similarity: `1 − dist / max(|a|, |b|)` in
 /// `[0, 1]`. Two empty strings are defined as maximally similar.
 pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
@@ -125,13 +164,7 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
 
 /// [`levenshtein_sim`] reusing `scratch`'s buffers.
 pub fn levenshtein_sim_with(scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
-    let la = a.chars().count();
-    let lb = b.chars().count();
-    let max = la.max(lb);
-    if max == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein_with(scratch, a, b) as f64 / max as f64
+    EditCounts::with(scratch, a, b).levenshtein_sim()
 }
 
 /// Jaro similarity in `[0, 1]`.

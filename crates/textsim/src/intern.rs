@@ -49,8 +49,16 @@ pub(crate) const LOCAL_BIT: u32 = 1 << 31;
 /// hash that is identical across processes, platforms, and std versions.
 #[inline]
 pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
+    fnv1a_extend(FNV1A_OFFSET, s.as_bytes())
+}
+
+/// The FNV-1a offset basis: the hash of no bytes.
+pub(crate) const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+#[inline]
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

@@ -39,20 +39,20 @@ pub mod tokenize;
 
 pub use align::needleman_wunsch_with;
 pub use derive::{
-    AttrDerived, AttrView, BlockSpec, DeriveConfig, DerivedRecord, Deriver, KeySet, ScratchDerived,
+    AttrDerived, BlockSpec, DeriveConfig, DerivedRecord, Deriver, KeySet, ScratchDerived,
     ScratchDeriver,
 };
 pub use edit::{
     hamming_sim, jaro, jaro_winkler, jaro_winkler_with, jaro_with, levenshtein, levenshtein_sim,
-    levenshtein_sim_with, levenshtein_with, prefix_sim,
+    levenshtein_sim_with, levenshtein_with, prefix_sim, EditCounts,
 };
 pub use intern::{fnv1a, InternSink, Interner, Sym};
-pub use numeric::{abs_diff_sim, exact_match, rel_diff_sim};
+pub use numeric::{abs_diff_sim, exact_match, exact_match_lowercase, rel_diff_sim};
 pub use scratch::SimScratch;
 pub use tfidf::IdfModel;
 pub use token::{
     cosine, dice, jaccard, monge_elkan, monge_elkan_fixed_with, monge_elkan_with,
-    overlap_coefficient, FixedBag, SetCounts,
+    overlap_coefficient, set_counts_fixed_with, FixedBag, SetCounts,
 };
 pub use tokenize::{normalize, qgrams, words, TokenBag};
 

@@ -10,6 +10,22 @@ pub fn exact_match<T: PartialEq>(a: &T, b: &T) -> f64 {
     }
 }
 
+/// [`exact_match`] of two texts' lowercase forms,
+/// `exact_match(&a.to_lowercase(), &b.to_lowercase())`, without
+/// allocating when both texts are ASCII.
+///
+/// On ASCII, `to_lowercase` maps exactly `A`–`Z` to `a`–`z`, byte for
+/// byte, which is what [`str::eq_ignore_ascii_case`] compares under, so
+/// the two agree there. Any other input lowercases through Unicode
+/// (`İ`, final `Σ`), where that does not hold, and keeps the allocating
+/// comparison.
+pub fn exact_match_lowercase(a: &str, b: &str) -> f64 {
+    if a.is_ascii() && b.is_ascii() {
+        return if a.eq_ignore_ascii_case(b) { 1.0 } else { 0.0 };
+    }
+    exact_match(&a.to_lowercase(), &b.to_lowercase())
+}
+
 /// Absolute-difference similarity for numeric attributes:
 /// `1 − |a − b| / max(|a|, |b|)`, clamped to `[0, 1]`.
 ///

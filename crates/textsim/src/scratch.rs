@@ -16,6 +16,7 @@
 //! the streaming subsystem's batched-vs-scalar parity suite locks in.
 
 use crate::intern::{Interner, Sym};
+use crate::tokenize::TokenBag;
 
 /// Scratch buffers shared by the `*_with` sequence-similarity kernels.
 ///
@@ -46,6 +47,8 @@ pub struct SimScratch {
     /// Per-outer-token running maxima of one fixed-outer Monge-Elkan
     /// pair.
     pub(crate) best: Vec<f64>,
+    /// The fixed bag of a batch set-count call.
+    pub(crate) marks: SymMarks,
 }
 
 impl SimScratch {
@@ -113,5 +116,45 @@ impl TokenMemo {
             self.at[sym.index()] = Self::NONE;
         }
         self.scores.clear();
+    }
+}
+
+/// A set of symbols, one bit per symbol of the largest interner it has
+/// served: marking a bag once turns each membership test against it
+/// into one load. All bits are zero between calls: [`SymMarks::unmark`]
+/// clears exactly the bits [`SymMarks::mark`] set.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SymMarks {
+    bits: Vec<u64>,
+}
+
+impl SymMarks {
+    /// Makes room for every symbol of `interner`.
+    pub(crate) fn reserve(&mut self, interner: &Interner) {
+        let words = interner.len().div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+    }
+
+    /// Adds `bag`'s distinct symbols.
+    pub(crate) fn mark(&mut self, bag: &TokenBag) {
+        for s in bag.syms() {
+            self.bits[s.index() >> 6] |= 1 << (s.index() & 63);
+        }
+    }
+
+    /// How many of `bag`'s distinct symbols are marked.
+    pub(crate) fn count(&self, bag: &TokenBag) -> usize {
+        bag.syms()
+            .map(|s| ((self.bits[s.index() >> 6] >> (s.index() & 63)) & 1) as usize)
+            .sum()
+    }
+
+    /// Removes `bag`'s symbols, undoing [`SymMarks::mark`] of the same bag.
+    pub(crate) fn unmark(&mut self, bag: &TokenBag) {
+        for s in bag.syms() {
+            self.bits[s.index() >> 6] &= !(1 << (s.index() & 63));
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Token-based and hybrid similarity measures.
 
+use crate::derive::AttrDerived;
 use crate::edit::jaro_winkler_with;
 use crate::intern::{Interner, Sym};
 use crate::scratch::SimScratch;
@@ -155,32 +156,38 @@ pub fn monge_elkan_with(
     total / n
 }
 
-/// Which argument of [`monge_elkan`] stays the same across a
-/// [`monge_elkan_fixed_with`] batch.
+/// Which argument of a two-bag measure stays the same across a batch
+/// call ([`monge_elkan_fixed_with`], [`set_counts_fixed_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FixedBag {
-    /// The outer bag `a`, whose tokens are averaged over.
+    /// The first argument `a`: Monge-Elkan's outer bag, whose tokens are
+    /// averaged over.
     Outer,
-    /// The inner bag `b`, searched for each outer token's best match.
+    /// The second argument `b`: Monge-Elkan's inner bag, searched for
+    /// each outer token's best match.
     Inner,
 }
 
-/// [`monge_elkan_with`] of one bag against many: appends to `out`, in
-/// order, the score of `fixed` against each bag of `others` — as the
-/// outer argument `a` when `side` is [`FixedBag::Outer`], as the inner `b`
-/// when it is [`FixedBag::Inner`]. Every value equals the single-pair
-/// kernel's to the bit.
+/// [`monge_elkan_with`] of one attribute's word bag against many:
+/// appends to `out`, in order, the score of `fixed` against each
+/// attribute of `others` — as the outer argument `a` when `side` is
+/// [`FixedBag::Outer`], as the inner `b` when it is [`FixedBag::Inner`].
+/// Every value equals the single-pair kernel's to the bit. All
+/// attributes must be derived against `interner`.
 ///
-/// With one side fixed, a token's Jaro-Winkler scores are memoized for
-/// the call instead of recomputed for every pair that holds it:
+/// Each outer bag is visited in the text order its derivation stored
+/// ([`AttrDerived::word_order`]), which is the order the single-pair
+/// kernel sorts into, so no pair sorts. With one side fixed, a token's
+/// Jaro-Winkler scores are memoized for the call instead of recomputed
+/// for every pair that holds it:
 ///
 /// * **Fixed inner bag.** An outer token's best match over `b` is a
 ///   pure function of the token, so it is computed once per distinct
 ///   token.
-/// * **Fixed outer bag.** Its tokens are sorted by text once; each
-///   distinct inner token gets one row of Jaro-Winkler scores against
-///   them, and a pair's per-token maxima are folded from its tokens'
-///   rows in symbol order, as the single-pair kernel folds them.
+/// * **Fixed outer bag.** Each distinct inner token gets one row of
+///   Jaro-Winkler scores against the fixed tokens, and a pair's
+///   per-token maxima are folded from its tokens' rows in symbol order,
+///   as the single-pair kernel folds them.
 ///
 /// Each pair still adds its per-token maxima in canonical text order,
 /// the same values in the same order, and `max` over non-NaN scores
@@ -190,39 +197,39 @@ pub enum FixedBag {
 pub fn monge_elkan_fixed_with<'b>(
     scratch: &mut SimScratch,
     interner: &Interner,
-    fixed: &TokenBag,
+    fixed: &AttrDerived,
     side: FixedBag,
-    others: impl IntoIterator<Item = &'b TokenBag>,
+    others: impl IntoIterator<Item = &'b AttrDerived>,
     out: &mut Vec<f64>,
 ) {
     let mut memo = std::mem::take(&mut scratch.memo);
-    let mut syms = std::mem::take(&mut scratch.syms);
     memo.reserve(interner);
     match side {
         FixedBag::Inner => {
             for a in others {
-                if let Some(v) = empty_monge_elkan(a, fixed) {
+                if let Some(v) = empty_monge_elkan(&a.word, &fixed.word) {
                     out.push(v);
                     continue;
                 }
-                sort_by_text(&mut syms, interner, a);
+                let order = a.word_order();
                 let mut total = 0.0;
-                for &sa in &syms {
+                for &sa in order {
                     let at = match memo.get(sa) {
                         Some(at) => at,
-                        None => memo.insert(sa, [best_match(scratch, interner, sa, fixed)]),
+                        None => memo.insert(sa, [best_match(scratch, interner, sa, &fixed.word)]),
                     };
                     total += memo.scores()[at];
                 }
-                out.push(total / syms.len() as f64);
+                out.push(total / order.len() as f64);
             }
         }
         FixedBag::Outer => {
-            sort_by_text(&mut syms, interner, fixed);
-            let k = syms.len();
+            let order = fixed.word_order();
+            let k = order.len();
             let mut best = std::mem::take(&mut scratch.best);
             for b in others {
-                if let Some(v) = empty_monge_elkan(fixed, b) {
+                let b = &b.word;
+                if let Some(v) = empty_monge_elkan(&fixed.word, b) {
                     out.push(v);
                     continue;
                 }
@@ -233,7 +240,7 @@ pub fn monge_elkan_fixed_with<'b>(
                         Some(at) => at,
                         None => {
                             let tb = interner.resolve(sb);
-                            let row = syms
+                            let row = order
                                 .iter()
                                 .map(|&sa| jaro_winkler_with(scratch, interner.resolve(sa), tb));
                             memo.insert(sb, row)
@@ -244,7 +251,7 @@ pub fn monge_elkan_fixed_with<'b>(
                     }
                 }
                 let mut total = 0.0;
-                for (&sa, &m) in syms.iter().zip(&best) {
+                for (&sa, &m) in order.iter().zip(&best) {
                     total += if b.count(sa) > 0 { 1.0 } else { m };
                 }
                 out.push(total / k as f64);
@@ -254,7 +261,39 @@ pub fn monge_elkan_fixed_with<'b>(
     }
     memo.clear();
     scratch.memo = memo;
-    scratch.syms = syms;
+}
+
+/// [`SetCounts::of`] of one bag against many: appends to `out`, in
+/// order, the counts of `fixed` against each bag of `others` — `fixed`
+/// as the first argument `a` when `side` is [`FixedBag::Outer`], as the
+/// second `b` when it is [`FixedBag::Inner`]. All bags must come from
+/// `interner`.
+///
+/// The fixed bag's symbols are marked once in a symbol-indexed bitset
+/// in `scratch`, and each other bag's intersection is counted by one
+/// lookup per distinct token instead of a merge-join against the fixed
+/// bag. Both count the same distinct shared tokens, so every count
+/// equals [`SetCounts::of`]'s, and the set measures read nothing else.
+/// The bitset is all zero again when the call returns.
+pub fn set_counts_fixed_with<'b>(
+    scratch: &mut SimScratch,
+    interner: &Interner,
+    fixed: &TokenBag,
+    side: FixedBag,
+    others: impl IntoIterator<Item = &'b TokenBag>,
+    out: &mut Vec<SetCounts>,
+) {
+    let marks = &mut scratch.marks;
+    marks.reserve(interner);
+    marks.mark(fixed);
+    out.extend(others.into_iter().map(|other| {
+        let (inter, f, o) = (marks.count(other), fixed.distinct(), other.distinct());
+        match side {
+            FixedBag::Outer => SetCounts { inter, a: f, b: o },
+            FixedBag::Inner => SetCounts { inter, a: o, b: f },
+        }
+    }));
+    marks.unmark(fixed);
 }
 
 /// Monge-Elkan's empty-bag conventions: two empty bags score 1, one

@@ -9,6 +9,14 @@
 //! must reproduce it to `f64::to_bits` on ASCII, mixed and non-ASCII
 //! alphabets, including token bags that share tokens.
 //!
+//! The fill's shared-work paths are checked here too: set counts against
+//! a marked fixed bag against the merge-join, normalized Levenshtein and
+//! Needleman-Wunsch read off one shared [`EditCounts`],
+//! the ASCII exact match against the lowercased comparison it skips
+//! (with `İ` and `Σ`, whose lowercase forms are not one ASCII byte), and
+//! the batch Monge-Elkan over derived attributes, whose outer sums
+//! follow the text order stored at derivation.
+//!
 //! Levenshtein and Needleman-Wunsch take a bit-parallel path when both
 //! strings are ASCII and the shorter is at most 64 bytes, so the edit
 //! kernels are also checked on strings up to 80 bytes over two- and
@@ -17,11 +25,14 @@
 //! that mixes ASCII with non-ASCII chars.
 
 use proptest::prelude::*;
+use zeroer_tabular::Value;
 use zeroer_textsim::align::needleman_wunsch;
 use zeroer_textsim::{
-    jaro, jaro_winkler, jaro_winkler_with, jaro_with, levenshtein, levenshtein_sim,
-    levenshtein_sim_with, levenshtein_with, monge_elkan, monge_elkan_fixed_with, monge_elkan_with,
-    needleman_wunsch_with, words, FixedBag, Interner, SimScratch, TokenBag,
+    exact_match, exact_match_lowercase, jaro, jaro_winkler, jaro_winkler_with, jaro_with,
+    levenshtein, levenshtein_sim, levenshtein_sim_with, levenshtein_with, monge_elkan,
+    monge_elkan_fixed_with, monge_elkan_with, needleman_wunsch_with, qgrams, set_counts_fixed_with,
+    words, AttrDerived, DeriveConfig, Deriver, EditCounts, FixedBag, Interner, SetCounts,
+    SimScratch, TokenBag,
 };
 
 /// The plain char-based kernels, kept as the parity reference.
@@ -215,12 +226,13 @@ fn assert_monge_elkan_matches(s: &mut SimScratch, it: &Interner, a: &TokenBag, b
 }
 
 /// The batch form with `fixed` on each side, against the reference per
-/// pair: a memoized token must score what the single-pair kernel scores.
+/// pair: a memoized token must score what the single-pair kernel scores,
+/// and a stored text order must sum what the reference's sort sums.
 fn assert_monge_elkan_fixed_matches(
     s: &mut SimScratch,
     it: &Interner,
-    fixed: &TokenBag,
-    others: &[TokenBag],
+    fixed: &AttrDerived,
+    others: &[AttrDerived],
 ) {
     for side in [FixedBag::Outer, FixedBag::Inner] {
         let mut out = Vec::new();
@@ -228,11 +240,50 @@ fn assert_monge_elkan_fixed_matches(
         assert_eq!(out.len(), others.len());
         for (o, got) in others.iter().zip(out) {
             let want = match side {
-                FixedBag::Outer => reference::monge_elkan(it, fixed, o),
-                FixedBag::Inner => reference::monge_elkan(it, o, fixed),
+                FixedBag::Outer => reference::monge_elkan(it, &fixed.word, &o.word),
+                FixedBag::Inner => reference::monge_elkan(it, &o.word, &fixed.word),
             };
             assert_eq!(got.to_bits(), want.to_bits(), "{side:?}");
         }
+    }
+}
+
+/// Each text derived as a one-attribute record, all against one
+/// interner.
+fn derive_all(texts: &[&str]) -> (Deriver, Vec<AttrDerived>) {
+    let mut d = Deriver::new(DeriveConfig::default());
+    let attrs = texts
+        .iter()
+        .map(|t| d.derive(&[Value::Str(t.to_string())]).attr(0).clone())
+        .collect();
+    (d, attrs)
+}
+
+/// Normalized Levenshtein and Needleman-Wunsch read off one shared
+/// [`EditCounts`] against the reference DPs, to the bit.
+fn assert_edit_counts_match(s: &mut SimScratch, a: &str, b: &str) {
+    let counts = EditCounts::with(s, a, b);
+    assert_eq!(
+        counts.levenshtein_sim().to_bits(),
+        reference::levenshtein_sim(a, b).to_bits(),
+        "levenshtein_sim({a:?}, {b:?})"
+    );
+    assert_eq!(
+        counts.needleman_wunsch().to_bits(),
+        reference::needleman_wunsch(a, b).to_bits(),
+        "needleman_wunsch({a:?}, {b:?})"
+    );
+}
+
+/// The ASCII exact-match path against the lowercased comparison it
+/// replaces, both argument orders.
+fn assert_exact_match_matches(a: &str, b: &str) {
+    for (x, y) in [(a, b), (b, a)] {
+        assert_eq!(
+            exact_match_lowercase(x, y).to_bits(),
+            exact_match(&x.to_lowercase(), &y.to_lowercase()).to_bits(),
+            "exact_match_lowercase({x:?}, {y:?})"
+        );
     }
 }
 
@@ -257,6 +308,9 @@ const BINARY_80: &str = "[ab]{0,80}";
 const TERNARY_80: &str = "[abc]{0,80}";
 const MIXED: &str = "[a-eéü日本 ]{0,12}";
 const NON_ASCII: &str = "[éüßø日本語 ]{0,12}";
+/// Upper and lower case, ASCII and not, including letters whose Unicode
+/// lowercase is not one ASCII byte (`İ`, `Σ`).
+const CASED: &str = "[aAbBiIzZİıΣσς ]{0,8}";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -307,16 +361,55 @@ proptest! {
         // Small alphabets make tokens recur across bags, so memo hits,
         // exact-token hits and empty bags all occur; one scratch serves
         // several batches, so the memo must come back empty.
-        let mut it = Interner::new();
         let shared = shares_tokens(&fixed, &a);
-        let bags: Vec<TokenBag> = [&fixed, &a, &b, &c, &shared, &String::new()]
-            .iter()
-            .map(|t| words(&mut it, t))
-            .collect();
+        let (d, attrs) = derive_all(&[&fixed, &a, &b, &c, &shared, ""]);
         let mut s = SimScratch::new();
-        for f in &bags {
-            assert_monge_elkan_fixed_matches(&mut s, &it, f, &bags);
+        for f in &attrs {
+            assert_monge_elkan_fixed_matches(&mut s, d.interner(), f, &attrs);
         }
+    }
+
+    #[test]
+    fn set_counts_fixed_match_merge_join(fixed in MIXED, a in ASCII, b in MIXED, c in NON_ASCII) {
+        // Word and 3-gram bags with either side fixed, one scratch across
+        // calls: each batch count equals the pair's merge-join count, and
+        // the bitset comes back clear.
+        let mut it = Interner::new();
+        let texts = [&fixed, &a, &b, &c, &shares_tokens(&fixed, &a), &String::new()];
+        let mut s = SimScratch::new();
+        for bag in [|it: &mut Interner, t: &str| words(it, t), |it: &mut Interner, t: &str| qgrams(it, t, 3)] {
+            let bags: Vec<TokenBag> = texts.iter().map(|t| bag(&mut it, t)).collect();
+            for f in &bags {
+                for side in [FixedBag::Outer, FixedBag::Inner] {
+                    let mut out = Vec::new();
+                    set_counts_fixed_with(&mut s, &it, f, side, &bags, &mut out);
+                    for (o, got) in bags.iter().zip(out) {
+                        let want = match side {
+                            FixedBag::Outer => SetCounts::of(f, o),
+                            FixedBag::Inner => SetCounts::of(o, f),
+                        };
+                        prop_assert_eq!(got, want, "{:?}", side);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_edit_counts_match_reference(a in MIXED, b in ASCII, c in NON_ASCII, long in TERNARY_80) {
+        // One scratch across the byte and char paths and the 64-byte
+        // word boundary.
+        let mut s = SimScratch::new();
+        for (x, y) in [(&a, &b), (&b, &c), (&c, &a), (&a, &a), (&long, &b), (&b, &long)] {
+            assert_edit_counts_match(&mut s, x, y);
+        }
+    }
+
+    #[test]
+    fn exact_match_lowercase_matches_reference(a in CASED, b in CASED) {
+        assert_exact_match_matches(&a, &b);
+        assert_exact_match_matches(&a, &a.to_uppercase());
+        assert_exact_match_matches(&a, &a.to_lowercase());
     }
 
     #[test]
@@ -388,6 +481,25 @@ fn edit_kernels_match_reference_on_long_mixed_text() {
         (&ascii, &ascii[1..].to_string()),
     ] {
         assert_kernels_match(&mut s, x, y);
+    }
+}
+
+#[test]
+fn exact_match_lowercase_matches_reference_on_case_folding() {
+    for (a, b) in [
+        ("ACM", "acm"),
+        ("AcM", "aCm"),
+        ("acm", "vldb"),
+        ("", ""),
+        ("a", ""),
+        ("İstanbul", "istanbul"),
+        ("İstanbul", "i\u{307}stanbul"),
+        ("ΟΔΟΣ", "οδος"),
+        ("ΟΔΟΣ", "οδοσ"),
+        ("Σ", "σ"),
+        ("STRASSE", "straße"),
+    ] {
+        assert_exact_match_matches(a, b);
     }
 }
 

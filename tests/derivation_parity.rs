@@ -7,13 +7,17 @@
 //! the interned derivation produces **identical** word/q-gram bags,
 //! blocking keys, candidate sets, and feature rows (the latter down to
 //! `f64::to_bits`) on generated records.
+//!
+//! Two facts derivation stores for the batch fill are checked here too:
+//! each word bag's text order, on the sequential and the scratch-commit
+//! paths, and value keys that do not depend on interner history.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use zeroer::blocking::{standard_candidates_derived, PairMode};
 use zeroer::features::{functions_for, DeriveConfig, PairFeaturizer, RowFeaturizer, SimFunction};
 use zeroer::tabular::{Record, Schema, Table, Value};
-use zeroer::textsim::derive::Deriver;
+use zeroer::textsim::derive::{DerivedRecord, Deriver, ScratchDeriver};
 use zeroer::textsim::{jaro_winkler, Interner, Sym, TokenBag};
 
 /// The retired string-based tokenizers and blockers, kept as the parity
@@ -147,6 +151,28 @@ fn attr_text() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9 ,.!_-]{0,24}"
 }
 
+/// Short words over a small mixed alphabet, so tokens recur across
+/// records and text order differs from first-intern order.
+fn order_text() -> impl Strategy<Value = String> {
+    "[abcéΣσς日 ]{0,16}"
+}
+
+/// Each attribute's stored word order is its bag's distinct symbols
+/// sorted by resolved text.
+fn assert_text_order(rec: &DerivedRecord, it: &Interner) {
+    for a in 0..rec.arity() {
+        let attr = rec.attr(a);
+        let mut want: Vec<Sym> = attr.word.syms().collect();
+        want.sort_by(|&x, &y| it.resolve(x).cmp(it.resolve(y)));
+        assert_eq!(attr.word_order(), &want[..], "attribute {a}");
+    }
+}
+
+/// One-attribute rows of `texts`.
+fn rows_of(texts: &[String]) -> Vec<Vec<Value>> {
+    texts.iter().map(|t| vec![Value::Str(t.clone())]).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -249,6 +275,90 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Derivation stores Monge-Elkan's canonical order with the word bag,
+    /// on the sequential path and on the scratch path after commit. The
+    /// base interner knows the words of the first `known` rows only, so
+    /// the scratch path meets both base tokens and tokens fresh to the
+    /// worker, whose symbols commit renumbers.
+    #[test]
+    fn derivation_stores_text_order(
+        texts in proptest::collection::vec(order_text(), 8),
+        known in 0usize..8,
+    ) {
+        let rows = rows_of(&texts);
+        let cfg = DeriveConfig::blocking(0, 3);
+        let mut warm = Deriver::new(cfg.clone());
+        for r in rows.iter().take(known) {
+            warm.derive(r);
+        }
+        let base = warm.into_interner();
+
+        let mut seq = Deriver::with_interner(base.clone(), cfg.clone());
+        for r in &rows {
+            let rec = seq.derive(r);
+            assert_text_order(&rec, seq.interner());
+        }
+
+        let mut scratch = ScratchDeriver::new(&base, cfg);
+        let derived: Vec<_> = rows.iter().map(|r| scratch.derive(r)).collect();
+        let scratch_texts = scratch.into_texts();
+        let mut map = vec![None; scratch_texts.len()];
+        let mut interner = base;
+        for d in derived {
+            let rec = d.commit(&scratch_texts, &mut map, &mut interner);
+            assert_text_order(&rec, &interner);
+        }
+    }
+
+    /// A value's key reads no symbol: the same values derived after
+    /// different interner histories, sequentially or through a scratch
+    /// commit, get the same keys.
+    #[test]
+    fn value_keys_do_not_depend_on_interner_history(
+        values in proptest::collection::vec(order_text(), 6),
+        history in proptest::collection::vec(order_text(), 6),
+        nums in proptest::collection::vec(-1e3f64..1e3, 6),
+        null_mask in proptest::collection::vec(0usize..3, 6),
+    ) {
+        let rows: Vec<Vec<Value>> = values
+            .iter()
+            .zip(nums.iter().zip(&null_mask))
+            .map(|(t, (&n, &null))| {
+                let v = if null == 0 { Value::Null } else { Value::Float(n) };
+                vec![Value::Str(t.clone()), v]
+            })
+            .collect();
+        let keys = |recs: Vec<DerivedRecord>| -> Vec<u64> {
+            recs.iter()
+                .flat_map(|r| (0..r.arity()).map(|a| r.attr(a).key()).collect::<Vec<_>>())
+                .collect()
+        };
+        let mut fresh = Deriver::new(DeriveConfig::default());
+        let want = keys(rows.iter().map(|r| fresh.derive(r)).collect());
+
+        let mut warm = Deriver::new(DeriveConfig::default());
+        for h in rows_of(&history).iter().rev() {
+            warm.derive(&[h[0].clone(), Value::Int(7)]);
+        }
+        let base = warm.interner().clone();
+        prop_assert_eq!(&keys(rows.iter().map(|r| warm.derive(r)).collect()), &want);
+
+        let mut scratch = ScratchDeriver::new(&base, DeriveConfig::default());
+        let derived: Vec<_> = rows.iter().map(|r| scratch.derive(r)).collect();
+        let scratch_texts = scratch.into_texts();
+        let mut map = vec![None; scratch_texts.len()];
+        let mut interner = base;
+        let committed = derived
+            .into_iter()
+            .map(|d| d.commit(&scratch_texts, &mut map, &mut interner))
+            .collect();
+        prop_assert_eq!(&keys(committed), &want);
     }
 }
 
