@@ -1,7 +1,7 @@
 //! The TCP server: one accept loop, one handler thread per connection,
 //! every connection holding its own epoch-pinned [`ReadHandle`] plus a
-//! clone of the shared [`WriteHandle`]. It serves either streaming
-//! pipeline — [`StreamPipeline`] (dedup) or
+//! clone of the shared [`WriteHandle`]. It serves a [`Pipeline`] of
+//! either topology — [`zeroer_stream::StreamPipeline`] (dedup) or
 //! [`zeroer_stream::LinkPipeline`] (linkage) — through the same
 //! [`SplitPipeline`]; resolve and ingest requests carry a `side`
 //! exactly when the pipeline is linkage.
@@ -27,7 +27,7 @@ use zeroer_core::json::Json;
 use zeroer_obs::json::{Arr, Obj};
 use zeroer_obs::{Counter, Histogram, Stopwatch};
 use zeroer_stream::{
-    Pipeline, ReadHandle, ResolveOutcome, Side, SplitPipeline, StreamPipeline, WriteHandle,
+    Dedup, Pipeline, ReadHandle, ResolveOutcome, Side, SplitPipeline, Topology, WriteHandle,
 };
 use zeroer_tabular::{Record, Value};
 
@@ -57,21 +57,21 @@ impl ServeMeters {
 
 /// A bound-but-not-yet-serving resolution server over a split
 /// pipeline.
-pub struct Server<P: Pipeline = StreamPipeline> {
+pub struct Server<T: Topology = Dedup> {
     listener: TcpListener,
-    split: SplitPipeline<P>,
+    split: SplitPipeline<T>,
     meters: Option<ServeMeters>,
     stop: Arc<AtomicBool>,
 }
 
-impl<P: Pipeline> Server<P> {
+impl<T: Topology> Server<T> {
     /// Splits `pipeline` into its read/write halves (ingest
     /// micro-batches applied with `writer_threads` workers) and binds
     /// `addr` (e.g. `127.0.0.1:0` for an ephemeral port).
     ///
     /// # Errors
     /// Fails when the address cannot be bound.
-    pub fn bind(pipeline: P, addr: &str, writer_threads: usize) -> std::io::Result<Self> {
+    pub fn bind(pipeline: Pipeline<T>, addr: &str, writer_threads: usize) -> std::io::Result<Self> {
         let meters = ServeMeters::from_flag(pipeline.options().metrics);
         let listener = TcpListener::bind(addr)?;
         Ok(Server {
@@ -97,7 +97,7 @@ impl<P: Pipeline> Server<P> {
     /// open connections are shut down, handler threads joined, the
     /// admission queue closed and drained, and the pipeline — including
     /// everything ingested over the wire — handed back.
-    pub fn run(self) -> P {
+    pub fn run(self) -> Pipeline<T> {
         let addr = self.local_addr();
         let mut handlers = Vec::new();
         // Clones of accepted sockets, kept so shutdown can unblock
@@ -138,15 +138,15 @@ impl<P: Pipeline> Server<P> {
 }
 
 /// Per-connection state: a private read handle, a shared write handle.
-struct Connection<P: Pipeline> {
-    reads: ReadHandle<P>,
-    writes: WriteHandle<P>,
+struct Connection<T: Topology> {
+    reads: ReadHandle<T>,
+    writes: WriteHandle<T>,
     meters: Option<ServeMeters>,
     stop: Arc<AtomicBool>,
     poke: SocketAddr,
 }
 
-impl<P: Pipeline> Connection<P> {
+impl<T: Topology> Connection<T> {
     fn serve(mut self, stream: TcpStream) {
         if let Some(m) = self.meters {
             m.connections.incr();

@@ -378,7 +378,7 @@ fn main() {
     // (raw_row_into, what ingest actually runs).
     let snap = pipeline.snapshot();
     let featurizer = RowFeaturizer::new(&snap.attr_types);
-    let scorer = snap.model.scorer().expect("snapshot scorer");
+    let scorer = snap.model.scoring().scorer().expect("snapshot scorer");
     let mut score_deriver = Deriver::new(cfg.derive_config());
     let caches: Vec<DerivedRecord> = boot
         .records()

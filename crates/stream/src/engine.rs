@@ -1,15 +1,16 @@
-//! The streaming engine both pipelines run on. Deduplication is record
-//! linkage with `T = T'` (§5 of the paper), so [`crate::StreamPipeline`]
-//! and [`crate::LinkPipeline`] share the store, the frozen scorer, the
-//! drift monitor and every operation on them; they differ in the blocking
-//! [`Topology`] — which index an arriving record probes and which it
-//! joins — and keep only their fit recipe, snapshot type and bootstrap
-//! provenance. The engine is generic over the topology, so the dedup hot
-//! path is monomorphized: its routing tag is `()`, so it stores no
-//! per-record side tag, and nothing is dispatched dynamically.
+//! The streaming pipeline, written once for both topologies.
+//! Deduplication is record linkage with `T = T'` (§5 of the paper), so
+//! [`crate::StreamPipeline`] and [`crate::LinkPipeline`] are one
+//! [`Pipeline`] over a [`Topology`]. The store, the frozen scorer, the
+//! drift monitor, the snapshot and every operation on them are shared;
+//! the topology decides which index an arriving record probes and which
+//! it joins, names the bootstrap tables and supplies the fit recipe over
+//! the live records. The pipeline is generic over the topology, so the
+//! dedup hot path is monomorphized: its routing tag is `()`, so it
+//! stores no per-record side tag, and nothing is dispatched dynamically.
 
 use crate::drift::{DriftMonitor, DriftSample};
-use crate::index::{CompactionDelta, IndexConfig, IndexStats};
+use crate::index::{CompactionDelta, IndexStats};
 use crate::link::Side;
 use crate::meters::StageMeters;
 use crate::pipeline::{
@@ -17,13 +18,14 @@ use crate::pipeline::{
     StreamStats,
 };
 use crate::shard::{RecordKeys, ShardedIndex};
-use crate::split::ReadView;
+use crate::snapshot::{BaseTable, PipelineSnapshot, SnapshotModel};
+use crate::split::{ReadHandle, ReadView};
 use crate::store::EntityStore;
 use std::sync::Mutex;
-use zeroer_core::{ModelSnapshot, ScoreBatch, SnapshotScorer};
+use zeroer_core::{ScoreBatch, SnapshotScorer};
 use zeroer_features::{BatchFeaturizer, FillScratch};
 use zeroer_obs::{Histogram, Stopwatch};
-use zeroer_tabular::{AttrType, Record, Schema, Table};
+use zeroer_tabular::{Record, Table};
 use zeroer_textsim::derive::{DerivedRecord, ScratchDerived, ScratchDeriver};
 use zeroer_textsim::intern::{Interner, Sym};
 
@@ -91,17 +93,30 @@ where
     matches
 }
 
-/// Which blocking index an arriving record probes and which it joins:
-/// [`Dedup`] or [`Linkage`]. A topology only routes; the engine owns the
-/// indexes and writes every operation on them once.
-pub trait Topology: Send + Sync + 'static {
+pub(crate) mod sealed {
+    /// Keeps [`super::Topology`] implemented by this crate alone.
+    pub trait Sealed {}
+}
+
+/// What differs between the two kinds of streaming pipeline:
+/// [`crate::Dedup`] or [`crate::Linkage`]. A topology routes each
+/// arriving record between the blocking indexes (one per bootstrap
+/// table), names the bootstrap tables and supplies the fit recipe;
+/// [`Pipeline`] writes every operation on them once. Sealed: only this
+/// crate implements it.
+pub trait Topology: sealed::Sealed + Sized + Send + Sync + 'static {
     /// What routes an arriving record: `()` for dedup, its [`Side`] for
     /// linkage.
     type Tag: Copy + PartialEq + Send + Sync + 'static;
+    /// The snapshot kind the pipeline saves and restores from (see
+    /// [`SnapshotModel::kind`]).
+    const KIND: &'static str;
     /// Metric-name prefix of the pipeline (`stream` or `link`).
     const METRICS: &'static str;
-    /// How many blocking indexes the engine keeps.
-    const INDEXES: usize;
+    /// The bootstrap tables in seeding order, each with the name errors
+    /// give it and the tag its records carry. Table `k` owns blocking
+    /// index `k`.
+    const TABLES: &'static [(&'static str, Self::Tag)];
 
     /// The tag for a request's optional side: dedup takes none, linkage
     /// requires one.
@@ -114,58 +129,12 @@ pub trait Topology: Send + Sync + 'static {
     /// The index a `tag` arrival probes and the one it joins. They are
     /// equal exactly when arrivals can match each other.
     fn route(tag: Self::Tag) -> (usize, usize);
-}
-
-/// Dedup topology: one index, which each arrival probes and joins.
-pub struct Dedup;
-
-impl Topology for Dedup {
-    type Tag = ();
-    const METRICS: &'static str = "stream";
-    const INDEXES: usize = 1;
-
-    fn tag(side: Option<Side>) -> Result<(), StreamError> {
-        match side {
-            None => Ok(()),
-            Some(s) => Err(StreamError(format!(
-                "this is a dedup pipeline; records carry no side (got {:?})",
-                s.name()
-            ))),
-        }
-    }
-    fn new_on_left((): ()) -> bool {
-        false
-    }
-    fn route((): ()) -> (usize, usize) {
-        (0, 0)
-    }
-}
-
-/// Linkage topology: one index per side, left then right. An arrival
-/// probes the opposite side's index and joins its own — the candidate
-/// structure of batch cross-table blocking. A same-side batch never
-/// matches itself.
-pub struct Linkage;
-
-impl Topology for Linkage {
-    type Tag = Side;
-    const METRICS: &'static str = "link";
-    const INDEXES: usize = 2;
-
-    fn tag(side: Option<Side>) -> Result<Side, StreamError> {
-        side.ok_or_else(|| {
-            StreamError("a linkage pipeline needs a side (\"left\" or \"right\")".into())
-        })
-    }
-    fn new_on_left(side: Side) -> bool {
-        side == Side::Left
-    }
-    fn route(side: Side) -> (usize, usize) {
-        match side {
-            Side::Left => (1, 0),
-            Side::Right => (0, 1),
-        }
-    }
+    /// The fit recipe over `pipeline`'s live records: the new frozen
+    /// model, with the fit's `records`, `pairs` and `em_iterations`.
+    ///
+    /// # Errors
+    /// Fails like [`Pipeline::refit`].
+    fn fit_live(pipeline: &Pipeline<Self>) -> Result<(SnapshotModel, RefreshReport), StreamError>;
 }
 
 /// Fails when `record` does not have the schema's `arity`.
@@ -179,26 +148,42 @@ pub(crate) fn check_arity(record: &Record, arity: usize) -> Result<(), StreamErr
     )))
 }
 
-/// The routing tag of pipeline `P`'s topology.
-pub(crate) type Tag<P> = <<P as Pipeline>::Topology as Topology>::Tag;
-
 /// One record's matches and drift sample, from a scoring worker.
 type ScoredRecord = (Vec<(usize, f64)>, Option<DriftSample>);
 
 /// A run of scoring slots for a worker, with its first record's offset.
 type ScoreJob<'m> = (usize, &'m mut [ScoredRecord]);
 
-/// The state and operations both streaming pipelines share.
-pub struct Engine<T: Topology> {
+/// Incremental entity resolution on a frozen, batch-fitted model:
+/// ingest records, find their candidates through incremental blocking
+/// indexes, score them with snapshot inference (no EM), and keep entity
+/// clusters transitively in a union-find. Records can be withdrawn
+/// again: tombstones hide them from candidates, the match-decision log
+/// rebuilds the affected component's clusters, and online compaction
+/// reclaims the dead index postings.
+///
+/// `T` is the [`Topology`]: [`crate::StreamPipeline`] deduplicates one
+/// table, [`crate::LinkPipeline`] links two. Each alias adds only its
+/// bootstrap, its `seed_base` and its side-tagged ingest.
+pub struct Pipeline<T: Topology> {
     pub(crate) opts: StreamOptions,
     pub(crate) store: EntityStore,
-    /// The topology's blocking indexes, in [`Topology::route`] order.
-    pub(crate) indexes: Vec<ShardedIndex>,
+    /// The blocking indexes, one per table of [`Topology::TABLES`].
+    indexes: Vec<ShardedIndex>,
     /// The tag each stored record arrived under, indexed like the store.
     /// Dedup's tag is `()`, so its `Vec<()>` stores and allocates nothing.
     pub(crate) tags: Vec<T::Tag>,
     pub(crate) featurizer: BatchFeaturizer,
-    pub(crate) scorer: SnapshotScorer,
+    /// Scores with the scoring model of `model`.
+    scorer: SnapshotScorer,
+    /// The frozen model snapshots persist.
+    pub(crate) model: SnapshotModel,
+    /// Bootstrap provenance, one entry per table of [`Topology::TABLES`]:
+    /// persisted so [`Pipeline::seed`] replays the batch decisions
+    /// without re-scoring, and refuses the wrong tables.
+    base: Vec<BaseTable>,
+    /// The pairs merged at fit time, in decision order.
+    base_matches: Vec<(usize, usize)>,
     /// Scoring buffers of the sequential path (parallel workers carry
     /// their own), so steady-state scoring allocates nothing.
     batch: ScoreBatch,
@@ -206,36 +191,39 @@ pub struct Engine<T: Topology> {
     /// memo.
     scratch: FillScratch,
     /// Candidate pairs generated so far (see [`StreamStats`]).
-    pub(crate) candidates_seen: usize,
+    candidates_seen: usize,
     /// Snapshot tombstones (bootstrap-record indices) that
-    /// [`Engine::seed`] has not replayed yet; retraction is refused
+    /// [`Pipeline::seed`] has not replayed yet; retraction is refused
     /// until it has, since the indices would be ambiguous.
-    pub(crate) pending_tombstones: Vec<usize>,
-    /// Snapshot epoch, re-pinned by [`Engine::seed`].
-    pub(crate) pending_epoch: u64,
+    pending_tombstones: Vec<usize>,
+    /// Snapshot epoch, re-pinned by [`Pipeline::seed`].
+    pending_epoch: u64,
     /// `None` when [`StreamOptions::metrics`] is off: one branch per
     /// stage boundary.
     pub(crate) meters: Option<StageMeters>,
     /// Always folded, so the refresh watermark works with metrics off;
     /// the metrics flag gates only gauge publication.
-    pub(crate) drift: DriftMonitor,
+    drift: DriftMonitor,
     /// Refits since construction (0 = the bootstrap model).
-    pub(crate) generation: u64,
+    generation: u64,
 }
 
-impl<T: Topology> Engine<T> {
-    /// An engine over `store` with empty indexes, scoring with `scorer`.
+impl<T: Topology> Pipeline<T> {
+    /// A pipeline over `store` with empty indexes and no bootstrap
+    /// provenance, scoring with `model`.
     pub(crate) fn new(
         opts: StreamOptions,
         store: EntityStore,
         featurizer: BatchFeaturizer,
-        scorer: SnapshotScorer,
-    ) -> Self {
+        model: SnapshotModel,
+    ) -> Result<Self, StreamError> {
+        let scorer = model.scoring().scorer()?;
         debug_assert_eq!(featurizer.dim(), scorer.snapshot().dim());
-        Self {
+        Ok(Self {
             meters: StageMeters::from_flag(opts.metrics, T::METRICS),
             drift: DriftMonitor::new(scorer.snapshot()),
-            indexes: (0..T::INDEXES)
+            indexes: T::TABLES
+                .iter()
                 .map(|_| ShardedIndex::new(opts.index_config()))
                 .collect(),
             tags: Vec::new(),
@@ -243,49 +231,101 @@ impl<T: Topology> Engine<T> {
             store,
             featurizer,
             scorer,
+            model,
+            base: Vec::new(),
+            base_matches: Vec::new(),
             batch: ScoreBatch::new(),
             scratch: FillScratch::new(),
             candidates_seen: 0,
             pending_tombstones: Vec::new(),
             pending_epoch: 0,
             generation: 0,
+        })
+    }
+
+    /// Finishes a bootstrap over the fit's store, which holds `tables`'
+    /// records in order: indexes every record under its table's tag,
+    /// records the tables' provenance, and merges each scored pair whose
+    /// posterior clears the assignment threshold — ingest's
+    /// `p > threshold` criterion, so a pair decides identically whether
+    /// it arrived in the bootstrap batch or one record later. The merged
+    /// pairs are the decisions [`Pipeline::seed`] replays.
+    pub(crate) fn finish_bootstrap(
+        &mut self,
+        sw: Stopwatch,
+        tables: &[&Table],
+        candidates: usize,
+        scored: impl Iterator<Item = ((usize, usize), f64)>,
+    ) {
+        let mut idx = 0;
+        for (table, &(_, tag)) in tables.iter().zip(T::TABLES) {
+            for _ in 0..table.len() {
+                let keys = RecordKeys::from_derived(self.store.derived(idx), self.store.interner());
+                self.join(tag, idx, &keys);
+                idx += 1;
+            }
+        }
+        self.base = tables.iter().map(|t| BaseTable::of(t)).collect();
+        self.candidates_seen = candidates;
+        let threshold = self.opts.threshold;
+        self.base_matches = scored
+            .filter(|&(_, gamma)| gamma > threshold)
+            .map(|(pair, _)| pair)
+            .collect();
+        for &(a, b) in &self.base_matches {
+            self.store.merge(a, b);
+        }
+        if let Some(m) = self.meters {
+            sw.total(m.bootstrap);
+            m.records.add(self.store.len() as u64);
+            m.candidates.add(candidates as u64);
+            m.matches.add(self.base_matches.len() as u64);
         }
     }
 
-    /// An empty engine restored from a snapshot: the persisted blocking
-    /// configuration and frozen model, the caller's `threshold`, and
-    /// defaults for every other runtime knob (none is persisted). The
-    /// persisted tombstones and epoch wait for [`Engine::seed`].
+    /// Rebuilds a scoring pipeline from a saved [`PipelineSnapshot`] of
+    /// this topology's kind, with an empty store — the cold start of
+    /// `zeroer ingest`, `retract`, `compact`, `refresh` and `serve`.
+    /// [`Pipeline::seed`] then replays the bootstrap tables.
+    ///
+    /// `threshold` overrides the assignment threshold (pass
+    /// `StreamOptions::default().threshold` for the standard 0.5 cut).
+    /// Runtime knobs are not persisted: the compaction and refresh
+    /// watermarks and the metrics flag come back at their defaults, so
+    /// callers that tuned them re-apply them after restoring. For the
+    /// same reason [`Pipeline::options`]'s `config` is
+    /// `ZeroErConfig::default()`.
     ///
     /// # Errors
-    /// Fails when the attribute types imply another feature count than
-    /// the model's, or when a tombstone lies beyond the `bootstrap_len`
-    /// bootstrap records (streamed records are not persisted, so their
-    /// retractions cannot be restored).
-    pub(crate) fn restore(
-        schema: Schema,
-        attr_types: &[AttrType],
-        index: &IndexConfig,
-        model: &ModelSnapshot,
-        bootstrap_len: usize,
-        (tombstones, epoch): (&[usize], u64),
-        threshold: f64,
-    ) -> Result<Self, StreamError> {
-        let featurizer = BatchFeaturizer::new(attr_types);
-        if featurizer.dim() != model.dim() {
+    /// Fails if the snapshot is of the other kind, if it is internally
+    /// inconsistent (feature layout vs. model dimensionality), or if it
+    /// carries tombstones for streamed (non-persisted) records.
+    pub fn from_snapshot(snap: &PipelineSnapshot, threshold: f64) -> Result<Self, StreamError> {
+        if snap.model.kind() != T::KIND || snap.bootstrap.len() != T::TABLES.len() {
+            return Err(StreamError(format!(
+                "a {} snapshot with {} bootstrap tables cannot restore a {} pipeline",
+                snap.model.kind(),
+                snap.bootstrap.len(),
+                T::KIND
+            )));
+        }
+        let featurizer = BatchFeaturizer::new(&snap.attr_types);
+        if featurizer.dim() != snap.model.scoring().dim() {
             return Err(StreamError(format!(
                 "snapshot attr types imply {} features but the model has {}",
                 featurizer.dim(),
-                model.dim()
+                snap.model.scoring().dim()
             )));
         }
-        if let Some(t) = tombstones.iter().find(|&&t| t >= bootstrap_len) {
+        let bootstrap_len = snap.bootstrap_len();
+        if let Some(t) = snap.tombstones.iter().find(|&&t| t >= bootstrap_len) {
             return Err(StreamError(format!(
                 "snapshot tombstones record {t}, which lies beyond the {bootstrap_len} bootstrap \
                  records; streamed records are not persisted, so their retractions cannot be \
                  restored"
             )));
         }
+        let index = &snap.index;
         let opts = StreamOptions {
             blocking_attr: index.attr,
             min_token_overlap: index.min_token_overlap,
@@ -294,63 +334,77 @@ impl<T: Topology> Engine<T> {
             threshold,
             ..StreamOptions::default()
         };
-        let store = EntityStore::new(schema, index.derive_config());
-        let mut engine = Self::new(opts, store, featurizer, model.scorer()?);
-        engine.pending_tombstones = tombstones.to_vec();
-        engine.pending_epoch = epoch;
-        Ok(engine)
+        let store = EntityStore::new(snap.to_schema(), index.derive_config());
+        let mut pipeline = Self::new(opts, store, featurizer, snap.model.clone())?;
+        pipeline.base = snap.bootstrap.clone();
+        pipeline.base_matches = snap.bootstrap_pairs.clone();
+        pipeline.pending_tombstones = snap.tombstones.clone();
+        pipeline.pending_epoch = snap.epoch;
+        Ok(pipeline)
     }
 
-    /// Finishes a bootstrap over the fit's store: indexes every record
-    /// under `tag_of` and merges each scored pair whose posterior clears
-    /// the assignment threshold — ingest's `p > threshold` criterion, so a
-    /// pair decides identically whether it arrived in the bootstrap batch
-    /// or one record later. Returns the merged pairs, which the snapshot
-    /// persists so [`Engine::seed`] can replay them.
-    pub(crate) fn finish_bootstrap(
-        &mut self,
-        sw: Stopwatch,
-        tag_of: impl Fn(usize) -> T::Tag,
-        candidates: usize,
-        scored: impl Iterator<Item = ((usize, usize), f64)>,
-    ) -> Vec<(usize, usize)> {
-        for i in 0..self.store.len() {
-            let keys = RecordKeys::from_derived(self.store.derived(i), self.store.interner());
-            self.join(tag_of(i), i, &keys);
+    /// Freezes the pipeline into a serializable snapshot: the frozen
+    /// model, the blocking configuration and the bootstrap provenance —
+    /// each table's length and digest, the batch match decisions, the
+    /// tombstones and the epoch — so a cold restart preserves the batch
+    /// decisions. Tombstones a restored pipeline has not replayed yet
+    /// pass through verbatim.
+    pub fn snapshot(&self) -> PipelineSnapshot {
+        let (tombstones, epoch) = if self.pending_tombstones.is_empty() {
+            let live = (0..self.store.len()).filter(|&i| self.store.is_retracted(i));
+            (live.collect(), self.store.epoch())
+        } else {
+            (self.pending_tombstones.clone(), self.pending_epoch)
+        };
+        PipelineSnapshot {
+            schema: self.store.table().schema().attributes().to_vec(),
+            attr_types: self.featurizer.attr_types().to_vec(),
+            index: self.indexes[0].config().clone(),
+            model: self.model.clone(),
+            bootstrap: self.base.clone(),
+            bootstrap_pairs: self.base_matches.clone(),
+            tombstones,
+            epoch,
         }
-        self.candidates_seen = candidates;
-        let threshold = self.opts.threshold;
-        let merged: Vec<(usize, usize)> = scored
-            .filter(|&(_, gamma)| gamma > threshold)
-            .map(|(pair, _)| pair)
-            .collect();
-        for &(a, b) in &merged {
-            self.store.merge(a, b);
-        }
-        if let Some(m) = self.meters {
-            sw.total(m.bootstrap);
-            m.records.add(self.store.len() as u64);
-            m.candidates.add(candidates as u64);
-            m.matches.add(merged.len() as u64);
-        }
-        merged
     }
 
-    /// Seeds a just-restored engine with its bootstrap tables, replays
-    /// the persisted decisions (never re-scoring) and tombstones, and
-    /// re-pins the persisted epoch.
-    pub(crate) fn seed(
-        &mut self,
-        tables: &[(T::Tag, &Table)],
-        matches: &[(usize, usize)],
-    ) -> Result<(), StreamError> {
+    /// Seeds a freshly [`Pipeline::from_snapshot`]-restored pipeline with
+    /// its bootstrap tables, in [`Topology::TABLES`] order, replaying the
+    /// persisted batch decisions (never re-scoring) and then the
+    /// persisted retractions — the cold-start equivalent of what the
+    /// alias's `bootstrap` does in-process. Each table must hold the
+    /// records the snapshot was bootstrapped on, in the same order. The
+    /// aliases' `seed_base` name the tables.
+    ///
+    /// # Errors
+    /// Fails if the store already holds records, the snapshot carries no
+    /// bootstrap decisions, the table count does not fit the topology,
+    /// or a table has the wrong record count or different records; none
+    /// of these failures touches the store.
+    pub fn seed(&mut self, tables: &[&Table]) -> Result<(), StreamError> {
+        if self.base.iter().all(|t| t.len == 0) {
+            return Err(StreamError(
+                "snapshot carries no bootstrap decisions to replay".into(),
+            ));
+        }
+        if tables.len() != T::TABLES.len() {
+            return Err(StreamError(format!(
+                "a {} pipeline seeds from {} tables, got {}",
+                T::KIND,
+                T::TABLES.len(),
+                tables.len()
+            )));
+        }
+        for ((table, base), (name, _)) in tables.iter().zip(&self.base).zip(T::TABLES) {
+            base.check(name, table)?;
+        }
         if !self.store.is_empty() {
             return Err(StreamError(
                 "seed_base requires an empty (just-restored) pipeline".into(),
             ));
         }
         let sw = Stopwatch::new(self.meters.is_some());
-        for &(tag, table) in tables {
+        for (table, &(_, tag)) in tables.iter().zip(T::TABLES) {
             for r in table.records() {
                 let derived = self.store.derive(r);
                 let keys = RecordKeys::from_derived(&derived, self.store.interner());
@@ -358,7 +412,7 @@ impl<T: Topology> Engine<T> {
                 self.join(tag, idx, &keys);
             }
         }
-        for &(a, b) in matches {
+        for &(a, b) in &self.base_matches {
             self.store.merge(a, b);
         }
         for i in std::mem::take(&mut self.pending_tombstones) {
@@ -373,24 +427,70 @@ impl<T: Topology> Engine<T> {
         Ok(())
     }
 
-    /// The tombstones and epoch a snapshot persists; un-replayed pending
-    /// ones pass through verbatim.
-    pub(crate) fn persisted_tombstones(&self) -> (Vec<usize>, u64) {
-        if self.pending_tombstones.is_empty() {
-            (
-                (0..self.store.len())
-                    .filter(|&i| self.store.is_retracted(i))
-                    .collect(),
-                self.store.epoch(),
-            )
-        } else {
-            (self.pending_tombstones.clone(), self.pending_epoch)
-        }
+    /// The options in effect (see [`Pipeline::from_snapshot`] for what a
+    /// restored pipeline keeps).
+    pub fn options(&self) -> &StreamOptions {
+        &self.opts
     }
 
-    /// The blocking configuration every index shares.
-    pub(crate) fn index_config(&self) -> &IndexConfig {
-        self.indexes[0].config()
+    /// Reconfigures the dead-fraction auto-compaction watermark
+    /// (`None` disables it). A runtime knob, not persisted in
+    /// snapshots — restored pipelines start at the default.
+    pub fn set_compact_watermark(&mut self, watermark: Option<f64>) {
+        self.opts.compact_watermark = watermark;
+    }
+
+    /// Reconfigures the drift auto-refresh watermark (`None` disables
+    /// it; see [`StreamOptions::refresh_watermark`]). A runtime knob,
+    /// not persisted in snapshots — restored pipelines start at the
+    /// default (off).
+    pub fn set_refresh_watermark(&mut self, watermark: Option<f64>) {
+        self.opts.refresh_watermark = watermark;
+    }
+
+    /// Reconfigures the minimum drift-window size before the refresh
+    /// watermark may fire (see [`StreamOptions::refresh_min_records`]).
+    pub fn set_refresh_min_records(&mut self, records: usize) {
+        self.opts.refresh_min_records = records;
+    }
+
+    /// The entity store (for linkage: both sides' records, in one
+    /// combined numbering).
+    pub fn store(&self) -> &EntityStore {
+        &self.store
+    }
+
+    /// The live drift monitor: streaming posterior/feature summaries
+    /// against the current model's baseline.
+    pub fn drift(&self) -> &DriftMonitor {
+        &self.drift
+    }
+
+    /// How many times [`Pipeline::refit`] has swapped the scorer (0 =
+    /// still serving the bootstrap model).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Number of stored records (bootstrap records included).
+    pub fn len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Whether nothing has been stored.
+    pub fn is_empty(&self) -> bool {
+        self.store.is_empty()
+    }
+
+    /// The pipeline epoch: advances on every retraction and compaction.
+    pub fn epoch(&self) -> u64 {
+        self.store.epoch()
+    }
+
+    /// Current entity clusters (≥ 2 members), in the same shape
+    /// `dedup_table` reports. Retracted records never appear.
+    pub fn clusters(&self) -> Vec<Vec<usize>> {
+        self.store.clusters()
     }
 
     /// Stores record `idx`'s tag and joins it to its index, without
@@ -439,8 +539,12 @@ impl<T: Topology> Engine<T> {
             .collect()
     }
 
-    /// Enables or disables stage metrics.
-    pub(crate) fn set_metrics(&mut self, on: bool) {
+    /// Enables or disables this pipeline's stage metrics (see
+    /// [`StreamOptions::metrics`]; `stream.` metrics for dedup, `link.`
+    /// for linkage). A runtime knob, not persisted in snapshots. Metrics
+    /// are purely observational: on or off, every decision, cluster and
+    /// snapshot is bit-identical.
+    pub fn set_metrics(&mut self, on: bool) {
         self.opts.metrics = on;
         self.meters = StageMeters::from_flag(on, T::METRICS);
     }
@@ -453,7 +557,9 @@ impl<T: Topology> Engine<T> {
         self.check_arity(record).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    pub(crate) fn stats(&self) -> StreamStats {
+    /// Derivation and blocking observability counters; index counters
+    /// aggregate every index.
+    pub fn stats(&self) -> StreamStats {
         let mut index = IndexStats::default();
         for ix in &self.indexes {
             index.absorb(ix.stats());
@@ -486,11 +592,12 @@ impl<T: Topology> Engine<T> {
     }
 
     /// Ingests one record: derive → admit through the topology → score →
-    /// decide. Zero EM iterations; no call boundary ([`after_ingest`]).
+    /// decide. Zero EM iterations; no call boundary
+    /// ([`Pipeline::after_ingest`]).
     ///
     /// # Panics
     /// Panics if the record arity does not match the schema.
-    pub(crate) fn ingest_one(&mut self, record: Record, tag: T::Tag) -> IngestOutcome {
+    fn ingest_record(&mut self, record: Record, tag: T::Tag) -> IngestOutcome {
         // Validate before touching any state: a panic must not leave the
         // index one record ahead of the store.
         self.assert_arity(&record);
@@ -562,7 +669,8 @@ impl<T: Topology> Engine<T> {
     }
 
     /// Ingests a same-tag batch across `threads` workers, bit-identical
-    /// to ingesting the records one at a time (which `threads` ≤ 1 does).
+    /// to ingesting the records one at a time (which `threads` ≤ 1 does);
+    /// no call boundary.
     /// The frozen model makes inference embarrassingly parallel:
     /// candidates depend only on earlier records, scoring is read-only.
     /// The two writes are serialized in ingest order — fresh tokens are
@@ -573,7 +681,7 @@ impl<T: Topology> Engine<T> {
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
     /// up front, before any state is touched).
-    pub(crate) fn ingest_batch(
+    fn ingest_records(
         &mut self,
         records: Vec<Record>,
         tag: T::Tag,
@@ -582,7 +690,7 @@ impl<T: Topology> Engine<T> {
         if threads <= 1 || records.len() < 2 {
             return records
                 .into_iter()
-                .map(|r| self.ingest_one(r, tag))
+                .map(|r| self.ingest_record(r, tag))
                 .collect();
         }
         for r in &records {
@@ -772,7 +880,7 @@ impl<T: Topology> Engine<T> {
 
     /// Tombstones the record (rebuilding its component from the decision
     /// log) and marks its postings dead in its own index. No watermark
-    /// check: `seed` replays tombstones through this.
+    /// check: [`Pipeline::seed`] replays tombstones through this.
     fn retract_now(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
         self.check_live(idx)?;
         // Capture the keys before the store mutates: the derivation is
@@ -789,8 +897,22 @@ impl<T: Topology> Engine<T> {
         })
     }
 
-    /// See [`crate::StreamPipeline::retract`].
-    pub(crate) fn retract(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
+    /// Retracts record `idx`: the record is tombstoned, its connected
+    /// component's clusters are rebuilt from the match-decision log as if
+    /// it had never been ingested, and its postings are marked dead in its
+    /// own index (candidates never see it again). If the dead-posting
+    /// fraction then crosses [`StreamOptions::compact_watermark`], the
+    /// pipeline compacts itself and reports it.
+    ///
+    /// Record indices are never reused: every other record keeps its
+    /// index, and the slot stays allocated until compaction releases its
+    /// heavy state.
+    ///
+    /// # Errors
+    /// Fails on an out-of-range index, an already-retracted record, or a
+    /// snapshot-restored pipeline whose persisted tombstones have not been
+    /// replayed yet (seed it first).
+    pub fn retract(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
         if !self.pending_tombstones.is_empty() {
             return Err(StreamError(
                 "snapshot tombstones are pending; seed_base must replay the bootstrap \
@@ -814,11 +936,13 @@ impl<T: Topology> Engine<T> {
         Ok(report)
     }
 
-    /// See [`crate::StreamPipeline::retract_batch`].
-    pub(crate) fn retract_batch(
-        &mut self,
-        ids: &[usize],
-    ) -> Result<Vec<RetractionReport>, StreamError> {
+    /// Retracts a batch of records, all-or-nothing: every id is validated
+    /// (in range, live, no duplicates) before the first retraction is
+    /// applied, so a bad id cannot leave the pipeline half-updated.
+    ///
+    /// # Errors
+    /// Fails without side effects if any id is invalid.
+    pub fn retract_batch(&mut self, ids: &[usize]) -> Result<Vec<RetractionReport>, StreamError> {
         let mut seen = std::collections::HashSet::new();
         for &idx in ids {
             self.check_live(idx)?;
@@ -831,8 +955,19 @@ impl<T: Topology> Engine<T> {
         ids.iter().map(|&idx| self.retract(idx)).collect()
     }
 
-    /// See [`crate::StreamPipeline::compact`].
-    pub(crate) fn compact(&mut self) -> CompactionReport {
+    /// Compacts the pipeline in place: drops tombstoned postings from
+    /// every index, frees emptied and cap-retired buckets, prunes dead
+    /// decision-log edges, and releases retracted records' derivations.
+    /// Advances the epoch.
+    ///
+    /// Dead postings and dead log edges were already invisible, so
+    /// dropping them never changes behavior. The one semantic edge is
+    /// cap-retired (`Dead`) bucket markers: compaction removes them, so a
+    /// formerly hot blocking key becomes pairable again until its *live*
+    /// population re-crosses the frequency cap — the state a fresh index
+    /// over the surviving records would be in. See the retraction section
+    /// of the `crate::index` module docs.
+    pub fn compact(&mut self) -> CompactionReport {
         let m = self.meters;
         let sw = Stopwatch::new(m.is_some());
         let mut index = CompactionDelta::default();
@@ -887,276 +1022,124 @@ impl<T: Topology> Engine<T> {
             .enumerate()
             .filter(|&(i, _)| !self.store.is_retracted(i))
     }
-}
 
-/// A streaming pipeline the read/write split and the server run:
-/// [`crate::StreamPipeline`] or [`crate::LinkPipeline`]. Sealed: every
-/// method but [`Pipeline::options`] names a crate-private type — the
-/// engine, plus what differs between the pipelines that the generic
-/// operations need.
-pub trait Pipeline: Send + Sized + 'static {
-    /// The pipeline's blocking topology.
-    type Topology: Topology;
-    /// The shared engine.
-    fn engine(&self) -> &Engine<Self::Topology>;
-    /// The shared engine, mutably.
-    fn engine_mut(&mut self) -> &mut Engine<Self::Topology>;
-    /// The fit recipe over the live records: keeps any topology-specific
-    /// model parts and returns the new scorer with the fit's `records`,
-    /// `pairs` and `em_iterations`, or changes nothing.
-    fn fit_live(&mut self) -> Result<(SnapshotScorer, RefreshReport), StreamError>;
-    /// The pipeline's snapshot, serialized.
-    fn snapshot_json(&self) -> String;
-    /// The options in effect. For pipelines restored from a snapshot,
-    /// `config` is `ZeroErConfig::default()` — the fit-time
-    /// configuration is consumed by the bootstrap EM run and is not
-    /// stored in the snapshot (scoring depends only on the frozen
-    /// parameters).
-    fn options(&self) -> &StreamOptions {
-        &self.engine().opts
+    /// The ingest-call boundary: refit if the drift watermark fired, then
+    /// publish the drift gauges. Once per call, not per record, so
+    /// sequential and parallel ingestion of a batch trigger identically.
+    /// A failed auto-refit clears the window rather than retrying on
+    /// every call.
+    fn after_ingest(&mut self) {
+        if self.refresh_due() && self.refit().is_err() {
+            self.drift.clear_window();
+        }
+        if self.meters.is_some() {
+            self.drift.publish();
+        }
+    }
+
+    /// One record through [`Pipeline::ingest_record`], then the call
+    /// boundary.
+    pub(crate) fn ingest_one(&mut self, record: Record, tag: T::Tag) -> IngestOutcome {
+        let outcome = self.ingest_record(record, tag);
+        self.after_ingest();
+        outcome
+    }
+
+    /// Ingests a same-tag batch across `threads` workers, then checks the
+    /// refresh watermark once: the topology-generic form of the aliases'
+    /// `ingest_batch_parallel`, which the read/write split and the CLI
+    /// call. Outcomes are bit-identical at any thread count: derivation
+    /// and scoring run on the pool, candidate generation runs across the
+    /// index's key-space shards, and a single writer commits interner
+    /// symbols and match decisions in ingest order.
+    ///
+    /// # Panics
+    /// Panics if any record's arity does not match the schema (checked
+    /// up front, before any state is touched).
+    pub fn ingest_tagged(
+        &mut self,
+        records: Vec<Record>,
+        tag: T::Tag,
+        threads: usize,
+    ) -> Vec<IngestOutcome> {
+        let outcomes = self.ingest_records(records, tag, threads);
+        self.after_ingest();
+        outcomes
+    }
+
+    /// Replaces record `idx` with `record`: retract the old version,
+    /// ingest the new one under the old version's tag (its side, for
+    /// linkage), which gets a **fresh index** — slots are never reused.
+    /// Returns the ingest outcome of the new version.
+    ///
+    /// # Errors
+    /// Fails like [`Pipeline::retract`], or when the new record's arity
+    /// does not match the schema. Either way nothing is applied: the old
+    /// version must never be destroyed for a replacement that cannot be
+    /// ingested.
+    pub fn update(&mut self, idx: usize, record: Record) -> Result<IngestOutcome, StreamError> {
+        self.check_arity(&record)?;
+        self.retract(idx)?;
+        let tag = self.tags[idx];
+        Ok(self.ingest_one(record, tag))
+    }
+
+    /// Re-runs the bootstrap fit recipe over the store's **live** records
+    /// (split back into their tables, for linkage) and swaps the frozen
+    /// scorer for the freshly fitted model — the online half of the
+    /// snapshot lifecycle.
+    ///
+    /// Nothing else moves: the store, blocking indexes, cluster
+    /// assignments and decision log are untouched. Historical match
+    /// decisions stay exactly as the model that made them decided — only
+    /// records ingested *after* the swap are scored by the new model.
+    /// [`Pipeline::snapshot`] afterwards persists the new model together
+    /// with the original bootstrap provenance, so [`Pipeline::seed`]
+    /// still replays the historical decisions verbatim.
+    ///
+    /// The refit is deterministic (EM from a fixed initialization over a
+    /// deterministic candidate set), so two pipelines with the same live
+    /// records refit to bit-identical models. On success the model
+    /// generation advances and the drift monitor re-baselines on the new
+    /// model with an empty window. With
+    /// [`StreamOptions::refresh_watermark`] set, ingest calls run this
+    /// automatically once the drift divergence crosses it.
+    ///
+    /// # Errors
+    /// Fails — leaving the current model untouched — when the live
+    /// records yield no candidate pairs, when the refit produces
+    /// non-finite parameters (degenerate window), or when the live data's
+    /// inferred attribute types no longer match the frozen feature
+    /// layout.
+    pub fn refit(&mut self) -> Result<RefreshReport, StreamError> {
+        let sw = Stopwatch::new(self.meters.is_some());
+        let divergence = self.drift.divergence();
+        let (model, fit) = T::fit_live(self)?;
+        let scorer = model.scoring().scorer()?;
+        debug_assert_eq!(scorer.snapshot().dim(), self.scorer.snapshot().dim());
+        // The swap: from here on every scoring call sees the new model,
+        // and snapshots persist it.
+        self.scorer = scorer;
+        self.model = model;
+        self.generation += 1;
+        self.drift.rebase(self.scorer.snapshot());
+        if let Some(m) = self.meters {
+            sw.total(m.refresh);
+            m.refreshes.incr();
+        }
+        Ok(RefreshReport {
+            divergence,
+            generation: self.generation,
+            ..fit
+        })
+    }
+
+    /// Pins the pipeline's current read state as a standalone
+    /// [`ReadHandle`] (it cannot refresh; use
+    /// [`crate::SplitPipeline::read_handle`] for handles that follow the
+    /// write path's publications). Its resolves run ingest's candidate
+    /// rule and scoring code, minus the insertion.
+    pub fn pin_read_handle(&self) -> ReadHandle<T> {
+        ReadHandle::pin_standalone(self)
     }
 }
-
-/// The ingest-call boundary: refit if the drift watermark fired, then
-/// publish the drift gauges. Once per call, not per record, so sequential
-/// and parallel ingestion of a batch trigger identically. A failed
-/// auto-refit clears the window rather than retrying on every call.
-pub(crate) fn after_ingest<P: Pipeline>(p: &mut P) {
-    if p.engine().refresh_due() && refit(p).is_err() {
-        p.engine_mut().drift.clear_window();
-    }
-    let e = p.engine();
-    if e.meters.is_some() {
-        e.drift.publish();
-    }
-}
-
-/// One record through [`Engine::ingest_one`], then the call boundary.
-pub(crate) fn ingest<P: Pipeline>(p: &mut P, record: Record, tag: Tag<P>) -> IngestOutcome {
-    let outcome = p.engine_mut().ingest_one(record, tag);
-    after_ingest(p);
-    outcome
-}
-
-/// A same-tag batch through [`Engine::ingest_batch`], then the call
-/// boundary.
-pub(crate) fn ingest_batch<P: Pipeline>(
-    p: &mut P,
-    records: Vec<Record>,
-    tag: Tag<P>,
-    threads: usize,
-) -> Vec<IngestOutcome> {
-    let outcomes = p.engine_mut().ingest_batch(records, tag, threads);
-    after_ingest(p);
-    outcomes
-}
-
-/// See `update` on the pipelines: the new version keeps the old tag.
-pub(crate) fn update<P: Pipeline>(
-    p: &mut P,
-    idx: usize,
-    record: Record,
-) -> Result<IngestOutcome, StreamError> {
-    let e = p.engine_mut();
-    e.check_arity(&record)?;
-    e.retract(idx)?;
-    let tag = e.tags[idx];
-    Ok(ingest(p, record, tag))
-}
-
-/// See `refit` on the pipelines: the fit recipe, then the scorer swap.
-pub(crate) fn refit<P: Pipeline>(p: &mut P) -> Result<RefreshReport, StreamError> {
-    let m = p.engine().meters;
-    let sw = Stopwatch::new(m.is_some());
-    let divergence = p.engine().drift.divergence();
-    let (scorer, fit) = p.fit_live()?;
-    let e = p.engine_mut();
-    debug_assert_eq!(scorer.snapshot().dim(), e.scorer.snapshot().dim());
-    // The swap: from here on every scoring call sees the new model.
-    e.scorer = scorer;
-    e.generation += 1;
-    e.drift.rebase(e.scorer.snapshot());
-    if let Some(m) = m {
-        sw.total(m.refresh);
-        m.refreshes.incr();
-    }
-    Ok(RefreshReport {
-        divergence,
-        generation: e.generation,
-        ..fit
-    })
-}
-
-/// The inherent methods both pipelines share, written once: expanded
-/// inside `impl StreamPipeline` and `impl LinkPipeline`, each delegating
-/// to the engine.
-macro_rules! shared_methods {
-    () => {
-        /// The entity store (for linkage: both sides' records, in one
-        /// combined numbering).
-        pub fn store(&self) -> &$crate::EntityStore {
-            &self.engine.store
-        }
-
-        /// Enables or disables this pipeline's stage metrics (see
-        /// [`crate::StreamOptions::metrics`]; `stream.` metrics for dedup,
-        /// `link.` for linkage). A runtime knob, not persisted in
-        /// snapshots. Metrics are purely observational: on or off, every
-        /// decision, cluster and snapshot is bit-identical.
-        pub fn set_metrics(&mut self, on: bool) {
-            self.engine.set_metrics(on);
-        }
-
-        /// The live drift monitor: streaming posterior/feature summaries
-        /// against the current model's baseline.
-        pub fn drift(&self) -> &$crate::DriftMonitor {
-            &self.engine.drift
-        }
-
-        /// How many times [`Self::refit`] has swapped the scorer (0 =
-        /// still serving the bootstrap model).
-        pub fn generation(&self) -> u64 {
-            self.engine.generation
-        }
-
-        /// Number of stored records (bootstrap records included).
-        pub fn len(&self) -> usize {
-            self.engine.store.len()
-        }
-
-        /// Whether nothing has been stored.
-        pub fn is_empty(&self) -> bool {
-            self.engine.store.is_empty()
-        }
-
-        /// Derivation and blocking observability counters; index
-        /// counters aggregate every index.
-        pub fn stats(&self) -> $crate::StreamStats {
-            self.engine.stats()
-        }
-
-        /// The pipeline epoch: advances on every retraction and
-        /// compaction.
-        pub fn epoch(&self) -> u64 {
-            self.engine.store.epoch()
-        }
-
-        /// Current entity clusters (≥ 2 members), in the same shape
-        /// `dedup_table` reports. Retracted records never appear.
-        pub fn clusters(&self) -> Vec<Vec<usize>> {
-            self.engine.store.clusters()
-        }
-
-        /// Retracts record `idx`: the record is tombstoned, its connected
-        /// component's clusters are rebuilt from the match-decision log
-        /// as if it had never been ingested, and its postings are marked
-        /// dead in its own index (candidates never see it again). If the
-        /// dead-posting fraction then crosses
-        /// [`crate::StreamOptions::compact_watermark`], the pipeline
-        /// compacts itself and reports it.
-        ///
-        /// Record indices are never reused: every other record keeps its
-        /// index, and the slot stays allocated until compaction releases
-        /// its heavy state.
-        ///
-        /// # Errors
-        /// Fails on an out-of-range index, an already-retracted record,
-        /// or a snapshot-restored pipeline whose persisted tombstones
-        /// have not been replayed yet (call `seed_base` first).
-        pub fn retract(
-            &mut self,
-            idx: usize,
-        ) -> Result<$crate::RetractionReport, $crate::StreamError> {
-            self.engine.retract(idx)
-        }
-
-        /// Retracts a batch of records, all-or-nothing: every id is
-        /// validated (in range, live, no duplicates) before the first
-        /// retraction is applied, so a bad id cannot leave the pipeline
-        /// half-updated.
-        ///
-        /// # Errors
-        /// Fails without side effects if any id is invalid.
-        pub fn retract_batch(
-            &mut self,
-            ids: &[usize],
-        ) -> Result<Vec<$crate::RetractionReport>, $crate::StreamError> {
-            self.engine.retract_batch(ids)
-        }
-
-        /// Replaces record `idx` with `record`: retract the old version,
-        /// ingest the new one (on the old version's side, for linkage),
-        /// which gets a **fresh index** — slots are never reused.
-        /// Returns the ingest outcome of the new version.
-        ///
-        /// # Errors
-        /// Fails like [`Self::retract`], or when the new record's arity
-        /// does not match the schema. Either way nothing is applied: the
-        /// old version must never be destroyed for a replacement that
-        /// cannot be ingested.
-        pub fn update(
-            &mut self,
-            idx: usize,
-            record: zeroer_tabular::Record,
-        ) -> Result<$crate::IngestOutcome, $crate::StreamError> {
-            $crate::engine::update(self, idx, record)
-        }
-
-        /// Compacts the pipeline in place: drops tombstoned postings from
-        /// every index, frees emptied and cap-retired buckets, prunes
-        /// dead decision-log edges, and releases retracted records'
-        /// derivations. Advances the epoch.
-        ///
-        /// Dead postings and dead log edges were already invisible, so
-        /// dropping them never changes behavior. The one semantic edge is
-        /// cap-retired (`Dead`) bucket markers: compaction removes them,
-        /// so a formerly hot blocking key becomes pairable again until
-        /// its *live* population re-crosses the frequency cap — the state
-        /// a fresh index over the surviving records would be in. See the
-        /// retraction section of the `crate::index` module docs.
-        pub fn compact(&mut self) -> $crate::CompactionReport {
-            self.engine.compact()
-        }
-
-        /// Re-runs the bootstrap fit recipe over the store's **live**
-        /// records (split back into their sides, for linkage) and swaps
-        /// the frozen scorer for the freshly fitted model — the online
-        /// half of the snapshot lifecycle.
-        ///
-        /// Nothing else moves: the store, blocking indexes, cluster
-        /// assignments and decision log are untouched. Historical match
-        /// decisions stay exactly as the model that made them decided —
-        /// only records ingested *after* the swap are scored by the new
-        /// model. [`Self::snapshot`] afterwards persists the new model
-        /// together with the original bootstrap provenance, so
-        /// `seed_base` still replays the historical decisions verbatim.
-        ///
-        /// The refit is deterministic (EM from a fixed initialization
-        /// over a deterministic candidate set), so two pipelines with the
-        /// same live records refit to bit-identical models. On success
-        /// the model generation advances and the drift monitor
-        /// re-baselines on the new model with an empty window. With
-        /// [`crate::StreamOptions::refresh_watermark`] set, ingest calls
-        /// run this automatically once the drift divergence crosses it.
-        ///
-        /// # Errors
-        /// Fails — leaving the current model untouched — when the live
-        /// records yield no candidate pairs, when the refit produces
-        /// non-finite parameters (degenerate window), or when the live
-        /// data's inferred attribute types no longer match the frozen
-        /// feature layout.
-        pub fn refit(&mut self) -> Result<$crate::RefreshReport, $crate::StreamError> {
-            $crate::engine::refit(self)
-        }
-
-        /// Pins the pipeline's current read state as a standalone
-        /// [`crate::ReadHandle`] (it cannot refresh; use
-        /// [`crate::SplitPipeline::read_handle`] for handles that follow
-        /// the write path's publications). Its resolves run ingest's
-        /// candidate rule and scoring code, minus the insertion.
-        pub fn pin_read_handle(&self) -> $crate::ReadHandle<Self> {
-            $crate::ReadHandle::pin_standalone(self)
-        }
-    };
-}
-pub(crate) use shared_methods;

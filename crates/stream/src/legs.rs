@@ -1,31 +1,37 @@
-//! The shared three-featurizer linkage recipe.
+//! The fit recipes batch and streaming share: derive → block →
+//! featurize → EM, once for dedup and once for linkage.
 //!
-//! Batch record linkage (`zeroer::pipeline::match_tables`) and the
-//! streaming linkage bootstrap ([`crate::LinkPipeline::bootstrap`]) fit
-//! the same three generative models — the cross-table model `F` plus the
-//! within-table models `Fl`/`Fr` (§5 of the paper) — and therefore run
-//! the same preparation: three featurizers (cross, within-left,
-//! within-right, each inferring attribute types over its own task),
-//! three candidate sets under the standard blocking recipe, and three
-//! normalized feature tasks. Until this module existed the two call
-//! sites each carried their own copy of that recipe, pinned together
-//! only by a bit-parity test; [`build_linkage_legs`] is the single
-//! implementation both now call.
+//! Batch dedup (`zeroer::pipeline::dedup_table`) and the streaming dedup
+//! bootstrap and refit ([`crate::StreamPipeline::bootstrap`]) fit one
+//! generative model over one table's candidate pairs: [`build_dedup_leg`]
+//! then [`LegReplay::fit_dedup`]. Batch record linkage
+//! (`zeroer::pipeline::match_tables`) and the streaming linkage bootstrap
+//! and refit ([`crate::LinkPipeline::bootstrap`]) fit the same three
+//! generative models — the cross-table model `F` plus the within-table
+//! models `Fl`/`Fr` (§5 of the paper) — over three featurizers (cross,
+//! within-left, within-right, each inferring attribute types over its
+//! own task), three candidate sets under the standard blocking recipe
+//! and three normalized feature tasks: [`build_linkage_legs`] then
+//! [`LegTriple::fit`]. The streaming side adds only the freeze.
 //!
-//! The helper lives in `zeroer-stream` because the root crate already
-//! depends on this crate (batch `match_tables` sits above the streaming
+//! The recipes live in `zeroer-stream` because the root crate already
+//! depends on this crate (the batch pipelines sit above the streaming
 //! substrate), so sharing from here keeps the root→stream layering
 //! intact instead of inverting it.
 //!
-//! Stage latencies are recorded under the batch metric names
-//! (`batch.derive.ns`, `batch.block.ns`, `batch.featurize.ns`) exactly
-//! as the batch path always did; the streaming bootstrap path now
-//! contributes samples to the same histograms, which is intended — the
-//! work is literally the same.
+//! Every stage is metered here, under the batch metric names
+//! (`batch.derive.ns`, `batch.block.ns`, `batch.featurize.ns`,
+//! `batch.fit.ns` and the `batch.candidates` counter), so a batch run
+//! and a streaming bootstrap or refit record the same meters — the work
+//! is literally the same.
 
+use crate::index::IndexConfig;
 use zeroer_blocking::{standard_candidates_derived, CandidateSet, PairMode};
-use zeroer_core::LinkageTask;
-use zeroer_features::{DeriveConfig, PairFeaturizer};
+use zeroer_core::{
+    FitSummary, FittedLinkage, GenerativeModel, LinkageModel, LinkageOutcome, LinkageTask,
+    TransitivityCalibrator, ZeroErConfig,
+};
+use zeroer_features::PairFeaturizer;
 use zeroer_tabular::Table;
 
 /// One leg's normalized feature task plus the replay state
@@ -53,6 +59,62 @@ pub struct LegTriple {
     pub right: LegReplay,
     /// Candidate pairs across all three legs (cross + left + right).
     pub candidates: usize,
+}
+
+impl LegReplay {
+    /// Fits one generative model to this leg, with the transitivity
+    /// calibrator over its pairs — the dedup fit (§5's `T = T'` case).
+    pub fn fit_dedup(&self, config: &ZeroErConfig) -> (GenerativeModel, FitSummary) {
+        zeroer_obs::time("batch.fit.ns", || {
+            let mut model = GenerativeModel::new(config.clone(), self.task.layout.clone());
+            let calibrator = TransitivityCalibrator::new(&self.task.pairs);
+            let summary = model.fit(&self.task.features, Some(&calibrator));
+            (model, summary)
+        })
+    }
+}
+
+impl LegTriple {
+    /// Fits the three models jointly ([`LinkageModel::fit_models`]).
+    pub fn fit(&self, config: &ZeroErConfig) -> (LinkageOutcome, FittedLinkage) {
+        zeroer_obs::time("batch.fit.ns", || {
+            LinkageModel::new(config.clone()).fit_models(
+                &self.cross.task,
+                &self.left.task,
+                &self.right.task,
+            )
+        })
+    }
+}
+
+/// What [`build_dedup_leg`] produced.
+pub struct DedupLeg {
+    /// The featurizer, holding the table's derivation and interner.
+    pub fz: PairFeaturizer,
+    /// The normalized leg, or `None` when blocking produced no candidate
+    /// pairs (nothing to fit).
+    pub leg: Option<LegReplay>,
+}
+
+/// Runs the dedup preparation: one featurizer over the table, its
+/// candidate set under the standard blocking recipe, and the normalized
+/// feature task. Blocking and featurization share the one derivation.
+pub fn build_dedup_leg(table: &Table, index: &IndexConfig) -> DedupLeg {
+    let fz = zeroer_obs::time("batch.derive.ns", || {
+        PairFeaturizer::with_config(table, table, index.derive_config())
+    });
+    let cs = zeroer_obs::time("batch.block.ns", || {
+        standard_candidates_derived(
+            fz.left_derived(),
+            None,
+            PairMode::Dedup,
+            index.min_token_overlap,
+            index.max_bucket,
+        )
+    });
+    zeroer_obs::counter("batch.candidates").add(cs.len() as u64);
+    let leg = (!cs.is_empty()).then(|| build_leg(&fz, &cs));
+    DedupLeg { fz, leg }
 }
 
 /// What [`build_linkage_legs`] produced.
@@ -96,13 +158,8 @@ fn build_leg(fz: &PairFeaturizer, cs: &CandidateSet) -> LegReplay {
 /// assignments (and hence feature layouts) legitimately differ, so the
 /// derivations cannot be shared across tasks. Within each task,
 /// blocking and featurization share one derivation.
-pub fn build_linkage_legs(
-    left: &Table,
-    right: &Table,
-    cfg: &DeriveConfig,
-    min_token_overlap: usize,
-    max_bucket: usize,
-) -> LinkageLegs {
+pub fn build_linkage_legs(left: &Table, right: &Table, index: &IndexConfig) -> LinkageLegs {
+    let cfg = index.derive_config();
     let cross_fz = zeroer_obs::time("batch.derive.ns", || {
         PairFeaturizer::with_config(left, right, cfg.clone())
     });
@@ -111,8 +168,8 @@ pub fn build_linkage_legs(
             cross_fz.left_derived(),
             Some(cross_fz.right_derived()),
             PairMode::Cross,
-            min_token_overlap,
-            max_bucket,
+            index.min_token_overlap,
+            index.max_bucket,
         )
     });
     if cross_cs.is_empty() {
@@ -133,13 +190,14 @@ pub fn build_linkage_legs(
                 fz.left_derived(),
                 None,
                 PairMode::Dedup,
-                min_token_overlap,
-                max_bucket,
+                index.min_token_overlap,
+                index.max_bucket,
             )
         };
         (dedup(&left_fz), dedup(&right_fz))
     });
     let candidates = cross_cs.len() + left_cs.len() + right_cs.len();
+    zeroer_obs::counter("batch.candidates").add(candidates as u64);
     let legs = LegTriple {
         cross: build_leg(&cross_fz, &cross_cs),
         left: build_leg(&left_fz, &left_cs),

@@ -19,23 +19,24 @@
 //!   freeze of a fitted generative model (means, covariances, prior)
 //!   plus the feature replay state (per-column normalization ranges,
 //!   imputation means, attribute types) and the blocking configuration.
-//! * [`StreamPipeline`] — the façade: [`StreamPipeline::bootstrap`] fits
+//! * [`Pipeline`] — the pipeline: [`StreamPipeline::bootstrap`] fits
 //!   once on an initial batch, then [`StreamPipeline::ingest`] processes
 //!   records with frozen-model scoring only, assigning each to an
 //!   existing entity or minting a new one. Records can be withdrawn
-//!   again ([`StreamPipeline::retract`] / [`StreamPipeline::update`]):
-//!   tombstones hide them from candidates, the match-decision log
-//!   rebuilds the affected component's clusters, and online compaction
-//!   ([`StreamPipeline::compact`], automatic past a dead-fraction
-//!   watermark) reclaims the dead index postings — no stop-the-world
-//!   rebuild, record indices stay stable forever.
+//!   again ([`Pipeline::retract`] / [`Pipeline::update`]): tombstones
+//!   hide them from candidates, the match-decision log rebuilds the
+//!   affected component's clusters, and online compaction
+//!   ([`Pipeline::compact`], automatic past a dead-fraction watermark)
+//!   reclaims the dead index postings — no stop-the-world rebuild,
+//!   record indices stay stable forever.
 //!
-//! [`LinkPipeline`] is the record-linkage façade (`T ≠ T'`, side-tagged
-//! records). Both façades run on one private streaming engine,
-//! parameterised by a blocking topology — one index that arrivals probe
-//! and join for dedup, one index per side for linkage — so ingest,
-//! retraction, compaction, drift-triggered refit and the read/write
-//! split ([`SplitPipeline`]) are implemented once for both.
+//! [`Pipeline`] is generic over a sealed [`Topology`]: [`StreamPipeline`]
+//! is the [`Dedup`] topology (one index that arrivals probe and join)
+//! and [`LinkPipeline`] the [`Linkage`] one (`T ≠ T'`, side-tagged
+//! records, one index per side). Ingest, retraction, compaction,
+//! drift-triggered refit, snapshots and the read/write split
+//! ([`SplitPipeline`]) are implemented once for both; the aliases add
+//! only their bootstrap, `seed_base` and side-tagged ingest.
 //!
 //! ```
 //! use zeroer_stream::{StreamOptions, StreamPipeline};
@@ -78,15 +79,15 @@ pub mod split;
 pub mod store;
 
 pub use drift::DriftMonitor;
-pub use engine::Pipeline;
+pub use engine::{Pipeline, Topology};
 pub use index::{CompactionDelta, IncrementalIndex, IndexConfig, IndexStats, LegStats};
-pub use legs::{build_linkage_legs, LegReplay, LegTriple, LinkageLegs};
-pub use link::{LinkBootstrapReport, LinkPipeline, Side};
+pub use legs::{build_dedup_leg, build_linkage_legs, DedupLeg, LegReplay, LegTriple, LinkageLegs};
+pub use link::{LinkBootstrapReport, LinkPipeline, Linkage, Side};
 pub use pipeline::{
-    render_stats, BootstrapReport, CompactionReport, IngestOutcome, RefreshReport,
+    render_stats, BootstrapReport, CompactionReport, Dedup, IngestOutcome, RefreshReport,
     RetractionReport, StreamError, StreamOptions, StreamPipeline, StreamStats,
 };
 pub use shard::{RecordKeys, ShardedIndex, DEFAULT_SHARDS};
-pub use snapshot::{LinkSnapshot, PipelineSnapshot};
+pub use snapshot::{BaseTable, PipelineSnapshot, SnapshotModel};
 pub use split::{ReadHandle, ResolveOutcome, SplitPipeline, WriteHandle};
 pub use store::{EntityStore, RetractOutcome, StoreCompaction};

@@ -4,9 +4,9 @@
 //! The batch linkage pipeline fits three generative models jointly — the
 //! cross-table model `F` plus the within-table models `Fl`/`Fr` (§5 of
 //! the paper) — and [`LinkPipeline::bootstrap`] freezes that whole fit
-//! into a [`crate::LinkSnapshot`]. Afterwards the pipeline serves the
-//! *online* form of the workload on the shared streaming engine with the
-//! linkage topology: records arrive tagged with a [`Side`], an incoming
+//! into a linkage [`crate::PipelineSnapshot`]. Afterwards the pipeline
+//! serves the *online* form of the workload as the [`Linkage`] topology
+//! of [`Pipeline`]: records arrive tagged with a [`Side`], an incoming
 //! right-side record blocks **only against the left side's index** (and
 //! vice versa), every cross candidate is scored with the frozen cross
 //! model `F` — zero EM iterations — and matches merge entities in the
@@ -25,17 +25,15 @@
 //!
 //! Everything else — parallel ingest bit-identical at any thread count,
 //! exact retraction, compaction, drift folding with watermark-triggered
-//! refit, the read view — is the engine's, shared with dedup.
+//! refit, snapshots, the read view — is [`Pipeline`]'s, shared with
+//! dedup.
 
-use crate::engine::{self, Engine, Linkage, Pipeline};
+use crate::engine::{Pipeline, Topology};
 use crate::legs::{build_linkage_legs, LegReplay};
-use crate::pipeline::{
-    check_base_table, records_digest, structural_drift, IngestOutcome, RefreshReport, StreamError,
-    StreamOptions,
-};
-use crate::snapshot::LinkSnapshot;
+use crate::pipeline::{structural_drift, IngestOutcome, RefreshReport, StreamError, StreamOptions};
+use crate::snapshot::SnapshotModel;
 use crate::store::EntityStore;
-use zeroer_core::{GenerativeModel, LinkageModel, LinkageSnapshot, ModelSnapshot, SnapshotScorer};
+use zeroer_core::{GenerativeModel, LinkageSnapshot, ModelSnapshot};
 use zeroer_features::{BatchFeaturizer, PairFeaturizer};
 use zeroer_obs::Stopwatch;
 use zeroer_tabular::{AttrType, Record, Table};
@@ -90,22 +88,62 @@ pub struct LinkBootstrapReport {
     pub em_iterations: usize,
 }
 
+/// Linkage topology: one index per side, left then right. An arrival
+/// probes the opposite side's index and joins its own — the candidate
+/// structure of batch cross-table blocking. A same-side batch never
+/// matches itself.
+pub struct Linkage;
+
+impl crate::engine::sealed::Sealed for Linkage {}
+
+impl Topology for Linkage {
+    type Tag = Side;
+    const KIND: &'static str = "linkage";
+    const METRICS: &'static str = "link";
+    const TABLES: &'static [(&'static str, Side)] = &[("left", Side::Left), ("right", Side::Right)];
+
+    fn tag(side: Option<Side>) -> Result<Side, StreamError> {
+        side.ok_or_else(|| {
+            StreamError("a linkage pipeline needs a side (\"left\" or \"right\")".into())
+        })
+    }
+    fn new_on_left(side: Side) -> bool {
+        side == Side::Left
+    }
+    fn route(side: Side) -> (usize, usize) {
+        match side {
+            Side::Left => (1, 0),
+            Side::Right => (0, 1),
+        }
+    }
+
+    fn fit_live(p: &LinkPipeline) -> Result<(SnapshotModel, RefreshReport), StreamError> {
+        let schema = p.store.table().schema().clone();
+        let mut left = Table::new("refit-left", schema.clone());
+        let mut right = Table::new("refit-right", schema);
+        for (i, r) in p.live_records() {
+            match p.tags[i] {
+                Side::Left => left.push(r.clone()),
+                Side::Right => right.push(r.clone()),
+            }
+        }
+        let fit = fit_linkage(&left, &right, &p.opts, Some(p.featurizer.attr_types()))?;
+        let summary = RefreshReport {
+            records: left.len() + right.len(),
+            pairs: fit.pairs.len(),
+            em_iterations: fit.outcome.summary.iterations,
+            ..RefreshReport::default()
+        };
+        Ok((SnapshotModel::Linkage(Box::new(fit.linkage)), summary))
+    }
+}
+
 /// Streaming record linkage on top of a frozen three-model linkage fit:
 /// ingest side-tagged records, block them against the opposite side's
 /// incremental index, score cross candidates with the frozen cross
-/// model, and maintain cross-table entity clusters in a union-find.
-pub struct LinkPipeline {
-    engine: Engine<Linkage>,
-    /// The full frozen fit (cross + within-table models), kept for
-    /// snapshotting; the engine scores with its cross model.
-    linkage: LinkageSnapshot,
-    /// Bootstrap provenance (see [`LinkSnapshot`]).
-    left_len: usize,
-    right_len: usize,
-    left_digest: u64,
-    right_digest: u64,
-    base_matches: Vec<(usize, usize)>,
-}
+/// model, and maintain cross-table entity clusters in a union-find (see
+/// [`Pipeline`]).
+pub type LinkPipeline = Pipeline<Linkage>;
 
 /// What the linkage fit recipe produced.
 struct LinkFit {
@@ -120,26 +158,18 @@ struct LinkFit {
     linkage: LinkageSnapshot,
 }
 
-/// The linkage fit recipe [`LinkPipeline::bootstrap`] and
-/// [`LinkPipeline::refit`] share: cross + within-table blocking →
-/// features → normalization → the three-model joint EM with cross-table
-/// transitivity calibration → freeze. `frozen` is the cross feature
-/// layout a refit must keep (`None` at bootstrap).
+/// The linkage fit [`LinkPipeline::bootstrap`] and [`Pipeline::refit`]
+/// share: the batch recipe ([`build_linkage_legs`] and
+/// [`crate::LegTriple::fit`], the ones `match_tables` runs) plus the
+/// freeze. `frozen` is the cross feature layout a refit must keep
+/// (`None` at bootstrap).
 fn fit_linkage(
     left: &Table,
     right: &Table,
     opts: &StreamOptions,
     frozen: Option<&[AttrType]>,
 ) -> Result<LinkFit, StreamError> {
-    // The shared three-featurizer recipe — the very same code path
-    // `match_tables` prepares its legs with (see [`crate::legs`]).
-    let prep = build_linkage_legs(
-        left,
-        right,
-        &opts.index_config().derive_config(),
-        opts.min_token_overlap,
-        opts.max_bucket,
-    );
+    let prep = build_linkage_legs(left, right, &opts.index_config());
     if frozen.is_some_and(|types| prep.cross_fz.attr_types() != types) {
         return Err(structural_drift());
     }
@@ -148,8 +178,7 @@ fn fit_linkage(
             "cross-table blocking produced no candidate pairs; nothing to fit a model on".into(),
         ));
     };
-    let trainer = LinkageModel::new(opts.config.clone());
-    let (outcome, fitted) = trainer.fit_models(&legs.cross.task, &legs.left.task, &legs.right.task);
+    let (outcome, fitted) = legs.fit(&opts.config);
     let capture = |model: Option<&GenerativeModel>, leg: &LegReplay| {
         model.and_then(|m| {
             ModelSnapshot::capture_checked(m, &leg.ranges, &leg.impute_means, &leg.names)
@@ -207,7 +236,6 @@ impl LinkPipeline {
         }
         let sw = Stopwatch::new(opts.metrics);
         let fit = fit_linkage(left, right, &opts, None)?;
-        let scorer = fit.linkage.cross_scorer()?;
         let featurizer = BatchFeaturizer::new(fit.cross_fz.attr_types());
 
         // One combined store: left records first (indices 0..L), then
@@ -222,7 +250,12 @@ impl LinkPipeline {
         derived.append(&mut right_derived);
         let derive_cfg = opts.index_config().derive_config();
         let store = EntityStore::from_derived(&combined, interner, derived, derive_cfg);
-        let mut engine = Engine::new(opts, store, featurizer, scorer);
+        let mut pipeline = Self::new(
+            opts,
+            store,
+            featurizer,
+            SnapshotModel::Linkage(Box::new(fit.linkage)),
+        )?;
 
         // Apply the batch decisions: **cross pairs only**. The
         // within-table models exist to *calibrate* the cross model during
@@ -233,16 +266,16 @@ impl LinkPipeline {
         // clusters. This mirrors `match_tables`, which also reports cross
         // labels only; the within-leg posteriors stay available in the
         // report for diagnostics.
-        let base_matches = engine.finish_bootstrap(
+        pipeline.finish_bootstrap(
             sw,
-            |i| if i < nl { Side::Left } else { Side::Right },
+            &[left, right],
             fit.candidates,
             fit.pairs
                 .iter()
                 .map(|&(l, r)| (l, nl + r))
                 .zip(fit.outcome.cross_gammas.iter().copied()),
         );
-        let threshold = engine.opts.threshold;
+        let threshold = pipeline.opts.threshold;
         let hot = |gammas: &[f64]| gammas.iter().filter(|&&g| g > threshold).count();
         let out = fit.outcome;
         let report = LinkBootstrapReport {
@@ -253,89 +286,17 @@ impl LinkPipeline {
             labels: out.cross_labels,
             em_iterations: out.summary.iterations,
         };
-        let pipeline = Self {
-            engine,
-            linkage: fit.linkage,
-            left_len: nl,
-            right_len: right.len(),
-            left_digest: records_digest(left.records()),
-            right_digest: records_digest(right.records()),
-            base_matches,
-        };
         Ok((pipeline, report))
     }
 
-    /// Rebuilds a scoring pipeline from a saved [`LinkSnapshot`] with an
-    /// empty store — the `zeroer ingest --side` cold-start path. Call
-    /// [`LinkPipeline::seed_base`] with both bootstrap tables before
-    /// streaming.
-    ///
-    /// `threshold` overrides the assignment threshold; like the dedup
-    /// path, runtime knobs (threshold, compaction watermark) are not
-    /// persisted.
+    /// [`Pipeline::seed`] with both bootstrap tables, which must hold the
+    /// records (same records, same order) the snapshot was bootstrapped
+    /// on.
     ///
     /// # Errors
-    /// Fails if the snapshot is internally inconsistent (feature layout
-    /// vs. cross-model dimensionality), or if it carries tombstones for
-    /// streamed (non-persisted) records.
-    pub fn from_snapshot(snap: &LinkSnapshot, threshold: f64) -> Result<Self, StreamError> {
-        Ok(Self {
-            engine: Engine::restore(
-                snap.to_schema(),
-                &snap.attr_types,
-                &snap.index,
-                &snap.linkage.cross,
-                snap.bootstrap_len(),
-                (&snap.tombstones, snap.epoch),
-                threshold,
-            )?,
-            linkage: snap.linkage.clone(),
-            left_len: snap.left_len,
-            right_len: snap.right_len,
-            left_digest: snap.left_digest,
-            right_digest: snap.right_digest,
-            base_matches: snap.pairs.clone(),
-        })
-    }
-
-    /// Freezes the current pipeline configuration into a serializable
-    /// snapshot, including the bootstrap match decisions so a cold
-    /// restart can preserve them.
-    pub fn snapshot(&self) -> LinkSnapshot {
-        let e = &self.engine;
-        let (tombstones, epoch) = e.persisted_tombstones();
-        LinkSnapshot {
-            schema: e.store.table().schema().attributes().to_vec(),
-            attr_types: e.featurizer.attr_types().to_vec(),
-            index: e.index_config().clone(),
-            linkage: self.linkage.clone(),
-            left_len: self.left_len,
-            right_len: self.right_len,
-            left_digest: self.left_digest,
-            right_digest: self.right_digest,
-            pairs: self.base_matches.clone(),
-            tombstones,
-            epoch,
-        }
-    }
-
-    /// Seeds a freshly [`LinkPipeline::from_snapshot`]-restored pipeline
-    /// with both bootstrap tables, replaying the persisted batch
-    /// decisions (never re-scoring) and any persisted retractions — the
-    /// cold-start equivalent of what [`LinkPipeline::bootstrap`] does
-    /// in-process.
-    ///
-    /// # Errors
-    /// Fails if the store already holds records, either table has the
-    /// wrong record count, or a digest mismatch shows the records differ
-    /// from the ones the snapshot was bootstrapped on.
+    /// Fails like [`Pipeline::seed`].
     pub fn seed_base(&mut self, left: &Table, right: &Table) -> Result<(), StreamError> {
-        check_base_table("left", left, self.left_len, self.left_digest)?;
-        check_base_table("right", right, self.right_len, self.right_digest)?;
-        self.engine.seed(
-            &[(Side::Left, left), (Side::Right, right)],
-            &self.base_matches,
-        )
+        self.seed(&[left, right])
     }
 
     /// Which side record `idx` belongs to.
@@ -343,12 +304,15 @@ impl LinkPipeline {
     /// # Panics
     /// Panics on an out-of-range index.
     pub fn side(&self, idx: usize) -> Side {
-        self.engine.tags[idx]
+        self.tags[idx]
     }
 
     /// The frozen three-model fit this pipeline scores with.
     pub fn linkage(&self) -> &LinkageSnapshot {
-        &self.linkage
+        match &self.model {
+            SnapshotModel::Linkage(linkage) => linkage,
+            SnapshotModel::Dedup(_) => unreachable!("a linkage pipeline holds a linkage model"),
+        }
     }
 
     /// All cross-table links the current clustering implies: `(left
@@ -357,7 +321,7 @@ impl LinkPipeline {
     /// "predicted matches" (transitive closure included), the quantity
     /// the pair-F1 e2e measures.
     pub fn cross_links(&self) -> Vec<(usize, usize)> {
-        let sides = &self.engine.tags;
+        let sides = &self.tags;
         let mut links = Vec::new();
         for cluster in self.clusters() {
             for &a in cluster.iter().filter(|&&a| sides[a] == Side::Left) {
@@ -379,7 +343,7 @@ impl LinkPipeline {
     /// # Panics
     /// Panics if the record arity does not match the schema.
     pub fn ingest(&mut self, record: Record, side: Side) -> IngestOutcome {
-        engine::ingest(self, record, side)
+        self.ingest_one(record, side)
     }
 
     /// Ingests a batch of same-side records in order; the refresh
@@ -389,15 +353,15 @@ impl LinkPipeline {
         records: impl IntoIterator<Item = Record>,
         side: Side,
     ) -> Vec<IngestOutcome> {
-        engine::ingest_batch(self, records.into_iter().collect(), side, 1)
+        self.ingest_tagged(records.into_iter().collect(), side, 1)
     }
 
     /// Ingests a same-side batch across a pool of `threads` workers,
     /// producing outcomes **bit-identical** to
     /// [`LinkPipeline::ingest_batch`] on the same records (see
-    /// [`crate::StreamPipeline::ingest_batch_parallel`]). A same-side
-    /// batch only probes the opposite side's index, which no record of
-    /// the batch joins, so there are no intra-batch matches.
+    /// [`Pipeline::ingest_tagged`]). A same-side batch only probes the
+    /// opposite side's index, which no record of the batch joins, so
+    /// there are no intra-batch matches.
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
@@ -408,56 +372,14 @@ impl LinkPipeline {
         side: Side,
         threads: usize,
     ) -> Vec<IngestOutcome> {
-        engine::ingest_batch(self, records, side, threads)
-    }
-
-    crate::engine::shared_methods!();
-}
-
-impl Pipeline for LinkPipeline {
-    type Topology = Linkage;
-
-    fn engine(&self) -> &Engine<Linkage> {
-        &self.engine
-    }
-
-    fn engine_mut(&mut self) -> &mut Engine<Linkage> {
-        &mut self.engine
-    }
-
-    fn fit_live(&mut self) -> Result<(SnapshotScorer, RefreshReport), StreamError> {
-        let e = &self.engine;
-        let schema = e.store.table().schema().clone();
-        let mut left = Table::new("refit-left", schema.clone());
-        let mut right = Table::new("refit-right", schema);
-        for (i, r) in e.live_records() {
-            match e.tags[i] {
-                Side::Left => left.push(r.clone()),
-                Side::Right => right.push(r.clone()),
-            }
-        }
-        let fit = fit_linkage(&left, &right, &e.opts, Some(e.featurizer.attr_types()))?;
-        let scorer = fit.linkage.cross_scorer()?;
-        // The scorer and the frozen fit move together, so a snapshot
-        // taken after the swap persists the refreshed models.
-        self.linkage = fit.linkage;
-        let summary = RefreshReport {
-            records: left.len() + right.len(),
-            pairs: fit.pairs.len(),
-            em_iterations: fit.outcome.summary.iterations,
-            ..RefreshReport::default()
-        };
-        Ok((scorer, summary))
-    }
-
-    fn snapshot_json(&self) -> String {
-        self.snapshot().to_json()
+        self.ingest_tagged(records, side, threads)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PipelineSnapshot;
     use zeroer_tabular::csv::read_table;
 
     fn left_table() -> Table {
@@ -601,9 +523,9 @@ mod tests {
     fn snapshot_round_trip_preserves_scoring() {
         let (mut live, _) = pipeline();
         let snap = live.snapshot();
-        let reloaded = LinkSnapshot::from_json(&snap.to_json()).expect("round-trips");
-        assert_eq!(reloaded.linkage, snap.linkage);
-        assert_eq!(reloaded.pairs, snap.pairs);
+        let reloaded = PipelineSnapshot::from_json(&snap.to_json()).expect("round-trips");
+        assert_eq!(reloaded.model, snap.model);
+        assert_eq!(reloaded.bootstrap_pairs, snap.bootstrap_pairs);
         let mut cold = LinkPipeline::from_snapshot(&reloaded, 0.5).expect("restore");
         cold.seed_base(&left_table(), &right_table()).expect("seed");
         assert_eq!(cold.clusters(), live.clusters());

@@ -4,7 +4,7 @@
 //! resolved from the `zeroer-obs` registry **once** at pipeline
 //! construction and parameterized by the topology's prefix (`"stream"`
 //! for [`crate::StreamPipeline`], `"link"` for [`crate::LinkPipeline`]).
-//! The engine holds an `Option<StageMeters>` — `None` when
+//! The pipeline holds an `Option<StageMeters>` — `None` when
 //! [`crate::StreamOptions::metrics`] is off — so a disabled pipeline
 //! pays one branch per stage boundary and never touches the registry
 //! on the hot path. The struct is `Copy` (all fields are `&'static`

@@ -1,19 +1,19 @@
-//! The streaming façade: bootstrap once, then ingest forever —
-//! sequentially one record at a time, or in parallel batches across a
-//! worker pool (see [`StreamPipeline::ingest_batch_parallel`]) — and
-//! retract records again ([`StreamPipeline::retract`]) with online
-//! compaction ([`StreamPipeline::compact`], plus an automatic
-//! dead-fraction watermark) so long-lived nodes never need a
-//! stop-the-world rebuild.
+//! The dedup pipeline ([`StreamPipeline`], the [`Dedup`] topology of
+//! [`Pipeline`]), plus the options, errors and reports both topologies
+//! share: bootstrap once, then ingest forever — sequentially one record
+//! at a time, or in parallel batches across a worker pool (see
+//! [`StreamPipeline::ingest_batch_parallel`]) — and retract records
+//! again ([`Pipeline::retract`]) with online compaction
+//! ([`Pipeline::compact`], plus an automatic dead-fraction watermark) so
+//! long-lived nodes never need a stop-the-world rebuild.
 
-use crate::engine::{self, Dedup, Engine, Pipeline};
+use crate::engine::{Pipeline, Topology};
 use crate::index::{CompactionDelta, IndexConfig, IndexStats};
-use crate::snapshot::PipelineSnapshot;
+use crate::legs::build_dedup_leg;
+use crate::link::Side;
+use crate::snapshot::SnapshotModel;
 use crate::store::{EntityStore, StoreCompaction};
-use zeroer_blocking::{standard_candidates_derived, PairMode};
-use zeroer_core::{
-    GenerativeModel, ModelSnapshot, SnapshotScorer, TransitivityCalibrator, ZeroErConfig,
-};
+use zeroer_core::{GenerativeModel, ModelSnapshot, ZeroErConfig};
 use zeroer_features::{BatchFeaturizer, PairFeaturizer};
 use zeroer_obs::Stopwatch;
 use zeroer_tabular::{AttrType, Record, Table};
@@ -67,13 +67,13 @@ pub struct StreamOptions {
     /// Dead-fraction watermark for automatic compaction: when, after a
     /// retraction, at least this fraction of index postings is
     /// tombstoned, the pipeline compacts itself. `None` disables
-    /// auto-compaction ([`StreamPipeline::compact`] stays available).
+    /// auto-compaction ([`Pipeline::compact`] stays available).
     pub compact_watermark: Option<f64>,
     /// Drift watermark for automatic model refresh: when, at an ingest
     /// boundary, the [`crate::DriftMonitor`] divergence (max normalized
     /// shift across the feature dimensions and the posterior match rate,
     /// in baseline-spread units) reaches this value, the pipeline re-fits
-    /// the model over its live records ([`StreamPipeline::refit`]) and
+    /// the model over its live records ([`Pipeline::refit`]) and
     /// swaps the frozen scorer. `None` (the default) disables
     /// auto-refresh; manual `refit()` stays available. Checked only
     /// **between** ingest calls — once per record for
@@ -92,7 +92,7 @@ pub struct StreamOptions {
     /// observational — decisions, clusters and snapshots are
     /// bit-identical either way — but benches flip it off to measure
     /// instrumentation overhead honestly
-    /// ([`StreamPipeline::set_metrics`] is the runtime knob).
+    /// ([`Pipeline::set_metrics`] is the runtime knob).
     pub metrics: bool,
 }
 
@@ -263,7 +263,7 @@ pub fn render_stats() -> String {
     text
 }
 
-/// What one retraction did (see [`StreamPipeline::retract`]).
+/// What one retraction did (see [`Pipeline::retract`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RetractionReport {
     /// Pipeline epoch after the retraction (and any auto-compaction).
@@ -277,7 +277,7 @@ pub struct RetractionReport {
     pub auto_compaction: Option<CompactionReport>,
 }
 
-/// What one compaction pass reclaimed (see [`StreamPipeline::compact`]).
+/// What one compaction pass reclaimed (see [`Pipeline::compact`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompactionReport {
     /// Pipeline epoch after the compaction.
@@ -296,7 +296,7 @@ impl CompactionReport {
     }
 }
 
-/// What one model refresh did (see [`StreamPipeline::refit`]).
+/// What one model refresh did (see [`Pipeline::refit`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefreshReport {
     /// Live records the model was re-fitted on.
@@ -309,54 +309,61 @@ pub struct RefreshReport {
     /// baseline-spread units; 0.0 when the window was empty).
     pub divergence: f64,
     /// Whether the refresh watermark triggered this refit (`false` for
-    /// manual [`StreamPipeline::refit`] calls).
+    /// manual [`Pipeline::refit`] calls).
     pub auto: bool,
     /// Model generation after the swap (bootstrap model = 0).
     pub generation: u64,
 }
 
-/// Incremental entity resolution on top of a frozen batch-fitted model:
-/// ingest records one at a time, find candidates via an incremental
-/// blocking index, score them with snapshot inference (no EM), and
-/// maintain entity clusters transitively in a union-find. The dedup
-/// topology of the shared streaming engine (see the crate docs).
-pub struct StreamPipeline {
-    engine: Engine<Dedup>,
-    /// Bootstrap provenance: how many records the model was fitted on,
-    /// which pairs were merged at fit time, and a digest of those
-    /// records; persisted into the snapshot so `seed_base` can replay
-    /// batch decisions without re-scoring (and refuse the wrong table).
-    base_len: usize,
-    base_matches: Vec<(usize, usize)>,
-    base_digest: u64,
-}
+/// Dedup topology: one index, which each arrival probes and joins.
+pub struct Dedup;
 
-/// Order-sensitive FNV-1a digest of a record sequence (ids + values),
-/// used to pin persisted bootstrap decisions to the exact table they
-/// were made on: replaying merge pairs onto different or reordered
-/// records would silently produce wrong clusters.
-pub(crate) fn records_digest(records: &[Record]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for r in records {
-        eat(&r.id.to_le_bytes());
-        for v in &r.values {
-            match v.as_text() {
-                Some(t) => {
-                    eat(&[0xff]);
-                    eat(t.as_bytes());
-                }
-                None => eat(&[0xfe]),
-            }
+impl crate::engine::sealed::Sealed for Dedup {}
+
+impl Topology for Dedup {
+    type Tag = ();
+    const KIND: &'static str = "dedup";
+    const METRICS: &'static str = "stream";
+    const TABLES: &'static [(&'static str, ())] = &[("base", ())];
+
+    fn tag(side: Option<Side>) -> Result<(), StreamError> {
+        match side {
+            None => Ok(()),
+            Some(s) => Err(StreamError(format!(
+                "this is a dedup pipeline; records carry no side (got {:?})",
+                s.name()
+            ))),
         }
     }
-    h
+    fn new_on_left((): ()) -> bool {
+        false
+    }
+    fn route((): ()) -> (usize, usize) {
+        (0, 0)
+    }
+
+    fn fit_live(p: &StreamPipeline) -> Result<(SnapshotModel, RefreshReport), StreamError> {
+        // Clones are unavoidable here: the fit re-derives from raw
+        // values with its own interner, by design (the refit must see
+        // the data exactly as a cold bootstrap would).
+        let mut live = Table::new(p.store.table().name(), p.store.table().schema().clone());
+        for (_, r) in p.live_records() {
+            live.push(r.clone());
+        }
+        let fit = fit_dedup(&live, &p.opts, Some(p.featurizer.attr_types()))?;
+        let summary = RefreshReport {
+            records: live.len(),
+            pairs: fit.pairs.len(),
+            em_iterations: fit.em_iterations,
+            ..RefreshReport::default()
+        };
+        Ok((SnapshotModel::Dedup(fit.snapshot), summary))
+    }
 }
+
+/// The dedup pipeline: one table, whose records are blocked and scored
+/// against each other as they arrive (see [`Pipeline`]).
+pub type StreamPipeline = Pipeline<Dedup>;
 
 /// The refusal every refit issues when the live data infers a different
 /// feature layout than the frozen one.
@@ -380,46 +387,36 @@ struct DedupFit {
     em_iterations: usize,
 }
 
-/// The dedup fit recipe [`StreamPipeline::bootstrap`] and
-/// [`StreamPipeline::refit`] share: blocking → features → normalization
-/// → EM with the transitivity calibrator → freeze. `frozen` is the
-/// feature layout a refit must keep (`None` at bootstrap).
+/// The dedup fit [`StreamPipeline::bootstrap`] and
+/// [`Pipeline::refit`] share: the batch recipe
+/// ([`build_dedup_leg`], the one `dedup_table` runs) plus the freeze.
+/// `frozen` is the feature layout a refit must keep (`None` at
+/// bootstrap).
 fn fit_dedup(
     table: &Table,
     opts: &StreamOptions,
     frozen: Option<&[AttrType]>,
 ) -> Result<DedupFit, StreamError> {
-    let fz = PairFeaturizer::with_config(table, table, opts.index_config().derive_config());
-    if frozen.is_some_and(|types| fz.attr_types() != types) {
+    let prep = build_dedup_leg(table, &opts.index_config());
+    if frozen.is_some_and(|types| prep.fz.attr_types() != types) {
         return Err(structural_drift());
     }
-    let cs = standard_candidates_derived(
-        fz.left_derived(),
-        None,
-        PairMode::Dedup,
-        opts.min_token_overlap,
-        opts.max_bucket,
-    );
-    if cs.is_empty() {
+    let Some(leg) = prep.leg else {
         return Err(StreamError(
             "blocking produced no candidate pairs; nothing to fit a model on".into(),
         ));
-    }
-    let mut fs = fz.featurize(cs.pairs());
-    fs.normalize();
-    let mut model = GenerativeModel::new(opts.config.clone(), fs.layout.clone());
-    let calibrator = TransitivityCalibrator::new(cs.pairs());
-    let summary = model.fit(&fs.matrix, Some(&calibrator));
-    let ranges = fs.ranges.as_ref().expect("normalize() was called");
-    let snapshot = ModelSnapshot::capture_checked(&model, ranges, &fs.impute_means, &fs.names)
-        .ok_or_else(|| {
-            StreamError(
-                "the fit converged to non-finite model parameters (degenerate records)".into(),
-            )
-        })?;
+    };
+    let (model, summary) = leg.fit_dedup(&opts.config);
+    let snapshot =
+        ModelSnapshot::capture_checked(&model, &leg.ranges, &leg.impute_means, &leg.names)
+            .ok_or_else(|| {
+                StreamError(
+                    "the fit converged to non-finite model parameters (degenerate records)".into(),
+                )
+            })?;
     Ok(DedupFit {
-        fz,
-        pairs: cs.pairs().to_vec(),
+        fz: prep.fz,
+        pairs: leg.task.pairs,
         model,
         snapshot,
         em_iterations: summary.iterations,
@@ -447,7 +444,6 @@ impl StreamPipeline {
     ) -> Result<(Self, BootstrapReport), StreamError> {
         let sw = Stopwatch::new(opts.metrics);
         let fit = fit_dedup(initial, &opts, None)?;
-        let scorer = fit.snapshot.scorer()?;
         let featurizer = BatchFeaturizer::new(fit.fz.attr_types());
 
         // Hand the featurizer's derivation (and interner) to the store —
@@ -456,13 +452,13 @@ impl StreamPipeline {
         let (interner, derived) = fit.fz.into_parts();
         let derive_cfg = opts.index_config().derive_config();
         let store = EntityStore::from_derived(initial, interner, derived, derive_cfg);
-        let mut engine = Engine::new(opts, store, featurizer, scorer);
+        let mut pipeline = Self::new(opts, store, featurizer, SnapshotModel::Dedup(fit.snapshot))?;
         // The report's `labels` keep the paper's Eq. 5 cut (γ > 0.5) for
         // parity with `dedup_table`; at the default threshold of 0.5 the
         // merges agree with them.
-        let base_matches = engine.finish_bootstrap(
+        pipeline.finish_bootstrap(
             sw,
-            |_| (),
+            &[initial],
             fit.pairs.len(),
             fit.pairs
                 .iter()
@@ -475,109 +471,17 @@ impl StreamPipeline {
             em_iterations: fit.em_iterations,
             pairs: fit.pairs,
         };
-        let pipeline = Self {
-            base_len: engine.store.len(),
-            base_matches,
-            base_digest: records_digest(initial.records()),
-            engine,
-        };
         Ok((pipeline, report))
     }
 
-    /// Rebuilds a scoring pipeline from a saved [`PipelineSnapshot`] with
-    /// an empty store — the `zeroer ingest` cold-start path.
-    ///
-    /// `threshold` overrides the assignment threshold (pass
-    /// `StreamOptions::default().threshold` for the standard 0.5 cut).
-    ///
-    /// Runtime knobs are not persisted: like `threshold`, the
-    /// compaction watermark comes back at its default — callers that
-    /// disabled or tuned it must re-apply
-    /// [`StreamPipeline::set_compact_watermark`] after restoring. The
-    /// metrics flag likewise restarts at its default
-    /// ([`StreamPipeline::set_metrics`] re-applies it).
+    /// [`Pipeline::seed`] with the one bootstrap table: `base` must be the
+    /// table (same records, same order) the snapshot's model was fitted
+    /// on.
     ///
     /// # Errors
-    /// Fails if the snapshot is internally inconsistent (feature layout
-    /// vs. model dimensionality), or if it carries tombstones for
-    /// streamed (non-persisted) records.
-    pub fn from_snapshot(snap: &PipelineSnapshot, threshold: f64) -> Result<Self, StreamError> {
-        Ok(Self {
-            engine: Engine::restore(
-                snap.to_schema(),
-                &snap.attr_types,
-                &snap.index,
-                &snap.model,
-                snap.bootstrap_len,
-                (&snap.tombstones, snap.epoch),
-                threshold,
-            )?,
-            base_len: snap.bootstrap_len,
-            base_matches: snap.bootstrap_pairs.clone(),
-            base_digest: snap.bootstrap_digest,
-        })
-    }
-
-    /// Freezes the current pipeline configuration into a serializable
-    /// snapshot, including the bootstrap match decisions (if this
-    /// pipeline knows them) so a cold restart can preserve them.
-    pub fn snapshot(&self) -> PipelineSnapshot {
-        let e = &self.engine;
-        let (tombstones, epoch) = e.persisted_tombstones();
-        PipelineSnapshot {
-            schema: e.store.table().schema().attributes().to_vec(),
-            attr_types: e.featurizer.attr_types().to_vec(),
-            index: e.index_config().clone(),
-            model: e.scorer.snapshot().clone(),
-            bootstrap_len: self.base_len,
-            bootstrap_pairs: self.base_matches.clone(),
-            bootstrap_digest: self.base_digest,
-            tombstones,
-            epoch,
-        }
-    }
-
-    /// Seeds a freshly [`StreamPipeline::from_snapshot`]-restored
-    /// pipeline with the bootstrap-batch records, replaying the
-    /// *persisted batch decisions* instead of re-scoring each record
-    /// through the streaming path — the cold-start equivalent of what
-    /// [`StreamPipeline::bootstrap`] does in-process. `base` must be the
-    /// bootstrap table (same records, same order) the snapshot's model
-    /// was fitted on. Persisted retractions are replayed too.
-    ///
-    /// # Errors
-    /// Fails if the store already holds records, the snapshot carries no
-    /// bootstrap decisions, or `base` has the wrong record count or
-    /// different records.
+    /// Fails like [`Pipeline::seed`].
     pub fn seed_base(&mut self, base: &Table) -> Result<(), StreamError> {
-        if self.base_len == 0 {
-            return Err(StreamError(
-                "snapshot carries no bootstrap decisions to replay".into(),
-            ));
-        }
-        check_base_table("base", base, self.base_len, self.base_digest)?;
-        self.engine.seed(&[((), base)], &self.base_matches)
-    }
-
-    /// Reconfigures the dead-fraction auto-compaction watermark
-    /// (`None` disables it). A runtime knob, not persisted in
-    /// snapshots — restored pipelines start at the default.
-    pub fn set_compact_watermark(&mut self, watermark: Option<f64>) {
-        self.engine.opts.compact_watermark = watermark;
-    }
-
-    /// Reconfigures the drift auto-refresh watermark (`None` disables
-    /// it; see [`StreamOptions::refresh_watermark`]). A runtime knob,
-    /// not persisted in snapshots — restored pipelines start at the
-    /// default (off).
-    pub fn set_refresh_watermark(&mut self, watermark: Option<f64>) {
-        self.engine.opts.refresh_watermark = watermark;
-    }
-
-    /// Reconfigures the minimum drift-window size before the refresh
-    /// watermark may fire (see [`StreamOptions::refresh_min_records`]).
-    pub fn set_refresh_min_records(&mut self, records: usize) {
-        self.engine.opts.refresh_min_records = records;
+        self.seed(&[base])
     }
 
     /// Ingests one record: one derivation pass → incremental blocking →
@@ -591,7 +495,7 @@ impl StreamPipeline {
     /// # Panics
     /// Panics if the record arity does not match the schema.
     pub fn ingest(&mut self, record: Record) -> IngestOutcome {
-        engine::ingest(self, record, ())
+        self.ingest_one(record, ())
     }
 
     /// Ingests a batch of records in order; later records can match
@@ -603,15 +507,12 @@ impl StreamPipeline {
         &mut self,
         records: impl IntoIterator<Item = Record>,
     ) -> Vec<IngestOutcome> {
-        engine::ingest_batch(self, records.into_iter().collect(), (), 1)
+        self.ingest_tagged(records.into_iter().collect(), (), 1)
     }
 
     /// Ingests a batch across a pool of `threads` workers, producing
     /// outcomes **bit-identical** to [`StreamPipeline::ingest_batch`] on
-    /// the same records: derivation and scoring run on the pool,
-    /// candidate generation runs across the index's key-space shards,
-    /// and a single writer commits interner symbols and match decisions
-    /// in ingest order.
+    /// the same records (see [`Pipeline::ingest_tagged`]).
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
@@ -621,74 +522,14 @@ impl StreamPipeline {
         records: Vec<Record>,
         threads: usize,
     ) -> Vec<IngestOutcome> {
-        engine::ingest_batch(self, records, (), threads)
+        self.ingest_tagged(records, (), threads)
     }
-
-    crate::engine::shared_methods!();
-}
-
-impl Pipeline for StreamPipeline {
-    type Topology = Dedup;
-
-    fn engine(&self) -> &Engine<Dedup> {
-        &self.engine
-    }
-
-    fn engine_mut(&mut self) -> &mut Engine<Dedup> {
-        &mut self.engine
-    }
-
-    fn fit_live(&mut self) -> Result<(SnapshotScorer, RefreshReport), StreamError> {
-        // Clones are unavoidable here: the fit re-derives from raw
-        // values with its own interner, by design (the refit must see
-        // the data exactly as a cold bootstrap would).
-        let e = &self.engine;
-        let mut live = Table::new(e.store.table().name(), e.store.table().schema().clone());
-        for (_, r) in e.live_records() {
-            live.push(r.clone());
-        }
-        let fit = fit_dedup(&live, &e.opts, Some(e.featurizer.attr_types()))?;
-        let summary = RefreshReport {
-            records: live.len(),
-            pairs: fit.pairs.len(),
-            em_iterations: fit.em_iterations,
-            ..RefreshReport::default()
-        };
-        Ok((fit.snapshot.scorer()?, summary))
-    }
-
-    fn snapshot_json(&self) -> String {
-        self.snapshot().to_json()
-    }
-}
-
-/// Checks a `seed_base` table against the persisted bootstrap length
-/// and digest (0 = unknown digest, length only).
-pub(crate) fn check_base_table(
-    what: &str,
-    table: &Table,
-    len: usize,
-    digest: u64,
-) -> Result<(), StreamError> {
-    if table.len() != len {
-        return Err(StreamError(format!(
-            "{what} table has {} records but the snapshot was bootstrapped on {len}",
-            table.len()
-        )));
-    }
-    if digest != 0 && records_digest(table.records()) != digest {
-        return Err(StreamError(format!(
-            "{what} table does not match the records the snapshot was bootstrapped on \
-             (same length, different or reordered records); the persisted batch \
-             decisions cannot be replayed onto it"
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PipelineSnapshot;
     use zeroer_tabular::csv::read_table;
 
     fn base_table() -> Table {

@@ -1,50 +1,161 @@
 //! Whole-pipeline snapshots: everything `zeroer ingest` needs to resume
 //! scoring against a batch-fitted model from a plain JSON file.
 //!
-//! A [`zeroer_core::ModelSnapshot`] freezes the generative model and the
+//! A [`zeroer_core::ModelSnapshot`] freezes a generative model and its
 //! feature replay state; the [`PipelineSnapshot`] adds the pipeline-level
 //! frozen decisions — schema, inferred attribute types (which fix the
-//! feature layout), and the blocking-index configuration — so a fresh
-//! process can rebuild an identical scoring path.
+//! feature layout), the blocking-index configuration and the bootstrap
+//! provenance — so a fresh process can rebuild an identical scoring path.
+//! One type serves both topologies: its [`SnapshotModel`] variant is the
+//! kind, which the JSON `format` marker records.
 
+use crate::engine::Topology;
 use crate::index::IndexConfig;
+use crate::link::Linkage;
+use crate::pipeline::{Dedup, StreamError};
 use zeroer_core::json::{Json, JsonError};
 use zeroer_core::{LinkageSnapshot, ModelSnapshot};
-use zeroer_tabular::{AttrType, Schema};
+use zeroer_tabular::{AttrType, Record, Schema, Table};
 
-/// A serializable freeze of the full streaming-scoring configuration.
+/// The `format` marker of dedup snapshots.
+const DEDUP_FORMAT: &str = "zeroer-pipeline-snapshot";
+/// The `format` marker of linkage snapshots.
+const LINK_FORMAT: &str = "zeroer-link-snapshot";
+
+/// The frozen model of a [`PipelineSnapshot`]. Its variant is the
+/// snapshot's kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SnapshotModel {
+    /// A dedup snapshot (`zeroer-pipeline-snapshot`): one model.
+    Dedup(ModelSnapshot),
+    /// A linkage snapshot (`zeroer-link-snapshot`): the cross model that
+    /// scores, plus the within-table models that calibrated its fit.
+    Linkage(Box<LinkageSnapshot>),
+}
+
+impl SnapshotModel {
+    /// The kind, as [`Topology::KIND`] names it: `dedup` or `linkage`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Self::Dedup(_) => Dedup::KIND,
+            Self::Linkage(_) => Linkage::KIND,
+        }
+    }
+
+    /// The model candidates are scored with (for linkage, the cross
+    /// model).
+    pub fn scoring(&self) -> &ModelSnapshot {
+        match self {
+            Self::Dedup(model) => model,
+            Self::Linkage(linkage) => &linkage.cross,
+        }
+    }
+}
+
+/// Provenance of one bootstrap table, which seeding checks the table
+/// against.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BaseTable {
+    /// Records the table held (0 when the origin pipeline recorded none).
+    pub len: usize,
+    /// Order-sensitive FNV-1a digest of the records (ids + values), so
+    /// seeding can reject a table that merely *looks* compatible (same
+    /// length and schema, different or reordered records). 0 = unknown
+    /// (older snapshots): only the length is checked.
+    pub digest: u64,
+}
+
+impl BaseTable {
+    /// The provenance of `table`.
+    pub fn of(table: &Table) -> Self {
+        Self {
+            len: table.len(),
+            digest: records_digest(table.records()),
+        }
+    }
+
+    /// Checks `table` against the recorded length and digest; `name`
+    /// names the table in the error.
+    pub(crate) fn check(&self, name: &str, table: &Table) -> Result<(), StreamError> {
+        if table.len() != self.len {
+            return Err(StreamError(format!(
+                "{name} table has {} records but the snapshot was bootstrapped on {}",
+                table.len(),
+                self.len
+            )));
+        }
+        if self.digest != 0 && records_digest(table.records()) != self.digest {
+            return Err(StreamError(format!(
+                "{name} table does not match the records the snapshot was bootstrapped on \
+                 (same length, different or reordered records); the persisted batch \
+                 decisions cannot be replayed onto it"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Order-sensitive FNV-1a digest of a record sequence (ids + values),
+/// used to pin persisted bootstrap decisions to the exact table they
+/// were made on: replaying merge pairs onto different or reordered
+/// records would silently produce wrong clusters.
+fn records_digest(records: &[Record]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in records {
+        eat(&r.id.to_le_bytes());
+        for v in &r.values {
+            match v.as_text() {
+                Some(t) => {
+                    eat(&[0xff]);
+                    eat(t.as_bytes());
+                }
+                None => eat(&[0xfe]),
+            }
+        }
+    }
+    h
+}
+
+/// A serializable freeze of a streaming pipeline of either topology.
 #[derive(Debug, Clone)]
 pub struct PipelineSnapshot {
-    /// Attribute names, in schema order.
+    /// Attribute names, in schema order (both linkage sides share one
+    /// schema).
     pub schema: Vec<String>,
-    /// Frozen attribute types (fixes the feature layout).
+    /// Frozen attribute types (fixes the feature layout; for linkage,
+    /// of the cross leg — the within-table layouts live inside their
+    /// models).
     pub attr_types: Vec<AttrType>,
-    /// Blocking-index configuration.
+    /// Blocking-index configuration, shared by every index.
     pub index: IndexConfig,
-    /// The frozen generative model plus feature replay state.
-    pub model: ModelSnapshot,
-    /// Number of bootstrap-batch records the model was fitted on (0 when
-    /// the origin pipeline recorded none — e.g. a hand-built snapshot).
-    pub bootstrap_len: usize,
-    /// The bootstrap match decisions: candidate pairs whose posterior
-    /// cleared the assignment threshold at fit time, in decision order.
-    /// `StreamPipeline::seed_base` replays these so `zeroer ingest
-    /// --base` preserves the batch decisions instead of re-scoring the
-    /// base records through the streaming path.
+    /// The frozen model, whose variant is the snapshot's kind.
+    pub model: SnapshotModel,
+    /// Provenance of each bootstrap table, in [`Topology::TABLES`]
+    /// order: the one table for dedup, left then right for linkage.
+    /// `Pipeline::from_snapshot` requires exactly one entry per table.
+    pub bootstrap: Vec<BaseTable>,
+    /// The bootstrap match decisions in decision order: candidate pairs
+    /// whose posterior cleared the assignment threshold at fit time, as
+    /// store indices (for linkage, left records first, then right —
+    /// always cross pairs, since the within-table models calibrate the
+    /// fit but never merge). Seeding replays these so `zeroer ingest`
+    /// preserves the batch decisions instead of re-scoring the base
+    /// records.
     pub bootstrap_pairs: Vec<(usize, usize)>,
-    /// Order-sensitive FNV-1a digest of the bootstrap records (ids +
-    /// values), so `seed_base` can reject a `--base` table that merely
-    /// *looks* compatible (same length/schema, different or reordered
-    /// records). 0 = unknown (older snapshots).
-    pub bootstrap_digest: u64,
-    /// Retracted record indices, ascending. `seed_base` replays these
-    /// after the bootstrap decisions; restore refuses indices at or
-    /// beyond `bootstrap_len` (streamed records are not persisted, so
-    /// their retractions cannot be reconstructed). Empty for pre-PR-4
-    /// snapshots.
+    /// Retracted record indices, ascending. Seeding replays these after
+    /// the bootstrap decisions; restore refuses indices at or beyond
+    /// [`PipelineSnapshot::bootstrap_len`] (streamed records are not
+    /// persisted, so their retractions cannot be reconstructed). Empty
+    /// for pre-retraction snapshots.
     pub tombstones: Vec<usize>,
     /// Pipeline epoch at save time (retraction + compaction counter);
-    /// 0 for pre-PR-4 snapshots.
+    /// 0 for pre-retraction snapshots.
     pub epoch: u64,
 }
 
@@ -57,14 +168,53 @@ impl PipelineSnapshot {
         Schema::new(self.schema.iter().cloned())
     }
 
-    /// Serializes to JSON text.
+    /// Bootstrap records over every table (0 for a dedup snapshot that
+    /// recorded no bootstrap decisions).
+    pub fn bootstrap_len(&self) -> usize {
+        self.bootstrap.iter().map(|t| t.len).sum()
+    }
+
+    /// Serializes to JSON text in its kind's format.
+    ///
+    /// # Panics
+    /// Panics if `bootstrap` does not hold one entry per table of the
+    /// kind.
     pub fn to_json(&self) -> String {
         let _span = zeroer_obs::histogram("snapshot.save.ns").start();
-        Json::Obj(vec![
-            (
-                "format".into(),
-                Json::Str("zeroer-pipeline-snapshot".into()),
+        let num = |n: usize| Json::Num(n as f64);
+        // Hex, not Num: JSON numbers are f64 and cannot hold every u64
+        // exactly.
+        let hex = |d: u64| Json::Str(format!("{d:016x}"));
+        let pairs = fields::pairs_json(&self.bootstrap_pairs);
+        let (format, bootstrap, model) = match (&self.model, &self.bootstrap[..]) {
+            (SnapshotModel::Dedup(model), [base]) => (
+                DEDUP_FORMAT,
+                vec![
+                    ("len".into(), num(base.len)),
+                    ("pairs".into(), pairs),
+                    ("digest".into(), hex(base.digest)),
+                ],
+                ("model", model.to_json_value()),
             ),
+            (SnapshotModel::Linkage(linkage), [left, right]) => (
+                LINK_FORMAT,
+                vec![
+                    ("left_len".into(), num(left.len)),
+                    ("right_len".into(), num(right.len)),
+                    ("left_digest".into(), hex(left.digest)),
+                    ("right_digest".into(), hex(right.digest)),
+                    ("pairs".into(), pairs),
+                ],
+                ("linkage", linkage.to_json_value()),
+            ),
+            (model, tables) => panic!(
+                "a {} snapshot cannot record {} bootstrap tables",
+                model.kind(),
+                tables.len()
+            ),
+        };
+        Json::Obj(vec![
+            ("format".into(), Json::Str(format.into())),
             ("version".into(), Json::Num(1.0)),
             ("schema".into(), fields::schema_json(&self.schema)),
             (
@@ -72,38 +222,31 @@ impl PipelineSnapshot {
                 fields::attr_types_json(&self.attr_types),
             ),
             ("index".into(), fields::index_json(&self.index)),
-            (
-                "bootstrap".into(),
-                Json::Obj(vec![
-                    ("len".into(), Json::Num(self.bootstrap_len as f64)),
-                    ("pairs".into(), fields::pairs_json(&self.bootstrap_pairs)),
-                    // Hex, not Num: JSON numbers are f64 and cannot hold
-                    // every u64 exactly.
-                    (
-                        "digest".into(),
-                        Json::Str(format!("{:016x}", self.bootstrap_digest)),
-                    ),
-                ]),
-            ),
+            ("bootstrap".into(), Json::Obj(bootstrap)),
             (
                 "retraction".into(),
                 fields::retraction_json(self.epoch, &self.tombstones),
             ),
-            ("model".into(), self.model.to_json_value()),
+            (model.0.into(), model.1),
         ])
         .render()
     }
 
-    /// Deserializes from JSON text.
+    /// Deserializes JSON text of either kind; the `format` marker picks
+    /// it.
     ///
     /// # Errors
-    /// Fails on malformed JSON or schema violations.
+    /// Fails on malformed JSON or schema violations (an unknown format
+    /// marker, out-of-range or — for linkage — same-side pair indices,
+    /// unsorted tombstones, a blocking attribute outside the schema).
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
         let _span = zeroer_obs::histogram("snapshot.load.ns").start();
         let j = Json::parse(text)?;
-        if j.get("format").and_then(Json::as_str) != Some("zeroer-pipeline-snapshot") {
-            return Err(JsonError::schema("not a zeroer pipeline snapshot"));
-        }
+        let linkage = match j.get("format").and_then(Json::as_str) {
+            Some(DEDUP_FORMAT) => false,
+            Some(LINK_FORMAT) => true,
+            _ => return Err(JsonError::schema("not a zeroer pipeline snapshot")),
+        };
         if j.get("version").and_then(Json::as_f64) != Some(1.0) {
             return Err(JsonError::schema(
                 "unsupported pipeline-snapshot version (expected 1)",
@@ -121,41 +264,74 @@ impl PipelineSnapshot {
         if index.min_token_overlap == 0 {
             return Err(JsonError::schema("min_token_overlap must be at least 1"));
         }
-        // The bootstrap section arrived after the format's first release;
-        // absence (old snapshots) reads as "no recorded decisions", which
-        // callers treat as the legacy re-score behavior.
-        let (bootstrap_len, bootstrap_pairs, bootstrap_digest) = match j.get("bootstrap") {
-            None => (0, Vec::new(), 0),
+        // The bootstrap section arrived after the dedup format's first
+        // release; absence (old snapshots) reads as "no recorded
+        // decisions", which callers treat as the legacy re-score
+        // behavior. Linkage snapshots always carry it.
+        let boot = if linkage {
+            Some(j.require("bootstrap")?)
+        } else {
+            j.get("bootstrap")
+        };
+        let (bootstrap, bootstrap_pairs) = match boot {
+            None => (vec![BaseTable::default()], Vec::new()),
             Some(boot) => {
-                let len = boot
-                    .require("len")?
-                    .as_usize()
-                    .ok_or_else(|| JsonError::schema("bootstrap.len must be an integer"))?;
-                let pairs = fields::parse_pairs(boot, "pairs", len)?;
-                // Older writers: digest absent reads as unknown (0).
-                let digest = fields::parse_digest(boot, "digest")?;
-                (len, pairs, digest)
+                let table = |len: &str, digest: &str| -> Result<BaseTable, JsonError> {
+                    Ok(BaseTable {
+                        len: boot.require(len)?.as_usize().ok_or_else(|| {
+                            JsonError::schema(format!("bootstrap.{len} must be an integer"))
+                        })?,
+                        // Older writers: digest absent reads as unknown (0).
+                        digest: fields::parse_digest(boot, digest)?,
+                    })
+                };
+                let tables = if linkage {
+                    vec![
+                        table("left_len", "left_digest")?,
+                        table("right_len", "right_digest")?,
+                    ]
+                } else {
+                    vec![table("len", "digest")?]
+                };
+                let total = tables.iter().map(|t| t.len).sum();
+                let pairs = fields::parse_pairs(boot, "pairs", total)?;
+                // Linkage decisions are cross pairs; enforce the
+                // orientation so a corrupted or hand-edited snapshot cannot
+                // smuggle same-side merges past seeding (the digests cover
+                // the tables, not this array).
+                let left_len = tables[0].len;
+                if linkage && pairs.iter().any(|&(l, r)| l >= left_len || r < left_len) {
+                    return Err(JsonError::schema(
+                        "bootstrap.pairs must be cross pairs: [left index, left_len + right index]",
+                    ));
+                }
+                (tables, pairs)
             }
         };
         // The retraction section arrived with retraction support;
         // absence (older snapshots) reads as "nothing ever retracted".
         let (epoch, tombstones) = fields::parse_retraction(&j)?;
-        let model = ModelSnapshot::from_json_value(j.require("model")?)?;
+        let model = if linkage {
+            SnapshotModel::Linkage(Box::new(LinkageSnapshot::from_json_value(
+                j.require("linkage")?,
+            )?))
+        } else {
+            SnapshotModel::Dedup(ModelSnapshot::from_json_value(j.require("model")?)?)
+        };
         Ok(Self {
             schema,
             attr_types,
             index,
             model,
-            bootstrap_len,
+            bootstrap,
             bootstrap_pairs,
-            bootstrap_digest,
             tombstones,
             epoch,
         })
     }
 }
 
-/// Shared field renderers/parsers for the two snapshot formats.
+/// Field renderers and parsers of the two snapshot formats.
 mod fields {
     use super::*;
 
@@ -306,173 +482,6 @@ mod fields {
     }
 }
 
-/// A serializable freeze of the full streaming **record-linkage**
-/// configuration — the `match`-path counterpart of [`PipelineSnapshot`].
-///
-/// Where the dedup snapshot carries one [`ModelSnapshot`], this carries
-/// a [`zeroer_core::LinkageSnapshot`] (the three-model fit of
-/// `LinkageModel`) plus the two-sided bootstrap provenance: how many
-/// records each side contributed, digests of both tables, and the
-/// calibrated match decisions (in the *combined* record numbering —
-/// left records first, then right) that `LinkPipeline::seed_base`
-/// replays on a cold start.
-#[derive(Debug, Clone)]
-pub struct LinkSnapshot {
-    /// Attribute names, in schema order (both sides share one schema).
-    pub schema: Vec<String>,
-    /// Frozen attribute types of the **cross** leg (they fix the
-    /// feature layout streamed cross pairs are scored under; the
-    /// within-table legs' layouts live inside their [`ModelSnapshot`]s).
-    pub attr_types: Vec<AttrType>,
-    /// Blocking-index configuration (shared by both sides' indexes).
-    pub index: IndexConfig,
-    /// The frozen three-model linkage fit plus feature replay state.
-    pub linkage: LinkageSnapshot,
-    /// Number of left-table bootstrap records (combined indices
-    /// `0..left_len`).
-    pub left_len: usize,
-    /// Number of right-table bootstrap records (combined indices
-    /// `left_len..left_len + right_len`).
-    pub right_len: usize,
-    /// Order-sensitive FNV-1a digest of the left bootstrap table
-    /// (0 = unknown).
-    pub left_digest: u64,
-    /// Order-sensitive FNV-1a digest of the right bootstrap table
-    /// (0 = unknown).
-    pub right_digest: u64,
-    /// The bootstrap match decisions in decision order, as combined
-    /// indices. Always **cross** pairs `(left, left_len + right)`: the
-    /// within-table models calibrate the fit but never emit merge
-    /// decisions (mirroring `match_tables`, which reports cross labels
-    /// only). Every pair here cleared the assignment threshold at fit
-    /// time.
-    pub pairs: Vec<(usize, usize)>,
-    /// Retracted combined record indices, ascending. `seed_base`
-    /// replays these after the bootstrap decisions; restore refuses
-    /// indices at or beyond [`LinkSnapshot::bootstrap_len`] (streamed
-    /// records are not persisted, so their retractions cannot be
-    /// reconstructed — like the dedup format, the writer records them
-    /// and the reader refuses them rather than dropping them silently).
-    pub tombstones: Vec<usize>,
-    /// Pipeline epoch at save time.
-    pub epoch: u64,
-}
-
-impl LinkSnapshot {
-    /// Rebuilds the [`Schema`].
-    ///
-    /// # Panics
-    /// Panics if the stored names are empty or duplicated.
-    pub fn to_schema(&self) -> Schema {
-        Schema::new(self.schema.iter().cloned())
-    }
-
-    /// Total bootstrap record count (both sides).
-    pub fn bootstrap_len(&self) -> usize {
-        self.left_len + self.right_len
-    }
-
-    /// Serializes to JSON text.
-    pub fn to_json(&self) -> String {
-        let _span = zeroer_obs::histogram("snapshot.save.ns").start();
-        Json::Obj(vec![
-            ("format".into(), Json::Str("zeroer-link-snapshot".into())),
-            ("version".into(), Json::Num(1.0)),
-            ("schema".into(), fields::schema_json(&self.schema)),
-            (
-                "attr_types".into(),
-                fields::attr_types_json(&self.attr_types),
-            ),
-            ("index".into(), fields::index_json(&self.index)),
-            (
-                "bootstrap".into(),
-                Json::Obj(vec![
-                    ("left_len".into(), Json::Num(self.left_len as f64)),
-                    ("right_len".into(), Json::Num(self.right_len as f64)),
-                    (
-                        "left_digest".into(),
-                        Json::Str(format!("{:016x}", self.left_digest)),
-                    ),
-                    (
-                        "right_digest".into(),
-                        Json::Str(format!("{:016x}", self.right_digest)),
-                    ),
-                    ("pairs".into(), fields::pairs_json(&self.pairs)),
-                ]),
-            ),
-            (
-                "retraction".into(),
-                fields::retraction_json(self.epoch, &self.tombstones),
-            ),
-            ("linkage".into(), self.linkage.to_json_value()),
-        ])
-        .render()
-    }
-
-    /// Deserializes from JSON text.
-    ///
-    /// # Errors
-    /// Fails on malformed JSON or schema violations (wrong format
-    /// marker, out-of-range pair indices, unsorted tombstones, a
-    /// blocking attribute outside the schema).
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let _span = zeroer_obs::histogram("snapshot.load.ns").start();
-        let j = Json::parse(text)?;
-        if j.get("format").and_then(Json::as_str) != Some("zeroer-link-snapshot") {
-            return Err(JsonError::schema("not a zeroer link snapshot"));
-        }
-        if j.get("version").and_then(Json::as_f64) != Some(1.0) {
-            return Err(JsonError::schema(
-                "unsupported link-snapshot version (expected 1)",
-            ));
-        }
-        let schema = fields::parse_strings(&j, "schema")?;
-        let attr_types = fields::parse_attr_types(&fields::parse_strings(&j, "attr_types")?)?;
-        if schema.is_empty() || schema.len() != attr_types.len() {
-            return Err(JsonError::schema("schema/attr_types arity mismatch"));
-        }
-        let index = fields::parse_index(&j)?;
-        if index.attr >= schema.len() {
-            return Err(JsonError::schema("blocking attribute out of schema range"));
-        }
-        if index.min_token_overlap == 0 {
-            return Err(JsonError::schema("min_token_overlap must be at least 1"));
-        }
-        let boot = j.require("bootstrap")?;
-        let side_len = |key: &str| -> Result<usize, JsonError> {
-            boot.require(key)?
-                .as_usize()
-                .ok_or_else(|| JsonError::schema(format!("bootstrap.{key} must be an integer")))
-        };
-        let left_len = side_len("left_len")?;
-        let right_len = side_len("right_len")?;
-        let pairs = fields::parse_pairs(boot, "pairs", left_len + right_len)?;
-        // Decisions are documented as cross pairs; enforce the
-        // orientation so a corrupted or hand-edited snapshot cannot
-        // smuggle same-side merges past seed_base (the digests cover
-        // the tables, not this array).
-        if pairs.iter().any(|&(l, r)| l >= left_len || r < left_len) {
-            return Err(JsonError::schema(
-                "bootstrap.pairs must be cross pairs: [left index, left_len + right index]",
-            ));
-        }
-        let (epoch, tombstones) = fields::parse_retraction(&j)?;
-        Ok(Self {
-            schema,
-            attr_types,
-            index,
-            linkage: LinkageSnapshot::from_json_value(j.require("linkage")?)?,
-            left_len,
-            right_len,
-            left_digest: fields::parse_digest(boot, "left_digest")?,
-            right_digest: fields::parse_digest(boot, "right_digest")?,
-            pairs,
-            tombstones,
-            epoch,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,10 +506,12 @@ mod tests {
             schema: vec!["name".into(), "year".into()],
             attr_types: vec![AttrType::StrMedium, AttrType::Numeric],
             index: IndexConfig::default(),
-            model: tiny_model(),
-            bootstrap_len: 4,
+            model: SnapshotModel::Dedup(tiny_model()),
+            bootstrap: vec![BaseTable {
+                len: 4,
+                digest: 0xdead_beef_0123_4567,
+            }],
             bootstrap_pairs: vec![(0, 1), (1, 3)],
-            bootstrap_digest: 0xdead_beef_0123_4567,
             tombstones: vec![1, 3],
             epoch: 5,
         };
@@ -511,7 +522,7 @@ mod tests {
         assert_eq!(back.index.attr, snap.index.attr);
         assert_eq!(back.index.qgram, snap.index.qgram);
         assert_eq!(back.model, snap.model);
-        assert_eq!(back.bootstrap_len, snap.bootstrap_len);
+        assert_eq!(back.bootstrap, snap.bootstrap);
         assert_eq!(back.bootstrap_pairs, snap.bootstrap_pairs);
         assert_eq!(back.tombstones, snap.tombstones);
         assert_eq!(back.epoch, snap.epoch);
@@ -525,10 +536,9 @@ mod tests {
             schema: vec!["name".into()],
             attr_types: vec![AttrType::StrShort],
             index: IndexConfig::default(),
-            model: tiny_model(),
-            bootstrap_len: 2,
+            model: SnapshotModel::Dedup(tiny_model()),
+            bootstrap: vec![BaseTable { len: 2, digest: 7 }],
             bootstrap_pairs: vec![(0, 1)],
-            bootstrap_digest: 7,
             tombstones: vec![0],
             epoch: 1,
         };
@@ -544,7 +554,7 @@ mod tests {
         )
         .render();
         let back = PipelineSnapshot::from_json(&stripped).expect("legacy snapshot must parse");
-        assert_eq!(back.bootstrap_len, 0);
+        assert_eq!(back.bootstrap_len(), 0);
         assert!(back.bootstrap_pairs.is_empty());
     }
 
@@ -556,10 +566,9 @@ mod tests {
             schema: vec!["name".into()],
             attr_types: vec![AttrType::StrShort],
             index: IndexConfig::default(),
-            model: tiny_model(),
-            bootstrap_len: 2,
+            model: SnapshotModel::Dedup(tiny_model()),
+            bootstrap: vec![BaseTable { len: 2, digest: 7 }],
             bootstrap_pairs: vec![(0, 1)],
-            bootstrap_digest: 7,
             tombstones: vec![0],
             epoch: 3,
         };
@@ -585,10 +594,9 @@ mod tests {
             schema: vec!["name".into()],
             attr_types: vec![AttrType::StrShort],
             index: IndexConfig::default(),
-            model: tiny_model(),
-            bootstrap_len: 4,
+            model: SnapshotModel::Dedup(tiny_model()),
+            bootstrap: vec![BaseTable { len: 4, digest: 0 }],
             bootstrap_pairs: Vec::new(),
-            bootstrap_digest: 0,
             tombstones: vec![2, 2],
             epoch: 2,
         };
@@ -598,22 +606,28 @@ mod tests {
         );
     }
 
-    fn tiny_link_snapshot() -> LinkSnapshot {
-        LinkSnapshot {
+    fn tiny_link_snapshot() -> PipelineSnapshot {
+        PipelineSnapshot {
             schema: vec!["name".into(), "year".into()],
             attr_types: vec![AttrType::StrMedium, AttrType::Numeric],
             index: IndexConfig::default(),
-            linkage: LinkageSnapshot {
+            model: SnapshotModel::Linkage(Box::new(LinkageSnapshot {
                 cross: tiny_model(),
                 left: None,
                 right: Some(tiny_model()),
                 transitivity: true,
-            },
-            left_len: 3,
-            right_len: 2,
-            left_digest: 0x0123_4567_89ab_cdef,
-            right_digest: 0xfedc_ba98_7654_3210,
-            pairs: vec![(0, 3), (2, 4)],
+            })),
+            bootstrap: vec![
+                BaseTable {
+                    len: 3,
+                    digest: 0x0123_4567_89ab_cdef,
+                },
+                BaseTable {
+                    len: 2,
+                    digest: 0xfedc_ba98_7654_3210,
+                },
+            ],
+            bootstrap_pairs: vec![(0, 3), (2, 4)],
             tombstones: vec![1],
             epoch: 2,
         }
@@ -623,15 +637,12 @@ mod tests {
     fn link_snapshot_round_trip() {
         let snap = tiny_link_snapshot();
         let text = snap.to_json();
-        let back = LinkSnapshot::from_json(&text).unwrap();
+        let back = PipelineSnapshot::from_json(&text).unwrap();
         assert_eq!(back.schema, snap.schema);
         assert_eq!(back.attr_types, snap.attr_types);
-        assert_eq!(back.linkage, snap.linkage);
-        assert_eq!(back.left_len, snap.left_len);
-        assert_eq!(back.right_len, snap.right_len);
-        assert_eq!(back.left_digest, snap.left_digest);
-        assert_eq!(back.right_digest, snap.right_digest);
-        assert_eq!(back.pairs, snap.pairs);
+        assert_eq!(back.model, snap.model);
+        assert_eq!(back.bootstrap, snap.bootstrap);
+        assert_eq!(back.bootstrap_pairs, snap.bootstrap_pairs);
         assert_eq!(back.tombstones, snap.tombstones);
         assert_eq!(back.epoch, snap.epoch);
         assert_eq!(back.to_json(), text, "re-serialization is byte-identical");
@@ -643,32 +654,45 @@ mod tests {
         // the file means corruption or hand editing, and seed_base must
         // never replay it.
         let mut snap = tiny_link_snapshot();
-        snap.pairs = vec![(0, 1)]; // both below left_len: a left-left merge
+        snap.bootstrap_pairs = vec![(0, 1)]; // both below left_len: a left-left merge
         assert!(
-            LinkSnapshot::from_json(&snap.to_json()).is_err(),
+            PipelineSnapshot::from_json(&snap.to_json()).is_err(),
             "same-side bootstrap pairs must be rejected"
         );
         let mut snap = tiny_link_snapshot();
-        snap.pairs = vec![(3, 4)]; // both at/after left_len: right-right
-        assert!(LinkSnapshot::from_json(&snap.to_json()).is_err());
+        snap.bootstrap_pairs = vec![(3, 4)]; // both at/after left_len: right-right
+        assert!(PipelineSnapshot::from_json(&snap.to_json()).is_err());
     }
 
     #[test]
     fn link_snapshot_rejects_dedup_format_and_vice_versa() {
-        let link = tiny_link_snapshot();
-        assert!(PipelineSnapshot::from_json(&link.to_json()).is_err());
+        // Both formats parse into the one snapshot type, each as its own
+        // kind; a snapshot restores only the pipeline of its kind.
+        let link = PipelineSnapshot::from_json(&tiny_link_snapshot().to_json()).unwrap();
+        assert_eq!(link.model.kind(), "linkage");
+        let err = crate::StreamPipeline::from_snapshot(&link, 0.5)
+            .err()
+            .expect("a linkage snapshot must not restore a dedup pipeline");
+        assert!(err.to_string().contains("cannot restore a dedup"), "{err}");
         let dedup = PipelineSnapshot {
             schema: vec!["name".into()],
             attr_types: vec![AttrType::StrShort],
             index: IndexConfig::default(),
-            model: tiny_model(),
-            bootstrap_len: 0,
+            model: SnapshotModel::Dedup(tiny_model()),
+            bootstrap: vec![BaseTable::default()],
             bootstrap_pairs: Vec::new(),
-            bootstrap_digest: 0,
             tombstones: Vec::new(),
             epoch: 0,
         };
-        assert!(LinkSnapshot::from_json(&dedup.to_json()).is_err());
+        let dedup = PipelineSnapshot::from_json(&dedup.to_json()).unwrap();
+        assert_eq!(dedup.model.kind(), "dedup");
+        let err = crate::LinkPipeline::from_snapshot(&dedup, 0.5)
+            .err()
+            .expect("a dedup snapshot must not restore a linkage pipeline");
+        assert!(
+            err.to_string().contains("cannot restore a linkage"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -681,10 +705,9 @@ mod tests {
                 attr: 3,
                 ..Default::default()
             },
-            model: tiny_model(),
-            bootstrap_len: 0,
+            model: SnapshotModel::Dedup(tiny_model()),
+            bootstrap: vec![BaseTable { len: 0, digest: 0 }],
             bootstrap_pairs: Vec::new(),
-            bootstrap_digest: 0,
             tombstones: Vec::new(),
             epoch: 0,
         };
@@ -701,10 +724,9 @@ mod tests {
             schema: vec!["name".into()],
             attr_types: vec![AttrType::StrShort],
             index: IndexConfig::default(),
-            model: tiny_model(),
-            bootstrap_len: 2,
+            model: SnapshotModel::Dedup(tiny_model()),
+            bootstrap: vec![BaseTable { len: 2, digest: 0 }],
             bootstrap_pairs: vec![(0, 5)],
-            bootstrap_digest: 0,
             tombstones: Vec::new(),
             epoch: 0,
         };

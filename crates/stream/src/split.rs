@@ -1,5 +1,5 @@
-//! The explicit read/write split over a streaming pipeline —
-//! [`StreamPipeline`] or [`LinkPipeline`].
+//! The explicit read/write split over a streaming [`Pipeline`] of either
+//! topology.
 //!
 //! A long-running resolution service interleaves two very different
 //! workloads over the same state: **resolve** queries ("which entity
@@ -44,9 +44,9 @@
 //! `{stream,link}.publish.ns` so a cheaper persistent-structure refresh
 //! has a baseline to beat.
 
-use crate::engine::{self, score_candidates, Pipeline, Tag, Topology};
-use crate::link::{LinkPipeline, Side};
-use crate::pipeline::{IngestOutcome, StreamError, StreamPipeline};
+use crate::engine::{check_arity, score_candidates, Pipeline, Topology};
+use crate::link::{Linkage, Side};
+use crate::pipeline::{Dedup, IngestOutcome, StreamError};
 use crate::shard::RecordKeys;
 use crate::shard::ShardedIndex;
 use crate::store::EntityStore;
@@ -118,17 +118,17 @@ impl ResolveOutcome {
 /// The handle stays pinned to its view until [`ReadHandle::refresh`] is
 /// called; resolves are deterministic against the pinned epoch even
 /// while the write path is busy publishing newer views.
-pub struct ReadHandle<P: Pipeline = StreamPipeline> {
+pub struct ReadHandle<T: Topology = Dedup> {
     view: Arc<ReadView>,
     deriver: Deriver,
     batch: ScoreBatch,
     scratch: FillScratch,
     /// Present when the handle came from a [`SplitPipeline`] (and can
     /// therefore refresh); `None` for a standalone pin.
-    shared: Option<Arc<Shared<P>>>,
+    shared: Option<Arc<Shared<T>>>,
 }
 
-impl<P: Pipeline> Clone for ReadHandle<P> {
+impl<T: Topology> Clone for ReadHandle<T> {
     fn clone(&self) -> Self {
         Self {
             view: Arc::clone(&self.view),
@@ -140,8 +140,8 @@ impl<P: Pipeline> Clone for ReadHandle<P> {
     }
 }
 
-impl<P: Pipeline> ReadHandle<P> {
-    fn pin(view: Arc<ReadView>, shared: Option<Arc<Shared<P>>>) -> Self {
+impl<T: Topology> ReadHandle<T> {
+    fn pin(view: Arc<ReadView>, shared: Option<Arc<Shared<T>>>) -> Self {
         let deriver =
             Deriver::with_interner(view.store.interner().clone(), view.store.derive_config());
         Self {
@@ -155,8 +155,8 @@ impl<P: Pipeline> ReadHandle<P> {
 
     /// A standalone handle (version 0, cannot refresh) over `pipeline`'s
     /// current read state.
-    pub(crate) fn pin_standalone(pipeline: &P) -> Self {
-        Self::pin(Arc::new(pipeline.engine().read_view()), None)
+    pub(crate) fn pin_standalone(pipeline: &Pipeline<T>) -> Self {
+        Self::pin(Arc::new(pipeline.read_view()), None)
     }
 
     /// Epoch of the pinned view.
@@ -201,20 +201,19 @@ impl<P: Pipeline> ReadHandle<P> {
         record: &Record,
         side: Option<Side>,
     ) -> Result<ResolveOutcome, StreamError> {
-        let tag = P::Topology::tag(side)?;
-        engine::check_arity(record, self.arity())?;
+        let tag = T::tag(side)?;
+        check_arity(record, self.arity())?;
         let view = &*self.view;
         let derived = self.deriver.derive(&record.values);
         let keys = RecordKeys::from_derived(&derived, self.deriver.interner());
-        let candidates =
-            view.indexes[P::Topology::route(tag).0].probe_live(&keys, view.store.tombstones());
+        let candidates = view.indexes[T::route(tag).0].probe_live(&keys, view.store.tombstones());
         let store = &view.store;
         let matches = score_candidates(
             &view.featurizer,
             &view.scorer,
             self.deriver.interner(),
             view.threshold,
-            P::Topology::new_on_left(tag),
+            T::new_on_left(tag),
             &candidates,
             |c| store.derived(c),
             &derived,
@@ -251,11 +250,11 @@ impl<P: Pipeline> ReadHandle<P> {
     }
 }
 
-impl ReadHandle<StreamPipeline> {
+impl ReadHandle<Dedup> {
     /// Resolves one record against the pinned view: derive → lock-free
     /// candidate probe ([`crate::ShardedIndex::probe_live`]) → frozen-model
     /// scoring — the exact candidate rule and scoring code of
-    /// [`StreamPipeline::ingest`], minus the insertion.
+    /// [`crate::StreamPipeline::ingest`], minus the insertion.
     ///
     /// # Panics
     /// Panics if the record arity does not match the schema.
@@ -265,12 +264,12 @@ impl ReadHandle<StreamPipeline> {
     }
 }
 
-impl ReadHandle<LinkPipeline> {
+impl ReadHandle<Linkage> {
     /// Resolves one side-tagged record against the pinned view: a
     /// read-only probe of the **opposite** side's index, then frozen
     /// cross-model scoring in the `(left, right)` orientation — the
-    /// exact candidate rule and scoring code of [`LinkPipeline::ingest`],
-    /// minus the insertion.
+    /// exact candidate rule and scoring code of
+    /// [`crate::LinkPipeline::ingest`], minus the insertion.
     ///
     /// # Panics
     /// Panics if the record arity does not match the schema.
@@ -300,8 +299,8 @@ struct AdmissionQueue<G> {
 }
 
 /// State shared between handles and the writer thread.
-struct Shared<P: Pipeline> {
-    queue: Mutex<AdmissionQueue<Tag<P>>>,
+struct Shared<T: Topology> {
+    queue: Mutex<AdmissionQueue<T::Tag>>,
     admitted: Condvar,
     view: RwLock<Arc<ReadView>>,
 }
@@ -320,11 +319,11 @@ fn read_lock<T>(l: &RwLock<Arc<T>>) -> Arc<T> {
 /// The write half: submits operations into the admission queue and
 /// blocks until the single writer has applied them, preserving
 /// submission order. Cheap to clone; every clone feeds the same queue.
-pub struct WriteHandle<P: Pipeline = StreamPipeline> {
-    shared: Arc<Shared<P>>,
+pub struct WriteHandle<T: Topology = Dedup> {
+    shared: Arc<Shared<T>>,
 }
 
-impl<P: Pipeline> Clone for WriteHandle<P> {
+impl<T: Topology> Clone for WriteHandle<T> {
     fn clone(&self) -> Self {
         Self {
             shared: Arc::clone(&self.shared),
@@ -332,9 +331,9 @@ impl<P: Pipeline> Clone for WriteHandle<P> {
     }
 }
 
-impl<P: Pipeline> WriteHandle<P> {
+impl<T: Topology> WriteHandle<T> {
     /// Queues `op` with a fresh reply channel and blocks for the answer.
-    fn submit<T>(&self, op: impl FnOnce(Reply<T>) -> WriteOp<Tag<P>>) -> Result<T, StreamError> {
+    fn submit<R>(&self, op: impl FnOnce(Reply<R>) -> WriteOp<T::Tag>) -> Result<R, StreamError> {
         let (tx, rx) = mpsc::channel();
         {
             let mut q = lock(&self.shared.queue);
@@ -350,7 +349,7 @@ impl<P: Pipeline> WriteHandle<P> {
 
     /// Ingests a batch whose side may be absent — the side must be
     /// present exactly for a linkage pipeline. The serve layer's entry
-    /// point; see the pipeline-specific `ingest` for the semantics.
+    /// point; see [`WriteHandle::ingest`] for the semantics.
     ///
     /// # Errors
     /// Fails on a side that does not fit the pipeline, plus every
@@ -360,15 +359,15 @@ impl<P: Pipeline> WriteHandle<P> {
         records: Vec<Record>,
         side: Option<Side>,
     ) -> Result<Vec<IngestOutcome>, StreamError> {
-        let tag = P::Topology::tag(side)?;
+        let tag = T::tag(side)?;
         self.submit(|reply| WriteOp::Ingest(records, tag, reply))
     }
 
     /// Retracts records by index — all-or-nothing, like
-    /// [`StreamPipeline::retract_batch`].
+    /// [`Pipeline::retract_batch`].
     ///
     /// # Errors
-    /// Fails like [`StreamPipeline::retract_batch`] (unknown index,
+    /// Fails like [`Pipeline::retract_batch`] (unknown index,
     /// double retraction, …) or when the write path is shut down.
     pub fn retract(&self, ids: Vec<usize>) -> Result<Vec<RetractionReport>, StreamError> {
         self.submit(|reply| WriteOp::Retract(ids, reply))
@@ -383,14 +382,13 @@ impl<P: Pipeline> WriteHandle<P> {
     }
 
     /// Re-fits the model over the writer's live records and swaps the
-    /// frozen scorer ([`StreamPipeline::refit`] /
-    /// [`LinkPipeline::refit`]). The swap rides the normal publication
+    /// frozen scorer ([`Pipeline::refit`]). The swap rides the normal publication
     /// path: by the time this returns, every subsequently pinned or
     /// refreshed [`ReadHandle`] scores with the new model, and views
     /// pinned earlier keep the old one — never a torn mix.
     ///
     /// # Errors
-    /// Fails like the pipeline's `refit` (no candidate pairs,
+    /// Fails like [`Pipeline::refit`] (no candidate pairs,
     /// degenerate fit, structural drift) or when the write path is shut
     /// down. A failed refit leaves the serving model untouched.
     pub fn refresh(&self) -> Result<crate::RefreshReport, StreamError> {
@@ -415,12 +413,12 @@ impl<P: Pipeline> WriteHandle<P> {
     }
 }
 
-impl WriteHandle<StreamPipeline> {
+impl WriteHandle<Dedup> {
     /// Ingests a batch through the admission queue (one micro-batch
     /// slot; consecutive pending ingests coalesce into one parallel
     /// apply). Blocks until applied; outcomes are bit-identical to
-    /// [`StreamPipeline::ingest_batch`] on the same records in the same
-    /// admission order.
+    /// [`crate::StreamPipeline::ingest_batch`] on the same records in the
+    /// same admission order.
     ///
     /// # Errors
     /// Fails when a record's arity does not match the schema, or when
@@ -436,28 +434,28 @@ impl WriteHandle<StreamPipeline> {
 /// [`ReadHandle`]s, and writes go through the [`WriteHandle`] admission
 /// queue. [`SplitPipeline::shutdown`] drains the queue and hands the
 /// pipeline back.
-pub struct SplitPipeline<P: Pipeline = StreamPipeline> {
-    shared: Arc<Shared<P>>,
-    writer: Option<std::thread::JoinHandle<P>>,
+pub struct SplitPipeline<T: Topology = Dedup> {
+    shared: Arc<Shared<T>>,
+    writer: Option<std::thread::JoinHandle<Pipeline<T>>>,
 }
 
-impl<P: Pipeline> SplitPipeline<P> {
+impl<T: Topology> SplitPipeline<T> {
     /// Splits the pipeline with a single-threaded writer.
-    pub fn new(pipeline: P) -> Self {
+    pub fn new(pipeline: Pipeline<T>) -> Self {
         Self::with_threads(pipeline, 1)
     }
 
     /// Splits the pipeline; coalesced ingest micro-batches are applied
     /// with the pipeline's parallel batch ingest at `threads` workers
     /// (bit-identical at any thread count).
-    pub fn with_threads(pipeline: P, threads: usize) -> Self {
+    pub fn with_threads(pipeline: Pipeline<T>, threads: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(AdmissionQueue {
                 ops: VecDeque::new(),
                 closed: false,
             }),
             admitted: Condvar::new(),
-            view: RwLock::new(Arc::new(pipeline.engine().read_view())),
+            view: RwLock::new(Arc::new(pipeline.read_view())),
         });
         let writer_shared = Arc::clone(&shared);
         let writer = std::thread::Builder::new()
@@ -471,12 +469,12 @@ impl<P: Pipeline> SplitPipeline<P> {
     }
 
     /// A fresh read handle pinned to the latest published view.
-    pub fn read_handle(&self) -> ReadHandle<P> {
+    pub fn read_handle(&self) -> ReadHandle<T> {
         ReadHandle::pin(read_lock(&self.shared.view), Some(Arc::clone(&self.shared)))
     }
 
     /// The write handle feeding the admission queue.
-    pub fn write_handle(&self) -> WriteHandle<P> {
+    pub fn write_handle(&self) -> WriteHandle<T> {
         WriteHandle {
             shared: Arc::clone(&self.shared),
         }
@@ -485,7 +483,7 @@ impl<P: Pipeline> SplitPipeline<P> {
     /// Closes the admission queue, waits for the writer to drain every
     /// already-admitted operation, and returns the pipeline. Operations
     /// submitted after shutdown fail with a shut-down error.
-    pub fn shutdown(mut self) -> P {
+    pub fn shutdown(mut self) -> Pipeline<T> {
         self.close();
         self.writer
             .take()
@@ -500,7 +498,7 @@ impl<P: Pipeline> SplitPipeline<P> {
     }
 }
 
-impl<P: Pipeline> Drop for SplitPipeline<P> {
+impl<T: Topology> Drop for SplitPipeline<T> {
     fn drop(&mut self) {
         if let Some(writer) = self.writer.take() {
             self.close();
@@ -524,10 +522,14 @@ impl<P: Pipeline> Drop for SplitPipeline<P> {
 /// succeeded before a view containing it is pinnable. Failures (and
 /// the read-only snapshot/stats ops) reply immediately — they publish
 /// nothing.
-fn writer_loop<P: Pipeline>(mut pipeline: P, shared: &Shared<P>, threads: usize) -> P {
+fn writer_loop<T: Topology>(
+    mut pipeline: Pipeline<T>,
+    shared: &Shared<T>,
+    threads: usize,
+) -> Pipeline<T> {
     let mut version = 0u64;
     loop {
-        let drained: Vec<WriteOp<Tag<P>>> = {
+        let drained: Vec<WriteOp<T::Tag>> = {
             let mut q = lock(&shared.queue);
             while q.ops.is_empty() && !q.closed {
                 q = shared.admitted.wait(q).unwrap_or_else(|e| e.into_inner());
@@ -537,8 +539,8 @@ fn writer_loop<P: Pipeline>(mut pipeline: P, shared: &Shared<P>, threads: usize)
             }
             q.ops.drain(..).collect()
         };
-        let arity = pipeline.engine().store.table().schema().arity();
-        let meters = pipeline.engine().meters;
+        let arity = pipeline.store().table().schema().arity();
+        let meters = pipeline.meters;
         // The success replies of the ops that mutated the pipeline, held
         // back until the publish below.
         let mut deferred: Vec<Box<dyn FnOnce()>> = Vec::new();
@@ -556,9 +558,7 @@ fn writer_loop<P: Pipeline>(mut pipeline: P, shared: &Shared<P>, threads: usize)
                     let mut batch: Vec<Record> = Vec::new();
                     let mut requests: Vec<(usize, Reply<Vec<IngestOutcome>>)> = Vec::new();
                     let mut admit = |records: Vec<Record>, reply: Reply<Vec<IngestOutcome>>| {
-                        let checked = records
-                            .iter()
-                            .try_for_each(|r| engine::check_arity(r, arity));
+                        let checked = records.iter().try_for_each(|r| check_arity(r, arity));
                         if let Err(e) = checked {
                             let _ = reply.send(Err(e));
                             return;
@@ -575,28 +575,25 @@ fn writer_loop<P: Pipeline>(mut pipeline: P, shared: &Shared<P>, threads: usize)
                     if let Some(m) = meters {
                         m.admit_records.record(batch.len() as u64);
                     }
-                    let mut outcomes =
-                        engine::ingest_batch(&mut pipeline, batch, tag, threads).into_iter();
+                    let mut outcomes = pipeline.ingest_tagged(batch, tag, threads).into_iter();
                     for (count, reply) in requests {
                         let out: Vec<IngestOutcome> = outcomes.by_ref().take(count).collect();
                         defer(&mut deferred, reply, Ok(out));
                     }
                 }
                 WriteOp::Retract(ids, reply) => {
-                    let result = pipeline.engine_mut().retract_batch(&ids);
+                    let result = pipeline.retract_batch(&ids);
                     defer(&mut deferred, reply, result);
                 }
                 WriteOp::Compact(reply) => {
-                    defer(&mut deferred, reply, Ok(pipeline.engine_mut().compact()));
+                    defer(&mut deferred, reply, Ok(pipeline.compact()));
                 }
-                WriteOp::Refresh(reply) => {
-                    defer(&mut deferred, reply, engine::refit(&mut pipeline))
-                }
+                WriteOp::Refresh(reply) => defer(&mut deferred, reply, pipeline.refit()),
                 WriteOp::Snapshot(reply) => {
-                    let _ = reply.send(Ok(pipeline.snapshot_json()));
+                    let _ = reply.send(Ok(pipeline.snapshot().to_json()));
                 }
                 WriteOp::Stats(reply) => {
-                    pipeline.engine().stats().publish();
+                    pipeline.stats().publish();
                     let _ = reply.send(Ok(crate::render_stats()));
                 }
             }
@@ -628,11 +625,11 @@ fn defer<T: 'static>(
 /// Publishes the writer's current read state as the next view version.
 /// Only the final pointer swap holds the view lock; the clone happens
 /// before it, so readers are never blocked on the copy.
-fn publish<P: Pipeline>(pipeline: &P, shared: &Shared<P>, version: &mut u64) {
+fn publish<T: Topology>(pipeline: &Pipeline<T>, shared: &Shared<T>, version: &mut u64) {
     *version += 1;
-    let meters = pipeline.engine().meters;
+    let meters = pipeline.meters;
     let sw = zeroer_obs::Stopwatch::new(meters.is_some());
-    let mut view = pipeline.engine().read_view();
+    let mut view = pipeline.read_view();
     view.version = *version;
     if let Some(m) = meters {
         sw.total(m.publish);

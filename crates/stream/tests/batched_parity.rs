@@ -95,7 +95,7 @@ impl Oracle {
     fn new(snap: &PipelineSnapshot) -> Self {
         Self {
             featurizer: BatchFeaturizer::new(&snap.attr_types),
-            scorer: snap.model.scorer().expect("snapshot scorer"),
+            scorer: snap.model.scoring().scorer().expect("snapshot scorer"),
         }
     }
 

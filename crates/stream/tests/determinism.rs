@@ -102,7 +102,7 @@ fn batched_scoring_is_bit_identical_to_scalar_across_thread_counts() {
     // The scalar reference: sequential ingest with every match posterior
     // re-scored row at a time from the stored records.
     let featurizer = BatchFeaturizer::new(&snap.attr_types);
-    let scorer = snap.model.scorer().expect("snapshot scorer");
+    let scorer = snap.model.scoring().scorer().expect("snapshot scorer");
     let mut seq = cold_pipeline(&snap, &boot);
     let mut reference: Vec<IngestOutcome> = tail.iter().cloned().map(|r| seq.ingest(r)).collect();
     let store = seq.store();
@@ -140,7 +140,7 @@ fn seed_base_reproduces_in_process_bootstrap() {
     let (mut live, report) =
         StreamPipeline::bootstrap(&boot, StreamOptions::default()).expect("bootstrap");
     let snap = live.snapshot();
-    assert_eq!(snap.bootstrap_len, boot.len());
+    assert_eq!(snap.bootstrap_len(), boot.len());
     assert_eq!(
         snap.bootstrap_pairs.len(),
         report
@@ -188,7 +188,7 @@ fn seed_base_rejects_misuse() {
 
     // No bootstrap decisions in the snapshot.
     let mut stripped = snap.clone();
-    stripped.bootstrap_len = 0;
+    stripped.bootstrap[0].len = 0;
     stripped.bootstrap_pairs.clear();
     let mut p = StreamPipeline::from_snapshot(&stripped, 0.5).unwrap();
     assert!(p.seed_base(&boot).is_err());
@@ -207,7 +207,7 @@ fn seed_base_rejects_misuse() {
     // Unknown digest (legacy snapshot): length is the only check, so the
     // reordered table is accepted — documented legacy behavior.
     let mut legacy = snap.clone();
-    legacy.bootstrap_digest = 0;
+    legacy.bootstrap[0].digest = 0;
     let mut p = StreamPipeline::from_snapshot(&legacy, 0.5).unwrap();
     assert!(p.seed_base(&reordered).is_ok());
 }

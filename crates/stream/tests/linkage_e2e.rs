@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 use zeroer_datagen::generate;
 use zeroer_datagen::profiles::pub_da;
-use zeroer_stream::{LinkPipeline, LinkSnapshot, Side, StreamOptions};
+use zeroer_stream::{LinkPipeline, PipelineSnapshot, Side, StreamOptions};
 use zeroer_tabular::{Record, Table};
 
 /// Pub-DA-style linkage workload (bibliographic titles across two
@@ -156,11 +156,11 @@ fn link_snapshot_round_trips_byte_for_byte_on_real_data() {
     let (live, _) = LinkPipeline::bootstrap(&ds.left, &ds.right, opts()).expect("bootstrap");
     let snap = live.snapshot();
     let text = snap.to_json();
-    let back = LinkSnapshot::from_json(&text).expect("parses");
-    assert_eq!(back.linkage, snap.linkage, "models round-trip exactly");
-    assert_eq!(back.pairs, snap.pairs);
-    assert_eq!(back.left_digest, snap.left_digest);
-    assert_eq!(back.right_digest, snap.right_digest);
+    let back = PipelineSnapshot::from_json(&text).expect("parses");
+    assert_eq!(back.model, snap.model, "models round-trip exactly");
+    assert_eq!(back.bootstrap_pairs, snap.bootstrap_pairs);
+    assert_eq!(back.bootstrap[0].digest, snap.bootstrap[0].digest);
+    assert_eq!(back.bootstrap[1].digest, snap.bootstrap[1].digest);
     // Re-serializing the parsed form reproduces the byte stream — the
     // strongest possible exactness statement for the JSON format.
     assert_eq!(back.to_json(), text);

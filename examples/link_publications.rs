@@ -87,7 +87,7 @@ fn main() {
 
     // ---- Streaming linkage: freeze, then serve ---------------------
     // Bootstrap the three-model fit on the left catalog plus 70 % of the
-    // right one, freeze it into a LinkSnapshot, and stream the remaining
+    // right one, freeze it into a linkage snapshot, and stream the remaining
     // right-side records: each probes the *left* index for candidates
     // and is scored with the frozen cross model — no EM at ingest time.
     let opts = StreamOptions {

@@ -40,7 +40,7 @@ fn main() {
     println!(
         "snapshot: {} bytes of JSON, {} features",
         json.len(),
-        reloaded.model.dim()
+        reloaded.model.scoring().dim()
     );
 
     // Online phase: ingest the remaining records one at a time.

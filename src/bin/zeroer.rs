@@ -6,13 +6,12 @@
 //!              [--block-on ATTR] [--kappa K] [--no-transitivity] [--out pairs.csv]
 //! zeroer link  <left.csv> <right.csv> --save-model link.json [same flags]
 //! zeroer dedup <table.csv>          [same flags] [--save-model snap.json]
-//! zeroer ingest <stream.csv>        --model snap.json [--base resolved.csv]
+//! zeroer ingest <stream.csv>        --model snap.json [BASE] [--side left|right]
 //!                                   [--threads N] [--threshold 0.5] [--out assign.csv]
-//! zeroer ingest <stream.csv>        --model link.json --side left|right
-//!                                   --base-left left.csv --base-right right.csv [same flags]
-//! zeroer retract --ids <file>       --model snap.json --base resolved.csv [--out snap.json]
-//! zeroer compact                    --model snap.json --base resolved.csv [--stats]
-//! zeroer serve                      --model snap.json [--base resolved.csv]
+//! zeroer retract --ids <file>       --model snap.json BASE [--out snap.json]
+//! zeroer compact                    --model snap.json BASE [--out snap.json]
+//! zeroer refresh                    --model snap.json BASE [--out snap.json]
+//! zeroer serve                      --model snap.json [BASE]
 //!                                   [--addr 127.0.0.1:7878] [--threads N]
 //! zeroer gen --out dir              [--scale S] [--seed N] [--dup-rate R] [--linkage]
 //! ```
@@ -23,18 +22,19 @@
 //! probability, thresholded at `--threshold`.
 //!
 //! `dedup --save-model` additionally freezes the fitted model into a
-//! JSON snapshot; `ingest` then streams new records against it — no EM
-//! at ingest time — emitting one line per record:
-//! `record,cluster,best_match,probability` (empty match fields for fresh
-//! entities).
+//! JSON snapshot, and `link` (the record-linkage counterpart) freezes
+//! the three-model linkage fit. The snapshot commands — `ingest`,
+//! `retract`, `compact`, `refresh` and `serve` — read the kind from the
+//! snapshot and run one body for both. BASE replays the persisted batch
+//! decisions onto the bootstrap tables: `--base <csv>` for a dedup
+//! snapshot, `--base-left <csv> --base-right <csv>` for a linkage one.
 //!
-//! `link` is the record-linkage (`match`-path) counterpart of `dedup
-//! --save-model`: it fits the three-model linkage trainer and freezes
-//! all three models into a linkage snapshot. `ingest --side left|right`
-//! then streams side-tagged records against it: each record blocks only
-//! against the *opposite* side's index and is scored with the frozen
-//! cross model; `--base-left`/`--base-right` replay the persisted batch
-//! decisions for the bootstrap tables.
+//! `ingest` streams new records against the snapshot — no EM at ingest
+//! time — emitting one line per record:
+//! `record,cluster,best_match,probability` (empty match fields for fresh
+//! entities). Against a linkage snapshot it takes `--side left|right`:
+//! each record blocks only against the *opposite* side's index and is
+//! scored with the frozen cross model.
 //!
 //! `serve` keeps the rebuilt pipeline resident and answers resolve /
 //! ingest / admin requests over a length-prefixed TCP protocol (see
@@ -46,14 +46,15 @@
 //! the tombstones are persisted back into the snapshot. `compact`
 //! reclaims the index memory those tombstones pin (dead postings, empty
 //! buckets, dead decision-log edges) and reports the freed bytes.
+//! `refresh` re-fits the model over the snapshot's live records.
 
 use std::process::ExitCode;
 use zeroer::core::ZeroErConfig;
 use zeroer::pipeline::{
     dedup_table, dedup_table_with_snapshot, match_tables, match_tables_with_snapshot,
-    IngestOutcome, LinkPipeline, LinkSnapshot, MatchOptions, PipelineSnapshot, Side,
-    StreamPipeline,
+    IngestOutcome, MatchOptions, PipelineSnapshot, Side, SnapshotModel,
 };
+use zeroer::stream::{Dedup, Linkage, Pipeline, Topology};
 use zeroer::tabular::csv::{read_table, write_table};
 use zeroer::tabular::{Schema, Table};
 
@@ -68,9 +69,8 @@ struct Args {
     out: Option<String>,
     save_model: Option<String>,
     model: Option<String>,
-    base: Option<String>,
-    base_left: Option<String>,
-    base_right: Option<String>,
+    /// The base-table paths, indexed like [`BASE_FLAGS`].
+    bases: [Option<String>; 3],
     side: Option<Side>,
     ids: Option<String>,
     threads: Option<usize>,
@@ -83,6 +83,70 @@ struct Args {
     linkage: bool,
 }
 
+/// The base-table flags, each with the bootstrap table it names (see
+/// [`Topology::TABLES`]): a dedup snapshot takes `--base`, a linkage
+/// snapshot `--base-left` and `--base-right`.
+const BASE_FLAGS: [(&str, &str); 3] = [
+    ("--base", "base"),
+    ("--base-left", "left"),
+    ("--base-right", "right"),
+];
+
+const BATCH: &[&str] = &["match", "link", "dedup"];
+const SNAPSHOT: &[&str] = &["ingest", "retract", "compact", "refresh", "serve"];
+const GEN: &[&str] = &["gen"];
+
+/// The commands each flag applies to; flags not listed (`--metrics`)
+/// apply to every command. Parsing rejects a flag given to any other
+/// command, and the error names the commands listed here.
+const FLAG_SCOPES: &[(&str, &[&str])] = &[
+    (
+        "--threshold",
+        &[
+            "match", "link", "dedup", "ingest", "retract", "compact", "refresh", "serve",
+        ],
+    ),
+    ("--overlap", BATCH),
+    ("--block-on", BATCH),
+    ("--kappa", BATCH),
+    ("--no-transitivity", BATCH),
+    (
+        "--out",
+        &[
+            "match", "link", "dedup", "ingest", "retract", "compact", "refresh", "gen",
+        ],
+    ),
+    ("--save-model", &["dedup", "link"]),
+    ("--model", SNAPSHOT),
+    ("--base", SNAPSHOT),
+    ("--base-left", SNAPSHOT),
+    ("--base-right", SNAPSHOT),
+    ("--side", &["ingest"]),
+    ("--threads", &["ingest", "serve"]),
+    ("--ids", &["retract"]),
+    ("--addr", &["serve"]),
+    (
+        "--stats",
+        &[
+            "dedup", "link", "ingest", "retract", "compact", "refresh", "serve",
+        ],
+    ),
+    ("--scale", GEN),
+    ("--seed", GEN),
+    ("--dup-rate", GEN),
+    ("--linkage", GEN),
+];
+
+/// "`a`, `b` and `c`".
+fn and_list(items: &[&str]) -> String {
+    let quoted: Vec<String> = items.iter().map(|i| format!("`{i}`")).collect();
+    match quoted.split_last() {
+        Some((last, [])) => last.clone(),
+        Some((last, rest)) => format!("{} and {last}", rest.join(", ")),
+        None => String::new(),
+    }
+}
+
 fn usage() -> &'static str {
     "zeroer — entity resolution with zero labeled examples (SIGMOD 2020)\n\
      \n\
@@ -92,25 +156,19 @@ fn usage() -> &'static str {
                                                      `match` + freeze the three-model linkage\n\
                                                      fit into a streaming snapshot\n\
        zeroer dedup <table.csv>            [flags]   find duplicates inside one table\n\
-       zeroer ingest <stream.csv> --model <snap.json> [flags]\n\
+       zeroer ingest <stream.csv> --model <snap.json> [BASE] [--side left|right] [flags]\n\
                                                      stream records against a frozen model\n\
-       zeroer ingest <stream.csv> --model <link.json> --side left|right\n\
-                     --base-left <csv> --base-right <csv> [flags]\n\
-                                                     stream side-tagged records against a\n\
-                                                     frozen linkage snapshot (cross-table)\n\
-       zeroer retract --ids <file> --model <snap.json> --base <csv> [flags]\n\
+                                                     (--side for a linkage snapshot)\n\
+       zeroer retract --ids <file> --model <snap.json> BASE [flags]\n\
                                                      withdraw base records (indices, one per\n\
                                                      line); tombstones persist in the snapshot\n\
-       zeroer compact --model <snap.json> --base <csv> [flags]\n\
+       zeroer compact --model <snap.json> BASE [flags]\n\
                                                      drop tombstoned index state, report the\n\
                                                      reclaimed bytes\n\
-       zeroer refresh --model <snap.json> --base <csv> [flags]\n\
+       zeroer refresh --model <snap.json> BASE [flags]\n\
                                                      re-fit the model over the snapshot's live\n\
                                                      records and write the refreshed snapshot\n\
-       zeroer refresh --model <link.json> --base-left <csv> --base-right <csv> [flags]\n\
-                                                     same, for a frozen linkage snapshot\n\
-                                                     (re-runs the three-model joint fit)\n\
-       zeroer serve --model <snap.json> [--base <csv>] [--addr <host:port>] [flags]\n\
+       zeroer serve --model <snap.json> [BASE] [--addr <host:port>] [flags]\n\
                                                      serve resolve/ingest/admin requests over\n\
                                                      TCP until an admin shutdown arrives\n\
        zeroer gen --out <dir> [--scale <s>] [--seed <n>] [--dup-rate <r>] [--linkage]\n\
@@ -118,23 +176,34 @@ fn usage() -> &'static str {
                                                      ground truth: corpus.csv + truth.csv\n\
                                                      (or left/right/truth.csv with --linkage)\n\
      \n\
+       BASE is --base <csv> for a dedup snapshot (from `dedup --save-model`) or\n\
+       --base-left <csv> --base-right <csv> for a linkage snapshot (from `link`):\n\
+       the bootstrap tables, whose batch decisions are replayed from the snapshot.\n\
+     \n\
      FLAGS:\n\
-       --threshold <p>     posterior cut-off for reporting a match (default 0.5)\n\
-       --overlap <n>       min shared title tokens for a candidate pair (default 1)\n\
-       --block-on <attr>   attribute name to block on (default: first column)\n\
-       --kappa <k>         regularization strength (default 0.15, the paper's)\n\
-       --no-transitivity   disable the transitivity soft constraint\n\
-       --out <file>        write results to a CSV file instead of stdout\n\
+       --threshold <p>     (all but gen) posterior cut-off for a match (default 0.5)\n\
+       --overlap <n>       (match, link, dedup) min shared title tokens for a\n\
+                           candidate pair (default 1)\n\
+       --block-on <attr>   (match, link, dedup) attribute name to block on\n\
+                           (default: first column)\n\
+       --kappa <k>         (match, link, dedup) regularization strength (default\n\
+                           0.15, the paper's)\n\
+       --no-transitivity   (match, link, dedup) disable the transitivity soft\n\
+                           constraint\n\
+       --out <file>        (all but serve) write results to a file instead of stdout;\n\
+                           retract, compact and refresh write the snapshot there\n\
+                           instead of over --model; gen writes into this directory\n\
        --save-model <file> (dedup, link) freeze the fitted model(s) to a JSON snapshot\n\
        --model <file>      (ingest, retract, compact, refresh, serve) snapshot\n\
                            produced by --save-model\n\
-       --base <csv>        (ingest) the resolved bootstrap records; their batch\n\
-                           cluster decisions are replayed from the snapshot (never\n\
-                           re-scored) when the snapshot carries them\n\
+       --base <csv>        (ingest, retract, compact, refresh, serve) the bootstrap\n\
+                           table of a dedup snapshot\n\
+       --base-left <csv>   (ingest, retract, compact, refresh, serve) the left\n\
+                           bootstrap table of a linkage snapshot\n\
+       --base-right <csv>  (ingest, retract, compact, refresh, serve) the right\n\
+                           bootstrap table of a linkage snapshot\n\
        --side <l|r>        (ingest) which table the streamed records belong to;\n\
                            requires a linkage snapshot from `zeroer link`\n\
-       --base-left <csv>   (ingest --side) the left bootstrap table\n\
-       --base-right <csv>  (ingest --side) the right bootstrap table\n\
        --threads <n>       (ingest, serve) ingest worker threads (default: all\n\
                            cores); results are identical for every thread count\n\
        --addr <host:port>  (serve) address to bind (default 127.0.0.1:0, an\n\
@@ -149,10 +218,10 @@ fn usage() -> &'static str {
                            strictly inside (0, 1) (default 0.3)\n\
        --linkage           (gen) emit a two-table linkage corpus instead of one\n\
                            dedup table\n\
-       --stats             (dedup, link, ingest, retract, compact, serve) print derivation/\n\
-                           blocking observability to stderr: tokens interned,\n\
-                           live/retired buckets and live/dead postings per leg,\n\
-                           candidate pairs, live/retracted records, epoch\n\
+       --stats             (dedup, link, ingest, retract, compact, refresh, serve)\n\
+                           print derivation/blocking observability to stderr: tokens\n\
+                           interned, live/retired buckets and live/dead postings per\n\
+                           leg, candidate pairs, live/retracted records, epoch\n\
        --metrics <file>    (all commands) write every recorded counter, gauge and\n\
                            stage-latency histogram as JSON (schema zeroer-metrics-v1,\n\
                            documented in crates/obs/README.md)\n"
@@ -170,9 +239,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         out: None,
         save_model: None,
         model: None,
-        base: None,
-        base_left: None,
-        base_right: None,
+        bases: Default::default(),
         side: None,
         ids: None,
         threads: None,
@@ -184,8 +251,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         dup_rate: 0.3,
         linkage: false,
     };
-    let mut gen_flags: Vec<&'static str> = Vec::new();
-    let mut batch_flags: Vec<&'static str> = Vec::new();
+    // The scoped flags given, checked once the command is known.
+    let mut scoped: Vec<(&str, &[&str])> = Vec::new();
     let mut it = argv.iter().peekable();
     let take_value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
                       flag: &str|
@@ -195,6 +262,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             .ok_or_else(|| format!("{flag} requires a value"))
     };
     while let Some(a) = it.next() {
+        if let Some(&scope) = FLAG_SCOPES.iter().find(|(flag, _)| flag == a) {
+            scoped.push(scope);
+        }
         match a.as_str() {
             "--threshold" => {
                 args.threshold = take_value(&mut it, "--threshold")?
@@ -202,25 +272,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|_| "--threshold must be a number".to_string())?;
             }
             "--overlap" => {
-                batch_flags.push("--overlap");
                 args.overlap = take_value(&mut it, "--overlap")?
                     .parse()
                     .map_err(|_| "--overlap must be an integer".to_string())?;
             }
-            "--block-on" => {
-                batch_flags.push("--block-on");
-                args.block_on = Some(take_value(&mut it, "--block-on")?);
-            }
+            "--block-on" => args.block_on = Some(take_value(&mut it, "--block-on")?),
             "--kappa" => {
-                batch_flags.push("--kappa");
                 args.kappa = take_value(&mut it, "--kappa")?
                     .parse()
                     .map_err(|_| "--kappa must be a number".to_string())?;
             }
-            "--no-transitivity" => {
-                batch_flags.push("--no-transitivity");
-                args.transitivity = false;
-            }
+            "--no-transitivity" => args.transitivity = false,
             "--threads" => {
                 let n: usize = take_value(&mut it, "--threads")?
                     .parse()
@@ -235,9 +297,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--out" => args.out = Some(take_value(&mut it, "--out")?),
             "--save-model" => args.save_model = Some(take_value(&mut it, "--save-model")?),
             "--model" => args.model = Some(take_value(&mut it, "--model")?),
-            "--base" => args.base = Some(take_value(&mut it, "--base")?),
-            "--base-left" => args.base_left = Some(take_value(&mut it, "--base-left")?),
-            "--base-right" => args.base_right = Some(take_value(&mut it, "--base-right")?),
+            flag @ ("--base" | "--base-left" | "--base-right") => {
+                let i = BASE_FLAGS
+                    .iter()
+                    .position(|&(f, _)| f == flag)
+                    .expect("a base flag");
+                args.bases[i] = Some(take_value(&mut it, flag)?);
+            }
             "--side" => {
                 args.side = Some(match take_value(&mut it, "--side")?.as_str() {
                     "left" => Side::Left,
@@ -248,27 +314,21 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--ids" => args.ids = Some(take_value(&mut it, "--ids")?),
             "--addr" => args.addr = Some(take_value(&mut it, "--addr")?),
             "--scale" => {
-                gen_flags.push("--scale");
                 args.scale = take_value(&mut it, "--scale")?
                     .parse()
                     .map_err(|_| "--scale must be a number".to_string())?;
             }
             "--seed" => {
-                gen_flags.push("--seed");
                 args.seed = take_value(&mut it, "--seed")?
                     .parse()
                     .map_err(|_| "--seed must be a non-negative integer".to_string())?;
             }
             "--dup-rate" => {
-                gen_flags.push("--dup-rate");
                 args.dup_rate = take_value(&mut it, "--dup-rate")?
                     .parse()
                     .map_err(|_| "--dup-rate must be a number".to_string())?;
             }
-            "--linkage" => {
-                gen_flags.push("--linkage");
-                args.linkage = true;
-            }
+            "--linkage" => args.linkage = true,
             "-h" | "--help" => return Err(String::new()),
             flag if flag.starts_with("--") => return Err(format!("unknown flag: {flag}")),
             positional => {
@@ -283,102 +343,30 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if !(0.0..=1.0).contains(&args.threshold) {
         return Err("--threshold must lie in [0, 1]".into());
     }
-    if args.save_model.is_some() && !matches!(args.command.as_str(), "dedup" | "link") {
-        return Err("--save-model is only supported on the `dedup` and `link` batch paths".into());
-    }
-    if args.stats && args.command == "match" {
-        return Err(
-            "--stats is only supported by the `dedup`, `link`, `ingest`, `retract` and \
-             `compact` commands"
-                .into(),
-        );
-    }
-    let snapshot_command = matches!(
-        args.command.as_str(),
-        "ingest" | "retract" | "compact" | "refresh" | "serve"
-    );
-    if !snapshot_command {
-        if args.model.is_some() {
-            return Err(
-                "--model is only supported by the `ingest`, `retract`, `compact` and `serve` \
-                 commands"
-                    .into(),
-            );
-        }
-        if args.base.is_some() {
-            return Err(
-                "--base is only supported by the `ingest`, `retract`, `compact` and `serve` \
-                 commands"
-                    .into(),
-            );
-        }
-    } else if let Some(flag) = batch_flags.first() {
+    let command = args.command.as_str();
+    if let Some((flag, commands)) = scoped.iter().find(|(_, cmds)| !cmds.contains(&command)) {
+        let noun = if commands.len() == 1 {
+            "command"
+        } else {
+            "commands"
+        };
         return Err(format!(
-            "{flag} configures the batch fit and is frozen in the snapshot; \
-             it cannot be changed after fitting"
+            "{flag} is only supported by the {} {noun}",
+            and_list(commands)
         ));
     }
-    if args.side.is_some() && args.command != "ingest" {
-        return Err("--side is only supported by the `ingest` command".into());
-    }
-    if (args.base_left.is_some() || args.base_right.is_some())
-        && !matches!(args.command.as_str(), "ingest" | "refresh")
-    {
-        return Err(
-            "--base-left/--base-right are only supported by the `ingest` and `refresh` commands"
-                .into(),
-        );
-    }
-    if args.command == "ingest" {
-        if args.side.is_some() {
-            if args.base.is_some() {
-                return Err(
-                    "--base is the dedup-path seed; linkage ingest takes --base-left and \
-                     --base-right"
-                        .into(),
-                );
-            }
-            if args.base_left.is_none() || args.base_right.is_none() {
-                return Err(
-                    "`ingest --side` requires --base-left <csv> and --base-right <csv> (the \
-                     bootstrap tables the linkage snapshot was fitted on)"
-                        .into(),
-                );
-            }
-        } else if args.base_left.is_some() || args.base_right.is_some() {
-            return Err("--base-left/--base-right require --side left|right".into());
-        }
-    }
-    if args.threads.is_some() && !matches!(args.command.as_str(), "ingest" | "serve") {
-        return Err("--threads is only supported by the `ingest` and `serve` commands".into());
-    }
-    if args.ids.is_some() && args.command != "retract" {
-        return Err("--ids is only supported by the `retract` command".into());
-    }
-    if args.addr.is_some() && args.command != "serve" {
-        return Err("--addr is only supported by the `serve` command".into());
-    }
-    if args.command != "gen" {
-        if let Some(flag) = gen_flags.first() {
-            return Err(format!("{flag} is only supported by the `gen` command"));
-        }
-    }
-    let need_model = |args: &Args, cmd: &str| -> Result<(), String> {
+    let need_model = |args: &Args| -> Result<(), String> {
         if args.model.is_none() {
-            return Err(format!("`{cmd}` requires --model <snapshot.json>"));
+            return Err(format!("`{command}` requires --model <snapshot.json>"));
         }
         Ok(())
     };
-    match (args.command.as_str(), args.files.len()) {
+    let has_base = args.bases.iter().any(Option::is_some);
+    match (command, args.files.len()) {
         ("match", 2) | ("dedup", 1) => Ok(args),
         ("gen", 0) => {
             if args.out.is_none() {
                 return Err("`gen` requires --out <dir> (the corpus output directory)".into());
-            }
-            if let Some(flag) = batch_flags.first() {
-                return Err(format!(
-                    "{flag} configures the batch fit; it does not apply to `gen`"
-                ));
             }
             Ok(args)
         }
@@ -396,51 +384,31 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             Ok(args)
         }
-        ("ingest", 1) => {
-            need_model(&args, "ingest")?;
+        ("ingest", 1) | ("serve", 0) => {
+            need_model(&args)?;
+            let side_bases = ["left", "right"].map(|table| &args.bases[base_flag(table)]);
+            if args.side.is_some() && side_bases.iter().any(|base| base.is_none()) {
+                return Err(
+                    "`ingest --side` requires --base-left <csv> and --base-right <csv> (the \
+                     bootstrap tables the linkage snapshot was fitted on)"
+                        .into(),
+                );
+            }
             Ok(args)
         }
-        ("retract", 0) => {
-            need_model(&args, "retract")?;
-            if args.ids.is_none() {
+        ("retract", 0) | ("compact", 0) | ("refresh", 0) => {
+            need_model(&args)?;
+            if command == "retract" && args.ids.is_none() {
                 return Err(
                     "`retract` requires --ids <file> (record indices, one per line)".into(),
                 );
             }
-            if args.base.is_none() {
-                return Err(
-                    "`retract` requires --base <csv> (the bootstrap records the \
-                            snapshot indices refer to)"
-                        .into(),
-                );
-            }
-            Ok(args)
-        }
-        ("serve", 0) => {
-            need_model(&args, "serve")?;
-            Ok(args)
-        }
-        ("refresh", 0) => {
-            need_model(&args, "refresh")?;
-            let dedup_base = args.base.is_some();
-            let link_base = args.base_left.is_some() && args.base_right.is_some();
-            if dedup_base == link_base {
-                return Err(
-                    "`refresh` requires either --base <csv> (dedup snapshot) or \
-                     --base-left <csv> --base-right <csv> (linkage snapshot)"
-                        .into(),
-                );
-            }
-            Ok(args)
-        }
-        ("compact", 0) => {
-            need_model(&args, "compact")?;
-            if args.base.is_none() {
-                return Err(
-                    "`compact` requires --base <csv> (the bootstrap records the \
-                            snapshot tombstones refer to)"
-                        .into(),
-                );
+            if !has_base {
+                return Err(format!(
+                    "`{command}` requires --base <csv> (dedup snapshot) or --base-left <csv> \
+                     --base-right <csv> (linkage snapshot): the bootstrap records the \
+                     snapshot indices refer to"
+                ));
             }
             Ok(args)
         }
@@ -451,9 +419,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "`ingest` needs exactly one stream CSV file, got {n}"
         )),
         ("retract", n) | ("compact", n) | ("refresh", n) | ("serve", n) => Err(format!(
-            "`{}` takes no positional files (got {n}); the store is rebuilt from \
-             --model and --base",
-            args.command
+            "`{command}` takes no positional files (got {n}); the store is rebuilt from \
+             --model and the base tables"
         )),
         (other, _) => Err(format!("unknown command: {other:?}")),
     }
@@ -566,12 +533,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
         }
         "gen" => return run_gen(args),
         "link" => return run_link(args),
-        "ingest" => return run_ingest(args),
-        "retract" => return run_retract(args),
-        "compact" => return run_compact(args),
-        "refresh" => return run_refresh(args),
-        "serve" => return run_serve(args),
-        _ => unreachable!("validated in parse_args"),
+        _ => return run_snapshot_command(args),
     }
     rows.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite probabilities"));
     emit(&rows, &args.out)
@@ -675,217 +637,267 @@ fn run_link(args: &Args) -> Result<(), String> {
         args.threshold,
         pipeline.clusters().len()
     );
-    pipeline.stats().publish();
-    if args.stats {
-        render_stats();
-    }
+    report_stats(args, &pipeline);
     rows.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite probabilities"));
     emit(&rows, &args.out)
 }
 
-/// The `ingest --side` subcommand: stream side-tagged records against a
-/// frozen linkage snapshot.
-fn run_link_ingest(args: &Args, side: Side) -> Result<(), String> {
-    let model_path = args.model.as_deref().expect("validated in parse_args");
-    let text = std::fs::read_to_string(model_path)
-        .map_err(|e| format!("cannot read {model_path}: {e}"))?;
-    let snapshot = LinkSnapshot::from_json(&text).map_err(|e| {
-        if text.contains("zeroer-pipeline-snapshot") {
-            format!(
-                "{model_path} is a dedup snapshot (from `zeroer dedup --save-model`); \
-                 `ingest --side` needs a linkage snapshot from `zeroer link --save-model`"
-            )
+/// The snapshot commands — `ingest`, `retract`, `compact`, `refresh`
+/// and `serve`: read the snapshot, then run the command's one body for
+/// the snapshot's kind.
+fn run_snapshot_command(args: &Args) -> Result<(), String> {
+    let path = args.model.as_deref().expect("validated in parse_args");
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let snap =
+        PipelineSnapshot::from_json(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    match snap.model {
+        SnapshotModel::Dedup(_) => run_on::<Dedup>(args, path, &snap),
+        SnapshotModel::Linkage(_) => run_on::<Linkage>(args, path, &snap),
+    }
+}
+
+/// The index in [`BASE_FLAGS`] of the flag naming bootstrap table `name`.
+fn base_flag(name: &str) -> usize {
+    BASE_FLAGS
+        .iter()
+        .position(|&(_, table)| table == name)
+        .expect("every bootstrap table has a base flag")
+}
+
+/// Rejects base and side flags that do not fit a `T` snapshot, naming
+/// the flags it takes.
+fn check_kind<T: Topology>(args: &Args, path: &str) -> Result<(), String> {
+    let takes: Vec<usize> = T::TABLES.iter().map(|&(name, _)| base_flag(name)).collect();
+    let given: Vec<usize> = (0..BASE_FLAGS.len())
+        .filter(|&i| args.bases[i].is_some())
+        .collect();
+    let ingest = args.command == "ingest";
+    let bases_fit = given.is_empty() || given == takes;
+    if bases_fit && (!ingest || T::tag(args.side).is_ok()) {
+        return Ok(());
+    }
+    let mut needs: Vec<&str> = takes.iter().map(|&i| BASE_FLAGS[i].0).collect();
+    if ingest && T::tag(None).is_err() {
+        needs.push("--side left|right");
+    }
+    let mut got: Vec<&str> = given.iter().map(|&i| BASE_FLAGS[i].0).collect();
+    if args.side.is_some() && T::tag(args.side).is_err() {
+        got.insert(0, "--side");
+    }
+    Err(format!(
+        "{path} is a {} snapshot: `{}` takes {}; got {}",
+        T::KIND,
+        args.command,
+        and_list(&needs),
+        if got.is_empty() {
+            "none".into()
         } else {
-            format!("cannot parse {model_path}: {e}")
+            and_list(&got)
         }
-    })?;
-    let mut pipeline = LinkPipeline::from_snapshot(&snapshot, args.threshold)
-        .map_err(|e| format!("cannot rebuild pipeline from {model_path}: {e}"))?;
+    ))
+}
+
+/// Restores a `T` pipeline from `snap`, seeds it with the base tables
+/// given, and runs the command on it.
+fn run_on<T: Topology>(args: &Args, path: &str, snap: &PipelineSnapshot) -> Result<(), String> {
+    check_kind::<T>(args, path)?;
+    let mut pipeline = Pipeline::<T>::from_snapshot(snap, args.threshold)
+        .map_err(|e| format!("cannot rebuild pipeline from {path}: {e}"))?;
     let schema = pipeline.store().table().schema().clone();
-
-    let base_left = load(args.base_left.as_deref().expect("validated"))?;
-    let base_right = load(args.base_right.as_deref().expect("validated"))?;
-    check_snapshot_schema(&schema, &base_left)?;
-    check_snapshot_schema(&schema, &base_right)?;
-    pipeline
-        .seed_base(&base_left, &base_right)
-        .map_err(|e| format!("cannot seed base records: {e}"))?;
-    eprintln!(
-        "zeroer: pre-loaded {} left + {} right base records with preserved batch decisions \
-         ({} clusters)",
-        base_left.len(),
-        base_right.len(),
-        pipeline.clusters().len()
-    );
-    let base_offset = pipeline.len();
-
-    let stream = load(&args.files[0])?;
-    check_snapshot_schema(&schema, &stream)?;
     let threads = args
         .threads
         .unwrap_or_else(zeroer::stream::pipeline::available_threads);
-    let outcomes = pipeline.ingest_batch_parallel(stream.records().to_vec(), side, threads);
+    let mut bases = Vec::new();
+    for &(name, _) in T::TABLES {
+        if let Some(base) = args.bases[base_flag(name)].as_deref() {
+            let table = load(base)?;
+            check_snapshot_schema(&schema, &table)?;
+            bases.push(table);
+        }
+    }
+    if !bases.is_empty() {
+        let records: usize = bases.iter().map(Table::len).sum();
+        if snap.bootstrap_len() > 0 {
+            // The snapshot carries the batch fit's cluster decisions:
+            // replay them exactly instead of re-scoring the base records
+            // through the streaming path.
+            pipeline
+                .seed(&bases.iter().collect::<Vec<_>>())
+                .map_err(|e| format!("cannot seed base records: {e}"))?;
+            eprintln!(
+                "zeroer: pre-loaded {records} base records with preserved batch decisions \
+                 ({} clusters)",
+                pipeline.clusters().len()
+            );
+        } else if matches!(args.command.as_str(), "ingest" | "serve") {
+            // Legacy snapshot without bootstrap decisions: the only
+            // option is streaming re-scoring.
+            eprintln!(
+                "zeroer: warning: {path} predates bootstrap persistence; re-scoring base \
+                 records through the streaming path"
+            );
+            for (table, &(_, tag)) in bases.iter().zip(T::TABLES) {
+                pipeline.ingest_tagged(table.records().to_vec(), tag, threads);
+            }
+            eprintln!(
+                "zeroer: pre-loaded {records} base records ({} clusters)",
+                pipeline.clusters().len()
+            );
+        } else {
+            return Err(format!(
+                "{path} carries no bootstrap decisions; `{}` needs a snapshot written by \
+                 `zeroer dedup --save-model` or `zeroer link`",
+                args.command
+            ));
+        }
+    }
+    match args.command.as_str() {
+        "ingest" => ingest(args, pipeline, threads),
+        "retract" => retract(args, path, pipeline),
+        "compact" => compact(args, path, pipeline),
+        "refresh" => refresh(args, path, pipeline),
+        "serve" => serve(args, pipeline, threads),
+        _ => unreachable!("validated in parse_args"),
+    }
+}
+
+/// The `ingest` subcommand: stream records against the snapshot.
+fn ingest<T: Topology>(
+    args: &Args,
+    mut pipeline: Pipeline<T>,
+    threads: usize,
+) -> Result<(), String> {
+    let tag = T::tag(args.side).expect("checked against the snapshot kind");
+    let base_offset = pipeline.len();
+    let stream = load(&args.files[0])?;
+    check_snapshot_schema(pipeline.store().table().schema(), &stream)?;
+    let outcomes = pipeline.ingest_tagged(stream.records().to_vec(), tag, threads);
     let fresh = outcomes.iter().filter(|o| o.is_new_entity()).count();
     let text = outcomes_csv(&outcomes, &|i| pipeline.store().find_readonly(i));
     eprintln!(
-        "zeroer: ingested {} {}-side records ({} new entities, {} linked across; store {} → {} \
+        "zeroer: ingested {} records ({} new entities, {} joined existing; store {} → {} \
          records, {} clusters)",
         stream.len(),
-        side.name(),
         fresh,
         stream.len() - fresh,
         base_offset,
         pipeline.len(),
         pipeline.clusters().len()
     );
-    pipeline.stats().publish();
-    if args.stats {
-        render_stats();
-    }
+    report_stats(args, &pipeline);
     emit_text(text, &args.out)
 }
 
-/// The `serve` subcommand: rebuild the pipeline from a frozen snapshot,
-/// split it into read/write paths, and answer resolve/ingest/admin
-/// requests over TCP until an admin `shutdown` arrives.
-fn run_serve(args: &Args) -> Result<(), String> {
-    let model_path = args.model.as_deref().expect("validated in parse_args");
-    let text = std::fs::read_to_string(model_path)
-        .map_err(|e| format!("cannot read {model_path}: {e}"))?;
-    let snapshot = PipelineSnapshot::from_json(&text).map_err(|e| {
-        if text.contains("zeroer-link-snapshot") {
-            format!(
-                "{model_path} is a linkage snapshot (from `zeroer link --save-model`); \
-                 `serve` needs a dedup snapshot from `zeroer dedup --save-model`"
-            )
-        } else {
-            format!("cannot parse {model_path}: {e}")
-        }
-    })?;
-    let mut pipeline = StreamPipeline::from_snapshot(&snapshot, args.threshold)
-        .map_err(|e| format!("cannot rebuild pipeline from {model_path}: {e}"))?;
-    let schema = pipeline.store().table().schema().clone();
-    let threads = args
-        .threads
-        .unwrap_or_else(zeroer::stream::pipeline::available_threads);
-    if let Some(base_path) = &args.base {
-        let base = load(base_path)?;
-        check_snapshot_schema(&schema, &base)?;
-        if snapshot.bootstrap_len > 0 {
-            pipeline
-                .seed_base(&base)
-                .map_err(|e| format!("cannot seed base records from {base_path}: {e}"))?;
-        } else {
-            pipeline.ingest_batch_parallel(base.records().to_vec(), threads);
-        }
-        eprintln!(
-            "zeroer: pre-loaded {} base records ({} clusters)",
-            base.len(),
-            pipeline.clusters().len()
-        );
-    }
-    let server = zeroer::serve::Server::bind(
-        pipeline,
-        args.addr.as_deref().unwrap_or("127.0.0.1:0"),
-        threads,
-    )
-    .map_err(|e| {
-        format!(
-            "cannot bind {}: {e}",
-            args.addr.as_deref().unwrap_or("127.0.0.1:0")
-        )
-    })?;
+/// The `serve` subcommand: split the pipeline into read/write paths and
+/// answer resolve/ingest/admin requests over TCP until an admin
+/// `shutdown` arrives.
+fn serve<T: Topology>(args: &Args, pipeline: Pipeline<T>, threads: usize) -> Result<(), String> {
+    let addr = args.addr.as_deref().unwrap_or("127.0.0.1:0");
+    let server = zeroer::serve::Server::bind(pipeline, addr, threads)
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     eprintln!("zeroer: serving on {}", server.local_addr());
     let pipeline = server.run();
     eprintln!(
         "zeroer: server drained ({} records, {} clusters)",
-        pipeline.store().len(),
+        pipeline.len(),
         pipeline.clusters().len()
     );
-    pipeline.stats().publish();
-    if args.stats {
-        render_stats();
-    }
+    report_stats(args, &pipeline);
     Ok(())
 }
 
-/// The `ingest` subcommand: stream records against a frozen snapshot.
-fn run_ingest(args: &Args) -> Result<(), String> {
-    if let Some(side) = args.side {
-        return run_link_ingest(args, side);
+/// The `retract` subcommand: withdraw base records, persist tombstones.
+fn retract<T: Topology>(args: &Args, path: &str, mut pipeline: Pipeline<T>) -> Result<(), String> {
+    let ids_path = args.ids.as_deref().expect("validated in parse_args");
+    let ids = parse_ids(ids_path)?;
+    if ids.is_empty() {
+        return Err(format!("no record indices found in {ids_path}"));
     }
-    let model_path = args.model.as_deref().expect("validated in parse_args");
-    let text = std::fs::read_to_string(model_path)
-        .map_err(|e| format!("cannot read {model_path}: {e}"))?;
-    let snapshot = PipelineSnapshot::from_json(&text).map_err(|e| {
-        if text.contains("zeroer-link-snapshot") {
-            format!(
-                "{model_path} is a linkage snapshot (from `zeroer link --save-model`); \
-                 pass --side left|right (with --base-left/--base-right) to stream against it"
-            )
-        } else {
-            format!("cannot parse {model_path}: {e}")
-        }
-    })?;
-    let mut pipeline = StreamPipeline::from_snapshot(&snapshot, args.threshold)
-        .map_err(|e| format!("cannot rebuild pipeline from {model_path}: {e}"))?;
-    let schema = pipeline.store().table().schema().clone();
-
-    let threads = args
-        .threads
-        .unwrap_or_else(zeroer::stream::pipeline::available_threads);
-
-    if let Some(base_path) = &args.base {
-        let base = load(base_path)?;
-        check_snapshot_schema(&schema, &base)?;
-        if snapshot.bootstrap_len > 0 {
-            // The snapshot carries the batch fit's cluster decisions:
-            // replay them exactly instead of re-scoring the base records
-            // through the streaming path.
-            pipeline
-                .seed_base(&base)
-                .map_err(|e| format!("cannot seed base records from {base_path}: {e}"))?;
-            eprintln!(
-                "zeroer: pre-loaded {} base records with preserved batch decisions ({} clusters)",
-                base.len(),
-                pipeline.clusters().len()
-            );
-        } else {
-            // Legacy snapshot without bootstrap decisions: the only
-            // option is streaming re-scoring.
-            eprintln!(
-                "zeroer: warning: {model_path} predates bootstrap persistence; \
-                 re-scoring base records through the streaming path"
-            );
-            pipeline.ingest_batch_parallel(base.records().to_vec(), threads);
-            eprintln!(
-                "zeroer: pre-loaded {} base records ({} clusters)",
-                base.len(),
-                pipeline.clusters().len()
-            );
-        }
-    }
-    let base_offset = pipeline.store().len();
-
-    let stream = load(&args.files[0])?;
-    check_snapshot_schema(&schema, &stream)?;
-    let outcomes = pipeline.ingest_batch_parallel(stream.records().to_vec(), threads);
-    let fresh = outcomes.iter().filter(|o| o.is_new_entity()).count();
-    let text = outcomes_csv(&outcomes, &|i| pipeline.store().find_readonly(i));
+    let reports = pipeline
+        .retract_batch(&ids)
+        .map_err(|e| format!("cannot retract: {e}"))?;
+    let postings: usize = reports.iter().map(|r| r.postings_tombstoned).sum();
+    let largest = reports.iter().map(|r| r.component_size).max().unwrap_or(0);
     eprintln!(
-        "zeroer: ingested {} records ({} new entities, {} joined existing; store {} → {} records, {} duplicate clusters)",
-        stream.len(),
-        fresh,
-        stream.len() - fresh,
-        base_offset,
-        pipeline.store().len(),
-        pipeline.clusters().len()
+        "zeroer: retracted {} records ({postings} index postings tombstoned, \
+         largest component rebuilt: {largest} records; epoch {})",
+        reports.len(),
+        pipeline.epoch()
     );
+    for auto in reports.iter().filter_map(|r| r.auto_compaction) {
+        eprintln!(
+            "zeroer: watermark compaction reclaimed {} bytes \
+             ({} postings dropped, {} buckets freed)",
+            auto.bytes_reclaimed(),
+            auto.index.postings_dropped,
+            auto.index.buckets_freed
+        );
+    }
+    report_stats(args, &pipeline);
+    let out_path = save(args, path, &pipeline)?;
+    eprintln!(
+        "zeroer: snapshot with {} tombstones written to {out_path}",
+        pipeline.store().retracted_count()
+    );
+    Ok(())
+}
+
+/// The `compact` subcommand: reclaim tombstoned index/store state.
+fn compact<T: Topology>(args: &Args, path: &str, mut pipeline: Pipeline<T>) -> Result<(), String> {
+    let report = pipeline.compact();
+    eprintln!(
+        "zeroer: compaction reclaimed {} bytes ({} postings dropped, {} buckets freed, \
+         {} decision edges pruned, {} derivation bytes freed; epoch {})",
+        report.bytes_reclaimed(),
+        report.index.postings_dropped,
+        report.index.buckets_freed,
+        report.store.decisions_pruned,
+        report.store.derived_bytes_freed,
+        report.epoch
+    );
+    report_stats(args, &pipeline);
+    save(args, path, &pipeline)?;
+    Ok(())
+}
+
+/// The `refresh` subcommand: re-fit the frozen model over the
+/// snapshot's live records and write the refreshed snapshot — the
+/// offline entry to the snapshot lifecycle (`admin refresh` is the
+/// online one).
+fn refresh<T: Topology>(args: &Args, path: &str, mut pipeline: Pipeline<T>) -> Result<(), String> {
+    let report = pipeline
+        .refit()
+        .map_err(|e| format!("cannot refresh {path}: {e}"))?;
+    report_stats(args, &pipeline);
+    let out_path = save(args, path, &pipeline)?;
+    eprintln!("zeroer: refreshed snapshot written to {out_path}");
+    eprintln!(
+        "zeroer: model re-fitted on {} live records ({} candidate pairs, {} EM iterations; \
+         generation {})",
+        report.records, report.pairs, report.em_iterations, report.generation
+    );
+    Ok(())
+}
+
+/// Publishes the pipeline's gauges (so `--metrics` sees them) and prints
+/// the `--stats` block when asked.
+fn report_stats<T: Topology>(args: &Args, pipeline: &Pipeline<T>) {
     pipeline.stats().publish();
     if args.stats {
         render_stats();
     }
-    emit_text(text, &args.out)
+}
+
+/// Writes the pipeline's snapshot to `--out`, or back over `--model`;
+/// returns the path written.
+fn save<'a, T: Topology>(
+    args: &'a Args,
+    model_path: &'a str,
+    pipeline: &Pipeline<T>,
+) -> Result<&'a str, String> {
+    let out_path = args.out.as_deref().unwrap_or(model_path);
+    write_snapshot(out_path, &pipeline.snapshot().to_json())?;
+    Ok(out_path)
 }
 
 /// Rejects a table whose schema differs from the snapshot's — shared by
@@ -942,33 +954,6 @@ fn render_stats() {
     eprint!("{}", zeroer::stream::render_stats());
 }
 
-/// Rebuilds a seeded pipeline from `--model` + `--base` — the shared
-/// entry of the `retract` and `compact` subcommands, which both operate
-/// on the bootstrap-record store.
-fn load_pipeline_with_base(args: &Args) -> Result<StreamPipeline, String> {
-    let model_path = args.model.as_deref().expect("validated in parse_args");
-    let base_path = args.base.as_deref().expect("validated in parse_args");
-    let text = std::fs::read_to_string(model_path)
-        .map_err(|e| format!("cannot read {model_path}: {e}"))?;
-    let snapshot = PipelineSnapshot::from_json(&text)
-        .map_err(|e| format!("cannot parse {model_path}: {e}"))?;
-    if snapshot.bootstrap_len == 0 {
-        return Err(format!(
-            "{model_path} carries no bootstrap decisions; `{}` needs a snapshot written \
-             by `zeroer dedup --save-model`",
-            args.command
-        ));
-    }
-    let mut pipeline = StreamPipeline::from_snapshot(&snapshot, args.threshold)
-        .map_err(|e| format!("cannot rebuild pipeline from {model_path}: {e}"))?;
-    let base = load(base_path)?;
-    check_snapshot_schema(pipeline.store().table().schema(), &base)?;
-    pipeline
-        .seed_base(&base)
-        .map_err(|e| format!("cannot seed base records from {base_path}: {e}"))?;
-    Ok(pipeline)
-}
-
 /// Parses a `--ids` file: record indices, one per line; `#` comments and
 /// blank lines are skipped.
 fn parse_ids(path: &str) -> Result<Vec<usize>, String> {
@@ -985,48 +970,6 @@ fn parse_ids(path: &str) -> Result<Vec<usize>, String> {
         );
     }
     Ok(ids)
-}
-
-/// The `retract` subcommand: withdraw base records, persist tombstones.
-fn run_retract(args: &Args) -> Result<(), String> {
-    let mut pipeline = load_pipeline_with_base(args)?;
-    let ids_path = args.ids.as_deref().expect("validated in parse_args");
-    let ids = parse_ids(ids_path)?;
-    if ids.is_empty() {
-        return Err(format!("no record indices found in {ids_path}"));
-    }
-    let reports = pipeline
-        .retract_batch(&ids)
-        .map_err(|e| format!("cannot retract: {e}"))?;
-    let postings: usize = reports.iter().map(|r| r.postings_tombstoned).sum();
-    let largest = reports.iter().map(|r| r.component_size).max().unwrap_or(0);
-    eprintln!(
-        "zeroer: retracted {} records ({postings} index postings tombstoned, \
-         largest component rebuilt: {largest} records; epoch {})",
-        reports.len(),
-        pipeline.epoch()
-    );
-    for auto in reports.iter().filter_map(|r| r.auto_compaction) {
-        eprintln!(
-            "zeroer: watermark compaction reclaimed {} bytes \
-             ({} postings dropped, {} buckets freed)",
-            auto.bytes_reclaimed(),
-            auto.index.postings_dropped,
-            auto.index.buckets_freed
-        );
-    }
-    pipeline.stats().publish();
-    if args.stats {
-        render_stats();
-    }
-    let model_path = args.model.as_deref().expect("validated in parse_args");
-    let out_path = args.out.as_deref().unwrap_or(model_path);
-    write_snapshot(out_path, &pipeline.snapshot().to_json())?;
-    eprintln!(
-        "zeroer: snapshot with {} tombstones written to {out_path}",
-        pipeline.store().retracted_count()
-    );
-    Ok(())
 }
 
 /// Writes a model snapshot crash-safely: the JSON goes to a temporary
@@ -1059,94 +1002,6 @@ fn write_snapshot(path: &str, json: &str) -> Result<(), String> {
         let _ = std::fs::remove_file(&tmp);
         format!("cannot write {path}: {e}")
     })
-}
-
-/// The `compact` subcommand: reclaim tombstoned index/store state.
-fn run_compact(args: &Args) -> Result<(), String> {
-    let mut pipeline = load_pipeline_with_base(args)?;
-    let report = pipeline.compact();
-    eprintln!(
-        "zeroer: compaction reclaimed {} bytes ({} postings dropped, {} buckets freed, \
-         {} decision edges pruned, {} derivation bytes freed; epoch {})",
-        report.bytes_reclaimed(),
-        report.index.postings_dropped,
-        report.index.buckets_freed,
-        report.store.decisions_pruned,
-        report.store.derived_bytes_freed,
-        report.epoch
-    );
-    pipeline.stats().publish();
-    if args.stats {
-        render_stats();
-    }
-    let model_path = args.model.as_deref().expect("validated in parse_args");
-    let out_path = args.out.as_deref().unwrap_or(model_path);
-    write_snapshot(out_path, &pipeline.snapshot().to_json())?;
-    Ok(())
-}
-
-/// The `refresh` subcommand: re-fit the frozen model over the
-/// snapshot's live records and write the refreshed snapshot — the
-/// offline entry to the snapshot lifecycle (`admin refresh` is the
-/// online one). Which flavor ran is decided by the base flags:
-/// `--base` seeds a dedup snapshot, `--base-left`/`--base-right` a
-/// linkage snapshot.
-fn run_refresh(args: &Args) -> Result<(), String> {
-    let model_path = args.model.as_deref().expect("validated in parse_args");
-    let report = if args.base.is_some() {
-        let mut pipeline = load_pipeline_with_base(args)?;
-        let report = pipeline
-            .refit()
-            .map_err(|e| format!("cannot refresh {model_path}: {e}"))?;
-        pipeline.stats().publish();
-        if args.stats {
-            render_stats();
-        }
-        let out_path = args.out.as_deref().unwrap_or(model_path);
-        write_snapshot(out_path, &pipeline.snapshot().to_json())?;
-        eprintln!("zeroer: refreshed snapshot written to {out_path}");
-        report
-    } else {
-        let text = std::fs::read_to_string(model_path)
-            .map_err(|e| format!("cannot read {model_path}: {e}"))?;
-        let snapshot = LinkSnapshot::from_json(&text).map_err(|e| {
-            if text.contains("zeroer-pipeline-snapshot") {
-                format!(
-                    "{model_path} is a dedup snapshot (from `zeroer dedup --save-model`); \
-                     refreshing it takes --base <csv>, not --base-left/--base-right"
-                )
-            } else {
-                format!("cannot parse {model_path}: {e}")
-            }
-        })?;
-        let mut pipeline = LinkPipeline::from_snapshot(&snapshot, args.threshold)
-            .map_err(|e| format!("cannot rebuild pipeline from {model_path}: {e}"))?;
-        let schema = pipeline.store().table().schema().clone();
-        let base_left = load(args.base_left.as_deref().expect("validated"))?;
-        let base_right = load(args.base_right.as_deref().expect("validated"))?;
-        check_snapshot_schema(&schema, &base_left)?;
-        check_snapshot_schema(&schema, &base_right)?;
-        pipeline
-            .seed_base(&base_left, &base_right)
-            .map_err(|e| format!("cannot seed base records: {e}"))?;
-        let report = pipeline
-            .refit()
-            .map_err(|e| format!("cannot refresh {model_path}: {e}"))?;
-        pipeline.stats().publish();
-        if args.stats {
-            render_stats();
-        }
-        let out_path = args.out.as_deref().unwrap_or(model_path);
-        write_snapshot(out_path, &pipeline.snapshot().to_json())?;
-        eprintln!("zeroer: refreshed linkage snapshot written to {out_path}");
-        report
-    };
-    eprintln!(
-        "zeroer: model re-fitted on {} live records ({} candidate pairs, {} EM iterations; \
-         generation {})",
-        report.records, report.pairs, report.em_iterations, report.generation
-    );
-    Ok(())
 }
 
 fn main() -> ExitCode {

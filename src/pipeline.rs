@@ -11,18 +11,14 @@
 //! blocking keys) feeds blocking and feature generation alike, so no
 //! call site here ever re-tokenizes raw attribute text.
 
-use zeroer_blocking::{standard_candidates_derived, CandidateSet, PairMode};
-use zeroer_core::{
-    GenerativeModel, LinkageModel, LinkageTask, TransitivityCalibrator, UnionFind, ZeroErConfig,
-};
-use zeroer_features::{DeriveConfig, PairFeaturizer};
-use zeroer_stream::build_linkage_legs;
+use zeroer_core::{UnionFind, ZeroErConfig};
+use zeroer_features::PairFeaturizer;
+use zeroer_stream::{build_dedup_leg, build_linkage_legs, IndexConfig};
 use zeroer_tabular::Table;
-use zeroer_textsim::derive::BlockSpec;
 
 pub use zeroer_stream::{
     BootstrapReport, CompactionReport, IngestOutcome, LinkBootstrapReport, LinkPipeline,
-    LinkSnapshot, PipelineSnapshot, RetractionReport, Side, StreamError, StreamOptions,
+    PipelineSnapshot, RetractionReport, Side, SnapshotModel, StreamError, StreamOptions,
     StreamPipeline, StreamStats,
 };
 
@@ -50,39 +46,25 @@ impl Default for MatchOptions {
     }
 }
 
-const STANDARD_QGRAM: usize = 4;
-const STANDARD_MAX_BUCKET: usize = 400;
-
 impl MatchOptions {
-    /// The derivation configuration whose blocking keys the standard
-    /// recipe consumes (no q-gram keys needed under overlap blocking).
-    fn derive_config(&self) -> DeriveConfig {
-        DeriveConfig {
-            block: Some(BlockSpec {
-                attr: self.blocking_attr,
-                qgram: if self.min_token_overlap <= 1 {
-                    STANDARD_QGRAM
-                } else {
-                    0
-                },
-                equiv: false,
-            }),
+    /// The standard blocking recipe on the chosen attribute: the
+    /// streaming index's defaults, so batch and streaming block alike.
+    fn index(&self) -> IndexConfig {
+        IndexConfig {
+            attr: self.blocking_attr,
+            min_token_overlap: self.min_token_overlap,
+            ..IndexConfig::default()
         }
     }
 
-    /// The standard-recipe candidate set over a featurizer's derivation.
-    fn candidates(&self, fz: &PairFeaturizer, mode: PairMode) -> CandidateSet {
-        let right = match mode {
-            PairMode::Cross => Some(fz.right_derived()),
-            PairMode::Dedup => None,
-        };
-        standard_candidates_derived(
-            fz.left_derived(),
-            right,
-            mode,
-            self.min_token_overlap,
-            STANDARD_MAX_BUCKET,
-        )
+    /// The streaming options of a `*_with_snapshot` run.
+    fn stream(&self) -> StreamOptions {
+        StreamOptions {
+            config: self.config.clone(),
+            blocking_attr: self.blocking_attr,
+            min_token_overlap: self.min_token_overlap,
+            ..StreamOptions::default()
+        }
     }
 }
 
@@ -102,14 +84,6 @@ impl DerivationStats {
             interner_bytes: fz.interner().bytes(),
         }
     }
-}
-
-fn build_task(fz: &PairFeaturizer, cs: &CandidateSet) -> LinkageTask {
-    zeroer_obs::time("batch.featurize.ns", || {
-        let mut fs = fz.featurize(cs.pairs());
-        fs.normalize();
-        LinkageTask::new(fs.matrix, cs.pairs().to_vec(), fs.layout)
-    })
 }
 
 /// Publishes the batch run's derivation/blocking gauges so
@@ -164,13 +138,7 @@ pub fn match_tables(left: &Table, right: &Table, opts: &MatchOptions) -> MatchRe
     // The shared three-featurizer recipe, implemented once in
     // `zeroer_stream::legs` and used verbatim by the streaming
     // `LinkPipeline::bootstrap` as well.
-    let prep = build_linkage_legs(
-        left,
-        right,
-        &opts.derive_config(),
-        opts.min_token_overlap,
-        STANDARD_MAX_BUCKET,
-    );
+    let prep = build_linkage_legs(left, right, &opts.index());
     let Some(legs) = prep.legs else {
         publish_batch_gauges(&DerivationStats::of(&prep.cross_fz), 0);
         return MatchResult {
@@ -183,15 +151,7 @@ pub fn match_tables(left: &Table, right: &Table, opts: &MatchOptions) -> MatchRe
         &DerivationStats::of(&prep.cross_fz),
         legs.cross.task.pairs.len(),
     );
-    zeroer_obs::counter("batch.candidates").add(legs.candidates as u64);
-
-    let out = zeroer_obs::time("batch.fit.ns", || {
-        LinkageModel::new(opts.config.clone()).fit(
-            &legs.cross.task,
-            &legs.left.task,
-            &legs.right.task,
-        )
-    });
+    let (out, _) = legs.fit(&opts.config);
     MatchResult {
         pairs: legs.cross.task.pairs,
         probabilities: out.cross_gammas,
@@ -201,7 +161,7 @@ pub fn match_tables(left: &Table, right: &Table, opts: &MatchOptions) -> MatchRe
 
 /// Like [`match_tables`], but additionally freezes the three fitted
 /// models (cross, within-left, within-right) plus the feature/blocking
-/// replay state into a [`LinkSnapshot`] and returns the live
+/// replay state into a linkage [`PipelineSnapshot`] and returns the live
 /// [`LinkPipeline`] seeded with the batch decisions — the `zeroer link
 /// --save-model` path. At the default threshold the reported pairs,
 /// probabilities and labels are identical to [`match_tables`]'s.
@@ -214,13 +174,7 @@ pub fn match_tables_with_snapshot(
     right: &Table,
     opts: &MatchOptions,
 ) -> Result<(MatchResult, LinkPipeline), StreamError> {
-    let stream_opts = StreamOptions {
-        config: opts.config.clone(),
-        blocking_attr: opts.blocking_attr,
-        min_token_overlap: opts.min_token_overlap,
-        ..StreamOptions::default()
-    };
-    let (pipeline, report) = LinkPipeline::bootstrap(left, right, stream_opts)?;
+    let (pipeline, report) = LinkPipeline::bootstrap(left, right, opts.stream())?;
     Ok((
         MatchResult {
             pairs: report.pairs,
@@ -251,16 +205,14 @@ pub struct DedupResult {
 /// model, transitivity calibration (§5's `T = T'` case), and a final
 /// transitive-closure clustering of the predicted duplicates. The table
 /// is derived exactly once; blocking and featurization share the
-/// derivation.
+/// derivation. Everything up to the clustering is the streaming
+/// bootstrap's recipe ([`zeroer_stream::build_dedup_leg`] and
+/// [`zeroer_stream::LegReplay::fit_dedup`]).
 pub fn dedup_table(table: &Table, opts: &MatchOptions) -> DedupResult {
-    let fz = zeroer_obs::time("batch.derive.ns", || {
-        PairFeaturizer::with_config(table, table, opts.derive_config())
-    });
-    let stats = DerivationStats::of(&fz);
-    let cs = zeroer_obs::time("batch.block.ns", || opts.candidates(&fz, PairMode::Dedup));
-    publish_batch_gauges(&stats, cs.pairs().len());
-    zeroer_obs::counter("batch.candidates").add(cs.pairs().len() as u64);
-    if cs.is_empty() {
+    let prep = build_dedup_leg(table, &opts.index());
+    let stats = DerivationStats::of(&prep.fz);
+    let Some(leg) = prep.leg else {
+        publish_batch_gauges(&stats, 0);
         return DedupResult {
             pairs: vec![],
             probabilities: vec![],
@@ -268,13 +220,10 @@ pub fn dedup_table(table: &Table, opts: &MatchOptions) -> DedupResult {
             clusters: vec![],
             stats,
         };
-    }
-    let task = build_task(&fz, &cs);
-    let mut model = GenerativeModel::new(opts.config.clone(), task.layout.clone());
-    let calibrator = TransitivityCalibrator::new(&task.pairs);
-    zeroer_obs::time("batch.fit.ns", || {
-        model.fit(&task.features, Some(&calibrator));
-    });
+    };
+    publish_batch_gauges(&stats, leg.task.pairs.len());
+    let (model, _) = leg.fit_dedup(&opts.config);
+    let pairs = leg.task.pairs;
     let labels = model.labels();
     let probabilities = model.gammas().to_vec();
 
@@ -282,7 +231,7 @@ pub fn dedup_table(table: &Table, opts: &MatchOptions) -> DedupResult {
     // union-find (the same structure `EntityStore` clusters with).
     let clusters = zeroer_obs::time("batch.cluster.ns", || {
         let mut uf = UnionFind::new(table.len());
-        for (&(a, b), &dup) in task.pairs.iter().zip(&labels) {
+        for (&(a, b), &dup) in pairs.iter().zip(&labels) {
             if dup {
                 uf.union(a, b);
             }
@@ -291,7 +240,7 @@ pub fn dedup_table(table: &Table, opts: &MatchOptions) -> DedupResult {
     });
 
     DedupResult {
-        pairs: task.pairs,
+        pairs,
         probabilities,
         labels,
         clusters,
@@ -311,13 +260,7 @@ pub fn dedup_table_with_snapshot(
     table: &Table,
     opts: &MatchOptions,
 ) -> Result<(DedupResult, StreamPipeline), StreamError> {
-    let stream_opts = StreamOptions {
-        config: opts.config.clone(),
-        blocking_attr: opts.blocking_attr,
-        min_token_overlap: opts.min_token_overlap,
-        ..StreamOptions::default()
-    };
-    let (pipeline, report) = StreamPipeline::bootstrap(table, stream_opts)?;
+    let (pipeline, report) = StreamPipeline::bootstrap(table, opts.stream())?;
     let stream_stats = pipeline.stats();
     let result = DedupResult {
         pairs: report.pairs,
@@ -451,8 +394,8 @@ mod tests {
         }
         // The frozen snapshot round-trips through JSON.
         let snap = pipeline.snapshot();
-        let reloaded = LinkSnapshot::from_json(&snap.to_json()).expect("valid JSON");
-        assert_eq!(reloaded.linkage, snap.linkage);
+        let reloaded = PipelineSnapshot::from_json(&snap.to_json()).expect("valid JSON");
+        assert_eq!(reloaded.model, snap.model);
     }
 
     #[test]

@@ -637,7 +637,7 @@ fn save_model_is_dedup_only() {
         .output()
         .expect("spawn zeroer");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("only supported on the `dedup`"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("only supported by the `dedup`"));
 }
 
 #[test]
@@ -964,6 +964,23 @@ fn metrics_flag_dumps_schema_valid_json_on_batch_and_streaming_paths() {
         hist_field(&doc, "stream.bootstrap.ns", "count") >= 1.0
             && hist_field(&doc, "stream.bootstrap.ns", "sum") > 0.0,
         "the save-model path times its bootstrap fit"
+    );
+    // The save-model fit runs the batch recipe, so it records the batch
+    // stage meters plain `dedup` records.
+    for h in [
+        "batch.derive.ns",
+        "batch.block.ns",
+        "batch.featurize.ns",
+        "batch.fit.ns",
+    ] {
+        assert!(
+            hist_field(&doc, h, "count") >= 1.0,
+            "{h} must time the save-model fit"
+        );
+    }
+    assert!(
+        num(&doc, "counters", "batch.candidates") > 0.0,
+        "the save-model fit counts its candidate pairs"
     );
     assert!(
         hist_field(&doc, "snapshot.save.ns", "count") >= 1.0,
@@ -1337,4 +1354,158 @@ fn gen_flags_are_gen_only_and_validated() {
         .expect("spawn zeroer gen stray.csv");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("takes no positional files"));
+}
+
+#[test]
+fn every_flag_is_rejected_outside_its_commands() {
+    const COMMANDS: [&str; 9] = [
+        "match", "link", "dedup", "ingest", "retract", "compact", "refresh", "serve", "gen",
+    ];
+    const BATCH: &[&str] = &["match", "link", "dedup"];
+    const SNAPSHOT: &[&str] = &["ingest", "retract", "compact", "refresh", "serve"];
+    const GEN: &[&str] = &["gen"];
+    // (flag, its value if it takes one, the commands that accept it)
+    let scopes: [(&str, Option<&str>, &[&str]); 20] = [
+        ("--threshold", Some("0.5"), &COMMANDS[..8]),
+        ("--overlap", Some("2"), BATCH),
+        ("--block-on", Some("name"), BATCH),
+        ("--kappa", Some("0.2"), BATCH),
+        ("--no-transitivity", None, BATCH),
+        (
+            "--out",
+            Some("out.csv"),
+            &[
+                "match", "link", "dedup", "ingest", "retract", "compact", "refresh", "gen",
+            ],
+        ),
+        ("--save-model", Some("m.json"), &["dedup", "link"]),
+        ("--model", Some("m.json"), SNAPSHOT),
+        ("--base", Some("b.csv"), SNAPSHOT),
+        ("--base-left", Some("l.csv"), SNAPSHOT),
+        ("--base-right", Some("r.csv"), SNAPSHOT),
+        ("--side", Some("left"), &["ingest"]),
+        ("--threads", Some("2"), &["ingest", "serve"]),
+        ("--ids", Some("ids.txt"), &["retract"]),
+        ("--addr", Some("127.0.0.1:0"), &["serve"]),
+        (
+            "--stats",
+            None,
+            &[
+                "dedup", "link", "ingest", "retract", "compact", "refresh", "serve",
+            ],
+        ),
+        ("--scale", Some("0.1"), GEN),
+        ("--seed", Some("3"), GEN),
+        ("--dup-rate", Some("0.2"), GEN),
+        ("--linkage", None, GEN),
+    ];
+    for (flag, value, accepted) in scopes {
+        for command in COMMANDS.iter().filter(|c| !accepted.contains(c)) {
+            let mut args = vec![*command, flag];
+            args.extend(value);
+            let out = Command::new(zeroer_bin())
+                .args(&args)
+                .output()
+                .expect("spawn zeroer");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{args:?} must be rejected");
+            assert!(
+                stderr.contains(&format!("{flag} is only supported by the")),
+                "{args:?}: {stderr}"
+            );
+            for ok in accepted {
+                assert!(
+                    stderr.contains(&format!("`{ok}`")),
+                    "{args:?} must name `{ok}`: {stderr}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn base_flags_must_fit_the_snapshot_kind() {
+    let table = write_tmp("kind-t", LEFT);
+    let other = write_tmp("kind-o", RIGHT);
+    let (t, o) = (table.to_str().unwrap(), other.to_str().unwrap());
+    let pid = std::process::id();
+    let dedup = std::env::temp_dir().join(format!("zeroer-kind-dedup-{pid}.json"));
+    let link = std::env::temp_dir().join(format!("zeroer-kind-link-{pid}.json"));
+    let (d, l) = (dedup.to_str().unwrap(), link.to_str().unwrap());
+    for args in [
+        vec!["dedup", t, "--save-model", d],
+        vec!["link", t, o, "--save-model", l],
+    ] {
+        let out = Command::new(zeroer_bin())
+            .args(&args)
+            .output()
+            .expect("spawn zeroer");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let ids = write_tmp("kind-ids", "0\n");
+    let ids = ids.to_str().unwrap();
+    // Each snapshot command, given the other kind's base flags, names
+    // the flags this snapshot takes, and leaves the snapshot untouched.
+    let cases = [
+        (
+            d,
+            "dedup",
+            vec!["--base-left", t, "--base-right", o],
+            &["takes `--base`;"][..],
+        ),
+        (
+            l,
+            "linkage",
+            vec!["--base", t],
+            &["`--base-left`", "`--base-right`"],
+        ),
+    ];
+    for (model, kind, bases, needs) in cases {
+        let before = std::fs::read_to_string(model).expect("snapshot written");
+        for command in [
+            vec!["ingest", t],
+            vec!["retract", "--ids", ids],
+            vec!["compact"],
+            vec!["refresh"],
+            vec!["serve"],
+        ] {
+            let mut args = command.clone();
+            args.extend(["--model", model]);
+            args.extend(&bases);
+            let out = Command::new(zeroer_bin())
+                .args(&args)
+                .output()
+                .expect("spawn zeroer");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{args:?} must be rejected");
+            assert!(
+                stderr.contains(&format!("is a {kind} snapshot"))
+                    && needs.iter().all(|flag| stderr.contains(flag)),
+                "{args:?}: {stderr}"
+            );
+        }
+        assert_eq!(std::fs::read_to_string(model).unwrap(), before);
+    }
+    // A linkage ingest also needs the side of its records.
+    let out = Command::new(zeroer_bin())
+        .args([
+            "ingest",
+            t,
+            "--model",
+            l,
+            "--base-left",
+            t,
+            "--base-right",
+            o,
+        ])
+        .output()
+        .expect("spawn zeroer");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`--side left|right`"));
+    std::fs::remove_file(dedup).ok();
+    std::fs::remove_file(link).ok();
 }

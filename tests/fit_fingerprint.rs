@@ -15,7 +15,7 @@
 //! The constants were recorded on x86_64 Linux (glibc `exp`/`ln`).
 
 use zeroer::datagen::{generate_dedup, generate_linkage, CorpusSpec};
-use zeroer::pipeline::{StreamOptions, StreamPipeline};
+use zeroer::pipeline::{LinkPipeline, Side, StreamOptions, StreamPipeline};
 use zeroer::tabular::{Record, Table};
 use zeroer::{dedup_table, match_tables, MatchOptions};
 
@@ -169,5 +169,61 @@ fn bootstrap_ingest_and_refit_are_pinned() {
         ),
         "streamed decisions or refit outputs moved (stream digest, refit pairs, \
          EM iterations, snapshot digest)"
+    );
+}
+
+#[test]
+fn link_bootstrap_ingest_and_refit_are_pinned() {
+    let corpus = generate_linkage(&spec()).expect("valid spec");
+    let (left, right) = (&corpus.left, &corpus.right);
+    let (cut_l, cut_r) = (left.len() * 7 / 10, right.len() * 7 / 10);
+    let (mut pipeline, report) = LinkPipeline::bootstrap(
+        &prefix_table(left, cut_l),
+        &prefix_table(right, cut_r),
+        StreamOptions::default(),
+    )
+    .expect("bootstrap fit");
+
+    // Each side's tail streams against the other side, then the refit
+    // re-runs the three-model fit over both live sides. The snapshot
+    // JSON carries all three models and the two-table provenance.
+    let tails = [
+        (Side::Left, &left.records()[cut_l..]),
+        (Side::Right, &right.records()[cut_r..]),
+    ];
+    let mut stream = Digest::new();
+    for (side, tail) in tails {
+        for r in tail {
+            let o = pipeline.ingest(r.clone(), side);
+            stream.word(o.cluster as u64);
+            for (m, p) in o.matches {
+                stream.word(m as u64);
+                stream.word(p.to_bits());
+            }
+        }
+    }
+    stream.pairs(&pipeline.cross_links());
+    let refresh = pipeline.refit().expect("refit");
+    let mut refit = Digest::new();
+    refit.text(&pipeline.snapshot().to_json());
+    assert_eq!(
+        (
+            report.pairs.len(),
+            report.em_iterations,
+            stream.0,
+            refresh.pairs,
+            refresh.em_iterations,
+            refit.0
+        ),
+        (
+            2_644,
+            6,
+            17_787_776_782_607_146_794,
+            5_631,
+            7,
+            827_599_343_596_715_399
+        ),
+        "linkage bootstrap, streamed decisions or refit snapshot moved (bootstrap pairs, \
+         EM iterations, stream digest, refit pairs, EM iterations, snapshot digest)"
     );
 }
