@@ -2,16 +2,23 @@
 //!
 //! All key-based blockers operate on *interned* blocking keys
 //! ([`zeroer_textsim::intern::Sym`]) extracted through the record
-//! derivation layer — inverted indexes are `Sym → members`, so bucket
-//! joins compare 4-byte symbols instead of hashing strings. Callers that
-//! already hold a derivation (the high-level pipelines, the streaming
-//! bootstrap) use [`standard_candidates_derived`] to block without
-//! re-tokenizing anything; the [`Blocker`] trait implementations extract
-//! keys themselves for standalone use and share the same join core.
+//! derivation layer. Each key leg (tokens, q-grams, the equivalence key)
+//! gets compressed postings: one offset array indexed by the symbol's
+//! dense index and one array of member records, ascending. Blocking is
+//! then a per-record probe: each left record walks the buckets of its
+//! own keys, skips stop-word buckets, marks its partners in a stamp
+//! array while counting the keys they share, and appends them sorted.
+//! The pairs come out normalized, unique and sorted, so nothing is
+//! hashed.
+//!
+//! Callers that already hold a derivation (the high-level pipelines,
+//! the streaming bootstrap) use [`standard_candidates_derived`] to block
+//! without re-tokenizing anything; the [`Blocker`] trait implementations
+//! extract keys themselves for standalone use and run the same probe.
 
 use crate::candidate::{CandidateSet, PairMode};
 use crate::keys::TableKeys;
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use zeroer_tabular::Table;
 use zeroer_textsim::derive::{DerivedRecord, KeySet};
 use zeroer_textsim::intern::Sym;
@@ -53,113 +60,138 @@ impl Blocker for CartesianBlocker {
     }
 }
 
-/// Inverted index over interned blocking keys: `key → record indices`.
-type SymIndex = HashMap<Sym, Vec<usize>>;
+/// Selects one key leg of a record's [`KeySet`]: its token keys, its
+/// q-gram keys or its equivalence key.
+type Leg = fn(&KeySet) -> &[Sym];
 
-/// Builds an inverted index from per-record key lists selected by
-/// `select` (token keys, q-gram keys, or the equivalence key).
-fn inverted_index<'a, I, F>(keysets: I, select: F) -> SymIndex
-where
-    I: Iterator<Item = &'a KeySet>,
-    F: Fn(&KeySet) -> &[Sym],
-{
-    let mut index = SymIndex::new();
-    for (idx, ks) in keysets.enumerate() {
-        for &k in select(ks) {
-            index.entry(k).or_default().push(idx);
+fn token_keys(k: &KeySet) -> &[Sym] {
+    &k.tokens
+}
+
+fn qgram_keys(k: &KeySet) -> &[Sym] {
+    &k.qgrams
+}
+
+fn equiv_key(k: &KeySet) -> &[Sym] {
+    k.equiv.as_slice()
+}
+
+/// Compressed postings of one key leg: the records holding key `k` are
+/// `members[offsets[k]..offsets[k + 1]]`, ascending. Keys are interner
+/// symbols, so the largest one bounds the offset array.
+struct Postings {
+    offsets: Vec<usize>,
+    members: Vec<u32>,
+}
+
+impl Postings {
+    fn build<K: Borrow<KeySet>>(records: &[K], leg: Leg) -> Self {
+        let keys = || records.iter().map(|r| leg(r.borrow()));
+        let width = keys().flatten().map(|k| k.index() + 1).max().unwrap_or(0);
+        let mut offsets = vec![0; width + 1];
+        for &k in keys().flatten() {
+            offsets[k.index() + 1] += 1;
         }
-    }
-    index
-}
-
-/// The left index plus an optional distinct right index (`None` for a
-/// self-join: the right side *is* the left index, no clone needed).
-struct IndexPair {
-    left: SymIndex,
-    right: Option<SymIndex>,
-}
-
-impl IndexPair {
-    fn build<'a, F>(
-        left: impl Iterator<Item = &'a KeySet>,
-        right: Option<impl Iterator<Item = &'a KeySet>>,
-        select: F,
-    ) -> Self
-    where
-        F: Fn(&KeySet) -> &[Sym],
-    {
-        Self {
-            left: inverted_index(left, &select),
-            right: right.map(|r| inverted_index(r, &select)),
+        for k in 0..width {
+            offsets[k + 1] += offsets[k];
         }
-    }
-
-    fn sides(&self) -> (&SymIndex, &SymIndex) {
-        (&self.left, self.right.as_ref().unwrap_or(&self.left))
-    }
-}
-
-fn join_indices(
-    left_index: &SymIndex,
-    right_index: &SymIndex,
-    mode: PairMode,
-    max_bucket: usize,
-) -> CandidateSet {
-    let mut pairs = Vec::new();
-    for (key, ls) in left_index {
-        if let Some(rs) = right_index.get(key) {
-            // Skip stop-word-like keys whose bucket product explodes.
-            if ls.len().saturating_mul(rs.len()) > max_bucket.saturating_mul(max_bucket) {
-                continue;
-            }
-            for &l in ls {
-                for &r in rs {
-                    if mode == PairMode::Dedup && l >= r {
-                        continue;
-                    }
-                    pairs.push((l, r));
-                }
+        let mut next = offsets[..width].to_vec();
+        let mut members = vec![0; offsets[width]];
+        for (idx, ks) in keys().enumerate() {
+            for &k in ks {
+                members[next[k.index()]] = idx as u32;
+                next[k.index()] += 1;
             }
         }
+        Self { offsets, members }
     }
-    CandidateSet::new(mode, pairs)
+
+    /// The records holding `k`, ascending (empty for an unseen key).
+    fn bucket(&self, k: Sym) -> &[u32] {
+        match self.offsets.get(k.index()..k.index() + 2) {
+            Some(&[lo, hi]) => &self.members[lo..hi],
+            _ => &[],
+        }
+    }
 }
 
-/// Overlap blocking: pairs sharing at least `min_overlap` keys.
-fn join_with_overlap(
-    left_index: &SymIndex,
-    right_index: &SymIndex,
+/// The blocking core every key-based blocker runs: probes each left
+/// record's keys of every leg against the right postings (the left ones
+/// for a self-join, `right = None`) and keeps the partners sharing at
+/// least `min_overlap` keys (at least one when `min_overlap ≤ 1`).
+///
+/// A key whose bucket product `|L_k|·|R_k|` exceeds `max_bucket²` is a
+/// stop word and is skipped. In [`PairMode::Dedup`] a left record `l`
+/// pairs only with right records `r > l`. Partners are marked in a
+/// stamp array while their shared keys are counted, then sorted, so the
+/// pairs come out normalized, unique and sorted without hashing.
+fn probe<K: Borrow<KeySet>>(
+    left: &[K],
+    right: Option<&[K]>,
+    legs: &[Leg],
     mode: PairMode,
     max_bucket: usize,
     min_overlap: usize,
 ) -> CandidateSet {
-    if min_overlap <= 1 {
-        return join_indices(left_index, right_index, mode, max_bucket);
-    }
-    // Count shared keys per pair, then keep pairs meeting the floor.
-    let mut counts: HashMap<(usize, usize), usize> = HashMap::new();
-    for (key, ls) in left_index {
-        if let Some(rs) = right_index.get(key) {
-            if ls.len().saturating_mul(rs.len()) > max_bucket.saturating_mul(max_bucket) {
-                continue;
-            }
-            for &l in ls {
-                for &r in rs {
-                    if mode == PairMode::Dedup && l >= r {
-                        continue;
+    let right_len = right.map_or(left.len(), <[K]>::len);
+    assert!(
+        left.len().max(right_len) < u32::MAX as usize,
+        "blocking indexes records by u32"
+    );
+    let stop = max_bucket.saturating_mul(max_bucket);
+    let need = u32::try_from(min_overlap.max(1)).unwrap_or(u32::MAX);
+    let postings: Vec<(Postings, Option<Postings>)> = legs
+        .iter()
+        .map(|&leg| {
+            let own = Postings::build(left, leg);
+            (own, right.map(|r| Postings::build(r, leg)))
+        })
+        .collect();
+    let mut stamp = vec![u32::MAX; right_len];
+    let mut shared = vec![0u32; right_len];
+    // Partners are gathered as `u32`s, record after record (record `l`'s
+    // end at `ends[l]`), and widened into pairs once the indexes are
+    // freed, in one allocation of the exact size rather than a doubling
+    // list of 16-byte pairs.
+    let (mut partners, mut ends) = (Vec::new(), Vec::with_capacity(left.len()));
+    for (l, rec) in left.iter().enumerate() {
+        let tag = l as u32;
+        let from = partners.len();
+        for (&leg, (own, other)) in legs.iter().zip(&postings) {
+            let other = other.as_ref().unwrap_or(own);
+            for &k in leg(rec.borrow()) {
+                let bucket = other.bucket(k);
+                if own.bucket(k).len().saturating_mul(bucket.len()) > stop {
+                    continue;
+                }
+                let bucket = match mode {
+                    PairMode::Cross => bucket,
+                    PairMode::Dedup => &bucket[bucket.partition_point(|&r| r <= tag)..],
+                };
+                for &r in bucket {
+                    let r = r as usize;
+                    if stamp[r] != tag {
+                        stamp[r] = tag;
+                        shared[r] = 0;
                     }
-                    *counts.entry((l, r)).or_insert(0) += 1;
+                    shared[r] += 1;
+                    if shared[r] == need {
+                        partners.push(r as u32);
+                    }
                 }
             }
         }
+        partners[from..].sort_unstable();
+        ends.push(partners.len());
     }
-    CandidateSet::new(
-        mode,
-        counts
-            .into_iter()
-            .filter(|&(_, c)| c >= min_overlap)
-            .map(|(p, _)| p),
-    )
+    drop((postings, stamp, shared));
+    let mut pairs = Vec::with_capacity(partners.len());
+    let mut from = 0;
+    for (l, &end) in ends.iter().enumerate() {
+        pairs.extend(partners[from..end].iter().map(|&r| (l, r as usize)));
+        from = end;
+    }
+    CandidateSet::from_sorted(mode, pairs)
 }
 
 /// The standard blocking recipe over an **existing derivation**: token
@@ -177,23 +209,23 @@ pub fn standard_candidates_derived(
     min_overlap: usize,
     max_bucket: usize,
 ) -> CandidateSet {
-    let index = |select: fn(&KeySet) -> &[Sym]| {
-        IndexPair::build(
-            left.iter().map(|r| r.keys()),
-            right.map(|r| r.iter().map(|rec| rec.keys())),
-            select,
-        )
-    };
-    let tok = index(|k| &k.tokens);
-    let (li, ri) = tok.sides();
-    if min_overlap >= 2 {
-        return join_with_overlap(li, ri, mode, max_bucket, min_overlap);
+    fn keys(recs: &[DerivedRecord]) -> Vec<&KeySet> {
+        recs.iter().map(DerivedRecord::keys).collect()
     }
-    let tokens = join_indices(li, ri, mode, max_bucket);
-    let qgm = index(|k| &k.qgrams);
-    let (qli, qri) = qgm.sides();
-    let qgrams = join_indices(qli, qri, mode, max_bucket);
-    tokens.union(&qgrams)
+    let legs: &[Leg] = if min_overlap >= 2 {
+        &[token_keys]
+    } else {
+        &[token_keys, qgram_keys]
+    };
+    let right = right.map(keys);
+    probe(
+        &keys(left),
+        right.as_deref(),
+        legs,
+        mode,
+        max_bucket,
+        min_overlap,
+    )
 }
 
 /// Extracts left/right key sets for a trait blocker invocation: one
@@ -258,9 +290,14 @@ impl TokenBlocker {
 impl Blocker for TokenBlocker {
     fn candidates(&self, left: &Table, right: &Table, mode: PairMode) -> CandidateSet {
         let (lk, rk) = extract_keys(left, right, mode, self.attr, 0, false);
-        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), |k| &k.tokens);
-        let (li, ri) = pair.sides();
-        join_with_overlap(li, ri, mode, self.max_bucket, self.min_overlap)
+        probe(
+            &lk,
+            rk.as_deref(),
+            &[token_keys],
+            mode,
+            self.max_bucket,
+            self.min_overlap,
+        )
     }
 }
 
@@ -291,9 +328,7 @@ impl QgramBlocker {
 impl Blocker for QgramBlocker {
     fn candidates(&self, left: &Table, right: &Table, mode: PairMode) -> CandidateSet {
         let (lk, rk) = extract_keys(left, right, mode, self.attr, self.q, false);
-        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), |k| &k.qgrams);
-        let (li, ri) = pair.sides();
-        join_indices(li, ri, mode, self.max_bucket)
+        probe(&lk, rk.as_deref(), &[qgram_keys], mode, self.max_bucket, 1)
     }
 }
 
@@ -306,13 +341,8 @@ pub struct AttrEquivalenceBlocker {
 
 impl Blocker for AttrEquivalenceBlocker {
     fn candidates(&self, left: &Table, right: &Table, mode: PairMode) -> CandidateSet {
-        fn select(k: &KeySet) -> &[Sym] {
-            k.equiv.as_slice()
-        }
         let (lk, rk) = extract_keys(left, right, mode, self.attr, 0, true);
-        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), select);
-        let (li, ri) = pair.sides();
-        join_indices(li, ri, mode, usize::MAX / 2)
+        probe(&lk, rk.as_deref(), &[equiv_key], mode, usize::MAX / 2, 1)
     }
 }
 

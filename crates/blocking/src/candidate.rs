@@ -1,7 +1,5 @@
 //! Candidate sets.
 
-use std::collections::HashSet;
-
 /// Whether candidates link two distinct tables or deduplicate one table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairMode {
@@ -28,21 +26,29 @@ impl CandidateSet {
     /// In [`PairMode::Dedup`] pairs are reordered so `left < right` and
     /// self-pairs are dropped.
     pub fn new(mode: PairMode, pairs: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut set: HashSet<(usize, usize)> = HashSet::new();
-        for (a, b) in pairs {
-            match mode {
-                PairMode::Cross => {
-                    set.insert((a, b));
-                }
-                PairMode::Dedup => {
-                    if a != b {
-                        set.insert((a.min(b), a.max(b)));
-                    }
-                }
-            }
-        }
-        let mut pairs: Vec<_> = set.into_iter().collect();
+        let mut pairs: Vec<_> = pairs
+            .into_iter()
+            .filter_map(|(a, b)| match mode {
+                PairMode::Cross => Some((a, b)),
+                PairMode::Dedup => (a != b).then_some((a.min(b), a.max(b))),
+            })
+            .collect();
         pairs.sort_unstable();
+        pairs.dedup();
+        Self { mode, pairs }
+    }
+
+    /// Wraps pairs that are already normalized, unique and sorted — what
+    /// the blocking probe emits — as they are.
+    pub(crate) fn from_sorted(mode: PairMode, pairs: Vec<(usize, usize)>) -> Self {
+        debug_assert!(
+            pairs.windows(2).all(|w| w[0] < w[1]),
+            "pairs must be unique and sorted"
+        );
+        debug_assert!(
+            mode == PairMode::Cross || pairs.iter().all(|&(a, b)| a < b),
+            "dedup pairs must be normalized"
+        );
         Self { mode, pairs }
     }
 

@@ -248,7 +248,12 @@ impl LinkageModel {
         let n = cross.features.rows().max(1) as f64;
         let mut ll_history: Vec<f64> = Vec::new();
         let mut converged = false;
-        let window = self.config.averaging_window;
+        // F's posteriors of the last `averaging_window` iterations before
+        // the cap, for §6's averaging fallback.
+        let first_kept = self
+            .config
+            .max_iterations
+            .saturating_sub(self.config.averaging_window);
         let mut recent: Vec<Vec<f64>> = Vec::new();
         let mut iterations = 0;
 
@@ -287,10 +292,9 @@ impl LinkageModel {
             }
 
             ll_history.push(ll);
-            if recent.len() == window {
-                recent.remove(0);
+            if iter >= first_kept {
+                recent.push(f.gammas().to_vec());
             }
-            recent.push(f.gammas().to_vec());
             if iter > 0 {
                 let prev = ll_history[iter - 1];
                 if ((ll - prev).abs() / n) < self.config.tolerance {
@@ -457,6 +461,90 @@ mod tests {
             "conflicting weak pair must be suppressed by transitivity (γ = {})",
             out.cross_gammas[1]
         );
+    }
+
+    /// The joint loop as it was, with every iteration's cross
+    /// posteriors entering a ring buffer of `averaging_window` vectors.
+    fn reference_fit(
+        config: &ZeroErConfig,
+        cross: &LinkageTask,
+        left: &LinkageTask,
+        right: &LinkageTask,
+    ) -> (Vec<f64>, bool, Vec<f64>) {
+        let model = |task: &LinkageTask| {
+            let mut m = GenerativeModel::new(config.clone(), task.layout.clone());
+            m.initialize(&task.features);
+            m
+        };
+        let (mut f, mut fl, mut fr) = (model(cross), model(left), model(right));
+        let calibrator = CrossCalibrator::new(&cross.pairs, &left.pairs, &right.pairs);
+        let (left_cal, right_cal) = (
+            TransitivityCalibrator::new(&left.pairs),
+            TransitivityCalibrator::new(&right.pairs),
+        );
+        let n = cross.features.rows().max(1) as f64;
+        let (mut recent, mut ll_history): (Vec<Vec<f64>>, Vec<f64>) = (Vec::new(), Vec::new());
+        let mut converged = false;
+        f.m_step(&cross.features);
+        for iter in 0..config.max_iterations {
+            let ll = f.e_step(&cross.features);
+            calibrator.calibrate(f.gammas_mut(), fl.gammas_mut(), fr.gammas_mut());
+            f.m_step(&cross.features);
+            for (m, task, cal) in [(&mut fl, left, &left_cal), (&mut fr, right, &right_cal)] {
+                m.m_step(&task.features);
+                m.e_step(&task.features);
+                cal.calibrate(m.gammas_mut());
+            }
+            ll_history.push(ll);
+            if recent.len() == config.averaging_window {
+                recent.remove(0);
+            }
+            recent.push(f.gammas().to_vec());
+            if iter > 0 && ((ll - ll_history[iter - 1]).abs() / n) < config.tolerance {
+                converged = true;
+                break;
+            }
+        }
+        let mut gammas = f.gammas().to_vec();
+        if !converged && recent.len() > 1 {
+            let k = recent.len() as f64;
+            for (i, g) in gammas.iter_mut().enumerate() {
+                *g = recent.iter().map(|v| v[i]).sum::<f64>() / k;
+            }
+        }
+        (gammas, converged, ll_history)
+    }
+
+    /// Joint fits stopped by the cap average the same window of cross
+    /// posteriors as the ring-buffer loop, to the bit.
+    #[test]
+    fn capped_joint_fits_average_the_same_window() {
+        // Overlapping classes keep EM moving, so no iteration repeats
+        // the previous log-likelihood exactly.
+        let (mut cross, left, right, truth) = toy_linkage(6);
+        let mut rng = StdRng::seed_from_u64(60);
+        for (i, &m) in truth.iter().enumerate() {
+            let centre = if m { 0.6 } else { 0.4 };
+            for v in cross.features.row_mut(i) {
+                *v = (centre + rng.gen_range(-0.35..0.35f64)).clamp(0.0, 1.0);
+            }
+        }
+        for (max_iterations, averaging_window) in [(4, 20), (20, 20), (25, 20), (7, 2)] {
+            let config = ZeroErConfig {
+                max_iterations,
+                averaging_window,
+                tolerance: f64::MIN_POSITIVE,
+                ..Default::default()
+            };
+            let out = LinkageModel::new(config.clone()).fit(&cross, &left, &right);
+            let (gammas, converged, ll_history) = reference_fit(&config, &cross, &left, &right);
+            let case = format!("cap {max_iterations}, window {averaging_window}");
+            assert!(!out.summary.converged && !converged, "{case} converged");
+            assert_eq!(out.summary.iterations, max_iterations, "{case}");
+            let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out.summary.ll_history), bits(&ll_history), "{case}");
+            assert_eq!(bits(&out.cross_gammas), bits(&gammas), "{case}");
+        }
     }
 
     #[test]

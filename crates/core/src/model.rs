@@ -5,8 +5,8 @@ use crate::transitivity::TransitivityCalibrator;
 use zeroer_linalg::block::{BlockDiag, GroupLayout};
 use zeroer_linalg::gaussian::BlockGaussian;
 use zeroer_linalg::stats::{
-    correlation_to_covariance, covariance_to_correlation, l2_norm, weighted_covariance,
-    weighted_mean, weighted_variances,
+    block_correlation, class_means, class_variances, correlation_blocks_to_covariance, l2_norm,
+    weighted_covariance,
 };
 use zeroer_linalg::{ColMatrix, MahalanobisScratch, Matrix, VARIANCE_FLOOR};
 
@@ -124,8 +124,9 @@ pub struct GenerativeModel {
     u: Option<ClassParams>,
     m_dist: Option<BlockGaussian>,
     u_dist: Option<BlockGaussian>,
-    /// Correlation matrix estimated once from all data (§4).
-    shared_corr: Option<Matrix>,
+    /// Per-group blocks of the correlation matrix, estimated once from
+    /// all data (§4).
+    shared_corr: Option<BlockDiag>,
 }
 
 impl GenerativeModel {
@@ -237,29 +238,19 @@ impl GenerativeModel {
         }
     }
 
-    /// Builds the class covariance, honoring correlation sharing (§4).
-    fn class_covariance(&mut self, x: &Matrix, weights: &[f64], mean: &[f64]) -> BlockDiag {
-        if self.config.shared_correlation {
-            // S_C = Λ_C R Λ_C with R estimated once from all data.
-            if self.shared_corr.is_none() {
-                let ones = vec![1.0; x.rows()];
-                let all_mean = weighted_mean(x, &ones);
-                let all_cov = weighted_covariance(x, &ones, &all_mean);
-                self.shared_corr = Some(covariance_to_correlation(&all_cov));
-            }
-            let r = self.shared_corr.as_ref().expect("just populated");
-            let var = weighted_variances(x, weights, mean);
-            let sd: Vec<f64> = var.iter().map(|v| v.max(0.0).sqrt()).collect();
-            let full = correlation_to_covariance(r, &sd);
-            BlockDiag::from_dense(&full, &self.layout)
-        } else {
-            let full = weighted_covariance(x, weights, mean);
-            BlockDiag::from_dense(&full, &self.layout)
-        }
-    }
-
     /// The M-step (Eq. 8 / 11 / 13 / 15): re-estimates π, µ_C, Σ_C from
     /// the current posteriors.
+    ///
+    /// One pass over the rows accumulates both class means and a second
+    /// both class variances ([`class_means`], [`class_variances`]). With
+    /// correlation sharing (§4) each class covariance is `Λ_C R Λ_C`,
+    /// block by block, with the correlation blocks `R` estimated once
+    /// from the within-group entries of the all-rows covariance
+    /// ([`block_correlation`]); no `d × d` matrix is formed. The ablation
+    /// without sharing slices the full weighted covariance of each class
+    /// into blocks. Every statistic has its own accumulators and adds
+    /// its rows in row order, so fusing the classes into shared passes
+    /// changes no bit of the parameters.
     ///
     /// # Panics
     /// Panics if called before [`GenerativeModel::initialize`].
@@ -270,17 +261,32 @@ impl GenerativeModel {
             "model not initialized for this matrix"
         );
         let n = x.rows() as f64;
-        let gm: Vec<f64> = self.gammas.clone();
-        let gu: Vec<f64> = gm.iter().map(|g| 1.0 - g).collect();
-        let nm: f64 = gm.iter().sum();
+        let nm: f64 = self.gammas.iter().sum();
 
         self.pi_m = (nm / n).clamp(PRIOR_FLOOR, 1.0 - PRIOR_FLOOR);
 
-        let mu_m = weighted_mean(x, &gm);
-        let mu_u = weighted_mean(x, &gu);
+        let [mu_m, mu_u] = class_means(x, &self.gammas);
 
-        let mut cov_m = self.class_covariance(x, &gm, &mu_m);
-        let mut cov_u = self.class_covariance(x, &gu, &mu_u);
+        let (mut cov_m, mut cov_u) = if self.config.shared_correlation {
+            // S_C = Λ_C R Λ_C with R estimated once from all data.
+            let layout = &self.layout;
+            let r = self
+                .shared_corr
+                .get_or_insert_with(|| block_correlation(x, layout));
+            let sd =
+                |var: Vec<f64>| -> Vec<f64> { var.iter().map(|v| v.max(0.0).sqrt()).collect() };
+            let [var_m, var_u] = class_variances(x, &self.gammas, [&mu_m, &mu_u]);
+            (
+                correlation_blocks_to_covariance(r, &sd(var_m)),
+                correlation_blocks_to_covariance(r, &sd(var_u)),
+            )
+        } else {
+            let gu: Vec<f64> = self.gammas.iter().map(|g| 1.0 - g).collect();
+            (
+                BlockDiag::from_dense(&weighted_covariance(x, &self.gammas, &mu_m), &self.layout),
+                BlockDiag::from_dense(&weighted_covariance(x, &gu, &mu_u), &self.layout),
+            )
+        };
 
         let k = self.regularization_diag(&mu_m, &mu_u);
         cov_m.add_diag(&k);
@@ -367,10 +373,11 @@ impl GenerativeModel {
         let n = x.rows().max(1) as f64;
         let mut ll_history = Vec::new();
         let mut converged = false;
-        let window = self.config.averaging_window;
         let max_iter = self.config.max_iterations;
-        // Ring buffer of the last `window` posterior vectors for §6's
-        // averaging fallback.
+        // The posterior vectors of the last `averaging_window` iterations
+        // before the cap, for §6's averaging fallback; earlier iterations
+        // keep no copy.
+        let first_kept = max_iter.saturating_sub(self.config.averaging_window);
         let mut recent: Vec<Vec<f64>> = Vec::new();
 
         let mut iterations = 0;
@@ -384,10 +391,9 @@ impl GenerativeModel {
                 }
             }
             ll_history.push(ll);
-            if recent.len() == window {
-                recent.remove(0);
+            if iter >= first_kept {
+                recent.push(self.gammas.clone());
             }
-            recent.push(self.gammas.clone());
             if iter > 0 {
                 let prev = ll_history[iter - 1];
                 if ((ll - prev).abs() / n) < self.config.tolerance {
@@ -638,6 +644,321 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.9, 0.8, 0.7]]);
         let mut m = GenerativeModel::new(ZeroErConfig::default(), GroupLayout::from_sizes(&[2]));
         m.initialize(&x);
+    }
+}
+
+/// The fused, block-only M-step against the per-class, dense one it
+/// replaced, to the bit: means, covariance blocks, π_M and the posteriors
+/// of the next E-step, for every feature dependence × correlation
+/// sharing × regularization, on singleton groups, one group spanning all
+/// columns and mixed groups, with posteriors of exactly 0 and 1.
+#[cfg(test)]
+mod m_step_parity {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use zeroer_linalg::stats::{
+        correlation_to_covariance, covariance_to_correlation, weighted_mean, weighted_variances,
+    };
+
+    /// The earlier M-step, verbatim, over explicit state.
+    struct Reference {
+        config: ZeroErConfig,
+        layout: GroupLayout,
+        shared_corr: Option<Matrix>,
+        pi_m: f64,
+        m: Option<ClassParams>,
+        u: Option<ClassParams>,
+    }
+
+    impl Reference {
+        fn new(config: ZeroErConfig, layout: GroupLayout) -> Self {
+            Self {
+                config,
+                layout,
+                shared_corr: None,
+                pi_m: 0.5,
+                m: None,
+                u: None,
+            }
+        }
+
+        fn regularization_diag(&self, mu_m: &[f64], mu_u: &[f64]) -> Vec<f64> {
+            let d = mu_m.len();
+            match self.config.regularization {
+                Regularization::None => vec![0.0; d],
+                Regularization::Tikhonov => vec![self.config.kappa; d],
+                Regularization::Adaptive => mu_m
+                    .iter()
+                    .zip(mu_u)
+                    .map(|(&a, &b)| self.config.kappa * (a - b) * (a - b))
+                    .collect(),
+            }
+        }
+
+        fn class_covariance(&mut self, x: &Matrix, weights: &[f64], mean: &[f64]) -> BlockDiag {
+            if self.config.shared_correlation {
+                if self.shared_corr.is_none() {
+                    let ones = vec![1.0; x.rows()];
+                    let all_mean = weighted_mean(x, &ones);
+                    let all_cov = weighted_covariance(x, &ones, &all_mean);
+                    self.shared_corr = Some(covariance_to_correlation(&all_cov));
+                }
+                let r = self.shared_corr.as_ref().expect("just populated");
+                let var = weighted_variances(x, weights, mean);
+                let sd: Vec<f64> = var.iter().map(|v| v.max(0.0).sqrt()).collect();
+                let full = correlation_to_covariance(r, &sd);
+                BlockDiag::from_dense(&full, &self.layout)
+            } else {
+                let full = weighted_covariance(x, weights, mean);
+                BlockDiag::from_dense(&full, &self.layout)
+            }
+        }
+
+        fn m_step(&mut self, x: &Matrix, gammas: &[f64]) {
+            let n = x.rows() as f64;
+            let gm: Vec<f64> = gammas.to_vec();
+            let gu: Vec<f64> = gm.iter().map(|g| 1.0 - g).collect();
+            let nm: f64 = gm.iter().sum();
+
+            self.pi_m = (nm / n).clamp(PRIOR_FLOOR, 1.0 - PRIOR_FLOOR);
+
+            let mu_m = weighted_mean(x, &gm);
+            let mu_u = weighted_mean(x, &gu);
+
+            let mut cov_m = self.class_covariance(x, &gm, &mu_m);
+            let mut cov_u = self.class_covariance(x, &gu, &mu_u);
+
+            let k = self.regularization_diag(&mu_m, &mu_u);
+            cov_m.add_diag(&k);
+            cov_u.add_diag(&k);
+            let floor = vec![VARIANCE_FLOOR; self.layout.dim()];
+            cov_m.add_diag(&floor);
+            cov_u.add_diag(&floor);
+
+            self.m = Some(ClassParams {
+                mean: mu_m,
+                cov: cov_m,
+            });
+            self.u = Some(ClassParams {
+                mean: mu_u,
+                cov: cov_u,
+            });
+        }
+
+        /// Eq. 3 posteriors of every row under the reference parameters.
+        fn posteriors(&self, x: &Matrix) -> Vec<f64> {
+            let dist = |p: &ClassParams| BlockGaussian::new(p.mean.clone(), &p.cov).unwrap();
+            let (md, ud) = (
+                dist(self.m.as_ref().unwrap()),
+                dist(self.u.as_ref().unwrap()),
+            );
+            (0..x.rows())
+                .map(|i| {
+                    let row = x.row(i);
+                    let lm = self.pi_m.ln() + md.log_pdf(row);
+                    let lu = (1.0 - self.pi_m).ln() + ud.log_pdf(row);
+                    eq3_posterior(lm, lu)
+                })
+                .collect()
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_params_equal(got: &ClassParams, want: &ClassParams, case: &str) {
+        assert_eq!(bits(&got.mean), bits(&want.mean), "mean, {case}");
+        assert_eq!(got.cov.layout(), want.cov.layout(), "layout, {case}");
+        for (g, (a, b)) in got.cov.blocks().iter().zip(want.cov.blocks()).enumerate() {
+            assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "block {g}, {case}");
+        }
+    }
+
+    /// `n` rows over `d` columns: two overlapping clusters, one constant
+    /// column, and one column of exact zeros and ones.
+    fn rows(n: usize, d: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..n * d)
+            .map(|k| {
+                let (i, j) = (k / d, k % d);
+                match j {
+                    1 => 0.5,
+                    3 => f64::from(u8::from(i % 3 == 0)),
+                    _ => {
+                        let centre = if i % 6 == 0 { 0.85 } else { 0.2 };
+                        (centre + rng.gen_range(-0.15..0.15f64)).clamp(0.0, 1.0)
+                    }
+                }
+            })
+            .collect();
+        Matrix::from_vec(n, d, data)
+    }
+
+    #[test]
+    fn m_step_matches_dense_per_class_reference() {
+        let x = rows(180, 7, 3);
+        let layouts = [
+            GroupLayout::independent(7),
+            GroupLayout::single_group(7),
+            GroupLayout::from_sizes(&[2, 1, 3, 1]),
+        ];
+        for dep in [
+            FeatureDependence::Full,
+            FeatureDependence::Independent,
+            FeatureDependence::Grouped,
+        ] {
+            for shared_correlation in [false, true] {
+                for reg in [
+                    Regularization::None,
+                    Regularization::Tikhonov,
+                    Regularization::Adaptive,
+                ] {
+                    for layout in &layouts {
+                        let config = ZeroErConfig {
+                            shared_correlation,
+                            ..ZeroErConfig::ablation(dep, reg)
+                        };
+                        let mut model = GenerativeModel::new(config.clone(), layout.clone());
+                        let mut reference = Reference::new(config, model.layout().clone());
+                        model.initialize(&x);
+                        for round in 0..4 {
+                            let case = format!(
+                                "{dep:?}, shared {shared_correlation}, {reg:?}, \
+                                 layout {layout:?}, round {round}"
+                            );
+                            reference.m_step(&x, model.gammas());
+                            model.m_step(&x);
+                            assert_eq!(model.pi_m().to_bits(), reference.pi_m.to_bits(), "{case}");
+                            assert_params_equal(
+                                model.m_params().unwrap(),
+                                reference.m.as_ref().unwrap(),
+                                &case,
+                            );
+                            assert_params_equal(
+                                model.u_params().unwrap(),
+                                reference.u.as_ref().unwrap(),
+                                &case,
+                            );
+                            model.e_step(&x);
+                            assert_eq!(
+                                bits(model.gammas()),
+                                bits(&reference.posteriors(&x)),
+                                "posteriors, {case}"
+                            );
+                            // Pin some rows to exactly 0 and 1 for the next
+                            // round, as calibration and initialization do.
+                            for (i, g) in model.gammas_mut().iter_mut().enumerate() {
+                                match i % 9 {
+                                    0 => *g = 0.0,
+                                    4 => *g = 1.0,
+                                    _ => {}
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Fits that stop at the iteration cap average the posteriors of the
+/// last `averaging_window` iterations (§6). The loop keeps copies only
+/// from the first iteration that can fall in that window; these tests
+/// check it against a reference loop over the public steps that keeps
+/// every iteration's copy in a ring buffer, to the bit.
+#[cfg(test)]
+mod capped_fit {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Overlapping classes, so EM keeps moving and never converges at a
+    /// tolerance this small.
+    fn overlapping_rows(n: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..n * 4)
+            .map(|k| {
+                let centre = if (k / 4) % 5 == 0 { 0.7 } else { 0.3 };
+                (centre + rng.gen_range(-0.3..0.3f64)).clamp(0.0, 1.0)
+            })
+            .collect();
+        Matrix::from_vec(n, 4, data)
+    }
+
+    /// Run [`GenerativeModel::fit`]'s loop as it was: every iteration's
+    /// posteriors enter a ring buffer of `averaging_window` vectors.
+    fn reference_fit(
+        config: &ZeroErConfig,
+        x: &Matrix,
+        calibrator: Option<&TransitivityCalibrator>,
+    ) -> (Vec<f64>, bool, Vec<f64>) {
+        let mut m = GenerativeModel::new(config.clone(), GroupLayout::from_sizes(&[2, 2]));
+        m.initialize(x);
+        let n = x.rows().max(1) as f64;
+        let window = config.averaging_window;
+        let (mut recent, mut ll_history): (Vec<Vec<f64>>, Vec<f64>) = (Vec::new(), Vec::new());
+        let mut converged = false;
+        for iter in 0..config.max_iterations {
+            m.m_step(x);
+            let ll = m.e_step(x);
+            if config.transitivity {
+                if let Some(cal) = calibrator {
+                    cal.calibrate(m.gammas_mut());
+                }
+            }
+            ll_history.push(ll);
+            if recent.len() == window {
+                recent.remove(0);
+            }
+            recent.push(m.gammas().to_vec());
+            if iter > 0 && ((ll - ll_history[iter - 1]).abs() / n) < config.tolerance {
+                converged = true;
+                break;
+            }
+        }
+        let mut gammas = m.gammas().to_vec();
+        if !converged && recent.len() > 1 {
+            let k = recent.len() as f64;
+            for (i, g) in gammas.iter_mut().enumerate() {
+                *g = recent.iter().map(|r| r[i]).sum::<f64>() / k;
+            }
+        }
+        (gammas, converged, ll_history)
+    }
+
+    #[test]
+    fn capped_fits_average_the_same_window() {
+        let x = overlapping_rows(120, 9);
+        let pairs: Vec<(usize, usize)> =
+            (0..x.rows()).map(|i| (i % 17, (i * 7) % 23 + 17)).collect();
+        let calibrator = TransitivityCalibrator::new(&pairs);
+        // Caps below, at and above the window; a window of one averages
+        // nothing.
+        for (max_iterations, averaging_window) in [(5, 20), (20, 20), (27, 20), (9, 3), (6, 1)] {
+            for transitivity in [false, true] {
+                let config = ZeroErConfig {
+                    max_iterations,
+                    averaging_window,
+                    transitivity,
+                    tolerance: f64::MIN_POSITIVE,
+                    ..Default::default()
+                };
+                let mut m = GenerativeModel::new(config.clone(), GroupLayout::from_sizes(&[2, 2]));
+                let summary = m.fit(&x, Some(&calibrator));
+                let (gammas, converged, ll_history) = reference_fit(&config, &x, Some(&calibrator));
+                let case = format!(
+                    "cap {max_iterations}, window {averaging_window}, transitivity {transitivity}"
+                );
+                assert!(!summary.converged && !converged, "{case} converged");
+                assert_eq!(summary.iterations, max_iterations, "{case}");
+                let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&summary.ll_history), bits(&ll_history), "{case}");
+                assert_eq!(bits(m.gammas()), bits(&gammas), "{case}");
+            }
+        }
     }
 }
 

@@ -1,0 +1,378 @@
+//! The blocking probe against the hash join it replaced.
+//!
+//! [`reference`] is a verbatim copy of the earlier blocking core: one
+//! `HashMap<Sym, Vec<usize>>` inverted index per side and key leg, a
+//! bucket-by-bucket join, a `HashMap` of per-pair shared-key counts for
+//! overlap blocking, and a `HashSet` candidate set sorted at the end.
+//! The proptests assert that [`standard_candidates_derived`] and the
+//! three key-based trait blockers produce the identical pair list in
+//! both pair modes, with and without a distinct right side, at overlap
+//! floors 1–3 and at bucket caps small enough that the stop-word skip
+//! fires. Records draw their words from a four-letter alphabet, so many
+//! records share each token and q-gram key.
+
+use proptest::prelude::*;
+use zeroer::blocking::{
+    standard_candidates_derived, AttrEquivalenceBlocker, Blocker, PairMode, QgramBlocker,
+    TokenBlocker,
+};
+use zeroer::tabular::{Record, Schema, Table, Value};
+use zeroer::textsim::derive::{DeriveConfig, DerivedRecord, Deriver};
+
+/// The retired hash-join blocking core, kept as the parity reference.
+mod reference {
+    use std::collections::{HashMap, HashSet};
+    use zeroer::blocking::{PairMode, TableKeys};
+    use zeroer::tabular::Table;
+    use zeroer::textsim::derive::{DerivedRecord, KeySet};
+    use zeroer::textsim::Sym;
+
+    /// `CandidateSet::new`: normalize, deduplicate through a `HashSet`,
+    /// sort.
+    pub fn candidate_set(
+        mode: PairMode,
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Vec<(usize, usize)> {
+        let mut set: HashSet<(usize, usize)> = HashSet::new();
+        for (a, b) in pairs {
+            match mode {
+                PairMode::Cross => {
+                    set.insert((a, b));
+                }
+                PairMode::Dedup => {
+                    if a != b {
+                        set.insert((a.min(b), a.max(b)));
+                    }
+                }
+            }
+        }
+        let mut pairs: Vec<_> = set.into_iter().collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    fn union(mode: PairMode, a: &[(usize, usize)], b: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        candidate_set(mode, a.iter().chain(b.iter()).copied())
+    }
+
+    /// Inverted index over interned blocking keys: `key → record indices`.
+    type SymIndex = HashMap<Sym, Vec<usize>>;
+
+    fn inverted_index<'a, I, F>(keysets: I, select: F) -> SymIndex
+    where
+        I: Iterator<Item = &'a KeySet>,
+        F: Fn(&KeySet) -> &[Sym],
+    {
+        let mut index = SymIndex::new();
+        for (idx, ks) in keysets.enumerate() {
+            for &k in select(ks) {
+                index.entry(k).or_default().push(idx);
+            }
+        }
+        index
+    }
+
+    struct IndexPair {
+        left: SymIndex,
+        right: Option<SymIndex>,
+    }
+
+    impl IndexPair {
+        fn build<'a, F>(
+            left: impl Iterator<Item = &'a KeySet>,
+            right: Option<impl Iterator<Item = &'a KeySet>>,
+            select: F,
+        ) -> Self
+        where
+            F: Fn(&KeySet) -> &[Sym],
+        {
+            Self {
+                left: inverted_index(left, &select),
+                right: right.map(|r| inverted_index(r, &select)),
+            }
+        }
+
+        fn sides(&self) -> (&SymIndex, &SymIndex) {
+            (&self.left, self.right.as_ref().unwrap_or(&self.left))
+        }
+    }
+
+    fn join_indices(
+        left_index: &SymIndex,
+        right_index: &SymIndex,
+        mode: PairMode,
+        max_bucket: usize,
+    ) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for (key, ls) in left_index {
+            if let Some(rs) = right_index.get(key) {
+                // Skip stop-word-like keys whose bucket product explodes.
+                if ls.len().saturating_mul(rs.len()) > max_bucket.saturating_mul(max_bucket) {
+                    continue;
+                }
+                for &l in ls {
+                    for &r in rs {
+                        if mode == PairMode::Dedup && l >= r {
+                            continue;
+                        }
+                        pairs.push((l, r));
+                    }
+                }
+            }
+        }
+        candidate_set(mode, pairs)
+    }
+
+    fn join_with_overlap(
+        left_index: &SymIndex,
+        right_index: &SymIndex,
+        mode: PairMode,
+        max_bucket: usize,
+        min_overlap: usize,
+    ) -> Vec<(usize, usize)> {
+        if min_overlap <= 1 {
+            return join_indices(left_index, right_index, mode, max_bucket);
+        }
+        // Count shared keys per pair, then keep pairs meeting the floor.
+        let mut counts: HashMap<(usize, usize), usize> = HashMap::new();
+        for (key, ls) in left_index {
+            if let Some(rs) = right_index.get(key) {
+                if ls.len().saturating_mul(rs.len()) > max_bucket.saturating_mul(max_bucket) {
+                    continue;
+                }
+                for &l in ls {
+                    for &r in rs {
+                        if mode == PairMode::Dedup && l >= r {
+                            continue;
+                        }
+                        *counts.entry((l, r)).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        candidate_set(
+            mode,
+            counts
+                .into_iter()
+                .filter(|&(_, c)| c >= min_overlap)
+                .map(|(p, _)| p),
+        )
+    }
+
+    pub fn standard_candidates_derived(
+        left: &[DerivedRecord],
+        right: Option<&[DerivedRecord]>,
+        mode: PairMode,
+        min_overlap: usize,
+        max_bucket: usize,
+    ) -> Vec<(usize, usize)> {
+        let index = |select: fn(&KeySet) -> &[Sym]| {
+            IndexPair::build(
+                left.iter().map(|r| r.keys()),
+                right.map(|r| r.iter().map(|rec| rec.keys())),
+                select,
+            )
+        };
+        let tok = index(|k| &k.tokens);
+        let (li, ri) = tok.sides();
+        if min_overlap >= 2 {
+            return join_with_overlap(li, ri, mode, max_bucket, min_overlap);
+        }
+        let tokens = join_indices(li, ri, mode, max_bucket);
+        let qgm = index(|k| &k.qgrams);
+        let (qli, qri) = qgm.sides();
+        let qgrams = join_indices(qli, qri, mode, max_bucket);
+        union(mode, &tokens, &qgrams)
+    }
+
+    fn extract_keys(
+        left: &Table,
+        right: &Table,
+        mode: PairMode,
+        attr: usize,
+        qgram: usize,
+        equiv: bool,
+    ) -> (Vec<KeySet>, Option<Vec<KeySet>>) {
+        if mode == PairMode::Dedup {
+            (TableKeys::build(left, attr, qgram, equiv).keys, None)
+        } else {
+            let (lk, rk) = TableKeys::build_pair(left, right, attr, qgram, equiv);
+            (lk.keys, Some(rk))
+        }
+    }
+
+    pub fn token_blocker(
+        left: &Table,
+        right: &Table,
+        mode: PairMode,
+        max_bucket: usize,
+        min_overlap: usize,
+    ) -> Vec<(usize, usize)> {
+        let (lk, rk) = extract_keys(left, right, mode, 0, 0, false);
+        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), |k| &k.tokens);
+        let (li, ri) = pair.sides();
+        join_with_overlap(li, ri, mode, max_bucket, min_overlap)
+    }
+
+    pub fn qgram_blocker(
+        left: &Table,
+        right: &Table,
+        mode: PairMode,
+        q: usize,
+        max_bucket: usize,
+    ) -> Vec<(usize, usize)> {
+        let (lk, rk) = extract_keys(left, right, mode, 0, q, false);
+        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), |k| &k.qgrams);
+        let (li, ri) = pair.sides();
+        join_indices(li, ri, mode, max_bucket)
+    }
+
+    pub fn attr_equivalence_blocker(
+        left: &Table,
+        right: &Table,
+        mode: PairMode,
+    ) -> Vec<(usize, usize)> {
+        fn select(k: &KeySet) -> &[Sym] {
+            k.equiv.as_slice()
+        }
+        let (lk, rk) = extract_keys(left, right, mode, 0, 0, true);
+        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), select);
+        let (li, ri) = pair.sides();
+        join_indices(li, ri, mode, usize::MAX / 2)
+    }
+}
+
+/// A one-attribute table; empty strings become nulls, which hold no keys.
+fn table(values: &[String]) -> Table {
+    let mut t = Table::new("t", Schema::new(["name"]));
+    for (i, v) in values.iter().enumerate() {
+        let value = if v.trim().is_empty() {
+            Value::Null
+        } else {
+            Value::Str(v.clone())
+        };
+        t.push(Record::new(i as u32, vec![value]));
+    }
+    t
+}
+
+/// Up to `max` records of two- to four-letter words over `abcd`: many
+/// records share each token and q-gram key.
+fn values(max: usize) -> impl Strategy<Value = Vec<String>> {
+    (0..max).prop_flat_map(|n| proptest::collection::vec("[abcd ]{0,14}", n))
+}
+
+/// Derives both tables against one interner, as the pipelines do.
+fn derive(left: &Table, right: &Table, q: usize) -> (Vec<DerivedRecord>, Vec<DerivedRecord>) {
+    let mut deriver = Deriver::new(DeriveConfig::blocking(0, q));
+    let mut all = |t: &Table| -> Vec<DerivedRecord> {
+        t.records()
+            .iter()
+            .map(|r| deriver.derive(&r.values))
+            .collect()
+    };
+    let l = all(left);
+    let r = all(right);
+    (l, r)
+}
+
+/// Bucket caps from one that skips almost every key to one that skips
+/// none.
+const CAPS: [usize; 4] = [1, 2, 4, 400];
+
+fn assert_derived_parity(left: &[DerivedRecord], right: &[DerivedRecord]) {
+    for mode in [PairMode::Dedup, PairMode::Cross] {
+        for right in [None, Some(right)] {
+            for min_overlap in 1..=3 {
+                for cap in CAPS {
+                    let got = standard_candidates_derived(left, right, mode, min_overlap, cap);
+                    let want =
+                        reference::standard_candidates_derived(left, right, mode, min_overlap, cap);
+                    assert_eq!(
+                        got.pairs(),
+                        want.as_slice(),
+                        "{mode:?}, right {}, overlap {min_overlap}, cap {cap}",
+                        if right.is_some() { "Some" } else { "None" }
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn assert_trait_parity(left: &Table, right: &Table) {
+    for mode in [PairMode::Dedup, PairMode::Cross] {
+        for cap in CAPS {
+            for min_overlap in 1..=3 {
+                let blocker = TokenBlocker {
+                    attr: 0,
+                    max_bucket: cap,
+                    min_overlap,
+                };
+                assert_eq!(
+                    blocker.candidates(left, right, mode).pairs(),
+                    reference::token_blocker(left, right, mode, cap, min_overlap).as_slice(),
+                    "token blocker, {mode:?}, overlap {min_overlap}, cap {cap}"
+                );
+            }
+            for q in [2, 3] {
+                let blocker = QgramBlocker {
+                    attr: 0,
+                    q,
+                    max_bucket: cap,
+                };
+                assert_eq!(
+                    blocker.candidates(left, right, mode).pairs(),
+                    reference::qgram_blocker(left, right, mode, q, cap).as_slice(),
+                    "q-gram blocker, {mode:?}, q {q}, cap {cap}"
+                );
+            }
+        }
+        assert_eq!(
+            AttrEquivalenceBlocker { attr: 0 }
+                .candidates(left, right, mode)
+                .pairs(),
+            reference::attr_equivalence_blocker(left, right, mode).as_slice(),
+            "equivalence blocker, {mode:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn derived_probe_matches_hash_join(l in values(40), r in values(30), q in 2usize..5) {
+        let (lt, rt) = (table(&l), table(&r));
+        let (ld, rd) = derive(&lt, &rt, q);
+        assert_derived_parity(&ld, &rd);
+    }
+
+    #[test]
+    fn trait_blockers_match_hash_join(l in values(40), r in values(30)) {
+        assert_trait_parity(&table(&l), &table(&r));
+    }
+}
+
+/// A key every record holds, with caps on both sides of its bucket.
+#[test]
+fn shared_stop_word_is_skipped_exactly_at_the_cap() {
+    let values: Vec<String> = (0..12)
+        .map(|i| format!("the item{} dd{}", i % 5, i % 3))
+        .collect();
+    let t = table(&values);
+    let (d, _) = derive(&t, &t, 3);
+    for cap in [3, 4, 11, 12, 13] {
+        for min_overlap in 1..=3 {
+            let got = standard_candidates_derived(&d, None, PairMode::Dedup, min_overlap, cap);
+            let want =
+                reference::standard_candidates_derived(&d, None, PairMode::Dedup, min_overlap, cap);
+            assert_eq!(
+                got.pairs(),
+                want.as_slice(),
+                "cap {cap}, overlap {min_overlap}"
+            );
+        }
+    }
+    assert_trait_parity(&t, &t);
+}
