@@ -1,7 +1,7 @@
 //! The shared dataset → blocking → features pipeline every experiment
 //! harness builds on.
 
-use zeroer_blocking::{Blocker, PairMode, QgramBlocker, TokenBlocker, UnionBlocker};
+use zeroer_blocking::{standard_recipe, PairMode};
 use zeroer_core::LinkageTask;
 use zeroer_datagen::{generate, DatasetProfile, GeneratedDataset};
 use zeroer_features::PairFeaturizer;
@@ -126,24 +126,17 @@ pub fn prepare(profile: &DatasetProfile, cfg: &ExperimentConfig) -> Prepared {
     let scale = (cfg.scale * recipe.scale_mult).clamp(1e-3, 1.0);
     let ds = generate(profile, scale, cfg.seed);
 
-    // Short-name datasets (overlap 1) get a q-gram union leg so a typo in
-    // the single shared token cannot lose the match entirely.
-    let make_blocker = |overlap: usize| -> Box<dyn Blocker + Send + Sync> {
-        if overlap == 1 {
-            Box::new(UnionBlocker::new(vec![
-                Box::new(TokenBlocker::new(recipe.attr)),
-                Box::new(QgramBlocker::new(recipe.attr, 4)),
-            ]))
-        } else {
-            Box::new(TokenBlocker::with_overlap(recipe.attr, overlap))
-        }
-    };
-    let cross_cs =
-        make_blocker(recipe.cross_overlap).candidates(&ds.left, &ds.right, PairMode::Cross);
-    let left_cs =
-        make_blocker(recipe.dedup_overlap).candidates(&ds.left, &ds.left, PairMode::Dedup);
-    let right_cs =
-        make_blocker(recipe.dedup_overlap).candidates(&ds.right, &ds.right, PairMode::Dedup);
+    // The pipelines' standard recipe: short-name datasets (overlap 1)
+    // count token and 4-gram keys together, so a typo in a shared word
+    // cannot lose the match entirely.
+    let cross_cs = standard_recipe(recipe.attr, recipe.cross_overlap, 4, 400).candidates(
+        &ds.left,
+        &ds.right,
+        PairMode::Cross,
+    );
+    let within = standard_recipe(recipe.attr, recipe.dedup_overlap, 4, 400);
+    let left_cs = within.candidates(&ds.left, &ds.left, PairMode::Dedup);
+    let right_cs = within.candidates(&ds.right, &ds.right, PairMode::Dedup);
 
     let make_task =
         |l: &zeroer_tabular::Table, r: &zeroer_tabular::Table, pairs: &[(usize, usize)]| {

@@ -11,6 +11,16 @@
 //! The pairs come out normalized, unique and sorted, so nothing is
 //! hashed.
 //!
+//! The standard recipe ([`standard_recipe`], [`standard_candidates_derived`]
+//! and the streaming indexes of `zeroer-stream`) keeps a pair only when
+//! its two records share at least two blocking keys, token and q-gram
+//! keys counted together ([`standard_rule`]). This is the pair-local
+//! edge-weight pruning of Papadakis et al., *Meta-Blocking* (TKDE 2014),
+//! with the shared-key count as the edge weight: it drops the pairs
+//! whose only link is one common key (often a padded boundary q-gram
+//! such as `###g`), and since it reads only the two records' key sets, a
+//! pair's fate never depends on the rest of the table.
+//!
 //! Callers that already hold a derivation (the high-level pipelines,
 //! the streaming bootstrap) use [`standard_candidates_derived`] to block
 //! without re-tokenizing anything; the [`Blocker`] trait implementations
@@ -115,10 +125,46 @@ impl Postings {
     }
 }
 
+/// The standard recipe's pair rule at one overlap floor (see
+/// [`standard_rule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyRule {
+    /// Whether the q-gram leg is probed; its keys then count together
+    /// with the token keys.
+    pub qgram_leg: bool,
+    /// Shared keys a pair needs, summed over the probed legs.
+    pub min_shared_keys: usize,
+}
+
+impl KeyRule {
+    fn legs(self) -> &'static [Leg] {
+        if self.qgram_leg {
+            &[token_keys, qgram_keys]
+        } else {
+            &[token_keys]
+        }
+    }
+}
+
+/// The pair rule of the standard blocking recipe, written once for every
+/// caller: [`standard_candidates_derived`], [`standard_recipe`] and the
+/// streaming indexes of `zeroer-stream`. A pair needs
+/// `max(min_token_overlap, 2)` shared keys. With `min_token_overlap ≤ 1`
+/// (the default) both legs are probed and a shared token and a shared
+/// q-gram count alike; with `min_token_overlap ≥ 2` only the token leg
+/// is probed, which is overlap blocking.
+pub fn standard_rule(min_token_overlap: usize) -> KeyRule {
+    KeyRule {
+        qgram_leg: min_token_overlap <= 1,
+        min_shared_keys: min_token_overlap.max(2),
+    }
+}
+
 /// The blocking core every key-based blocker runs: probes each left
 /// record's keys of every leg against the right postings (the left ones
 /// for a self-join, `right = None`) and keeps the partners sharing at
-/// least `min_overlap` keys (at least one when `min_overlap ≤ 1`).
+/// least `need` keys over all legs together (at least one when
+/// `need ≤ 1`).
 ///
 /// A key whose bucket product `|L_k|·|R_k|` exceeds `max_bucket²` is a
 /// stop word and is skipped. In [`PairMode::Dedup`] a left record `l`
@@ -131,7 +177,7 @@ fn probe<K: Borrow<KeySet>>(
     legs: &[Leg],
     mode: PairMode,
     max_bucket: usize,
-    min_overlap: usize,
+    need: usize,
 ) -> CandidateSet {
     let right_len = right.map_or(left.len(), <[K]>::len);
     assert!(
@@ -139,7 +185,7 @@ fn probe<K: Borrow<KeySet>>(
         "blocking indexes records by u32"
     );
     let stop = max_bucket.saturating_mul(max_bucket);
-    let need = u32::try_from(min_overlap.max(1)).unwrap_or(u32::MAX);
+    let need = u32::try_from(need.max(1)).unwrap_or(u32::MAX);
     let postings: Vec<(Postings, Option<Postings>)> = legs
         .iter()
         .map(|&leg| {
@@ -194,11 +240,12 @@ fn probe<K: Borrow<KeySet>>(
     CandidateSet::from_sorted(mode, pairs)
 }
 
-/// The standard blocking recipe over an **existing derivation**: token
-/// blocking unioned with q-gram blocking when any single shared token
-/// suffices, or pure overlap blocking for `min_overlap ≥ 2` — exactly
-/// what [`standard_recipe`] computes, minus any tokenization. Pass
-/// `right = None` to block one derivation against itself.
+/// The standard blocking recipe over an **existing derivation**: the
+/// pairs whose records share at least [`standard_rule`]'s number of
+/// blocking keys — two by default, token and q-gram keys counted
+/// together, or `min_overlap` shared tokens for `min_overlap ≥ 2` —
+/// exactly what [`standard_recipe`] computes, minus any tokenization.
+/// Pass `right = None` to block one derivation against itself.
 ///
 /// The derivations must carry blocking keys (derive with a
 /// `BlockSpec` whose `qgram` matches: > 0 when `min_overlap ≤ 1`).
@@ -209,22 +256,53 @@ pub fn standard_candidates_derived(
     min_overlap: usize,
     max_bucket: usize,
 ) -> CandidateSet {
+    let rule = standard_rule(min_overlap);
+    probe_derived(left, right, mode, rule, max_bucket, rule.min_shared_keys)
+}
+
+/// The pairs [`standard_candidates_derived`] prunes: those whose records
+/// share at least one blocking key over the rule's legs, but fewer than
+/// the rule needs (by default, the *one-key pairs*). Sorted like a
+/// candidate set.
+pub fn pruned_candidates_derived(
+    left: &[DerivedRecord],
+    right: Option<&[DerivedRecord]>,
+    mode: PairMode,
+    min_overlap: usize,
+    max_bucket: usize,
+) -> CandidateSet {
+    let rule = standard_rule(min_overlap);
+    let kept = probe_derived(left, right, mode, rule, max_bucket, rule.min_shared_keys);
+    let any = probe_derived(left, right, mode, rule, max_bucket, 1);
+    let pruned = any
+        .pairs()
+        .iter()
+        .filter(|p| kept.pairs().binary_search(p).is_err())
+        .copied()
+        .collect();
+    CandidateSet::from_sorted(mode, pruned)
+}
+
+/// [`probe`] over the derivations' keys, on the legs `rule` probes.
+fn probe_derived(
+    left: &[DerivedRecord],
+    right: Option<&[DerivedRecord]>,
+    mode: PairMode,
+    rule: KeyRule,
+    max_bucket: usize,
+    need: usize,
+) -> CandidateSet {
     fn keys(recs: &[DerivedRecord]) -> Vec<&KeySet> {
         recs.iter().map(DerivedRecord::keys).collect()
     }
-    let legs: &[Leg] = if min_overlap >= 2 {
-        &[token_keys]
-    } else {
-        &[token_keys, qgram_keys]
-    };
     let right = right.map(keys);
     probe(
         &keys(left),
         right.as_deref(),
-        legs,
+        rule.legs(),
         mode,
         max_bucket,
-        min_overlap,
+        need,
     )
 }
 
@@ -422,10 +500,11 @@ impl Blocker for SortedNeighborhood {
 }
 
 /// The standard blocking recipe shared by the batch (`MatchOptions`) and
-/// streaming (`StreamOptions`) pipelines: token blocking unioned with
-/// q-gram blocking when any single shared token suffices, or pure
-/// overlap blocking for `min_overlap ≥ 2`. Keeping this in one place
-/// guarantees the two pipelines cannot drift apart.
+/// streaming (`StreamOptions`) pipelines: one probe that keeps the pairs
+/// sharing at least [`standard_rule`]'s number of keys — two by default,
+/// over the token and q-gram legs together, or `min_overlap` shared
+/// tokens for `min_overlap ≥ 2`. Keeping the rule in one place
+/// guarantees the pipelines cannot drift apart.
 ///
 /// Callers that already derived their tables should prefer
 /// [`standard_candidates_derived`], which computes the same candidate
@@ -436,25 +515,34 @@ pub fn standard_recipe(
     q: usize,
     max_bucket: usize,
 ) -> Box<dyn Blocker + Send + Sync> {
-    if min_overlap <= 1 {
-        Box::new(UnionBlocker::new(vec![
-            Box::new(TokenBlocker {
-                attr,
-                max_bucket,
-                min_overlap: 1,
-            }),
-            Box::new(QgramBlocker {
-                attr,
-                q,
-                max_bucket,
-            }),
-        ]))
-    } else {
-        Box::new(TokenBlocker {
-            attr,
-            max_bucket,
-            min_overlap,
-        })
+    Box::new(StandardBlocker {
+        attr,
+        q,
+        max_bucket,
+        rule: standard_rule(min_overlap),
+    })
+}
+
+/// The blocker [`standard_recipe`] returns.
+struct StandardBlocker {
+    attr: usize,
+    q: usize,
+    max_bucket: usize,
+    rule: KeyRule,
+}
+
+impl Blocker for StandardBlocker {
+    fn candidates(&self, left: &Table, right: &Table, mode: PairMode) -> CandidateSet {
+        let q = if self.rule.qgram_leg { self.q } else { 0 };
+        let (lk, rk) = extract_keys(left, right, mode, self.attr, q, false);
+        probe(
+            &lk,
+            rk.as_deref(),
+            self.rule.legs(),
+            mode,
+            self.max_bucket,
+            self.rule.min_shared_keys,
+        )
     }
 }
 
@@ -648,5 +736,40 @@ mod tests {
             let via_trait = standard_recipe(0, overlap, 4, 400).candidates(&t, &t, PairMode::Dedup);
             assert_eq!(via_derived.pairs(), via_trait.pairs(), "overlap={overlap}");
         }
+    }
+
+    #[test]
+    fn standard_rule_needs_two_keys_or_the_overlap_floor() {
+        for overlap in [0, 1] {
+            let rule = standard_rule(overlap);
+            assert!(rule.qgram_leg);
+            assert_eq!(rule.min_shared_keys, 2);
+        }
+        let rule = standard_rule(3);
+        assert!(!rule.qgram_leg, "overlap blocking probes tokens only");
+        assert_eq!(rule.min_shared_keys, 3);
+    }
+
+    #[test]
+    fn one_shared_key_no_longer_makes_a_pair() {
+        // The last two names share only the padded 4-gram "n###".
+        let names = [
+            "golden dragon palace",
+            "golden dragon palce",
+            "blue sky tavern",
+            "rustic oak kitchen",
+        ];
+        let t = table(&names);
+        let cs = standard_recipe(0, 1, 4, 400).candidates(&t, &t, PairMode::Dedup);
+        assert_eq!(cs.pairs(), [(0, 1)]);
+        let mut deriver = Deriver::new(DeriveConfig::blocking(0, 4));
+        let derived: Vec<_> = t
+            .records()
+            .iter()
+            .map(|r| deriver.derive(&r.values))
+            .collect();
+        let pruned = pruned_candidates_derived(&derived, None, PairMode::Dedup, 1, 400);
+        assert!(pruned.contains(2, 3), "the one-key pair is pruned");
+        assert!(!pruned.contains(0, 1), "a kept pair is not pruned");
     }
 }

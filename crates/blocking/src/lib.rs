@@ -16,7 +16,10 @@
 //! * [`AttrEquivalenceBlocker`] — exact equality on an attribute;
 //! * [`SortedNeighborhood`] — classic sliding window over a sort key;
 //! * [`CartesianBlocker`] — everything (for small datasets / tests);
-//! * [`UnionBlocker`] — union of several blockers' candidates.
+//! * [`UnionBlocker`] — union of several blockers' candidates;
+//! * [`standard_recipe`] — the recipe the pipelines run: token and
+//!   q-gram keys probed together, keeping the pairs whose records share
+//!   at least two keys ([`standard_rule`]).
 
 pub mod blockers;
 pub mod candidate;
@@ -24,8 +27,9 @@ pub mod keys;
 pub mod quality;
 
 pub use blockers::{
-    standard_candidates_derived, standard_recipe, AttrEquivalenceBlocker, Blocker,
-    CartesianBlocker, QgramBlocker, SortedNeighborhood, TokenBlocker, UnionBlocker,
+    pruned_candidates_derived, standard_candidates_derived, standard_recipe, standard_rule,
+    AttrEquivalenceBlocker, Blocker, CartesianBlocker, KeyRule, QgramBlocker, SortedNeighborhood,
+    TokenBlocker, UnionBlocker,
 };
 pub use candidate::{CandidateSet, PairMode};
 pub use keys::TableKeys;

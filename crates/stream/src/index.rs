@@ -1,18 +1,21 @@
 //! Incremental blocking indexes.
 //!
-//! The batch blockers enumerate candidate pairs by joining two complete
-//! inverted indexes. Streaming ingest needs the *online* form of the same
-//! computation: insert one record and get back the indices of previously
-//! inserted records it shares a blocking key with, in one pass.
+//! The batch blockers enumerate candidate pairs by probing complete
+//! inverted indexes. Streaming ingest needs the *online* form of the
+//! same computation: insert one record and get back the indices of
+//! previously inserted records it is a candidate pair with, in one pass.
 //!
-//! [`IncrementalIndex`] mirrors the batch dedup recipe the high-level
-//! pipeline uses — the union of word-token blocking and character q-gram
-//! blocking on one key attribute (`TokenBlocker ∪ QgramBlocker`) — and
-//! consumes the *same* blocking keys the batch blockers do: interned
-//! symbols extracted by the record-derivation layer
-//! (`zeroer_textsim::derive`), so batch and incremental candidate sets
-//! cannot drift apart. Buckets are keyed by [`Sym`], not strings — no key
-//! text is duplicated into the index.
+//! [`IncrementalIndex`] mirrors the standard recipe the high-level
+//! pipeline uses — word-token and character q-gram keys on one key
+//! attribute, counted together, with a pair kept once its records share
+//! at least two keys (`zeroer_blocking::standard_rule`) — and consumes
+//! the *same* blocking keys the batch blockers do: interned symbols
+//! extracted by the record-derivation layer (`zeroer_textsim::derive`),
+//! so batch and incremental candidate sets cannot drift apart. Each
+//! insert counts, per earlier record, the keys it shares over both legs
+//! in one map, and one merge function applies the rule. Buckets are
+//! keyed by [`Sym`], not strings — no key text is duplicated into the
+//! index.
 //!
 //! ## Frequency cap
 //!
@@ -44,6 +47,7 @@
 
 use crate::shard::RecordKeys;
 use std::collections::HashMap;
+use zeroer_blocking::standard_rule;
 use zeroer_textsim::derive::{BlockSpec, DeriveConfig};
 use zeroer_textsim::intern::Sym;
 
@@ -57,9 +61,12 @@ pub struct IndexConfig {
     pub qgram: usize,
     /// Stop-word bucket cap (see module docs).
     pub max_bucket: usize,
-    /// Minimum shared word tokens on the token leg. Values above 1 switch
-    /// to overlap blocking and disable the q-gram leg, exactly like the
-    /// batch `MatchOptions` recipe.
+    /// The overlap floor of the standard rule
+    /// (`zeroer_blocking::standard_rule`): a pair needs
+    /// `max(min_token_overlap, 2)` shared keys. At 1 (the default) token
+    /// and q-gram keys count together; values above 1 switch to overlap
+    /// blocking on tokens alone and disable the q-gram leg, exactly like
+    /// the batch `MatchOptions` recipe.
     pub min_token_overlap: usize,
 }
 
@@ -77,7 +84,7 @@ impl Default for IndexConfig {
 impl IndexConfig {
     /// Whether the q-gram leg is active under this configuration.
     pub fn has_qgram_leg(&self) -> bool {
-        self.min_token_overlap <= 1 && self.qgram > 0
+        standard_rule(self.min_token_overlap).qgram_leg && self.qgram > 0
     }
 
     /// The derivation configuration that extracts exactly the blocking
@@ -389,29 +396,30 @@ impl Leg {
     }
 }
 
-/// Turns per-leg lookup results into the final sorted candidate list: a
-/// member qualifies with at least `min_token_overlap` shared word tokens
-/// *or* any shared q-gram. The single merge rule shared by the unsharded
-/// and sharded indexes, so their candidate semantics cannot drift.
+/// Turns one record's shared-key counts — token and q-gram keys counted
+/// together, per earlier record — into its sorted candidate list: a
+/// member qualifies with at least `zeroer_blocking::standard_rule`'s
+/// number of shared keys (two by default). The single merge rule shared
+/// by the unsharded and sharded indexes, so their candidate semantics
+/// cannot drift from each other or from batch blocking.
 pub(crate) fn merge_candidates(
-    token_counts: HashMap<usize, usize>,
-    qgram_members: impl IntoIterator<Item = usize>,
+    counts: HashMap<usize, usize>,
     min_token_overlap: usize,
 ) -> Vec<usize> {
-    let mut candidates: Vec<usize> = token_counts
+    let need = standard_rule(min_token_overlap).min_shared_keys;
+    let mut candidates: Vec<usize> = counts
         .into_iter()
-        .filter(|&(_, c)| c >= min_token_overlap)
+        .filter(|&(_, c)| c >= need)
         .map(|(m, _)| m)
         .collect();
-    candidates.extend(qgram_members);
     candidates.sort_unstable();
-    candidates.dedup();
     candidates
 }
 
 /// Online inverted token + q-gram indexes over one key attribute;
 /// `insert_keys` consumes a record's derived blocking keys and returns
-/// blocking candidates among previously inserted records.
+/// blocking candidates among previously inserted records: those sharing
+/// enough keys under the standard rule.
 #[derive(Debug, Clone)]
 pub struct IncrementalIndex {
     cfg: IndexConfig,
@@ -466,7 +474,7 @@ impl IncrementalIndex {
     /// Inserts the next record's derived blocking keys (records must be
     /// inserted in store order: the i-th call describes record index i)
     /// and returns the sorted indices of previously inserted records
-    /// sharing a blocking key.
+    /// sharing enough blocking keys with it (two by default).
     pub fn insert_keys(&mut self, keys: &RecordKeys) -> Vec<usize> {
         self.insert_keys_live(keys, &[])
     }
@@ -478,20 +486,13 @@ impl IncrementalIndex {
         let idx = self.len;
         self.len += 1;
 
-        let mut token_counts: HashMap<usize, usize> = HashMap::new();
+        let mut counts: HashMap<usize, usize> = HashMap::new();
         self.token_leg
-            .lookup_and_insert(idx, keys.token_syms(), &mut token_counts, tombstones);
-
-        let mut qgram_counts: HashMap<usize, usize> = HashMap::new();
+            .lookup_and_insert(idx, keys.token_syms(), &mut counts, tombstones);
         if let Some(qleg) = &mut self.qgram_leg {
-            qleg.lookup_and_insert(idx, keys.qgram_syms(), &mut qgram_counts, tombstones);
+            qleg.lookup_and_insert(idx, keys.qgram_syms(), &mut counts, tombstones);
         }
-
-        merge_candidates(
-            token_counts,
-            qgram_counts.into_keys(),
-            self.cfg.min_token_overlap,
-        )
+        merge_candidates(counts, self.cfg.min_token_overlap)
     }
 
     /// Marks record `idx`'s postings dead under its blocking keys (the
@@ -569,10 +570,18 @@ mod tests {
             qgram: 0,
             ..Default::default()
         });
-        let out = insert_all(&mut h, &["red apple", "green apple", "blue sky"]);
+        let out = insert_all(
+            &mut h,
+            &["red apple pie", "green apple pie", "blue sky", "apple tart"],
+        );
         assert_eq!(out[0], Vec::<usize>::new());
-        assert_eq!(out[1], vec![0], "shares 'apple'");
+        assert_eq!(out[1], vec![0], "shares 'apple' and 'pie'");
         assert_eq!(out[2], Vec::<usize>::new());
+        assert_eq!(
+            out[3],
+            Vec::<usize>::new(),
+            "a single shared key ('apple') no longer makes a pair"
+        );
     }
 
     #[test]
@@ -616,33 +625,37 @@ mod tests {
             qgram: 0,
             ..Default::default()
         });
-        let out = insert_all(&mut h, &["red apple", "green apple"]);
+        let out = insert_all(&mut h, &["red apple pie", "green apple pie"]);
         assert_eq!(out[1], vec![0]);
 
         // Retract record 0: mark its postings dead under its keys.
-        let d = h.deriver.derive(&rec(0, "red apple").values);
+        let d = h.deriver.derive(&rec(0, "red apple pie").values);
         let keys = RecordKeys::from_derived(&d, h.deriver.interner());
         let marked = h.index.retract_keys(0, &keys);
-        assert_eq!(marked, 2, "'red' and 'apple' postings tombstoned");
+        assert_eq!(marked, 3, "'red', 'apple' and 'pie' postings tombstoned");
         let stats = h.index.stats();
-        assert_eq!(stats.token.dead_postings, 2);
-        assert_eq!(stats.token.postings, 4);
+        assert_eq!(stats.token.dead_postings, 3);
+        assert_eq!(stats.token.postings, 6);
 
-        // A new record sharing 'apple' sees only the live record 1.
+        // A new record sharing 'apple' and 'pie' sees only the live
+        // record 1.
         let tombstones = [true, false];
-        let d = h.deriver.derive(&rec(2, "apple strudel").values);
+        let d = h.deriver.derive(&rec(2, "apple pie strudel").values);
         let keys = RecordKeys::from_derived(&d, h.deriver.interner());
         assert_eq!(h.index.insert_keys_live(&keys, &tombstones), vec![1]);
 
         // Compaction drops the dead postings and frees the now-empty
         // 'red' bucket.
         let delta = h.index.compact(&tombstones);
-        assert_eq!(delta.postings_dropped, 2);
+        assert_eq!(delta.postings_dropped, 3);
         assert_eq!(delta.buckets_freed, 1, "'red' bucket emptied");
         assert!(delta.bytes_reclaimed > 0);
         let stats = h.index.stats();
         assert_eq!(stats.token.dead_postings, 0);
-        assert_eq!(stats.token.postings, 4, "apple×2, green×1, strudel×1");
+        assert_eq!(
+            stats.token.postings, 6,
+            "apple×2, pie×2, green×1, strudel×1"
+        );
     }
 
     #[test]
@@ -653,16 +666,17 @@ mod tests {
             ..Default::default()
         };
         let mut h = Harness::new(cfg);
-        insert_all(&mut h, &["shared zero", "shared one"]);
-        // Retract record 0; the 'shared' bucket holds {0(dead), 1}.
-        let d = h.deriver.derive(&rec(0, "shared zero").values);
+        insert_all(&mut h, &["shared hot zero", "shared hot one"]);
+        // Retract record 0; the 'shared' and 'hot' buckets hold
+        // {0(dead), 1}.
+        let d = h.deriver.derive(&rec(0, "shared hot zero").values);
         let keys = RecordKeys::from_derived(&d, h.deriver.interner());
         h.index.retract_keys(0, &keys);
 
         // A third record would cross max_bucket=2 if dead members
-        // counted; live-only counting keeps the bucket pairing.
+        // counted; live-only counting keeps both buckets pairing.
         let tombstones = [true, false];
-        let d = h.deriver.derive(&rec(2, "shared two").values);
+        let d = h.deriver.derive(&rec(2, "shared hot two").values);
         let keys = RecordKeys::from_derived(&d, h.deriver.interner());
         assert_eq!(h.index.insert_keys_live(&keys, &tombstones), vec![1]);
         assert_eq!(h.index.stats().token.retired, 0);
@@ -676,19 +690,23 @@ mod tests {
             ..Default::default()
         };
         let mut h = Harness::new(cfg);
-        // Every record shares the token "the"; items are unique.
-        let names: Vec<String> = (0..6).map(|i| format!("the item{i}")).collect();
+        // Every record shares the tokens "the" and "hot"; items are
+        // unique.
+        let names: Vec<String> = (0..6).map(|i| format!("the hot item{i}")).collect();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let out = insert_all(&mut h, &refs);
         // First three inserts pair within the cap...
         assert_eq!(out[1], vec![0]);
         assert_eq!(out[2], vec![0, 1]);
-        // ...the fourth would make the bucket exceed 3 members: retired.
+        // ...the fourth would make both buckets exceed 3 members: retired.
         assert_eq!(out[3], Vec::<usize>::new());
         assert_eq!(out[4], Vec::<usize>::new());
         assert_eq!(out[5], Vec::<usize>::new());
         let stats = h.index.stats();
-        assert_eq!(stats.token.retired, 1, "the 'the' bucket is retired");
+        assert_eq!(
+            stats.token.retired, 2,
+            "the 'the' and 'hot' buckets are retired"
+        );
         assert_eq!(stats.token.live, 6, "one live bucket per unique item");
     }
 }

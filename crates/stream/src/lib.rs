@@ -11,10 +11,11 @@
 //!   with cluster-representative lookup (transitivity is structural:
 //!   merging entities merges all their members).
 //! * [`IncrementalIndex`] — online inverted token + q-gram indexes that
-//!   mirror the batch `TokenBlocker`/`QgramBlocker` semantics (including
-//!   the stop-word frequency cap) but support
-//!   `insert(record) → candidates` in one pass. Both sides share one key
-//!   extractor ([`zeroer_blocking::keys`]), so they cannot drift.
+//!   mirror the batch standard recipe (a pair needs two shared keys,
+//!   [`zeroer_blocking::standard_rule`], plus the stop-word frequency
+//!   cap) but support `insert(record) → candidates` in one pass. Both
+//!   sides share one key extractor ([`zeroer_blocking::keys`]) and one
+//!   rule, so they cannot drift.
 //! * [`PipelineSnapshot`] / [`zeroer_core::ModelSnapshot`] — a JSON
 //!   freeze of a fitted generative model (means, covariances, prior)
 //!   plus the feature replay state (per-column normalization ranges,

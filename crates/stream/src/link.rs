@@ -198,7 +198,7 @@ fn fit_linkage(
     };
     Ok(LinkFit {
         cross_fz: prep.cross_fz,
-        pairs: legs.cross.task.pairs,
+        pairs: legs.cross.pairs().to_vec(),
         candidates: legs.candidates,
         outcome,
         linkage,
@@ -219,9 +219,9 @@ impl LinkPipeline {
     /// and the entity store.
     ///
     /// # Errors
-    /// Fails when the schemas differ, when cross blocking yields no
-    /// candidate pairs (nothing to fit), or when the fit is too
-    /// degenerate to freeze.
+    /// Fails when the schemas differ, when `min_token_overlap` is 0, when
+    /// cross blocking yields no candidate pairs (nothing to fit), or when
+    /// the fit is too degenerate to freeze.
     pub fn bootstrap(
         left: &Table,
         right: &Table,
@@ -234,6 +234,7 @@ impl LinkPipeline {
                 right.schema().attributes()
             )));
         }
+        opts.check()?;
         let sw = Stopwatch::new(opts.metrics);
         let fit = fit_linkage(left, right, &opts, None)?;
         let featurizer = BatchFeaturizer::new(fit.cross_fz.attr_types());

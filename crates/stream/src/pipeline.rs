@@ -13,7 +13,7 @@ use crate::legs::build_dedup_leg;
 use crate::link::Side;
 use crate::snapshot::SnapshotModel;
 use crate::store::{EntityStore, StoreCompaction};
-use zeroer_core::{GenerativeModel, ModelSnapshot, ZeroErConfig};
+use zeroer_core::{ModelSnapshot, ZeroErConfig};
 use zeroer_features::{BatchFeaturizer, PairFeaturizer};
 use zeroer_obs::Stopwatch;
 use zeroer_tabular::{AttrType, Record, Table};
@@ -52,8 +52,10 @@ pub struct StreamOptions {
     pub config: ZeroErConfig,
     /// Attribute index used as the blocking key.
     pub blocking_attr: usize,
-    /// Minimum shared word tokens for a candidate pair (1 unions in
-    /// q-gram blocking; ≥ 2 is overlap blocking).
+    /// The overlap floor of the standard blocking rule: a candidate pair
+    /// needs `max(min_token_overlap, 2)` shared keys. At 1 (the default)
+    /// token and q-gram keys count together; ≥ 2 is overlap blocking on
+    /// tokens alone. Must be at least 1: the bootstraps refuse 0.
     pub min_token_overlap: usize,
     /// q-gram size for the q-gram blocking leg.
     pub qgram: usize,
@@ -114,6 +116,14 @@ impl Default for StreamOptions {
 }
 
 impl StreamOptions {
+    /// Refuses options no pipeline can block with: an overlap floor of 0.
+    pub(crate) fn check(&self) -> Result<(), StreamError> {
+        if self.min_token_overlap == 0 {
+            return Err(StreamError("min_token_overlap must be at least 1".into()));
+        }
+        Ok(())
+    }
+
     pub(crate) fn index_config(&self) -> IndexConfig {
         IndexConfig {
             attr: self.blocking_attr,
@@ -382,7 +392,8 @@ struct DedupFit {
     /// store.
     fz: PairFeaturizer,
     pairs: Vec<(usize, usize)>,
-    model: GenerativeModel,
+    /// Posteriors of `pairs`.
+    gammas: Vec<f64>,
     snapshot: ModelSnapshot,
     em_iterations: usize,
 }
@@ -406,7 +417,7 @@ fn fit_dedup(
             "blocking produced no candidate pairs; nothing to fit a model on".into(),
         ));
     };
-    let (model, summary) = leg.fit_dedup(&opts.config);
+    let (model, summary, gammas) = leg.fit_dedup(&opts.config);
     let snapshot =
         ModelSnapshot::capture_checked(&model, &leg.ranges, &leg.impute_means, &leg.names)
             .ok_or_else(|| {
@@ -416,8 +427,8 @@ fn fit_dedup(
             })?;
     Ok(DedupFit {
         fz: prep.fz,
-        pairs: leg.task.pairs,
-        model,
+        pairs: leg.pairs().to_vec(),
+        gammas,
         snapshot,
         em_iterations: summary.iterations,
     })
@@ -436,12 +447,14 @@ impl StreamPipeline {
     /// to the entity store together with its interner.
     ///
     /// # Errors
-    /// Fails when `initial` yields no candidate pairs (nothing to fit),
-    /// or when the fit is too degenerate to freeze.
+    /// Fails when `min_token_overlap` is 0, when `initial` yields no
+    /// candidate pairs (nothing to fit), or when the fit is too
+    /// degenerate to freeze.
     pub fn bootstrap(
         initial: &Table,
         opts: StreamOptions,
     ) -> Result<(Self, BootstrapReport), StreamError> {
+        opts.check()?;
         let sw = Stopwatch::new(opts.metrics);
         let fit = fit_dedup(initial, &opts, None)?;
         let featurizer = BatchFeaturizer::new(fit.fz.attr_types());
@@ -460,14 +473,11 @@ impl StreamPipeline {
             sw,
             &[initial],
             fit.pairs.len(),
-            fit.pairs
-                .iter()
-                .copied()
-                .zip(fit.model.gammas().iter().copied()),
+            fit.pairs.iter().copied().zip(fit.gammas.iter().copied()),
         );
         let report = BootstrapReport {
-            probabilities: fit.model.gammas().to_vec(),
-            labels: fit.model.labels(),
+            labels: fit.gammas.iter().map(|&g| g > 0.5).collect(),
+            probabilities: fit.gammas,
             em_iterations: fit.em_iterations,
             pairs: fit.pairs,
         };

@@ -14,10 +14,11 @@
 //!
 //! ## Why this is exactly equivalent to the unsharded index
 //!
-//! Candidate generation is a union over per-key lookups, and token
-//! overlap counting is additive over disjoint key sets: each key lives in
+//! Candidate generation counts, per member, the keys it shares with the
+//! new record — token and q-gram keys together — and shared-key
+//! counting is additive over disjoint key sets: each key lives in
 //! exactly one shard, so summing per-shard counts per member reproduces
-//! the unsharded count, and the final sort+dedup merge
+//! the unsharded count, and the final rule-and-sort merge
 //! (`crate::index::merge_candidates`) is shared verbatim. The property
 //! test in `tests/sharded.rs` asserts set equality against
 //! [`crate::IncrementalIndex`] for arbitrary record streams and shard
@@ -102,9 +103,10 @@ struct IndexShard {
     qgram_leg: Option<Leg>,
 }
 
-/// Per-shard lookup partials produced by the batch phase for one record:
-/// shared-token counts and q-gram co-members among the shard's keys.
-type ShardPartial = (HashMap<usize, usize>, HashMap<usize, usize>);
+/// Per-shard lookup partial produced by the batch phase for one record:
+/// shared-key counts per member among the shard's keys, both legs in one
+/// map.
+type ShardPartial = HashMap<usize, usize>;
 
 /// One record's `(token, qgram)` key symbols routed to a single shard.
 type ShardJob = (Vec<Sym>, Vec<Sym>);
@@ -212,7 +214,7 @@ impl ShardedIndex {
 
     /// Inserts the next record's keys (records must be inserted in store
     /// order) and returns the sorted indices of previously inserted
-    /// records sharing a blocking key — the same contract as
+    /// records sharing enough blocking keys — the same contract as
     /// [`crate::IncrementalIndex::insert_keys`].
     pub fn insert_keys(&mut self, keys: RecordKeys) -> Vec<usize> {
         self.insert_keys_live(keys, &[])
@@ -224,30 +226,25 @@ impl ShardedIndex {
     pub fn insert_keys_live(&mut self, keys: RecordKeys, tombstones: &[bool]) -> Vec<usize> {
         let idx = self.len;
         self.len += 1;
-        let mut token_counts: HashMap<usize, usize> = HashMap::new();
-        let mut qgram_counts: HashMap<usize, usize> = HashMap::new();
+        let mut counts: HashMap<usize, usize> = HashMap::new();
         for (key, h) in keys.token {
             let s = self.shard_of(h);
             self.shards[s]
                 .token_leg
-                .insert_key(idx, key, &mut token_counts, tombstones);
+                .insert_key(idx, key, &mut counts, tombstones);
         }
         for (key, h) in keys.qgram {
             let s = self.shard_of(h);
             if let Some(qleg) = &mut self.shards[s].qgram_leg {
-                qleg.insert_key(idx, key, &mut qgram_counts, tombstones);
+                qleg.insert_key(idx, key, &mut counts, tombstones);
             }
         }
-        merge_candidates(
-            token_counts,
-            qgram_counts.into_keys(),
-            self.cfg.min_token_overlap,
-        )
+        merge_candidates(counts, self.cfg.min_token_overlap)
     }
 
     /// Read-only candidate lookup: the sorted indices of inserted records
-    /// sharing a blocking key with `keys`, **without** inserting anything
-    /// — the candidate rule (token-overlap threshold, q-gram union,
+    /// sharing enough blocking keys with `keys`, **without** inserting
+    /// anything — the candidate rule (shared keys over both legs,
     /// tombstone filter) is exactly [`ShardedIndex::insert_keys_live`]'s.
     ///
     /// This is how streaming record linkage blocks across tables: an
@@ -257,25 +254,20 @@ impl ShardedIndex {
     /// probing takes `&self`, a whole batch can probe one frozen index
     /// from many workers with no synchronization.
     pub fn probe_live(&self, keys: &RecordKeys, tombstones: &[bool]) -> Vec<usize> {
-        let mut token_counts: HashMap<usize, usize> = HashMap::new();
+        let mut counts: HashMap<usize, usize> = HashMap::new();
         for &(key, h) in &keys.token {
             let s = self.shard_of(h);
             self.shards[s]
                 .token_leg
-                .lookup_key(key, &mut token_counts, tombstones);
+                .lookup_key(key, &mut counts, tombstones);
         }
-        let mut qgram_counts: HashMap<usize, usize> = HashMap::new();
         for &(key, h) in &keys.qgram {
             let s = self.shard_of(h);
             if let Some(qleg) = &self.shards[s].qgram_leg {
-                qleg.lookup_key(key, &mut qgram_counts, tombstones);
+                qleg.lookup_key(key, &mut counts, tombstones);
             }
         }
-        merge_candidates(
-            token_counts,
-            qgram_counts.into_keys(),
-            self.cfg.min_token_overlap,
-        )
+        merge_candidates(counts, self.cfg.min_token_overlap)
     }
 
     /// Inserts a record's postings under an explicit record index,
@@ -418,15 +410,17 @@ impl ShardedIndex {
                                 Vec::with_capacity(shard_jobs.len());
                             for (i, (token, qgram)) in shard_jobs {
                                 let idx = base + i;
-                                let mut tc = HashMap::new();
-                                shard
-                                    .token_leg
-                                    .lookup_and_insert(idx, token, &mut tc, tombstones);
-                                let mut qc = HashMap::new();
+                                let mut counts = HashMap::new();
+                                shard.token_leg.lookup_and_insert(
+                                    idx,
+                                    token,
+                                    &mut counts,
+                                    tombstones,
+                                );
                                 if let Some(qleg) = &mut shard.qgram_leg {
-                                    qleg.lookup_and_insert(idx, qgram, &mut qc, tombstones);
+                                    qleg.lookup_and_insert(idx, qgram, &mut counts, tombstones);
                                 }
-                                out.push((i, (tc, qc)));
+                                out.push((i, counts));
                             }
                             chunk_partials.push(out);
                         }
@@ -442,35 +436,29 @@ impl ShardedIndex {
         .expect("shard scope panicked");
 
         // Merge with one cursor per shard (each partial list is sorted
-        // by record): token counts are additive across shards (each key
-        // lives in exactly one), q-gram membership is a union; the
-        // shared merge_candidates rule finishes the job.
+        // by record): shared-key counts are additive across shards (each
+        // key lives in exactly one); the shared merge_candidates rule
+        // finishes the job.
         self.len += n;
         let mut results = Vec::with_capacity(n);
         let mut cursors = vec![0usize; partials.len()];
         for i in 0..n {
-            let mut token_counts: HashMap<usize, usize> = HashMap::new();
-            let mut qgram: Vec<usize> = Vec::new();
+            let mut counts: HashMap<usize, usize> = HashMap::new();
             for (shard_partials, cursor) in partials.iter_mut().zip(&mut cursors) {
                 if *cursor >= shard_partials.len() || shard_partials[*cursor].0 != i {
                     continue;
                 }
-                let (_, (tc, qc)) = std::mem::take(&mut shard_partials[*cursor]);
+                let (_, partial) = std::mem::take(&mut shard_partials[*cursor]);
                 *cursor += 1;
-                if token_counts.is_empty() {
-                    token_counts = tc;
+                if counts.is_empty() {
+                    counts = partial;
                 } else {
-                    for (m, c) in tc {
-                        *token_counts.entry(m).or_insert(0) += c;
+                    for (m, c) in partial {
+                        *counts.entry(m).or_insert(0) += c;
                     }
                 }
-                qgram.extend(qc.into_keys());
             }
-            results.push(merge_candidates(
-                token_counts,
-                qgram,
-                self.cfg.min_token_overlap,
-            ));
+            results.push(merge_candidates(counts, self.cfg.min_token_overlap));
         }
         results
     }

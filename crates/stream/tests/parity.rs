@@ -1,14 +1,14 @@
 //! Batch/incremental blocking parity.
 //!
 //! The incremental index must produce exactly the candidate set the batch
-//! blockers produce when records are inserted one at a time — on any
-//! dataset where no bucket crosses the frequency cap (structurally
-//! guaranteed here: every table is far smaller than the cap), the sets
-//! are equal, not merely similar.
+//! standard recipe (`standard_recipe`) produces when records are inserted
+//! one at a time — on any dataset where no bucket crosses the frequency
+//! cap (structurally guaranteed here: every table is far smaller than the
+//! cap), the sets are equal, not merely similar.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use zeroer_blocking::{Blocker, PairMode, QgramBlocker, TokenBlocker, UnionBlocker};
+use zeroer_blocking::{standard_recipe, Blocker, PairMode};
 use zeroer_datagen::{all_profiles, generate};
 use zeroer_stream::{IncrementalIndex, IndexConfig, RecordKeys};
 use zeroer_tabular::{Record, Schema, Table, Value};
@@ -51,7 +51,8 @@ fn batch_pairs(table: &Table, blocker: &dyn Blocker) -> BTreeSet<(usize, usize)>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Default recipe (token ∪ 4-gram blocking) on every dataset profile.
+    /// Default recipe (two shared keys over tokens and 4-grams) on every
+    /// dataset profile.
     /// The cap is lifted above the table size on both sides so no bucket
     /// can overflow: in that regime batch and incremental candidate sets
     /// must be *identical* (overflow divergence is tested separately).
@@ -59,13 +60,7 @@ proptest! {
     fn union_recipe_matches_batch(profile in 0usize..6, seed in 0u64..1000) {
         let table = dedup_table_of(profile, 0.01, seed);
         let cap = table.len().max(2);
-        let batch = batch_pairs(
-            &table,
-            &UnionBlocker::new(vec![
-                Box::new(TokenBlocker { attr: 0, max_bucket: cap, min_overlap: 1 }),
-                Box::new(QgramBlocker { attr: 0, q: 4, max_bucket: cap }),
-            ]),
-        );
+        let batch = batch_pairs(&table, &*standard_recipe(0, 1, 4, cap));
         let incremental = incremental_pairs(
             &table,
             IndexConfig { max_bucket: cap, ..Default::default() },
@@ -80,10 +75,7 @@ proptest! {
     fn overlap_recipe_matches_batch(profile in 0usize..6, seed in 0u64..1000) {
         let table = dedup_table_of(profile, 0.01, seed);
         let cap = table.len().max(2);
-        let batch = batch_pairs(
-            &table,
-            &TokenBlocker { attr: 0, max_bucket: cap, min_overlap: 2 },
-        );
+        let batch = batch_pairs(&table, &*standard_recipe(0, 2, 4, cap));
         let incremental = incremental_pairs(
             &table,
             IndexConfig { min_token_overlap: 2, max_bucket: cap, ..Default::default() },
@@ -108,13 +100,7 @@ proptest! {
                 vec![Value::Str(format!("{} {second}", VOCAB[w]))],
             ));
         }
-        let batch = batch_pairs(
-            &t,
-            &UnionBlocker::new(vec![
-                Box::new(TokenBlocker::new(0)),
-                Box::new(QgramBlocker::new(0, 4)),
-            ]),
-        );
+        let batch = batch_pairs(&t, &*standard_recipe(0, 1, 4, 400));
         let incremental = incremental_pairs(&t, IndexConfig::default());
         prop_assert_eq!(&incremental, &batch);
     }
@@ -134,13 +120,7 @@ fn default_cap_parity_on_restaurants() {
         table.len() < 400,
         "premise: table smaller than the bucket cap"
     );
-    let batch = batch_pairs(
-        &table,
-        &UnionBlocker::new(vec![
-            Box::new(TokenBlocker::new(0)),
-            Box::new(QgramBlocker::new(0, 4)),
-        ]),
-    );
+    let batch = batch_pairs(&table, &*standard_recipe(0, 1, 4, 400));
     let incremental = incremental_pairs(&table, IndexConfig::default());
     assert_eq!(incremental, batch);
 }
@@ -148,25 +128,19 @@ fn default_cap_parity_on_restaurants() {
 /// The one intended divergence: a bucket overflowing the cap mid-stream
 /// stops pairing from the crossing point on, while batch drops the bucket
 /// retroactively. The divergence is bounded by pairs among the first
-/// `cap` members.
+/// `cap` members. Every record shares two hot keys, so the early pairs
+/// pass the two-key rule.
 #[test]
 fn cap_overflow_divergence_is_bounded_and_one_sided() {
     let mut t = Table::new("hot", Schema::new(["name"]));
     for i in 0..30 {
         t.push(Record::new(
             i as u32,
-            vec![Value::Str(format!("the item{i}"))],
+            vec![Value::Str(format!("the hot item{i}"))],
         ));
     }
     let cap = 5;
-    let batch = batch_pairs(
-        &t,
-        &TokenBlocker {
-            attr: 0,
-            max_bucket: cap,
-            min_overlap: 1,
-        },
-    );
+    let batch = batch_pairs(&t, &*standard_recipe(0, 1, 0, cap));
     let incremental = incremental_pairs(
         &t,
         IndexConfig {
@@ -177,7 +151,11 @@ fn cap_overflow_divergence_is_bounded_and_one_sided() {
     );
     assert!(
         batch.is_empty(),
-        "batch drops the overflowing 'the' bucket entirely"
+        "batch drops the overflowing 'the' and 'hot' buckets entirely"
+    );
+    assert!(
+        !incremental.is_empty(),
+        "the early records pair through both hot keys"
     );
     assert!(
         incremental.len() <= cap * (cap - 1) / 2,

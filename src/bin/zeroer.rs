@@ -182,8 +182,10 @@ fn usage() -> &'static str {
      \n\
      FLAGS:\n\
        --threshold <p>     (all but gen) posterior cut-off for a match (default 0.5)\n\
-       --overlap <n>       (match, link, dedup) min shared title tokens for a\n\
-                           candidate pair (default 1)\n\
+       --overlap <n>       (match, link, dedup) blocking overlap floor, at least 1:\n\
+                           a candidate pair needs max(n, 2) shared blocking keys;\n\
+                           at 1 (default) title tokens and 4-grams count\n\
+                           together, at n >= 2 only title tokens count\n\
        --block-on <attr>   (match, link, dedup) attribute name to block on\n\
                            (default: first column)\n\
        --kappa <k>         (match, link, dedup) regularization strength (default\n\
@@ -275,6 +277,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.overlap = take_value(&mut it, "--overlap")?
                     .parse()
                     .map_err(|_| "--overlap must be an integer".to_string())?;
+                if args.overlap == 0 {
+                    return Err("--overlap must be at least 1".into());
+                }
             }
             "--block-on" => args.block_on = Some(take_value(&mut it, "--block-on")?),
             "--kappa" => {

@@ -30,9 +30,13 @@ pub struct MatchOptions {
     /// Attribute index used as the blocking key (default 0 — the
     /// name/title column in every benchmark schema).
     pub blocking_attr: usize,
-    /// Minimum shared word tokens for a candidate pair (1 = any shared
-    /// token, unioned with q-gram blocking for typo robustness; ≥ 2 =
-    /// overlap blocking).
+    /// The overlap floor of the standard blocking rule
+    /// (`zeroer_blocking::standard_rule`): a candidate pair needs
+    /// `max(min_token_overlap, 2)` shared keys. At 1 (the default) a
+    /// shared token and a shared q-gram count alike, so a typo inside a
+    /// word cannot lose the pair; ≥ 2 is overlap blocking on tokens
+    /// alone. The `*_with_snapshot` calls refuse 0, which the plain calls
+    /// treat as 1.
     pub min_token_overlap: usize,
 }
 
@@ -147,13 +151,11 @@ pub fn match_tables(left: &Table, right: &Table, opts: &MatchOptions) -> MatchRe
             labels: vec![],
         };
     };
-    publish_batch_gauges(
-        &DerivationStats::of(&prep.cross_fz),
-        legs.cross.task.pairs.len(),
-    );
+    let pairs = legs.cross.pairs().to_vec();
+    publish_batch_gauges(&DerivationStats::of(&prep.cross_fz), pairs.len());
     let (out, _) = legs.fit(&opts.config);
     MatchResult {
-        pairs: legs.cross.task.pairs,
+        pairs,
         probabilities: out.cross_gammas,
         labels: out.cross_labels,
     }
@@ -221,11 +223,10 @@ pub fn dedup_table(table: &Table, opts: &MatchOptions) -> DedupResult {
             stats,
         };
     };
-    publish_batch_gauges(&stats, leg.task.pairs.len());
-    let (model, _) = leg.fit_dedup(&opts.config);
-    let pairs = leg.task.pairs;
-    let labels = model.labels();
-    let probabilities = model.gammas().to_vec();
+    let pairs = leg.pairs().to_vec();
+    publish_batch_gauges(&stats, pairs.len());
+    let (_, _, probabilities) = leg.fit_dedup(&opts.config);
+    let labels: Vec<bool> = probabilities.iter().map(|&g| g > 0.5).collect();
 
     // Transitive closure over predicted duplicates, via the shared
     // union-find (the same structure `EntityStore` clusters with).
@@ -279,6 +280,8 @@ pub fn dedup_table_with_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zeroer_blocking::{standard_candidates_derived, PairMode};
+    use zeroer_datagen::{generate_dedup, CorpusSpec};
     use zeroer_tabular::csv::read_table;
 
     fn left() -> Table {
@@ -405,5 +408,131 @@ mod tests {
         let result = match_tables(&l, &r, &MatchOptions::default());
         assert_eq!(result.num_matches(), 0);
         assert!(result.pairs.is_empty());
+    }
+
+    /// The `zeroer dedup` CLI fixture: blocking keeps one two-key pair,
+    /// so the fit also sees support rows.
+    fn cli_fixture() -> Table {
+        read_table(
+            "t",
+            "name\n\
+             Golden Dragon Palace\n\
+             Golden Dragon Palce\n\
+             Blue Sky Tavern\n\
+             Rustic Oak Kitchen\n",
+        )
+        .unwrap()
+    }
+
+    /// Components of the labelled candidate pairs, as `dedup_table`
+    /// clusters them.
+    fn clusters_of(n: usize, pairs: &[(usize, usize)], labels: &[bool]) -> Vec<Vec<usize>> {
+        let mut uf = UnionFind::new(n);
+        for (&(a, b), &dup) in pairs.iter().zip(labels) {
+            if dup {
+                uf.union(a, b);
+            }
+        }
+        uf.clusters(2)
+    }
+
+    #[test]
+    fn support_rows_appear_in_no_output() {
+        let table = cli_fixture();
+        let opts = MatchOptions::default();
+        let prep = build_dedup_leg(&table, &opts.index());
+        let leg = prep.leg.expect("one two-key pair");
+        let candidates = leg.pairs().to_vec();
+        let support = &leg.task.pairs[leg.candidates..];
+        assert_eq!(candidates, vec![(0, 1)], "premise: one candidate");
+        assert!(!support.is_empty(), "premise: the fit sees support rows");
+        assert!(candidates.len() + support.len() <= 2 * (prep.fz.dim() + 1));
+
+        let plain = dedup_table(&table, &opts);
+        assert_eq!(plain.pairs, candidates);
+        assert_eq!(plain.probabilities.len(), candidates.len());
+        assert_eq!(plain.labels.len(), candidates.len());
+        assert_eq!(
+            plain.clusters,
+            clusters_of(table.len(), &plain.pairs, &plain.labels)
+        );
+        assert_eq!(plain.clusters, vec![vec![0, 1]], "the pair must match");
+
+        let (with_snap, pipeline) = dedup_table_with_snapshot(&table, &opts).expect("bootstrap");
+        assert_eq!(with_snap.pairs, candidates);
+        assert_eq!(with_snap.probabilities, plain.probabilities);
+        assert_eq!(with_snap.labels, plain.labels);
+        assert_eq!(with_snap.clusters, plain.clusters);
+        assert_eq!(pipeline.stats().candidate_pairs, candidates.len());
+        let snap = pipeline.snapshot();
+        assert!(
+            snap.bootstrap_pairs.iter().all(|p| candidates.contains(p)),
+            "bootstrap decisions are candidate pairs: {:?}",
+            snap.bootstrap_pairs
+        );
+
+        // Linkage: the cross leg keeps (0, 0) and fits on the one-key
+        // pair (1, 1) as well.
+        let pick = |rows: [usize; 2]| {
+            let mut t = Table::new("side", table.schema().clone());
+            for i in rows {
+                t.push(table.records()[i].clone());
+            }
+            t
+        };
+        let (left, right) = (pick([0, 2]), pick([1, 3]));
+        let legs = build_linkage_legs(&left, &right, &opts.index())
+            .legs
+            .expect("a cross candidate");
+        assert_eq!(legs.cross.pairs(), [(0, 0)]);
+        assert!(
+            legs.cross.task.pairs.len() > legs.cross.candidates,
+            "premise: the cross fit sees support rows"
+        );
+        assert_eq!(legs.candidates, 1, "no within-table candidates");
+        let result = match_tables(&left, &right, &opts);
+        assert_eq!(result.pairs, vec![(0, 0)]);
+        assert_eq!(result.probabilities.len(), 1);
+        assert_eq!(result.labels, vec![true]);
+    }
+
+    #[test]
+    fn legs_with_enough_candidates_fit_on_exactly_them() {
+        let spec = CorpusSpec {
+            scale: 0.005,
+            seed: 3,
+            ..CorpusSpec::default()
+        };
+        let table = generate_dedup(&spec).expect("valid spec").table;
+        let index = MatchOptions::default().index();
+        let prep = build_dedup_leg(&table, &index);
+        let leg = prep.leg.expect("candidates");
+        let cs = standard_candidates_derived(
+            prep.fz.left_derived(),
+            None,
+            PairMode::Dedup,
+            index.min_token_overlap,
+            index.max_bucket,
+        );
+        assert!(cs.len() >= 2 * (prep.fz.dim() + 1), "premise: {}", cs.len());
+        assert_eq!(leg.candidates, cs.len());
+        assert_eq!(leg.task.pairs, cs.pairs(), "no support rows");
+        assert_eq!(leg.task.features.rows(), cs.len());
+    }
+
+    #[test]
+    fn bootstraps_refuse_overlap_zero() {
+        let opts = StreamOptions {
+            min_token_overlap: 0,
+            ..StreamOptions::default()
+        };
+        let err = StreamPipeline::bootstrap(&cli_fixture(), opts.clone())
+            .err()
+            .expect("dedup bootstrap refuses overlap 0");
+        assert!(err.0.contains("min_token_overlap"), "{err}");
+        let err = LinkPipeline::bootstrap(&left(), &right(), opts)
+            .err()
+            .expect("linkage bootstrap refuses overlap 0");
+        assert!(err.0.contains("min_token_overlap"), "{err}");
     }
 }

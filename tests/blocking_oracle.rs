@@ -1,21 +1,31 @@
-//! The blocking probe against the hash join it replaced.
+//! The blocking probe against the hash join it replaced, and the
+//! standard rule's pair locality.
 //!
 //! [`reference`] is a verbatim copy of the earlier blocking core: one
 //! `HashMap<Sym, Vec<usize>>` inverted index per side and key leg, a
 //! bucket-by-bucket join, a `HashMap` of per-pair shared-key counts for
 //! overlap blocking, and a `HashSet` candidate set sorted at the end.
-//! The proptests assert that [`standard_candidates_derived`] and the
-//! three key-based trait blockers produce the identical pair list in
-//! both pair modes, with and without a distinct right side, at overlap
-//! floors 1–3 and at bucket caps small enough that the stop-word skip
-//! fires. Records draw their words from a four-letter alphabet, so many
-//! records share each token and q-gram key.
+//! Its standard recipe is the two-key oracle: at overlap 1 it counts
+//! each pair's shared keys over the token and q-gram legs together in a
+//! separate `HashMap` and keeps the pairs sharing at least two. The
+//! proptests assert that [`standard_candidates_derived`],
+//! [`standard_recipe`] and the three key-based trait blockers produce the
+//! identical pair list in both pair modes, with and without a distinct
+//! right side, at overlap floors 1–3 and at bucket caps small enough that
+//! the stop-word skip fires. Records draw their words from a four-letter
+//! alphabet, so many records share each token and q-gram key.
+//!
+//! The pair-locality proptest checks what exact retraction rests on: with
+//! no stop-word bucket, a pair is a candidate of a whole table exactly
+//! when it is a candidate of the two-record table holding only its
+//! records — for the batch probe and for both streaming indexes.
 
 use proptest::prelude::*;
 use zeroer::blocking::{
-    standard_candidates_derived, AttrEquivalenceBlocker, Blocker, PairMode, QgramBlocker,
-    TokenBlocker,
+    standard_candidates_derived, standard_recipe, AttrEquivalenceBlocker, Blocker, PairMode,
+    QgramBlocker, TokenBlocker,
 };
+use zeroer::stream::{IncrementalIndex, IndexConfig, RecordKeys, ShardedIndex};
 use zeroer::tabular::{Record, Schema, Table, Value};
 use zeroer::textsim::derive::{DeriveConfig, DerivedRecord, Deriver};
 
@@ -49,10 +59,6 @@ mod reference {
         let mut pairs: Vec<_> = set.into_iter().collect();
         pairs.sort_unstable();
         pairs
-    }
-
-    fn union(mode: PairMode, a: &[(usize, usize)], b: &[(usize, usize)]) -> Vec<(usize, usize)> {
-        candidate_set(mode, a.iter().chain(b.iter()).copied())
     }
 
     /// Inverted index over interned blocking keys: `key → record indices`.
@@ -159,6 +165,36 @@ mod reference {
         )
     }
 
+    /// Adds one per pair and shared key of one leg to `counts`,
+    /// skipping stop-word buckets.
+    fn count_shared(
+        left_index: &SymIndex,
+        right_index: &SymIndex,
+        mode: PairMode,
+        max_bucket: usize,
+        counts: &mut HashMap<(usize, usize), usize>,
+    ) {
+        for (key, ls) in left_index {
+            let Some(rs) = right_index.get(key) else {
+                continue;
+            };
+            if ls.len().saturating_mul(rs.len()) > max_bucket.saturating_mul(max_bucket) {
+                continue;
+            }
+            for &l in ls {
+                for &r in rs {
+                    if mode == PairMode::Dedup && l >= r {
+                        continue;
+                    }
+                    *counts.entry((l, r)).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+
+    /// The two-key oracle: at overlap 1, the pairs sharing at least two
+    /// keys over the token and q-gram legs together; at overlap ≥ 2,
+    /// token overlap blocking.
     pub fn standard_candidates_derived(
         left: &[DerivedRecord],
         right: Option<&[DerivedRecord]>,
@@ -178,11 +214,15 @@ mod reference {
         if min_overlap >= 2 {
             return join_with_overlap(li, ri, mode, max_bucket, min_overlap);
         }
-        let tokens = join_indices(li, ri, mode, max_bucket);
         let qgm = index(|k| &k.qgrams);
         let (qli, qri) = qgm.sides();
-        let qgrams = join_indices(qli, qri, mode, max_bucket);
-        union(mode, &tokens, &qgrams)
+        let mut counts = HashMap::new();
+        count_shared(li, ri, mode, max_bucket, &mut counts);
+        count_shared(qli, qri, mode, max_bucket, &mut counts);
+        candidate_set(
+            mode,
+            counts.into_iter().filter(|&(_, c)| c >= 2).map(|(p, _)| p),
+        )
     }
 
     fn extract_keys(
@@ -301,7 +341,9 @@ fn assert_derived_parity(left: &[DerivedRecord], right: &[DerivedRecord]) {
 }
 
 fn assert_trait_parity(left: &Table, right: &Table) {
+    let (ld, rd) = derive(left, right, 4);
     for mode in [PairMode::Dedup, PairMode::Cross] {
+        let rd = (mode == PairMode::Cross).then_some(rd.as_slice());
         for cap in CAPS {
             for min_overlap in 1..=3 {
                 let blocker = TokenBlocker {
@@ -313,6 +355,14 @@ fn assert_trait_parity(left: &Table, right: &Table) {
                     blocker.candidates(left, right, mode).pairs(),
                     reference::token_blocker(left, right, mode, cap, min_overlap).as_slice(),
                     "token blocker, {mode:?}, overlap {min_overlap}, cap {cap}"
+                );
+                assert_eq!(
+                    standard_recipe(0, min_overlap, 4, cap)
+                        .candidates(left, right, mode)
+                        .pairs(),
+                    reference::standard_candidates_derived(&ld, rd, mode, min_overlap, cap)
+                        .as_slice(),
+                    "standard recipe, {mode:?}, overlap {min_overlap}, cap {cap}"
                 );
             }
             for q in [2, 3] {
@@ -375,4 +425,88 @@ fn shared_stop_word_is_skipped_exactly_at_the_cap() {
         }
     }
     assert_trait_parity(&t, &t);
+}
+
+/// Whether `(a, b)` is a candidate of the two-record table holding only
+/// `a` and `b`, for every blocking path the standard rule drives.
+fn assert_pair_local(values: &[String], right: &[String], overlap: usize) {
+    let (lt, rt) = (table(values), table(right));
+    let cap = values.len() + right.len() + 2;
+
+    // The batch probe, in both pair modes.
+    let (ld, rd) = derive(&lt, &rt, 4);
+    let dedup = standard_candidates_derived(&ld, None, PairMode::Dedup, overlap, cap);
+    for a in 0..ld.len() {
+        for b in a + 1..ld.len() {
+            let two = [ld[a].clone(), ld[b].clone()];
+            let local = standard_candidates_derived(&two, None, PairMode::Dedup, overlap, cap);
+            assert_eq!(
+                dedup.contains(a, b),
+                local.contains(0, 1),
+                "dedup pair ({a}, {b}), overlap {overlap}"
+            );
+        }
+    }
+    let cross = standard_candidates_derived(&ld, Some(&rd), PairMode::Cross, overlap, cap);
+    for (l, lrec) in ld.iter().enumerate() {
+        for (r, rrec) in rd.iter().enumerate() {
+            let (one_l, one_r) = ([lrec.clone()], [rrec.clone()]);
+            let local =
+                standard_candidates_derived(&one_l, Some(&one_r), PairMode::Cross, overlap, cap);
+            assert_eq!(
+                cross.contains(l, r),
+                local.contains(0, 0),
+                "cross pair ({l}, {r}), overlap {overlap}"
+            );
+        }
+    }
+
+    // The streaming indexes: record-by-record and batched inserts.
+    let cfg = IndexConfig {
+        max_bucket: cap,
+        min_token_overlap: overlap,
+        ..IndexConfig::default()
+    };
+    let mut deriver = Deriver::new(cfg.derive_config());
+    let keys: Vec<RecordKeys> = lt
+        .records()
+        .iter()
+        .map(|r| RecordKeys::from_derived(&deriver.derive(&r.values), deriver.interner()))
+        .collect();
+    let mut flat = IncrementalIndex::new(cfg.clone());
+    let flat_out: Vec<Vec<usize>> = keys.iter().map(|k| flat.insert_keys(k)).collect();
+    let sharded_out = ShardedIndex::with_shards(cfg.clone(), 4).insert_batch(keys.clone(), 2);
+    assert_eq!(sharded_out, flat_out, "overlap {overlap}");
+    for b in 0..keys.len() {
+        for a in 0..b {
+            let mut pair = IncrementalIndex::new(cfg.clone());
+            pair.insert_keys(&keys[a]);
+            let local = !pair.insert_keys(&keys[b]).is_empty();
+            assert_eq!(
+                flat_out[b].contains(&a),
+                local,
+                "incremental pair ({a}, {b}), overlap {overlap}"
+            );
+            let mut pair = ShardedIndex::with_shards(cfg.clone(), 4);
+            pair.insert_keys(keys[a].clone());
+            assert_eq!(
+                !pair.insert_keys(keys[b].clone()).is_empty(),
+                local,
+                "sharded pair ({a}, {b}), overlap {overlap}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn standard_rule_is_pair_local(
+        l in values(24),
+        r in values(12),
+        overlap in 1usize..=3,
+    ) {
+        assert_pair_local(&l, &r, overlap);
+    }
 }

@@ -110,6 +110,55 @@ fn dedup_command_runs() {
     );
 }
 
+/// `--overlap 0` is a usage error on every batch command, with or
+/// without `--save-model`: a clean message naming the flag, no panic and
+/// no snapshot file.
+#[test]
+fn overlap_zero_is_a_usage_error() {
+    let l = write_tmp("ov0-l", LEFT);
+    let r = write_tmp("ov0-r", RIGHT);
+    let t = write_tmp(
+        "ov0-t",
+        "name\nGolden Dragon Palace\nGolden Dragon Palce\nBlue Sky Tavern\n",
+    );
+    let (l, r, t) = (
+        l.to_str().unwrap(),
+        r.to_str().unwrap(),
+        t.to_str().unwrap(),
+    );
+    for (command, files) in [
+        ("match", vec![l, r]),
+        ("link", vec![l, r]),
+        ("dedup", vec![t]),
+    ] {
+        for save in [false, true] {
+            let snap = std::env::temp_dir().join(format!(
+                "zeroer-ov0-{command}-{save}-{}.json",
+                std::process::id()
+            ));
+            let mut args = vec![command];
+            args.extend(&files);
+            args.extend(["--overlap", "0"]);
+            if save {
+                args.extend(["--save-model", snap.to_str().unwrap()]);
+            }
+            let out = Command::new(zeroer_bin())
+                .args(&args)
+                .output()
+                .expect("spawn zeroer");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{args:?} must fail");
+            assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
+            assert!(
+                stderr.contains("--overlap must be at least 1"),
+                "{args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(!snap.exists(), "{args:?} wrote a snapshot");
+        }
+    }
+}
+
 #[test]
 fn save_model_then_ingest_round_trip() {
     let base = write_tmp(

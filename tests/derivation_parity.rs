@@ -21,7 +21,9 @@ use zeroer::textsim::derive::{DerivedRecord, Deriver, ScratchDeriver};
 use zeroer::textsim::{jaro_winkler, Interner, Sym, TokenBag};
 
 /// The retired string-based tokenizers and blockers, kept as the parity
-/// reference. This is a line-for-line port of the pre-refactor code.
+/// reference. This is a line-for-line port of the pre-refactor code,
+/// except for the blocking join, which counts shared keys per pair under
+/// the current two-key rule.
 mod reference {
     use std::collections::HashMap;
 
@@ -84,10 +86,13 @@ mod reference {
         keys
     }
 
-    /// The old string-keyed inverted-index join (dedup mode), including
-    /// the stop-word bucket guard.
-    pub fn join(index: &HashMap<String, Vec<usize>>, max_bucket: usize) -> Vec<(usize, usize)> {
-        let mut pairs = std::collections::BTreeSet::new();
+    /// Adds one per pair and shared key of one leg to `counts`,
+    /// skipping stop-word buckets (dedup mode).
+    pub fn count_shared(
+        index: &HashMap<String, Vec<usize>>,
+        max_bucket: usize,
+        counts: &mut HashMap<(usize, usize), usize>,
+    ) {
         for members in index.values() {
             if members.len() * members.len() > max_bucket * max_bucket {
                 continue;
@@ -95,15 +100,15 @@ mod reference {
             for &a in members {
                 for &b in members {
                     if a < b {
-                        pairs.insert((a, b));
+                        *counts.entry((a, b)).or_insert(0) += 1;
                     }
                 }
             }
         }
-        pairs.into_iter().collect()
     }
 
-    /// The old standard dedup recipe: token ∪ q-gram blocking.
+    /// The standard dedup recipe: the pairs sharing at least two keys
+    /// over the token and q-gram legs together.
     pub fn standard_dedup_pairs(
         names: &[String],
         q: usize,
@@ -119,9 +124,14 @@ mod reference {
                 qgm.entry(k).or_default().push(i);
             }
         }
-        let mut pairs: std::collections::BTreeSet<(usize, usize)> =
-            join(&tok, max_bucket).into_iter().collect();
-        pairs.extend(join(&qgm, max_bucket));
+        let mut counts = HashMap::new();
+        count_shared(&tok, max_bucket, &mut counts);
+        count_shared(&qgm, max_bucket, &mut counts);
+        let pairs: std::collections::BTreeSet<(usize, usize)> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= 2)
+            .map(|(p, _)| p)
+            .collect();
         pairs.into_iter().collect()
     }
 }
@@ -214,7 +224,7 @@ proptest! {
     }
 
     /// The standard dedup candidate set over the derived keys equals the
-    /// old string-keyed inverted-index blocking exactly.
+    /// string-keyed inverted indexes' per-pair two-key count exactly.
     #[test]
     fn candidate_sets_match_reference(
         names in proptest::collection::vec(attr_text(), 16),

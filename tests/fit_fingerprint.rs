@@ -92,6 +92,10 @@ fn prefix_table(t: &Table, n: usize) -> Table {
     out
 }
 
+/// Recorded under the two-key blocking rule: 6,337 candidate pairs, down
+/// from 11,380 when one shared key sufficed, with the same 144 matches
+/// and 98 clusters. Pair-F1 of the clusters against the corpus truth is
+/// 1.0 under both rules.
 #[test]
 fn dedup_table_outputs_are_pinned() {
     let corpus = generate_dedup(&spec()).expect("valid spec");
@@ -104,11 +108,14 @@ fn dedup_table_outputs_are_pinned() {
     let matches = out.labels.iter().filter(|&&l| l).count();
     assert_eq!(
         (out.pairs.len(), matches, out.clusters.len(), d.0),
-        (11_380, 144, 98, 7_982_262_645_071_874_780),
+        (6_337, 144, 98, 12_814_440_456_397_331_983),
         "dedup_table outputs moved (pairs, matches, clusters, digest)"
     );
 }
 
+/// Recorded under the two-key blocking rule: 3,079 cross candidates,
+/// down from 5,631, with the same 60 matches. F1 of the matches against
+/// the corpus truth is 1.0 under both rules.
 #[test]
 fn match_tables_outputs_are_pinned() {
     let corpus = generate_linkage(&spec()).expect("valid spec");
@@ -119,11 +126,15 @@ fn match_tables_outputs_are_pinned() {
     d.labels(&out.labels);
     assert_eq!(
         (out.pairs.len(), out.num_matches(), d.0),
-        (5_631, 60, 15_829_405_370_097_365_586),
+        (3_079, 60, 13_310_832_301_748_638_245),
         "match_tables outputs moved (pairs, matches, digest)"
     );
 }
 
+/// Recorded under the two-key blocking rule: 3,242 bootstrap pairs (from
+/// 5,655) and 6,337 refit pairs (from 11,380). F1 of the bootstrap labels
+/// against the truth among the bootstrap records, and pair-F1 of the
+/// clusters after streaming the tail, are 1.0 under both rules.
 #[test]
 fn bootstrap_ingest_and_refit_are_pinned() {
     let corpus = generate_dedup(&spec()).expect("valid spec");
@@ -138,7 +149,7 @@ fn bootstrap_ingest_and_refit_are_pinned() {
     boot.labels(&report.labels);
     assert_eq!(
         (report.pairs.len(), report.em_iterations, boot.0),
-        (5_655, 6, 156_445_940_248_448_051),
+        (3_242, 6, 642_580_684_813_439_090),
         "bootstrap outputs moved (pairs, EM iterations, digest)"
     );
 
@@ -162,16 +173,21 @@ fn bootstrap_ingest_and_refit_are_pinned() {
     assert_eq!(
         (stream.0, refresh.pairs, refresh.em_iterations, refit.0),
         (
-            1_214_162_121_046_519_576,
-            11_380,
+            5_615_783_830_826_120_268,
+            6_337,
             7,
-            14_757_737_102_750_050_009
+            11_262_578_829_185_324_076
         ),
         "streamed decisions or refit outputs moved (stream digest, refit pairs, \
          EM iterations, snapshot digest)"
     );
 }
 
+/// Recorded under the two-key blocking rule: 1,403 bootstrap cross pairs
+/// (from 2,644) and 3,079 refit pairs (from 5,631); the bootstrap fit
+/// converges in 5 EM iterations (from 6) and the refit in 6 (from 7).
+/// F1 of the bootstrap labels, and of the cross links after streaming
+/// both tails, against the corpus truth is 1.0 under both rules.
 #[test]
 fn link_bootstrap_ingest_and_refit_are_pinned() {
     let corpus = generate_linkage(&spec()).expect("valid spec");
@@ -216,12 +232,12 @@ fn link_bootstrap_ingest_and_refit_are_pinned() {
             refit.0
         ),
         (
-            2_644,
+            1_403,
+            5,
+            2_558_566_049_484_221_941,
+            3_079,
             6,
-            17_787_776_782_607_146_794,
-            5_631,
-            7,
-            827_599_343_596_715_399
+            4_902_189_473_893_618_034
         ),
         "linkage bootstrap, streamed decisions or refit snapshot moved (bootstrap pairs, \
          EM iterations, stream digest, refit pairs, EM iterations, snapshot digest)"
