@@ -13,8 +13,8 @@
 
 use crate::config::ZeroErConfig;
 use crate::model::{FitSummary, GenerativeModel};
-use crate::transitivity::TransitivityCalibrator;
-use std::collections::{BTreeMap, HashMap};
+use crate::transitivity::{repair, Repair, TransitivityCalibrator};
+use std::collections::BTreeMap;
 use zeroer_linalg::block::GroupLayout;
 use zeroer_linalg::Matrix;
 
@@ -81,6 +81,11 @@ pub struct LinkageOutcome {
     pub summary: FitSummary,
 }
 
+/// One within-table leg as the cross sweep sees it: the leg's calibrator,
+/// which looks up implied pairs, and its posteriors. `None` when the leg
+/// has no pairs, so every implied pair reads `γ23 = 0`.
+type WithinLeg<'a> = Option<(&'a TransitivityCalibrator, &'a mut [f64])>;
+
 /// Indexes the triangles linking cross pairs to within-table pairs.
 struct CrossCalibrator {
     /// left node → (right node, cross row). Ordered for deterministic
@@ -88,44 +93,26 @@ struct CrossCalibrator {
     by_left: BTreeMap<usize, Vec<(usize, usize)>>,
     /// right node → (left node, cross row).
     by_right: BTreeMap<usize, Vec<(usize, usize)>>,
-    /// within-left pair → row in `Fl`.
-    left_index: HashMap<(usize, usize), usize>,
-    /// within-right pair → row in `Fr`.
-    right_index: HashMap<(usize, usize), usize>,
 }
 
 impl CrossCalibrator {
-    fn new(cross: &[(usize, usize)], left: &[(usize, usize)], right: &[(usize, usize)]) -> Self {
+    fn new(cross: &[(usize, usize)]) -> Self {
         let mut by_left: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
         let mut by_right: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
         for (row, &(l, r)) in cross.iter().enumerate() {
             by_left.entry(l).or_default().push((r, row));
             by_right.entry(r).or_default().push((l, row));
         }
-        let norm = |(a, b): (usize, usize)| (a.min(b), a.max(b));
-        Self {
-            by_left,
-            by_right,
-            left_index: left
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (norm(p), i))
-                .collect(),
-            right_index: right
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (norm(p), i))
-                .collect(),
-        }
+        Self { by_left, by_right }
     }
 
     /// Calibrates one "fan" direction: triangles formed by two hot cross
-    /// pairs sharing a pivot node plus the implied within-table pair.
+    /// pairs sharing a pivot node plus the implied pair in `within`'s
+    /// table.
     fn calibrate_side(
         fan: &BTreeMap<usize, Vec<(usize, usize)>>,
-        within_index: &HashMap<(usize, usize), usize>,
         cross_g: &mut [f64],
-        within_g: &mut [f64],
+        mut within: WithinLeg<'_>,
     ) {
         for neighbors in fan.values() {
             let hot: Vec<(usize, usize)> = neighbors
@@ -140,49 +127,28 @@ impl CrossCalibrator {
                 for j in (i + 1)..hot.len() {
                     let (n2, p12) = hot[i];
                     let (n3, p13) = hot[j];
-                    let g12 = cross_g[p12];
-                    let g13 = cross_g[p13];
-                    if g12 <= 0.5 || g13 <= 0.5 {
-                        continue;
-                    }
-                    let key = (n2.min(n3), n2.max(n3));
-                    let p23 = within_index.get(&key).copied();
-                    let g23 = p23.map_or(0.0, |r| within_g[r]);
-                    if g12 * g13 <= g23 {
-                        continue;
-                    }
-                    let c12 = (g12 - 0.5).abs();
-                    let c13 = (g13 - 0.5).abs();
-                    let c23 = (g23 - 0.5).abs();
-                    if c12 <= c13 && c12 <= c23 {
-                        cross_g[p12] = if g13 > 0.0 {
-                            (g23 / g13).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        };
-                    } else if c13 <= c12 && c13 <= c23 {
-                        cross_g[p13] = if g12 > 0.0 {
-                            (g23 / g12).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        };
-                    } else if let Some(r23) = p23 {
-                        within_g[r23] = (g12 * g13).clamp(0.0, 1.0);
-                    } else if c12 <= c13 {
-                        cross_g[p12] = 0.0;
-                    } else {
-                        cross_g[p13] = 0.0;
+                    let e23 = within
+                        .as_ref()
+                        .and_then(|(cal, g)| cal.pair_row(n2, n3).map(|r| (r, g[r])));
+                    match repair((p12, cross_g[p12]), (p13, cross_g[p13]), e23) {
+                        Some(Repair::Pivot(row, g)) => cross_g[row] = g,
+                        Some(Repair::Implied(row, g)) => {
+                            if let Some((_, within_g)) = &mut within {
+                                within_g[row] = g;
+                            }
+                        }
+                        None => {}
                     }
                 }
             }
         }
     }
 
-    fn calibrate(&self, cross_g: &mut [f64], left_g: &mut [f64], right_g: &mut [f64]) {
+    fn calibrate(&self, cross_g: &mut [f64], left: WithinLeg<'_>, right: WithinLeg<'_>) {
         // Pivot on left nodes: implied pairs live in the right table.
-        Self::calibrate_side(&self.by_left, &self.right_index, cross_g, right_g);
+        Self::calibrate_side(&self.by_left, cross_g, right);
         // Pivot on right nodes: implied pairs live in the left table.
-        Self::calibrate_side(&self.by_right, &self.left_index, cross_g, left_g);
+        Self::calibrate_side(&self.by_right, cross_g, left);
     }
 }
 
@@ -239,7 +205,7 @@ impl LinkageModel {
         let calibrator = self
             .config
             .transitivity
-            .then(|| CrossCalibrator::new(&cross.pairs, &left.pairs, &right.pairs));
+            .then(|| CrossCalibrator::new(&cross.pairs));
         let within_left_cal = (self.config.transitivity && fl.is_some())
             .then(|| TransitivityCalibrator::new(&left.pairs));
         let within_right_cal = (self.config.transitivity && fr.is_some())
@@ -260,17 +226,18 @@ impl LinkageModel {
         // Prime F so its first E-step has parameters.
         f.m_step(&cross.features);
 
-        let mut empty_left: Vec<f64> = vec![];
-        let mut empty_right: Vec<f64> = vec![];
-
         for iter in 0..self.config.max_iterations {
             iterations = iter + 1;
             // F.E() + cross calibration (may edit Fl/Fr posteriors).
             let ll = f.e_step(&cross.features);
             if let Some(cal) = &calibrator {
-                let lg: &mut [f64] = fl.as_mut().map_or(&mut empty_left[..], |m| m.gammas_mut());
-                let rg: &mut [f64] = fr.as_mut().map_or(&mut empty_right[..], |m| m.gammas_mut());
-                cal.calibrate(f.gammas_mut(), lg, rg);
+                let left = within_left_cal
+                    .as_ref()
+                    .zip(fl.as_mut().map(|m| m.gammas_mut()));
+                let right = within_right_cal
+                    .as_ref()
+                    .zip(fr.as_mut().map(|m| m.gammas_mut()));
+                cal.calibrate(f.gammas_mut(), left, right);
             }
             // F.M().
             f.m_step(&cross.features);
@@ -477,7 +444,7 @@ mod tests {
             m
         };
         let (mut f, mut fl, mut fr) = (model(cross), model(left), model(right));
-        let calibrator = CrossCalibrator::new(&cross.pairs, &left.pairs, &right.pairs);
+        let calibrator = CrossCalibrator::new(&cross.pairs);
         let (left_cal, right_cal) = (
             TransitivityCalibrator::new(&left.pairs),
             TransitivityCalibrator::new(&right.pairs),
@@ -488,7 +455,11 @@ mod tests {
         f.m_step(&cross.features);
         for iter in 0..config.max_iterations {
             let ll = f.e_step(&cross.features);
-            calibrator.calibrate(f.gammas_mut(), fl.gammas_mut(), fr.gammas_mut());
+            calibrator.calibrate(
+                f.gammas_mut(),
+                Some((&left_cal, fl.gammas_mut())),
+                Some((&right_cal, fr.gammas_mut())),
+            );
             f.m_step(&cross.features);
             for (m, task, cal) in [(&mut fl, left, &left_cal), (&mut fr, right, &right_cal)] {
                 m.m_step(&task.features);
@@ -555,5 +526,238 @@ mod tests {
             vec![(0, 0)],
             GroupLayout::from_sizes(&[1]),
         );
+    }
+}
+
+/// The cross calibrator against the one it replaced, which indexed the
+/// within-table pairs in two `HashMap`s of its own and spelled out
+/// Eq. 17 a second time: cross pairs with duplicates, within legs with
+/// duplicates, self-pairs and both orientations or no pairs at all, and
+/// posteriors near 0.5 so sweeps adjust many triangles.
+#[cfg(test)]
+mod cross_calibrator_parity {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The earlier cross calibrator, verbatim.
+    mod reference {
+        use std::collections::{BTreeMap, HashMap};
+
+        pub struct CrossCalibrator {
+            /// left node → (right node, cross row). Ordered for deterministic
+            /// calibration sweeps.
+            by_left: BTreeMap<usize, Vec<(usize, usize)>>,
+            /// right node → (left node, cross row).
+            by_right: BTreeMap<usize, Vec<(usize, usize)>>,
+            /// within-left pair → row in `Fl`.
+            left_index: HashMap<(usize, usize), usize>,
+            /// within-right pair → row in `Fr`.
+            right_index: HashMap<(usize, usize), usize>,
+        }
+
+        impl CrossCalibrator {
+            pub fn new(
+                cross: &[(usize, usize)],
+                left: &[(usize, usize)],
+                right: &[(usize, usize)],
+            ) -> Self {
+                let mut by_left: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+                let mut by_right: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+                for (row, &(l, r)) in cross.iter().enumerate() {
+                    by_left.entry(l).or_default().push((r, row));
+                    by_right.entry(r).or_default().push((l, row));
+                }
+                let norm = |(a, b): (usize, usize)| (a.min(b), a.max(b));
+                Self {
+                    by_left,
+                    by_right,
+                    left_index: left
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &p)| (norm(p), i))
+                        .collect(),
+                    right_index: right
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &p)| (norm(p), i))
+                        .collect(),
+                }
+            }
+
+            /// Calibrates one "fan" direction: triangles formed by two hot cross
+            /// pairs sharing a pivot node plus the implied within-table pair.
+            fn calibrate_side(
+                fan: &BTreeMap<usize, Vec<(usize, usize)>>,
+                within_index: &HashMap<(usize, usize), usize>,
+                cross_g: &mut [f64],
+                within_g: &mut [f64],
+            ) {
+                for neighbors in fan.values() {
+                    let hot: Vec<(usize, usize)> = neighbors
+                        .iter()
+                        .copied()
+                        .filter(|&(_, row)| cross_g[row] > 0.5)
+                        .collect();
+                    if hot.len() < 2 {
+                        continue;
+                    }
+                    for i in 0..hot.len() {
+                        for j in (i + 1)..hot.len() {
+                            let (n2, p12) = hot[i];
+                            let (n3, p13) = hot[j];
+                            let g12 = cross_g[p12];
+                            let g13 = cross_g[p13];
+                            if g12 <= 0.5 || g13 <= 0.5 {
+                                continue;
+                            }
+                            let key = (n2.min(n3), n2.max(n3));
+                            let p23 = within_index.get(&key).copied();
+                            let g23 = p23.map_or(0.0, |r| within_g[r]);
+                            if g12 * g13 <= g23 {
+                                continue;
+                            }
+                            let c12 = (g12 - 0.5).abs();
+                            let c13 = (g13 - 0.5).abs();
+                            let c23 = (g23 - 0.5).abs();
+                            if c12 <= c13 && c12 <= c23 {
+                                cross_g[p12] = if g13 > 0.0 {
+                                    (g23 / g13).clamp(0.0, 1.0)
+                                } else {
+                                    0.0
+                                };
+                            } else if c13 <= c12 && c13 <= c23 {
+                                cross_g[p13] = if g12 > 0.0 {
+                                    (g23 / g12).clamp(0.0, 1.0)
+                                } else {
+                                    0.0
+                                };
+                            } else if let Some(r23) = p23 {
+                                within_g[r23] = (g12 * g13).clamp(0.0, 1.0);
+                            } else if c12 <= c13 {
+                                cross_g[p12] = 0.0;
+                            } else {
+                                cross_g[p13] = 0.0;
+                            }
+                        }
+                    }
+                }
+            }
+
+            pub fn calibrate(&self, cross_g: &mut [f64], left_g: &mut [f64], right_g: &mut [f64]) {
+                // Pivot on left nodes: implied pairs live in the right table.
+                Self::calibrate_side(&self.by_left, &self.right_index, cross_g, right_g);
+                // Pivot on right nodes: implied pairs live in the left table.
+                Self::calibrate_side(&self.by_right, &self.left_index, cross_g, left_g);
+            }
+        }
+    }
+
+    /// Posteriors cluster around the 0.5 decision boundary, with a few
+    /// confident and exact 0/1 values.
+    const NEAR_HALF: [f64; 12] = [
+        0.0, 0.2, 0.45, 0.5, 0.501, 0.51, 0.55, 0.6, 0.75, 0.9, 0.99, 1.0,
+    ];
+
+    fn bits(g: &[f64]) -> Vec<u64> {
+        g.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs four sweeps of both calibrators from `gammas` (cross, left,
+    /// right), comparing every posterior's bits after each. Within
+    /// calibrators exist only for legs with pairs, as in
+    /// [`LinkageModel::fit_models`].
+    fn assert_same(
+        cross: &[(usize, usize)],
+        left: &[(usize, usize)],
+        right: &[(usize, usize)],
+        gammas: [Vec<f64>; 3],
+    ) {
+        let new = CrossCalibrator::new(cross);
+        let want = reference::CrossCalibrator::new(cross, left, right);
+        let within = |pairs: &[(usize, usize)]| {
+            (!pairs.is_empty()).then(|| TransitivityCalibrator::new(pairs))
+        };
+        let (left_cal, right_cal) = (within(left), within(right));
+        let [mut c, mut l, mut r] = gammas.clone();
+        let [mut wc, mut wl, mut wr] = gammas;
+        for sweep in 0..4 {
+            new.calibrate(
+                &mut c,
+                left_cal.as_ref().map(|cal| (cal, &mut l[..])),
+                right_cal.as_ref().map(|cal| (cal, &mut r[..])),
+            );
+            want.calibrate(&mut wc, &mut wl, &mut wr);
+            let case = format!("sweep {sweep} of {cross:?} / {left:?} / {right:?}");
+            assert_eq!(bits(&c), bits(&wc), "cross, {case}");
+            assert_eq!(bits(&l), bits(&wl), "left, {case}");
+            assert_eq!(bits(&r), bits(&wr), "right, {case}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn cross_calibrator_matches_hash_maps(
+            nodes in 1usize..9,
+            lens in proptest::collection::vec(0usize..41, 3),
+            empty in 0usize..4,
+            ends in proptest::collection::vec(0usize..64, 240),
+            picks in proptest::collection::vec(0usize..NEAR_HALF.len(), 120),
+            jitter in proptest::collection::vec(-1e-3f64..1e-3, 120),
+        ) {
+            // Up to 40 pairs per leg over `nodes` nodes a side; bit 0 of
+            // `empty` empties the left leg, bit 1 the right one.
+            let mut legs = ends.chunks(80).zip(&lens).map(|(ends, &len)| {
+                ends[..2 * len]
+                    .chunks(2)
+                    .map(|c| (c[0] % nodes, c[1] % nodes))
+                    .collect::<Vec<_>>()
+            });
+            let cross = legs.next().unwrap();
+            let mut left = legs.next().unwrap();
+            let mut right = legs.next().unwrap();
+            if empty & 1 == 1 {
+                left.clear();
+            }
+            if empty & 2 == 2 {
+                right.clear();
+            }
+            let mut g = picks
+                .iter()
+                .zip(&jitter)
+                .map(|(&p, &j)| (NEAR_HALF[p] + j).clamp(0.0, 1.0));
+            let mut take = |n: usize| g.by_ref().take(n).collect::<Vec<f64>>();
+            let gammas = [take(cross.len()), take(left.len()), take(right.len())];
+            assert_same(&cross, &left, &right, gammas);
+        }
+    }
+
+    #[test]
+    fn dense_legs_with_every_duplicate_and_self_pair() {
+        let mut grid = Vec::new();
+        for a in 0..5 {
+            for b in 0..5 {
+                grid.push((a, b));
+            }
+        }
+        let cross: Vec<(usize, usize)> = grid.iter().chain(grid.iter().rev()).copied().collect();
+        let near_half = |n: usize, step: usize| -> Vec<f64> {
+            (0..n)
+                .map(|i| NEAR_HALF[(i * step) % NEAR_HALF.len()])
+                .collect()
+        };
+        for (left, right) in [
+            (&grid[..], &grid[..]),
+            (&grid[..], &[][..]),
+            (&[][..], &[][..]),
+        ] {
+            let gammas = [
+                near_half(cross.len(), 7),
+                near_half(left.len(), 5),
+                near_half(right.len(), 11),
+            ];
+            assert_same(&cross, left, right, gammas);
+        }
     }
 }

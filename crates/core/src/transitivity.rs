@@ -18,6 +18,53 @@
 //! Building them takes counting passes and one sort of the pair keys,
 //! which arrive sorted from blocking.
 
+/// Which posterior Eq. 17 overwrites in a violating triangle: its row and
+/// new value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Repair {
+    /// A pivot edge, `γ12` or `γ13`.
+    Pivot(usize, f64),
+    /// The implied pair `γ23`.
+    Implied(usize, f64),
+}
+
+/// Eq. 16/17 on one triangle: pivot edges `e12` and `e13` (row and
+/// posterior) sharing node `t1`, and the implied pair `e23` of
+/// `(t2, t3)`, `None` when blocking excluded it, which pins `γ23` at 0.
+/// Returns `None` when a pivot edge is no longer a likely match (it may
+/// have been lowered earlier in the sweep) or Eq. 16 holds, and otherwise
+/// the adjustment of the least confident posterior, the one closest to
+/// 0.5. Both the within-table and the cross-table sweep call this.
+pub(crate) fn repair(
+    (p12, g12): (usize, f64),
+    (p13, g13): (usize, f64),
+    e23: Option<(usize, f64)>,
+) -> Option<Repair> {
+    if g12 <= 0.5 || g13 <= 0.5 {
+        return None;
+    }
+    let g23 = e23.map_or(0.0, |(_, g)| g);
+    if g12 * g13 <= g23 {
+        return None;
+    }
+    let c12 = (g12 - 0.5).abs();
+    let c13 = (g13 - 0.5).abs();
+    let c23 = (g23 - 0.5).abs();
+    Some(if c12 <= c13 && c12 <= c23 {
+        Repair::Pivot(p12, (g23 / g13).clamp(0.0, 1.0))
+    } else if c13 <= c12 && c13 <= c23 {
+        Repair::Pivot(p13, (g23 / g12).clamp(0.0, 1.0))
+    } else if let Some((p23, _)) = e23 {
+        Repair::Implied(p23, (g12 * g13).clamp(0.0, 1.0))
+    } else if c12 <= c13 {
+        // γ23 is pinned at 0 by blocking; fall back to the less
+        // confident of the two present pairs.
+        Repair::Pivot(p12, 0.0)
+    } else {
+        Repair::Pivot(p13, 0.0)
+    })
+}
+
 /// Pair-row lookup plus adjacency for one candidate set, as compressed
 /// (CSR) arrays indexed by node.
 ///
@@ -157,42 +204,11 @@ impl TransitivityCalibrator {
                 for j in (i + 1)..hot.len() {
                     let (t2, p12) = hot[i];
                     let (t3, p13) = hot[j];
-                    let g12 = gammas[p12];
-                    let g13 = gammas[p13];
-                    if g12 <= 0.5 || g13 <= 0.5 {
-                        continue; // may have been adjusted earlier in the sweep
-                    }
-                    let p23 = self.pair_row(t2, t3);
-                    let g23 = p23.map_or(0.0, |r| gammas[r]);
-                    if g12 * g13 <= g23 {
-                        continue; // Eq. 16 satisfied
-                    }
-                    // Adjust the least confident (closest to 0.5).
-                    let c12 = (g12 - 0.5).abs();
-                    let c13 = (g13 - 0.5).abs();
-                    let c23 = (g23 - 0.5).abs();
-                    if c12 <= c13 && c12 <= c23 {
-                        gammas[p12] = if g13 > 0.0 {
-                            (g23 / g13).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        };
-                    } else if c13 <= c12 && c13 <= c23 {
-                        gammas[p13] = if g12 > 0.0 {
-                            (g23 / g12).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        };
-                    } else if let Some(r23) = p23 {
-                        gammas[r23] = (g12 * g13).clamp(0.0, 1.0);
-                    } else {
-                        // γ23 is pinned at 0 by blocking; fall back to the
-                        // less confident of the two present pairs.
-                        if c12 <= c13 {
-                            gammas[p12] = 0.0;
-                        } else {
-                            gammas[p13] = 0.0;
-                        }
+                    let e23 = self.pair_row(t2, t3).map(|r| (r, gammas[r]));
+                    if let Some(Repair::Pivot(row, g) | Repair::Implied(row, g)) =
+                        repair((p12, gammas[p12]), (p13, gammas[p13]), e23)
+                    {
+                        gammas[row] = g;
                     }
                 }
             }

@@ -10,14 +10,13 @@
 //! stores no per-record side tag, and nothing is dispatched dynamically.
 
 use crate::drift::{DriftMonitor, DriftSample};
-use crate::index::{CompactionDelta, IndexStats};
+use crate::index::{CompactionDelta, IncrementalIndex, IndexStats};
 use crate::link::Side;
 use crate::meters::StageMeters;
 use crate::pipeline::{
     CompactionReport, IngestOutcome, RefreshReport, RetractionReport, StreamError, StreamOptions,
     StreamStats,
 };
-use crate::shard::{RecordKeys, ShardedIndex};
 use crate::snapshot::{BaseTable, PipelineSnapshot, SnapshotModel};
 use crate::split::{ReadHandle, ReadView};
 use crate::store::EntityStore;
@@ -26,7 +25,7 @@ use zeroer_core::{ScoreBatch, SnapshotScorer};
 use zeroer_features::{BatchFeaturizer, FillScratch};
 use zeroer_obs::{Histogram, Stopwatch};
 use zeroer_tabular::{Record, Table};
-use zeroer_textsim::derive::{DerivedRecord, ScratchDerived, ScratchDeriver};
+use zeroer_textsim::derive::{DerivedRecord, KeySet, ScratchDerived, ScratchDeriver};
 use zeroer_textsim::intern::{Interner, Sym};
 
 /// Scores `candidates` against the new record's derivation, returning the
@@ -169,7 +168,7 @@ pub struct Pipeline<T: Topology> {
     pub(crate) opts: StreamOptions,
     pub(crate) store: EntityStore,
     /// The blocking indexes, one per table of [`Topology::TABLES`].
-    indexes: Vec<ShardedIndex>,
+    indexes: Vec<IncrementalIndex>,
     /// The tag each stored record arrived under, indexed like the store.
     /// Dedup's tag is `()`, so its `Vec<()>` stores and allocates nothing.
     pub(crate) tags: Vec<T::Tag>,
@@ -224,7 +223,7 @@ impl<T: Topology> Pipeline<T> {
             drift: DriftMonitor::new(scorer.snapshot()),
             indexes: T::TABLES
                 .iter()
-                .map(|_| ShardedIndex::new(opts.index_config()))
+                .map(|_| IncrementalIndex::new(opts.index_config()))
                 .collect(),
             tags: Vec::new(),
             opts,
@@ -260,7 +259,7 @@ impl<T: Topology> Pipeline<T> {
         let mut idx = 0;
         for (table, &(_, tag)) in tables.iter().zip(T::TABLES) {
             for _ in 0..table.len() {
-                let keys = RecordKeys::from_derived(self.store.derived(idx), self.store.interner());
+                let keys = self.store.derived(idx).keys().clone();
                 self.join(tag, idx, &keys);
                 idx += 1;
             }
@@ -407,9 +406,8 @@ impl<T: Topology> Pipeline<T> {
         for (table, &(_, tag)) in tables.iter().zip(T::TABLES) {
             for r in table.records() {
                 let derived = self.store.derive(r);
-                let keys = RecordKeys::from_derived(&derived, self.store.interner());
-                let idx = self.store.push_derived(r.clone(), derived);
-                self.join(tag, idx, &keys);
+                self.join(tag, self.store.len(), derived.keys());
+                self.store.push_derived(r.clone(), derived);
             }
         }
         for &(a, b) in &self.base_matches {
@@ -495,48 +493,23 @@ impl<T: Topology> Pipeline<T> {
 
     /// Stores record `idx`'s tag and joins it to its index, without
     /// candidate generation.
-    fn join(&mut self, tag: T::Tag, idx: usize, keys: &RecordKeys) {
+    fn join(&mut self, tag: T::Tag, idx: usize, keys: &KeySet) {
         self.tags.push(tag);
         self.indexes[T::route(tag).1].insert_keys_at(idx, keys);
     }
 
     /// Candidates for an arriving record the store will hold at `idx`,
-    /// which then joins its index.
-    fn admit(&mut self, tag: T::Tag, idx: usize, keys: RecordKeys) -> Vec<usize> {
+    /// which then joins its index. Both ingest paths call this in ingest
+    /// order, so every bucket receives its postings in the same order.
+    fn admit(&mut self, tag: T::Tag, idx: usize, keys: &KeySet) -> Vec<usize> {
         let (probe, join) = T::route(tag);
         if probe == join {
             self.tags.push(tag);
             return self.indexes[join].insert_keys_live(keys, self.store.tombstones());
         }
-        let candidates = self.indexes[probe].probe_live(&keys, self.store.tombstones());
-        self.join(tag, idx, &keys);
+        let candidates = self.indexes[probe].probe_live(keys, self.store.tombstones());
+        self.join(tag, idx, keys);
         candidates
-    }
-
-    /// [`Engine::admit`] for a same-tag batch the store will hold from
-    /// its current length on, across `threads` workers: element `i` is
-    /// exactly what admitting the records one at a time returns for
-    /// record `i`.
-    fn admit_batch(
-        &mut self,
-        tag: T::Tag,
-        keys: Vec<RecordKeys>,
-        threads: usize,
-    ) -> Vec<Vec<usize>> {
-        let (probe, join) = T::route(tag);
-        let base = self.store.len();
-        if probe == join {
-            // The batch can match itself: the index interleaves each
-            // record's probe and insertion across its key-space shards.
-            self.tags.resize(base + keys.len(), tag);
-            return self.indexes[join].insert_batch_live(keys, threads, self.store.tombstones());
-        }
-        // No record of the batch joins the probed index, so admitting in
-        // order is exact.
-        keys.into_iter()
-            .enumerate()
-            .map(|(i, k)| self.admit(tag, base + i, k))
-            .collect()
     }
 
     /// Enables or disables this pipeline's stage metrics (see
@@ -604,11 +577,10 @@ impl<T: Topology> Pipeline<T> {
         let m = self.meters;
         let mut sw = Stopwatch::new(m.is_some());
         let derived = self.store.derive(&record);
-        let keys = RecordKeys::from_derived(&derived, self.store.interner());
         if let Some(m) = m {
             sw.lap(m.derive);
         }
-        let candidates = self.admit(tag, self.store.len(), keys);
+        let candidates = self.admit(tag, self.store.len(), derived.keys());
         self.candidates_seen += candidates.len();
         if let Some(m) = m {
             sw.lap(m.block);
@@ -673,10 +645,11 @@ impl<T: Topology> Pipeline<T> {
     /// no call boundary.
     /// The frozen model makes inference embarrassingly parallel:
     /// candidates depend only on earlier records, scoring is read-only.
-    /// The two writes are serialized in ingest order — fresh tokens are
-    /// interned with the sequential symbol numbering, and one writer
-    /// applies the decisions — so interner and union-find pass through
-    /// the sequential states.
+    /// The three writes are serialized in ingest order — fresh tokens are
+    /// interned with the sequential symbol numbering, records are
+    /// admitted to the blocking index, and one writer applies the
+    /// decisions — so interner, index and union-find pass through the
+    /// sequential states.
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
@@ -733,24 +706,26 @@ impl<T: Topology> Pipeline<T> {
         // record's fresh tokens — reproducing the sequential symbol
         // numbering — and rebind its derivation onto global symbols.
         let mut derived: Vec<DerivedRecord> = Vec::with_capacity(n);
-        let mut keys: Vec<RecordKeys> = Vec::with_capacity(n);
         for (chunk_derived, texts) in scratch_chunks {
             let mut map: Vec<Option<Sym>> = vec![None; texts.len()];
             for sd in chunk_derived {
-                let rec = sd.commit(&texts, &mut map, self.store.interner_mut());
-                keys.push(RecordKeys::from_derived(&rec, self.store.interner()));
-                derived.push(rec);
+                derived.push(sd.commit(&texts, &mut map, self.store.interner_mut()));
             }
         }
         if let Some(m) = m {
             sw.lap(m.batch_derive);
         }
 
-        // Phase 2: candidate generation and insertion through the
-        // topology. The tombstone set is frozen for the whole batch
-        // (retraction needs `&mut self`), so candidate lists stay
-        // bit-identical at any thread count.
-        let candidates = self.admit_batch(tag, keys, threads);
+        // Phase 2 (sequential, ingest order): candidate generation and
+        // insertion through the topology, by the same `admit` the
+        // sequential path calls. The tombstone set is frozen for the
+        // whole batch (retraction needs `&mut self`), so candidate lists
+        // are the sequential ones.
+        let candidates: Vec<Vec<usize>> = derived
+            .iter()
+            .enumerate()
+            .map(|(i, d)| self.admit(tag, base + i, d.keys()))
+            .collect();
         let batch_candidates = candidates.iter().map(Vec::len).sum::<usize>();
         self.candidates_seen += batch_candidates;
         if let Some(m) = m {
@@ -883,12 +858,12 @@ impl<T: Topology> Pipeline<T> {
     /// check: [`Pipeline::seed`] replays tombstones through this.
     fn retract_now(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
         self.check_live(idx)?;
-        // Capture the keys before the store mutates: the derivation is
-        // the only place the record's blocking keys live.
-        let keys = RecordKeys::from_derived(self.store.derived(idx), self.store.interner());
         let home = T::route(self.tags[idx]).1;
         let out = self.store.retract(idx).map_err(StreamError)?;
-        let postings_tombstoned = self.indexes[home].retract_keys(idx, &keys);
+        // The derivation, where the record's blocking keys live, stays
+        // until compaction.
+        let postings_tombstoned =
+            self.indexes[home].retract_keys(idx, self.store.derived(idx).keys());
         Ok(RetractionReport {
             epoch: out.epoch,
             component_size: out.component_size,
@@ -1049,9 +1024,8 @@ impl<T: Topology> Pipeline<T> {
     /// refresh watermark once: the topology-generic form of the aliases'
     /// `ingest_batch_parallel`, which the read/write split and the CLI
     /// call. Outcomes are bit-identical at any thread count: derivation
-    /// and scoring run on the pool, candidate generation runs across the
-    /// index's key-space shards, and a single writer commits interner
-    /// symbols and match decisions in ingest order.
+    /// and scoring run on the pool, and a single writer commits interner
+    /// symbols, blocking postings and match decisions in ingest order.
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked

@@ -17,6 +17,14 @@
 //! keyed by [`Sym`], not strings — no key text is duplicated into the
 //! index.
 //!
+//! One index serves every streaming path. A pipeline holds one per
+//! bootstrap table: dedup arrivals insert into theirs
+//! ([`IncrementalIndex::insert_keys_live`]); linkage arrivals probe the
+//! opposite side's ([`IncrementalIndex::probe_live`]) and are posted to
+//! their own ([`IncrementalIndex::insert_keys_at`]). A candidate depends
+//! only on the two records' key sets, so inserting a parallel batch in
+//! ingest order on one writer is exact.
+//!
 //! ## Frequency cap
 //!
 //! The batch blockers skip "stop word" buckets whose pair product exceeds
@@ -38,17 +46,16 @@
 //! the caller's tombstone set — so a retracted record never appears as a
 //! candidate again, and the frequency cap counts *live* members only.
 //! The postings themselves stay in place until [`IncrementalIndex::
-//! compact`] (or the sharded equivalent) drops them, frees buckets that
-//! end up empty, removes cap-retired `Dead` buckets, and reports the
-//! reclaimed bytes. Note that dropping a `Dead` bucket lets its key pair
-//! again if it reappears — a hot key simply re-retires once its *live*
-//! population crosses the cap, which is exactly the state a fresh index
-//! over the surviving records would reach.
+//! compact`] drops them, frees buckets that end up empty, removes
+//! cap-retired `Dead` buckets, and reports the reclaimed bytes. Note that
+//! dropping a `Dead` bucket lets its key pair again if it reappears — a
+//! hot key simply re-retires once its *live* population crosses the cap,
+//! which is exactly the state a fresh index over the surviving records
+//! would reach.
 
-use crate::shard::RecordKeys;
 use std::collections::HashMap;
 use zeroer_blocking::standard_rule;
-use zeroer_textsim::derive::{BlockSpec, DeriveConfig};
+use zeroer_textsim::derive::{BlockSpec, DeriveConfig, KeySet};
 use zeroer_textsim::intern::Sym;
 
 /// Configuration for [`IncrementalIndex`], mirroring the defaults of the
@@ -118,7 +125,7 @@ enum Bucket {
 /// committed to the store) are live by definition. An empty slice means
 /// "no retractions".
 #[inline]
-pub(crate) fn is_dead(tombstones: &[bool], idx: usize) -> bool {
+fn is_dead(tombstones: &[bool], idx: usize) -> bool {
     tombstones.get(idx).copied().unwrap_or(false)
 }
 
@@ -175,8 +182,7 @@ impl IndexStats {
     }
 }
 
-/// What one compaction pass reclaimed (see [`IncrementalIndex::compact`]
-/// / `ShardedIndex::compact`).
+/// What one compaction pass reclaimed (see [`IncrementalIndex::compact`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionDelta {
     /// Tombstoned postings dropped from live buckets.
@@ -197,11 +203,9 @@ impl CompactionDelta {
 }
 
 /// One blocking leg: an inverted index with the frequency cap, keyed by
-/// interned symbol. Shared by the unsharded [`IncrementalIndex`] and the
-/// key-space shards of [`crate::shard::ShardedIndex`] — each key's bucket
-/// evolves identically no matter which structure owns it.
+/// interned symbol.
 #[derive(Debug, Clone)]
-pub(crate) struct Leg {
+struct Leg {
     buckets: HashMap<Sym, Bucket>,
     max_bucket: usize,
     /// Postings stored in live buckets (dead-marked ones included).
@@ -211,7 +215,7 @@ pub(crate) struct Leg {
 }
 
 impl Leg {
-    pub(crate) fn new(max_bucket: usize) -> Self {
+    fn new(max_bucket: usize) -> Self {
         Self {
             buckets: HashMap::new(),
             max_bucket,
@@ -220,107 +224,48 @@ impl Leg {
         }
     }
 
-    /// Collects the *live* members sharing `key` into `counts`, then
-    /// inserts the new record under the key. The frequency cap counts
-    /// live members only, so a bucket's retirement point is where a
-    /// fresh index over the surviving records would retire it.
-    pub(crate) fn insert_key(
-        &mut self,
-        idx: usize,
-        key: Sym,
-        counts: &mut HashMap<usize, usize>,
-        tombstones: &[bool],
-    ) {
+    /// Posts record `idx` under `key` and returns the bucket's earlier
+    /// members, tombstoned ones included: the one cap-crossing rule of
+    /// every insert. A bucket whose live members would exceed the
+    /// frequency cap is retired instead, since batch blocking never pairs
+    /// through such a key; counting live members only retires it where a
+    /// fresh index over the surviving records would. A retired bucket
+    /// takes no posting and returns no member.
+    fn insert_key(&mut self, idx: usize, key: Sym) -> &[usize] {
         let bucket = self.buckets.entry(key).or_insert_with(|| Bucket::Live {
             members: Vec::new(),
             dead: 0,
         });
+        if let Bucket::Live { members, dead } = bucket {
+            if members.len() - *dead as usize + 1 > self.max_bucket {
+                self.postings -= members.len();
+                self.dead_postings -= *dead as usize;
+                *bucket = Bucket::Dead;
+            }
+        }
         match bucket {
-            Bucket::Dead => {}
-            Bucket::Live { members, dead } => {
-                if members.len() - *dead as usize + 1 > self.max_bucket {
-                    // Crossing the cap: batch semantics would never
-                    // pair through this key, so retire it.
-                    self.postings -= members.len();
-                    self.dead_postings -= *dead as usize;
-                    *bucket = Bucket::Dead;
-                    return;
-                }
-                for &m in members.iter() {
-                    if !is_dead(tombstones, m) {
-                        *counts.entry(m).or_insert(0) += 1;
-                    }
-                }
+            Bucket::Dead => &[],
+            Bucket::Live { members, .. } => {
                 members.push(idx);
                 self.postings += 1;
+                &members[..members.len() - 1]
             }
         }
     }
 
-    /// Collects the *live* members sharing `key` into `counts` without
-    /// inserting anything — the read-only half of [`Leg::insert_key`],
-    /// used by the linkage path to probe the *opposite* side's index
-    /// (a right-side record looks up left-side candidates but is never
-    /// stored there).
-    pub(crate) fn lookup_key(
-        &self,
-        key: Sym,
-        counts: &mut HashMap<usize, usize>,
-        tombstones: &[bool],
-    ) {
-        if let Some(Bucket::Live { members, .. }) = self.buckets.get(&key) {
-            for &m in members {
-                if !is_dead(tombstones, m) {
-                    *counts.entry(m).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-
-    /// Inserts record `idx` under `key` without collecting candidates —
-    /// the write-only half of [`Leg::insert_key`], with the identical
-    /// live-member frequency-cap rule (the bucket retires at the same
-    /// crossing point either way). Used by the linkage path, where a
-    /// record's candidates come from the opposite side's index and its
-    /// own side's index only needs the posting.
-    pub(crate) fn insert_key_silent(&mut self, idx: usize, key: Sym) {
-        let bucket = self.buckets.entry(key).or_insert_with(|| Bucket::Live {
-            members: Vec::new(),
-            dead: 0,
-        });
-        match bucket {
-            Bucket::Dead => {}
-            Bucket::Live { members, dead } => {
-                if members.len() - *dead as usize + 1 > self.max_bucket {
-                    self.postings -= members.len();
-                    self.dead_postings -= *dead as usize;
-                    *bucket = Bucket::Dead;
-                } else {
-                    members.push(idx);
-                    self.postings += 1;
-                }
-            }
-        }
-    }
-
-    /// [`Leg::insert_key`] over every key, counting shared keys per
-    /// member.
-    pub(crate) fn lookup_and_insert(
-        &mut self,
-        idx: usize,
-        keys: impl IntoIterator<Item = Sym>,
-        counts: &mut HashMap<usize, usize>,
-        tombstones: &[bool],
-    ) {
-        for key in keys {
-            self.insert_key(idx, key, counts, tombstones);
+    /// The members under `key` (empty for a retired or unknown key),
+    /// tombstoned ones included.
+    fn members(&self, key: Sym) -> &[usize] {
+        match self.buckets.get(&key) {
+            Some(Bucket::Live { members, .. }) => members,
+            _ => &[],
         }
     }
 
     /// Marks record `idx`'s posting under `key` dead (the posting stays
     /// until [`Leg::compact`]). Returns whether a posting was found —
     /// false when the bucket was already cap-retired at insert time.
-    pub(crate) fn retract_key(&mut self, idx: usize, key: Sym) -> bool {
+    fn retract_key(&mut self, idx: usize, key: Sym) -> bool {
         match self.buckets.get_mut(&key) {
             Some(Bucket::Live { members, dead }) if members.contains(&idx) => {
                 *dead += 1;
@@ -334,7 +279,7 @@ impl Leg {
     /// Drops every tombstoned posting, frees buckets left empty, and
     /// removes cap-retired `Dead` markers. `tombstones` must be the same
     /// set the dead marks were made against.
-    pub(crate) fn compact(&mut self, tombstones: &[bool]) -> CompactionDelta {
+    fn compact(&mut self, tombstones: &[bool]) -> CompactionDelta {
         let mut delta = CompactionDelta::default();
         self.buckets.retain(|_, bucket| match bucket {
             Bucket::Dead => {
@@ -364,14 +309,8 @@ impl Leg {
         delta
     }
 
-    /// `(postings, dead_postings)` — the O(1) counters the
-    /// auto-compaction watermark reads (no bucket scan).
-    pub(crate) fn posting_counts(&self) -> (usize, usize) {
-        (self.postings, self.dead_postings)
-    }
-
     /// Live/retired bucket counts plus posting counters.
-    pub(crate) fn stats(&self) -> LegStats {
+    fn stats(&self) -> LegStats {
         let mut s = LegStats {
             postings: self.postings,
             dead_postings: self.dead_postings,
@@ -385,27 +324,24 @@ impl Leg {
         }
         s
     }
+}
 
-    /// Merges another leg's stats into an accumulator (sharded form).
-    pub(crate) fn accumulate_stats(&self, acc: &mut LegStats) {
-        let s = self.stats();
-        acc.live += s.live;
-        acc.retired += s.retired;
-        acc.postings += s.postings;
-        acc.dead_postings += s.dead_postings;
+/// Adds one shared key to `counts` for every live record in `members`.
+fn count_live(counts: &mut HashMap<usize, usize>, members: &[usize], tombstones: &[bool]) {
+    for &m in members {
+        if !is_dead(tombstones, m) {
+            *counts.entry(m).or_insert(0) += 1;
+        }
     }
 }
 
 /// Turns one record's shared-key counts — token and q-gram keys counted
 /// together, per earlier record — into its sorted candidate list: a
 /// member qualifies with at least `zeroer_blocking::standard_rule`'s
-/// number of shared keys (two by default). The single merge rule shared
-/// by the unsharded and sharded indexes, so their candidate semantics
-/// cannot drift from each other or from batch blocking.
-pub(crate) fn merge_candidates(
-    counts: HashMap<usize, usize>,
-    min_token_overlap: usize,
-) -> Vec<usize> {
+/// number of shared keys (two by default). The one merge rule of the
+/// insert and the probe, so their candidate semantics cannot drift from
+/// each other or from batch blocking.
+fn merge_candidates(counts: HashMap<usize, usize>, min_token_overlap: usize) -> Vec<usize> {
     let need = standard_rule(min_token_overlap).min_shared_keys;
     let mut candidates: Vec<usize> = counts
         .into_iter()
@@ -416,10 +352,11 @@ pub(crate) fn merge_candidates(
     candidates
 }
 
-/// Online inverted token + q-gram indexes over one key attribute;
-/// `insert_keys` consumes a record's derived blocking keys and returns
-/// blocking candidates among previously inserted records: those sharing
-/// enough keys under the standard rule.
+/// Online inverted token + q-gram indexes over one key attribute: the
+/// one streaming blocking index. `insert_keys` consumes a record's
+/// derived blocking keys ([`KeySet`]) and returns blocking candidates
+/// among previously inserted records: those sharing enough keys under the
+/// standard rule.
 #[derive(Debug, Clone)]
 pub struct IncrementalIndex {
     cfg: IndexConfig,
@@ -463,6 +400,21 @@ impl IncrementalIndex {
         self.len == 0
     }
 
+    /// Each active leg with the keys of `keys` it indexes.
+    fn legs<'a>(&'a self, keys: &'a KeySet) -> impl Iterator<Item = (&'a Leg, &'a [Sym])> {
+        let qgram = self.qgram_leg.iter().map(|leg| (leg, &keys.qgrams[..]));
+        std::iter::once((&self.token_leg, &keys.tokens[..])).chain(qgram)
+    }
+
+    /// [`IncrementalIndex::legs`], mutably.
+    fn legs_mut<'a>(
+        &'a mut self,
+        keys: &'a KeySet,
+    ) -> impl Iterator<Item = (&'a mut Leg, &'a [Sym])> {
+        let qgram = self.qgram_leg.iter_mut().map(|leg| (leg, &keys.qgrams[..]));
+        std::iter::once((&mut self.token_leg, &keys.tokens[..])).chain(qgram)
+    }
+
     /// Live/retired bucket counts per leg.
     pub fn stats(&self) -> IndexStats {
         IndexStats {
@@ -471,42 +423,90 @@ impl IncrementalIndex {
         }
     }
 
+    /// `(postings, dead_postings)` across both legs — O(1) counters, no
+    /// bucket scan; what the pipeline's auto-compaction watermark polls
+    /// after every retraction.
+    pub fn posting_counts(&self) -> (usize, usize) {
+        std::iter::once(&self.token_leg)
+            .chain(&self.qgram_leg)
+            .fold((0, 0), |(p, d), leg| {
+                (p + leg.postings, d + leg.dead_postings)
+            })
+    }
+
     /// Inserts the next record's derived blocking keys (records must be
     /// inserted in store order: the i-th call describes record index i)
     /// and returns the sorted indices of previously inserted records
     /// sharing enough blocking keys with it (two by default).
-    pub fn insert_keys(&mut self, keys: &RecordKeys) -> Vec<usize> {
+    pub fn insert_keys(&mut self, keys: &KeySet) -> Vec<usize> {
         self.insert_keys_live(keys, &[])
     }
 
     /// [`IncrementalIndex::insert_keys`] with a tombstone filter:
     /// retracted records are skipped as candidates and excluded from the
     /// frequency cap. An empty slice means "no retractions".
-    pub fn insert_keys_live(&mut self, keys: &RecordKeys, tombstones: &[bool]) -> Vec<usize> {
+    pub fn insert_keys_live(&mut self, keys: &KeySet, tombstones: &[bool]) -> Vec<usize> {
         let idx = self.len;
         self.len += 1;
-
         let mut counts: HashMap<usize, usize> = HashMap::new();
-        self.token_leg
-            .lookup_and_insert(idx, keys.token_syms(), &mut counts, tombstones);
-        if let Some(qleg) = &mut self.qgram_leg {
-            qleg.lookup_and_insert(idx, keys.qgram_syms(), &mut counts, tombstones);
+        for (leg, syms) in self.legs_mut(keys) {
+            for &key in syms {
+                count_live(&mut counts, leg.insert_key(idx, key), tombstones);
+            }
         }
         merge_candidates(counts, self.cfg.min_token_overlap)
     }
 
-    /// Marks record `idx`'s postings dead under its blocking keys (the
-    /// same [`RecordKeys`] it was inserted with); the postings stay in
-    /// place until [`IncrementalIndex::compact`]. Returns the number of
-    /// postings tombstoned.
-    pub fn retract_keys(&mut self, idx: usize, keys: &RecordKeys) -> usize {
-        let mut marked = 0;
-        for key in keys.token_syms() {
-            marked += usize::from(self.token_leg.retract_key(idx, key));
+    /// Read-only candidate lookup: the sorted indices of inserted records
+    /// sharing enough blocking keys with `keys`, **without** inserting
+    /// anything — the candidate rule (shared keys over both legs,
+    /// tombstone filter) is exactly [`IncrementalIndex::insert_keys_live`]'s.
+    ///
+    /// This is how streaming record linkage blocks across tables: an
+    /// incoming right-side record probes the *left* side's index for
+    /// candidates (and is then posted to the right side's index via
+    /// [`IncrementalIndex::insert_keys_at`], never to this one), and how
+    /// a resolve finds candidates in a published read view. Probing takes
+    /// `&self`, so any number of readers can probe one frozen index with
+    /// no synchronization.
+    pub fn probe_live(&self, keys: &KeySet, tombstones: &[bool]) -> Vec<usize> {
+        let mut counts: HashMap<usize, usize> = HashMap::new();
+        for (leg, syms) in self.legs(keys) {
+            for &key in syms {
+                count_live(&mut counts, leg.members(key), tombstones);
+            }
         }
-        if let Some(qleg) = &mut self.qgram_leg {
-            for key in keys.qgram_syms() {
-                marked += usize::from(qleg.retract_key(idx, key));
+        merge_candidates(counts, self.cfg.min_token_overlap)
+    }
+
+    /// Posts a record's keys under an explicit record index, without
+    /// candidate generation — the linkage path's write half, where the
+    /// caller's record numbering (a store shared by both sides) is not
+    /// this index's insertion count. Buckets apply the live-member
+    /// frequency cap at the same crossing points as
+    /// [`IncrementalIndex::insert_keys`].
+    ///
+    /// Unlike [`IncrementalIndex::insert_keys`], `idx` values need not be
+    /// dense or contiguous here — each side's index holds only its own
+    /// side's records out of the shared numbering.
+    pub fn insert_keys_at(&mut self, idx: usize, keys: &KeySet) {
+        for (leg, syms) in self.legs_mut(keys) {
+            for &key in syms {
+                leg.insert_key(idx, key);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Marks record `idx`'s postings dead under its blocking keys (the
+    /// same [`KeySet`] it was inserted with); the postings stay in place
+    /// until [`IncrementalIndex::compact`]. Returns the number of postings
+    /// tombstoned.
+    pub fn retract_keys(&mut self, idx: usize, keys: &KeySet) -> usize {
+        let mut marked = 0;
+        for (leg, syms) in self.legs_mut(keys) {
+            for &key in syms {
+                marked += usize::from(leg.retract_key(idx, key));
             }
         }
         marked
@@ -547,8 +547,7 @@ mod tests {
 
         fn insert(&mut self, record: &Record) -> Vec<usize> {
             let d = self.deriver.derive(&record.values);
-            let keys = RecordKeys::from_derived(&d, self.deriver.interner());
-            self.index.insert_keys(&keys)
+            self.index.insert_keys(d.keys())
         }
     }
 
@@ -630,8 +629,7 @@ mod tests {
 
         // Retract record 0: mark its postings dead under its keys.
         let d = h.deriver.derive(&rec(0, "red apple pie").values);
-        let keys = RecordKeys::from_derived(&d, h.deriver.interner());
-        let marked = h.index.retract_keys(0, &keys);
+        let marked = h.index.retract_keys(0, d.keys());
         assert_eq!(marked, 3, "'red', 'apple' and 'pie' postings tombstoned");
         let stats = h.index.stats();
         assert_eq!(stats.token.dead_postings, 3);
@@ -641,8 +639,7 @@ mod tests {
         // record 1.
         let tombstones = [true, false];
         let d = h.deriver.derive(&rec(2, "apple pie strudel").values);
-        let keys = RecordKeys::from_derived(&d, h.deriver.interner());
-        assert_eq!(h.index.insert_keys_live(&keys, &tombstones), vec![1]);
+        assert_eq!(h.index.insert_keys_live(d.keys(), &tombstones), vec![1]);
 
         // Compaction drops the dead postings and frees the now-empty
         // 'red' bucket.
@@ -670,15 +667,13 @@ mod tests {
         // Retract record 0; the 'shared' and 'hot' buckets hold
         // {0(dead), 1}.
         let d = h.deriver.derive(&rec(0, "shared hot zero").values);
-        let keys = RecordKeys::from_derived(&d, h.deriver.interner());
-        h.index.retract_keys(0, &keys);
+        h.index.retract_keys(0, d.keys());
 
         // A third record would cross max_bucket=2 if dead members
         // counted; live-only counting keeps both buckets pairing.
         let tombstones = [true, false];
         let d = h.deriver.derive(&rec(2, "shared hot two").values);
-        let keys = RecordKeys::from_derived(&d, h.deriver.interner());
-        assert_eq!(h.index.insert_keys_live(&keys, &tombstones), vec![1]);
+        assert_eq!(h.index.insert_keys_live(d.keys(), &tombstones), vec![1]);
         assert_eq!(h.index.stats().token.retired, 0);
     }
 

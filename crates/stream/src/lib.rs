@@ -10,12 +10,15 @@
 //! * [`EntityStore`] — ingested records plus a union-find cluster index
 //!   with cluster-representative lookup (transitivity is structural:
 //!   merging entities merges all their members).
-//! * [`IncrementalIndex`] — online inverted token + q-gram indexes that
-//!   mirror the batch standard recipe (a pair needs two shared keys,
+//! * [`IncrementalIndex`] — the streaming blocking index: online
+//!   inverted token + q-gram indexes that mirror the batch standard
+//!   recipe (a pair needs two shared keys,
 //!   [`zeroer_blocking::standard_rule`], plus the stop-word frequency
-//!   cap) but support `insert(record) → candidates` in one pass. Both
-//!   sides share one key extractor ([`zeroer_blocking::keys`]) and one
-//!   rule, so they cannot drift.
+//!   cap) but support `insert(record) → candidates` in one pass, plus a
+//!   read-only probe for linkage and resolves. It consumes the
+//!   derivation's [`zeroer_textsim::derive::KeySet`], the keys the batch
+//!   blockers read, and the batch rule, so the two cannot drift. A
+//!   pipeline holds one per bootstrap table.
 //! * [`PipelineSnapshot`] / [`zeroer_core::ModelSnapshot`] — a JSON
 //!   freeze of a fitted generative model (means, covariances, prior)
 //!   plus the feature replay state (per-column normalization ranges,
@@ -74,7 +77,6 @@ pub mod legs;
 pub mod link;
 mod meters;
 pub mod pipeline;
-pub mod shard;
 pub mod snapshot;
 pub mod split;
 pub mod store;
@@ -88,7 +90,6 @@ pub use pipeline::{
     render_stats, BootstrapReport, CompactionReport, Dedup, IngestOutcome, RefreshReport,
     RetractionReport, StreamError, StreamOptions, StreamPipeline, StreamStats,
 };
-pub use shard::{RecordKeys, ShardedIndex, DEFAULT_SHARDS};
 pub use snapshot::{BaseTable, PipelineSnapshot, SnapshotModel};
 pub use split::{ReadHandle, ResolveOutcome, SplitPipeline, WriteHandle};
 pub use store::{EntityStore, RetractOutcome, StoreCompaction};

@@ -237,8 +237,9 @@ impl PipelineSnapshot {
     ///
     /// # Errors
     /// Fails on malformed JSON or schema violations (an unknown format
-    /// marker, out-of-range or — for linkage — same-side pair indices,
-    /// unsorted tombstones, a blocking attribute outside the schema).
+    /// marker, a repeated attribute name, out-of-range or — for linkage —
+    /// same-side pair indices, unsorted tombstones, a blocking attribute
+    /// outside the schema).
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
         let _span = zeroer_obs::histogram("snapshot.load.ns").start();
         let j = Json::parse(text)?;
@@ -256,6 +257,15 @@ impl PipelineSnapshot {
         let attr_types = fields::parse_attr_types(&fields::parse_strings(&j, "attr_types")?)?;
         if schema.is_empty() || schema.len() != attr_types.len() {
             return Err(JsonError::schema("schema/attr_types arity mismatch"));
+        }
+        if let Some(name) = schema
+            .iter()
+            .enumerate()
+            .find_map(|(i, a)| schema[..i].contains(a).then_some(a))
+        {
+            return Err(JsonError::schema(format!(
+                "duplicate schema attribute name {name:?}"
+            )));
         }
         let index = fields::parse_index(&j)?;
         if index.attr >= schema.len() {
@@ -715,6 +725,19 @@ mod tests {
         assert!(
             PipelineSnapshot::from_json(&text).is_err(),
             "blocking attr outside the schema must be rejected"
+        );
+        let repeated = PipelineSnapshot {
+            schema: vec!["name".into(), "year".into(), "name".into()],
+            attr_types: vec![AttrType::StrShort; 3],
+            index: IndexConfig::default(),
+            ..snap
+        };
+        let err = PipelineSnapshot::from_json(&repeated.to_json())
+            .expect_err("a repeated schema name must be rejected");
+        assert!(
+            err.to_string()
+                .contains("duplicate schema attribute name \"name\""),
+            "{err}"
         );
     }
 

@@ -10,7 +10,7 @@
 //!
 //! * **Read path** — [`ReadHandle`]: pins an immutable, epoch-tagged
 //!   view of the pipeline (store + indexes + frozen scorer) and answers
-//!   resolves through the same lock-free [`crate::ShardedIndex::probe_live`] +
+//!   resolves through the same lock-free [`crate::IncrementalIndex::probe_live`] +
 //!   `score_candidates` code the ingest path uses — identical
 //!   candidates, identical posteriors (to `f64::to_bits`), but **no**
 //!   locks shared with the writer and no mutation. Any number of
@@ -45,10 +45,9 @@
 //! has a baseline to beat.
 
 use crate::engine::{check_arity, score_candidates, Pipeline, Topology};
+use crate::index::IncrementalIndex;
 use crate::link::{Linkage, Side};
 use crate::pipeline::{Dedup, IngestOutcome, StreamError};
-use crate::shard::RecordKeys;
-use crate::shard::ShardedIndex;
 use crate::store::EntityStore;
 use crate::{CompactionReport, RetractionReport};
 use std::collections::VecDeque;
@@ -71,7 +70,7 @@ pub(crate) struct ReadView {
     /// handle detect staleness without comparing state.
     pub(crate) version: u64,
     pub(crate) store: EntityStore,
-    pub(crate) indexes: Vec<ShardedIndex>,
+    pub(crate) indexes: Vec<IncrementalIndex>,
     pub(crate) featurizer: BatchFeaturizer,
     pub(crate) scorer: SnapshotScorer,
     pub(crate) threshold: f64,
@@ -205,8 +204,8 @@ impl<T: Topology> ReadHandle<T> {
         check_arity(record, self.arity())?;
         let view = &*self.view;
         let derived = self.deriver.derive(&record.values);
-        let keys = RecordKeys::from_derived(&derived, self.deriver.interner());
-        let candidates = view.indexes[T::route(tag).0].probe_live(&keys, view.store.tombstones());
+        let candidates =
+            view.indexes[T::route(tag).0].probe_live(derived.keys(), view.store.tombstones());
         let store = &view.store;
         let matches = score_candidates(
             &view.featurizer,
@@ -252,7 +251,7 @@ impl<T: Topology> ReadHandle<T> {
 
 impl ReadHandle<Dedup> {
     /// Resolves one record against the pinned view: derive → lock-free
-    /// candidate probe ([`crate::ShardedIndex::probe_live`]) → frozen-model
+    /// candidate probe ([`crate::IncrementalIndex::probe_live`]) → frozen-model
     /// scoring — the exact candidate rule and scoring code of
     /// [`crate::StreamPipeline::ingest`], minus the insertion.
     ///

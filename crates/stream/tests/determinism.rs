@@ -258,24 +258,45 @@ fn generated_corpus_is_byte_identical_per_seed() {
 fn corpus_ingest_is_bit_identical_across_thread_counts() {
     // Downstream of generation, the synthesized corpus must flow through
     // the parallel ingest path with the same bit-exactness the paper
-    // profiles get: Zipf-skewed hot tokens hit the bucket frequency cap,
-    // so this exercises cap-retirement under parallelism too.
+    // profiles get. No bucket of this 300-record corpus reaches the
+    // default cap of 400, so the body runs again at a cap of 30, where
+    // Zipf-skewed hot tokens retire buckets during the tail: that
+    // exercises cap retirement under parallelism.
     let (boot, tail) = corpus_split(42);
-    let (live, _) = StreamPipeline::bootstrap(&boot, StreamOptions::default()).expect("bootstrap");
-    let snap = live.snapshot();
+    for max_bucket in [StreamOptions::default().max_bucket, 30] {
+        let opts = StreamOptions {
+            max_bucket,
+            ..StreamOptions::default()
+        };
+        let (live, _) = StreamPipeline::bootstrap(&boot, opts).expect("bootstrap");
+        let snap = live.snapshot();
 
-    let mut seq = cold_pipeline(&snap, &boot);
-    let seq_outcomes: Vec<IngestOutcome> = tail.iter().cloned().map(|r| seq.ingest(r)).collect();
+        let mut seq = cold_pipeline(&snap, &boot);
+        let seq_outcomes: Vec<IngestOutcome> =
+            tail.iter().cloned().map(|r| seq.ingest(r)).collect();
 
-    for threads in [1, 2, 4] {
-        let mut par = cold_pipeline(&snap, &boot);
-        let par_outcomes = par.ingest_batch_parallel(tail.clone(), threads);
-        assert_outcomes_identical(&seq_outcomes, &par_outcomes, threads);
-        assert_eq!(
-            seq.clusters(),
-            par.clusters(),
-            "cluster assignments diverged at {threads} threads"
-        );
+        for threads in [1, 2, 4] {
+            let mut par = cold_pipeline(&snap, &boot);
+            let retired_before = par.stats().index.retired_buckets();
+            let par_outcomes = par.ingest_batch_parallel(tail.clone(), threads);
+            assert_outcomes_identical(&seq_outcomes, &par_outcomes, threads);
+            assert_eq!(
+                seq.clusters(),
+                par.clusters(),
+                "cluster assignments diverged at {threads} threads, cap {max_bucket}"
+            );
+            assert_eq!(
+                seq.stats().index,
+                par.stats().index,
+                "index state diverged at {threads} threads, cap {max_bucket}"
+            );
+            if max_bucket == 30 {
+                assert!(
+                    par.stats().index.retired_buckets() > retired_before,
+                    "no bucket retired during the tail at {threads} threads"
+                );
+            }
+        }
     }
 }
 

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use zeroer_blocking::{standard_recipe, Blocker, PairMode};
 use zeroer_datagen::{all_profiles, generate};
-use zeroer_stream::{IncrementalIndex, IndexConfig, RecordKeys};
+use zeroer_stream::{IncrementalIndex, IndexConfig};
 use zeroer_tabular::{Record, Schema, Table, Value};
 use zeroer_textsim::derive::Deriver;
 
@@ -30,8 +30,7 @@ fn incremental_pairs(table: &Table, cfg: IndexConfig) -> BTreeSet<(usize, usize)
     let mut pairs = BTreeSet::new();
     for (idx, r) in table.records().iter().enumerate() {
         let d = deriver.derive(&r.values);
-        let keys = RecordKeys::from_derived(&d, deriver.interner());
-        for c in index.insert_keys(&keys) {
+        for c in index.insert_keys(d.keys()) {
             assert!(c < idx, "candidates must be previously inserted records");
             pairs.insert((c, idx));
         }

@@ -31,8 +31,8 @@
 //! exactly the order sequential derivation would have — so the global
 //! interner passes through the identical sequence of states for any
 //! worker count, and every committed bag is bit-for-bit the sequential
-//! one. Shard routing never depends on symbol numbering at all: it
-//! hashes the token *text* with FNV-1a ([`Interner::text_hash`]).
+//! one — and so is every committed [`KeySet`], which the streaming
+//! blocking index consumes as is.
 
 use crate::intern::{fnv1a, fnv1a_extend, InternSink, Interner, Sym, FNV1A_OFFSET, LOCAL_BIT};
 use crate::tokenize::{normalize_into, qgrams_from_norm, TokenBag};

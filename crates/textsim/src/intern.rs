@@ -2,10 +2,10 @@
 //!
 //! Every tokenizer in this crate resolves token text to a compact
 //! [`Sym`] through an [`Interner`], so a token's heap string is stored
-//! exactly once per corpus no matter how many bags, blocking keys,
-//! inverted-index buckets, or shards mention it. Downstream set
-//! operations ([`crate::tokenize::TokenBag`]) then compare 4-byte
-//! symbols instead of hashing strings.
+//! exactly once per corpus no matter how many bags, blocking keys or
+//! inverted-index buckets mention it. Downstream set operations
+//! ([`crate::tokenize::TokenBag`]) then compare 4-byte symbols instead of
+//! hashing strings.
 //!
 //! ## Determinism
 //!
@@ -14,14 +14,6 @@
 //! property the streaming subsystem's parallel ingest relies on (workers
 //! tokenize against a frozen interner snapshot and a single writer
 //! commits fresh tokens in ingest order; see `zeroer_stream`).
-//!
-//! ## Stable hashing
-//!
-//! The interner also memoizes the 64-bit FNV-1a hash of every token's
-//! *text* ([`Interner::text_hash`]). Shard routing in the streaming
-//! subsystem must be identical across processes and interner histories,
-//! so it hashes token text — never symbol ids — and this cache makes
-//! that free at lookup time.
 
 use std::collections::HashMap;
 
@@ -45,8 +37,8 @@ impl Sym {
 pub(crate) const LOCAL_BIT: u32 = 1 << 31;
 
 /// Stable 64-bit FNV-1a hash of a token's text. Deliberately *not*
-/// `DefaultHasher`: consumers (shard routing, snapshot digests) need a
-/// hash that is identical across processes, platforms, and std versions.
+/// `DefaultHasher`: it is identical across processes, platforms, and std
+/// versions, and cheap on the short strings tokens are.
 #[inline]
 pub fn fnv1a(s: &str) -> u64 {
     fnv1a_extend(FNV1A_OFFSET, s.as_bytes())
@@ -66,11 +58,10 @@ pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Append-only token table: text → [`Sym`] with first-seen-order symbol
-/// assignment, plus the memoized FNV-1a text hash per symbol.
+/// assignment.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     strings: Vec<Box<str>>,
-    hashes: Vec<u64>,
     /// text-hash → candidate symbol indices (collision chain).
     map: HashMap<u64, Vec<u32>>,
     bytes: usize,
@@ -98,7 +89,6 @@ impl Interner {
         let id = self.strings.len() as u32;
         assert!(id < LOCAL_BIT, "interner overflow: 2^31 distinct tokens");
         self.strings.push(s.into());
-        self.hashes.push(h);
         self.bytes += s.len();
         self.map.entry(h).or_default().push(id);
         Sym(id)
@@ -119,12 +109,6 @@ impl Interner {
     /// uncommitted scratch-local symbols).
     pub fn resolve(&self, sym: Sym) -> &str {
         &self.strings[sym.0 as usize]
-    }
-
-    /// The memoized FNV-1a hash of the symbol's text
-    /// (`== fnv1a(self.resolve(sym))`).
-    pub fn text_hash(&self, sym: Sym) -> u64 {
-        self.hashes[sym.0 as usize]
     }
 
     /// Number of distinct interned tokens.
@@ -184,15 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn text_hash_matches_fnv1a() {
-        let mut it = Interner::new();
-        let s = it.intern("photograph");
-        assert_eq!(it.text_hash(s), fnv1a("photograph"));
-    }
-
-    #[test]
     fn fnv1a_pinned_values() {
-        // Shard routing depends on these exact values never changing.
+        // `fnv1a` is documented as stable across builds: pin it.
         assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
     }

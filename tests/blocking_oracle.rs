@@ -18,14 +18,14 @@
 //! The pair-locality proptest checks what exact retraction rests on: with
 //! no stop-word bucket, a pair is a candidate of a whole table exactly
 //! when it is a candidate of the two-record table holding only its
-//! records — for the batch probe and for both streaming indexes.
+//! records — for the batch probe and for the streaming index.
 
 use proptest::prelude::*;
 use zeroer::blocking::{
     standard_candidates_derived, standard_recipe, AttrEquivalenceBlocker, Blocker, PairMode,
     QgramBlocker, TokenBlocker,
 };
-use zeroer::stream::{IncrementalIndex, IndexConfig, RecordKeys, ShardedIndex};
+use zeroer::stream::{IncrementalIndex, IndexConfig};
 use zeroer::tabular::{Record, Schema, Table, Value};
 use zeroer::textsim::derive::{DeriveConfig, DerivedRecord, Deriver};
 
@@ -461,38 +461,29 @@ fn assert_pair_local(values: &[String], right: &[String], overlap: usize) {
         }
     }
 
-    // The streaming indexes: record-by-record and batched inserts.
+    // The streaming index, record by record.
     let cfg = IndexConfig {
         max_bucket: cap,
         min_token_overlap: overlap,
         ..IndexConfig::default()
     };
     let mut deriver = Deriver::new(cfg.derive_config());
-    let keys: Vec<RecordKeys> = lt
+    let derived: Vec<DerivedRecord> = lt
         .records()
         .iter()
-        .map(|r| RecordKeys::from_derived(&deriver.derive(&r.values), deriver.interner()))
+        .map(|r| deriver.derive(&r.values))
         .collect();
     let mut flat = IncrementalIndex::new(cfg.clone());
-    let flat_out: Vec<Vec<usize>> = keys.iter().map(|k| flat.insert_keys(k)).collect();
-    let sharded_out = ShardedIndex::with_shards(cfg.clone(), 4).insert_batch(keys.clone(), 2);
-    assert_eq!(sharded_out, flat_out, "overlap {overlap}");
-    for b in 0..keys.len() {
+    let flat_out: Vec<Vec<usize>> = derived.iter().map(|d| flat.insert_keys(d.keys())).collect();
+    for b in 0..derived.len() {
         for a in 0..b {
             let mut pair = IncrementalIndex::new(cfg.clone());
-            pair.insert_keys(&keys[a]);
-            let local = !pair.insert_keys(&keys[b]).is_empty();
+            pair.insert_keys(derived[a].keys());
+            let local = !pair.insert_keys(derived[b].keys()).is_empty();
             assert_eq!(
                 flat_out[b].contains(&a),
                 local,
                 "incremental pair ({a}, {b}), overlap {overlap}"
-            );
-            let mut pair = ShardedIndex::with_shards(cfg.clone(), 4);
-            pair.insert_keys(keys[a].clone());
-            assert_eq!(
-                !pair.insert_keys(keys[b].clone()).is_empty(),
-                local,
-                "sharded pair ({a}, {b}), overlap {overlap}"
             );
         }
     }

@@ -652,6 +652,55 @@ fn retract_rejects_bad_ids_cleanly() {
 }
 
 #[test]
+fn repeated_schema_name_in_a_snapshot_is_a_clean_error() {
+    let dir = tmp_dir("dup-schema");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let base = dir.join("base.csv");
+    std::fs::write(
+        &base,
+        "name,city\n\
+         Golden Dragon Palace,new york\n\
+         Golden Dragon Palce,new york\n\
+         Blue Sky Tavern,austin\n\
+         Rustic Oak Kitchen,denver\n\
+         Harbor View Bistro,portland\n\
+         Smoky Cellar Tavern,chicago\n",
+    )
+    .expect("write base CSV");
+    let model = dir.join("model.json");
+    let out = Command::new(zeroer_bin())
+        .args(["dedup", base.to_str().unwrap(), "--save-model"])
+        .arg(&model)
+        .output()
+        .expect("spawn zeroer dedup");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&model).expect("read model");
+    let dup_text = text.replace(r#""schema":["name","city"]"#, r#""schema":["name","name"]"#);
+    assert_ne!(dup_text, text, "the snapshot names its schema");
+    let dup = dir.join("dup.json");
+    std::fs::write(&dup, dup_text).expect("write edited model");
+
+    let out = Command::new(zeroer_bin())
+        .args(["ingest", base.to_str().unwrap(), "--model"])
+        .arg(&dup)
+        .args(["--base", base.to_str().unwrap()])
+        .output()
+        .expect("spawn zeroer ingest");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("duplicate schema attribute name \"name\""),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn threads_flag_is_ingest_only_and_validated() {
     let out = Command::new(zeroer_bin())
         .args(["match", "a.csv", "b.csv", "--threads", "4"])
