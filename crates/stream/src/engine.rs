@@ -10,7 +10,7 @@
 //! stores no per-record side tag, and nothing is dispatched dynamically.
 
 use crate::drift::{DriftMonitor, DriftSample};
-use crate::index::{CompactionDelta, IncrementalIndex, IndexStats};
+use crate::index::{CompactionDelta, IncrementalIndex, IndexStats, KeyCounts};
 use crate::link::Side;
 use crate::meters::StageMeters;
 use crate::pipeline::{
@@ -189,6 +189,9 @@ pub struct Pipeline<T: Topology> {
     /// The sequential path's fill and kernel buffers and Monge-Elkan
     /// memo.
     scratch: FillScratch,
+    /// The shared-key counters of every admission (both ingest paths
+    /// admit on this writer).
+    key_counts: KeyCounts,
     /// Candidate pairs generated so far (see [`StreamStats`]).
     candidates_seen: usize,
     /// Snapshot tombstones (bootstrap-record indices) that
@@ -235,6 +238,7 @@ impl<T: Topology> Pipeline<T> {
             base_matches: Vec::new(),
             batch: ScoreBatch::new(),
             scratch: FillScratch::new(),
+            key_counts: KeyCounts::new(),
             candidates_seen: 0,
             pending_tombstones: Vec::new(),
             pending_epoch: 0,
@@ -503,11 +507,12 @@ impl<T: Topology> Pipeline<T> {
     /// order, so every bucket receives its postings in the same order.
     fn admit(&mut self, tag: T::Tag, idx: usize, keys: &KeySet) -> Vec<usize> {
         let (probe, join) = T::route(tag);
+        let (tombstones, counts) = (self.store.tombstones(), &mut self.key_counts);
         if probe == join {
             self.tags.push(tag);
-            return self.indexes[join].insert_keys_live(keys, self.store.tombstones());
+            return self.indexes[join].insert_keys_live(keys, tombstones, counts);
         }
-        let candidates = self.indexes[probe].probe_live(keys, self.store.tombstones());
+        let candidates = self.indexes[probe].probe_live(keys, tombstones, counts);
         self.join(tag, idx, keys);
         candidates
     }
@@ -680,7 +685,7 @@ impl<T: Topology> Pipeline<T> {
         // tables.
         let cfg = &self.store.derive_config();
         let interner = self.store.interner();
-        let scratch_chunks: Vec<(Vec<ScratchDerived>, Vec<String>)> =
+        let scratch_chunks: Vec<(Vec<ScratchDerived>, Interner)> =
             crossbeam::thread::scope(|scope| {
                 let workers: Vec<_> = records
                     .chunks(n.div_ceil(threads))

@@ -11,11 +11,19 @@
 //! at least two keys (`zeroer_blocking::standard_rule`) — and consumes
 //! the *same* blocking keys the batch blockers do: interned symbols
 //! extracted by the record-derivation layer (`zeroer_textsim::derive`),
-//! so batch and incremental candidate sets cannot drift apart. Each
-//! insert counts, per earlier record, the keys it shares over both legs
-//! in one map, and one merge function applies the rule. Buckets are
-//! keyed by [`Sym`], not strings — no key text is duplicated into the
-//! index.
+//! so batch and incremental candidate sets cannot drift apart. Buckets
+//! are keyed by [`Sym`], not strings — no key text is duplicated into
+//! the index.
+//!
+//! ## Counting
+//!
+//! Each insert or probe counts, per earlier record, the keys it shares
+//! over both legs, in the stamp arrays of a caller-owned [`KeyCounts`]
+//! (the idiom of the batch probe behind
+//! `zeroer_blocking::standard_candidates_derived`). A record joins the
+//! candidate list the moment its count reaches the rule's floor, and the
+//! list is sorted at the end; one routine does this for the insert and
+//! the probe.
 //!
 //! One index serves every streaming path. A pipeline holds one per
 //! bootstrap table: dedup arrivals insert into theirs
@@ -326,30 +334,72 @@ impl Leg {
     }
 }
 
-/// Adds one shared key to `counts` for every live record in `members`.
-fn count_live(counts: &mut HashMap<usize, usize>, members: &[usize], tombstones: &[bool]) {
-    for &m in members {
-        if !is_dead(tombstones, m) {
-            *counts.entry(m).or_insert(0) += 1;
-        }
-    }
+/// The shared-key counters of one caller of
+/// [`IncrementalIndex::insert_keys_live`] or
+/// [`IncrementalIndex::probe_live`]: a stamp and a count per indexed
+/// record, reused across calls and across indexes.
+///
+/// Each call takes a fresh stamp, and a count whose stamp is older reads
+/// as zero, so starting a call resets every count at once. Counting is
+/// then one array access per bucket member, with no hashing and no
+/// allocation once the arrays have grown to the largest index served.
+/// The caller owns the counters (the pipeline writer one, each read
+/// handle its own): an index is cloned into every published read view,
+/// and clones must not carry them.
+#[derive(Debug, Clone, Default)]
+pub struct KeyCounts {
+    /// `(stamp, shared keys)` per record index.
+    slots: Vec<(u32, u32)>,
+    /// The current call's stamp; 0 is never a live stamp.
+    stamp: u32,
 }
 
-/// Turns one record's shared-key counts — token and q-gram keys counted
-/// together, per earlier record — into its sorted candidate list: a
-/// member qualifies with at least `zeroer_blocking::standard_rule`'s
-/// number of shared keys (two by default). The one merge rule of the
-/// insert and the probe, so their candidate semantics cannot drift from
-/// each other or from batch blocking.
-fn merge_candidates(counts: HashMap<usize, usize>, min_token_overlap: usize) -> Vec<usize> {
-    let need = standard_rule(min_token_overlap).min_shared_keys;
-    let mut candidates: Vec<usize> = counts
-        .into_iter()
-        .filter(|&(_, c)| c >= need)
-        .map(|(m, _)| m)
-        .collect();
-    candidates.sort_unstable();
-    candidates
+impl KeyCounts {
+    /// Empty counters; they grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a call over records `0..bound` with every count at zero.
+    fn begin(&mut self, bound: usize) {
+        if self.slots.len() < bound {
+            self.slots.resize(bound, (0, 0));
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill((0, 0));
+            self.stamp = 1;
+        }
+    }
+
+    /// Adds one shared key for every live record in `members`, pushing a
+    /// record onto `candidates` when its count reaches `need`. The one
+    /// counting rule of the insert and the probe — token and q-gram keys
+    /// counted together, a record kept once it shares
+    /// `zeroer_blocking::standard_rule`'s number of keys (two by default)
+    /// — so their candidate semantics cannot drift from each other or
+    /// from batch blocking.
+    fn add(
+        &mut self,
+        members: &[usize],
+        tombstones: &[bool],
+        need: u32,
+        candidates: &mut Vec<usize>,
+    ) {
+        for &m in members {
+            if is_dead(tombstones, m) {
+                continue;
+            }
+            let slot = &mut self.slots[m];
+            if slot.0 != self.stamp {
+                *slot = (self.stamp, 0);
+            }
+            slot.1 += 1;
+            if slot.1 == need {
+                candidates.push(m);
+            }
+        }
+    }
 }
 
 /// Online inverted token + q-gram indexes over one key attribute: the
@@ -363,15 +413,19 @@ pub struct IncrementalIndex {
     token_leg: Leg,
     qgram_leg: Option<Leg>,
     len: usize,
+    /// One past the largest record index posted: the size [`KeyCounts`]
+    /// must cover.
+    bound: usize,
 }
 
 impl IncrementalIndex {
     /// An empty index.
     ///
     /// # Panics
-    /// Panics if `min_token_overlap` is 0.
+    /// Panics if `min_token_overlap` or `max_bucket` is 0.
     pub fn new(cfg: IndexConfig) -> Self {
         assert!(cfg.min_token_overlap >= 1, "overlap must be at least 1");
+        assert!(cfg.max_bucket >= 1, "max_bucket must be at least 1");
         let qgram_leg = if cfg.has_qgram_leg() {
             Some(Leg::new(cfg.max_bucket))
         } else {
@@ -381,6 +435,7 @@ impl IncrementalIndex {
             token_leg: Leg::new(cfg.max_bucket),
             qgram_leg,
             len: 0,
+            bound: 0,
             cfg,
         }
     }
@@ -434,27 +489,44 @@ impl IncrementalIndex {
             })
     }
 
+    /// The shared keys that make a candidate pair
+    /// (`zeroer_blocking::standard_rule`).
+    fn need(&self) -> u32 {
+        let need = standard_rule(self.cfg.min_token_overlap).min_shared_keys;
+        u32::try_from(need).unwrap_or(u32::MAX)
+    }
+
     /// Inserts the next record's derived blocking keys (records must be
     /// inserted in store order: the i-th call describes record index i)
     /// and returns the sorted indices of previously inserted records
-    /// sharing enough blocking keys with it (two by default).
-    pub fn insert_keys(&mut self, keys: &KeySet) -> Vec<usize> {
-        self.insert_keys_live(keys, &[])
+    /// sharing enough blocking keys with it (two by default), counted in
+    /// `counts`.
+    pub fn insert_keys(&mut self, keys: &KeySet, counts: &mut KeyCounts) -> Vec<usize> {
+        self.insert_keys_live(keys, &[], counts)
     }
 
     /// [`IncrementalIndex::insert_keys`] with a tombstone filter:
     /// retracted records are skipped as candidates and excluded from the
     /// frequency cap. An empty slice means "no retractions".
-    pub fn insert_keys_live(&mut self, keys: &KeySet, tombstones: &[bool]) -> Vec<usize> {
+    pub fn insert_keys_live(
+        &mut self,
+        keys: &KeySet,
+        tombstones: &[bool],
+        counts: &mut KeyCounts,
+    ) -> Vec<usize> {
         let idx = self.len;
         self.len += 1;
-        let mut counts: HashMap<usize, usize> = HashMap::new();
+        let need = self.need();
+        counts.begin(self.bound);
+        self.bound = self.bound.max(idx + 1);
+        let mut candidates = Vec::new();
         for (leg, syms) in self.legs_mut(keys) {
             for &key in syms {
-                count_live(&mut counts, leg.insert_key(idx, key), tombstones);
+                counts.add(leg.insert_key(idx, key), tombstones, need, &mut candidates);
             }
         }
-        merge_candidates(counts, self.cfg.min_token_overlap)
+        candidates.sort_unstable();
+        candidates
     }
 
     /// Read-only candidate lookup: the sorted indices of inserted records
@@ -469,14 +541,22 @@ impl IncrementalIndex {
     /// a resolve finds candidates in a published read view. Probing takes
     /// `&self`, so any number of readers can probe one frozen index with
     /// no synchronization.
-    pub fn probe_live(&self, keys: &KeySet, tombstones: &[bool]) -> Vec<usize> {
-        let mut counts: HashMap<usize, usize> = HashMap::new();
+    pub fn probe_live(
+        &self,
+        keys: &KeySet,
+        tombstones: &[bool],
+        counts: &mut KeyCounts,
+    ) -> Vec<usize> {
+        let need = self.need();
+        counts.begin(self.bound);
+        let mut candidates = Vec::new();
         for (leg, syms) in self.legs(keys) {
             for &key in syms {
-                count_live(&mut counts, leg.members(key), tombstones);
+                counts.add(leg.members(key), tombstones, need, &mut candidates);
             }
         }
-        merge_candidates(counts, self.cfg.min_token_overlap)
+        candidates.sort_unstable();
+        candidates
     }
 
     /// Posts a record's keys under an explicit record index, without
@@ -496,6 +576,7 @@ impl IncrementalIndex {
             }
         }
         self.len += 1;
+        self.bound = self.bound.max(idx + 1);
     }
 
     /// Marks record `idx`'s postings dead under its blocking keys (the
@@ -535,6 +616,7 @@ mod tests {
     struct Harness {
         deriver: Deriver,
         index: IncrementalIndex,
+        counts: KeyCounts,
     }
 
     impl Harness {
@@ -542,12 +624,19 @@ mod tests {
             Self {
                 deriver: Deriver::new(cfg.derive_config()),
                 index: IncrementalIndex::new(cfg),
+                counts: KeyCounts::new(),
             }
         }
 
         fn insert(&mut self, record: &Record) -> Vec<usize> {
             let d = self.deriver.derive(&record.values);
-            self.index.insert_keys(d.keys())
+            self.index.insert_keys(d.keys(), &mut self.counts)
+        }
+
+        fn insert_live(&mut self, name: &str, tombstones: &[bool]) -> Vec<usize> {
+            let d = self.deriver.derive(&rec(0, name).values);
+            self.index
+                .insert_keys_live(d.keys(), tombstones, &mut self.counts)
         }
     }
 
@@ -638,8 +727,7 @@ mod tests {
         // A new record sharing 'apple' and 'pie' sees only the live
         // record 1.
         let tombstones = [true, false];
-        let d = h.deriver.derive(&rec(2, "apple pie strudel").values);
-        assert_eq!(h.index.insert_keys_live(d.keys(), &tombstones), vec![1]);
+        assert_eq!(h.insert_live("apple pie strudel", &tombstones), vec![1]);
 
         // Compaction drops the dead postings and frees the now-empty
         // 'red' bucket.
@@ -672,9 +760,25 @@ mod tests {
         // A third record would cross max_bucket=2 if dead members
         // counted; live-only counting keeps both buckets pairing.
         let tombstones = [true, false];
-        let d = h.deriver.derive(&rec(2, "shared hot two").values);
-        assert_eq!(h.index.insert_keys_live(d.keys(), &tombstones), vec![1]);
+        assert_eq!(h.insert_live("shared hot two", &tombstones), vec![1]);
         assert_eq!(h.index.stats().token.retired, 0);
+    }
+
+    #[test]
+    fn counts_from_before_a_stamp_wrap_are_forgotten() {
+        let mut h = Harness::new(IndexConfig {
+            qgram: 0,
+            ..Default::default()
+        });
+        insert_all(&mut h, &["red apple pie", "green apple pie"]);
+        // Record 0 holds one key counted under stamp 1, which the wrap
+        // is about to reuse.
+        h.counts.slots[0] = (1, 1);
+        h.counts.stamp = u32::MAX;
+        let d = h.deriver.derive(&rec(2, "apple tart").values);
+        let got = h.index.probe_live(d.keys(), &[], &mut h.counts);
+        assert_eq!(got, Vec::<usize>::new(), "one shared key each");
+        assert_eq!(h.counts.stamp, 1);
     }
 
     #[test]

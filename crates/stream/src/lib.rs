@@ -83,7 +83,7 @@ pub mod store;
 
 pub use drift::DriftMonitor;
 pub use engine::{Pipeline, Topology};
-pub use index::{CompactionDelta, IncrementalIndex, IndexConfig, IndexStats, LegStats};
+pub use index::{CompactionDelta, IncrementalIndex, IndexConfig, IndexStats, KeyCounts, LegStats};
 pub use legs::{build_dedup_leg, build_linkage_legs, DedupLeg, LegReplay, LegTriple, LinkageLegs};
 pub use link::{LinkBootstrapReport, LinkPipeline, Linkage, Side};
 pub use pipeline::{

@@ -59,7 +59,9 @@ pub struct StreamOptions {
     pub min_token_overlap: usize,
     /// q-gram size for the q-gram blocking leg.
     pub qgram: usize,
-    /// Stop-word bucket cap for both blocking legs.
+    /// Stop-word bucket cap for both blocking legs. Must be at least 1:
+    /// at 0 every bucket would retire at its first posting, so the
+    /// bootstraps refuse it.
     pub max_bucket: usize,
     /// Posterior threshold for assigning an incoming record to an
     /// existing entity. Strictly-above semantics (`p > threshold`),
@@ -120,6 +122,9 @@ impl StreamOptions {
     pub(crate) fn check(&self) -> Result<(), StreamError> {
         if self.min_token_overlap == 0 {
             return Err(StreamError("min_token_overlap must be at least 1".into()));
+        }
+        if self.max_bucket == 0 {
+            return Err(StreamError("max_bucket must be at least 1".into()));
         }
         Ok(())
     }
@@ -447,9 +452,9 @@ impl StreamPipeline {
     /// to the entity store together with its interner.
     ///
     /// # Errors
-    /// Fails when `min_token_overlap` is 0, when `initial` yields no
-    /// candidate pairs (nothing to fit), or when the fit is too
-    /// degenerate to freeze.
+    /// Fails when `min_token_overlap` or `max_bucket` is 0, when
+    /// `initial` yields no candidate pairs (nothing to fit), or when the
+    /// fit is too degenerate to freeze.
     pub fn bootstrap(
         initial: &Table,
         opts: StreamOptions,

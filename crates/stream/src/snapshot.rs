@@ -274,6 +274,9 @@ impl PipelineSnapshot {
         if index.min_token_overlap == 0 {
             return Err(JsonError::schema("min_token_overlap must be at least 1"));
         }
+        if index.max_bucket == 0 {
+            return Err(JsonError::schema("max_bucket must be at least 1"));
+        }
         // The bootstrap section arrived after the dedup format's first
         // release; absence (old snapshots) reads as "no recorded
         // decisions", which callers treat as the legacy re-score
@@ -725,6 +728,19 @@ mod tests {
         assert!(
             PipelineSnapshot::from_json(&text).is_err(),
             "blocking attr outside the schema must be rejected"
+        );
+        let no_cap = PipelineSnapshot {
+            index: IndexConfig {
+                max_bucket: 0,
+                ..Default::default()
+            },
+            ..snap.clone()
+        };
+        let err = PipelineSnapshot::from_json(&no_cap.to_json())
+            .expect_err("a zero bucket cap must be rejected");
+        assert!(
+            err.to_string().contains("max_bucket must be at least 1"),
+            "{err}"
         );
         let repeated = PipelineSnapshot {
             schema: vec!["name".into(), "year".into(), "name".into()],

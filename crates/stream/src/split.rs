@@ -45,7 +45,7 @@
 //! has a baseline to beat.
 
 use crate::engine::{check_arity, score_candidates, Pipeline, Topology};
-use crate::index::IncrementalIndex;
+use crate::index::{IncrementalIndex, KeyCounts};
 use crate::link::{Linkage, Side};
 use crate::pipeline::{Dedup, IngestOutcome, StreamError};
 use crate::store::EntityStore;
@@ -122,6 +122,7 @@ pub struct ReadHandle<T: Topology = Dedup> {
     deriver: Deriver,
     batch: ScoreBatch,
     scratch: FillScratch,
+    key_counts: KeyCounts,
     /// Present when the handle came from a [`SplitPipeline`] (and can
     /// therefore refresh); `None` for a standalone pin.
     shared: Option<Arc<Shared<T>>>,
@@ -134,6 +135,7 @@ impl<T: Topology> Clone for ReadHandle<T> {
             deriver: self.deriver.clone(),
             batch: ScoreBatch::new(),
             scratch: FillScratch::new(),
+            key_counts: KeyCounts::new(),
             shared: self.shared.clone(),
         }
     }
@@ -148,6 +150,7 @@ impl<T: Topology> ReadHandle<T> {
             deriver,
             batch: ScoreBatch::new(),
             scratch: FillScratch::new(),
+            key_counts: KeyCounts::new(),
             shared,
         }
     }
@@ -204,8 +207,11 @@ impl<T: Topology> ReadHandle<T> {
         check_arity(record, self.arity())?;
         let view = &*self.view;
         let derived = self.deriver.derive(&record.values);
-        let candidates =
-            view.indexes[T::route(tag).0].probe_live(derived.keys(), view.store.tombstones());
+        let candidates = view.indexes[T::route(tag).0].probe_live(
+            derived.keys(),
+            view.store.tombstones(),
+            &mut self.key_counts,
+        );
         let store = &view.store;
         let matches = score_candidates(
             &view.featurizer,

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use zeroer_blocking::{standard_recipe, Blocker, PairMode};
 use zeroer_datagen::{all_profiles, generate};
-use zeroer_stream::{IncrementalIndex, IndexConfig};
+use zeroer_stream::{IncrementalIndex, IndexConfig, KeyCounts};
 use zeroer_tabular::{Record, Schema, Table, Value};
 use zeroer_textsim::derive::Deriver;
 
@@ -27,10 +27,11 @@ fn dedup_table_of(profile_idx: usize, scale: f64, seed: u64) -> Table {
 fn incremental_pairs(table: &Table, cfg: IndexConfig) -> BTreeSet<(usize, usize)> {
     let mut deriver = Deriver::new(cfg.derive_config());
     let mut index = IncrementalIndex::new(cfg);
+    let mut counts = KeyCounts::new();
     let mut pairs = BTreeSet::new();
     for (idx, r) in table.records().iter().enumerate() {
         let d = deriver.derive(&r.values);
-        for c in index.insert_keys(d.keys()) {
+        for c in index.insert_keys(d.keys(), &mut counts) {
             assert!(c < idx, "candidates must be previously inserted records");
             pairs.insert((c, idx));
         }

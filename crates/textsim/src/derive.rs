@@ -36,7 +36,6 @@
 
 use crate::intern::{fnv1a, fnv1a_extend, InternSink, Interner, Sym, FNV1A_OFFSET, LOCAL_BIT};
 use crate::tokenize::{normalize_into, qgrams_from_norm, TokenBag};
-use std::collections::HashMap;
 use zeroer_tabular::Value;
 
 /// Which blocking keys the derivation pass should extract alongside the
@@ -413,54 +412,45 @@ impl Deriver {
     }
 }
 
-/// Worker-local scratch symbol table: tokens missing from the frozen
-/// base interner get local ids (tagged with the high bit).
-#[derive(Debug, Default)]
-struct ScratchTable {
-    map: HashMap<u64, Vec<u32>>,
-    texts: Vec<String>,
-    /// Local ids first assigned while deriving the *current* record, in
-    /// assignment order — drained into [`ScratchDerived::fresh`].
-    fresh: Vec<u32>,
-}
-
+/// A worker's intern sink: tokens of the frozen base interner keep their
+/// symbols; any other token is interned into the worker-local interner
+/// and tagged with the high bit. Each token is hashed once for both
+/// tables.
 struct ScratchSink<'a, 'b> {
     base: &'a Interner,
-    table: &'b mut ScratchTable,
+    local: &'b mut Interner,
+    /// Local ids first assigned while deriving the current record, in
+    /// assignment order — drained into [`ScratchDerived::fresh`].
+    fresh: &'b mut Vec<u32>,
 }
 
 impl InternSink for ScratchSink<'_, '_> {
     fn intern_token(&mut self, s: &str) -> Sym {
-        if let Some(sym) = self.base.get(s) {
+        let h = fnv1a(s);
+        if let Some(sym) = self.base.get_hashed(h, s) {
             return sym;
         }
-        let h = fnv1a(s);
-        if let Some(ids) = self.table.map.get(&h) {
-            for &i in ids {
-                if self.table.texts[i as usize] == s {
-                    return Sym(LOCAL_BIT | i);
-                }
-            }
+        let known = self.local.len();
+        let Sym(id) = self.local.intern_hashed(h, s);
+        if id as usize == known {
+            self.fresh.push(id);
         }
-        let id = self.table.texts.len() as u32;
-        assert!(id < LOCAL_BIT, "scratch interner overflow");
-        self.table.texts.push(s.to_string());
-        self.table.map.entry(h).or_default().push(id);
-        self.table.fresh.push(id);
         Sym(LOCAL_BIT | id)
     }
 }
 
 /// A worker's deriver: resolves tokens against a frozen snapshot of the
-/// global interner, parking unseen tokens in a local scratch table. The
-/// produced [`ScratchDerived`] records must be committed in ingest order
-/// by the single writer.
+/// global interner, parking unseen tokens in a worker-local [`Interner`].
+/// The produced [`ScratchDerived`] records must be committed in ingest
+/// order by the single writer.
 #[derive(Debug)]
 pub struct ScratchDeriver<'a> {
     base: &'a Interner,
     cfg: DeriveConfig,
     bufs: DeriveBufs,
-    table: ScratchTable,
+    /// The tokens `base` lacks, numbered by local id.
+    local: Interner,
+    fresh: Vec<u32>,
 }
 
 impl<'a> ScratchDeriver<'a> {
@@ -470,7 +460,8 @@ impl<'a> ScratchDeriver<'a> {
             base,
             cfg,
             bufs: DeriveBufs::default(),
-            table: ScratchTable::default(),
+            local: Interner::new(),
+            fresh: Vec::new(),
         }
     }
 
@@ -480,7 +471,8 @@ impl<'a> ScratchDeriver<'a> {
         let rec = derive_record(
             &mut ScratchSink {
                 base: self.base,
-                table: &mut self.table,
+                local: &mut self.local,
+                fresh: &mut self.fresh,
             },
             &mut self.bufs,
             &self.cfg,
@@ -488,14 +480,15 @@ impl<'a> ScratchDeriver<'a> {
         );
         ScratchDerived {
             rec,
-            fresh: std::mem::take(&mut self.table.fresh),
+            fresh: std::mem::take(&mut self.fresh),
         }
     }
 
-    /// Consumes the deriver, yielding the scratch token texts (indexed
-    /// by local id) needed to commit its records.
-    pub fn into_texts(self) -> Vec<String> {
-        self.table.texts
+    /// Consumes the deriver, yielding the worker-local interner whose
+    /// symbol `i` is the text of scratch-local id `i`, needed to commit
+    /// its records.
+    pub fn into_texts(self) -> Interner {
+        self.local
     }
 }
 
@@ -536,18 +529,18 @@ impl ScratchDerived {
     /// tokens in first-occurrence order (reproducing the sequential
     /// symbol numbering exactly) and rewrites all scratch-local symbols.
     ///
-    /// `texts` are the worker's scratch texts ([`ScratchDeriver::into_texts`])
+    /// `texts` is the worker's local interner ([`ScratchDeriver::into_texts`])
     /// and `map` is the worker's local→global table, sized to `texts`
     /// and shared across that worker's records; records must be
     /// committed in ingest order.
     pub fn commit(
         self,
-        texts: &[String],
+        texts: &Interner,
         map: &mut [Option<Sym>],
         interner: &mut Interner,
     ) -> DerivedRecord {
         for &lid in &self.fresh {
-            map[lid as usize] = Some(interner.intern(&texts[lid as usize]));
+            map[lid as usize] = Some(interner.intern_from(texts, Sym(lid)));
         }
         let mut rec = self.rec;
         let needs = |bag: &TokenBag| bag.entries().iter().any(|&(s, _)| s.0 & LOCAL_BIT != 0);

@@ -1,11 +1,38 @@
 //! Token interning: `Sym` ↔ token text.
 //!
 //! Every tokenizer in this crate resolves token text to a compact
-//! [`Sym`] through an [`Interner`], so a token's heap string is stored
-//! exactly once per corpus no matter how many bags, blocking keys or
+//! [`Sym`] through an [`Interner`], so a token's text is stored exactly
+//! once per corpus no matter how many bags, blocking keys or
 //! inverted-index buckets mention it. Downstream set operations
 //! ([`crate::tokenize::TokenBag`]) then compare 4-byte symbols instead of
 //! hashing strings.
+//!
+//! ## Layout
+//!
+//! The table is flat: no allocation per token and no second hash.
+//!
+//! * Token texts lie back to back in one `String`; symbol `i` is the
+//!   slice between offsets `i` and `i + 1` of a start-offset list.
+//! * Each symbol keeps its [`fnv1a`] hash.
+//! * Lookup is an open-addressing slot array holding `symbol + 1`
+//!   (0 marks an empty slot). A token's home slot is the top bits of its
+//!   FNV-1a hash times an odd multiplier, and probing is linear: a slot
+//!   matches when its symbol's stored hash, then its text, equal the
+//!   token's. The array doubles when it would pass half full, re-placing
+//!   every symbol from its stored hash.
+//!
+//! Cloning an interner is therefore a few flat copies.
+//!
+//! Token text comes from outside the program, so the multiplier is drawn
+//! at random for each new interner (a clone keeps it). With a known
+//! multiplier, tokens could be crafted by brute force to share a home
+//! slot, and every probe among them would scan one long run. Multiplying
+//! by a random odd number and keeping the top `k` bits puts two distinct
+//! hashes in one home slot with probability at most 2/2ᵏ (Dietzfelbinger
+//! et al., *A reliable randomized algorithm for the closest-pair
+//! problem*, J. Algorithms 25(1), 1997). Only tokens with equal FNV-1a
+//! hashes must share a run, as they shared a chain in the `HashMap` of
+//! hash → symbols this table replaced.
 //!
 //! ## Determinism
 //!
@@ -13,9 +40,12 @@
 //! sequence of `intern` calls always yields the same numbering — the
 //! property the streaming subsystem's parallel ingest relies on (workers
 //! tokenize against a frozen interner snapshot and a single writer
-//! commits fresh tokens in ingest order; see `zeroer_stream`).
+//! commits fresh tokens in ingest order; see `zeroer_stream`). The slot
+//! array only finds symbols; it never chooses one, so where a token lands
+//! in it, and the random multiplier, have no effect on any number.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// An interned token: a dense index into an [`Interner`].
 ///
@@ -57,14 +87,38 @@ pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// The slot array's size when the first token arrives.
+const MIN_SLOTS: usize = 16;
+
 /// Append-only token table: text → [`Sym`] with first-seen-order symbol
-/// assignment.
-#[derive(Debug, Clone, Default)]
+/// assignment. See the module docs for the layout.
+#[derive(Debug, Clone)]
 pub struct Interner {
-    strings: Vec<Box<str>>,
-    /// text-hash → candidate symbol indices (collision chain).
-    map: HashMap<u64, Vec<u32>>,
-    bytes: usize,
+    /// Every token's text, back to back in symbol order.
+    text: String,
+    /// Symbol `i`'s text is `text[starts[i]..starts[i + 1]]`; one more
+    /// entry than there are symbols.
+    starts: Vec<u32>,
+    /// Each symbol's [`fnv1a`] hash.
+    hashes: Vec<u64>,
+    /// Open-addressing table of `symbol + 1`, 0 = empty; its length is 0
+    /// or a power of two, and at most half its slots are full.
+    slots: Vec<u32>,
+    /// The odd multiplier that spreads hashes over `slots`, drawn at
+    /// random per interner (see the module docs).
+    mix: u64,
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Self {
+            text: String::new(),
+            starts: vec![0],
+            hashes: Vec::new(),
+            slots: Vec::new(),
+            mix: RandomState::new().hash_one(0u64) | 1,
+        }
+    }
 }
 
 impl Interner {
@@ -76,30 +130,91 @@ impl Interner {
     /// Interns `s`, returning its symbol (existing or freshly assigned).
     ///
     /// # Panics
-    /// Panics if more than 2³¹ distinct tokens are interned.
+    /// Panics if more than 2³¹ distinct tokens, or more than 4 GiB of
+    /// distinct token text, are interned.
     pub fn intern(&mut self, s: &str) -> Sym {
-        let h = fnv1a(s);
-        if let Some(ids) = self.map.get(&h) {
-            for &i in ids {
-                if &*self.strings[i as usize] == s {
-                    return Sym(i);
-                }
-            }
-        }
-        let id = self.strings.len() as u32;
+        self.intern_hashed(fnv1a(s), s)
+    }
+
+    /// [`Interner::intern`] of `s` whose [`fnv1a`] hash is `h`.
+    pub(crate) fn intern_hashed(&mut self, h: u64, s: &str) -> Sym {
+        let slot = match self.find(h, s) {
+            Ok(sym) => return sym,
+            Err(slot) => slot,
+        };
+        let id = self.hashes.len() as u32;
         assert!(id < LOCAL_BIT, "interner overflow: 2^31 distinct tokens");
-        self.strings.push(s.into());
-        self.bytes += s.len();
-        self.map.entry(h).or_default().push(id);
+        let end = u32::try_from(self.text.len() + s.len())
+            .expect("interner overflow: 4 GiB of token text");
+        self.text.push_str(s);
+        self.starts.push(end);
+        self.hashes.push(h);
+        if 2 * self.hashes.len() > self.slots.len() {
+            self.grow();
+        } else {
+            self.slots[slot] = id + 1;
+        }
         Sym(id)
+    }
+
+    /// Interns `other`'s symbol `sym` here, reusing its stored hash.
+    pub(crate) fn intern_from(&mut self, other: &Interner, sym: Sym) -> Sym {
+        self.intern_hashed(other.hashes[sym.index()], other.resolve(sym))
     }
 
     /// Looks up an already-interned token without inserting.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        let ids = self.map.get(&fnv1a(s))?;
-        ids.iter()
-            .find(|&&i| &*self.strings[i as usize] == s)
-            .map(|&i| Sym(i))
+        self.get_hashed(fnv1a(s), s)
+    }
+
+    /// [`Interner::get`] of `s` whose [`fnv1a`] hash is `h`.
+    pub(crate) fn get_hashed(&self, h: u64, s: &str) -> Option<Sym> {
+        self.find(h, s).ok()
+    }
+
+    /// `s`'s symbol, or the empty slot where it would go. With no slot
+    /// array yet, the miss reports slot 0, which [`Interner::grow`]
+    /// replaces.
+    fn find(&self, h: u64, s: &str) -> Result<Sym, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(h);
+        loop {
+            let id = match self.slots[slot] {
+                0 => return Err(slot),
+                full => full - 1,
+            };
+            let sym = Sym(id);
+            if self.hashes[sym.index()] == h && self.resolve(sym) == s {
+                return Ok(sym);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The first slot probed for hash `h`.
+    #[inline]
+    fn home(&self, h: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (h.wrapping_mul(self.mix) >> (64 - bits)) as usize
+    }
+
+    /// Doubles the slot array (or makes the first one) and re-places
+    /// every symbol, the newest included.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(size, 0);
+        let mask = size - 1;
+        for (id, &h) in self.hashes.iter().enumerate() {
+            let mut slot = self.home(h);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id as u32 + 1;
+        }
     }
 
     /// The text of a symbol.
@@ -108,27 +223,29 @@ impl Interner {
     /// Panics on a symbol this interner did not produce (including
     /// uncommitted scratch-local symbols).
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.0 as usize]
+        let i = sym.index();
+        &self.text[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
     /// Number of distinct interned tokens.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.hashes.len()
     }
 
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.hashes.is_empty()
     }
 
     /// Total bytes of distinct token text stored (each token once).
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.text.len()
     }
 }
 
 /// Anything tokens can be interned into: the global [`Interner`] or a
-/// worker-local scratch table ([`crate::derive::ScratchDeriver`]).
+/// worker's frozen base plus local interner
+/// ([`crate::derive::ScratchDeriver`]).
 pub trait InternSink {
     /// Interns one token.
     fn intern_token(&mut self, s: &str) -> Sym;
@@ -172,6 +289,42 @@ mod tests {
         // `fnv1a` is documented as stable across builds: pin it.
         assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn colliding_hashes_still_compare_text() {
+        // Every hash folded onto four values: most probes meet symbols
+        // with the token's hash but another text, across several
+        // doublings of the slot array, and a clone keeps probing alike.
+        let weak = |s: &str| fnv1a(s) & 3;
+        let tokens: Vec<String> = (0..400).map(|i| format!("t{}", i * 7 % 150)).collect();
+        let mut it = Interner::new();
+        let mut first_seen: Vec<&str> = Vec::new();
+        let mut twin = None;
+        for (n, t) in tokens.iter().enumerate() {
+            let want = first_seen.iter().position(|&s| s == t).unwrap_or_else(|| {
+                first_seen.push(t);
+                first_seen.len() - 1
+            });
+            assert_eq!(it.intern_hashed(weak(t), t), Sym(want as u32), "{t}");
+            if n == 200 {
+                twin = Some(it.clone());
+            }
+        }
+        let mut twin = twin.expect("cloned mid-stream");
+        for t in &tokens[201..] {
+            assert_eq!(
+                twin.intern_hashed(weak(t), t),
+                it.get_hashed(weak(t), t).unwrap()
+            );
+        }
+        assert_eq!(it.len(), 150);
+        assert_eq!(twin.len(), 150);
+        for (i, t) in first_seen.iter().enumerate() {
+            assert_eq!(it.get_hashed(weak(t), t), Some(Sym(i as u32)));
+            assert_eq!(it.resolve(Sym(i as u32)), *t);
+        }
+        assert_eq!(it.get_hashed(weak("t150"), "t150"), None);
     }
 
     #[test]

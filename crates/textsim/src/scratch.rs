@@ -42,6 +42,9 @@ pub struct SimScratch {
     pub(crate) b_used: Vec<bool>,
     /// Monge-Elkan outer token symbols.
     pub(crate) syms: Vec<Sym>,
+    /// Char signatures of the tokens of one Monge-Elkan call's inner
+    /// (or fixed) bag.
+    pub(crate) sigs: Vec<u64>,
     /// The fixed-side Monge-Elkan memo.
     pub(crate) memo: TokenMemo,
     /// Per-outer-token running maxima of one fixed-outer Monge-Elkan

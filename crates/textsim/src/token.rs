@@ -131,11 +131,20 @@ pub fn monge_elkan(interner: &Interner, a: &TokenBag, b: &TokenBag) -> f64 {
 /// the summation order — and with it every float operation — is
 /// canonical.
 ///
-/// An outer token that is also in `b` scores exactly 1.0 without any
-/// Jaro-Winkler call: Jaro-Winkler of a string with itself is exactly
-/// 1.0 (`(1 + 1 + 1) / 3` plus a zero prefix bonus), and every score is
-/// capped at 1.0, so that token's maximum is 1.0 whatever else `b`
-/// holds.
+/// Two exact shortcuts skip Jaro-Winkler calls whose value is known:
+///
+/// * An outer token that is also in `b` scores exactly 1.0 without any
+///   call: Jaro-Winkler of a string with itself is exactly 1.0
+///   (`(1 + 1 + 1) / 3` plus a zero prefix bonus), and every score is
+///   capped at 1.0, so that token's maximum is 1.0 whatever else `b`
+///   holds.
+/// * Two tokens that share no char score exactly `+0.0`: Jaro finds no
+///   match and returns `0.0`, and the common prefix is 0. The running
+///   maximum starts at `+0.0`, so the call is skipped. A 64-bit char
+///   signature per token (bit `c & 63` for each char `c`) proves most
+///   such pairs disjoint with one AND; chars whose codes agree modulo
+///   64 only make a pair fall back to the call. `b`'s signatures are
+///   computed once per call.
 pub fn monge_elkan_with(
     scratch: &mut SimScratch,
     interner: &Interner,
@@ -146,13 +155,16 @@ pub fn monge_elkan_with(
         return v;
     }
     let mut syms = std::mem::take(&mut scratch.syms);
+    let mut sigs = std::mem::take(&mut scratch.sigs);
     sort_by_text(&mut syms, interner, a);
+    fill_sigs(&mut sigs, b.tokens(interner));
     let mut total = 0.0;
     for &sa in &syms {
-        total += best_match(scratch, interner, sa, b);
+        total += best_match(scratch, interner, sa, b, &sigs);
     }
     let n = syms.len() as f64;
     scratch.syms = syms;
+    scratch.sigs = sigs;
     total / n
 }
 
@@ -194,6 +206,11 @@ pub enum FixedBag {
 /// does not depend on the order it sees them in. The memo lives in
 /// `scratch` and is emptied before the call returns: symbols mean
 /// something only within one interner.
+///
+/// Both forms take [`monge_elkan_with`]'s disjoint-char shortcut: the
+/// fixed bag's char signatures are computed once per call, the other
+/// token's once per memo miss, and a fixed-outer row stores `+0.0` for a
+/// disjoint pair without a call — the value the call would return.
 pub fn monge_elkan_fixed_with<'b>(
     scratch: &mut SimScratch,
     interner: &Interner,
@@ -203,9 +220,11 @@ pub fn monge_elkan_fixed_with<'b>(
     out: &mut Vec<f64>,
 ) {
     let mut memo = std::mem::take(&mut scratch.memo);
+    let mut sigs = std::mem::take(&mut scratch.sigs);
     memo.reserve(interner);
     match side {
         FixedBag::Inner => {
+            fill_sigs(&mut sigs, fixed.word.tokens(interner));
             for a in others {
                 if let Some(v) = empty_monge_elkan(&a.word, &fixed.word) {
                     out.push(v);
@@ -216,7 +235,9 @@ pub fn monge_elkan_fixed_with<'b>(
                 for &sa in order {
                     let at = match memo.get(sa) {
                         Some(at) => at,
-                        None => memo.insert(sa, [best_match(scratch, interner, sa, &fixed.word)]),
+                        None => {
+                            memo.insert(sa, [best_match(scratch, interner, sa, &fixed.word, &sigs)])
+                        }
                     };
                     total += memo.scores()[at];
                 }
@@ -226,6 +247,7 @@ pub fn monge_elkan_fixed_with<'b>(
         FixedBag::Outer => {
             let order = fixed.word_order();
             let k = order.len();
+            fill_sigs(&mut sigs, order.iter().map(|&sa| interner.resolve(sa)));
             let mut best = std::mem::take(&mut scratch.best);
             for b in others {
                 let b = &b.word;
@@ -240,9 +262,14 @@ pub fn monge_elkan_fixed_with<'b>(
                         Some(at) => at,
                         None => {
                             let tb = interner.resolve(sb);
-                            let row = order
-                                .iter()
-                                .map(|&sa| jaro_winkler_with(scratch, interner.resolve(sa), tb));
+                            let sig_b = char_sig(tb);
+                            let row = order.iter().zip(&sigs).map(|(&sa, &sig_a)| {
+                                if sig_a & sig_b == 0 {
+                                    0.0
+                                } else {
+                                    jaro_winkler_with(scratch, interner.resolve(sa), tb)
+                                }
+                            });
                             memo.insert(sb, row)
                         }
                     };
@@ -261,6 +288,7 @@ pub fn monge_elkan_fixed_with<'b>(
     }
     memo.clear();
     scratch.memo = memo;
+    scratch.sigs = sigs;
 }
 
 /// [`SetCounts::of`] of one bag against many: appends to `out`, in
@@ -315,17 +343,52 @@ fn sort_by_text(syms: &mut Vec<Sym>, interner: &Interner, bag: &TokenBag) {
 
 /// One outer token's Monge-Elkan term: 1.0 when `b` holds the token
 /// itself (the exact-token shortcut), else its best Jaro-Winkler score
-/// over `b`'s tokens.
-fn best_match(scratch: &mut SimScratch, interner: &Interner, sa: Sym, b: &TokenBag) -> f64 {
+/// over `b`'s tokens, whose char signatures `b_sigs` holds in symbol
+/// order.
+fn best_match(
+    scratch: &mut SimScratch,
+    interner: &Interner,
+    sa: Sym,
+    b: &TokenBag,
+    b_sigs: &[u64],
+) -> f64 {
     if b.count(sa) > 0 {
         return 1.0;
     }
     let ta = interner.resolve(sa);
+    let sig_a = char_sig(ta);
     let mut best = 0.0f64;
-    for tb in b.tokens(interner) {
-        best = best.max(jaro_winkler_with(scratch, ta, tb));
+    for (sb, &sig_b) in b.syms().zip(b_sigs) {
+        if sig_a & sig_b != 0 {
+            best = best.max(jaro_winkler_with(scratch, ta, interner.resolve(sb)));
+        }
     }
     best
+}
+
+/// A token's char signature: bit `c & 63` set for every char `c`. The
+/// empty token gets every bit: it scores 1.0 against itself, so it must
+/// never look disjoint.
+///
+/// When two tokens' signatures do not intersect, their Jaro-Winkler is
+/// exactly `+0.0` and the kernels skip the call. The tokens are then
+/// non-empty and share no char, so Jaro finds no match (`m = 0`) and
+/// returns `0.0`, and the common prefix is 0, so Jaro-Winkler is
+/// `(0.0 + 0 · 0.1 · (1 − 0.0)).min(1.0)`, which is `+0.0`. Distinct
+/// chars whose codes agree modulo 64 only make signatures intersect,
+/// and then the score is computed.
+#[inline]
+fn char_sig(token: &str) -> u64 {
+    if token.is_empty() {
+        return u64::MAX;
+    }
+    token.chars().fold(0, |sig, c| sig | 1 << (c as u32 & 63))
+}
+
+/// Refills `sigs` with the char signatures of `tokens`, in order.
+fn fill_sigs<'t>(sigs: &mut Vec<u64>, tokens: impl Iterator<Item = &'t str>) {
+    sigs.clear();
+    sigs.extend(tokens.map(char_sig));
 }
 
 #[cfg(test)]

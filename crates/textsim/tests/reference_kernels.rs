@@ -9,6 +9,14 @@
 //! must reproduce it to `f64::to_bits` on ASCII, mixed and non-ASCII
 //! alphabets, including token bags that share tokens.
 //!
+//! Monge-Elkan skips the Jaro-Winkler call of two tokens whose char
+//! signatures (one bit per char code modulo 64) are disjoint. Its
+//! proptest draws bags from two disjoint alphabets that share one
+//! letter, so most token pairs take the skip, and adds non-ASCII letters
+//! whose codes agree modulo 64 with letters of the other alphabet
+//! (`á` with `a`, `ķ` with `w`), so some pairs with no shared char still
+//! reach the kernel.
+//!
 //! The fill's shared-work paths are checked here too: set counts against
 //! a marked fixed bag against the merge-join, normalized Levenshtein and
 //! Needleman-Wunsch read off one shared [`EditCounts`],
@@ -308,6 +316,12 @@ const BINARY_80: &str = "[ab]{0,80}";
 const TERNARY_80: &str = "[abc]{0,80}";
 const MIXED: &str = "[a-eéü日本 ]{0,12}";
 const NON_ASCII: &str = "[éüßø日本語 ]{0,12}";
+/// Words over `abcd`, the shared `m`, and `ķ` (U+0137), whose code is
+/// `w`'s modulo 64.
+const LEFT_HALF: &str = "[abcdmķ ]{0,16}";
+/// Words over `wxyz`, the shared `m`, and `á` (U+00E1), whose code is
+/// `a`'s modulo 64.
+const RIGHT_HALF: &str = "[wxyzmá ]{0,16}";
 /// Upper and lower case, ASCII and not, including letters whose Unicode
 /// lowercase is not one ASCII byte (`İ`, `Σ`).
 const CASED: &str = "[aAbBiIzZİıΣσς ]{0,8}";
@@ -410,6 +424,29 @@ proptest! {
         assert_exact_match_matches(&a, &b);
         assert_exact_match_matches(&a, &a.to_uppercase());
         assert_exact_match_matches(&a, &a.to_lowercase());
+    }
+
+    #[test]
+    fn monge_elkan_matches_reference_on_disjoint_alphabets(
+        l1 in LEFT_HALF,
+        l2 in LEFT_HALF,
+        r1 in RIGHT_HALF,
+        r2 in RIGHT_HALF,
+    ) {
+        // Every Monge-Elkan path against the reference on bags whose
+        // tokens mostly share no char: the single-pair kernel in both
+        // argument orders, and the batch form with each bag fixed on
+        // each side. One scratch serves every call.
+        let shared = shares_tokens(&l1, &r1);
+        let texts = [&l1, &l2, &r1, &r2, &shared];
+        let mut s = SimScratch::new();
+        let (d, attrs) = derive_all(&texts.map(String::as_str));
+        for x in &attrs {
+            for y in &attrs {
+                assert_monge_elkan_matches(&mut s, d.interner(), &x.word, &y.word);
+            }
+            assert_monge_elkan_fixed_matches(&mut s, d.interner(), x, &attrs);
+        }
     }
 
     #[test]

@@ -535,4 +535,22 @@ mod tests {
             .expect("linkage bootstrap refuses overlap 0");
         assert!(err.0.contains("min_token_overlap"), "{err}");
     }
+
+    #[test]
+    fn bootstraps_refuse_bucket_cap_zero() {
+        // A cap of 0 would retire every bucket at its first posting and
+        // turn streaming blocking off.
+        let opts = StreamOptions {
+            max_bucket: 0,
+            ..StreamOptions::default()
+        };
+        let err = StreamPipeline::bootstrap(&cli_fixture(), opts.clone())
+            .err()
+            .expect("dedup bootstrap refuses a zero cap");
+        assert!(err.0.contains("max_bucket must be at least 1"), "{err}");
+        let err = LinkPipeline::bootstrap(&left(), &right(), opts)
+            .err()
+            .expect("linkage bootstrap refuses a zero cap");
+        assert!(err.0.contains("max_bucket must be at least 1"), "{err}");
+    }
 }

@@ -19,15 +19,21 @@
 //! no stop-word bucket, a pair is a candidate of a whole table exactly
 //! when it is a candidate of the two-record table holding only its
 //! records — for the batch probe and for the streaming index.
+//!
+//! The streaming index counts shared keys in caller-owned stamp arrays
+//! ([`KeyCounts`]) reused across calls. Its interleaving proptest runs
+//! inserts, probes and retractions on one index with one set of
+//! counters, tombstoned postings left uncompacted, and holds every
+//! candidate list equal to a `HashMap` count over the live records.
 
 use proptest::prelude::*;
 use zeroer::blocking::{
     standard_candidates_derived, standard_recipe, AttrEquivalenceBlocker, Blocker, PairMode,
     QgramBlocker, TokenBlocker,
 };
-use zeroer::stream::{IncrementalIndex, IndexConfig};
+use zeroer::stream::{IncrementalIndex, IndexConfig, KeyCounts};
 use zeroer::tabular::{Record, Schema, Table, Value};
-use zeroer::textsim::derive::{DeriveConfig, DerivedRecord, Deriver};
+use zeroer::textsim::derive::{DeriveConfig, DerivedRecord, Deriver, KeySet};
 
 /// The retired hash-join blocking core, kept as the parity reference.
 mod reference {
@@ -223,6 +229,46 @@ mod reference {
             mode,
             counts.into_iter().filter(|&(_, c)| c >= 2).map(|(p, _)| p),
         )
+    }
+
+    /// The streaming rule without a stop-word cap: the records of
+    /// `live` sharing at least `max(min_overlap, 2)` keys with `keys`,
+    /// token and q-gram keys counted together in a `HashMap` at overlap
+    /// 1, tokens alone above, sorted.
+    pub fn stream_candidates(
+        live: &[(usize, &KeySet)],
+        keys: &KeySet,
+        min_overlap: usize,
+    ) -> Vec<usize> {
+        let tokens: fn(&KeySet) -> &[Sym] = |k| &k.tokens;
+        let qgrams: fn(&KeySet) -> &[Sym] = |k| &k.qgrams;
+        let legs = if min_overlap >= 2 {
+            vec![tokens]
+        } else {
+            vec![tokens, qgrams]
+        };
+        let mut counts: HashMap<usize, usize> = HashMap::new();
+        for select in legs {
+            let mut index = SymIndex::new();
+            for &(r, ks) in live {
+                for &k in select(ks) {
+                    index.entry(k).or_default().push(r);
+                }
+            }
+            for k in select(keys) {
+                for &r in index.get(k).into_iter().flatten() {
+                    *counts.entry(r).or_insert(0) += 1;
+                }
+            }
+        }
+        let need = min_overlap.max(2);
+        let mut out: Vec<usize> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= need)
+            .map(|(r, _)| r)
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     fn extract_keys(
@@ -474,12 +520,16 @@ fn assert_pair_local(values: &[String], right: &[String], overlap: usize) {
         .map(|r| deriver.derive(&r.values))
         .collect();
     let mut flat = IncrementalIndex::new(cfg.clone());
-    let flat_out: Vec<Vec<usize>> = derived.iter().map(|d| flat.insert_keys(d.keys())).collect();
+    let mut counts = KeyCounts::new();
+    let flat_out: Vec<Vec<usize>> = derived
+        .iter()
+        .map(|d| flat.insert_keys(d.keys(), &mut counts))
+        .collect();
     for b in 0..derived.len() {
         for a in 0..b {
             let mut pair = IncrementalIndex::new(cfg.clone());
-            pair.insert_keys(derived[a].keys());
-            let local = !pair.insert_keys(derived[b].keys()).is_empty();
+            pair.insert_keys(derived[a].keys(), &mut counts);
+            let local = !pair.insert_keys(derived[b].keys(), &mut counts).is_empty();
             assert_eq!(
                 flat_out[b].contains(&a),
                 local,
@@ -499,5 +549,70 @@ proptest! {
         overlap in 1usize..=3,
     ) {
         assert_pair_local(&l, &r, overlap);
+    }
+}
+
+/// Inserts `values` one by one into one streaming index and, between
+/// inserts, retracts an earlier record or probes with any record's keys,
+/// as `ops` and `targets` say. One set of counters serves every call;
+/// tombstoned postings stay in their buckets. Every candidate list must
+/// equal the `HashMap` count over the live records.
+fn assert_stream_counting(values: &[String], ops: &[usize], targets: &[usize], overlap: usize) {
+    let cfg = IndexConfig {
+        min_token_overlap: overlap,
+        ..IndexConfig::default()
+    };
+    assert!(values.len() < cfg.max_bucket, "no bucket may retire");
+    let mut deriver = Deriver::new(cfg.derive_config());
+    let derived: Vec<DerivedRecord> = table(values)
+        .records()
+        .iter()
+        .map(|r| deriver.derive(&r.values))
+        .collect();
+    let mut index = IncrementalIndex::new(cfg);
+    let mut counts = KeyCounts::new();
+    let mut tombstones: Vec<bool> = Vec::new();
+    let live = |tombstones: &[bool]| -> Vec<(usize, &KeySet)> {
+        (0..tombstones.len())
+            .filter(|&r| !tombstones[r])
+            .map(|r| (r, derived[r].keys()))
+            .collect()
+    };
+    for (i, d) in derived.iter().enumerate() {
+        let want = reference::stream_candidates(&live(&tombstones), d.keys(), overlap);
+        let got = index.insert_keys_live(d.keys(), &tombstones, &mut counts);
+        assert_eq!(got, want, "insert {i}, overlap {overlap}");
+        tombstones.push(false);
+        let target = targets[i % targets.len()];
+        match ops[i % ops.len()] {
+            0 | 1 => {
+                let r = target % tombstones.len();
+                if !tombstones[r] {
+                    index.retract_keys(r, derived[r].keys());
+                    tombstones[r] = true;
+                }
+            }
+            2 | 3 => {
+                let probe = derived[target % derived.len()].keys();
+                let want = reference::stream_candidates(&live(&tombstones), probe, overlap);
+                let got = index.probe_live(probe, &tombstones, &mut counts);
+                assert_eq!(got, want, "probe after insert {i}, overlap {overlap}");
+            }
+            _ => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn stream_counting_matches_hash_map_under_interleaving(
+        l in values(30),
+        ops in proptest::collection::vec(0usize..6, 30),
+        targets in proptest::collection::vec(0usize..30, 30),
+        overlap in 1usize..=3,
+    ) {
+        assert_stream_counting(&l, &ops, &targets, overlap);
     }
 }

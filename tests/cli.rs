@@ -701,6 +701,55 @@ fn repeated_schema_name_in_a_snapshot_is_a_clean_error() {
 }
 
 #[test]
+fn zero_max_bucket_in_a_snapshot_is_a_clean_error() {
+    // A cap of 0 would retire every blocking bucket at its first posting:
+    // an ingest of the base's own records would then report six new
+    // entities instead of joining them.
+    let dir = tmp_dir("zero-cap");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let base = dir.join("base.csv");
+    std::fs::write(
+        &base,
+        "name,city\n\
+         Golden Dragon Palace,new york\n\
+         Golden Dragon Palce,new york\n\
+         Blue Sky Tavern,austin\n\
+         Rustic Oak Kitchen,denver\n\
+         Harbor View Bistro,portland\n\
+         Smoky Cellar Tavern,chicago\n",
+    )
+    .expect("write base CSV");
+    let model = dir.join("model.json");
+    let out = Command::new(zeroer_bin())
+        .args(["dedup", base.to_str().unwrap(), "--save-model"])
+        .arg(&model)
+        .output()
+        .expect("spawn zeroer dedup");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&model).expect("read model");
+    let zero_text = text.replace(r#""max_bucket":400"#, r#""max_bucket":0"#);
+    assert_ne!(zero_text, text, "the snapshot records the bucket cap");
+    let zero = dir.join("zero.json");
+    std::fs::write(&zero, zero_text).expect("write edited model");
+
+    let out = Command::new(zeroer_bin())
+        .args(["ingest", base.to_str().unwrap(), "--model"])
+        .arg(&zero)
+        .args(["--base", base.to_str().unwrap()])
+        .output()
+        .expect("spawn zeroer ingest");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("max_bucket must be at least 1"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn threads_flag_is_ingest_only_and_validated() {
     let out = Command::new(zeroer_bin())
         .args(["match", "a.csv", "b.csv", "--threads", "4"])

@@ -11,6 +11,13 @@
 //! Two facts derivation stores for the batch fill are checked here too:
 //! each word bag's text order, on the sequential and the scratch-commit
 //! paths, and value keys that do not depend on interner history.
+//!
+//! The interner itself is checked against a first-seen `HashMap` over
+//! long token streams that cross several doublings of its slot array
+//! (`interner_matches_first_seen_map`, which includes two distinct
+//! tokens with equal FNV-1a hashes), and scratch derivation committed in
+//! ingest order against sequential derivation when the fresh tokens
+//! cross doublings of both the worker-local and the global interner.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -18,7 +25,7 @@ use zeroer::blocking::{standard_candidates_derived, PairMode};
 use zeroer::features::{functions_for, DeriveConfig, PairFeaturizer, RowFeaturizer, SimFunction};
 use zeroer::tabular::{Record, Schema, Table, Value};
 use zeroer::textsim::derive::{DerivedRecord, Deriver, ScratchDeriver};
-use zeroer::textsim::{jaro_winkler, Interner, Sym, TokenBag};
+use zeroer::textsim::{fnv1a, jaro_winkler, Interner, Sym, TokenBag};
 
 /// The retired string-based tokenizers and blockers, kept as the parity
 /// reference. This is a line-for-line port of the pre-refactor code,
@@ -369,6 +376,144 @@ proptest! {
             .map(|d| d.commit(&scratch_texts, &mut map, &mut interner))
             .collect();
         prop_assert_eq!(&keys(committed), &want);
+    }
+}
+
+/// Two 11-char tokens with equal 64-bit FNV-1a hashes
+/// (`0x531a_2caa_df56_16fd`), found by a Pollard-rho search over such
+/// strings: an interner that trusted a hash match without comparing text
+/// would give them one symbol.
+const FNV1A_TWINS: [&str; 2] = ["BcWugYjVchJ", "uAmGjGvd_lN"];
+
+#[test]
+fn fnv1a_twins_collide() {
+    assert_ne!(FNV1A_TWINS[0], FNV1A_TWINS[1]);
+    assert_eq!(fnv1a(FNV1A_TWINS[0]), 0x531a_2caa_df56_16fd);
+    assert_eq!(fnv1a(FNV1A_TWINS[1]), 0x531a_2caa_df56_16fd);
+}
+
+/// Interns `stream` into `it` and into the first-seen reference `map`
+/// (text → symbol index, plus the texts in symbol order), asserting
+/// each symbol as it is assigned.
+fn intern_both(
+    it: &mut Interner,
+    map: &mut HashMap<String, usize>,
+    texts: &mut Vec<String>,
+    stream: &[String],
+) {
+    for t in stream {
+        let want = *map.entry(t.clone()).or_insert_with(|| {
+            texts.push(t.clone());
+            texts.len() - 1
+        });
+        let got = it.intern(t);
+        assert_eq!(got.index(), want, "intern({t:?})");
+        assert_eq!(it.resolve(got), t);
+    }
+}
+
+/// The whole observable state of `it` against the reference: every
+/// token's symbol and text, misses, `len` and `bytes`.
+fn assert_interner_state(it: &Interner, map: &HashMap<String, usize>, texts: &[String]) {
+    assert_eq!(it.len(), texts.len());
+    assert_eq!(it.is_empty(), texts.is_empty());
+    assert_eq!(it.bytes(), texts.iter().map(String::len).sum::<usize>());
+    for (i, t) in texts.iter().enumerate() {
+        let sym = it.get(t).unwrap_or_else(|| panic!("get({t:?}) missed"));
+        assert_eq!(sym.index(), i);
+        assert_eq!(it.resolve(sym), t);
+    }
+    // Texts no stream draws: an empty token, longer runs, another
+    // alphabet, and interned texts with one char more.
+    for miss in ["", "abcde", "zz", "éé日日本", "ΣΣ"] {
+        assert!(!map.contains_key(miss));
+        assert_eq!(it.get(miss), None, "get({miss:?})");
+    }
+    for t in texts.iter().take(64) {
+        assert_eq!(it.get(&format!("{t}x")), None);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The interner assigns the first-seen numbering of a `HashMap`
+    /// reference over ASCII, mixed and non-ASCII token streams of 1,204
+    /// tokens heavy on repeats, with several hundred distinct ones (at
+    /// least six doublings of the slot array); a clone taken at `cut`
+    /// continues exactly like the original.
+    #[test]
+    fn interner_matches_first_seen_map(
+        ascii in proptest::collection::vec("[a-d]{1,4}", 600),
+        mixed in proptest::collection::vec("[a-cé日]{1,3}", 300),
+        non_ascii in proptest::collection::vec("[éüß日本]{1,3}", 300),
+        cut in 0usize..1200,
+        twins_at in 0usize..1200,
+    ) {
+        let mut stream = Vec::with_capacity(1204);
+        for (i, a) in ascii.into_iter().enumerate() {
+            stream.push(a);
+            if let (Some(m), Some(n)) = (mixed.get(i), non_ascii.get(i)) {
+                stream.push(m.clone());
+                stream.push(n.clone());
+            }
+        }
+        let twins: Vec<String> = FNV1A_TWINS.iter().map(|t| t.to_string()).collect();
+        stream.splice(twins_at..twins_at, twins.iter().cloned().chain(twins.iter().cloned()));
+
+        let (mut it, mut map, mut texts) = (Interner::new(), HashMap::new(), Vec::new());
+        intern_both(&mut it, &mut map, &mut texts, &stream[..cut]);
+        assert_interner_state(&it, &map, &texts);
+        let (mut twin, mut twin_map, mut twin_texts) = (it.clone(), map.clone(), texts.clone());
+
+        intern_both(&mut it, &mut map, &mut texts, &stream[cut..]);
+        assert_interner_state(&it, &map, &texts);
+        prop_assert!(texts.len() > 256, "premise: {} distinct tokens", texts.len());
+        intern_both(&mut twin, &mut twin_map, &mut twin_texts, &stream[cut..]);
+        assert_interner_state(&twin, &map, &texts);
+    }
+
+    /// Scratch derivation on two workers, committed in ingest order,
+    /// equals sequential derivation: the records' symbols, and the
+    /// interner they are numbered by. Forty rows of fresh words and
+    /// q-grams cross several doublings of each worker's local interner
+    /// and of the global one.
+    #[test]
+    fn scratch_commit_numbering_crosses_table_doublings(
+        texts in proptest::collection::vec("[a-gé ]{0,24}", 40),
+        known in 0usize..10,
+    ) {
+        let rows = rows_of(&texts);
+        let cfg = DeriveConfig::blocking(0, 4);
+        let mut warm = Deriver::new(cfg.clone());
+        for r in rows.iter().take(known) {
+            warm.derive(r);
+        }
+        let base = warm.into_interner();
+
+        let mut seq = Deriver::with_interner(base.clone(), cfg.clone());
+        let want: Vec<DerivedRecord> = rows.iter().map(|r| seq.derive(r)).collect();
+
+        let mut interner = base.clone();
+        let mut got = Vec::with_capacity(rows.len());
+        for chunk in rows.chunks(rows.len().div_ceil(2)) {
+            let mut worker = ScratchDeriver::new(&base, cfg.clone());
+            let derived: Vec<_> = chunk.iter().map(|r| worker.derive(r)).collect();
+            let local = worker.into_texts();
+            let mut map = vec![None; local.len()];
+            for d in derived {
+                got.push(d.commit(&local, &mut map, &mut interner));
+            }
+        }
+        prop_assert!(interner.len() >= base.len() + 32, "premise: {} fresh", interner.len() - base.len());
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(interner.len(), seq.interner().len());
+        prop_assert_eq!(interner.bytes(), seq.interner().bytes());
+        for rec in &got {
+            for sym in rec.keys().tokens.iter().chain(&rec.keys().qgrams) {
+                prop_assert_eq!(interner.resolve(*sym), seq.interner().resolve(*sym));
+            }
+        }
     }
 }
 
