@@ -25,8 +25,8 @@ use zeroer_core::{ScoreBatch, SnapshotScorer};
 use zeroer_features::{BatchFeaturizer, FillScratch};
 use zeroer_obs::{Histogram, Stopwatch};
 use zeroer_tabular::{Record, Table};
-use zeroer_textsim::derive::{DerivedRecord, KeySet, ScratchDerived, ScratchDeriver};
-use zeroer_textsim::intern::{Interner, Sym};
+use zeroer_textsim::derive::{DerivedRecord, KeySet};
+use zeroer_textsim::intern::Interner;
 
 /// Scores `candidates` against the new record's derivation, returning the
 /// `(candidate, posterior)` pairs above `threshold`, sorted by descending
@@ -503,8 +503,7 @@ impl<T: Topology> Pipeline<T> {
     }
 
     /// Candidates for an arriving record the store will hold at `idx`,
-    /// which then joins its index. Both ingest paths call this in ingest
-    /// order, so every bucket receives its postings in the same order.
+    /// which then joins its index.
     fn admit(&mut self, tag: T::Tag, idx: usize, keys: &KeySet) -> Vec<usize> {
         let (probe, join) = T::route(tag);
         let (tombstones, counts) = (self.store.tombstones(), &mut self.key_counts);
@@ -581,18 +580,7 @@ impl<T: Topology> Pipeline<T> {
         self.assert_arity(&record);
         let m = self.meters;
         let mut sw = Stopwatch::new(m.is_some());
-        let derived = self.store.derive(&record);
-        if let Some(m) = m {
-            sw.lap(m.derive);
-        }
-        let candidates = self.admit(tag, self.store.len(), derived.keys());
-        self.candidates_seen += candidates.len();
-        if let Some(m) = m {
-            sw.lap(m.block);
-            m.candidates.add(candidates.len() as u64);
-        }
-        let idx = self.store.push_derived(record, derived);
-
+        let (idx, candidates) = self.store_record(record, tag, &mut sw);
         let store = &self.store;
         let matches = score_candidates(
             &self.featurizer,
@@ -624,6 +612,32 @@ impl<T: Topology> Pipeline<T> {
         outcome
     }
 
+    /// The writer's per-record step of both ingest paths: derive the
+    /// record through the store's deriver, admit it through the
+    /// topology, push it to the store. Run in ingest order, so the
+    /// interner numbers tokens and every bucket receives its postings in
+    /// the same order at any thread count. Laps `{p}.derive.ns` and
+    /// `{p}.block.ns` on `sw`; returns the record's index and candidates.
+    fn store_record(
+        &mut self,
+        record: Record,
+        tag: T::Tag,
+        sw: &mut Stopwatch,
+    ) -> (usize, Vec<usize>) {
+        let m = self.meters;
+        let derived = self.store.derive(&record);
+        if let Some(m) = m {
+            sw.lap(m.derive);
+        }
+        let candidates = self.admit(tag, self.store.len(), derived.keys());
+        self.candidates_seen += candidates.len();
+        if let Some(m) = m {
+            sw.lap(m.block);
+            m.candidates.add(candidates.len() as u64);
+        }
+        (self.store.push_derived(record, derived), candidates)
+    }
+
     /// Applies one record's decisions: fold its drift sample and join the
     /// cluster of every match. The single writer of both ingest paths.
     fn decide(
@@ -645,102 +659,55 @@ impl<T: Topology> Pipeline<T> {
         }
     }
 
-    /// Ingests a same-tag batch across `threads` workers, bit-identical
-    /// to ingesting the records one at a time (which `threads` ≤ 1 does);
-    /// no call boundary.
-    /// The frozen model makes inference embarrassingly parallel:
-    /// candidates depend only on earlier records, scoring is read-only.
-    /// The three writes are serialized in ingest order — fresh tokens are
-    /// interned with the sequential symbol numbering, records are
-    /// admitted to the blocking index, and one writer applies the
-    /// decisions — so interner, index and union-find pass through the
-    /// sequential states.
+    /// Ingests a same-tag batch across `threads` scoring workers,
+    /// bit-identical to ingesting the records one at a time (which
+    /// `threads` ≤ 1 does); no call boundary.
+    ///
+    /// The single writer first derives, admits and stores every record in
+    /// ingest order — sequential ingest's per-record step — so interner,
+    /// indexes and store pass through the sequential states. The frozen
+    /// model then makes scoring embarrassingly parallel: the pool reads
+    /// only the store and the candidate lists. Last, the writer applies
+    /// the decisions in ingest order, so the union-find passes through
+    /// the sequential states too.
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
-    /// up front, before any state is touched).
+    /// for the whole batch, before any state is touched).
     fn ingest_records(
         &mut self,
         records: Vec<Record>,
         tag: T::Tag,
         threads: usize,
     ) -> Vec<IngestOutcome> {
+        for r in &records {
+            self.assert_arity(r);
+        }
         if threads <= 1 || records.len() < 2 {
             return records
                 .into_iter()
                 .map(|r| self.ingest_record(r, tag))
                 .collect();
         }
-        for r in &records {
-            self.assert_arity(r);
-        }
         let n = records.len();
         let base = self.store.len();
         let m = self.meters;
         let mut sw = Stopwatch::new(m.is_some());
 
-        // Phase 1 (parallel over records): derive each record — the
-        // tokenization-heavy work — against a frozen snapshot of the
-        // store interner, parking unseen tokens in per-worker scratch
-        // tables.
-        let cfg = &self.store.derive_config();
-        let interner = self.store.interner();
-        let scratch_chunks: Vec<(Vec<ScratchDerived>, Interner)> =
-            crossbeam::thread::scope(|scope| {
-                let workers: Vec<_> = records
-                    .chunks(n.div_ceil(threads))
-                    .map(|rec_chunk| {
-                        scope.spawn(move |_| {
-                            let mut deriver = ScratchDeriver::new(interner, cfg.clone());
-                            let derived: Vec<ScratchDerived> = rec_chunk
-                                .iter()
-                                .map(|r| deriver.derive(&r.values))
-                                .collect();
-                            (derived, deriver.into_texts())
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("derivation worker panicked"))
-                    .collect()
-            })
-            .expect("derivation worker panicked");
-
-        // Commit (sequential, single writer, ingest order): intern each
-        // record's fresh tokens — reproducing the sequential symbol
-        // numbering — and rebind its derivation onto global symbols.
-        let mut derived: Vec<DerivedRecord> = Vec::with_capacity(n);
-        for (chunk_derived, texts) in scratch_chunks {
-            let mut map: Vec<Option<Sym>> = vec![None; texts.len()];
-            for sd in chunk_derived {
-                derived.push(sd.commit(&texts, &mut map, self.store.interner_mut()));
-            }
-        }
-        if let Some(m) = m {
-            sw.lap(m.batch_derive);
-        }
-
-        // Phase 2 (sequential, ingest order): candidate generation and
-        // insertion through the topology, by the same `admit` the
-        // sequential path calls. The tombstone set is frozen for the
-        // whole batch (retraction needs `&mut self`), so candidate lists
-        // are the sequential ones.
-        let candidates: Vec<Vec<usize>> = derived
-            .iter()
-            .enumerate()
-            .map(|(i, d)| self.admit(tag, base + i, d.keys()))
+        // Phase 1 (writer, ingest order): derive → admit → store. The
+        // tombstone set is frozen for the whole batch (retraction needs
+        // `&mut self`), so candidate lists are the sequential ones.
+        let candidates: Vec<Vec<usize>> = records
+            .into_iter()
+            .map(|r| self.store_record(r, tag, &mut sw).1)
             .collect();
-        let batch_candidates = candidates.iter().map(Vec::len).sum::<usize>();
-        self.candidates_seen += batch_candidates;
         if let Some(m) = m {
-            sw.lap(m.batch_block);
-            m.candidates.add(batch_candidates as u64);
-            m.batch_candidates.record(batch_candidates as u64);
+            let total = candidates.iter().map(Vec::len).sum::<usize>();
+            m.batch_candidates.record(total as u64);
         }
 
-        // Phase 3 (parallel over records, work-stealing queue): frozen-
-        // model scoring. Chunks are small so a record with many
+        // Phase 2 (pool, work-stealing queue): frozen-model scoring of
+        // the stored records. Chunks are small so a record with many
         // candidates cannot straggle a whole static partition.
         let store = &self.store;
         let featurizer = &self.featurizer;
@@ -766,7 +733,6 @@ impl<T: Topology> Pipeline<T> {
                 for _ in 0..threads {
                     let queue = &queue;
                     let candidates = &candidates;
-                    let derived = &derived;
                     scope.spawn(move |_| {
                         let mut batch = ScoreBatch::new();
                         let mut scratch = FillScratch::new();
@@ -789,14 +755,8 @@ impl<T: Topology> Pipeline<T> {
                                     threshold,
                                     new_on_left,
                                     &candidates[i],
-                                    |c| {
-                                        if c < base {
-                                            store.derived(c)
-                                        } else {
-                                            &derived[c - base]
-                                        }
-                                    },
-                                    &derived[i],
+                                    |c| store.derived(c),
+                                    store.derived(base + i),
                                     &mut batch,
                                     &mut scratch,
                                     score_meter,
@@ -821,18 +781,10 @@ impl<T: Topology> Pipeline<T> {
             sw.lap(m.batch_score);
         }
 
-        // Phase 4 (sequential, single writer): apply match decisions in
-        // ingest order — the union-find passes through exactly the states
-        // sequential ingest would produce.
+        // Phase 3 (writer, ingest order): apply the match decisions.
         let mut outcomes = Vec::with_capacity(n);
-        for (((record, rec_derived), (matches, sample)), cands) in records
-            .into_iter()
-            .zip(derived)
-            .zip(scored)
-            .zip(&candidates)
-        {
-            let idx = self.store.push_derived(record, rec_derived);
-            outcomes.push(self.decide(idx, cands.len(), matches, sample));
+        for (i, ((matches, sample), cands)) in scored.into_iter().zip(&candidates).enumerate() {
+            outcomes.push(self.decide(base + i, cands.len(), matches, sample));
         }
         if let Some(m) = m {
             sw.lap(m.batch_decide);
@@ -1028,13 +980,13 @@ impl<T: Topology> Pipeline<T> {
     /// Ingests a same-tag batch across `threads` workers, then checks the
     /// refresh watermark once: the topology-generic form of the aliases'
     /// `ingest_batch_parallel`, which the read/write split and the CLI
-    /// call. Outcomes are bit-identical at any thread count: derivation
-    /// and scoring run on the pool, and a single writer commits interner
-    /// symbols, blocking postings and match decisions in ingest order.
+    /// call. Outcomes are bit-identical at any thread count: only scoring
+    /// runs on the pool, and a single writer derives, admits and decides
+    /// in ingest order.
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
-    /// up front, before any state is touched).
+    /// for the whole batch, before any state is touched).
     pub fn ingest_tagged(
         &mut self,
         records: Vec<Record>,

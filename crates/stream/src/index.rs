@@ -129,9 +129,8 @@ enum Bucket {
 }
 
 /// Whether `idx` is tombstoned under the caller's tombstone set. Indices
-/// beyond the set (e.g. records of an in-flight parallel batch, not yet
-/// committed to the store) are live by definition. An empty slice means
-/// "no retractions".
+/// beyond the set are live by definition; an empty slice means "no
+/// retractions".
 #[inline]
 fn is_dead(tombstones: &[bool], idx: usize) -> bool {
     tombstones.get(idx).copied().unwrap_or(false)

@@ -17,7 +17,7 @@ use zeroer_obs::{Counter, Histogram};
 /// Every metric handle one streaming pipeline records into.
 #[derive(Clone, Copy)]
 pub(crate) struct StageMeters {
-    // Sequential per-record stage timers.
+    // Per-record stage timers (`derive` and `block` on both ingest paths).
     pub derive: &'static Histogram,
     pub block: &'static Histogram,
     pub score: &'static Histogram,
@@ -25,8 +25,6 @@ pub(crate) struct StageMeters {
     pub ingest: &'static Histogram,
     // Parallel per-batch phase timers.
     pub batch: &'static Histogram,
-    pub batch_derive: &'static Histogram,
-    pub batch_block: &'static Histogram,
     pub batch_score: &'static Histogram,
     pub batch_decide: &'static Histogram,
     /// Candidate pairs per parallel batch (a count distribution, not
@@ -76,8 +74,6 @@ impl StageMeters {
             decide: h("decide.ns"),
             ingest: h("ingest.ns"),
             batch: h("batch.ns"),
-            batch_derive: h("batch.derive.ns"),
-            batch_block: h("batch.block.ns"),
             batch_score: h("batch.score.ns"),
             batch_decide: h("batch.decide.ns"),
             batch_candidates: h("batch.candidates"),

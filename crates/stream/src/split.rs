@@ -112,7 +112,11 @@ impl ResolveOutcome {
 /// symbols, tokens first seen in a query get handle-local symbols that
 /// cannot collide with any index posting), plus a private scratch
 /// buffer — so concurrent handles share only the immutable view and
-/// never contend.
+/// never contend. Once the handle-local tokens outnumber both the
+/// view's own and a fixed floor (`OVERLAY_FLOOR`), the overlay starts
+/// over from the view's interner, so resolve-only traffic cannot grow
+/// it without bound. Outcomes never depend on how the handle numbers
+/// its own tokens, so starting over changes none.
 ///
 /// The handle stays pinned to its view until [`ReadHandle::refresh`] is
 /// called; resolves are deterministic against the pinned epoch even
@@ -141,13 +145,20 @@ impl<T: Topology> Clone for ReadHandle<T> {
     }
 }
 
+/// The handle-local token count an overlay may always reach before it
+/// starts over (see [`ReadHandle`]).
+const OVERLAY_FLOOR: usize = 1 << 12;
+
+/// A fresh overlay deriver over `view`'s interner.
+fn overlay(view: &ReadView) -> Deriver {
+    Deriver::with_interner(view.store.interner().clone(), view.store.derive_config())
+}
+
 impl<T: Topology> ReadHandle<T> {
     fn pin(view: Arc<ReadView>, shared: Option<Arc<Shared<T>>>) -> Self {
-        let deriver =
-            Deriver::with_interner(view.store.interner().clone(), view.store.derive_config());
         Self {
+            deriver: overlay(&view),
             view,
-            deriver,
             batch: ScoreBatch::new(),
             scratch: FillScratch::new(),
             key_counts: KeyCounts::new(),
@@ -226,6 +237,10 @@ impl<T: Topology> ReadHandle<T> {
             &mut self.scratch,
             view.score_meter,
         );
+        let own = store.interner().len();
+        if self.deriver.interner().len() - own > own.max(OVERLAY_FLOOR) {
+            self.deriver = overlay(view);
+        }
         Ok(ResolveOutcome {
             epoch: view.epoch,
             candidates: candidates.len(),
@@ -246,10 +261,7 @@ impl<T: Topology> ReadHandle<T> {
         if latest.version == self.view.version {
             return false;
         }
-        self.deriver = Deriver::with_interner(
-            latest.store.interner().clone(),
-            latest.store.derive_config(),
-        );
+        self.deriver = overlay(&latest);
         self.view = latest;
         true
     }
@@ -641,4 +653,61 @@ fn publish<T: Topology>(pipeline: &Pipeline<T>, shared: &Shared<T>, version: &mu
     }
     let next = Arc::new(view);
     *shared.view.write().unwrap_or_else(|e| e.into_inner()) = next;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{StreamOptions, StreamPipeline};
+    use zeroer_tabular::csv::read_table;
+
+    /// Resolve-only traffic of fresh tokens keeps a pinned handle's
+    /// overlay within its bound, and every outcome equals a freshly
+    /// pinned handle's, posteriors to the bit.
+    #[test]
+    fn overlay_stays_bounded_under_fresh_token_resolves() {
+        let table = read_table(
+            "base",
+            "name,city\n\
+             Golden Dragon Palace,new york\n\
+             Golden Dragon Palce,new york\n\
+             Blue Sky Tavern,austin\n\
+             Rustic Oak Kitchen,denver\n\
+             Harbor View Bistro,portland\n\
+             Smoky Cellar Tavern,chicago\n",
+        )
+        .unwrap();
+        let (p, _) = StreamPipeline::bootstrap(&table, StreamOptions::default()).unwrap();
+        let mut handle = p.pin_read_handle();
+        let fresh = p.pin_read_handle();
+        let own = p.store().interner().len();
+        let bits = |o: &ResolveOutcome| -> Vec<(usize, u64)> {
+            o.matches.iter().map(|&(c, x)| (c, x.to_bits())).collect()
+        };
+        let (mut peak, mut matched) = (0, 0);
+        for i in 0..2000u32 {
+            // One fresh 8-character word a query: itself and most of its
+            // 3-grams are unseen.
+            let word = format!("{:08x}", i.wrapping_mul(2_654_435_761));
+            let name = format!("Golden Dragon Palace {word}");
+            let record = Record::new(i, vec![name.into(), "new york".into()]);
+            let got = handle.resolve(&record);
+            let want = fresh.clone().resolve(&record);
+            assert_eq!(got.candidates, want.candidates, "query {i}");
+            assert_eq!(got.cluster, want.cluster, "query {i}");
+            assert_eq!(bits(&got), bits(&want), "query {i}");
+            matched += got.matches.len();
+            let local = handle.deriver.interner().len() - own;
+            assert!(
+                local <= own.max(OVERLAY_FLOOR),
+                "{local} local tokens at query {i}"
+            );
+            peak = peak.max(local);
+        }
+        assert!(matched > 0, "premise: some queries match");
+        assert!(
+            peak > OVERLAY_FLOOR / 2,
+            "premise: the overlay filled to {peak}"
+        );
+    }
 }

@@ -46,10 +46,11 @@ fn check_block_attr(cfg: &DeriveConfig, arity: usize) {
 /// enforced structurally (merging two clusters merges *all* their
 /// members).
 ///
-/// The store owns the single token [`Interner`] of the pipeline: every
-/// derivation — bootstrap, sequential ingest, committed parallel ingest
-/// — resolves against it, so any two records' bags are directly
-/// comparable.
+/// The store owns the single token [`Interner`] of the pipeline, and
+/// only the pipeline's writer derives through it: the bootstrap and
+/// every ingest path, in ingest order. Any two records' bags are
+/// therefore directly comparable, and symbols keep their first-intern
+/// numbering at any thread count.
 #[derive(Debug, Clone)]
 pub struct EntityStore {
     table: Table,
@@ -163,12 +164,6 @@ impl EntityStore {
         self.deriver.interner()
     }
 
-    /// Mutable interner access for the parallel-ingest commit phase
-    /// (fresh scratch tokens are interned here, in ingest order).
-    pub(crate) fn interner_mut(&mut self) -> &mut Interner {
-        self.deriver.interner_mut()
-    }
-
     /// The derivation configuration records are derived under.
     pub fn derive_config(&self) -> DeriveConfig {
         self.deriver.config().clone()
@@ -180,8 +175,7 @@ impl EntityStore {
     }
 
     /// Derives a record's forms against the store interner *without*
-    /// inserting it (the sequential ingest path derives, blocks, then
-    /// pushes).
+    /// inserting it (both ingest paths derive, block, then push).
     pub fn derive(&mut self, record: &Record) -> DerivedRecord {
         self.deriver.derive(&record.values)
     }

@@ -12,6 +12,7 @@
 //! exactly.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use zeroer_datagen::profiles::rest_fz;
 use zeroer_datagen::{all_profiles, generate, generate_dedup, CorpusSpec};
 use zeroer_features::BatchFeaturizer;
@@ -65,6 +66,43 @@ fn assert_outcomes_identical(seq: &[IngestOutcome], par: &[IngestOutcome], threa
                 s.index
             );
         }
+    }
+}
+
+/// Asserts `par`'s store derived exactly what `seq`'s did: the same
+/// record derivations and an interner of the same size and text bytes
+/// whose every symbol, each reached through some derivation, has the
+/// same text.
+fn assert_derivations_identical(seq: &StreamPipeline, par: &StreamPipeline, threads: usize) {
+    let (a, b) = (seq.store(), par.store());
+    assert_eq!(a.len(), b.len(), "threads={threads}");
+    assert_eq!(a.interner().len(), b.interner().len(), "threads={threads}");
+    assert_eq!(
+        a.interner().bytes(),
+        b.interner().bytes(),
+        "threads={threads}"
+    );
+    let mut syms = BTreeSet::new();
+    for i in 0..a.len() {
+        let d = a.derived(i);
+        assert_eq!(d, b.derived(i), "threads={threads} record={i}");
+        for at in 0..d.arity() {
+            syms.extend(d.attr(at).word.syms().chain(d.attr(at).qgm3.syms()));
+        }
+        syms.extend(d.keys().tokens.iter().chain(&d.keys().qgrams));
+        syms.extend(d.keys().equiv);
+    }
+    assert_eq!(
+        syms.len(),
+        a.interner().len(),
+        "every symbol is in a record"
+    );
+    for s in syms {
+        assert_eq!(
+            a.interner().resolve(s),
+            b.interner().resolve(s),
+            "threads={threads}"
+        );
     }
 }
 
@@ -261,7 +299,10 @@ fn corpus_ingest_is_bit_identical_across_thread_counts() {
     // profiles get. No bucket of this 300-record corpus reaches the
     // default cap of 400, so the body runs again at a cap of 30, where
     // Zipf-skewed hot tokens retire buckets during the tail: that
-    // exercises cap retirement under parallelism.
+    // exercises cap retirement under parallelism. Every thread count
+    // must also leave the store's interner and derivations equal to the
+    // sequential pipeline's, since only the writer interns, in ingest
+    // order.
     let (boot, tail) = corpus_split(42);
     for max_bucket in [StreamOptions::default().max_bucket, 30] {
         let opts = StreamOptions {
@@ -290,6 +331,7 @@ fn corpus_ingest_is_bit_identical_across_thread_counts() {
                 par.stats().index,
                 "index state diverged at {threads} threads, cap {max_bucket}"
             );
+            assert_derivations_identical(&seq, &par, threads);
             if max_bucket == 30 {
                 assert!(
                     par.stats().index.retired_buckets() > retired_before,

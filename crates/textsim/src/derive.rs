@@ -18,23 +18,15 @@
 //! and the word bag's text order, which is Monge-Elkan's summation order
 //! ([`AttrDerived::word_order`]).
 //!
-//! ## Determinism constraints (parallel ingest)
+//! ## Determinism
 //!
-//! Tokens are interned into a shared [`Interner`], whose symbol
-//! numbering is the first-intern order. The streaming subsystem derives
-//! batches on a worker pool, which would race on that order, so workers
-//! use a [`ScratchDeriver`]: reads resolve against a *frozen* snapshot
-//! of the store's interner, and unseen tokens get worker-local scratch
-//! symbols (high bit set) plus a per-record first-occurrence list. A
-//! single writer then commits records **in ingest order**
-//! ([`ScratchDerived::commit`]), interning each record's fresh tokens in
-//! exactly the order sequential derivation would have — so the global
-//! interner passes through the identical sequence of states for any
-//! worker count, and every committed bag is bit-for-bit the sequential
-//! one — and so is every committed [`KeySet`], which the streaming
-//! blocking index consumes as is.
+//! Tokens are interned into one [`Interner`], whose symbol numbering is
+//! the first-intern order, so the same records derived in the same order
+//! get the same symbols. The streaming subsystem keeps that order fixed
+//! by deriving on its single writer, in ingest order, at any thread
+//! count; its workers only read derivations.
 
-use crate::intern::{fnv1a, fnv1a_extend, InternSink, Interner, Sym, FNV1A_OFFSET, LOCAL_BIT};
+use crate::intern::{fnv1a_extend, Interner, Sym, FNV1A_OFFSET};
 use crate::tokenize::{normalize_into, qgrams_from_norm, TokenBag};
 use zeroer_tabular::Value;
 
@@ -104,21 +96,19 @@ impl AttrDerived {
     /// lowercased text, hashed with FNV-1a.
     ///
     /// It reads no symbol, so equal values get equal keys under any
-    /// interner history, and committing a scratch derivation leaves it
-    /// alone. Equal keys do not make equal values: keys can collide, and
-    /// equal lowercased texts can tokenize differently (`"ΟΔΟΣ"` and
-    /// `"οδος"` both lowercase to `"οδος"`, but their word tokens are
-    /// `"οδοσ"` and `"οδος"`). Sharing work on a key match must still
-    /// compare the fields and both bags.
+    /// interner history. Equal keys do not make equal values: keys can
+    /// collide, and equal lowercased texts can tokenize differently
+    /// (`"ΟΔΟΣ"` and `"οδος"` both lowercase to `"οδος"`, but their word
+    /// tokens are `"οδοσ"` and `"οδος"`). Sharing work on a key match
+    /// must still compare the fields and both bags.
     pub fn key(&self) -> u64 {
         self.key
     }
 
     /// The word bag's distinct symbols in token-text order: Monge-Elkan's
     /// canonical summation order ([`crate::token::monge_elkan`]). Built at
-    /// derivation from the normalized tokens; committing a scratch
-    /// derivation renumbers the symbols, which leaves their texts, and
-    /// so this order, unchanged.
+    /// derivation from the normalized tokens, so it depends on their
+    /// texts, not on how the interner numbered them.
     pub fn word_order(&self) -> &[Sym] {
         &self.word_order
     }
@@ -214,11 +204,10 @@ struct DeriveBufs {
     spans: Vec<(Sym, usize, usize)>,
 }
 
-/// The single-pass derivation core, generic over the intern sink so the
-/// sequential ([`Deriver`]) and worker-local ([`ScratchDeriver`]) paths
-/// run exactly the same token stream in exactly the same order.
-fn derive_record<S: InternSink>(
-    sink: &mut S,
+/// The single-pass derivation core: every derived form of one record,
+/// its tokens interned in the order they occur.
+fn derive_record(
+    interner: &mut Interner,
     bufs: &mut DeriveBufs,
     cfg: &DeriveConfig,
     values: &[Value],
@@ -244,7 +233,7 @@ fn derive_record<S: InternSink>(
             if tok.is_empty() {
                 continue;
             }
-            let s = sink.intern_token(tok);
+            let s = interner.intern(tok);
             bufs.syms.push(s);
             bufs.spans.push((s, span.0, span.1));
             if key_spec.is_some() && tok.len() > 1 {
@@ -263,7 +252,7 @@ fn derive_record<S: InternSink>(
         // 3-gram bag (the feature layer's qgm_3 tokenizer), windows over
         // the same normalized buffer.
         qgrams_from_norm(
-            sink,
+            interner,
             &bufs.norm,
             3,
             &mut bufs.chars,
@@ -281,7 +270,7 @@ fn derive_record<S: InternSink>(
                 keys.qgrams = qgm3.syms().collect();
             } else if spec.qgram > 0 {
                 qgrams_from_norm(
-                    sink,
+                    interner,
                     &bufs.norm,
                     spec.qgram,
                     &mut bufs.chars,
@@ -294,7 +283,7 @@ fn derive_record<S: InternSink>(
                 bufs.syms.clear();
             }
             if spec.equiv {
-                keys.equiv = Some(sink.intern_token(&bufs.norm));
+                keys.equiv = Some(interner.intern(&bufs.norm));
             }
         }
 
@@ -320,8 +309,8 @@ fn derive_record<S: InternSink>(
     }
 }
 
-/// The sequential deriver: owns the global [`Interner`] and the scratch
-/// buffers, and derives records one at a time.
+/// The deriver: owns the [`Interner`] and the scratch buffers, and
+/// derives records one at a time.
 #[derive(Debug, Clone, Default)]
 pub struct Deriver {
     interner: Interner,
@@ -395,12 +384,6 @@ impl Deriver {
         &self.interner
     }
 
-    /// Mutable interner access (the streaming commit path interns fresh
-    /// tokens of scratch-derived records here).
-    pub fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
-    }
-
     /// Consumes the deriver, yielding the interner.
     pub fn into_interner(self) -> Interner {
         self.interner
@@ -409,162 +392,6 @@ impl Deriver {
     /// The derivation configuration.
     pub fn config(&self) -> &DeriveConfig {
         &self.cfg
-    }
-}
-
-/// A worker's intern sink: tokens of the frozen base interner keep their
-/// symbols; any other token is interned into the worker-local interner
-/// and tagged with the high bit. Each token is hashed once for both
-/// tables.
-struct ScratchSink<'a, 'b> {
-    base: &'a Interner,
-    local: &'b mut Interner,
-    /// Local ids first assigned while deriving the current record, in
-    /// assignment order — drained into [`ScratchDerived::fresh`].
-    fresh: &'b mut Vec<u32>,
-}
-
-impl InternSink for ScratchSink<'_, '_> {
-    fn intern_token(&mut self, s: &str) -> Sym {
-        let h = fnv1a(s);
-        if let Some(sym) = self.base.get_hashed(h, s) {
-            return sym;
-        }
-        let known = self.local.len();
-        let Sym(id) = self.local.intern_hashed(h, s);
-        if id as usize == known {
-            self.fresh.push(id);
-        }
-        Sym(LOCAL_BIT | id)
-    }
-}
-
-/// A worker's deriver: resolves tokens against a frozen snapshot of the
-/// global interner, parking unseen tokens in a worker-local [`Interner`].
-/// The produced [`ScratchDerived`] records must be committed in ingest
-/// order by the single writer.
-#[derive(Debug)]
-pub struct ScratchDeriver<'a> {
-    base: &'a Interner,
-    cfg: DeriveConfig,
-    bufs: DeriveBufs,
-    /// The tokens `base` lacks, numbered by local id.
-    local: Interner,
-    fresh: Vec<u32>,
-}
-
-impl<'a> ScratchDeriver<'a> {
-    /// A scratch deriver over a frozen interner snapshot.
-    pub fn new(base: &'a Interner, cfg: DeriveConfig) -> Self {
-        Self {
-            base,
-            cfg,
-            bufs: DeriveBufs::default(),
-            local: Interner::new(),
-            fresh: Vec::new(),
-        }
-    }
-
-    /// Derives one record; fresh (base-unknown) tokens get scratch-local
-    /// symbols recorded in the result's first-occurrence list.
-    pub fn derive(&mut self, values: &[Value]) -> ScratchDerived {
-        let rec = derive_record(
-            &mut ScratchSink {
-                base: self.base,
-                local: &mut self.local,
-                fresh: &mut self.fresh,
-            },
-            &mut self.bufs,
-            &self.cfg,
-            values,
-        );
-        ScratchDerived {
-            rec,
-            fresh: std::mem::take(&mut self.fresh),
-        }
-    }
-
-    /// Consumes the deriver, yielding the worker-local interner whose
-    /// symbol `i` is the text of scratch-local id `i`, needed to commit
-    /// its records.
-    pub fn into_texts(self) -> Interner {
-        self.local
-    }
-}
-
-/// A record derived by a [`ScratchDeriver`], awaiting commit into the
-/// global interner.
-#[derive(Debug)]
-pub struct ScratchDerived {
-    rec: DerivedRecord,
-    /// Scratch-local ids first assigned while deriving this record, in
-    /// assignment order — the exact order sequential derivation would
-    /// have interned them.
-    fresh: Vec<u32>,
-}
-
-#[inline]
-fn remap(sym: Sym, map: &[Option<Sym>]) -> Sym {
-    if sym.0 & LOCAL_BIT != 0 {
-        map[(sym.0 & !LOCAL_BIT) as usize].expect("scratch token committed before use")
-    } else {
-        sym
-    }
-}
-
-fn rebind_bag(bag: &TokenBag, map: &[Option<Sym>]) -> TokenBag {
-    let entries: Vec<(Sym, u32)> = bag.iter().map(|(s, c)| (remap(s, map), c)).collect();
-    TokenBag::from_entries(entries, bag.len() as u32)
-}
-
-fn rebind_syms(syms: &mut [Sym], map: &[Option<Sym>]) {
-    for s in syms.iter_mut() {
-        *s = remap(*s, map);
-    }
-    syms.sort_unstable();
-}
-
-impl ScratchDerived {
-    /// Commits this record into the global interner: interns its fresh
-    /// tokens in first-occurrence order (reproducing the sequential
-    /// symbol numbering exactly) and rewrites all scratch-local symbols.
-    ///
-    /// `texts` is the worker's local interner ([`ScratchDeriver::into_texts`])
-    /// and `map` is the worker's local→global table, sized to `texts`
-    /// and shared across that worker's records; records must be
-    /// committed in ingest order.
-    pub fn commit(
-        self,
-        texts: &Interner,
-        map: &mut [Option<Sym>],
-        interner: &mut Interner,
-    ) -> DerivedRecord {
-        for &lid in &self.fresh {
-            map[lid as usize] = Some(interner.intern_from(texts, Sym(lid)));
-        }
-        let mut rec = self.rec;
-        let needs = |bag: &TokenBag| bag.entries().iter().any(|&(s, _)| s.0 & LOCAL_BIT != 0);
-        for a in rec.attrs.iter_mut() {
-            if needs(&a.word) {
-                a.word = rebind_bag(&a.word, map);
-                for s in a.word_order.iter_mut() {
-                    *s = remap(*s, map);
-                }
-            }
-            if needs(&a.qgm3) {
-                a.qgm3 = rebind_bag(&a.qgm3, map);
-            }
-        }
-        if rec.keys.tokens.iter().any(|s| s.0 & LOCAL_BIT != 0) {
-            rebind_syms(&mut rec.keys.tokens, map);
-        }
-        if rec.keys.qgrams.iter().any(|s| s.0 & LOCAL_BIT != 0) {
-            rebind_syms(&mut rec.keys.qgrams, map);
-        }
-        if let Some(e) = rec.keys.equiv {
-            rec.keys.equiv = Some(remap(e, map));
-        }
-        rec
     }
 }
 
@@ -660,43 +487,5 @@ mod tests {
         qa.sort();
         qb.sort();
         assert_eq!(qa, qb);
-    }
-
-    #[test]
-    fn scratch_commit_reproduces_sequential_derivation_exactly() {
-        let rows: Vec<Vec<Value>> = vec![
-            vec!["golden dragon palace".into(), Value::Int(1999)],
-            vec!["blue sky tavern".into(), Value::Null],
-            vec!["golden dragon palce".into(), Value::Int(1999)],
-            vec![Value::Null, "2001".into()],
-        ];
-        // Sequential reference, continuing from a non-empty interner.
-        let mut base = Interner::new();
-        base.intern("golden");
-        base.intern("sky");
-        let mut seq = Deriver::with_interner(base.clone(), cfg4());
-        let seq_recs: Vec<DerivedRecord> = rows.iter().map(|r| seq.derive(r)).collect();
-
-        // Scratch path: derive everything against the frozen base, then
-        // commit in order.
-        let mut scratch = ScratchDeriver::new(&base, cfg4());
-        let derived: Vec<ScratchDerived> = rows.iter().map(|r| scratch.derive(r)).collect();
-        let texts = scratch.into_texts();
-        let mut map = vec![None; texts.len()];
-        let mut interner = base;
-        let committed: Vec<DerivedRecord> = derived
-            .into_iter()
-            .map(|d| d.commit(&texts, &mut map, &mut interner))
-            .collect();
-
-        assert_eq!(committed, seq_recs, "bags and keys must be identical");
-        assert_eq!(interner.len(), seq.interner().len());
-        for i in 0..interner.len() {
-            assert_eq!(
-                interner.resolve(Sym(i as u32)),
-                seq.interner().resolve(Sym(i as u32)),
-                "symbol numbering must match sequential order"
-            );
-        }
     }
 }

@@ -38,11 +38,11 @@
 //!
 //! Symbols are assigned densely in first-intern order, so a fixed
 //! sequence of `intern` calls always yields the same numbering — the
-//! property the streaming subsystem's parallel ingest relies on (workers
-//! tokenize against a frozen interner snapshot and a single writer
-//! commits fresh tokens in ingest order; see `zeroer_stream`). The slot
-//! array only finds symbols; it never chooses one, so where a token lands
-//! in it, and the random multiplier, have no effect on any number.
+//! property the streaming subsystem relies on: only its single writer
+//! interns, deriving records in ingest order whatever the thread count
+//! (see `zeroer_stream`). The slot array only finds symbols; it never
+//! chooses one, so where a token lands in it, and the random multiplier,
+//! have no effect on any number.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -60,11 +60,6 @@ impl Sym {
         self.0 as usize
     }
 }
-
-/// Flag bit marking a *scratch-local* symbol produced by
-/// [`crate::derive::ScratchDeriver`]; such symbols must be remapped into
-/// the global interner before use (see `DerivedRecord::commit`).
-pub(crate) const LOCAL_BIT: u32 = 1 << 31;
 
 /// Stable 64-bit FNV-1a hash of a token's text. Deliberately *not*
 /// `DefaultHasher`: it is identical across processes, platforms, and std
@@ -130,8 +125,8 @@ impl Interner {
     /// Interns `s`, returning its symbol (existing or freshly assigned).
     ///
     /// # Panics
-    /// Panics if more than 2³¹ distinct tokens, or more than 4 GiB of
-    /// distinct token text, are interned.
+    /// Panics if more than 2³² − 1 distinct tokens, or more than 4 GiB
+    /// of distinct token text, are interned.
     pub fn intern(&mut self, s: &str) -> Sym {
         self.intern_hashed(fnv1a(s), s)
     }
@@ -142,8 +137,10 @@ impl Interner {
             Ok(sym) => return sym,
             Err(slot) => slot,
         };
+        // A slot holds `symbol + 1`, so the last symbol is `u32::MAX - 1`;
+        // the length never passes `u32::MAX`, so the cast is exact.
         let id = self.hashes.len() as u32;
-        assert!(id < LOCAL_BIT, "interner overflow: 2^31 distinct tokens");
+        assert!(id < u32::MAX, "interner overflow: 2^32 - 1 distinct tokens");
         let end = u32::try_from(self.text.len() + s.len())
             .expect("interner overflow: 4 GiB of token text");
         self.text.push_str(s);
@@ -155,11 +152,6 @@ impl Interner {
             self.slots[slot] = id + 1;
         }
         Sym(id)
-    }
-
-    /// Interns `other`'s symbol `sym` here, reusing its stored hash.
-    pub(crate) fn intern_from(&mut self, other: &Interner, sym: Sym) -> Sym {
-        self.intern_hashed(other.hashes[sym.index()], other.resolve(sym))
     }
 
     /// Looks up an already-interned token without inserting.
@@ -220,8 +212,7 @@ impl Interner {
     /// The text of a symbol.
     ///
     /// # Panics
-    /// Panics on a symbol this interner did not produce (including
-    /// uncommitted scratch-local symbols).
+    /// Panics on a symbol this interner did not produce.
     pub fn resolve(&self, sym: Sym) -> &str {
         let i = sym.index();
         &self.text[self.starts[i] as usize..self.starts[i + 1] as usize]
@@ -240,21 +231,6 @@ impl Interner {
     /// Total bytes of distinct token text stored (each token once).
     pub fn bytes(&self) -> usize {
         self.text.len()
-    }
-}
-
-/// Anything tokens can be interned into: the global [`Interner`] or a
-/// worker's frozen base plus local interner
-/// ([`crate::derive::ScratchDeriver`]).
-pub trait InternSink {
-    /// Interns one token.
-    fn intern_token(&mut self, s: &str) -> Sym;
-}
-
-impl InternSink for Interner {
-    #[inline]
-    fn intern_token(&mut self, s: &str) -> Sym {
-        self.intern(s)
     }
 }
 

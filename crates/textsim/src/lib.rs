@@ -38,15 +38,12 @@ pub mod token;
 pub mod tokenize;
 
 pub use align::needleman_wunsch_with;
-pub use derive::{
-    AttrDerived, BlockSpec, DeriveConfig, DerivedRecord, Deriver, KeySet, ScratchDerived,
-    ScratchDeriver,
-};
+pub use derive::{AttrDerived, BlockSpec, DeriveConfig, DerivedRecord, Deriver, KeySet};
 pub use edit::{
     hamming_sim, jaro, jaro_winkler, jaro_winkler_with, jaro_with, levenshtein, levenshtein_sim,
     levenshtein_sim_with, levenshtein_with, prefix_sim, EditCounts,
 };
-pub use intern::{fnv1a, InternSink, Interner, Sym};
+pub use intern::{fnv1a, Interner, Sym};
 pub use numeric::{abs_diff_sim, exact_match, exact_match_lowercase, rel_diff_sim};
 pub use scratch::SimScratch;
 pub use tfidf::IdfModel;

@@ -6,7 +6,7 @@
 //! interned ([`crate::intern::Interner`]) so a bag stores sorted
 //! `(Sym, count)` pairs instead of one heap string per distinct token.
 
-use crate::intern::{InternSink, Interner, Sym};
+use crate::intern::{Interner, Sym};
 
 /// A multiset of tokens with counts, the input to the token-based
 /// similarity measures.
@@ -114,20 +114,6 @@ impl TokenBag {
     pub fn set_union(&self, other: &TokenBag) -> usize {
         self.distinct() + other.distinct() - self.set_intersection(other)
     }
-
-    /// Internal raw entries (for rebinding scratch-local symbols).
-    pub(crate) fn entries(&self) -> &[(Sym, u32)] {
-        &self.entries
-    }
-
-    /// Rebuilds a bag from already-counted entries (re-sorted by symbol).
-    pub(crate) fn from_entries(mut entries: Vec<(Sym, u32)>, total: u32) -> Self {
-        entries.sort_unstable_by_key(|&(s, _)| s);
-        Self {
-            entries: entries.into_boxed_slice(),
-            total,
-        }
-    }
 }
 
 /// Lowercases and strips non-alphanumeric characters (keeping spaces),
@@ -159,10 +145,10 @@ pub fn normalize(s: &str) -> String {
 
 /// Tokenizes an *already-normalized* string into word symbols, appending
 /// to `out` (in occurrence order, with multiplicity).
-pub(crate) fn words_from_norm<S: InternSink>(sink: &mut S, norm: &str, out: &mut Vec<Sym>) {
+pub(crate) fn words_from_norm(interner: &mut Interner, norm: &str, out: &mut Vec<Sym>) {
     for tok in norm.split(' ') {
         if !tok.is_empty() {
-            out.push(sink.intern_token(tok));
+            out.push(interner.intern(tok));
         }
     }
 }
@@ -171,8 +157,8 @@ pub(crate) fn words_from_norm<S: InternSink>(sink: &mut S, norm: &str, out: &mut
 /// `q − 1` leading and trailing `#` marks, appended to `out` as symbols
 /// in window order. Builds windows directly over a reusable char buffer
 /// (no `format!`, no per-call `Vec<char>`, no per-token `String`).
-pub(crate) fn qgrams_from_norm<S: InternSink>(
-    sink: &mut S,
+pub(crate) fn qgrams_from_norm(
+    interner: &mut Interner,
     norm: &str,
     q: usize,
     chars: &mut Vec<char>,
@@ -190,13 +176,13 @@ pub(crate) fn qgrams_from_norm<S: InternSink>(
     if chars.len() < q {
         tok.clear();
         tok.extend(chars.iter());
-        out.push(sink.intern_token(tok));
+        out.push(interner.intern(tok));
         return;
     }
     for w in chars.windows(q) {
         tok.clear();
         tok.extend(w.iter());
-        out.push(sink.intern_token(tok));
+        out.push(interner.intern(tok));
     }
 }
 

@@ -9,22 +9,20 @@
 //! `f64::to_bits`) on generated records.
 //!
 //! Two facts derivation stores for the batch fill are checked here too:
-//! each word bag's text order, on the sequential and the scratch-commit
-//! paths, and value keys that do not depend on interner history.
+//! each word bag's text order, and value keys that do not depend on
+//! interner history.
 //!
 //! The interner itself is checked against a first-seen `HashMap` over
 //! long token streams that cross several doublings of its slot array
 //! (`interner_matches_first_seen_map`, which includes two distinct
-//! tokens with equal FNV-1a hashes), and scratch derivation committed in
-//! ingest order against sequential derivation when the fresh tokens
-//! cross doublings of both the worker-local and the global interner.
+//! tokens with equal FNV-1a hashes).
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use zeroer::blocking::{standard_candidates_derived, PairMode};
 use zeroer::features::{functions_for, DeriveConfig, PairFeaturizer, RowFeaturizer, SimFunction};
 use zeroer::tabular::{Record, Schema, Table, Value};
-use zeroer::textsim::derive::{DerivedRecord, Deriver, ScratchDeriver};
+use zeroer::textsim::derive::{DerivedRecord, Deriver};
 use zeroer::textsim::{fnv1a, jaro_winkler, Interner, Sym, TokenBag};
 
 /// The retired string-based tokenizers and blockers, kept as the parity
@@ -298,44 +296,27 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Derivation stores Monge-Elkan's canonical order with the word bag,
-    /// on the sequential path and on the scratch path after commit. The
-    /// base interner knows the words of the first `known` rows only, so
-    /// the scratch path meets both base tokens and tokens fresh to the
-    /// worker, whose symbols commit renumbers.
+    /// Derivation stores Monge-Elkan's canonical order with the word bag.
+    /// The base interner knows the words of the first `known` rows only,
+    /// so derivation meets both known tokens and fresh ones.
     #[test]
     fn derivation_stores_text_order(
         texts in proptest::collection::vec(order_text(), 8),
         known in 0usize..8,
     ) {
         let rows = rows_of(&texts);
-        let cfg = DeriveConfig::blocking(0, 3);
-        let mut warm = Deriver::new(cfg.clone());
+        let mut d = Deriver::new(DeriveConfig::blocking(0, 3));
         for r in rows.iter().take(known) {
-            warm.derive(r);
+            d.derive(r);
         }
-        let base = warm.into_interner();
-
-        let mut seq = Deriver::with_interner(base.clone(), cfg.clone());
         for r in &rows {
-            let rec = seq.derive(r);
-            assert_text_order(&rec, seq.interner());
-        }
-
-        let mut scratch = ScratchDeriver::new(&base, cfg);
-        let derived: Vec<_> = rows.iter().map(|r| scratch.derive(r)).collect();
-        let scratch_texts = scratch.into_texts();
-        let mut map = vec![None; scratch_texts.len()];
-        let mut interner = base;
-        for d in derived {
-            let rec = d.commit(&scratch_texts, &mut map, &mut interner);
-            assert_text_order(&rec, &interner);
+            let rec = d.derive(r);
+            assert_text_order(&rec, d.interner());
         }
     }
 
     /// A value's key reads no symbol: the same values derived after
-    /// different interner histories, sequentially or through a scratch
-    /// commit, get the same keys.
+    /// different interner histories get the same keys.
     #[test]
     fn value_keys_do_not_depend_on_interner_history(
         values in proptest::collection::vec(order_text(), 6),
@@ -363,19 +344,7 @@ proptest! {
         for h in rows_of(&history).iter().rev() {
             warm.derive(&[h[0].clone(), Value::Int(7)]);
         }
-        let base = warm.interner().clone();
         prop_assert_eq!(&keys(rows.iter().map(|r| warm.derive(r)).collect()), &want);
-
-        let mut scratch = ScratchDeriver::new(&base, DeriveConfig::default());
-        let derived: Vec<_> = rows.iter().map(|r| scratch.derive(r)).collect();
-        let scratch_texts = scratch.into_texts();
-        let mut map = vec![None; scratch_texts.len()];
-        let mut interner = base;
-        let committed = derived
-            .into_iter()
-            .map(|d| d.commit(&scratch_texts, &mut map, &mut interner))
-            .collect();
-        prop_assert_eq!(&keys(committed), &want);
     }
 }
 
@@ -471,49 +440,6 @@ proptest! {
         prop_assert!(texts.len() > 256, "premise: {} distinct tokens", texts.len());
         intern_both(&mut twin, &mut twin_map, &mut twin_texts, &stream[cut..]);
         assert_interner_state(&twin, &map, &texts);
-    }
-
-    /// Scratch derivation on two workers, committed in ingest order,
-    /// equals sequential derivation: the records' symbols, and the
-    /// interner they are numbered by. Forty rows of fresh words and
-    /// q-grams cross several doublings of each worker's local interner
-    /// and of the global one.
-    #[test]
-    fn scratch_commit_numbering_crosses_table_doublings(
-        texts in proptest::collection::vec("[a-gé ]{0,24}", 40),
-        known in 0usize..10,
-    ) {
-        let rows = rows_of(&texts);
-        let cfg = DeriveConfig::blocking(0, 4);
-        let mut warm = Deriver::new(cfg.clone());
-        for r in rows.iter().take(known) {
-            warm.derive(r);
-        }
-        let base = warm.into_interner();
-
-        let mut seq = Deriver::with_interner(base.clone(), cfg.clone());
-        let want: Vec<DerivedRecord> = rows.iter().map(|r| seq.derive(r)).collect();
-
-        let mut interner = base.clone();
-        let mut got = Vec::with_capacity(rows.len());
-        for chunk in rows.chunks(rows.len().div_ceil(2)) {
-            let mut worker = ScratchDeriver::new(&base, cfg.clone());
-            let derived: Vec<_> = chunk.iter().map(|r| worker.derive(r)).collect();
-            let local = worker.into_texts();
-            let mut map = vec![None; local.len()];
-            for d in derived {
-                got.push(d.commit(&local, &mut map, &mut interner));
-            }
-        }
-        prop_assert!(interner.len() >= base.len() + 32, "premise: {} fresh", interner.len() - base.len());
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(interner.len(), seq.interner().len());
-        prop_assert_eq!(interner.bytes(), seq.interner().bytes());
-        for rec in &got {
-            for sym in rec.keys().tokens.iter().chain(&rec.keys().qgrams) {
-                prop_assert_eq!(interner.resolve(*sym), seq.interner().resolve(*sym));
-            }
-        }
     }
 }
 

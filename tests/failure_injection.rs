@@ -173,6 +173,26 @@ fn retract_of_unknown_or_dead_record_fails_without_side_effects() {
 }
 
 #[test]
+fn batch_with_a_bad_arity_record_panics_before_applying_any() {
+    // The good record comes first, so a check that runs record by record
+    // would ingest it before reaching the bad one.
+    for threads in [1, 2] {
+        let mut p = boot_pipeline();
+        let (len, clusters) = (p.len(), p.clusters());
+        let batch = vec![
+            Record::new(100, vec!["Golden Dragon Palace".into(), "new york".into()]),
+            Record::new(101, vec!["Blue Sky Tavern".into()]),
+        ];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.ingest_batch_parallel(batch, threads)
+        }));
+        assert!(result.is_err(), "threads={threads}: the batch must panic");
+        assert_eq!(p.len(), len, "threads={threads}: no record may be applied");
+        assert_eq!(p.clusters(), clusters, "threads={threads}");
+    }
+}
+
+#[test]
 fn compaction_between_parallel_batches_keeps_thread_parity() {
     // Compaction cannot literally race a batch (`&mut self` serializes
     // them), so the adversarial schedule is compact *between* batches,
