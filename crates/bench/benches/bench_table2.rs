@@ -5,7 +5,10 @@
 //! baseline; plain k-means only works on easy datasets; GMM and ECM are
 //! not competitive; ZeroER is comparable to the tuned supervised methods
 //! (RF/LR/MLP trained on 50 % of labeled pairs with oversampling and
-//! 5-fold CV) and the product datasets are hard for everyone (F ≈ 0.4–0.5).
+//! 5-fold CV) and the product datasets are the hardest. On this
+//! reproduction's synthetic stand-ins, at the default scale and seed,
+//! ZeroER reads 0.61 on Prod-AB and 0.89 on Prod-AG (ROADMAP, direction
+//! 1).
 
 use std::time::Instant;
 use zeroer_baselines::{EcmClassifier, GaussianMixture, KMeans};
@@ -21,8 +24,9 @@ fn main() {
     let cfg = ExperimentConfig::from_env();
     println!("== Table 2: F-score for all methods ==");
     println!(
-        "(scale {}, supervised averaged over {} runs; paper values in EXPERIMENTS.md)\n",
-        cfg.scale, cfg.runs
+        "(scale {}, seed {}, supervised averaged over {} runs; \
+         paper values in the paper's Table 2, this build's in ROADMAP.md's baseline)\n",
+        cfg.scale, cfg.seed, cfg.runs
     );
     let mut rows = Vec::new();
     for profile in all_profiles() {

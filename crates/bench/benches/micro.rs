@@ -7,16 +7,17 @@
 //!   structures (the §3.2 efficiency argument: grouped ≈ independent ≪
 //!   full);
 //! * `feature_row` — one pair's full feature-vector generation;
-//! * `blocking` — token blocking over a small table.
+//! * `standard_blocking` — the standard recipe over two small tables
+//!   that are already derived.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use zeroer_blocking::{Blocker, PairMode, TokenBlocker};
+use zeroer_blocking::{standard_candidates_derived, PairMode};
 use zeroer_core::{FeatureDependence, GenerativeModel, Regularization, ZeroErConfig};
 use zeroer_datagen::generate;
 use zeroer_datagen::profiles::rest_fz;
-use zeroer_features::PairFeaturizer;
+use zeroer_features::{DeriveConfig, PairFeaturizer};
 use zeroer_linalg::block::GroupLayout;
 use zeroer_linalg::Matrix;
 use zeroer_textsim::{jaccard, jaro_winkler, levenshtein, monge_elkan, qgrams, words, Interner};
@@ -123,9 +124,10 @@ fn bench_feature_row(c: &mut Criterion) {
 
 fn bench_blocking(c: &mut Criterion) {
     let ds = generate(&rest_fz(), 0.25, 4);
-    c.bench_function("token_blocking", |bch| {
-        let blocker = TokenBlocker::new(0);
-        bch.iter(|| black_box(blocker.candidates(&ds.left, &ds.right, PairMode::Cross)));
+    let fz = PairFeaturizer::with_config(&ds.left, &ds.right, DeriveConfig::blocking(0, 4));
+    let (l, r) = (fz.left_derived(), Some(fz.right_derived()));
+    c.bench_function("standard_blocking", |bch| {
+        bch.iter(|| black_box(standard_candidates_derived(l, r, PairMode::Cross, 1, 400)));
     });
 }
 

@@ -1,10 +1,14 @@
 //! The shared dataset → blocking → features pipeline every experiment
 //! harness builds on.
 
-use zeroer_blocking::{standard_recipe, PairMode};
+use std::str::FromStr;
+use zeroer_blocking::{
+    standard_candidates_derived, standard_rule, BlockingReport, CandidateSet, PairMode,
+};
 use zeroer_core::LinkageTask;
 use zeroer_datagen::{generate, DatasetProfile, GeneratedDataset};
-use zeroer_features::PairFeaturizer;
+use zeroer_features::{DeriveConfig, PairFeaturizer};
+use zeroer_tabular::Table;
 
 /// Global experiment knobs, read once from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -20,18 +24,36 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Reads the knobs from the environment.
+    ///
+    /// # Panics
+    /// Panics, naming the variable, on a value that does not parse as
+    /// the knob's type.
     pub fn from_env() -> Self {
-        let parse = |var: &str, default: f64| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Self {
-            scale: parse("ZEROER_SCALE", 0.08).clamp(1e-3, 1.0),
-            runs: parse("ZEROER_RUNS", 2.0).max(1.0) as usize,
-            seed: parse("ZEROER_SEED", 42.0) as u64,
+        fn env<T: FromStr>(var: &str, default: T) -> T {
+            let raw = match std::env::var(var) {
+                Ok(v) => Some(v),
+                Err(std::env::VarError::NotPresent) => None,
+                Err(e) => panic!("{var}: {e}"),
+            };
+            knob(var, raw.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
         }
+        Self {
+            scale: env::<f64>("ZEROER_SCALE", 0.08).clamp(1e-3, 1.0),
+            runs: env::<usize>("ZEROER_RUNS", 2).max(1),
+            seed: env("ZEROER_SEED", 42),
+        }
+    }
+}
+
+/// One knob's value: `default` when the variable is unset, else its raw
+/// value parsed as `T`, or an error naming the variable.
+fn knob<T: FromStr>(var: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| {
+            let ty = std::any::type_name::<T>();
+            format!("{var}={v:?} does not parse as {ty}")
+        }),
     }
 }
 
@@ -104,7 +126,8 @@ pub struct Prepared {
     pub right: LinkageTask,
     /// Ground-truth labels for the cross pairs.
     pub labels: Vec<bool>,
-    /// Blocking recall: fraction of true matches surviving blocking.
+    /// Blocking recall (pair completeness): fraction of true matches
+    /// surviving blocking.
     pub blocking_recall: f64,
 }
 
@@ -126,32 +149,12 @@ pub fn prepare(profile: &DatasetProfile, cfg: &ExperimentConfig) -> Prepared {
     let scale = (cfg.scale * recipe.scale_mult).clamp(1e-3, 1.0);
     let ds = generate(profile, scale, cfg.seed);
 
-    // The pipelines' standard recipe: short-name datasets (overlap 1)
-    // count token and 4-gram keys together, so a typo in a shared word
-    // cannot lose the match entirely.
-    let cross_cs = standard_recipe(recipe.attr, recipe.cross_overlap, 4, 400).candidates(
-        &ds.left,
-        &ds.right,
-        PairMode::Cross,
-    );
-    let within = standard_recipe(recipe.attr, recipe.dedup_overlap, 4, 400);
-    let left_cs = within.candidates(&ds.left, &ds.left, PairMode::Dedup);
-    let right_cs = within.candidates(&ds.right, &ds.right, PairMode::Dedup);
-
-    let make_task =
-        |l: &zeroer_tabular::Table, r: &zeroer_tabular::Table, pairs: &[(usize, usize)]| {
-            let fz = PairFeaturizer::new(l, r);
-            let mut fs = fz.featurize(pairs);
-            fs.normalize();
-            LinkageTask::new(fs.matrix, pairs.to_vec(), fs.layout)
-        };
-
-    let cross = make_task(&ds.left, &ds.right, cross_cs.pairs());
-    let left = make_task(&ds.left, &ds.left, left_cs.pairs());
-    let right = make_task(&ds.right, &ds.right, right_cs.pairs());
+    let (cross, cross_cs) = make_task(&ds.left, &ds.right, PairMode::Cross, &recipe);
+    let (left, _) = make_task(&ds.left, &ds.left, PairMode::Dedup, &recipe);
+    let (right, _) = make_task(&ds.right, &ds.right, PairMode::Dedup, &recipe);
 
     let labels = ds.labels_for(cross_cs.pairs());
-    let blocking_recall = cross_cs.recall_against(&ds.matches);
+    let report = BlockingReport::evaluate(&cross_cs, &ds.matches, ds.left.len(), ds.right.len());
 
     Prepared {
         ds,
@@ -159,8 +162,38 @@ pub fn prepare(profile: &DatasetProfile, cfg: &ExperimentConfig) -> Prepared {
         left,
         right,
         labels,
-        blocking_recall,
+        blocking_recall: report.pair_completeness,
     }
+}
+
+/// One task under the pipelines' standard recipe: `l` and `r` derived
+/// once with blocking keys, blocked at the recipe's overlap for `mode`
+/// (a dedup task passes one table twice), then featurized and
+/// normalized. Short-name datasets (overlap 1) count token and 4-gram
+/// keys together, so a typo in a shared word cannot lose the match
+/// entirely.
+fn make_task(
+    l: &Table,
+    r: &Table,
+    mode: PairMode,
+    recipe: &BlockingRecipe,
+) -> (LinkageTask, CandidateSet) {
+    let overlap = match mode {
+        PairMode::Cross => recipe.cross_overlap,
+        PairMode::Dedup => recipe.dedup_overlap,
+    };
+    let q = if standard_rule(overlap).qgram_leg {
+        4
+    } else {
+        0
+    };
+    let fz = PairFeaturizer::with_config(l, r, DeriveConfig::blocking(recipe.attr, q));
+    let right = (mode == PairMode::Cross).then(|| fz.right_derived());
+    let cs = standard_candidates_derived(fz.left_derived(), right, mode, overlap, 400);
+    let mut fs = fz.featurize(cs.pairs());
+    fs.normalize();
+    let task = LinkageTask::new(fs.matrix, cs.pairs().to_vec(), fs.layout);
+    (task, cs)
 }
 
 #[cfg(test)]
@@ -214,6 +247,20 @@ mod tests {
         let r = recipe_for("Pub-DA");
         assert!(r.cross_overlap >= 2);
         assert_eq!(recipe_for("Rest-FZ").cross_overlap, 1);
+    }
+
+    #[test]
+    fn knobs_parse_as_their_own_type() {
+        assert_eq!(knob::<u64>("ZEROER_SEED", None, 42), Ok(42));
+        let err = knob::<u64>("ZEROER_SEED", Some("7x"), 42).unwrap_err();
+        assert!(err.contains("ZEROER_SEED"), "{err}");
+        assert_eq!(
+            knob::<u64>("ZEROER_SEED", Some("9007199254740993"), 42),
+            Ok(9_007_199_254_740_993),
+            "above 2^53 the seed stays exact"
+        );
+        assert!(knob::<usize>("ZEROER_RUNS", Some("2.5"), 2).is_err());
+        assert_eq!(knob::<f64>("ZEROER_SCALE", Some("0.25"), 0.08), Ok(0.25));
     }
 
     #[test]

@@ -81,31 +81,6 @@ impl CandidateSet {
         };
         self.pairs.binary_search(&key).is_ok()
     }
-
-    /// Union with another candidate set of the same mode.
-    ///
-    /// # Panics
-    /// Panics on mode mismatch.
-    pub fn union(&self, other: &CandidateSet) -> CandidateSet {
-        assert_eq!(
-            self.mode, other.mode,
-            "cannot union candidate sets of different modes"
-        );
-        CandidateSet::new(
-            self.mode,
-            self.pairs.iter().chain(other.pairs.iter()).copied(),
-        )
-    }
-
-    /// Recall of blocking against ground-truth match pairs: the fraction
-    /// of true matches retained in the candidate set.
-    pub fn recall_against(&self, truth: &[(usize, usize)]) -> f64 {
-        if truth.is_empty() {
-            return 1.0;
-        }
-        let kept = truth.iter().filter(|&&(a, b)| self.contains(a, b)).count();
-        kept as f64 / truth.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -130,27 +105,5 @@ mod tests {
         assert!(cs.contains(2, 1));
         assert!(cs.contains(1, 2));
         assert!(!cs.contains(0, 1));
-    }
-
-    #[test]
-    fn union_merges() {
-        let a = CandidateSet::new(PairMode::Cross, [(0, 0)]);
-        let b = CandidateSet::new(PairMode::Cross, [(1, 1), (0, 0)]);
-        assert_eq!(a.union(&b).len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different modes")]
-    fn union_mode_mismatch_panics() {
-        let a = CandidateSet::new(PairMode::Cross, [(0, 0)]);
-        let b = CandidateSet::new(PairMode::Dedup, [(0, 1)]);
-        let _ = a.union(&b);
-    }
-
-    #[test]
-    fn recall_counts_retained_truth() {
-        let cs = CandidateSet::new(PairMode::Cross, [(0, 0), (1, 1)]);
-        assert_eq!(cs.recall_against(&[(0, 0), (2, 2)]), 0.5);
-        assert_eq!(cs.recall_against(&[]), 1.0);
     }
 }

@@ -7,30 +7,20 @@
 //! already-solved step; we still need a real implementation to produce
 //! candidate sets with realistic class imbalance for the experiments.
 //!
-//! Provided blockers:
-//!
-//! * [`TokenBlocker`] — pairs sharing at least one word token on a key
-//!   attribute (with a frequency cap to avoid stop-word blowup);
-//! * [`QgramBlocker`] — pairs sharing a character q-gram (more recall,
-//!   more candidates);
-//! * [`AttrEquivalenceBlocker`] — exact equality on an attribute;
-//! * [`SortedNeighborhood`] — classic sliding window over a sort key;
-//! * [`CartesianBlocker`] — everything (for small datasets / tests);
-//! * [`UnionBlocker`] — union of several blockers' candidates;
-//! * [`standard_recipe`] — the recipe the pipelines run: token and
-//!   q-gram keys probed together, keeping the pairs whose records share
-//!   at least two keys ([`standard_rule`]).
+//! There is one recipe, [`standard_candidates_derived`]: token and
+//! q-gram keys probed together over a record derivation that already
+//! carries them, keeping the pairs whose records share at least two
+//! keys ([`standard_rule`]; `n` shared tokens as overlap blocking at
+//! overlap `n ≥ 2`). [`pruned_candidates_derived`] lists the pairs the
+//! rule drops, and [`BlockingReport`] measures a candidate set against
+//! ground truth (reduction ratio, pair completeness).
 
 pub mod blockers;
 pub mod candidate;
-pub mod keys;
 pub mod quality;
 
 pub use blockers::{
-    pruned_candidates_derived, standard_candidates_derived, standard_recipe, standard_rule,
-    AttrEquivalenceBlocker, Blocker, CartesianBlocker, KeyRule, QgramBlocker, SortedNeighborhood,
-    TokenBlocker, UnionBlocker,
+    pruned_candidates_derived, standard_candidates_derived, standard_rule, KeyRule,
 };
 pub use candidate::{CandidateSet, PairMode};
-pub use keys::TableKeys;
 pub use quality::BlockingReport;

@@ -2,7 +2,7 @@
 //! pair-completeness report used when designing blocking schemes.
 //!
 //! The paper treats blocking as a given; a downstream user still needs to
-//! verify that whatever blocker they configure (a) discards enough of the
+//! verify that whatever blocking they configure (a) discards enough of the
 //! quadratic pair space and (b) keeps the true matches. This module
 //! computes exactly that trade-off.
 
@@ -63,7 +63,7 @@ impl BlockingReport {
     }
 
     /// Harmonic mean of reduction ratio and pair completeness — a single
-    /// figure of merit for comparing blockers.
+    /// figure of merit for comparing blocking configurations.
     pub fn f_measure(&self) -> f64 {
         let (r, c) = (self.reduction_ratio, self.pair_completeness);
         if r + c == 0.0 {

@@ -146,8 +146,8 @@ fn sim_value_with(
 /// by both sides and one [`DerivedRecord`] per record, produced in a
 /// single pass. When left and right are the same table (`dedup`), the
 /// table is derived once, and callers that also need blocking keys can
-/// request them through [`PairFeaturizer::with_config`] — the batch
-/// blockers then consume [`PairFeaturizer::left_derived`] /
+/// request them through [`PairFeaturizer::with_config`] — batch
+/// blocking then consumes [`PairFeaturizer::left_derived`] /
 /// [`PairFeaturizer::right_derived`] instead of re-tokenizing, and the
 /// streaming bootstrap hands the whole derivation to the entity store
 /// via [`PairFeaturizer::into_parts`].

@@ -18,8 +18,8 @@
 //! Tokenization happens exactly once per record, through the shared
 //! derivation layer (`zeroer_textsim::derive`): the featurizer owns the
 //! tables' [`zeroer_textsim::derive::DerivedRecord`]s and the interner
-//! they were built against, and the same derivation feeds the batch
-//! blockers and the streaming subsystem. See `crates/features/README.md`
+//! they were built against, and the same derivation feeds batch
+//! blocking and the streaming subsystem. See `crates/features/README.md`
 //! for the design note.
 //!
 //! Feature generation is embarrassingly parallel over pairs and is chunked

@@ -1,15 +1,16 @@
 //! Incremental blocking indexes.
 //!
-//! The batch blockers enumerate candidate pairs by probing complete
-//! inverted indexes. Streaming ingest needs the *online* form of the
-//! same computation: insert one record and get back the indices of
-//! previously inserted records it is a candidate pair with, in one pass.
+//! Batch blocking (`zeroer_blocking::standard_candidates_derived`)
+//! enumerates candidate pairs by probing complete inverted indexes.
+//! Streaming ingest needs the *online* form of the same computation:
+//! insert one record and get back the indices of previously inserted
+//! records it is a candidate pair with, in one pass.
 //!
 //! [`IncrementalIndex`] mirrors the standard recipe the high-level
 //! pipeline uses — word-token and character q-gram keys on one key
 //! attribute, counted together, with a pair kept once its records share
 //! at least two keys (`zeroer_blocking::standard_rule`) — and consumes
-//! the *same* blocking keys the batch blockers do: interned symbols
+//! the *same* blocking keys the batch probe does: interned symbols
 //! extracted by the record-derivation layer (`zeroer_textsim::derive`),
 //! so batch and incremental candidate sets cannot drift apart. Buckets
 //! are keyed by [`Sym`], not strings — no key text is duplicated into
@@ -35,7 +36,7 @@
 //!
 //! ## Frequency cap
 //!
-//! The batch blockers skip "stop word" buckets whose pair product exceeds
+//! The batch probe skips "stop word" buckets whose pair product exceeds
 //! `max_bucket²` (for a self-join: buckets with more than `max_bucket`
 //! members). Online, a bucket's final size is unknowable, so the cap is
 //! applied at the crossing point: a bucket that would exceed `max_bucket`
@@ -63,11 +64,11 @@
 
 use std::collections::HashMap;
 use zeroer_blocking::standard_rule;
-use zeroer_textsim::derive::{BlockSpec, DeriveConfig, KeySet};
+use zeroer_textsim::derive::{DeriveConfig, KeySet};
 use zeroer_textsim::intern::Sym;
 
 /// Configuration for [`IncrementalIndex`], mirroring the defaults of the
-/// batch pipeline's blocker (`MatchOptions`).
+/// batch pipeline's blocking (`MatchOptions`).
 #[derive(Debug, Clone)]
 pub struct IndexConfig {
     /// Attribute index used as the blocking key.
@@ -105,13 +106,8 @@ impl IndexConfig {
     /// The derivation configuration that extracts exactly the blocking
     /// keys this index consumes.
     pub fn derive_config(&self) -> DeriveConfig {
-        DeriveConfig {
-            block: Some(BlockSpec {
-                attr: self.attr,
-                qgram: if self.has_qgram_leg() { self.qgram } else { 0 },
-                equiv: false,
-            }),
-        }
+        let qgram = if self.has_qgram_leg() { self.qgram } else { 0 };
+        DeriveConfig::blocking(self.attr, qgram)
     }
 }
 

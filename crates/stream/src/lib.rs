@@ -16,8 +16,8 @@
 //!   [`zeroer_blocking::standard_rule`], plus the stop-word frequency
 //!   cap) but support `insert(record) → candidates` in one pass, plus a
 //!   read-only probe for linkage and resolves. It consumes the
-//!   derivation's [`zeroer_textsim::derive::KeySet`], the keys the batch
-//!   blockers read, and the batch rule, so the two cannot drift. A
+//!   derivation's [`zeroer_textsim::derive::KeySet`], the keys batch
+//!   blocking reads, and the batch rule, so the two cannot drift. A
 //!   pipeline holds one per bootstrap table.
 //! * [`PipelineSnapshot`] / [`zeroer_core::ModelSnapshot`] — a JSON
 //!   freeze of a fitted generative model (means, covariances, prior)

@@ -90,7 +90,6 @@ fn assert_derivations_identical(seq: &StreamPipeline, par: &StreamPipeline, thre
             syms.extend(d.attr(at).word.syms().chain(d.attr(at).qgm3.syms()));
         }
         syms.extend(d.keys().tokens.iter().chain(&d.keys().qgrams));
-        syms.extend(d.keys().equiv);
     }
     assert_eq!(
         syms.len(),

@@ -1,14 +1,15 @@
 //! Batch/incremental blocking parity.
 //!
 //! The incremental index must produce exactly the candidate set the batch
-//! standard recipe (`standard_recipe`) produces when records are inserted
-//! one at a time — on any dataset where no bucket crosses the frequency
-//! cap (structurally guaranteed here: every table is far smaller than the
-//! cap), the sets are equal, not merely similar.
+//! standard recipe (`standard_candidates_derived`, over the table derived
+//! under the index's own `IndexConfig::derive_config`) produces when
+//! records are inserted one at a time — on any dataset where no bucket
+//! crosses the frequency cap (structurally guaranteed here: every table
+//! is far smaller than the cap), the sets are equal, not merely similar.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use zeroer_blocking::{standard_recipe, Blocker, PairMode};
+use zeroer_blocking::{standard_candidates_derived, PairMode};
 use zeroer_datagen::{all_profiles, generate};
 use zeroer_stream::{IncrementalIndex, IndexConfig, KeyCounts};
 use zeroer_tabular::{Record, Schema, Table, Value};
@@ -39,9 +40,16 @@ fn incremental_pairs(table: &Table, cfg: IndexConfig) -> BTreeSet<(usize, usize)
     pairs
 }
 
-fn batch_pairs(table: &Table, blocker: &dyn Blocker) -> BTreeSet<(usize, usize)> {
-    blocker
-        .candidates(table, table, PairMode::Dedup)
+/// The batch probe over the whole table, derived once under `cfg`.
+fn batch_pairs(table: &Table, cfg: &IndexConfig) -> BTreeSet<(usize, usize)> {
+    let mut deriver = Deriver::new(cfg.derive_config());
+    let derived: Vec<_> = table
+        .records()
+        .iter()
+        .map(|r| deriver.derive(&r.values))
+        .collect();
+    let (overlap, cap) = (cfg.min_token_overlap, cfg.max_bucket);
+    standard_candidates_derived(&derived, None, PairMode::Dedup, overlap, cap)
         .pairs()
         .iter()
         .copied()
@@ -59,12 +67,9 @@ proptest! {
     #[test]
     fn union_recipe_matches_batch(profile in 0usize..6, seed in 0u64..1000) {
         let table = dedup_table_of(profile, 0.01, seed);
-        let cap = table.len().max(2);
-        let batch = batch_pairs(&table, &*standard_recipe(0, 1, 4, cap));
-        let incremental = incremental_pairs(
-            &table,
-            IndexConfig { max_bucket: cap, ..Default::default() },
-        );
+        let cfg = IndexConfig { max_bucket: table.len().max(2), ..Default::default() };
+        let batch = batch_pairs(&table, &cfg);
+        let incremental = incremental_pairs(&table, cfg);
         prop_assert_eq!(incremental.len(), batch.len(),
             "batch and incremental candidate-set sizes diverge");
         prop_assert!(incremental == batch, "candidate sets diverge");
@@ -74,12 +79,13 @@ proptest! {
     #[test]
     fn overlap_recipe_matches_batch(profile in 0usize..6, seed in 0u64..1000) {
         let table = dedup_table_of(profile, 0.01, seed);
-        let cap = table.len().max(2);
-        let batch = batch_pairs(&table, &*standard_recipe(0, 2, 4, cap));
-        let incremental = incremental_pairs(
-            &table,
-            IndexConfig { min_token_overlap: 2, max_bucket: cap, ..Default::default() },
-        );
+        let cfg = IndexConfig {
+            min_token_overlap: 2,
+            max_bucket: table.len().max(2),
+            ..Default::default()
+        };
+        let batch = batch_pairs(&table, &cfg);
+        let incremental = incremental_pairs(&table, cfg);
         prop_assert!(incremental == batch, "overlap candidate sets diverge");
     }
 
@@ -100,7 +106,7 @@ proptest! {
                 vec![Value::Str(format!("{} {second}", VOCAB[w]))],
             ));
         }
-        let batch = batch_pairs(&t, &*standard_recipe(0, 1, 4, 400));
+        let batch = batch_pairs(&t, &IndexConfig::default());
         let incremental = incremental_pairs(&t, IndexConfig::default());
         prop_assert_eq!(&incremental, &batch);
     }
@@ -120,7 +126,7 @@ fn default_cap_parity_on_restaurants() {
         table.len() < 400,
         "premise: table smaller than the bucket cap"
     );
-    let batch = batch_pairs(&table, &*standard_recipe(0, 1, 4, 400));
+    let batch = batch_pairs(&table, &IndexConfig::default());
     let incremental = incremental_pairs(&table, IndexConfig::default());
     assert_eq!(incremental, batch);
 }
@@ -140,15 +146,13 @@ fn cap_overflow_divergence_is_bounded_and_one_sided() {
         ));
     }
     let cap = 5;
-    let batch = batch_pairs(&t, &*standard_recipe(0, 1, 0, cap));
-    let incremental = incremental_pairs(
-        &t,
-        IndexConfig {
-            qgram: 0,
-            max_bucket: cap,
-            ..Default::default()
-        },
-    );
+    let cfg = IndexConfig {
+        qgram: 0,
+        max_bucket: cap,
+        ..Default::default()
+    };
+    let batch = batch_pairs(&t, &cfg);
+    let incremental = incremental_pairs(&t, cfg);
     assert!(
         batch.is_empty(),
         "batch drops the overflowing 'the' and 'hot' buckets entirely"

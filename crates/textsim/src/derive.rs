@@ -9,7 +9,7 @@
 //! word bag, the 3-gram bag (the feature layer's `qgm_3` tokenizer), the
 //! numeric interpretation, and — for the configured blocking attribute —
 //! the blocking keys, all from that one normalized form. Everything
-//! downstream (feature generation, batch blockers, streaming indexes)
+//! downstream (feature generation, batch blocking, streaming indexes)
 //! consumes the resulting [`DerivedRecord`]s.
 //!
 //! Derivation also stores, per attribute, two facts the batch fill would
@@ -31,16 +31,14 @@ use crate::tokenize::{normalize_into, qgrams_from_norm, TokenBag};
 use zeroer_tabular::Value;
 
 /// Which blocking keys the derivation pass should extract alongside the
-/// feature bags.
+/// feature bags: the token keys of one attribute and, when `qgram > 0`,
+/// its q-gram keys.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockSpec {
     /// Attribute index used as the blocking key.
     pub attr: usize,
     /// q-gram size for q-gram blocking keys (0 disables them).
     pub qgram: usize,
-    /// Whether to intern the full normalized value as an
-    /// attribute-equivalence key.
-    pub equiv: bool,
 }
 
 /// Derivation configuration. The default extracts no blocking keys
@@ -55,11 +53,7 @@ impl DeriveConfig {
     /// Keys for token (+ optional q-gram) blocking on `attr`.
     pub fn blocking(attr: usize, qgram: usize) -> Self {
         Self {
-            block: Some(BlockSpec {
-                attr,
-                qgram,
-                equiv: false,
-            }),
+            block: Some(BlockSpec { attr, qgram }),
         }
     }
 }
@@ -124,8 +118,9 @@ fn value_key(present: bool, number: Option<f64>, text: &str) -> u64 {
     fnv1a_extend(h, text.as_bytes())
 }
 
-/// Blocking keys of one record (empty when the key attribute is null —
-/// null rows never block). Symbol lists are sorted and deduplicated.
+/// Blocking keys of one record: the two legs the standard blocking rule
+/// counts together. Empty when the key attribute is null (null rows
+/// never block). Symbol lists are sorted and deduplicated.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KeySet {
     /// Word-token keys: tokens longer than one byte (single characters
@@ -133,9 +128,6 @@ pub struct KeySet {
     pub tokens: Vec<Sym>,
     /// Character q-gram keys.
     pub qgrams: Vec<Sym>,
-    /// The normalized-equality key used by attribute-equivalence
-    /// blocking.
-    pub equiv: Option<Sym>,
 }
 
 /// All derived forms of one record: per-attribute feature forms plus the
@@ -282,9 +274,6 @@ fn derive_record(
                 keys.qgrams = bufs.syms.clone();
                 bufs.syms.clear();
             }
-            if spec.equiv {
-                keys.equiv = Some(interner.intern(&bufs.norm));
-            }
         }
 
         let text = if present {
@@ -343,42 +332,6 @@ impl Deriver {
         derive_record(&mut self.interner, &mut self.bufs, &self.cfg, values)
     }
 
-    /// Derives *only* the blocking keys of one attribute value — the
-    /// light path for standalone batch blockers that never featurize.
-    pub fn derive_keys(&mut self, text: Option<&str>, qgram: usize, equiv: bool) -> KeySet {
-        let mut keys = KeySet::default();
-        let Some(t) = text else {
-            return keys;
-        };
-        normalize_into(t, &mut self.bufs.norm);
-        self.bufs.key_toks.clear();
-        for tok in self.bufs.norm.split(' ') {
-            if tok.len() > 1 {
-                self.bufs.key_toks.push(self.interner.intern(tok));
-            }
-        }
-        self.bufs.key_toks.sort_unstable();
-        self.bufs.key_toks.dedup();
-        keys.tokens = std::mem::take(&mut self.bufs.key_toks);
-        if qgram > 0 {
-            qgrams_from_norm(
-                &mut self.interner,
-                &self.bufs.norm,
-                qgram,
-                &mut self.bufs.chars,
-                &mut self.bufs.tok,
-                &mut self.bufs.syms,
-            );
-            self.bufs.syms.sort_unstable();
-            self.bufs.syms.dedup();
-            keys.qgrams = std::mem::take(&mut self.bufs.syms);
-        }
-        if equiv {
-            keys.equiv = Some(self.interner.intern(&self.bufs.norm));
-        }
-        keys
-    }
-
     /// The interner.
     pub fn interner(&self) -> &Interner {
         &self.interner
@@ -435,8 +388,13 @@ mod tests {
 
     #[test]
     fn keys_filter_single_characters_and_dedup() {
-        let mut d = Deriver::new(DeriveConfig::blocking(0, 0));
+        let mut d = Deriver::new(DeriveConfig::blocking(0, 2));
         let rec = d.derive(&["a Red RED fox".into()]);
+        let qgrams = &rec.keys().qgrams;
+        assert!(
+            qgrams.windows(2).all(|w| w[0] < w[1]),
+            "q-gram keys sorted and deduplicated (\"re\" occurs twice)"
+        );
         let texts: Vec<&str> = rec
             .keys()
             .tokens
@@ -457,7 +415,6 @@ mod tests {
         let rec = d.derive(&[Value::Null, "other".into()]);
         assert!(rec.keys().tokens.is_empty());
         assert!(rec.keys().qgrams.is_empty());
-        assert!(rec.keys().equiv.is_none());
     }
 
     #[test]
@@ -466,26 +423,5 @@ mod tests {
         let rec = d.derive(&["abc".into()]);
         let bag_syms: Vec<Sym> = rec.attr(0).qgm3.syms().collect();
         assert_eq!(rec.keys().qgrams, bag_syms);
-    }
-
-    #[test]
-    fn derive_keys_matches_record_derivation() {
-        let text = "Efficient Query-Processing";
-        let mut a = Deriver::new(cfg4());
-        let rec = a.derive(&[text.into()]);
-        let mut b = Deriver::new(DeriveConfig::default());
-        let ks = b.derive_keys(Some(text), 4, false);
-        let of = |it: &Interner, syms: &[Sym]| -> Vec<String> {
-            syms.iter().map(|&s| it.resolve(s).to_string()).collect()
-        };
-        assert_eq!(
-            of(a.interner(), &rec.keys().tokens),
-            of(b.interner(), &ks.tokens)
-        );
-        let mut qa = of(a.interner(), &rec.keys().qgrams);
-        let mut qb = of(b.interner(), &ks.qgrams);
-        qa.sort();
-        qb.sort();
-        assert_eq!(qa, qb);
     }
 }

@@ -10,28 +10,25 @@
 //! cargo run --release --example diagnose_model
 //! ```
 
-use zeroer::blocking::{
-    Blocker, BlockingReport, PairMode, QgramBlocker, TokenBlocker, UnionBlocker,
-};
+use zeroer::blocking::{standard_candidates_derived, BlockingReport, PairMode};
 use zeroer::core::{GenerativeModel, ModelReport, TransitivityCalibrator, ZeroErConfig};
 use zeroer::datagen::{generate, profiles::mv_ri};
 use zeroer::eval::curves::{auc_pr, best_f1_threshold, brier_score};
 use zeroer::eval::metrics::f_score;
-use zeroer::features::PairFeaturizer;
+use zeroer::features::{DeriveConfig, PairFeaturizer};
 
 fn main() {
     let ds = generate(&mv_ri(), 0.3, 21);
 
-    let blocker = UnionBlocker::new(vec![
-        Box::new(TokenBlocker::new(0)),
-        Box::new(QgramBlocker::new(0, 4)),
-    ]);
-    let cs = blocker.candidates(&ds.left, &ds.right, PairMode::Cross);
+    // The pipelines' blocking: both tables derived once with token and
+    // 4-gram keys on the movie name; a pair needs two shared keys.
+    let fz = PairFeaturizer::with_config(&ds.left, &ds.right, DeriveConfig::blocking(0, 4));
+    let (l, r) = (fz.left_derived(), Some(fz.right_derived()));
+    let cs = standard_candidates_derived(l, r, PairMode::Cross, 1, 400);
     let report = BlockingReport::evaluate(&cs, &ds.matches, ds.left.len(), ds.right.len());
     println!("blocking: {report}");
     println!("blocking figure of merit: {:.3}\n", report.f_measure());
 
-    let fz = PairFeaturizer::new(&ds.left, &ds.right);
     let mut fs = fz.featurize(cs.pairs());
     fs.normalize();
     let labels = ds.labels_for(cs.pairs());

@@ -12,11 +12,11 @@
 use std::collections::HashSet;
 use zeroer::baselines::common::Classifier;
 use zeroer::baselines::{GaussianMixture, KMeans};
-use zeroer::blocking::{Blocker, PairMode, TokenBlocker};
+use zeroer::blocking::{standard_candidates_derived, BlockingReport, PairMode};
 use zeroer::core::{LinkageModel, LinkageTask, ZeroErConfig};
 use zeroer::datagen::{generate, profiles::pub_da};
 use zeroer::eval::metrics::f_score;
-use zeroer::features::PairFeaturizer;
+use zeroer::features::{DeriveConfig, PairFeaturizer};
 use zeroer::stream::{LinkPipeline, Side, StreamOptions};
 use zeroer::tabular::Table;
 
@@ -26,27 +26,23 @@ fn main() {
     println!("right (ACM-like)  : {} records", ds.right.len());
     println!("true matches      : {}\n", ds.matches.len());
 
-    // Overlap blocking on the title (2 shared tokens required).
-    let blocker = TokenBlocker::with_overlap(0, 2);
-    let cross_cs = blocker.candidates(&ds.left, &ds.right, PairMode::Cross);
-    let left_cs = blocker.candidates(&ds.left, &ds.left, PairMode::Dedup);
-    let right_cs = blocker.candidates(&ds.right, &ds.right, PairMode::Dedup);
-    println!("candidates (cross): {}", cross_cs.len());
-    println!(
-        "blocking recall   : {:.3}\n",
-        cross_cs.recall_against(&ds.matches)
-    );
-
-    // Feature generation per leg.
-    let make_task = |l, r, cs: &zeroer::blocking::CandidateSet| {
-        let fz = PairFeaturizer::new(l, r);
+    // Per leg: derive the tables once with title token keys, keep the
+    // pairs sharing 2 title tokens (overlap blocking), featurize them.
+    let make_task = |l: &Table, r: &Table, mode: PairMode| {
+        let fz = PairFeaturizer::with_config(l, r, DeriveConfig::blocking(0, 0));
+        let right = (mode == PairMode::Cross).then(|| fz.right_derived());
+        let cs = standard_candidates_derived(fz.left_derived(), right, mode, 2, 400);
         let mut fs = fz.featurize(cs.pairs());
         fs.normalize();
-        LinkageTask::new(fs.matrix, cs.pairs().to_vec(), fs.layout)
+        let task = LinkageTask::new(fs.matrix, cs.pairs().to_vec(), fs.layout);
+        (task, cs)
     };
-    let cross = make_task(&ds.left, &ds.right, &cross_cs);
-    let left = make_task(&ds.left, &ds.left, &left_cs);
-    let right = make_task(&ds.right, &ds.right, &right_cs);
+    let (cross, cross_cs) = make_task(&ds.left, &ds.right, PairMode::Cross);
+    let (left, _) = make_task(&ds.left, &ds.left, PairMode::Dedup);
+    let (right, _) = make_task(&ds.right, &ds.right, PairMode::Dedup);
+    let report = BlockingReport::evaluate(&cross_cs, &ds.matches, ds.left.len(), ds.right.len());
+    println!("candidates (cross): {}", cross_cs.len());
+    println!("blocking recall   : {:.3}\n", report.pair_completeness);
     let labels = ds.labels_for(cross_cs.pairs());
 
     // ZeroER: the three-model joint trainer (F, Fl, Fr).

@@ -12,23 +12,23 @@
 
 use zeroer::baselines::common::{take_labels, take_rows, Classifier};
 use zeroer::baselines::RandomForest;
-use zeroer::blocking::{Blocker, PairMode, QgramBlocker, TokenBlocker, UnionBlocker};
+use zeroer::blocking::{standard_candidates_derived, PairMode};
 use zeroer::core::{FeatureDependence, GenerativeModel, Regularization, ZeroErConfig};
 use zeroer::datagen::{generate, profiles::prod_ag};
 use zeroer::eval::metrics::f_score;
 use zeroer::eval::split::{oversample_minority, train_test_split};
-use zeroer::features::PairFeaturizer;
+use zeroer::features::{DeriveConfig, PairFeaturizer};
 
 fn main() {
     let ds = generate(&prod_ag(), 0.08, 3);
     println!("Amazon-like products : {}", ds.left.len());
     println!("Google-like products : {}", ds.right.len());
 
-    let blocker = UnionBlocker::new(vec![
-        Box::new(TokenBlocker::new(0)),
-        Box::new(QgramBlocker::new(0, 4)),
-    ]);
-    let cs = blocker.candidates(&ds.left, &ds.right, PairMode::Cross);
+    // The pipelines' blocking: both tables derived once with token and
+    // 4-gram keys on the title; a pair needs two shared keys.
+    let fz = PairFeaturizer::with_config(&ds.left, &ds.right, DeriveConfig::blocking(0, 4));
+    let (l, r) = (fz.left_derived(), Some(fz.right_derived()));
+    let cs = standard_candidates_derived(l, r, PairMode::Cross, 1, 400);
     let labels = ds.labels_for(cs.pairs());
     let n_matches = labels.iter().filter(|&&l| l).count();
     println!(
@@ -37,7 +37,6 @@ fn main() {
         n_matches
     );
 
-    let fz = PairFeaturizer::new(&ds.left, &ds.right);
     let mut fs = fz.featurize(cs.pairs());
     fs.normalize();
     println!(

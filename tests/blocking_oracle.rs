@@ -7,12 +7,15 @@
 //! overlap blocking, and a `HashSet` candidate set sorted at the end.
 //! Its standard recipe is the two-key oracle: at overlap 1 it counts
 //! each pair's shared keys over the token and q-gram legs together in a
-//! separate `HashMap` and keeps the pairs sharing at least two. The
-//! proptests assert that [`standard_candidates_derived`],
-//! [`standard_recipe`] and the three key-based trait blockers produce the
-//! identical pair list in both pair modes, with and without a distinct
-//! right side, at overlap floors 1–3 and at bucket caps small enough that
-//! the stop-word skip fires. Records draw their words from a four-letter
+//! separate `HashMap` and keeps the pairs sharing at least two. Its
+//! pruned set keeps, from the same counts, the pairs sharing at least
+//! one key but fewer than the rule needs. The proptests assert that
+//! [`standard_candidates_derived`] and [`pruned_candidates_derived`]
+//! produce the identical pair lists in both pair modes, with and without
+//! a distinct right side, at overlap floors 1–3 and at bucket caps small
+//! enough that the stop-word skip fires. The pruned set is the only
+//! check of the probe's one-key floor, which the support rows of a tiny
+//! fit are drawn from. Records draw their words from a four-letter
 //! alphabet, so many records share each token and q-gram key.
 //!
 //! The pair-locality proptest checks what exact retraction rests on: with
@@ -27,10 +30,7 @@
 //! candidate list equal to a `HashMap` count over the live records.
 
 use proptest::prelude::*;
-use zeroer::blocking::{
-    standard_candidates_derived, standard_recipe, AttrEquivalenceBlocker, Blocker, PairMode,
-    QgramBlocker, TokenBlocker,
-};
+use zeroer::blocking::{pruned_candidates_derived, standard_candidates_derived, PairMode};
 use zeroer::stream::{IncrementalIndex, IndexConfig, KeyCounts};
 use zeroer::tabular::{Record, Schema, Table, Value};
 use zeroer::textsim::derive::{DeriveConfig, DerivedRecord, Deriver, KeySet};
@@ -38,8 +38,7 @@ use zeroer::textsim::derive::{DeriveConfig, DerivedRecord, Deriver, KeySet};
 /// The retired hash-join blocking core, kept as the parity reference.
 mod reference {
     use std::collections::{HashMap, HashSet};
-    use zeroer::blocking::{PairMode, TableKeys};
-    use zeroer::tabular::Table;
+    use zeroer::blocking::PairMode;
     use zeroer::textsim::derive::{DerivedRecord, KeySet};
     use zeroer::textsim::Sym;
 
@@ -231,6 +230,43 @@ mod reference {
         )
     }
 
+    /// The pairs the two-key oracle prunes: those sharing at least one
+    /// key but fewer than `max(min_overlap, 2)`, token and q-gram keys
+    /// counted together in one `HashMap` at overlap 1, tokens alone
+    /// above.
+    pub fn pruned_candidates_derived(
+        left: &[DerivedRecord],
+        right: Option<&[DerivedRecord]>,
+        mode: PairMode,
+        min_overlap: usize,
+        max_bucket: usize,
+    ) -> Vec<(usize, usize)> {
+        let index = |select: fn(&KeySet) -> &[Sym]| {
+            IndexPair::build(
+                left.iter().map(|r| r.keys()),
+                right.map(|r| r.iter().map(|rec| rec.keys())),
+                select,
+            )
+        };
+        let mut counts = HashMap::new();
+        let tok = index(|k| &k.tokens);
+        let (li, ri) = tok.sides();
+        count_shared(li, ri, mode, max_bucket, &mut counts);
+        if min_overlap <= 1 {
+            let qgm = index(|k| &k.qgrams);
+            let (qli, qri) = qgm.sides();
+            count_shared(qli, qri, mode, max_bucket, &mut counts);
+        }
+        let need = min_overlap.max(2);
+        candidate_set(
+            mode,
+            counts
+                .into_iter()
+                .filter(|&(_, c)| c < need)
+                .map(|(p, _)| p),
+        )
+    }
+
     /// The streaming rule without a stop-word cap: the records of
     /// `live` sharing at least `max(min_overlap, 2)` keys with `keys`,
     /// token and q-gram keys counted together in a `HashMap` at overlap
@@ -269,62 +305,6 @@ mod reference {
             .collect();
         out.sort_unstable();
         out
-    }
-
-    fn extract_keys(
-        left: &Table,
-        right: &Table,
-        mode: PairMode,
-        attr: usize,
-        qgram: usize,
-        equiv: bool,
-    ) -> (Vec<KeySet>, Option<Vec<KeySet>>) {
-        if mode == PairMode::Dedup {
-            (TableKeys::build(left, attr, qgram, equiv).keys, None)
-        } else {
-            let (lk, rk) = TableKeys::build_pair(left, right, attr, qgram, equiv);
-            (lk.keys, Some(rk))
-        }
-    }
-
-    pub fn token_blocker(
-        left: &Table,
-        right: &Table,
-        mode: PairMode,
-        max_bucket: usize,
-        min_overlap: usize,
-    ) -> Vec<(usize, usize)> {
-        let (lk, rk) = extract_keys(left, right, mode, 0, 0, false);
-        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), |k| &k.tokens);
-        let (li, ri) = pair.sides();
-        join_with_overlap(li, ri, mode, max_bucket, min_overlap)
-    }
-
-    pub fn qgram_blocker(
-        left: &Table,
-        right: &Table,
-        mode: PairMode,
-        q: usize,
-        max_bucket: usize,
-    ) -> Vec<(usize, usize)> {
-        let (lk, rk) = extract_keys(left, right, mode, 0, q, false);
-        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), |k| &k.qgrams);
-        let (li, ri) = pair.sides();
-        join_indices(li, ri, mode, max_bucket)
-    }
-
-    pub fn attr_equivalence_blocker(
-        left: &Table,
-        right: &Table,
-        mode: PairMode,
-    ) -> Vec<(usize, usize)> {
-        fn select(k: &KeySet) -> &[Sym] {
-            k.equiv.as_slice()
-        }
-        let (lk, rk) = extract_keys(left, right, mode, 0, 0, true);
-        let pair = IndexPair::build(lk.iter(), rk.as_ref().map(|r| r.iter()), select);
-        let (li, ri) = pair.sides();
-        join_indices(li, ri, mode, usize::MAX / 2)
     }
 }
 
@@ -366,71 +346,31 @@ fn derive(left: &Table, right: &Table, q: usize) -> (Vec<DerivedRecord>, Vec<Der
 /// none.
 const CAPS: [usize; 4] = [1, 2, 4, 400];
 
-fn assert_derived_parity(left: &[DerivedRecord], right: &[DerivedRecord]) {
+fn assert_derived_parity(left: &[DerivedRecord], right: &[DerivedRecord], caps: &[usize]) {
     for mode in [PairMode::Dedup, PairMode::Cross] {
         for right in [None, Some(right)] {
+            let side = if right.is_some() { "Some" } else { "None" };
             for min_overlap in 1..=3 {
-                for cap in CAPS {
+                for &cap in caps {
                     let got = standard_candidates_derived(left, right, mode, min_overlap, cap);
                     let want =
                         reference::standard_candidates_derived(left, right, mode, min_overlap, cap);
                     assert_eq!(
                         got.pairs(),
                         want.as_slice(),
-                        "{mode:?}, right {}, overlap {min_overlap}, cap {cap}",
-                        if right.is_some() { "Some" } else { "None" }
+                        "{mode:?}, right {side}, overlap {min_overlap}, cap {cap}"
+                    );
+                    let got = pruned_candidates_derived(left, right, mode, min_overlap, cap);
+                    let want =
+                        reference::pruned_candidates_derived(left, right, mode, min_overlap, cap);
+                    assert_eq!(
+                        got.pairs(),
+                        want.as_slice(),
+                        "pruned, {mode:?}, right {side}, overlap {min_overlap}, cap {cap}"
                     );
                 }
             }
         }
-    }
-}
-
-fn assert_trait_parity(left: &Table, right: &Table) {
-    let (ld, rd) = derive(left, right, 4);
-    for mode in [PairMode::Dedup, PairMode::Cross] {
-        let rd = (mode == PairMode::Cross).then_some(rd.as_slice());
-        for cap in CAPS {
-            for min_overlap in 1..=3 {
-                let blocker = TokenBlocker {
-                    attr: 0,
-                    max_bucket: cap,
-                    min_overlap,
-                };
-                assert_eq!(
-                    blocker.candidates(left, right, mode).pairs(),
-                    reference::token_blocker(left, right, mode, cap, min_overlap).as_slice(),
-                    "token blocker, {mode:?}, overlap {min_overlap}, cap {cap}"
-                );
-                assert_eq!(
-                    standard_recipe(0, min_overlap, 4, cap)
-                        .candidates(left, right, mode)
-                        .pairs(),
-                    reference::standard_candidates_derived(&ld, rd, mode, min_overlap, cap)
-                        .as_slice(),
-                    "standard recipe, {mode:?}, overlap {min_overlap}, cap {cap}"
-                );
-            }
-            for q in [2, 3] {
-                let blocker = QgramBlocker {
-                    attr: 0,
-                    q,
-                    max_bucket: cap,
-                };
-                assert_eq!(
-                    blocker.candidates(left, right, mode).pairs(),
-                    reference::qgram_blocker(left, right, mode, q, cap).as_slice(),
-                    "q-gram blocker, {mode:?}, q {q}, cap {cap}"
-                );
-            }
-        }
-        assert_eq!(
-            AttrEquivalenceBlocker { attr: 0 }
-                .candidates(left, right, mode)
-                .pairs(),
-            reference::attr_equivalence_blocker(left, right, mode).as_slice(),
-            "equivalence blocker, {mode:?}"
-        );
     }
 }
 
@@ -441,12 +381,7 @@ proptest! {
     fn derived_probe_matches_hash_join(l in values(40), r in values(30), q in 2usize..5) {
         let (lt, rt) = (table(&l), table(&r));
         let (ld, rd) = derive(&lt, &rt, q);
-        assert_derived_parity(&ld, &rd);
-    }
-
-    #[test]
-    fn trait_blockers_match_hash_join(l in values(40), r in values(30)) {
-        assert_trait_parity(&table(&l), &table(&r));
+        assert_derived_parity(&ld, &rd, &CAPS);
     }
 }
 
@@ -458,19 +393,7 @@ fn shared_stop_word_is_skipped_exactly_at_the_cap() {
         .collect();
     let t = table(&values);
     let (d, _) = derive(&t, &t, 3);
-    for cap in [3, 4, 11, 12, 13] {
-        for min_overlap in 1..=3 {
-            let got = standard_candidates_derived(&d, None, PairMode::Dedup, min_overlap, cap);
-            let want =
-                reference::standard_candidates_derived(&d, None, PairMode::Dedup, min_overlap, cap);
-            assert_eq!(
-                got.pairs(),
-                want.as_slice(),
-                "cap {cap}, overlap {min_overlap}"
-            );
-        }
-    }
-    assert_trait_parity(&t, &t);
+    assert_derived_parity(&d, &d, &[3, 4, 11, 12, 13]);
 }
 
 /// Whether `(a, b)` is a candidate of the two-record table holding only

@@ -1,17 +1,19 @@
 //! End-to-end integration: dataset generation → blocking → features →
-//! ZeroER → evaluation, across profiles and against baselines.
+//! ZeroER → evaluation, across profiles and against baselines. Blocking
+//! is the pipelines' standard recipe on each task's own derivation.
 //!
 //! Scales are kept tiny so the suite stays fast in debug builds; the
 //! full-scale numbers live in the bench harnesses.
 
 use zeroer::baselines::common::Classifier;
 use zeroer::baselines::{GaussianMixture, KMeans};
-use zeroer::blocking::{Blocker, PairMode, QgramBlocker, TokenBlocker, UnionBlocker};
+use zeroer::blocking::{standard_candidates_derived, PairMode};
 use zeroer::core::{LinkageModel, LinkageTask, ZeroErConfig};
 use zeroer::datagen::profiles::{prod_ag, pub_da, rest_fz};
 use zeroer::datagen::{generate, GeneratedDataset};
 use zeroer::eval::metrics::f_score;
-use zeroer::features::PairFeaturizer;
+use zeroer::features::{DeriveConfig, PairFeaturizer};
+use zeroer::tabular::Table;
 
 struct Pipeline {
     ds: GeneratedDataset,
@@ -22,27 +24,18 @@ struct Pipeline {
 }
 
 fn run_pipeline(ds: GeneratedDataset, overlap: usize) -> Pipeline {
-    let blocker: Box<dyn Blocker + Send + Sync> = if overlap <= 1 {
-        Box::new(UnionBlocker::new(vec![
-            Box::new(TokenBlocker::new(0)),
-            Box::new(QgramBlocker::new(0, 4)),
-        ]))
-    } else {
-        Box::new(TokenBlocker::with_overlap(0, overlap))
-    };
-    let cross_cs = blocker.candidates(&ds.left, &ds.right, PairMode::Cross);
-    let left_cs = blocker.candidates(&ds.left, &ds.left, PairMode::Dedup);
-    let right_cs = blocker.candidates(&ds.right, &ds.right, PairMode::Dedup);
-    let task = |l, r, cs: &zeroer::blocking::CandidateSet| {
-        let fz = PairFeaturizer::new(l, r);
+    let task = |l: &Table, r: &Table, mode: PairMode| {
+        let fz = PairFeaturizer::with_config(l, r, DeriveConfig::blocking(0, 4));
+        let right = (mode == PairMode::Cross).then(|| fz.right_derived());
+        let cs = standard_candidates_derived(fz.left_derived(), right, mode, overlap, 400);
         let mut fs = fz.featurize(cs.pairs());
         fs.normalize();
         LinkageTask::new(fs.matrix, cs.pairs().to_vec(), fs.layout)
     };
-    let cross = task(&ds.left, &ds.right, &cross_cs);
-    let left = task(&ds.left, &ds.left, &left_cs);
-    let right = task(&ds.right, &ds.right, &right_cs);
-    let labels = ds.labels_for(cross_cs.pairs());
+    let cross = task(&ds.left, &ds.right, PairMode::Cross);
+    let left = task(&ds.left, &ds.left, PairMode::Dedup);
+    let right = task(&ds.right, &ds.right, PairMode::Dedup);
+    let labels = ds.labels_for(&cross.pairs);
     Pipeline {
         ds,
         cross,

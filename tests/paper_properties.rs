@@ -1,17 +1,19 @@
 //! Integration tests pinning the paper's qualitative claims — the
-//! properties EXPERIMENTS.md reports, asserted at small scale so CI
-//! catches regressions in any layer.
+//! properties its tables and figures report (§3, §7), asserted at small
+//! scale so CI catches regressions in any layer. This build's own
+//! numbers are in ROADMAP.md's baseline.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use zeroer::blocking::{standard_candidates_derived, PairMode};
 use zeroer::core::{
     FeatureDependence, GenerativeModel, Regularization, TransitivityCalibrator, ZeroErConfig,
 };
 use zeroer::datagen::profiles::{prod_ab, prod_ag, pub_da};
 use zeroer::datagen::{generate, DatasetProfile};
 use zeroer::eval::metrics::f_score;
-use zeroer::features::PairFeaturizer;
+use zeroer::features::{DeriveConfig, PairFeaturizer};
 use zeroer::linalg::block::GroupLayout;
 use zeroer::linalg::stats::{covariance_to_correlation, weighted_covariance, weighted_mean};
 use zeroer::linalg::Matrix;
@@ -159,11 +161,11 @@ fn em_converges_at_multiple_scales() {
 #[test]
 fn grouped_adaptive_beats_naive_full() {
     let ds = generate(&pub_da(), 0.04, 13);
-    let fz = PairFeaturizer::new(&ds.left, &ds.right);
-    // Candidate set: true matches + hard negatives sharing title tokens.
-    let blocker = zeroer::blocking::TokenBlocker::with_overlap(0, 2);
-    use zeroer::blocking::Blocker;
-    let cs = blocker.candidates(&ds.left, &ds.right, zeroer::blocking::PairMode::Cross);
+    let fz = PairFeaturizer::with_config(&ds.left, &ds.right, DeriveConfig::blocking(0, 0));
+    // Candidate set: true matches + hard negatives sharing two title
+    // tokens.
+    let (l, r) = (fz.left_derived(), Some(fz.right_derived()));
+    let cs = standard_candidates_derived(l, r, PairMode::Cross, 2, 400);
     let mut fs = fz.featurize(cs.pairs());
     fs.normalize();
     let labels = ds.labels_for(cs.pairs());
